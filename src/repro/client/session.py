@@ -68,6 +68,9 @@ class LocalEngine:
         # RuleTrace of the most recent plan() call (rewrite-rule
         # firings / cost-guard skips), for tests and EXPLAIN.
         self.last_rule_trace = None
+        #: ``{"<operator>.<reason>": pages}`` of the last executed query:
+        #: pages that took a per-row path instead of the vectorized kernels
+        self.last_row_fallbacks: dict[str, int] = {}
 
     # -- catalog management ------------------------------------------------
 
@@ -114,6 +117,7 @@ class LocalEngine:
             return self._drop_table(statement)
         plan = self.plan(statement)
         result = execute_plan(self.metadata, plan, interpreted=self.interpreted)
+        self.last_row_fallbacks = result.row_fallbacks
         return QueryResult(result.column_names, result.column_types, result.rows())
 
     def plan(self, statement: ast.Statement, optimize: Optional[bool] = None):
@@ -177,11 +181,19 @@ class LocalEngine:
         total_rows = sum(page.row_count for page in collector.pages)
         lines.append(f"Output rows: {total_rows}")
         def stat_line(operator, indent: str) -> str:
-            return (
+            line = (
                 f"{indent}{operator.name:<20} in: {operator.input_rows:>8} rows"
                 f" / {operator.input_bytes:>10} B   out: {operator.output_rows:>8} rows"
                 f" / {operator.output_bytes:>10} B"
             )
+            if operator.row_fallbacks:
+                # Pages that left the vectorized kernels, by reason.
+                reasons = ", ".join(
+                    f"{reason}={pages}"
+                    for reason, pages in sorted(operator.row_fallbacks.items())
+                )
+                line += f"   row fallbacks: {reasons}"
+            return line
 
         for i, driver in enumerate(drivers):
             lines.append(f"Pipeline {i} (cpu {driver.cpu_time_ms:.1f} ms):")

@@ -44,6 +44,7 @@ from repro.errors import (
     QueryQueueFullError,
     WorkerFailedError,
 )
+from repro.exec.operator import row_fallback_counts
 from repro.memory.pools import ClusterMemoryManager, MemoryLimits, MemoryPool
 from repro.optimizer.context import OptimizerConfig
 from repro.planner.fingerprint import (
@@ -193,6 +194,9 @@ class SimCluster:
         # compiled into a FusedPipelineOperator vs. fallbacks by reason.
         self.pipelines_fused = 0
         self.fusion_fallbacks: dict[str, int] = {}
+        # Pages that took a per-row path instead of the vectorized
+        # kernels, by "<operator>.<reason>", folded in as tasks finish.
+        self.row_fallbacks: dict[str, int] = {}
         # Rewrite-rule counters (repro.planner.rules): firings and
         # cost-guard skips per rule, folded in per freshly-planned
         # query (cache hits don't re-count).
@@ -546,6 +550,12 @@ class SimCluster:
     # -- per-quantum bookkeeping (memory, completion) ----------------------------
 
     def _on_quantum_complete(self, worker: Worker, task: SimTask) -> None:
+        if task.is_finished():  # its last quantum: operators are final
+            counts = row_fallback_counts(
+                op for driver in task.drivers for op in driver.operators
+            )
+            for reason, pages in counts.items():
+                self.row_fallbacks[reason] = self.row_fallbacks.get(reason, 0) + pages
         query = self.queries.get(task.query_id)
         if query is None or query.state != "running" or task.superseded:
             return
@@ -904,6 +914,9 @@ class SimCluster:
         }
         for reason, count in sorted(self.fusion_fallbacks.items()):
             snapshot[f"exec.fusion_fallback.{reason}"] = count
+        snapshot["exec.row_fallbacks"] = sum(self.row_fallbacks.values())
+        for reason, count in sorted(self.row_fallbacks.items()):
+            snapshot[f"exec.row_fallback.{reason}"] = count
         # Kernel-backend transfer accounting (docs/BACKENDS.md). The
         # counter set is stable across backends — the numpy backend
         # reports zeros, the simgpu device stub reports bytes/transfers

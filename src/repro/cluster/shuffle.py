@@ -288,6 +288,7 @@ class ExchangeSinkOperator(Operator):
                 if len(positions):
                     buffer.add(partition, page.copy_positions(positions))
             return
+        self.count_row_fallback(kernels.decline_reason())
         assignments: list[list[int]] = [[] for _ in range(count)]
         key_columns = [block.to_values() for block in key_blocks]
         for row in range(page.row_count):  # row-path: object-typed partition keys

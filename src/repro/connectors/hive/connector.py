@@ -280,7 +280,7 @@ class HivePageSink(PageSink):
                 key = tuple(block.get(first) for block in key_blocks)
                 self._append_rows(key, data_page.copy_positions(positions))
             return
-        # row-path: object-typed partition keys or REPRO_KERNELS=row
+        # row-path: partition keys with no array coding, or REPRO_KERNELS=row
         groups: dict[tuple, list[int]] = {}
         for position in range(page.row_count):
             key = tuple(block.get(position) for block in key_blocks)

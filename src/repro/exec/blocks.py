@@ -145,7 +145,7 @@ class PrimitiveBlock(Block):
     def to_values(self) -> list:
         out = self.values.tolist()
         if self.nulls.any():
-            for i in np.flatnonzero(self.nulls):
+            for i in np.flatnonzero(self.nulls).tolist():
                 out[i] = None
         return out
 
@@ -165,12 +165,17 @@ class PrimitiveBlock(Block):
 
 
 class ObjectBlock(Block):
-    """Variable-width column stored as a python list (None = null)."""
+    """Variable-width column stored as a python list (None = null).
 
-    __slots__ = ("items",)
+    Blocks are immutable once built, so the byte size — a walk over
+    every item — is computed once and kept.
+    """
+
+    __slots__ = ("items", "_size")
 
     def __init__(self, items: list):
         self.items = items
+        self._size: int | None = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -182,14 +187,16 @@ class ObjectBlock(Block):
         return self.items[position] is None
 
     def size_bytes(self) -> int:
-        # Cheap estimate: strings cost their length, everything else a word.
-        total = 8 * len(self.items)
-        for item in self.items:
-            if isinstance(item, str):
-                total += len(item)
-            elif isinstance(item, (list, tuple, dict)):
-                total += 16 * len(item)
-        return total
+        if self._size is None:
+            # Cheap estimate: strings cost their length, everything else a word.
+            total = 8 * len(self.items)
+            for item in self.items:
+                if isinstance(item, str):
+                    total += len(item)
+                elif isinstance(item, (list, tuple, dict)):
+                    total += 16 * len(item)
+            self._size = total
+        return self._size
 
     def to_values(self) -> list:
         return list(self.items)
@@ -203,7 +210,10 @@ class ObjectBlock(Block):
         return out, mask
 
     def copy_positions(self, positions) -> "ObjectBlock":
-        return ObjectBlock([self.items[int(p)] for p in positions])
+        if isinstance(positions, np.ndarray):
+            positions = positions.tolist()
+        items = self.items
+        return ObjectBlock([items[p] for p in positions])
 
     def region(self, start: int, length: int) -> "ObjectBlock":
         return ObjectBlock(self.items[start : start + length])
@@ -252,11 +262,12 @@ class DictionaryBlock(Block):
     select the row values. ``-1`` in indices denotes null.
     """
 
-    __slots__ = ("dictionary", "indices")
+    __slots__ = ("dictionary", "indices", "_size")
 
     def __init__(self, dictionary: Block, indices: np.ndarray):
         self.dictionary = dictionary
         self.indices = np.asarray(indices, dtype=np.int64)
+        self._size: int | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -272,14 +283,19 @@ class DictionaryBlock(Block):
         return idx < 0 or self.dictionary.is_null(int(idx))
 
     def size_bytes(self) -> int:
-        # The dictionary is shared; charge indices plus amortized dictionary.
-        return int(self.indices.nbytes) + self.dictionary.size_bytes()
+        size = self._size
+        if size is None:
+            # The dictionary is shared; charge indices plus amortized dictionary.
+            size = int(self.indices.nbytes) + self.dictionary.size_bytes()
+            if is_fully_loaded(self.dictionary):
+                self._size = size
+        return size
 
     def to_values(self) -> list:
         if isinstance(self.dictionary, PrimitiveBlock):
             return self.unwrap().to_values()
         dict_values = self.dictionary.to_values()
-        return [dict_values[i] if i >= 0 else None for i in self.indices]
+        return [dict_values[i] if i >= 0 else None for i in self.indices.tolist()]
 
     def copy_positions(self, positions) -> "DictionaryBlock":
         idx = np.asarray(positions, dtype=np.int64)
@@ -367,6 +383,21 @@ class LazyBlock(Block):
 
     def unwrap(self) -> Block:
         return self.load().unwrap()
+
+
+def is_fully_loaded(block: Block) -> bool:
+    """True when no :class:`LazyBlock` in ``block``'s wrapper chain is
+    still unloaded — from then on its ``size_bytes`` cannot change (a
+    lazy block counts 0 until loaded), so composites may memoize it."""
+    while True:
+        if isinstance(block, LazyBlock):
+            if not block.is_loaded:
+                return False
+            block = block.load()
+        elif isinstance(block, DictionaryBlock):
+            block = block.dictionary
+        else:
+            return True
 
 
 def make_block(type_: Type, values: Iterable) -> Block:

@@ -43,15 +43,29 @@ keys python dicts with value tuples):
   join (non-representable values simply never match).
 
 Dictionary-encoded key columns (the columnar scan hands stripes through
-as :class:`DictionaryBlock` without materializing) are processed in
-dictionary space where it pays: :func:`factorize` and :func:`hash_rows`
-compute per-*entry* codes/hashes once and gather them through the
-indices instead of expanding to per-row values first.
+as :class:`DictionaryBlock` without materializing, and a join's
+``copy_positions`` stacks another index layer on top) are processed in
+dictionary space (paper Sec. V-E): :func:`factorize` and
+:func:`hash_rows` compute per-*entry* codes/hashes once and gather them
+through the indices instead of expanding to per-row values first.
 
-Object-typed columns (varchar, arrays, partial-aggregation state) have
-no numpy encoding; every entry point returns ``None`` for them and the
-caller falls back to the sanctioned row path. The same fallback can be
-forced globally (``REPRO_KERNELS=row`` or :func:`set_mode`) so the
+Varchar group keys take the same route. :func:`factorize` flattens a
+``Lazy``/``Dictionary`` chain to ``(leaf entries, composed indices)``,
+gives each distinct ``str`` entry a dense code through one python dict
+over the *entries*, and gathers the codes through the indices; an
+operator-owned cache keeps the entry codes of a dictionary held by
+reference, so successive pages over one stripe dictionary pay only the
+gather. Plain all-``str`` ``ObjectBlock``/``RunLengthBlock`` keys are
+their own entries.
+
+Other object-typed columns (arrays, maps, partial-aggregation state,
+non-``str`` values in a varchar block) have no numpy encoding: the
+entry points return ``None`` for them and the caller falls back to the
+sanctioned row path, counting the page under
+``exec.row_fallback.<operator>.<reason>`` (:func:`decline_reason`).
+:class:`VectorMultiMap` and :func:`hash_rows` still decline every
+object-typed key, varchar included. The same fallback can be forced
+globally (``REPRO_KERNELS=row`` or :func:`set_mode`) so the
 differential fuzzer can compare both paths.
 """
 
@@ -105,6 +119,12 @@ def set_mode(mode: str) -> None:
 def enabled() -> bool:
     """True when operators should attempt the vectorized kernels."""
     return _mode == VECTOR
+
+
+def decline_reason() -> str:
+    """Why an entry point just returned ``None`` — the reason label of
+    the caller's ``exec.row_fallback.<operator>.<reason>`` counter."""
+    return "object_key" if enabled() else "kernels_off"
 
 
 @contextmanager
@@ -208,46 +228,71 @@ def _canonical_codes(values, kind: str, xp) -> tuple:
     return values.astype(np.int64, copy=False), None
 
 
-def _column_codes(block: Block, row_count: int, backend):
-    """Dense per-row codes for one key column.
+def _flatten_dictionary(
+    block: Block, indices: Optional[np.ndarray] = None
+) -> tuple[Block, Optional[np.ndarray]]:
+    """Peel ``Lazy``/``Dictionary`` wrappers off ``block``.
 
-    Returns ``(codes, cardinality, nan_rows)``: codes are dense in
-    ``[0, cardinality)`` with NULL as its own code, and ``nan_rows``
-    (when not None) marks non-null NaN rows that must become singleton
-    groups. Dictionary blocks are coded in dictionary space — one
-    ``xp.unique`` over the entries, gathered through the indices —
-    instead of materializing per-row values. Returns ``None`` for
-    object-typed columns.
+    Returns ``(leaf, indices)``: the chain's index arrays composed into
+    the leaf's entry space (``-1`` marks a NULL row), or ``indices=None``
+    when the block was not dictionary-encoded. Given starting
+    ``indices`` (positions into ``block``), only those are carried down
+    the chain. Host-side Block decode.
     """
-    xp = backend.xp
-    if isinstance(block, LazyBlock):
-        block = block.load()
-    if isinstance(block, DictionaryBlock) and isinstance(
-        block.dictionary, PrimitiveBlock
-    ):
-        inner = primitive_arrays(block.dictionary)
-        assert inner is not None
-        values, entry_nulls, kind = inner
-        indices = backend.to_device(block.indices)
-        if len(values) == 0:
-            return xp.zeros(len(indices), dtype=np.int64), 1, None
-        values = backend.to_device(values)
-        entry_nulls = backend.to_device(entry_nulls)
-        codes, nan_mask = _canonical_codes(values, kind, xp)
-        uniq, entry_inverse = xp.unique(codes, return_inverse=True)
-        entry_inverse = entry_inverse.astype(np.int64, copy=False).reshape(-1)
-        null_code = len(uniq)
-        entry_codes = xp.where(entry_nulls, null_code, entry_inverse)
-        clipped = xp.clip(indices, 0, None)
-        row_codes = xp.where(indices < 0, np.int64(null_code), entry_codes[clipped])
-        nan_rows = None
-        if nan_mask is not None and nan_mask.any():
-            entry_nan = nan_mask & ~entry_nulls
-            nan_rows = entry_nan[clipped] & (indices >= 0)
-        return row_codes, len(uniq) + 1, nan_rows
-    arrays = primitive_arrays(block)
-    if arrays is None:
+    while True:
+        if isinstance(block, LazyBlock):
+            block = block.load()
+        elif isinstance(block, DictionaryBlock):
+            inner = block.indices
+            if indices is None:
+                indices = inner
+            elif not len(inner):
+                # host-only: Block decode (empty dictionary, all rows NULL)
+                indices = np.full(len(indices), -1, dtype=np.int64)
+            else:
+                composed = inner[indices]  # a -1 wraps to the last entry ...
+                composed[indices < 0] = -1  # ... and is put back here
+                indices = composed
+            block = block.dictionary
+        else:
+            return block, indices
+
+
+def _varchar_entry_codes(entries: list) -> Optional[tuple[np.ndarray, int]]:
+    """``(entry_codes, cardinality)`` for a list of ``str``/``None``
+    entries: equal strings share a dense code in first-seen order and
+    ``None`` takes the NULL code ``cardinality - 1``. ``None`` when any
+    entry is not a ``str`` (python equality across types is the row
+    path's business)."""
+    if not set(map(type, entries)) <= {str, type(None)}:
         return None
+    codes = dict.fromkeys(entries)
+    codes.pop(None, None)
+    codes = dict(zip(codes, range(len(codes))))
+    codes[None] = len(codes)
+    # row-path: per distinct dictionary entry, not per row
+    entry_codes = np.fromiter(  # host-only: python-object staging
+        map(codes.__getitem__, entries), dtype=np.int64, count=len(entries)
+    )
+    return entry_codes, len(codes)
+
+
+def _entry_codes(leaf: Block, backend):
+    """``(entry_codes, cardinality, entry_nan)`` for every entry of an
+    unwrapped block: dense codes in ``[0, cardinality)`` with NULL as
+    the last code, and (when not None) a mask of non-null NaN entries.
+    Returns ``None`` when the block has no such coding."""
+    xp = backend.xp
+    arrays = primitive_arrays(leaf)
+    if arrays is None:
+        if isinstance(leaf, RunLengthBlock) and type(leaf.value) is str:
+            return xp.zeros(len(leaf), dtype=np.int64), 2, None
+        coded = (
+            _varchar_entry_codes(leaf.items) if isinstance(leaf, ObjectBlock) else None
+        )
+        if coded is None:
+            return None
+        return backend.to_device(coded[0]), coded[1], None
     values, nulls, kind = arrays
     values = backend.to_device(values)
     nulls = backend.to_device(nulls)
@@ -257,12 +302,54 @@ def _column_codes(block: Block, row_count: int, backend):
     # Nulls are their own per-column code; unconditional where avoids a
     # per-page any() sync on device backends.
     inverse = xp.where(nulls, np.int64(len(uniq)), inverse)
-    nan_rows = None
+    entry_nan = None
     if nan_mask is not None and nan_mask.any():
-        # Null rows gather arbitrary backing values; only non-null NaNs
+        # Null entries hold arbitrary backing values; only non-null NaNs
         # become singletons.
-        nan_rows = nan_mask & ~nulls
-    return inverse, len(uniq) + 1, nan_rows
+        entry_nan = nan_mask & ~nulls
+    return inverse, len(uniq) + 1, entry_nan
+
+
+def _column_codes(
+    block: Block, backend, cache: Optional[dict] = None, slot: int = 0
+):
+    """Dense per-row codes for one key column.
+
+    Returns ``(codes, cardinality, nan_rows)``: codes are dense in
+    ``[0, cardinality)`` with NULL as its own code, and ``nan_rows``
+    (when not None) marks non-null NaN rows that must become singleton
+    groups. Dictionary chains are coded in dictionary space — the
+    entries once, gathered through the composed indices — instead of
+    materializing per-row values; ``cache[slot]`` keeps the entry codes
+    of the last dictionary seen in this column, compared by identity
+    (the cached reference keeps the dictionary alive, so its ``id``
+    cannot be recycled). Returns ``None`` for object-typed columns
+    other than all-``str`` varchar.
+    """
+    xp = backend.xp
+    leaf, indices = _flatten_dictionary(block)
+    if indices is None:
+        return _entry_codes(leaf, backend)
+    cached = cache.get(slot) if cache is not None else None
+    if cached is not None and cached[0] is leaf:
+        coded = cached[1]
+    else:
+        coded = _entry_codes(leaf, backend)
+        if cache is not None:
+            cache[slot] = (leaf, coded)
+    if coded is None:
+        return None
+    entry_codes, cardinality, entry_nan = coded
+    indices = backend.to_device(indices)
+    if not len(entry_codes):
+        # All indices must be -1 (null) for an empty dictionary.
+        return xp.zeros(len(indices), dtype=np.int64), 1, None
+    clipped = xp.clip(indices, 0, None)
+    row_codes = xp.where(indices < 0, np.int64(cardinality - 1), entry_codes[clipped])
+    nan_rows = None
+    if entry_nan is not None:
+        nan_rows = entry_nan[clipped] & (indices >= 0)
+    return row_codes, cardinality, nan_rows
 
 
 # --------------------------------------------------------------------------
@@ -309,11 +396,16 @@ class Factorization:
         return self._group_ids
 
 
-def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization]:
-    """Group rows by exact key equality; None when any column is object.
+def factorize(
+    blocks: Sequence[Block], row_count: int, cache: Optional[dict] = None
+) -> Optional[Factorization]:
+    """Group rows by exact key equality; None when any column is
+    object-typed other than all-``str`` varchar.
 
     An empty ``blocks`` sequence means a single global group (zero-key
-    aggregation).
+    aggregation). ``cache`` is a dict the calling operator owns for its
+    lifetime: it holds, per key column, the entry codes of the last
+    dictionary seen, so pages sharing a dictionary code it once.
     """
     if not enabled():
         return None
@@ -331,8 +423,8 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
     xp = backend.xp
     combined = None
     nan_any = None
-    for block in blocks:
-        column = _column_codes(block, row_count, backend)
+    for slot, block in enumerate(blocks):
+        column = _column_codes(block, backend, cache, slot)
         if column is None:
             return None
         inverse, cardinality, nan_rows = column
@@ -367,10 +459,28 @@ def factorize(blocks: Sequence[Block], row_count: int) -> Optional[Factorization
     )
 
 
+def _gather_values(block: Block, positions: np.ndarray) -> list:
+    """Python values of ``block`` at ``positions``: the positions alone
+    are carried through the dictionary chain, then the leaf is decoded
+    in bulk."""
+    leaf, positions = _flatten_dictionary(block, positions)
+    missing = positions < 0
+    if not missing.any():
+        return leaf.copy_positions(positions).to_values()
+    if not len(leaf):
+        return [None] * len(positions)
+    values = leaf.copy_positions(positions.clip(0)).to_values()
+    for i in missing.nonzero()[0].tolist():
+        values[i] = None
+    return values
+
+
 def key_tuples(blocks: Sequence[Block], positions: np.ndarray) -> list[tuple]:
     """Materialize representative key tuples (python values, row-path
-    compatible) for the given positions."""
-    return [tuple(block.get(int(p)) for block in blocks) for p in positions]
+    compatible) for the given host positions, one gather per column."""
+    if not blocks:
+        return [()] * len(positions)
+    return list(zip(*(_gather_values(block, positions) for block in blocks)))
 
 
 def group_reduce(

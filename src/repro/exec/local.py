@@ -15,7 +15,7 @@ from repro.errors import NotSupportedError, PrestoError
 from repro.exec.blocks import make_block
 from repro.exec.compiler import compile_expression
 from repro.exec.driver import Driver, run_drivers_to_completion
-from repro.exec.operator import Operator, StreamingOperator
+from repro.exec.operator import Operator, StreamingOperator, row_fallback_counts
 from repro.exec.operators.aggregation import AggregatorSpec, HashAggregationOperator
 from repro.exec.operators.core import (
     EnforceSingleRowOperator,
@@ -524,4 +524,7 @@ def execute_plan(
         collector.pages, logical_plan.column_names, logical_plan.column_types
     )
     result.fusion_report = planner.fusion_report
+    result.row_fallbacks = row_fallback_counts(
+        operator for driver in drivers for operator in driver.operators
+    )
     return result

@@ -10,7 +10,8 @@ the driver can bring them "to a known state before yielding the thread"
 
 from __future__ import annotations
 
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.exec.page import Page
 
@@ -20,6 +21,12 @@ class Operator:
 
     #: human-readable name for EXPLAIN ANALYZE / stats
     name = "Operator"
+
+    #: Pages that left the vectorized kernels for a per-row loop, by
+    #: reason — surfaced as exec.row_fallback.<operator>.<reason>. The
+    #: shared empty default is replaced by a dict on the first count
+    #: (finished queries retain their operators: no per-instance cost).
+    row_fallbacks: Mapping[str, int] = MappingProxyType({})
 
     def __init__(self):
         # Operator-level statistics (paper Sec. VII "Effortless
@@ -65,6 +72,26 @@ class Operator:
     def record_output(self, page: Page) -> None:
         self.output_rows += page.row_count
         self.output_bytes += page.size_bytes()
+
+    def count_row_fallback(self, reason: str) -> None:
+        """One page (for an aggregation: one aggregator's share of one
+        page) took a per-row path instead of the vectorized kernels."""
+        if "row_fallbacks" not in self.__dict__:
+            self.row_fallbacks = {}
+        self.row_fallbacks[reason] = self.row_fallbacks.get(reason, 0) + 1
+
+
+def row_fallback_counts(operators) -> dict[str, int]:
+    """``{"<operator>.<reason>": pages}`` summed over ``operators`` and
+    the operators a fused pipeline embeds."""
+    counts: dict[str, int] = {}
+    for operator in operators:
+        embedded = getattr(operator, "embedded_operators", None)
+        for op in (operator, *(embedded() if embedded is not None else ())):
+            for reason, pages in op.row_fallbacks.items():
+                key = f"{op.name}.{reason}"
+                counts[key] = counts.get(key, 0) + pages
+    return counts
 
 
 class PassthroughState:

@@ -4,6 +4,14 @@ Partial aggregation runs before the shuffle and ships opaque
 accumulator states; the final step combines states after repartitioning
 (paper Fig. 3: AggregatePartial / AggregateFinal separated by a
 partitioned shuffle).
+
+Group state is columnar (the array-based aggregation of Hespe et al.,
+PAPERS.md): one :class:`_GroupTable` maps each key tuple to a dense
+group id in first-seen order and holds one state column per
+aggregator, so a page — raw input or a page of partial states — folds
+in with one fancy-indexed numpy op per aggregator. The
+``REPRO_KERNELS=row`` reference loop writes into the same table, and
+output, spill and merge exist once over it.
 """
 
 from __future__ import annotations
@@ -43,6 +51,322 @@ _VECTORIZABLE = frozenset({"count", "count_if", "sum", "min", "max", "avg"})
 # per-group partial can exceed 2**53; larger inputs fall back to python
 # ints (arbitrary precision, like the row path).
 _EXACT_INT_SUM_BOUND = 2**53
+_INT64_BOUND = 2**63
+
+_INT64 = np.dtype(np.int64)
+_OBJECT = np.dtype(object)
+#: array dtype and kernel kind letter of a python state value
+_DTYPES = {bool: np.dtype(np.bool_), int: _INT64, float: np.dtype(np.float64)}
+_KINDS = {bool: "b", int: "i", float: "f"}
+
+
+class _RowFallback(Exception):
+    """A page that one aggregator cannot fold in bulk; carries the
+    ``exec.row_fallback.HashAggregation.<reason>`` label. Raised before
+    any state is touched."""
+
+
+# --------------------------------------------------------------------------
+# Group table: key tuple -> dense group id, one state column per aggregator.
+# State columns live on host (their python values leave through
+# ``states``); only the per-page reductions run on the kernel backend.
+# --------------------------------------------------------------------------
+
+
+def _extended(array: Optional[np.ndarray], capacity: int, dtype) -> np.ndarray:
+    out = np.zeros(capacity, dtype=dtype)  # host-only: group-state column
+    if array is not None:
+        out[: len(array)] = array
+    return out
+
+
+class _Accumulator:
+    """One array of per-group state folded with ``ufunc`` (add, minimum
+    or maximum). A nullable accumulator carries a seen-mask: an unseen
+    group's state is SQL NULL. The array takes the dtype of the first
+    values folded in and falls to python objects when later ones do not
+    fit it — a sum that may pass int64, or the int/float mixing only the
+    row path produces — so every state equals the row path's. Nothing
+    is allocated before the first group exists (most operators of a
+    short query hold a handful of groups, and finished queries are
+    retained)."""
+
+    __slots__ = ("ufunc", "dtype", "capacity", "values", "seen", "nullable", "bound")
+
+    def __init__(self, ufunc, dtype=None, nullable: bool = True):
+        self.ufunc = ufunc
+        self.dtype = None if dtype is None else np.dtype(dtype)
+        self.nullable = nullable
+        self.capacity = 0
+        self.values: Optional[np.ndarray] = None
+        self.seen: Optional[np.ndarray] = None
+        #: running bound on |values| while they are int64 sums
+        self.bound = 0
+
+    def ensure(self, size: int) -> None:
+        if size > self.capacity:
+            self.capacity = max(size, 2 * self.capacity, 8)
+            if self.dtype is not None:
+                self.values = _extended(self.values, self.capacity, self.dtype)
+            if self.nullable:
+                self.seen = _extended(self.seen, self.capacity, np.bool_)
+
+    def _adopt(self, dtype: np.dtype) -> None:
+        if self.dtype is None:
+            self.dtype = dtype
+            self.values = _extended(None, self.capacity, dtype)
+        elif self.dtype != dtype:
+            self.dtype = _OBJECT
+            self.values = self.values.astype(object)
+
+    def fold(self, groups: np.ndarray, partial: np.ndarray) -> None:
+        """Fold ``partial[i]`` into group ``groups[i]``; the group ids
+        are distinct, so one fancy-indexed update covers the page."""
+        if not len(groups):
+            return
+        self._adopt(partial.dtype)
+        if self.ufunc is np.add and self.dtype == _INT64:
+            self.bound += max(-int(partial.min()), int(partial.max()))
+            if self.bound >= _INT64_BOUND:
+                self._adopt(_OBJECT)
+        values = self.values
+        if self.dtype == _OBJECT:
+            partial = partial.astype(object)  # python ints: no int64 wrap-around
+        merged = self.ufunc(values[groups], partial)
+        if self.seen is not None:
+            # host-only: group-state column
+            merged = np.where(self.seen[groups], merged, partial)
+            self.seen[groups] = True
+        values[groups] = merged
+
+    def merge(self, groups: np.ndarray, other: "_Accumulator", size: int) -> None:
+        """Fold the first ``size`` groups of ``other`` into ``groups``."""
+        if other.dtype is None or not size:
+            return
+        partial = other.values[:size]
+        if other.seen is not None:
+            present = other.seen[:size]
+            groups, partial = groups[present], partial[present]
+        self.fold(groups, partial)
+
+    def get(self, group: int):
+        if self.dtype is None or (self.seen is not None and not self.seen[group]):
+            return None
+        value = self.values[group]
+        return value if self.dtype == _OBJECT else value.item()
+
+    def set(self, group: int, value) -> None:
+        if value is None:
+            return
+        dtype = _DTYPES.get(type(value), _OBJECT)
+        if dtype is _INT64:
+            self.bound = max(self.bound, abs(value))
+            if self.bound >= _INT64_BOUND:
+                dtype = _OBJECT
+        self._adopt(dtype)
+        self.values[group] = value
+        if self.seen is not None:
+            self.seen[group] = True
+
+    def tolist(self, start: int, stop: int) -> list:
+        if self.dtype is None:
+            return [None] * (stop - start)
+        out = self.values[start:stop].tolist()
+        if self.seen is not None:
+            # host-only: group-state column
+            for i in np.flatnonzero(~self.seen[start:stop]).tolist():
+                out[i] = None
+        return out
+
+
+class _ArrayStates:
+    """State column of a vectorizable aggregate: one accumulator, or
+    the (sum, count) pair of ``avg``. ``get``/``set``/``states`` speak
+    the aggregate function's python state, which is also the
+    PARTIAL→FINAL wire format."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, name: str):
+        if name in ("count", "count_if"):
+            self.parts = [_Accumulator(np.add, np.int64, nullable=False)]
+        elif name == "avg":
+            self.parts = [
+                _Accumulator(np.add, np.float64, nullable=False),
+                _Accumulator(np.add, np.int64, nullable=False),
+            ]
+        else:
+            ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[name]
+            self.parts = [_Accumulator(ufunc)]
+
+    def ensure(self, size: int) -> None:
+        for part in self.parts:
+            part.ensure(size)
+
+    def get(self, group: int):
+        if len(self.parts) == 1:
+            return self.parts[0].get(group)
+        return tuple(part.get(group) for part in self.parts)
+
+    def set(self, group: int, state) -> None:
+        if len(self.parts) == 1:
+            self.parts[0].set(group, state)
+        else:
+            for part, value in zip(self.parts, state):
+                part.set(group, value)
+
+    def states(self, start: int, stop: int) -> list:
+        if len(self.parts) == 1:
+            return self.parts[0].tolist(start, stop)
+        return list(zip(*(part.tolist(start, stop) for part in self.parts)))
+
+    def merge(self, groups: np.ndarray, other: "_ArrayStates", size: int, first_new: int):
+        for part, theirs in zip(self.parts, other.parts):
+            part.merge(groups, theirs, size)
+
+
+class _ObjectStates:
+    """State column of python objects: DISTINCT argument sets, and the
+    states of functions with no array form."""
+
+    __slots__ = ("agg", "items")
+
+    def __init__(self, agg: AggregatorSpec):
+        self.agg = agg
+        self.items: list = []
+
+    def ensure(self, size: int) -> None:
+        create = set if self.agg.distinct else self.agg.function.create
+        self.items.extend(create() for _ in range(size - len(self.items)))
+
+    def get(self, group: int):
+        return self.items[group]
+
+    def set(self, group: int, state) -> None:
+        self.items[group] = state
+
+    def states(self, start: int, stop: int) -> list:
+        return self.items[start:stop]
+
+    def merge(self, groups: np.ndarray, other: "_ObjectStates", size: int, first_new: int):
+        items = self.items
+        combine = self.agg.function.combine
+        for group, theirs in zip(groups.tolist(), other.items[:size]):
+            if group >= first_new:
+                # A group first seen in ``other`` adopts its state:
+                # combining with a fresh state need not be bit-neutral.
+                items[group] = theirs
+            elif self.agg.distinct:
+                items[group] |= theirs
+            else:
+                items[group] = combine(items[group], theirs)
+
+
+class _GroupTable:
+    """Key tuple → dense group id in first-seen order, plus one state
+    column per aggregator."""
+
+    __slots__ = ("ids", "columns")
+
+    def __init__(self, columns: list):
+        self.ids: dict[tuple, int] = {}
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add(self, key: tuple) -> int:
+        group = self.ids[key] = len(self.ids)
+        for column in self.columns:
+            column.ensure(group + 1)
+        return group
+
+    def lookup(self, keys: list[tuple]) -> tuple[np.ndarray, list[tuple]]:
+        """Group ids of ``keys`` (distinct key tuples) as a host array,
+        creating a group for every unseen key; also returns the keys
+        that were new."""
+        ids = self.ids
+        groups = list(map(ids.get, keys))
+        created = []
+        if None in groups:
+            for i, group in enumerate(groups):
+                if group is None:
+                    key = keys[i]
+                    ids[key] = groups[i] = len(ids)
+                    created.append(key)
+            for column in self.columns:
+                column.ensure(len(ids))
+        # host-only: group ids index the host state columns
+        return np.array(groups, dtype=np.int64), created
+
+
+def _reduce(ufunc, group_ids, group_count: int, values, kind: str):
+    """Per-local-group reduction of one page on the kernel backend.
+    Returns host ``(partial, touched)``; ``values=None`` weighs every
+    row one (a count)."""
+    backend = current_backend()
+    xp = backend.xp
+    if ufunc is np.add:
+        counts = xp.bincount(group_ids, minlength=group_count)
+        if values is None:
+            counts = backend.to_host(counts)
+            return counts, counts > 0
+        if kind != "f" and len(values):
+            bound = max(abs(int(values.min())), abs(int(values.max()))) * len(values)
+            if bound >= _EXACT_INT_SUM_BOUND:
+                raise _RowFallback("int_sum_overflow")
+        sums = backend.to_host(
+            xp.bincount(
+                group_ids, weights=values.astype(np.float64), minlength=group_count
+            )
+        )
+        if kind != "f":
+            sums = sums.astype(np.int64)
+        # Only *which* groups were hit is needed: download the compact
+        # bool mask instead of the counts.
+        return sums, backend.to_host(counts > 0)
+    if kind == "f" and xp.isnan(values).any():
+        # minimum/maximum propagate NaN; the row path keeps NaN only
+        # when it was the first value seen. Preserve that
+        # order-dependence.
+        raise _RowFallback("nan_minmax")
+    if kind == "b":
+        values = values.astype(np.int64)
+    partial, touched = kernels.group_reduce(group_ids, values, group_count, ufunc)
+    if kind == "b":
+        partial = partial.astype(np.bool_)
+    return partial, touched
+
+
+def _decode_states(states: list, parts: int):
+    """A page of partial states (python objects — the PARTIAL→FINAL
+    wire format) as host arrays: ``(present, [(values, kind), ...])``,
+    one array per accumulator, ``present`` None when no state is NULL."""
+    kinds = set(map(type, states))
+    kinds.discard(type(None))
+    if parts == 1 and not kinds:
+        kinds = {int}  # every state NULL: nothing will be folded
+    allowed = {tuple} if parts == 2 else set(_KINDS)
+    if len(kinds) != 1 or not kinds <= allowed:
+        raise _RowFallback("final_step")
+    kind = kinds.pop()
+    present = None
+    if None in states:
+        # host-only: python-state staging
+        present = np.fromiter((s is not None for s in states), np.bool_, len(states))
+        fill = (0.0, 0) if parts == 2 else kind()
+        states = [fill if s is None else s for s in states]
+    try:
+        if parts == 2:  # avg: (float sum, int count)
+            # host-only: python-state staging
+            pairs = np.array(states, dtype=np.float64).reshape(-1, 2)
+            return present, [(pairs[:, 0], "f"), (pairs[:, 1].astype(np.int64), "i")]
+        # host-only: python-state staging
+        return present, [(np.array(states, dtype=_DTYPES[kind]), _KINDS[kind])]
+    except OverflowError:
+        raise _RowFallback("int_sum_overflow") from None
+    except (TypeError, ValueError):
+        raise _RowFallback("final_step") from None
 
 
 class HashAggregationOperator(AccumulatingOperator):
@@ -64,181 +388,139 @@ class HashAggregationOperator(AccumulatingOperator):
             for agg in self.aggregators:
                 if agg.distinct:
                     raise PrestoError("DISTINCT aggregates cannot be split across stages")
-        # group key tuple -> list of states (one per aggregator)
-        self._groups: dict[tuple, list] = {}
+        self._table = self._new_table()
         self._retained = 0
         # Spilled runs of partial state (paper Sec. IV-F2).
-        self._spilled_runs: list[dict[tuple, list]] = []
+        self._spilled_runs: list[_GroupTable] = []
         self.spill_context = None
+        # Entry codes of the last dictionary seen per key column
+        # (kernels.factorize); bounded by the key count, dies with the
+        # operator.
+        self._code_cache: dict = {}
+
+    def _new_table(self) -> _GroupTable:
+        return _GroupTable(
+            [
+                _ArrayStates(agg.function.signature.name)
+                if not agg.distinct
+                and agg.function.signature.name in _VECTORIZABLE
+                and len(agg.argument_channels) <= 1
+                else _ObjectStates(agg)
+                for agg in self.aggregators
+            ]
+        )
 
     # -- input ------------------------------------------------------------
 
     def accumulate(self, page: Page) -> None:
         key_blocks = [page.block(c) for c in self.group_channels]
-        fact = kernels.factorize(key_blocks, page.row_count)
+        fact = kernels.factorize(key_blocks, page.row_count, self._code_cache)
         if fact is None:
+            self.count_row_fallback(kernels.decline_reason())
             self._accumulate_rows(page)
             return
         # Vector path: one dict probe per distinct key in the page, then
         # group-id-array-driven accumulation per aggregator.
-        groups = self._groups
-        states_by_gid: list[list] = []
-        for key in kernels.key_tuples(key_blocks, fact.first_positions):
-            states = groups.get(key)
-            if states is None:
-                states = [self._new_state(agg) for agg in self.aggregators]
-                groups[key] = states
-                self._retained += self._group_bytes(key, states)
-            states_by_gid.append(states)
-        for i, agg in enumerate(self.aggregators):
-            self._accumulate_aggregator(page, i, agg, fact, states_by_gid)
+        table = self._table
+        groups, created = table.lookup(
+            kernels.key_tuples(key_blocks, fact.first_positions)
+        )
+        for key in created:
+            self._retained += self._group_bytes(key)
+        for column, agg in zip(table.columns, self.aggregators):
+            try:
+                self._fold_page(page, column, agg, fact, groups)
+            except _RowFallback as fallback:
+                self.count_row_fallback(str(fallback))
+                self._accumulate_aggregator_rows(
+                    page, column, agg, groups[fact.group_ids].tolist()
+                )
 
-    def _accumulate_aggregator(
+    def _fold_page(
         self,
         page: Page,
-        index: int,
+        column,
         agg: AggregatorSpec,
         fact: kernels.Factorization,
-        states_by_gid: list[list],
+        groups: np.ndarray,
     ) -> None:
-        """Fold one page into one aggregator's per-group states, using
-        bulk backend reductions when the aggregate and its argument
-        allow. The group-id array stays device-resident across every
-        aggregator touching it (the host copy is never materialized on
-        this path); only the small per-group partials come back to host
-        for the python states."""
-        group_count = fact.group_count
-        if (
-            self.step is AggregationStep.FINAL
-            or agg.distinct
-            or agg.function.signature.name not in _VECTORIZABLE
-            or len(agg.argument_channels) > 1
-        ):
-            self._accumulate_aggregator_rows(
-                page, index, agg, fact.group_ids, states_by_gid
-            )
-            return
+        """Fold one page into one aggregator's state column: a bulk
+        backend reduction per local group, then one fancy-indexed
+        update of the column. The group-id array stays device-resident
+        across every aggregator touching it (the host copy is never
+        materialized on this path); only the small per-group partials
+        come back to host. Raises :class:`_RowFallback` — before
+        touching the column — when the page needs the row path."""
+        if agg.distinct:
+            raise _RowFallback("distinct")
+        if not isinstance(column, _ArrayStates):
+            raise _RowFallback("non_vectorizable")
         backend = current_backend()
-        xp = backend.xp
-        mask = None
+        valid = None
         if agg.filter_channel is not None:
             arrays = kernels.primitive_arrays(page.block(agg.filter_channel))
             if arrays is None:
-                self._accumulate_aggregator_rows(
-                    page, index, agg, fact.group_ids, states_by_gid
-                )
-                return
+                raise _RowFallback("object_argument")
             filter_values, filter_nulls, _ = arrays
-            mask = xp.asarray(filter_values, dtype=np.bool_) & ~backend.to_device(
-                filter_nulls
+            valid = backend.xp.asarray(
+                filter_values, dtype=np.bool_
+            ) & ~backend.to_device(filter_nulls)
+        if self.step is AggregationStep.FINAL:
+            present, inputs = _decode_states(
+                page.block(agg.argument_channels[0]).to_values(), len(column.parts)
             )
-        name = agg.function.signature.name
-        gids_dev = backend.to_device(fact.device_group_ids)
+            inputs = [(backend.to_device(values), kind) for values, kind in inputs]
+        else:
+            present, inputs = self._raw_inputs(page, agg)
+        if present is not None:
+            present = backend.to_device(present)
+            valid = present if valid is None else (valid & present)
+        group_ids = backend.to_device(fact.device_group_ids)
+        if valid is not None:
+            group_ids = group_ids[valid]
+        partials = [
+            _reduce(
+                part.ufunc,
+                group_ids,
+                fact.group_count,
+                values if values is None or valid is None else values[valid],
+                kind,
+            )
+            for part, (values, kind) in zip(column.parts, inputs)
+        ]
+        for part, (partial, touched) in zip(column.parts, partials):
+            part.fold(groups[touched], partial[touched])
+
+    @staticmethod
+    def _raw_inputs(page: Page, agg: AggregatorSpec):
+        """``(present, [(values, kind), ...])`` for one aggregator over
+        a page of raw input: the rows whose argument counts, and one
+        value array per accumulator — ``None`` where every row weighs
+        one."""
         if not agg.argument_channels:  # count(*)
-            rows = gids_dev if mask is None else gids_dev[mask]
-            counts = backend.to_host(xp.bincount(rows, minlength=group_count))
-            self._merge_counts(index, counts, states_by_gid)
-            return
+            return None, [(None, "i")]
         arrays = kernels.primitive_arrays(page.block(agg.argument_channels[0]))
         if arrays is None:
-            self._accumulate_aggregator_rows(
-                page, index, agg, fact.group_ids, states_by_gid
-            )
-            return
+            raise _RowFallback("object_argument")
+        backend = current_backend()
         values, nulls, kind = arrays
         values = backend.to_device(values)
-        nulls = backend.to_device(nulls)
-        valid = ~nulls if mask is None else (mask & ~nulls)
+        present = ~backend.to_device(nulls)
+        name = agg.function.signature.name
         if name == "count":
-            counts = backend.to_host(
-                xp.bincount(gids_dev[valid], minlength=group_count)
-            )
-            self._merge_counts(index, counts, states_by_gid)
-            return
+            return present, [(None, "i")]
         if name == "count_if":
-            valid = valid & xp.asarray(values, dtype=np.bool_)
-            counts = backend.to_host(
-                xp.bincount(gids_dev[valid], minlength=group_count)
-            )
-            self._merge_counts(index, counts, states_by_gid)
-            return
-        group_rows = gids_dev[valid]
-        vals = values[valid]
-        if name in ("sum", "avg"):
-            if name == "sum" and kind != "f" and len(vals):
-                bound = max(abs(int(vals.min())), abs(int(vals.max()))) * len(vals)
-                if bound >= _EXACT_INT_SUM_BOUND:
-                    self._accumulate_aggregator_rows(
-                        page, index, agg, fact.group_ids, states_by_gid
-                    )
-                    return
-            sums = backend.to_host(
-                xp.bincount(
-                    group_rows, weights=vals.astype(np.float64), minlength=group_count
-                )
-            )
-            if name == "avg":
-                counts = backend.to_host(
-                    xp.bincount(group_rows, minlength=group_count)
-                )
-                touched = counts
-            else:
-                # sum only needs to know *which* groups were hit;
-                # download the compact bool mask instead of the counts.
-                touched = backend.to_host(
-                    xp.bincount(group_rows, minlength=group_count) > 0
-                )
-            for g in np.flatnonzero(touched):  # host-only: python group states
-                states = states_by_gid[g]
-                state = states[index]
-                if name == "avg":
-                    states[index] = (state[0] + float(sums[g]), state[1] + int(counts[g]))
-                else:
-                    partial = float(sums[g]) if kind == "f" else int(sums[g])
-                    states[index] = partial if state is None else state + partial
-            return
-        # min / max
-        if kind == "f" and xp.isnan(vals).any():
-            # minimum/maximum propagate NaN; the row path keeps NaN only
-            # when it was the first value seen. Preserve that
-            # order-dependence.
-            self._accumulate_aggregator_rows(
-                page, index, agg, fact.group_ids, states_by_gid
-            )
-            return
-        if kind == "b":
-            vals = vals.astype(np.int64)
-        ufunc = np.minimum if name == "min" else np.maximum
-        partial, touched = kernels.group_reduce(group_rows, vals, group_count, ufunc)
-        for g in np.flatnonzero(touched):  # host-only: python group states
-            value = partial[g]
-            value = (
-                bool(value) if kind == "b"
-                else float(value) if kind == "f"
-                else int(value)
-            )
-            states = states_by_gid[g]
-            state = states[index]
-            if state is None or (value < state if name == "min" else value > state):
-                states[index] = value
-
-    def _merge_counts(
-        self, index: int, counts: np.ndarray, states_by_gid: list[list]
-    ) -> None:
-        for g in np.flatnonzero(counts):  # host-only: python group states
-            states = states_by_gid[g]
-            states[index] = states[index] + int(counts[g])
+            return present & backend.xp.asarray(values, dtype=np.bool_), [(None, "i")]
+        if name == "avg":
+            return present, [(values.astype(np.float64), "f"), (None, "i")]
+        return present, [(values, kind)]
 
     def _accumulate_aggregator_rows(
-        self,
-        page: Page,
-        index: int,
-        agg: AggregatorSpec,
-        gids: np.ndarray,
-        states_by_gid: list[list],
+        self, page: Page, column, agg: AggregatorSpec, groups: list[int]
     ) -> None:
-        """Per-row fallback for one aggregator, driven by group ids (no
-        per-row dict probes)."""
+        """Per-row path for one aggregator, driven by group ids (no
+        per-row dict probes): the reference loop, and the fallback for
+        pages the bulk fold declines."""
         mask = (
             page.block(agg.filter_channel).to_values()
             if agg.filter_channel is not None
@@ -247,14 +529,14 @@ class HashAggregationOperator(AccumulatingOperator):
         arg_columns = [page.block(c).to_values() for c in agg.argument_channels]
         final_step = self.step is AggregationStep.FINAL
         function = agg.function
-        for row, g in enumerate(gids.tolist()):
+        for row, group in enumerate(groups):
             if mask is not None and mask[row] is not True:
                 continue
-            states = states_by_gid[g]
+            state = column.get(group)
             if final_step:
                 partial = arg_columns[0][row]
                 if partial is not None:
-                    states[index] = function.combine(states[index], partial)
+                    column.set(group, function.combine(state, partial))
                 continue
             args = tuple(col[row] for col in arg_columns)
             if function.ignores_nulls and any(
@@ -262,62 +544,34 @@ class HashAggregationOperator(AccumulatingOperator):
             ) and agg.argument_channels:
                 continue
             if agg.distinct:
-                before = len(states[index])
-                states[index].add(args)
-                if len(states[index]) != before:
+                before = len(state)
+                state.add(args)
+                if len(state) != before:
                     self._retained += 16
             else:
-                states[index] = function.add(states[index], *args)
+                column.set(group, function.add(state, *args))
 
     def _accumulate_rows(self, page: Page) -> None:
-        """Whole-page fallback when the group keys are object-typed."""
+        """Whole-page reference path: ``REPRO_KERNELS=row``, and group
+        keys with no array coding (arrays, maps, mixed-type objects)."""
         key_columns = [page.block(c).to_values() for c in self.group_channels]
-        agg_columns = [
-            [page.block(c).to_values() for c in agg.argument_channels]
-            for agg in self.aggregators
-        ]
-        filter_columns = [
-            page.block(agg.filter_channel).to_values()
-            if agg.filter_channel is not None
-            else None
-            for agg in self.aggregators
-        ]
-        final_step = self.step is AggregationStep.FINAL
-        groups = self._groups
-        for row in range(page.row_count):  # row-path: object-typed group keys
-            key = tuple(col[row] for col in key_columns)
-            states = groups.get(key)
-            if states is None:
-                states = [self._new_state(agg) for agg in self.aggregators]
-                groups[key] = states
-                self._retained += self._group_bytes(key, states)
-            for i, agg in enumerate(self.aggregators):
-                mask = filter_columns[i]
-                if mask is not None and mask[row] is not True:
-                    continue
-                if final_step:
-                    partial = agg_columns[i][0][row]
-                    if partial is not None:
-                        states[i] = agg.function.combine(states[i], partial)
-                    continue
-                args = tuple(col[row] for col in agg_columns[i])
-                if agg.function.ignores_nulls and any(
-                    a is None for a in args
-                ) and agg.argument_channels:
-                    continue
-                if agg.distinct:
-                    before = len(states[i])
-                    states[i].add(args)
-                    if len(states[i]) != before:
-                        self._retained += 16
-                else:
-                    states[i] = agg.function.add(states[i], *args)
+        keys = list(zip(*key_columns)) if key_columns else [()] * page.row_count
+        table = self._table
+        ids = table.ids
+        groups = []
+        for key in keys:  # row-path: reference loop / keys with no array coding
+            group = ids.get(key)
+            if group is None:
+                group = table.add(key)
+                self._retained += self._group_bytes(key)
+            groups.append(group)
+        for column, agg in zip(table.columns, self.aggregators):
+            self._accumulate_aggregator_rows(page, column, agg, groups)
 
-    @staticmethod
-    def _group_bytes(key: tuple, states: list) -> int:
+    def _group_bytes(self, key: tuple) -> int:
         """Retained-memory charge for a new group: hash-table slot plus
         the actual key widths (VARCHAR keys are not free)."""
-        size = 64 + 16 * len(states)
+        size = 64 + 16 * len(self.aggregators)
         for value in key:
             if isinstance(value, str):
                 size += 48 + len(value)
@@ -327,83 +581,73 @@ class HashAggregationOperator(AccumulatingOperator):
                 size += 16
         return size
 
-    def _new_state(self, agg: AggregatorSpec):
-        if self.step is AggregationStep.FINAL:
-            return agg.function.create()
-        if agg.distinct:
-            return set()
-        return agg.function.create()
-
-    # -- output ---------------------------------------------------------------
-
     # -- revocation (spilling) ------------------------------------------------
 
     def revocable_bytes(self) -> int:
         return self._retained
 
     def revoke(self) -> int:
-        """Spill the current hash table as a run; merged at output time."""
-        if not self._groups:
+        """Spill the current group table as a run; merged at output time."""
+        if not len(self._table):
             return 0
         released = self._retained
-        self._spilled_runs.append(self._groups)
+        self._spilled_runs.append(self._table)
         if self.spill_context is not None:
             self.spill_context.write(released)
-        self._groups = {}
+        self._table = self._new_table()
         self._retained = 0
         return released
 
-    def _merge_spilled(self) -> dict[tuple, list]:
-        groups = self._groups
+    def _merge_spilled(self) -> None:
+        """Fold the spilled runs, in spill order, into the in-memory
+        table: one state-column merge per aggregator and run."""
+        table = self._table
         for run in self._spilled_runs:
             if self.spill_context is not None:
                 self.spill_context.read(64 * len(run))
-            for key, states in run.items():
-                existing = groups.get(key)
-                if existing is None:
-                    groups[key] = states
-                    continue
-                for i, agg in enumerate(self.aggregators):
-                    if agg.distinct:
-                        existing[i] |= states[i]
-                    else:
-                        existing[i] = agg.function.combine(existing[i], states[i])
+            first_new = len(table)
+            groups, _ = table.lookup(list(run.ids))
+            for column, spilled in zip(table.columns, run.columns):
+                column.merge(groups, spilled, len(run), first_new)
         self._spilled_runs = []
-        return groups
+
+    # -- output ---------------------------------------------------------------
 
     def build_output(self) -> list[Page]:
-        if self._spilled_runs:
-            self._groups = self._merge_spilled()
-        groups = self._groups
-        if not groups and not self.group_channels:
+        self._merge_spilled()
+        table = self._table
+        if not len(table) and not self.group_channels:
             # Global aggregation over zero rows still yields one row.
-            groups = {(): [self._new_state(agg) for agg in self.aggregators]}
-        if not groups:
-            return []
+            table.add(())
+        partial = self.step is AggregationStep.PARTIAL
         pages: list[Page] = []
-        keys = list(groups.keys())
+        keys = list(table.ids)
         for start in range(0, len(keys), DEFAULT_PAGE_ROWS):
             chunk = keys[start : start + DEFAULT_PAGE_ROWS]
+            stop = start + len(chunk)
             blocks = []
             for i, type_ in enumerate(self.group_types):
                 blocks.append(make_block(type_, [k[i] for k in chunk]))
-            for i, agg in enumerate(self.aggregators):
-                values = [self._finalize(agg, groups[key][i]) for key in chunk]
-                if self.step is AggregationStep.PARTIAL:
-                    blocks.append(ObjectBlock(values))
+            for column, agg in zip(table.columns, self.aggregators):
+                states = column.states(start, stop)
+                if partial:
+                    blocks.append(ObjectBlock(states))
                 else:
-                    blocks.append(make_block(agg.output_type, values))
+                    blocks.append(
+                        make_block(
+                            agg.output_type, [self._finalize(agg, s) for s in states]
+                        )
+                    )
             pages.append(Page(blocks, len(chunk)))
         return pages
 
-    def _finalize(self, agg: AggregatorSpec, state):
+    @staticmethod
+    def _finalize(agg: AggregatorSpec, state):
         if agg.distinct:
             final_state = agg.function.create()
             for args in state:
                 final_state = agg.function.add(final_state, *args)
             state = final_state
-        if self.step is AggregationStep.PARTIAL:
-            return state
         return agg.function.output(state)
 
     def retained_bytes(self) -> int:

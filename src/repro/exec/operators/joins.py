@@ -177,6 +177,8 @@ class HashBuildOperator(Operator):
             return
         table: dict[tuple, list[int]] = {}
         if combined is not None:
+            if self.key_channels:
+                self.count_row_fallback(kernels.decline_reason())
             key_columns = [combined.block(c).to_values() for c in self.key_channels]
             for row in range(row_count):  # row-path: object-typed join keys
                 key = tuple(col[row] for col in key_columns)
@@ -233,6 +235,8 @@ class LookupJoinOperator(StreamingOperator):
         if pairs is not None:
             probe_positions, build_positions = self._expand_outer(page, pairs, outer)
         else:
+            if self.probe_key_channels:
+                self.count_row_fallback(kernels.decline_reason())
             probe_positions, build_positions = self._probe_rows(page, outer)
         if self.residual_filter is not None and len(probe_positions):
             probe_positions, build_positions = self._apply_residual(
@@ -487,8 +491,9 @@ class SemiJoinBuildOperator(Operator):
                 else:
                     self._values.add(key if len(key) > 1 else key[0])
             return
+        self.count_row_fallback(kernels.decline_reason())
         columns = [block.to_values() for block in key_blocks]
-        for row in range(page.row_count):  # row-path: object-typed keys
+        for row in range(page.row_count):  # row-path: keys with no array coding
             key = tuple(col[row] for col in columns)
             if any(k is None for k in key):
                 self._has_null = True
@@ -571,9 +576,10 @@ class SemiJoinOperator(StreamingOperator):
                 )
             matches = [per_group[g] for g in fact.group_ids.tolist()]
             return page.append_column(ObjectBlock(matches))
+        self.count_row_fallback(kernels.decline_reason())
         columns = [block.to_values() for block in key_blocks]
         matches = []
-        for row in range(page.row_count):  # row-path: object-typed keys
+        for row in range(page.row_count):  # row-path: keys with no array coding
             key = tuple(col[row] for col in columns)
             probe = key if multi else key[0]
             if null_aware:

@@ -156,7 +156,8 @@ class DistinctOperator(StreamingOperator):
                     seen.add(key)
                     positions.append(int(fact.first_positions[g]))
         else:
-            for i, row in enumerate(page.rows()):  # row-path: object-typed rows
+            self.count_row_fallback(kernels.decline_reason())
+            for i, row in enumerate(page.rows()):  # row-path: rows with no array coding
                 if row not in seen:
                     seen.add(row)
                     positions.append(i)

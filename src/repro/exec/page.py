@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.exec.blocks import Block, LazyBlock, make_block
+from repro.exec.blocks import Block, LazyBlock, is_fully_loaded, make_block
 from repro.types import Type
 
 # Target rows per page; matches Presto's default of ~1024-8192 positions.
@@ -18,7 +18,7 @@ DEFAULT_PAGE_ROWS = 4096
 class Page:
     """An immutable list of equal-length blocks."""
 
-    __slots__ = ("blocks", "row_count")
+    __slots__ = ("blocks", "row_count", "_size")
 
     def __init__(self, blocks: Sequence[Block], row_count: int | None = None):
         self.blocks = list(blocks)
@@ -27,6 +27,7 @@ class Page:
                 raise ValueError("row_count required for zero-column pages")
             row_count = len(self.blocks[0])
         self.row_count = row_count
+        self._size: int | None = None
         for channel, block in enumerate(self.blocks):
             if len(block) != row_count:
                 raise ValueError(
@@ -45,7 +46,14 @@ class Page:
         return self.blocks[channel]
 
     def size_bytes(self) -> int:
-        return sum(block.size_bytes() for block in self.blocks)
+        size = self._size
+        if size is None:
+            size = sum(block.size_bytes() for block in self.blocks)
+            # An unloaded lazy block counts 0 until read; keep the sum
+            # only once it can no longer change.
+            if all(is_fully_loaded(block) for block in self.blocks):
+                self._size = size
+        return size
 
     def loaded_size_bytes(self) -> int:
         """Bytes of data actually materialized (lazy blocks count 0 until read)."""

@@ -143,3 +143,34 @@ def test_loaded_size_excludes_unloaded_lazy():
     assert page.loaded_size_bytes() == 0
     lazy.load()
     assert page.loaded_size_bytes() > 0
+
+
+def test_memoized_size_bytes_equals_a_fresh_computation():
+    """Sizes are kept once computed (ObjectBlock walks every item), but a
+    composite over a still-unloaded LazyBlock must not keep one: a lazy
+    block grows from 0 when it loads."""
+    words = ["ash", None, "birch", ("a", 1), ["x"], {"k": 1}, 7]
+    expected_words = 8 * len(words) + len("ash") + len("birch") + 16 * (2 + 1 + 1)
+    indices = np.array([0, 2, -1, 2], dtype=np.int64)
+
+    def build():
+        lazy = LazyBlock(len(words), lambda: ObjectBlock(list(words)))
+        dictionary = DictionaryBlock(lazy, indices)
+        return lazy, dictionary, Page([dictionary, ObjectBlock(["elm"] * 4)], 4)
+
+    lazy, dictionary, page = build()
+    plain = ObjectBlock(["elm"] * 4).size_bytes()
+    for _ in range(2):  # the second read is the memoized one
+        assert ObjectBlock(list(words)).size_bytes() == expected_words
+        assert dictionary.size_bytes() == indices.nbytes
+        assert page.size_bytes() == indices.nbytes + plain
+    lazy.load()
+    for _ in range(2):
+        assert lazy.size_bytes() == expected_words
+        assert dictionary.size_bytes() == indices.nbytes + expected_words
+        assert page.size_bytes() == indices.nbytes + expected_words + plain
+    # equal to blocks that were never read before the load
+    fresh_lazy, fresh_dictionary, fresh_page = build()
+    fresh_lazy.load()
+    assert fresh_dictionary.size_bytes() == dictionary.size_bytes()
+    assert fresh_page.size_bytes() == page.size_bytes()
