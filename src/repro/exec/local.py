@@ -255,6 +255,7 @@ class LocalExecutionPlanner:
                     out_symbol.type,
                     call.distinct,
                     filter_channel,
+                    tuple(symbols[c].type for c in arg_channels),
                 )
             )
         operators.append(

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import PrestoError
 from repro.exec import kernels
 from repro.exec.backend import current_backend
-from repro.exec.blocks import make_block, ObjectBlock
+from repro.exec.blocks import is_primitive_type, make_block, ObjectBlock
 from repro.exec.operator import AccumulatingOperator
 from repro.exec.page import DEFAULT_PAGE_ROWS, Page
 from repro.functions.registry import AggregateFunction
@@ -32,7 +32,7 @@ from repro.planner.nodes import AggregationStep
 from repro.types import Type
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregatorSpec:
     """One aggregate bound to input channels."""
 
@@ -41,6 +41,9 @@ class AggregatorSpec:
     output_type: Type
     distinct: bool = False
     filter_channel: Optional[int] = None
+    #: types of the argument channels, where the planner knows them: a
+    #: PARTIAL step's ``output_type`` is the opaque state type
+    argument_types: Optional[Sequence[Type]] = None
 
 
 #: Aggregates with a bulk numpy accumulation path (single primitive
@@ -83,12 +86,13 @@ def _extended(array: Optional[np.ndarray], capacity: int, dtype) -> np.ndarray:
 class _Accumulator:
     """One array of per-group state folded with ``ufunc`` (add, minimum
     or maximum). A nullable accumulator carries a seen-mask: an unseen
-    group's state is SQL NULL. The array takes the dtype of the first
-    values folded in and falls to python objects when later ones do not
-    fit it — a sum that may pass int64, or the int/float mixing only the
-    row path produces — so every state equals the row path's. Nothing
-    is allocated before the first group exists (most operators of a
-    short query hold a handful of groups, and finished queries are
+    group's state is SQL NULL. Only aggregates over primitive types
+    land here (``HashAggregationOperator._array_state``). The array
+    takes the dtype of the first values folded in and falls to python
+    objects when later ones do not fit it — a sum that may pass int64,
+    or values of another kind — so every state equals the row path's.
+    Nothing is allocated before the first group exists (most operators
+    of a short query hold a handful of groups, and finished queries are
     retained)."""
 
     __slots__ = ("ufunc", "dtype", "capacity", "values", "seen", "nullable", "bound")
@@ -132,20 +136,24 @@ class _Accumulator:
         values = self.values
         if self.dtype == _OBJECT:
             partial = partial.astype(object)  # python ints: no int64 wrap-around
-        merged = self.ufunc(values[groups], partial)
         if self.seen is not None:
-            # host-only: group-state column
-            merged = np.where(self.seen[groups], merged, partial)
-            self.seen[groups] = True
-        values[groups] = merged
+            seen = self.seen[groups]
+            if not seen.all():
+                # An unseen group adopts its partial: the zero it holds
+                # is a placeholder, not a state to merge with.
+                fresh = groups[~seen]
+                values[fresh] = partial[~seen]
+                self.seen[fresh] = True
+                groups, partial = groups[seen], partial[seen]
+        values[groups] = self.ufunc(values[groups], partial)
 
-    def merge(self, groups: np.ndarray, other: "_Accumulator", size: int) -> None:
-        """Fold the first ``size`` groups of ``other`` into ``groups``."""
-        if other.dtype is None or not size:
+    def merge(self, groups: np.ndarray, other: "_Accumulator") -> None:
+        """Fold group ``i`` of ``other`` into ``groups[i]``."""
+        if other.dtype is None:
             return
-        partial = other.values[:size]
+        partial = other.values[: len(groups)]
         if other.seen is not None:
-            present = other.seen[:size]
+            present = other.seen[: len(groups)]
             groups, partial = groups[present], partial[present]
         self.fold(groups, partial)
 
@@ -220,9 +228,11 @@ class _ArrayStates:
             return self.parts[0].tolist(start, stop)
         return list(zip(*(part.tolist(start, stop) for part in self.parts)))
 
-    def merge(self, groups: np.ndarray, other: "_ArrayStates", size: int, first_new: int):
+    def merge(self, groups: np.ndarray, other: "_ArrayStates", first_new: int):
+        # A group from ``first_new`` on holds the empty state, which an
+        # accumulator folds away exactly (zero, or unseen).
         for part, theirs in zip(self.parts, other.parts):
-            part.merge(groups, theirs, size)
+            part.merge(groups, theirs)
 
 
 class _ObjectStates:
@@ -248,10 +258,10 @@ class _ObjectStates:
     def states(self, start: int, stop: int) -> list:
         return self.items[start:stop]
 
-    def merge(self, groups: np.ndarray, other: "_ObjectStates", size: int, first_new: int):
+    def merge(self, groups: np.ndarray, other: "_ObjectStates", first_new: int):
         items = self.items
         combine = self.agg.function.combine
-        for group, theirs in zip(groups.tolist(), other.items[:size]):
+        for group, theirs in zip(groups.tolist(), other.items):
             if group >= first_new:
                 # A group first seen in ``other`` adopts its state:
                 # combining with a fresh state need not be bit-neutral.
@@ -300,17 +310,22 @@ class _GroupTable:
         return np.array(groups, dtype=np.int64), created
 
 
-def _reduce(ufunc, group_ids, group_count: int, values, kind: str):
-    """Per-local-group reduction of one page on the kernel backend.
-    Returns host ``(partial, touched)``; ``values=None`` weighs every
-    row one (a count)."""
+def _sums(group_ids, group_count: int, inputs: list) -> tuple[list, np.ndarray]:
+    """Per-local-group sums of one page on the kernel backend, one per
+    ``(values, kind)`` input — ``values=None`` weighs every row one (a
+    count). Returns host ``(partials, touched)``; the row counts behind
+    ``touched`` are computed once for all inputs."""
     backend = current_backend()
     xp = backend.xp
-    if ufunc is np.add:
-        counts = xp.bincount(group_ids, minlength=group_count)
+    counts = xp.bincount(group_ids, minlength=group_count)
+    host_counts = None
+    partials = []
+    for values, kind in inputs:
         if values is None:
-            counts = backend.to_host(counts)
-            return counts, counts > 0
+            if host_counts is None:
+                host_counts = backend.to_host(counts)
+            partials.append(host_counts)
+            continue
         if kind != "f" and len(values):
             bound = max(abs(int(values.min())), abs(int(values.max()))) * len(values)
             if bound >= _EXACT_INT_SUM_BOUND:
@@ -320,12 +335,18 @@ def _reduce(ufunc, group_ids, group_count: int, values, kind: str):
                 group_ids, weights=values.astype(np.float64), minlength=group_count
             )
         )
-        if kind != "f":
-            sums = sums.astype(np.int64)
-        # Only *which* groups were hit is needed: download the compact
-        # bool mask instead of the counts.
-        return sums, backend.to_host(counts > 0)
-    if kind == "f" and xp.isnan(values).any():
+        partials.append(sums if kind == "f" else sums.astype(np.int64))
+    if host_counts is not None:
+        return partials, host_counts > 0
+    # Only *which* groups were hit is needed: download the compact bool
+    # mask instead of the counts.
+    return partials, backend.to_host(counts > 0)
+
+
+def _extremum(ufunc, group_ids, group_count: int, values, kind: str):
+    """Per-local-group minimum or maximum of one page: host
+    ``(partial, touched)``."""
+    if kind == "f" and current_backend().xp.isnan(values).any():
         # minimum/maximum propagate NaN; the row path keeps NaN only
         # when it was the first value seen. Preserve that
         # order-dependence.
@@ -402,13 +423,26 @@ class HashAggregationOperator(AccumulatingOperator):
         return _GroupTable(
             [
                 _ArrayStates(agg.function.signature.name)
-                if not agg.distinct
-                and agg.function.signature.name in _VECTORIZABLE
-                and len(agg.argument_channels) <= 1
+                if self._array_state(agg)
                 else _ObjectStates(agg)
                 for agg in self.aggregators
             ]
         )
+
+    def _array_state(self, agg: AggregatorSpec) -> bool:
+        """Whether the aggregator's state is primitive values (arrays)
+        rather than python objects."""
+        name = agg.function.signature.name
+        if agg.distinct or name not in _VECTORIZABLE or len(agg.argument_channels) > 1:
+            return False
+        if name not in ("min", "max"):
+            return True  # counts and numeric sums
+        # The state is a value of the argument type, which is also the
+        # output type — except on a PARTIAL step, whose output is the
+        # opaque state.
+        if self.step is AggregationStep.PARTIAL and agg.argument_types:
+            return is_primitive_type(agg.argument_types[0])
+        return is_primitive_type(agg.output_type)
 
     # -- input ------------------------------------------------------------
 
@@ -466,6 +500,11 @@ class HashAggregationOperator(AccumulatingOperator):
                 filter_values, dtype=np.bool_
             ) & ~backend.to_device(filter_nulls)
         if self.step is AggregationStep.FINAL:
+            if fact.group_count != page.row_count:
+                # A key repeats within the page: folding the page's own
+                # total would add floats as s+(p1+p2), the row path adds
+                # (s+p1)+p2.
+                raise _RowFallback("final_step")
             present, inputs = _decode_states(
                 page.block(agg.argument_channels[0]).to_values(), len(column.parts)
             )
@@ -478,18 +517,19 @@ class HashAggregationOperator(AccumulatingOperator):
         group_ids = backend.to_device(fact.device_group_ids)
         if valid is not None:
             group_ids = group_ids[valid]
-        partials = [
-            _reduce(
-                part.ufunc,
-                group_ids,
-                fact.group_count,
-                values if values is None or valid is None else values[valid],
-                kind,
-            )
-            for part, (values, kind) in zip(column.parts, inputs)
-        ]
-        for part, (partial, touched) in zip(column.parts, partials):
-            part.fold(groups[touched], partial[touched])
+            inputs = [
+                (values if values is None else values[valid], kind)
+                for values, kind in inputs
+            ]
+        ufunc = column.parts[0].ufunc
+        if ufunc is np.add:
+            partials, touched = _sums(group_ids, fact.group_count, inputs)
+        else:
+            partial, touched = _extremum(ufunc, group_ids, fact.group_count, *inputs[0])
+            partials = [partial]
+        groups = groups[touched]
+        for part, partial in zip(column.parts, partials):
+            part.fold(groups, partial[touched])
 
     @staticmethod
     def _raw_inputs(page: Page, agg: AggregatorSpec):
@@ -608,7 +648,7 @@ class HashAggregationOperator(AccumulatingOperator):
             first_new = len(table)
             groups, _ = table.lookup(list(run.ids))
             for column, spilled in zip(table.columns, run.columns):
-                column.merge(groups, spilled, len(run), first_new)
+                column.merge(groups, spilled, first_new)
         self._spilled_runs = []
 
     # -- output ---------------------------------------------------------------

@@ -20,7 +20,11 @@ from repro.exec.blocks import (
     RunLengthBlock,
     make_block,
 )
-from repro.exec.operators.aggregation import AggregatorSpec, HashAggregationOperator
+from repro.exec.operators.aggregation import (
+    _Accumulator,
+    AggregatorSpec,
+    HashAggregationOperator,
+)
 from repro.exec.page import Page
 from repro.functions import FUNCTIONS
 from repro.planner.nodes import AggregationStep
@@ -262,6 +266,108 @@ def test_int_sum_beyond_int64_stays_exact(revoke):
         values, fallbacks = run()
     assert values == expected == [3 * big, 15]
     assert fallbacks == {"int_sum_overflow": 3}
+
+
+@pytest.mark.parametrize("two_step", [False, True], ids=["single", "partial_final"])
+def test_min_max_over_varchar_survive_a_spill(two_step):
+    """An object-typed min/max state is python objects, not a
+    zero-filled array: a spilled run whose keys the in-memory table has
+    not seen (or has) merges without comparing a placeholder."""
+    specs = [
+        _spec("min", [VARCHAR], [1], VARCHAR),
+        _spec("max", [VARCHAR], [1], VARCHAR),
+        _spec("min", [BIGINT], [2], BIGINT),
+    ]
+    pages = [
+        (["ash", "birch", "ash", "cedar"], ["z", "y", "x", None], [4, None, 2, 9]),
+        (["birch", "elm", "ash", "cedar"], ["q", "m", "zz", "c"], [7, 1, 3, None]),
+    ]
+
+    def run():
+        first_step = AggregationStep.PARTIAL if two_step else AggregationStep.SINGLE
+        operator = HashAggregationOperator([0], [VARCHAR], specs, first_step)
+        for keys, strings, longs in pages:
+            operator.add_input(
+                Page([ObjectBlock(keys), ObjectBlock(strings), make_block(BIGINT, longs)], 4)
+            )
+            assert operator.revoke() > 0
+        out = _drain(operator)
+        if two_step:
+            final = HashAggregationOperator(
+                [0],
+                [VARCHAR],
+                [
+                    AggregatorSpec(agg.function, [1 + i], agg.output_type)
+                    for i, agg in enumerate(specs)
+                ],
+                AggregationStep.FINAL,
+            )
+            for page in out + out:
+                final.add_input(page)
+                final.revoke()
+            out = _drain(final)
+        return [row for page in out for row in page.rows()]
+
+    with kernels.forced_mode(kernels.ROW):
+        expected = run()
+    with kernels.forced_mode(kernels.VECTOR):
+        rows = run()
+    assert rows == expected == [
+        ("ash", "x", "zz", 2),
+        ("birch", "q", "y", 7),
+        ("cedar", "c", "c", 9),
+        ("elm", "m", "m", 1),
+    ]
+
+
+def test_accumulator_unseen_group_adopts_rather_than_merges():
+    """Whatever lands in an accumulator, a group's zero placeholder is
+    never an operand (``min(0, 'x')`` would not even compare)."""
+    column = _Accumulator(np.minimum)
+    column.ensure(3)
+    column.set(0, "m")
+    column.fold(np.array([0, 2]), np.array(["x", "b"], dtype=object))
+    assert column.tolist(0, 3) == ["m", None, "b"]
+    column.fold(np.array([2, 1]), np.array(["c", "a"], dtype=object))
+    assert column.tolist(0, 3) == ["m", "a", "b"]
+    negatives = _Accumulator(np.maximum)
+    negatives.ensure(2)
+    negatives.fold(np.array([1]), np.array([-5]))
+    assert negatives.tolist(0, 2) == [None, -5]
+
+
+def test_final_page_with_a_repeated_key_adds_floats_in_row_order():
+    """FINAL folds a page in bulk only when its keys are distinct:
+    (s+p1)+p2 and s+(p1+p2) differ for inexact doubles."""
+
+    def run():
+        final = HashAggregationOperator(
+            [0],
+            [VARCHAR],
+            [
+                _spec("sum", [DOUBLE], [1], DOUBLE),
+                _spec("avg", [DOUBLE], [2], DOUBLE),
+            ],
+            AggregationStep.FINAL,
+        )
+        for keys, sums, avgs in (
+            (["ash", "birch"], [0.1, 0.7], [(0.1, 1), (0.7, 2)]),
+            (["ash", "birch", "ash"], [0.2, None, 0.3], [(0.2, 1), (0.1, 1), (0.3, 3)]),
+        ):
+            final.add_input(
+                Page([ObjectBlock(keys), ObjectBlock(sums), ObjectBlock(avgs)], len(keys))
+            )
+        rows = [row for page in _drain(final) for row in page.rows()]
+        return rows, dict(final.row_fallbacks)
+
+    with kernels.forced_mode(kernels.ROW):
+        expected, _ = run()
+    with kernels.forced_mode(kernels.VECTOR):
+        rows, fallbacks = run()
+    assert rows == expected
+    assert rows[0] == ("ash", (0.1 + 0.2) + 0.3, ((0.1 + 0.2) + 0.3) / 5)
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)  # the order matters here
+    assert fallbacks == {"final_step": 2}  # the second page, per aggregator
 
 
 @pytest.fixture(scope="module")
