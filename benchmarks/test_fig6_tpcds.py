@@ -132,74 +132,6 @@ def test_fig6_connector_adaptivity(benchmark):
     assert raptor_wins >= len(TPCDS_ANALOG_QUERIES) * 0.7
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_fusion_ablation(benchmark):
-    """Per-query fused vs unfused ablation on the Fig. 6 workload.
-
-    Pipeline fusion collapses scan → filter/project → partial-agg
-    chains into one operator, so the deterministic cost model (which
-    charges per operator-boundary row and per pass) sees strictly less
-    work per fragment. The ablation runs the hive+stats configuration
-    with fusion forced on and off and reports per-query simulated
-    runtimes.
-    """
-    from repro.exec import pipeline
-
-    results: dict[str, dict[str, float]] = {}
-
-    def run_all():
-        with pipeline.forced_fusion(pipeline.ON):
-            results["fused"] = _run_configuration(
-                "fused", "hive", lambda c: _setup_hive(c, statistics=True)
-            )
-        with pipeline.forced_fusion(pipeline.OFF):
-            results["unfused"] = _run_configuration(
-                "unfused", "hive", lambda c: _setup_hive(c, statistics=True)
-            )
-        return results
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    rows = []
-    for query_id in sorted(TPCDS_ANALOG_QUERIES):
-        fused_ms = results["fused"][query_id]
-        unfused_ms = results["unfused"][query_id]
-        rows.append(
-            [
-                query_id,
-                round(unfused_ms, 1),
-                round(fused_ms, 1),
-                f"{unfused_ms / fused_ms:.2f}x",
-            ]
-        )
-    totals = {name: sum(r.values()) for name, r in results.items()}
-    rows.append(
-        [
-            "TOTAL",
-            round(totals["unfused"], 1),
-            round(totals["fused"], 1),
-            f"{totals['unfused'] / totals['fused']:.2f}x",
-        ]
-    )
-    print_table(
-        "Fig. 6 ablation — pipeline fusion on the hive+stats configuration",
-        ["query", "unfused (sim ms)", "fused (sim ms)", "speedup"],
-        rows,
-    )
-    save_results(
-        "fig6_fusion_ablation", {"runtimes": results, "totals": totals}
-    )
-    benchmark.extra_info["fusion_speedup"] = round(
-        totals["unfused"] / totals["fused"], 2
-    )
-
-    # Fusion must help in aggregate and never hurt an individual query
-    # by more than scheduler jitter.
-    assert totals["fused"] < totals["unfused"]
-    for query_id in TPCDS_ANALOG_QUERIES:
-        assert results["fused"][query_id] <= results["unfused"][query_id] * 1.10
-
-
 def _run_rule_queries(optimizer, query_ids):
     """Run ``query_ids`` on a fresh hive+stats cluster under
     ``optimizer`` and report per-query total CPU ms and result rows.

@@ -917,16 +917,6 @@ class SimCluster:
         snapshot["exec.row_fallbacks"] = sum(self.row_fallbacks.values())
         for reason, count in sorted(self.row_fallbacks.items()):
             snapshot[f"exec.row_fallback.{reason}"] = count
-        # Kernel-backend transfer accounting (docs/BACKENDS.md). The
-        # counter set is stable across backends — the numpy backend
-        # reports zeros, the simgpu device stub reports bytes/transfers
-        # moved or elided by residency plus per-reason host fallbacks.
-        from repro.exec.backend import current_backend as _current_backend
-
-        _backend = _current_backend()
-        snapshot["exec.backend"] = _backend.name
-        for key, value in _backend.stats_snapshot().items():
-            snapshot[f"backend.{key}"] = value
         # Rewrite-rule counters (docs/OPTIMIZER.md). Every registered
         # rule always has both keys so dashboards/tests can rely on
         # them; rules that never fired report zeros.

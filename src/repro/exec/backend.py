@@ -1,74 +1,29 @@
-"""Pluggable kernel backends with device-transfer accounting.
+"""The kernel-backend seam.
 
 The vectorized kernel layer (``repro.exec.kernels``), the page
-processor, and the fused pipeline compiler emit their array work
-through a :class:`KernelBackend` rather than importing numpy directly.
-The backend exposes a numpy-compatible array namespace (``xp``) plus
-the two transfer seams — ``to_device`` / ``to_host`` — so a
-cupy-shaped accelerator backend retargets group-by, joins, distinct,
-shuffle partitioning, and dynamic-filter masking without touching
-operator code (see docs/BACKENDS.md for the seam contract).
-
-Two backends ship:
-
-- ``numpy`` — the host default. ``xp is numpy`` and both transfer
-  hooks are identity functions, so the routed kernels compile to the
-  exact same numpy calls as before the seam existed.
-- ``simgpu`` — a numpy-backed, cupy-*shaped* device stub. Arrays that
-  enter a kernel are wrapped in a :class:`DeviceArray` handle, every
-  array op counts as a kernel launch, and host<->device movement is
-  metered (bytes, transfer counts, modeled microseconds on the
-  simulation's virtual clock). The performance mechanism it models is
-  *residency*: a bounded identity-keyed cache remembers which host
-  arrays are already "on device", so data flowing between fused
-  pipeline stages or between a join build and its probes is uploaded
-  once and every further kernel that touches it counts a
-  ``transfers_elided`` instead of a transfer. Numpy functions outside
-  the device whitelist execute on host with a charged download and a
-  per-reason ``host_fallback.<name>`` counter (mirroring
-  ``exec.fusion_fallback.*``).
-
-Backend selection: ``REPRO_BACKEND=<name>`` in the environment, an
-explicit :func:`get_backend` call, or :func:`forced_backend` (the fuzz
-runner / benchmarks). The active backend is process-global and read by
-the kernels via :func:`current_backend`.
+processor, and the vectorized aggregation emit their array work through
+a :class:`KernelBackend` rather than importing numpy directly: inputs
+enter via ``to_device``, math runs on ``xp``, and results that host
+code consumes (Blocks store host arrays) leave via ``to_host``. One
+backend ships — numpy, for which both transfer hooks are identity
+functions — so the routed kernels compile to plain numpy calls. The
+seam is kept for a cupy port (docs/EXECUTION.md): such a port
+subclasses :class:`KernelBackend` and replaces the module instance
+:func:`current_backend` returns.
 """
 
 from __future__ import annotations
-
-import os
-from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
 
 class KernelBackend:
-    """Array-execution backend: a numpy-compatible namespace plus
-    host-transfer hooks and transfer accounting."""
+    """Array-execution backend: a numpy-compatible namespace plus the
+    two host-transfer hooks."""
 
-    #: registry / EXPLAIN name
     name = "abstract"
-    #: numpy-compatible array module (numpy, cupy, simgpu namespace, ...)
+    #: numpy-compatible array module (numpy, cupy, ...)
     xp = None
-    #: True when arrays live in a separate (possibly simulated) memory
-    #: space and ``to_device``/``to_host`` are real transfers.
-    device = False
-
-    #: every backend reports this counter set (host backends report
-    #: zeros) so ``backend.*`` stats keys are stable across backends.
-    COUNTERS = (
-        "bytes_to_device",
-        "bytes_to_host",
-        "bytes_elided",
-        "transfers_to_device",
-        "transfers_to_host",
-        "transfers_elided",
-        "kernel_launches",
-        "device_syncs",
-        "host_fallbacks",
-        "device_ms",
-    )
 
     def asarray(self, values, dtype=None):
         return self.xp.asarray(values, dtype=dtype)
@@ -83,601 +38,17 @@ class KernelBackend:
         store host arrays, so every kernel's host boundary ends here."""
         return array
 
-    def count_fallback(self, reason: str) -> None:
-        """Record a per-kernel host fallback (no-op on host backends)."""
-
-    def drain_pending_ms(self) -> float:
-        """Return (and reset) modeled device milliseconds accumulated
-        since the last drain — charged onto the virtual clock by the
-        fused pipeline's split-lump accounting. Host backends do their
-        work in real wall time, so there is nothing to drain."""
-        return 0.0
-
-    def reset_stats(self) -> None:
-        """Reset transfer counters (and any residency state)."""
-
-    def stats_snapshot(self) -> dict:
-        """Flat counter dict, merged into ``SimCluster.stats_snapshot``
-        under the ``backend.`` prefix."""
-        return {key: 0 for key in self.COUNTERS}
-
 
 class NumpyBackend(KernelBackend):
-    """Default host backend: plain numpy, zero-copy both directions."""
+    """The host backend: plain numpy, zero-copy both directions."""
 
     name = "numpy"
     xp = np
 
 
-# --------------------------------------------------------------------------
-# simgpu: a cupy-shaped device stub with transfer accounting
-# --------------------------------------------------------------------------
-
-
-def _nbytes(array) -> int:
-    return int(getattr(array, "nbytes", 0))
-
-
-class DeviceArray:
-    """Handle to an array resident in (simulated) device memory.
-
-    Shaped like a ``cupy.ndarray``: metadata is free, elementwise ops /
-    ufuncs / indexing run "on device" (counted as kernel launches),
-    reductions return host scalars through a counted sync, and
-    ``__array__`` / ``item`` / ``tolist`` are charged downloads so
-    un-routed host code stays correct — it just pays the transfer.
-
-    ``data`` holds the backing host ndarray standing in for device
-    memory. Uploads alias the host array zero-copy (``_owned`` False);
-    any in-place mutation copies first so simulated device writes can
-    never corrupt host Block storage.
-    """
-
-    __slots__ = ("data", "_backend", "_owned")
-
-    def __init__(self, data: np.ndarray, backend: "SimGpuBackend", owned: bool = True):
-        self.data = data
-        self._backend = backend
-        self._owned = owned
-
-    # -- metadata: free, like cupy ------------------------------------
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def nbytes(self):
-        return self.data.nbytes
-
-    def __len__(self):
-        return len(self.data)
-
-    def __repr__(self):
-        return f"DeviceArray({self.data!r})"
-
-    # -- device-side methods (kernel launches) ------------------------
-    def _launch_method(self, method: str, *args, **kwargs):
-        backend = self._backend
-        args = tuple(a.data if isinstance(a, DeviceArray) else a for a in args)
-        result = getattr(self.data, method)(*args, **kwargs)
-        backend._charge_launch(self.size)
-        return backend._wrap_result(result)
-
-    def astype(self, dtype, **kwargs):
-        return self._launch_method("astype", dtype, **kwargs)
-
-    def view(self, dtype=None):
-        return self._launch_method("view", dtype)
-
-    def copy(self):
-        return self._launch_method("copy")
-
-    def reshape(self, *shape):
-        return self._launch_method("reshape", *shape)
-
-    # -- reductions: launch + scalar readback -------------------------
-    def any(self, **kwargs):
-        return self._launch_method("any", **kwargs)
-
-    def all(self, **kwargs):
-        return self._launch_method("all", **kwargs)
-
-    def sum(self, **kwargs):
-        return self._launch_method("sum", **kwargs)
-
-    def min(self, **kwargs):
-        return self._launch_method("min", **kwargs)
-
-    def max(self, **kwargs):
-        return self._launch_method("max", **kwargs)
-
-    # -- indexing ------------------------------------------------------
-    def __getitem__(self, key):
-        backend = self._backend
-        if isinstance(key, DeviceArray):
-            key = key.data
-        result = self.data[key]
-        backend._charge_launch(self.size)
-        if isinstance(result, np.ndarray) and result.ndim:
-            if not self._owned and (result.base is not None or result is self.data):
-                # A basic-index view of an uploaded host array must not
-                # alias host memory once it is "device" data.
-                result = result.copy()
-            return DeviceArray(result, backend)
-        return backend._wrap_result(result)
-
-    def __setitem__(self, key, value):
-        if not self._owned:
-            self.data = self.data.copy()
-            self._owned = True
-        if isinstance(key, DeviceArray):
-            key = key.data
-        if isinstance(value, DeviceArray):
-            value = value.data
-        self.data[key] = value
-        self._backend._charge_launch(self.size)
-
-    # -- host boundaries (charged downloads / syncs) -------------------
-    def __array__(self, dtype=None, copy=None):
-        host = self._backend.to_host(self)
-        if dtype is not None:
-            host = host.astype(dtype, copy=False)
-        return host
-
-    def item(self):
-        self._backend._charge_sync(self.data.itemsize)
-        return self.data.item()
-
-    def tolist(self):
-        host = self._backend.to_host(self)
-        return host.tolist()
-
-    def __bool__(self):
-        self._backend._charge_sync(self.data.itemsize)
-        return bool(self.data)
-
-    def __int__(self):
-        self._backend._charge_sync(self.data.itemsize)
-        return int(self.data)
-
-    def __float__(self):
-        self._backend._charge_sync(self.data.itemsize)
-        return float(self.data)
-
-    def __index__(self):
-        self._backend._charge_sync(self.data.itemsize)
-        return self.data.__index__()
-
-    # -- ufunc dispatch: every numpy ufunc (and reduce/reduceat/
-    #    accumulate) on a DeviceArray runs as a device launch ----------
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        backend = self._backend
-        unwrapped = []
-        elements = 0
-        for obj in inputs:
-            operand, size = backend._operand(obj)
-            unwrapped.append(operand)
-            elements = max(elements, size)
-        out = kwargs.get("out")
-        if out is not None:
-            kwargs["out"] = tuple(
-                o.data if isinstance(o, DeviceArray) else o for o in out
-            )
-        result = getattr(ufunc, method)(*unwrapped, **kwargs)
-        backend._charge_launch(elements)
-        return backend._wrap_result(result)
-
-
-def _binary_op(ufunc, reflected: bool = False):
-    if reflected:
-        def op(self, other):
-            return ufunc(other, self)
-    else:
-        def op(self, other):
-            return ufunc(self, other)
-    return op
-
-
-def _unary_op(ufunc):
-    def op(self):
-        return ufunc(self)
-    return op
-
-
-for _name, _ufunc in (
-    ("add", np.add),
-    ("sub", np.subtract),
-    ("mul", np.multiply),
-    ("truediv", np.true_divide),
-    ("floordiv", np.floor_divide),
-    ("mod", np.mod),
-    ("pow", np.power),
-    ("and", np.bitwise_and),
-    ("or", np.bitwise_or),
-    ("xor", np.bitwise_xor),
-    ("lshift", np.left_shift),
-    ("rshift", np.right_shift),
-):
-    setattr(DeviceArray, f"__{_name}__", _binary_op(_ufunc))
-    setattr(DeviceArray, f"__r{_name}__", _binary_op(_ufunc, reflected=True))
-for _name, _ufunc in (
-    ("lt", np.less),
-    ("le", np.less_equal),
-    ("gt", np.greater),
-    ("ge", np.greater_equal),
-    ("eq", np.equal),
-    ("ne", np.not_equal),
-):
-    setattr(DeviceArray, f"__{_name}__", _binary_op(_ufunc))
-setattr(DeviceArray, "__neg__", _unary_op(np.negative))
-setattr(DeviceArray, "__invert__", _unary_op(np.invert))
-setattr(DeviceArray, "__abs__", _unary_op(np.absolute))
-del _name, _ufunc
-
-
-#: numpy attributes handed through unwrapped: dtypes, scalar
-#: constructors, and metadata helpers carry no array data.
-_PASSTHROUGH = {
-    "bool_", "int8", "int16", "int32", "int64", "intp",
-    "uint8", "uint16", "uint32", "uint64",
-    "float16", "float32", "float64",
-    "generic", "number", "integer", "floating", "ndarray",
-    "dtype", "iinfo", "finfo", "errstate", "promote_types", "result_type",
-    "newaxis", "nan", "inf", "pi", "e",
-}
-
-#: the device kernel whitelist — functions the simulated device
-#: executes natively. Anything callable outside this set falls back to
-#: host with a charged download and a counted reason.
-_DEVICE_FUNCS = {
-    "asarray", "array", "ascontiguousarray",
-    "zeros", "ones", "empty", "full", "arange",
-    "zeros_like", "ones_like", "empty_like", "full_like",
-    "where", "unique", "argsort", "sort", "searchsorted", "lexsort",
-    "bincount", "cumsum", "clip", "flatnonzero", "nonzero",
-    "repeat", "tile", "concatenate", "isin",
-    "isnan", "isfinite", "isinf", "trunc", "floor", "ceil",
-    "abs", "absolute", "sign", "sqrt",
-    "minimum", "maximum", "fmin", "fmax",
-    "logical_and", "logical_or", "logical_not", "logical_xor",
-    "add", "subtract", "multiply", "true_divide", "divide",
-    "count_nonzero", "sum", "min", "max", "any", "all",
-    "argmin", "argmax", "diff",
-}
-
-
-class _SimGpuNamespace:
-    """numpy-compatible module facade over the simulated device.
-
-    Whitelisted functions run as device kernels: ``DeviceArray``
-    arguments are unwrapped in place (counted as elided transfers —
-    a naive per-kernel implementation would have re-uploaded them),
-    bare host ndarrays are charged uploads, and ndarray results come
-    back wrapped. Non-whitelisted functions are executed on host with
-    charged downloads and a ``host_fallback.xp.<name>`` counter.
-    """
-
-    def __init__(self, backend: "SimGpuBackend"):
-        self._backend = backend
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        target = getattr(np, name)
-        if name in _PASSTHROUGH or not callable(target):
-            value = target
-        elif name in _DEVICE_FUNCS:
-            value = self._backend._device_function(target)
-        else:
-            value = self._backend._fallback_function(name, target)
-        self.__dict__[name] = value  # cache for next lookup
-        return value
-
-
-class SimGpuBackend(KernelBackend):
-    """numpy-backed, cupy-shaped device backend with metered transfers.
-
-    Models an accelerator attached over a link: uploads and downloads
-    cost ``*_ns_per_byte`` plus a fixed per-transfer overhead, kernels
-    cost a launch overhead plus per-element time. All modeled time
-    lands on the simulation's virtual clock via
-    :meth:`drain_pending_ms` (real wall time stays tiny — the "device"
-    is just numpy). The residency cache is what the break-even bench
-    measures: arrays already on device make follow-on kernels free of
-    transfer cost, counted in ``transfers_elided`` / ``bytes_elided``.
-    """
-
-    name = "simgpu"
-    device = True
-
-    #: cost model (overridable per-instance; the break-even bench
-    #: sweeps the per-byte link cost analytically from the counters).
-    h2d_ns_per_byte = 0.25   # ~4 GB/s effective host->device link
-    d2h_ns_per_byte = 0.25
-    transfer_overhead_us = 2.0
-    launch_overhead_us = 3.0
-    kernel_ns_per_element = 0.05
-
-    #: residency-cache capacity (distinct host arrays remembered).
-    RESIDENT_CAP = 1024
-
-    def __init__(self):
-        self.xp = _SimGpuNamespace(self)
-        self._resident: OrderedDict[int, DeviceArray] = OrderedDict()
-        self.reset_stats()
-
-    # -- accounting ----------------------------------------------------
-    def reset_stats(self) -> None:
-        self.bytes_to_device = 0
-        self.bytes_to_host = 0
-        self.transfers_to_device = 0
-        self.transfers_to_host = 0
-        # What a naive per-kernel implementation would have moved:
-        # upload every kernel input, download every kernel output.
-        # Elision is the difference between that and the actual traffic.
-        self.naive_transfers = 0
-        self.naive_bytes = 0
-        self.kernel_launches = 0
-        self.device_syncs = 0
-        self.device_ms = 0.0
-        self.host_fallbacks: dict[str, int] = {}
-        self._pending_ms = 0.0
-        self._resident.clear()
-
-    @property
-    def transfers_elided(self) -> int:
-        actual = self.transfers_to_device + self.transfers_to_host
-        return max(0, self.naive_transfers - actual)
-
-    @property
-    def bytes_elided(self) -> int:
-        actual = self.bytes_to_device + self.bytes_to_host
-        return max(0, self.naive_bytes - actual)
-
-    def stats_snapshot(self) -> dict:
-        snap = {
-            "bytes_to_device": self.bytes_to_device,
-            "bytes_to_host": self.bytes_to_host,
-            "bytes_elided": self.bytes_elided,
-            "transfers_to_device": self.transfers_to_device,
-            "transfers_to_host": self.transfers_to_host,
-            "transfers_elided": self.transfers_elided,
-            "kernel_launches": self.kernel_launches,
-            "device_syncs": self.device_syncs,
-            "host_fallbacks": sum(self.host_fallbacks.values()),
-            "device_ms": round(self.device_ms, 3),
-            "naive_transfers": self.naive_transfers,
-            "naive_bytes": self.naive_bytes,
-        }
-        for reason in sorted(self.host_fallbacks):
-            snap[f"host_fallback.{reason}"] = self.host_fallbacks[reason]
-        return snap
-
-    def count_fallback(self, reason: str) -> None:
-        self.host_fallbacks[reason] = self.host_fallbacks.get(reason, 0) + 1
-
-    def drain_pending_ms(self) -> float:
-        pending, self._pending_ms = self._pending_ms, 0.0
-        return pending
-
-    def _charge(self, ms: float) -> None:
-        self.device_ms += ms
-        self._pending_ms += ms
-
-    def _charge_launch(self, elements: int) -> None:
-        self.kernel_launches += 1
-        self._charge(
-            self.launch_overhead_us / 1000.0
-            + elements * self.kernel_ns_per_element / 1e6
-        )
-
-    def _charge_h2d(self, nbytes: int) -> None:
-        self.transfers_to_device += 1
-        self.bytes_to_device += nbytes
-        self._charge(
-            self.transfer_overhead_us / 1000.0 + nbytes * self.h2d_ns_per_byte / 1e6
-        )
-
-    def _charge_d2h(self, nbytes: int) -> None:
-        self.transfers_to_host += 1
-        self.bytes_to_host += nbytes
-        self._charge(
-            self.transfer_overhead_us / 1000.0 + nbytes * self.d2h_ns_per_byte / 1e6
-        )
-
-    def _charge_sync(self, nbytes: int) -> None:
-        self.device_syncs += 1
-        # A naive implementation syncs the scalar back too.
-        self._naive_d2h(nbytes)
-        self._charge_d2h(nbytes)
-
-    def _naive_h2d(self, nbytes: int) -> None:
-        self.naive_transfers += 1
-        self.naive_bytes += nbytes
-
-    def _naive_d2h(self, nbytes: int) -> None:
-        self.naive_transfers += 1
-        self.naive_bytes += nbytes
-
-    # -- transfers and residency --------------------------------------
-    def asarray(self, values, dtype=None):
-        return self.xp.asarray(values, dtype=dtype)
-
-    def _remember(self, handle: DeviceArray) -> None:
-        key = id(handle.data)
-        self._resident[key] = handle
-        self._resident.move_to_end(key)
-        while len(self._resident) > self.RESIDENT_CAP:
-            self._resident.popitem(last=False)
-
-    def to_device(self, array):
-        # A naive per-kernel implementation uploads every input.
-        self._naive_h2d(_nbytes(array))
-        if isinstance(array, DeviceArray):
-            return array
-        if not isinstance(array, np.ndarray):
-            array = np.asarray(array)  # host-side staging buffer
-        cached = self._resident.get(id(array))
-        if cached is not None and cached.data is array:
-            # Already resident: the cache holds a strong reference to
-            # the host array, so the identity check cannot be fooled by
-            # id() reuse.
-            self._resident.move_to_end(id(array))
-            return cached
-        handle = DeviceArray(array, self, owned=False)
-        self._remember(handle)
-        self._charge_h2d(array.nbytes)
-        return handle
-
-    def to_host(self, array):
-        if isinstance(array, DeviceArray):
-            self._charge_d2h(array.nbytes)
-            # The device copy stays valid: remember it so a later
-            # kernel consuming this host array (the next fused stage, a
-            # probe against a downloaded build side) elides the
-            # re-upload. Mark the handle shared so device writes copy.
-            array._owned = False
-            self._remember(array)
-            return array.data
-        return array
-
-    # -- kernel dispatch ----------------------------------------------
-    def _operand(self, obj):
-        """Unwrap one kernel argument: device handles are elided
-        re-uploads, host ndarrays are charged uploads, scalars pass."""
-        if isinstance(obj, DeviceArray):
-            self._naive_h2d(obj.nbytes)
-            return obj.data, obj.size
-        if isinstance(obj, np.ndarray) and obj.ndim:
-            return self.to_device(obj).data, obj.size
-        if isinstance(obj, (list, tuple)):
-            unwrapped = [self._operand(item)[0] for item in obj]
-            size = max((getattr(u, "size", 0) for u in unwrapped), default=0)
-            return type(obj)(unwrapped), size
-        return obj, 0
-
-    def _wrap_result(self, result):
-        if isinstance(result, np.ndarray):
-            if result.ndim:
-                # A naive implementation downloads every kernel output;
-                # residency keeps it on device until to_host.
-                self._naive_d2h(result.nbytes)
-                return DeviceArray(result, self)
-            self._charge_sync(result.itemsize)
-            return result[()]
-        if isinstance(result, tuple):
-            return tuple(self._wrap_result(item) for item in result)
-        if isinstance(result, list):
-            return [self._wrap_result(item) for item in result]
-        if isinstance(result, np.generic):
-            self._charge_sync(result.itemsize)
-        return result
-
-    def _device_function(self, fn):
-        def device_call(*args, **kwargs):
-            elements = 0
-            prepared = []
-            for arg in args:
-                operand, size = self._operand(arg)
-                prepared.append(operand)
-                elements = max(elements, size)
-            if kwargs:
-                for key, value in list(kwargs.items()):
-                    operand, size = self._operand(value)
-                    kwargs[key] = operand
-                    elements = max(elements, size)
-            result = fn(*prepared, **kwargs)
-            self._charge_launch(elements)
-            return self._wrap_result(result)
-
-        return device_call
-
-    def _fallback_function(self, name, fn):
-        def host_call(*args, **kwargs):
-            args = tuple(self._download(arg) for arg in args)
-            kwargs = {key: self._download(value) for key, value in kwargs.items()}
-            self.count_fallback(f"xp.{name}")
-            return fn(*args, **kwargs)
-
-        return host_call
-
-    def _download(self, obj):
-        if isinstance(obj, DeviceArray):
-            return self.to_host(obj)
-        if isinstance(obj, (list, tuple)):
-            return type(obj)(self._download(item) for item in obj)
-        return obj
-
-
-# --------------------------------------------------------------------------
-# Registry and active-backend selection
-# --------------------------------------------------------------------------
-
-_BACKENDS: dict[str, KernelBackend] = {
-    "numpy": NumpyBackend(),
-    "simgpu": SimGpuBackend(),
-}
-
-
-def register_backend(backend: KernelBackend) -> None:
-    """Register an alternative backend (e.g. a real cupy port) under
-    its ``name``; selectable via ``REPRO_BACKEND`` or ``get_backend``."""
-    _BACKENDS[backend.name] = backend
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def get_backend(name: str | None = None) -> KernelBackend:
-    """Resolve a backend by name, the ``REPRO_BACKEND`` environment
-    variable, or the numpy default."""
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "numpy")
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"Unknown kernel backend {name!r}; available: {available_backends()}"
-        ) from None
-
-
-_active: KernelBackend | None = None
+_BACKEND = NumpyBackend()
 
 
 def current_backend() -> KernelBackend:
-    """The process-global active backend the kernels route through.
-
-    Resolved once from ``REPRO_BACKEND`` on first use; switch at
-    runtime with :func:`forced_backend` (fuzz runner, benchmarks)."""
-    global _active
-    if _active is None:
-        _active = get_backend()
-    return _active
-
-
-@contextmanager
-def forced_backend(name: str):
-    """Temporarily make ``name`` the active backend (stats reset on
-    entry so counter assertions see only this scope's work)."""
-    global _active
-    previous = _active
-    backend = get_backend(name)
-    backend.reset_stats()
-    _active = backend
-    try:
-        yield backend
-    finally:
-        _active = previous
+    """The backend every routed kernel runs on."""
+    return _BACKEND

@@ -17,18 +17,14 @@ columnar batch-at-a-time equivalents:
   by the shuffle partitioner (must agree bit-for-bit with the scalar
   hash: two sinks feeding one consumer may take different paths).
 
-Every kernel routes its array work through the active
-:class:`repro.exec.backend.KernelBackend`: inputs enter via
-``backend.to_device`` (an elided no-op when the array is already
-resident), math runs on ``backend.xp``, and results that host code
-consumes leave via ``backend.to_host``. Under the numpy backend both
-transfer hooks are identity functions and ``xp is numpy``, so the host
-path is byte-for-byte the pre-seam code. Under ``simgpu`` the same
-code runs over ``DeviceArray`` handles with metered transfers; the
-join build side and dictionary codes stay device-resident across
-probe/scan pages. Remaining bare ``np.`` uses are host-boundary work
-(Block decode, python-list staging, scalar-hash fallbacks) and carry a
-``# host-only`` tag enforced by the backend-purity lint.
+Every kernel routes its array work through the
+:class:`repro.exec.backend.KernelBackend` seam: inputs enter via
+``backend.to_device``, math runs on ``backend.xp``, and results that
+host code consumes leave via ``backend.to_host``. Under the numpy
+backend both transfer hooks are identity functions and ``xp is numpy``.
+Remaining bare ``np.`` uses are host-boundary work (Block decode,
+python-list staging, scalar-hash fallbacks) and carry a ``# host-only``
+tag enforced by the backend-purity lint.
 
 Null / NaN / numeric-equality contract (must match the row path, which
 keys python dicts with value tuples):
@@ -102,7 +98,7 @@ _FLOAT_SCALE = 1_000_003
 VECTOR = "vector"
 ROW = "row"
 
-_mode = os.environ.get("REPRO_KERNELS", VECTOR).strip().lower() or VECTOR
+_mode = VECTOR
 
 
 def get_mode() -> str:
@@ -114,6 +110,11 @@ def set_mode(mode: str) -> None:
     if mode not in (VECTOR, ROW):
         raise ValueError(f"unknown kernel mode {mode!r} (expected 'vector' or 'row')")
     _mode = mode
+
+
+# Case and surrounding whitespace are forgiven; anything else raises at
+# import, so a typo cannot silently select a path.
+set_mode(os.environ.get("REPRO_KERNELS", VECTOR).strip().lower() or VECTOR)
 
 
 def enabled() -> bool:
@@ -365,35 +366,16 @@ class Factorization:
     insertion order a row-at-a-time dict build would produce. Rows whose
     keys contain NaN get singleton groups (NaN never equals NaN).
 
-    ``first_positions`` is host-resident (it feeds ``key_tuples``).
-    Group ids stay on the active backend's device: the vectorized
-    aggregation path drives its bincounts straight off
-    ``device_group_ids``, and the host copy is materialized lazily —
-    only consumers that genuinely walk rows on host (the per-row
-    aggregator fallback, join duplicate expansion) pay the download.
+    Both arrays are host int64 (``first_positions`` feeds
+    ``key_tuples``; ``group_ids`` is walked by the per-row fallbacks).
     """
 
-    __slots__ = ("_group_ids", "group_count", "first_positions", "_backend")
+    __slots__ = ("group_ids", "group_count", "first_positions")
 
-    def __init__(self, group_ids, group_count: int, first_positions, backend=None):
-        self._group_ids = group_ids
+    def __init__(self, group_ids, group_count: int, first_positions):
+        self.group_ids = group_ids
         self.group_count = group_count
         self.first_positions = first_positions
-        self._backend = backend
-
-    @property
-    def device_group_ids(self):
-        """Group ids as the producing backend holds them — a device
-        handle under ``simgpu``, a host ndarray under numpy."""
-        return self._group_ids
-
-    @property
-    def group_ids(self) -> np.ndarray:
-        """Host int64 group ids, downloaded on first access."""
-        if self._backend is not None:
-            self._group_ids = self._backend.to_host(self._group_ids)
-            self._backend = None
-        return self._group_ids
 
 
 def factorize(
@@ -452,10 +434,9 @@ def factorize(
     rank = xp.empty(len(order), dtype=np.int64)
     rank[order] = xp.arange(len(order), dtype=np.int64)
     return Factorization(
-        rank[inverse],
+        backend.to_host(rank[inverse]),
         len(order),
         backend.to_host(first_index[order]),
-        backend,
     )
 
 
@@ -570,11 +551,10 @@ class VectorMultiMap:
     collisions. Emission order matches the row path: probe rows
     ascending, build rows ascending within a probe row.
 
-    The build-side arrays (hashes, positions, code columns) live on the
-    active backend's device for the lifetime of the join: every probe
-    page reuses them in place, so under ``simgpu`` the build side is
-    uploaded once and each probe counts elided transfers instead.
-    Probe results are downloaded — match positions splice host Blocks.
+    The build-side arrays (hashes, positions, code columns) stay
+    backend arrays for the lifetime of the join and every probe page
+    reuses them in place. Probe results pass ``to_host`` — match
+    positions splice host Blocks.
     """
 
     def __init__(
@@ -766,10 +746,9 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
     feeding the same consumer stage may take different paths (one page
     primitive, another object-typed) and must agree on partitions. Rows
     whose float keys overflow the int64 fast path are rehashed through
-    the scalar function (a counted per-kernel host fallback, preserving
-    its exact behavior, exceptions included). Returns a host array
-    (hashes feed exchange serialization — a genuine host boundary);
-    returns None for object-typed keys.
+    the scalar function (preserving its exact behavior, exceptions
+    included). Returns a host array (hashes feed exchange serialization
+    — a genuine host boundary); returns None for object-typed keys.
     """
     if not enabled():
         return None
@@ -791,7 +770,6 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
     if fallback is not None:
         fallback = backend.to_host(fallback)
         if fallback.any():
-            backend.count_fallback("hash_rows.float_overflow")
             # host-only: scalar stable_hash rehash for float-overflow rows
             for row in np.flatnonzero(fallback):
                 key = tuple(block.get(int(row)) for block in blocks)

@@ -480,11 +480,9 @@ class HashAggregationOperator(AccumulatingOperator):
     ) -> None:
         """Fold one page into one aggregator's state column: a bulk
         backend reduction per local group, then one fancy-indexed
-        update of the column. The group-id array stays device-resident
-        across every aggregator touching it (the host copy is never
-        materialized on this path); only the small per-group partials
-        come back to host. Raises :class:`_RowFallback` — before
-        touching the column — when the page needs the row path."""
+        update of the column; only the small per-group partials come
+        back to host. Raises :class:`_RowFallback` — before touching
+        the column — when the page needs the row path."""
         if agg.distinct:
             raise _RowFallback("distinct")
         if not isinstance(column, _ArrayStates):
@@ -514,7 +512,7 @@ class HashAggregationOperator(AccumulatingOperator):
         if present is not None:
             present = backend.to_device(present)
             valid = present if valid is None else (valid & present)
-        group_ids = backend.to_device(fact.device_group_ids)
+        group_ids = backend.to_device(fact.group_ids)
         if valid is not None:
             group_ids = group_ids[valid]
             inputs = [

@@ -25,7 +25,7 @@ from repro.exec.blocks import (
 )
 from repro.errors import PrestoError
 from repro.exec import kernels
-from repro.exec.backend import KernelBackend, current_backend
+from repro.exec.backend import current_backend
 from repro.exec.compiler import (
     CompiledExpression,
     EvalContext,
@@ -82,14 +82,12 @@ class PageProcessor:
         filter_expr: Optional[ir.RowExpression],
         projections: Sequence[ir.RowExpression],
         interpreted: bool = False,
-        backend: Optional[KernelBackend] = None,
     ):
         self.input_symbols = list(input_symbols)
         self.interpreted = interpreted
-        # Array work routes through the pluggable kernel backend
-        # (repro.exec.backend): numpy, or the simgpu device stub with
-        # metered transfers. ``xp`` mirrors the numpy API surface.
-        self.backend = backend or current_backend()
+        # Array work routes through the kernel-backend seam
+        # (repro.exec.backend); ``xp`` mirrors the numpy API surface.
+        self.backend = current_backend()
         self._xp = self.backend.xp
         if interpreted:
             self._raw_filter = filter_expr

@@ -13,9 +13,7 @@ projections, and (optionally) partial-aggregation accumulation in one
 pass per split, with no intermediate operator-boundary handoffs.
 Filters stay lazily-applied masks and projections compose inside the
 absorbed :class:`~repro.exec.page_processor.PageProcessor`, so the
-dictionary/RLE entries-context fast paths engage unchanged; the array
-work routes through the pluggable :mod:`repro.exec.backend` seam
-(numpy today, cupy-shaped tomorrow).
+dictionary/RLE entries-context fast paths engage unchanged.
 
 Chains containing an unfusible operator fall back to the existing
 driver loop unchanged, with the reason recorded in a
@@ -26,23 +24,19 @@ spill accounting (the embedded aggregation keeps its ``revoke`` /
 ``spill_context`` contract), and fault-tolerance split-log replay are
 preserved exactly.
 
-Mode selection mirrors the kernel layer: ``REPRO_FUSION=on|off|auto``
-(default ``auto`` = fuse whenever the vector kernels are enabled, so
-``REPRO_KERNELS=row`` keeps the unfused row-at-a-time path as the
-differential oracle); ``forced_fusion(...)`` switches at runtime.
+Fused chains are the vector path: the compiler fuses whenever the
+vector kernels are enabled, and ``REPRO_KERNELS=row`` keeps the unfused
+row-at-a-time path as the differential oracle.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.exec import kernels
-from repro.exec.backend import KernelBackend, current_backend
 from repro.exec.operator import Operator
 from repro.exec.operators.aggregation import HashAggregationOperator
 from repro.exec.operators.core import (
@@ -51,51 +45,7 @@ from repro.exec.operators.core import (
     TableScanOperator,
 )
 from repro.exec.page import Page
-from repro.planner.nodes import AggregationStep
-
-
-# -- fusion mode ---------------------------------------------------------------
-
-ON = "on"
-OFF = "off"
-AUTO = "auto"
-
-_mode = os.environ.get("REPRO_FUSION", AUTO)
-if _mode not in (ON, OFF, AUTO):
-    raise ValueError(f"REPRO_FUSION must be on/off/auto, got {_mode!r}")
-
-
-def get_fusion_mode() -> str:
-    return _mode
-
-
-def set_fusion_mode(mode: str) -> None:
-    global _mode
-    if mode not in (ON, OFF, AUTO):
-        raise ValueError(f"fusion mode must be on/off/auto, got {mode!r}")
-    _mode = mode
-
-
-def fusion_enabled() -> bool:
-    """Whether the compiler fuses eligible chains. ``auto`` ties fusion
-    to the vector kernels: ``REPRO_KERNELS=row`` runs fully unfused and
-    serves as the differential oracle."""
-    if _mode == ON:
-        return True
-    if _mode == OFF:
-        return False
-    return kernels.enabled()
-
-
-@contextmanager
-def forced_fusion(mode: str):
-    """Temporarily force the fusion mode (mirrors ``kernels.forced_mode``)."""
-    previous = get_fusion_mode()
-    set_fusion_mode(mode)
-    try:
-        yield
-    finally:
-        set_fusion_mode(previous)
+from repro.planner import nodes as plan
 
 
 # -- compile-time reporting -----------------------------------------------------
@@ -147,7 +97,6 @@ class FusedPipelineOperator(Operator):
         agg: Optional[HashAggregationOperator] = None,
         limit: Optional[LimitOperator] = None,
         sink: Optional[Operator] = None,
-        backend: Optional[KernelBackend] = None,
     ):
         super().__init__()
         self.scan = scan
@@ -164,7 +113,6 @@ class FusedPipelineOperator(Operator):
         self.agg = agg
         self.limit = limit
         self.sink = sink
-        self.backend = backend or current_backend()
         self._out: deque[Page] = deque()
         self._flushing = False
         self._flushed = False
@@ -214,10 +162,6 @@ class FusedPipelineOperator(Operator):
         boundary = self.scan.completed_splits
         progressed = self._advance_once()
         self.pending_kernel_ms += (time.perf_counter() - start) * 1000.0
-        # Device backends do their work on a modeled clock (uploads,
-        # kernel launches, downloads); fold those milliseconds into the
-        # same split-lump accounting so they charge the virtual CPU.
-        self.pending_kernel_ms += self.backend.drain_pending_ms()
         if self.scan.completed_splits != boundary or self._flushed:
             self.charged_kernel_ms += self.pending_kernel_ms
             self.pending_kernel_ms = 0.0
@@ -369,11 +313,51 @@ class FusedPipelineOperator(Operator):
 
 # -- the compiler ---------------------------------------------------------------
 
+_STAGES = ("FilterProject", "ChannelSelect")
+_TERMINALS = ("Aggregate[partial]", "Aggregate[single]", "Limit")
+
+
+def fused_prefix(labels: Sequence[Optional[str]]) -> int:
+    """The one eligibility rule, over a pipeline's stage labels (None =
+    unfusible stage): how many leading stages fuse, 0 when the chain
+    stays on the driver loop. Shared by :func:`compile_pipeline`, which
+    labels operators, and :func:`fragment_fusion_summary`, which labels
+    plan nodes — so EXPLAIN cannot drift from what runs."""
+    if labels[0] != "TableScan":
+        return 0
+    i = 1
+    while i < len(labels) and labels[i] in _STAGES:
+        i += 1
+    if i < len(labels) and labels[i] in _TERMINALS:
+        i += 1
+    if i == len(labels) - 1 and labels[i] == "ExchangeSink":
+        i += 1
+    return i if i > 1 else 0
+
+
+def _operator_labels(ops: Sequence[Operator]) -> list[Optional[str]]:
+    """Stage label of each operator in a chain: its name when the fused
+    pass can embed it, None otherwise."""
+    # Imported late: local/shuffle import this module at load time.
+    from repro.cluster.shuffle import ExchangeSinkOperator
+    from repro.exec.local import ChannelSelectOperator
+
+    named = (TableScanOperator, ChannelSelectOperator, LimitOperator, ExchangeSinkOperator)
+    labels: list[Optional[str]] = []
+    for op in ops:
+        if isinstance(op, HashAggregationOperator):
+            labels.append(f"Aggregate[{op.step.value.lower()}]")
+        elif isinstance(op, FilterProjectOperator):
+            labels.append(None if op.processor.interpreted else op.name)
+        else:
+            labels.append(op.name if isinstance(op, named) else None)
+    return labels
+
+
 def compile_pipeline(
     operators: Sequence[Operator],
     report: FusionReport,
     interpreted: bool = False,
-    backend: Optional[KernelBackend] = None,
 ) -> list[Operator]:
     """Compile one pipeline's operator chain, fusing the eligible prefix
     into a :class:`FusedPipelineOperator`. Returns the (possibly
@@ -383,59 +367,30 @@ def compile_pipeline(
     if interpreted:
         report.fallback("interpreted")
         return ops
-    if not fusion_enabled():
+    if not kernels.enabled():
         report.fallback("fusion_disabled")
         return ops
     if not isinstance(ops[0], TableScanOperator):
         report.fallback(f"source:{ops[0].name}")
         return ops
-    # Imported late: local/shuffle import this module at load time.
-    from repro.cluster.shuffle import ExchangeSinkOperator
-    from repro.exec.local import ChannelSelectOperator
-
-    scan = ops[0]
-    stage_ops: list[Operator] = []
-    names: list[str] = [scan.name]
-    i = 1
-    while i < len(ops):
-        op = ops[i]
-        if isinstance(op, FilterProjectOperator) and not op.processor.interpreted:
-            stage_ops.append(op)
-            names.append(op.name)
-        elif isinstance(op, ChannelSelectOperator):
-            stage_ops.append(op)
-            names.append(op.name)
-        else:
-            break
-        i += 1
-    agg = limit = None
-    if i < len(ops):
-        op = ops[i]
-        if isinstance(op, HashAggregationOperator) and op.step in (
-            AggregationStep.PARTIAL,
-            AggregationStep.SINGLE,
-        ):
-            agg = op
-            names.append(f"Aggregate[{op.step.value.lower()}]")
-            i += 1
-        elif isinstance(op, LimitOperator):
-            limit = op
-            names.append(op.name)
-            i += 1
-    sink = None
-    if i == len(ops) - 1 and isinstance(ops[i], ExchangeSinkOperator):
-        sink = ops[i]
-        names.append(sink.name)
-        i += 1
-    if not (stage_ops or agg is not None or limit is not None or sink is not None):
+    labels = _operator_labels(ops)
+    n = fused_prefix(labels)
+    if not n:
         tail = ops[1].name if len(ops) > 1 else "none"
         report.fallback(f"unfusible:{tail}")
         return ops
+    chain = ops[1:n]
+    sink = chain.pop() if labels[n - 1] == "ExchangeSink" else None
+    agg = limit = None
+    if chain and isinstance(chain[-1], HashAggregationOperator):
+        agg = chain.pop()
+    elif chain and isinstance(chain[-1], LimitOperator):
+        limit = chain.pop()
     fused = FusedPipelineOperator(
-        scan, stage_ops, names, agg=agg, limit=limit, sink=sink, backend=backend
+        ops[0], chain, labels[:n], agg=agg, limit=limit, sink=sink
     )
     report.fused += 1
-    return [fused] + ops[i:]
+    return [fused] + ops[n:]
 
 
 def compile_pipelines(
@@ -450,51 +405,49 @@ def compile_pipelines(
 
 # -- EXPLAIN support ------------------------------------------------------------
 
-def fragment_fusion_summary(fragment) -> Optional[str]:
-    """Predict, from the plan alone, what the compiler will fuse for a
-    fragment — used by EXPLAIN, which never builds operators. Mirrors
-    :func:`compile_pipeline`'s eligibility rules over the fragment's
-    scan spine; returns e.g. ``TableScan→FilterProject→Aggregate[partial]→ExchangeSink``
-    or None when the fragment's main pipeline will not fuse."""
-    from repro.planner import nodes as plan
-
-    if not fusion_enabled():
-        return None
-    spine = []
-    node = fragment.root
+def _scan_pipeline_labels(scan, parents: dict) -> list[Optional[str]]:
+    """Stage labels of the pipeline a fragment task lowers above one
+    ``TableScanNode`` (``SimTaskPlanner``): every ancestor up to the
+    first one that lowers to an unfusible operator (labelled None), or
+    the fragment's sink when the chain reaches the root."""
+    labels: list[Optional[str]] = ["TableScan"]
+    node = parents[id(scan)]
     while node is not None:
-        spine.append(node)
-        node = getattr(node, "source", None)
-    spine.reverse()  # leaf first, fragment root last
-    if not isinstance(spine[0], plan.TableScanNode):
-        return None
-    parts = ["TableScan"]
-    i = 1
-    while i < len(spine) and isinstance(
-        spine[i], (plan.FilterNode, plan.ProjectNode, plan.OutputNode)
-    ):
-        label = (
-            "ChannelSelect"
-            if isinstance(spine[i], plan.OutputNode)
-            else "FilterProject"
-        )
-        if parts[-1] != label:
-            parts.append(label)
-        i += 1
-    if i < len(spine):
-        node = spine[i]
-        if isinstance(node, plan.AggregationNode) and node.step in (
-            AggregationStep.PARTIAL,
-            AggregationStep.SINGLE,
-        ):
-            parts.append(f"Aggregate[{node.step.value.lower()}]")
-            i += 1
+        parent = parents[id(node)]
+        if isinstance(node, plan.FilterNode) and isinstance(parent, plan.ProjectNode):
+            pass  # lowered into its parent's FilterProject
+        elif isinstance(node, (plan.FilterNode, plan.ProjectNode)):
+            labels.append("FilterProject")
+        elif isinstance(node, plan.OutputNode):
+            labels.append("ChannelSelect")
+        elif isinstance(node, plan.AggregationNode):
+            labels.append(f"Aggregate[{node.step.value.lower()}]")
         elif isinstance(node, plan.LimitNode):
-            parts.append("Limit")
-            i += 1
-    if i == len(spine):
-        # Whole spine consumed: the implicit fragment sink fuses too.
-        parts.append("ExchangeSink")
-    if len(parts) == 1:
+            labels.append("Limit")
+        elif not isinstance(node, plan.ExchangeNode):  # local exchange: identity
+            return labels + [None]
+        node = parent
+    return labels + ["ExchangeSink"]
+
+
+def fragment_fusion_summary(fragment) -> Optional[str]:
+    """What the compiler will fuse in a fragment's tasks, from the plan
+    alone — used by EXPLAIN, which never builds operators. One chain per
+    scan pipeline that fuses, e.g.
+    ``TableScan→FilterProject→Aggregate[partial]→ExchangeSink``, joined
+    by ``, ``; None when nothing in the fragment fuses."""
+    if not kernels.enabled():
         return None
-    return "→".join(parts)
+    nodes = list(plan.walk_plan(fragment.root))
+    parents: dict[int, object] = {id(fragment.root): None}
+    for node in nodes:
+        for source in node.sources:
+            parents[id(source)] = node
+    chains = []
+    for node in nodes:
+        if isinstance(node, plan.TableScanNode):
+            labels = _scan_pipeline_labels(node, parents)
+            n = fused_prefix(labels)
+            if n:
+                chains.append("→".join(labels[:n]))
+    return ", ".join(chains) or None

@@ -1,9 +1,10 @@
 """Grammar-driven SQL fuzzing with a reference oracle (paper Sec. III-IV).
 
 The subsystem generates well-typed queries from a seed, executes each
-through five engine configurations (row-at-a-time interpreter, compiled
-page processor, optimized local engine, simulated cluster, simulated
-cluster with fault injection), and checks every result against a
+through the engine configurations of ``repro.fuzz.runner.CONFIG_NAMES``
+(interpreter, compiled, optimized, row kernels, and the simulated
+cluster under faults, connectors, caching and spill), and checks every
+result against a
 deliberately naive reference oracle evaluated over the unoptimized
 plan. On disagreement, :mod:`repro.fuzz.shrink` minimizes both the
 query AST and the dataset and writes a self-contained reproducer.

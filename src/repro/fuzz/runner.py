@@ -1,7 +1,7 @@
 """Multi-way agreement runner.
 
-Executes one fuzz case through six engine configurations and compares
-every result against the reference oracle:
+Executes one fuzz case through 15 engine configurations (``CONFIG_NAMES``)
+and compares every result against the reference oracle:
 
 1. ``interpreter`` — unoptimized plan, row-at-a-time interpreted
    expression evaluation (no compiler, no vectorization)
@@ -38,21 +38,16 @@ every result against the reference oracle:
    must agree with an identical uncached twin, and a repeat with no
    intervening mutation must be served bit-identically from the result
    cache — any stale answer raises ``CacheCoherenceError``
-13. ``fused`` — SimCluster with pipeline fusion (repro.exec.pipeline)
-   forced on for every eligible chain, regardless of the kernel mode:
-   under ``REPRO_KERNELS=row`` this differentially tests the fused
-   single-pass pipelines against the fully unfused row-at-a-time
-   oracle path
-14. ``spooled`` — SimCluster with fault tolerance *and* the durable
+13. ``spooled`` — SimCluster with fault tolerance *and* the durable
    output spool enabled, under an asymmetric network partition that
    later heals plus a worker crash: spool reads, partition-aware
    detection, re-admission fencing, and ack-driven buffer GC must all
    keep the result bit-exact with no client retry
-15. ``join_spill`` — SimCluster whose general memory pool is far
+14. ``join_spill`` — SimCluster whose general memory pool is far
    smaller than any join/aggregation state with spilling enabled, so
    memory revocation (HashBuild/sort/aggregation spill-and-merge)
    engages on stateful queries and must not change a byte of output
-16. ``rewrites`` — LocalEngine with every rewrite rule of the
+15. ``rewrites`` — LocalEngine with every rewrite rule of the
    repro.planner.rules pack enabled and their cost guards disabled, so
    each eligible shape actually rewrites (decorrelation, scan
    consolidation, set-op semi joins, CTE pushdown); the oracle runs
@@ -60,13 +55,6 @@ every result against the reference oracle:
    making this a true rules-on vs rules-off differential. Run the
    campaign under ``REPRO_KERNELS=row`` as well to cross the rewrites
    with the row-path hash kernels
-17. ``simgpu`` — LocalEngine with the full optimizer under the
-   ``simgpu`` kernel backend (repro.exec.backend): every vectorized
-   kernel runs over ``DeviceArray`` handles with metered transfers, so
-   the device-residency path is differentially tested against the
-   numpy configs and the row oracle. Under ``REPRO_KERNELS=row`` the
-   backend sits idle (the row path never reaches the kernels), which
-   checks the fallback seam stays inert
 
 Errors are outcomes too: if the oracle raises, every configuration must
 raise an error of the same class.
@@ -102,11 +90,9 @@ CONFIG_NAMES = (
     "raptor",
     "ddl_roundtrip",
     "cache_coherence",
-    "fused",
     "spooled",
     "join_spill",
     "rewrites",
-    "simgpu",
 )
 
 # The case currently (or most recently) executing. Deliberately NOT
@@ -648,30 +634,10 @@ def run_config(name: str, case_tables, sql: str) -> Outcome:
         return _capture(run_roundtrip)
     if name == "cache_coherence":
         return _capture(lambda: _run_cache_coherence(case_tables, sql))
-    if name == "fused":
-        from repro.exec import pipeline
-
-        cluster = _cluster(case_tables, faults=False)
-
-        def run_forced_fusion() -> list[tuple]:
-            with pipeline.forced_fusion(pipeline.ON):
-                return cluster.run_query(sql).rows()
-
-        return _capture(run_forced_fusion)
     if name == "rewrites":
         engine = _local_engine(case_tables, optimize=True, interpreted=False)
         engine.optimizer_config = _forced_rewrites_optimizer()
         return _capture(lambda: engine.execute(sql).rows)
-    if name == "simgpu":
-        from repro.exec import backend as kernel_backend
-
-        engine = _local_engine(case_tables, optimize=True, interpreted=False)
-
-        def run_simgpu() -> list[tuple]:
-            with kernel_backend.forced_backend("simgpu"):
-                return engine.execute(sql).rows
-
-        return _capture(run_simgpu)
     if name == "spooled":
         return _capture(lambda: _run_spooled(case_tables, sql))
     if name == "join_spill":

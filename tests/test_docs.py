@@ -1,0 +1,43 @@
+"""Docs guard: every dotted ``repro.…`` path the prose names exists.
+
+DESIGN.md once listed ``repro.scheduler``, ``repro.server`` and others
+that were never created; a name in the docs must resolve as a module,
+or as an attribute of the module before its last dot.
+"""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DOCS = [REPO_ROOT / "DESIGN.md", REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def _resolves(name: str) -> bool:
+    try:
+        if importlib.util.find_spec(name) is not None:
+            return True
+    except ModuleNotFoundError:
+        pass
+    module, _, attribute = name.rpartition(".")
+    try:
+        return hasattr(importlib.import_module(module), attribute)
+    except ModuleNotFoundError:
+        return False
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_named_modules_exist(path):
+    missing = sorted(n for n in set(DOTTED.findall(path.read_text())) if not _resolves(n))
+    assert not missing, f"{path.name} names modules that do not exist: {missing}"
+
+
+def test_guard_rejects_a_missing_module():
+    assert _resolves("repro.exec.kernels")
+    assert _resolves("repro.exec.backend.current_backend")
+    assert not _resolves("repro.scheduler.mlfq")
+    assert not _resolves("repro.exec.kernels.no_such_function")

@@ -1,17 +1,23 @@
 """Fused single-pass pipelines (repro.exec.pipeline): compiler
-eligibility, differential parity fused vs unfused vs row path, stats
-counters, EXPLAIN visibility, spill delegation, and the split-lump
-cpu-time accounting."""
+eligibility, differential parity of the fused vector path against the
+unfused row path (``REPRO_KERNELS=row``), stats counters, EXPLAIN
+visibility (annotation == what runs), spill delegation, and the
+split-lump cpu-time accounting."""
+
+import re
 
 import pytest
 
 from repro.cluster import ClusterConfig, SimCluster
+from repro.connectors.hive import HiveConnector
 from repro.connectors.tpch import TpchConnector
-from repro.exec import kernels, pipeline
+from repro.exec import kernels
 from repro.exec.driver import Driver, run_drivers_to_completion
 from repro.exec.local import LocalExecutionPlanner
 from repro.exec.pipeline import FusedPipelineOperator
 from repro.sql import parse_statement
+from repro.workload.datasets import setup_warehouse_dataset
+from repro.workload.tpcds import TPCDS_ANALOG_QUERIES
 from tests.conftest import make_engine
 
 
@@ -90,26 +96,14 @@ def test_fallback_reasons_are_recorded():
     )
 
 
-def test_fusion_disabled_produces_no_fused_operators():
-    with pipeline.forced_fusion(pipeline.OFF):
+def test_row_kernel_mode_produces_no_fused_operators():
+    with kernels.forced_mode(kernels.ROW):
         drivers, _, planner = local_drivers(
             "SELECT status, count(*) FROM orders GROUP BY status"
         )
     assert not fused_operators(drivers)
     assert planner.fusion_report.fused == 0
     assert planner.fusion_report.fallbacks.get("fusion_disabled", 0) >= 1
-
-
-def test_row_kernel_mode_disables_fusion_in_auto():
-    with kernels.forced_mode(kernels.ROW):
-        assert not pipeline.fusion_enabled()
-        drivers, _, _ = local_drivers(
-            "SELECT status, count(*) FROM orders GROUP BY status"
-        )
-        assert not fused_operators(drivers)
-    # ...but forcing fusion on overrides the kernel mode.
-    with kernels.forced_mode(kernels.ROW), pipeline.forced_fusion(pipeline.ON):
-        assert pipeline.fusion_enabled()
 
 
 def test_interpreted_mode_never_fuses():
@@ -121,7 +115,7 @@ def test_interpreted_mode_never_fuses():
 
 
 # ---------------------------------------------------------------------------
-# Differential parity: fused == unfused == row path
+# Differential parity: fused vector path == unfused row path
 # ---------------------------------------------------------------------------
 
 PARITY_QUERIES = [
@@ -135,27 +129,32 @@ PARITY_QUERIES = [
 
 
 @pytest.mark.parametrize("sql", PARITY_QUERIES)
-def test_fused_matches_unfused_and_row_path(sql):
+def test_fused_matches_unfused_row_path(sql):
     engine = make_engine()
-    with pipeline.forced_fusion(pipeline.ON):
-        fused = engine.execute(sql).rows
-    with pipeline.forced_fusion(pipeline.OFF):
+    fused = engine.execute(sql).rows
+    with kernels.forced_mode(kernels.ROW):
         unfused = engine.execute(sql).rows
-    with kernels.forced_mode(kernels.ROW), pipeline.forced_fusion(pipeline.OFF):
-        row_path = engine.execute(sql).rows
-    assert fused == unfused == row_path
+    assert fused == unfused
 
 
-def test_cluster_fused_matches_unfused():
+def test_cluster_fused_matches_unfused_row_path():
     sql = (
         "SELECT orderstatus, sum(totalprice), count(*) FROM orders"
         " GROUP BY 1 ORDER BY 1"
     )
-    with pipeline.forced_fusion(pipeline.ON):
-        fused = tpch_cluster().run_query(sql).rows()
-    with pipeline.forced_fusion(pipeline.OFF):
-        unfused = tpch_cluster().run_query(sql).rows()
-    assert fused == unfused
+    cluster = tpch_cluster()
+    fused = cluster.run_query(sql).rows()
+    assert cluster.stats_snapshot()["exec.pipelines_fused"] >= 1
+    with kernels.forced_mode(kernels.ROW):
+        cluster = tpch_cluster()
+        unfused = cluster.run_query(sql).rows()
+    assert cluster.stats_snapshot()["exec.pipelines_fused"] == 0
+    # The row path adds floats row by row, the vector path per-page
+    # partials: sums agree to rounding, everything else exactly.
+    assert len(fused) == len(unfused)
+    for (status, total, count), (u_status, u_total, u_count) in zip(fused, unfused):
+        assert (status, count) == (u_status, u_count)
+        assert total == pytest.approx(u_total, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +268,41 @@ def test_cluster_explain_annotates_fused_fragments():
     text = cluster.explain("SELECT orderstatus, count(*) FROM orders GROUP BY 1")
     assert "fused=[" in text
     assert "Aggregate[partial]" in text
-    with pipeline.forced_fusion(pipeline.OFF):
+    with kernels.forced_mode(kernels.ROW):
         unfused_text = cluster.explain(
             "SELECT orderstatus, count(*) FROM orders GROUP BY 1"
         )
     assert "fused=[" not in unfused_text
+
+
+def test_explain_annotation_equals_runtime_fused_stages_on_fig6():
+    """EXPLAIN's per-fragment ``fused=[...]`` is exactly what the
+    fragment's tasks run, for every fragment of the 19 fig6 queries."""
+    cluster = SimCluster(
+        ClusterConfig(worker_count=4, default_catalog="hive", default_schema="default")
+    )
+    hive = HiveConnector(statistics_enabled=True, catalog_name="hive")
+    cluster.register_catalog("hive", hive)
+    setup_warehouse_dataset(hive, scale_factor=0.002)
+    header = re.compile(r"^Fragment (\d+) .*?(?: fused=\[(.*)\])?$", re.M)
+    annotated = 0
+    for query_id, sql in TPCDS_ANALOG_QUERIES.items():
+        explained = {
+            int(fragment_id): sorted(note.split(", ")) if note else []
+            for fragment_id, note in header.findall(cluster.explain(sql))
+        }
+        query = cluster.run_query(sql)
+        assert set(explained) == set(query.stages), query_id
+        for fragment_id, stage in query.stages.items():
+            annotated += bool(explained[fragment_id])
+            for task in stage.tasks:
+                ran = sorted(
+                    "→".join(op.fused_stages)
+                    for driver in task.drivers
+                    for op in fused_operators([driver])
+                )
+                assert ran == explained[fragment_id], (query_id, fragment_id)
+    assert annotated  # the comparison is not vacuous
 
 
 def test_explain_analyze_expands_fused_operators():

@@ -14,16 +14,24 @@ sanction.
 This keeps future edits from quietly reintroducing per-row hot loops —
 the regression the vectorization PRs exist to prevent.
 
-A second check guards the kernel-backend seam (docs/BACKENDS.md): the
+A second check guards the kernel-backend seam (docs/EXECUTION.md): the
 backend-routed files must do their array work through ``backend.xp``,
-not bare ``np.`` calls, so a single ``REPRO_BACKEND`` switch really
+not bare ``np.`` calls, so replacing the backend instance really
 retargets every kernel. Bare numpy is allowed only for dtype/scalar
 constructors and metadata helpers (``np.int64``, ``np.iinfo``, ...) or
 with an explicit ``# host-only`` tag marking genuine host-boundary
 work (Block decode, python-state loops, coordinator filter state).
+
+A third check keeps execution at one process-global switch:
+``REPRO_KERNELS`` in ``exec/kernels.py`` is the only ``REPRO_*``
+environment variable read under ``src/`` and the only module-level
+mode global under ``src/repro/exec``.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,7 +113,7 @@ def test_lint_catches_rows_walk():
 
 # --------------------------------------------------------------------------
 # Backend purity: no bare np.<func>() calls in backend-routed kernel
-# paths. Array work must go through backend.xp so REPRO_BACKEND really
+# paths. Array work must go through backend.xp so a backend port really
 # retargets it; genuine host-boundary work carries a '# host-only' tag.
 # --------------------------------------------------------------------------
 
@@ -174,3 +182,80 @@ def test_backend_lint_catches_bare_call(tmp_path):
         if m not in ALLOWED_NP_CALLS
     ]
     assert flagged == ["flatnonzero"]
+
+
+# --------------------------------------------------------------------------
+# One execution switch: a new process-global mode must fail here.
+# --------------------------------------------------------------------------
+
+SRC = REPO_ROOT / "src"
+ENV_READ = re.compile(r"\b(?:environ|getenv)\b[^#\n]*REPRO_\w+")
+MODE_GLOBAL = re.compile(r"^(?:global\s+)?(_mode|_active)\b", re.M)
+
+
+def _env_reads(text: str) -> list[str]:
+    return [line.strip() for line in text.splitlines() if ENV_READ.search(line)]
+
+
+def test_repro_kernels_is_the_only_environment_switch():
+    reads = {
+        str(path.relative_to(SRC)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := _env_reads(path.read_text()))
+    }
+    assert list(reads) == ["repro/exec/kernels.py"], reads
+    (line,) = reads["repro/exec/kernels.py"]
+    assert "REPRO_KERNELS" in line
+
+
+def test_kernels_holds_the_only_mode_global_under_exec():
+    holders = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "repro" / "exec").rglob("*.py"))
+        if MODE_GLOBAL.search(path.read_text())
+    ]
+    assert holders == ["repro/exec/kernels.py"]
+
+
+def test_switch_lint_catches_new_switches():
+    assert _env_reads('mode = os.environ.get("REPRO_NEW_SWITCH", "auto")')
+    assert _env_reads('name = os.getenv("REPRO_OTHER_SWITCH")')
+    assert not _env_reads("# set REPRO_KERNELS=row to force the row path")
+    assert MODE_GLOBAL.search("import os\n_active = None\n")
+    assert not MODE_GLOBAL.search("    _mode = 3\nself._mode = 4\n")
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (None, "vector True"),
+        ("", "vector True"),
+        ("row", "row False"),
+        ("ROW ", "row False"),
+        (" Vector", "vector True"),
+        ("vectro", None),
+    ],
+)
+def test_repro_kernels_value_is_validated_at_import(value, expected):
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNELS"}
+    env["PYTHONPATH"] = str(SRC)
+    if value is not None:
+        env["REPRO_KERNELS"] = value
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.exec import kernels; print(kernels.get_mode(), kernels.enabled())",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    if expected is not None:
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == expected
+    else:
+        assert result.returncode != 0
+        assert "ValueError" in result.stderr
+        assert "'vector'" in result.stderr and "'row'" in result.stderr
