@@ -202,6 +202,9 @@ class SimCluster:
         # query (cache hits don't re-count).
         self.rules_fired: dict[str, int] = {}
         self.rules_skipped_cost: dict[str, int] = {}
+        # Planned queries whose optimizer gave up at its fixed-point
+        # iteration cap instead of converging.
+        self.fixed_point_cap_hits = 0
         # Network topology for partition injection (distinct from
         # crashes: a partitioned worker keeps running).
         self.topology = NetworkTopology()
@@ -387,6 +390,7 @@ class SimCluster:
             self.rules_skipped_cost[name] = (
                 self.rules_skipped_cost.get(name, 0) + count
             )
+        self.fixed_point_cap_hits += trace.fixed_point_cap_hit
         fragmented = fragment_plan(plan)
         entry = None
         if cacheable and (self.plan_cache is not None or self.result_cache is not None):
@@ -929,6 +933,7 @@ class SimCluster:
             snapshot[f"optimizer.rule_skipped_cost.{rule.name}"] = (
                 self.rules_skipped_cost.get(rule.name, 0)
             )
+        snapshot["optimizer.fixed_point_cap_hit"] = self.fixed_point_cap_hits
         # Caching-tier counters (docs/CACHING.md). Keys are always
         # present so dashboards/tests can rely on them; disabled levels
         # report zeros.

@@ -11,23 +11,10 @@ from repro.planner.symbols import SymbolAllocator
 
 @dataclass
 class OptimizerConfig:
-    """Session-level optimizer settings (paper Sec. IV-C, VI-A)."""
+    """Session-level optimizer settings (paper Sec. IV-C, VI-A); the
+    table in docs/OPTIMIZER.md lists every field. Thresholds no caller
+    varies are constants beside their one use."""
 
-    # Broadcast the build side when its estimated size is below this.
-    broadcast_join_threshold_bytes: float = 32 * 1024 * 1024
-    # Estimated task fan-out: replicating the build side costs roughly
-    # build_bytes * replication_factor, which must beat shuffling the
-    # probe side for a broadcast join to win.
-    replication_factor: float = 8.0
-    # Use cost-based join re-ordering / distribution when stats exist.
-    use_cost_based_optimizations: bool = True
-    # Allow co-located joins when layouts share partitioning (Sec. IV-C3).
-    colocated_joins_enabled: bool = True
-    # Allow index nested-loop joins when a connector exposes an index.
-    index_joins_enabled: bool = True
-    # Probe row bound for choosing an index join over a hash join.
-    index_join_probe_limit: float = 100_000.0
-    max_optimizer_iterations: int = 20
     # Runtime dynamic filtering (build-side join domains pushed into
     # probe scans and split pruning). The planning pass annotates a
     # join edge only when the build side is small enough to summarize
@@ -36,7 +23,6 @@ class OptimizerConfig:
     # keys (unknown stats enable optimistically — the wait policy
     # bounds the downside).
     dynamic_filtering_enabled: bool = True
-    dynamic_filter_max_build_rows: float = 1_000_000.0
     dynamic_filter_selectivity_threshold: float = 0.9
     # How long a probe scan's split scheduling may stall waiting for
     # build-side filters before degrading to unfiltered reads
@@ -56,17 +42,10 @@ class OptimizerConfig:
     # cost guards (the `rewrites` fuzz config uses this to maximize
     # rewrite coverage; guard skips are still recorded in the trace).
     rewrite_cost_guards: bool = True
-    # Total rule applications allowed per query; the engine stops
-    # rewriting (and records budget exhaustion) once spent.
-    rewrite_budget: int = 64
     # setop_semijoin guard: skip the rewrite when the filtering side is
     # estimated larger than this many rows (<= 0 means "skip unless the
     # estimate proves the build side small" — conservative mode).
     setop_semijoin_max_build_rows: float = 10_000_000.0
-    # cte_pushdown guard: skip when the predicate is estimated to keep
-    # more than this fraction of rows (pushing a non-filtering
-    # predicate below a window/distinct boundary just moves work).
-    cte_pushdown_max_selectivity: float = 0.98
 
 
 @dataclass
@@ -76,6 +55,7 @@ class OptimizerContext:
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     # Per-query rewrite-rule record (repro.planner.rules.engine.RuleTrace);
     # shared with the planner so plan-time rules land in the same trace.
+    # optimize_plan always supplies one.
     trace: object | None = None
     _stats: StatsEstimator | None = None
 

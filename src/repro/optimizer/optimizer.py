@@ -1,5 +1,11 @@
 """The optimizer driver: applies rule sets greedily to a fixed point
-(paper Sec. IV-C)."""
+(paper Sec. IV-C).
+
+Every pass, and a fixed point over passes, is ``(root, context) ->
+root`` and returns the object it was given when it did nothing; this
+module is the only place that asks "did the plan change?", and it asks
+by identity (docs/OPTIMIZER.md, pass protocol).
+"""
 
 from __future__ import annotations
 
@@ -34,6 +40,10 @@ _ITERATIVE_RULES = (
     prune_columns,
 )
 
+# Sweeps a fixed point may take before it gives up; reaching it is
+# recorded on the query's RuleTrace, never silent.
+MAX_OPTIMIZER_ITERATIONS = 20
+
 
 def optimize_plan(
     plan: Plan,
@@ -42,55 +52,66 @@ def optimize_plan(
     config: OptimizerConfig | None = None,
     trace=None,
 ) -> Plan:
+    # Imported here: the rule pack imports repro.optimizer.domains.
+    from repro.planner.rules import RuleTrace, run_rewrite_rules
+
     context = OptimizerContext(
-        metadata, symbols or SymbolAllocator(), config or OptimizerConfig()
+        metadata,
+        symbols or SymbolAllocator(),
+        config or OptimizerConfig(),
+        trace if trace is not None else RuleTrace(),
     )
-    context.trace = trace
-    root = plan.root
-
-    root = _fixed_point(root, context)
-    # The rewrite-rule pack runs before layout selection so scan
-    # consolidation sees un-pruned scans and the semi joins it plants
-    # are visible to plan_dynamic_filters below. Each firing can expose
-    # new work for the iterative rules (and vice versa), so alternate
-    # to a fixed point.
-    from repro.planner.rules import run_rewrite_rules
-
-    for _ in range(context.config.max_optimizer_iterations):
-        root, fired = run_rewrite_rules(root, context)
-        if not fired:
-            break
-        root = _fixed_point(root, context)
-    # Layout selection (pushes TupleDomains into connectors) may leave
-    # residual filters; re-run the iterative rules afterwards.
-    root, _ = pick_table_layouts(root, context)
-    root = _fixed_point(root, context)
-    # Cost-based join transformations run once the plan is stable.
-    root, changed = reorder_joins(root, context)
-    if changed:
-        root = _fixed_point(root, context)
+    iterative = _fixed_point(*_ITERATIVE_RULES)
+    phases = (
+        iterative,
+        # The rewrite-rule pack runs before layout selection so scan
+        # consolidation sees un-pruned scans and the semi joins it plants
+        # are visible to plan_dynamic_filters below. Each firing can expose
+        # new work for the iterative rules (and vice versa), so they share
+        # a fixed point.
+        _fixed_point(run_rewrite_rules, *_ITERATIVE_RULES),
+        # Layout selection (pushes TupleDomains into connectors) may leave
+        # residual filters; re-run the iterative rules afterwards.
+        pick_table_layouts,
+        iterative,
+        # Cost-based join transformations run once the plan is stable.
         # Reordering may enable better layouts for moved filters.
-        root, layout_changed = pick_table_layouts(root, context)
-        if layout_changed:
-            root = _fixed_point(root, context)
-    root, _ = select_index_joins(root, context)
-    root, _ = select_join_distribution(root, context)
-    root = _fixed_point(root, context)
-    # Annotate runtime dynamic filters once the plan shape is final
-    # (join order, distribution, and column pruning all settled).
-    root, _ = plan_dynamic_filters(root, context)
+        reorder_joins,
+        iterative,
+        pick_table_layouts,
+        iterative,
+        select_index_joins,
+        select_join_distribution,
+        iterative,
+        # Annotate runtime dynamic filters once the plan shape is final
+        # (join order, distribution, and column pruning all settled).
+        plan_dynamic_filters,
+    )
+    return Plan(_sweep(phases, plan.root, context), plan.column_names, plan.column_types)
 
-    return Plan(root, plan.column_names, plan.column_types)
 
-
-def _fixed_point(root, context):
-    for _ in range(context.config.max_optimizer_iterations):
-        any_changed = False
-        for rule in _ITERATIVE_RULES:
-            root, changed = rule(root, context)
-            if changed:
-                any_changed = True
-                context.invalidate_stats()
-        if not any_changed:
-            return root
+def _sweep(passes, root, context):
+    """Each pass once, in order. A pass changed the plan iff it returned
+    a new object."""
+    for run in passes:
+        new_root = run(root, context)
+        if new_root is not root:
+            root = new_root
+            context.invalidate_stats()
     return root
+
+
+def _fixed_point(*passes):
+    """The pass that sweeps ``passes`` until a whole sweep returns the
+    object it was given."""
+
+    def run(root, context):
+        for _ in range(MAX_OPTIMIZER_ITERATIONS):
+            swept = _sweep(passes, root, context)
+            if swept is root:
+                return root
+            root = swept
+        context.trace.fixed_point_cap_hit = True
+        return root
+
+    return run

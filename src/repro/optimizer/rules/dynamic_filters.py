@@ -31,30 +31,35 @@ Edge selection is soundness-first:
 
 from __future__ import annotations
 
+import itertools
+
 from repro.optimizer.context import OptimizerContext
 from repro.planner import nodes as plan
 from repro.planner.expressions import Variable, extract_conjuncts
 
 
-def plan_dynamic_filters(root: plan.PlanNode, context: OptimizerContext):
-    config = context.config
-    if not config.dynamic_filtering_enabled:
-        return root, False
-    state = {"next_id": 0, "changed": False}
-    _visit(root, None, context, state)
-    return root, state["changed"]
+# A build side estimated above this many rows is too large to summarize.
+DYNAMIC_FILTER_MAX_BUILD_ROWS = 1_000_000.0
 
 
-def _visit(node: plan.PlanNode, parent, context, state) -> None:
+def plan_dynamic_filters(root: plan.PlanNode, context: OptimizerContext) -> plan.PlanNode:
+    """Annotates join and scan nodes in place and returns ``root``: the
+    plan's shape does not change, so there is nothing to re-optimize."""
+    if context.config.dynamic_filtering_enabled:
+        _visit(root, None, context, itertools.count())
+    return root
+
+
+def _visit(node: plan.PlanNode, parent, context, ids) -> None:
     if isinstance(node, plan.JoinNode):
-        _annotate_join(node, context, state)
+        _annotate_join(node, context, ids)
     elif isinstance(node, plan.SemiJoinNode):
-        _annotate_semi_join(node, parent, context, state)
+        _annotate_semi_join(node, parent, context, ids)
     for source in node.sources:
-        _visit(source, node, context, state)
+        _visit(source, node, context, ids)
 
 
-def _annotate_join(node: plan.JoinNode, context, state) -> None:
+def _annotate_join(node: plan.JoinNode, context, ids) -> None:
     if node.dynamic_filter_ids or node.join_type is not plan.JoinType.INNER:
         return
     if not node.criteria:
@@ -62,7 +67,7 @@ def _annotate_join(node: plan.JoinNode, context, state) -> None:
     build = context.stats.estimate(node.right)
     config = context.config
     if build.row_count is not None and (
-        build.row_count > config.dynamic_filter_max_build_rows
+        build.row_count > DYNAMIC_FILTER_MAX_BUILD_ROWS
     ):
         return
     probe = context.stats.estimate(node.left)
@@ -74,10 +79,10 @@ def _annotate_join(node: plan.JoinNode, context, state) -> None:
         target = _resolve_scan_column(node.left, clause.left.name)
         if target is None:
             continue
-        _attach(node, target, index, config, state)
+        _attach(node, target, index, config, ids)
 
 
-def _annotate_semi_join(node: plan.SemiJoinNode, parent, context, state) -> None:
+def _annotate_semi_join(node: plan.SemiJoinNode, parent, context, ids) -> None:
     if node.dynamic_filter_ids:
         return
     # SemiJoinNode emits every source row plus a match flag; prefiltering
@@ -93,7 +98,7 @@ def _annotate_semi_join(node: plan.SemiJoinNode, parent, context, state) -> None
     build = context.stats.estimate(node.filtering_source)
     config = context.config
     if build.row_count is not None and (
-        build.row_count > config.dynamic_filter_max_build_rows
+        build.row_count > DYNAMIC_FILTER_MAX_BUILD_ROWS
     ):
         return
     probe = context.stats.estimate(node.source)
@@ -107,17 +112,15 @@ def _annotate_semi_join(node: plan.SemiJoinNode, parent, context, state) -> None
         target = _resolve_scan_column(node.source, source_key.name)
         if target is None:
             continue
-        _attach(node, target, index, config, state)
+        _attach(node, target, index, config, ids)
 
 
-def _attach(producer, target, clause_index, config, state) -> None:
+def _attach(producer, target, clause_index, config, ids) -> None:
     scan, column = target
-    filter_id = f"df_{state['next_id']}"
-    state["next_id"] += 1
+    filter_id = f"df_{next(ids)}"
     producer.dynamic_filter_ids[filter_id] = clause_index
     scan.dynamic_filters[filter_id] = column
     scan.dynamic_filter_wait_ms = config.dynamic_filter_wait_ms
-    state["changed"] = True
 
 
 def _selective_enough(build, build_key: str, probe, probe_key: str, config) -> bool:

@@ -25,17 +25,22 @@ from repro.optimizer.properties import derive_partitioning
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 
+# Broadcast the build side only when its estimated size is below this.
+BROADCAST_JOIN_THRESHOLD_BYTES = 32 * 1024 * 1024
+# Estimated task fan-out: replicating the build side costs roughly
+# build_rows * REPLICATION_FACTOR, which must beat shuffling the probe
+# side for a broadcast join to win.
+REPLICATION_FACTOR = 8.0
+# Probe row bound for choosing an index join over a hash join.
+INDEX_JOIN_PROBE_LIMIT = 100_000.0
+
 
 # ---------------------------------------------------------------------------
 # Join re-ordering
 # ---------------------------------------------------------------------------
 
 
-def reorder_joins(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
-    if not context.config.use_cost_based_optimizations:
-        return root, False
-    changed = [False]
-
+def reorder_joins(root: plan.PlanNode, context) -> plan.PlanNode:
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if not _is_reorderable(node):
             return None
@@ -49,27 +54,19 @@ def reorder_joins(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
         ordered = _greedy_order(sources, clauses, estimates, context)
         if ordered is None:
             return None
-        new_node = ordered
-        if _same_shape(node, new_node):
+        if _same_shape(node, ordered):
             return None
-        changed[0] = True
-        context.invalidate_stats()
-        return _restore_output_order(new_node, node)
+        return _restore_output_order(ordered, node)
 
     # Top-down: rewrite the highest join first, skip its descendants.
-    new_root = _rewrite_topdown(root, rewrite)
-    return new_root, changed[0]
+    return _rewrite_topdown(root, rewrite)
 
 
 def _rewrite_topdown(node: plan.PlanNode, fn) -> plan.PlanNode:
     replacement = fn(node)
     if replacement is not None:
-        node = replacement
-        return node  # do not descend into freshly reordered joins
-    new_sources = [_rewrite_topdown(s, fn) for s in node.sources]
-    if new_sources != node.sources:
-        node = node.replace_sources(new_sources)
-    return node
+        return replacement  # do not descend into freshly reordered joins
+    return plan.with_sources(node, [_rewrite_topdown(s, fn) for s in node.sources])
 
 
 def _is_reorderable(node: plan.PlanNode) -> bool:
@@ -189,37 +186,31 @@ def _restore_output_order(new_node: plan.PlanNode, original: plan.PlanNode):
 # ---------------------------------------------------------------------------
 
 
-def select_join_distribution(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
-    changed = [False]
-
+def select_join_distribution(root: plan.PlanNode, context) -> plan.PlanNode:
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if not isinstance(node, plan.JoinNode):
             return None
         if node.distribution is not plan.JoinDistribution.AUTOMATIC:
             return None
-        changed[0] = True
         if node.join_type is plan.JoinType.CROSS or not node.criteria:
             # Cross joins always replicate the (hopefully small) build side.
             return replace(node, distribution=plan.JoinDistribution.REPLICATED)
         # Co-located join: compatible connector partitionings on join keys.
-        if context.config.colocated_joins_enabled:
-            left_part = derive_partitioning(node.left)
-            right_part = derive_partitioning(node.right)
-            if (
-                left_part is not None
-                and right_part is not None
-                and not left_part.single
-                and left_part.is_compatible_with(right_part)
-                and _keys_match(node, left_part.columns, right_part.columns)
-            ):
-                return replace(node, distribution=plan.JoinDistribution.COLOCATED)
+        left_part = derive_partitioning(node.left)
+        right_part = derive_partitioning(node.right)
+        if (
+            left_part is not None
+            and right_part is not None
+            and not left_part.single
+            and left_part.is_compatible_with(right_part)
+            and _keys_match(node, left_part.columns, right_part.columns)
+        ):
+            return replace(node, distribution=plan.JoinDistribution.COLOCATED)
         if node.join_type in (plan.JoinType.RIGHT, plan.JoinType.FULL):
             # The build side is preserved: every task flushes the build
             # rows it saw no match for, so a replicated build would emit
             # each unmatched build row once per task. Only a partitioned
             # build keeps that flush globally correct.
-            return replace(node, distribution=plan.JoinDistribution.PARTITIONED)
-        if not context.config.use_cost_based_optimizations:
             return replace(node, distribution=plan.JoinDistribution.PARTITIONED)
         left_estimate = context.stats.estimate(node.left)
         right_estimate = context.stats.estimate(node.right)
@@ -247,7 +238,6 @@ def select_join_distribution(root: plan.PlanNode, context) -> tuple[plan.PlanNod
             inner = flipped.source if isinstance(flipped, plan.ProjectNode) else flipped
             # After the flip, the original left side is the build side.
             inner.distribution = _distribution_for(
-                context,
                 build_bytes=left_bytes,
                 build_rows=left_estimate.row_count,
                 probe_rows=right_estimate.row_count,
@@ -256,27 +246,25 @@ def select_join_distribution(root: plan.PlanNode, context) -> tuple[plan.PlanNod
         return replace(
             node,
             distribution=_distribution_for(
-                context,
                 build_bytes=right_bytes,
                 build_rows=right_estimate.row_count,
                 probe_rows=left_estimate.row_count,
             ),
         )
 
-    return plan.rewrite_plan(root, rewrite), changed[0]
+    return plan.rewrite_plan(root, rewrite)
 
 
-def _distribution_for(context, build_bytes, build_rows, probe_rows) -> plan.JoinDistribution:
+def _distribution_for(build_bytes, build_rows, probe_rows) -> plan.JoinDistribution:
     """Cost-based replicated-vs-partitioned choice: broadcasting builds
     the hash table on every task, so the replicated build work
     (build_rows x fan-out) must stay below the probe work it saves from
     shuffling — and below the absolute size threshold."""
-    config = context.config
     if build_bytes is None or build_rows is None:
         return plan.JoinDistribution.PARTITIONED
-    if build_bytes > config.broadcast_join_threshold_bytes:
+    if build_bytes > BROADCAST_JOIN_THRESHOLD_BYTES:
         return plan.JoinDistribution.PARTITIONED
-    if probe_rows is not None and build_rows * config.replication_factor > probe_rows:
+    if probe_rows is not None and build_rows * REPLICATION_FACTOR > probe_rows:
         return plan.JoinDistribution.PARTITIONED
     return plan.JoinDistribution.REPLICATED
 
@@ -297,11 +285,7 @@ def _keys_match(node: plan.JoinNode, left_columns, right_columns) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def select_index_joins(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
-    if not context.config.index_joins_enabled:
-        return root, False
-    changed = [False]
-
+def select_index_joins(root: plan.PlanNode, context) -> plan.PlanNode:
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if not isinstance(node, plan.JoinNode):
             return None
@@ -330,7 +314,7 @@ def select_index_joins(root: plan.PlanNode, context) -> tuple[plan.PlanNode, boo
         probe_estimate = context.stats.estimate(node.left)
         if (
             probe_estimate.known
-            and probe_estimate.row_count > context.config.index_join_probe_limit
+            and probe_estimate.row_count > INDEX_JOIN_PROBE_LIMIT
         ):
             return None
         build_estimate = context.stats.estimate(node.right)
@@ -340,7 +324,6 @@ def select_index_joins(root: plan.PlanNode, context) -> tuple[plan.PlanNode, boo
             and build_estimate.row_count <= probe_estimate.row_count
         ):
             return None  # hash join is at least as good
-        changed[0] = True
         key_mapping = [
             (clause.left, symbol_to_column[clause.right.name])
             for clause in node.criteria
@@ -350,7 +333,7 @@ def select_index_joins(root: plan.PlanNode, context) -> tuple[plan.PlanNode, boo
             node.left, scan.table, key_mapping, index_outputs, node.join_type
         )
 
-    return plan.rewrite_plan(root, rewrite), changed[0]
+    return plan.rewrite_plan(root, rewrite)
 
 
 def _bare_scan(node: plan.PlanNode) -> plan.TableScanNode | None:

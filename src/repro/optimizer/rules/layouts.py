@@ -15,32 +15,20 @@ from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 
 
-def pick_table_layouts(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
+def pick_table_layouts(root: plan.PlanNode, context) -> plan.PlanNode:
     """Top-down so a Filter directly above a scan is seen *with* the scan
     (the filter's domains must reach the Data Layout API)."""
-    changed = [False]
 
     def visit(node: plan.PlanNode) -> plan.PlanNode:
         if isinstance(node, plan.FilterNode) and isinstance(
             node.source, plan.TableScanNode
         ) and node.source.layout is None:
-            replacement = _apply(node.source, node.predicate, context)
-            if replacement is not None:
-                changed[0] = True
-                return replacement
-            return node
+            return _apply(node.source, node.predicate, context) or node
         if isinstance(node, plan.TableScanNode) and node.layout is None:
-            replacement = _apply(node, None, context)
-            if replacement is not None:
-                changed[0] = True
-                return replacement
-            return node
-        new_sources = [visit(s) for s in node.sources]
-        if new_sources != node.sources:
-            return node.replace_sources(new_sources)
-        return node
+            return _apply(node, None, context) or node
+        return plan.with_sources(node, [visit(s) for s in node.sources])
 
-    return visit(root), changed[0]
+    return visit(root)
 
 
 def _apply(scan: plan.TableScanNode, predicate, context):

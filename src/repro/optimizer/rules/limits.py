@@ -2,30 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 
 
-def pushdown_limits(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
-    changed = [False]
-
+def pushdown_limits(root: plan.PlanNode, context) -> plan.PlanNode:
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if isinstance(node, plan.LimitNode):
             source = node.source
             if isinstance(source, plan.SortNode):
                 # Sort + Limit => TopN (bounded memory instead of full sort).
-                changed[0] = True
                 return plan.TopNNode(
                     source.source, node.count, source.order_by, source.is_partial
                 )
             if isinstance(source, plan.LimitNode):
-                changed[0] = True
                 return plan.LimitNode(
                     source.source, min(node.count, source.count)
                 )
             if isinstance(source, plan.ProjectNode):
-                changed[0] = True
                 return plan.ProjectNode(
                     plan.LimitNode(source.source, node.count, node.is_partial),
                     source.assignments,
@@ -37,7 +31,6 @@ def pushdown_limits(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
                     for branch in source.sources_
                 ):
                     return None
-                changed[0] = True
                 limited = [
                     plan.LimitNode(branch, node.count, is_partial=True)
                     for branch in source.sources_
@@ -47,7 +40,6 @@ def pushdown_limits(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
                     node.count,
                 )
             if isinstance(source, plan.TopNNode) and source.count <= node.count:
-                changed[0] = True
                 return source
         if isinstance(node, plan.TopNNode) and isinstance(node.source, plan.ProjectNode):
             project = node.source
@@ -56,8 +48,6 @@ def pushdown_limits(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
             inputs = {s.name for s in project.source.output_symbols}
             # TopN can move below the projection only if all sort keys are
             # produced unchanged by the projection.
-            from repro.planner import expressions as ir
-
             mapping = {}
             ok = True
             for symbol, expr in project.assignments.items():
@@ -68,7 +58,6 @@ def pushdown_limits(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
                         ok = False
                         break
             if ok and order_names <= set(mapping):
-                changed[0] = True
                 new_order = [
                     plan.Ordering(
                         _find_symbol(project.source, mapping[o.symbol.name]),
@@ -83,7 +72,7 @@ def pushdown_limits(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
                 )
         return None
 
-    return plan.rewrite_plan(root, rewrite), changed[0]
+    return plan.rewrite_plan(root, rewrite)
 
 
 def _find_symbol(node: plan.PlanNode, name: str):

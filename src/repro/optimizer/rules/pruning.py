@@ -10,17 +10,15 @@ from repro.planner import nodes as plan
 from repro.planner.symbols import Symbol
 
 
-def prune_columns(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
+def prune_columns(root: plan.PlanNode, context) -> plan.PlanNode:
     """Top-down pass removing unused outputs from scans, projections,
     aggregations, and join inputs."""
-    changed = [False]
     if not isinstance(root, plan.OutputNode):
-        return root, False
-    required = set(s.name for s in root.outputs)
-    new_source = _prune(root.source, required, changed)
-    if changed[0]:
-        return replace(root, source=new_source), True
-    return root, False
+        return root
+    new_source = _prune(root.source, {s.name for s in root.outputs})
+    if new_source is not root.source:
+        return replace(root, source=new_source)
+    return root
 
 
 def _needed(exprs, base: set[str]) -> set[str]:
@@ -30,7 +28,7 @@ def _needed(exprs, base: set[str]) -> set[str]:
     return needed
 
 
-def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
+def _prune(node: plan.PlanNode, required: set[str]) -> plan.PlanNode:
     if isinstance(node, plan.ProjectNode):
         kept = {
             symbol: expr
@@ -43,14 +41,13 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
             if first is not None:
                 kept = {first: node.assignments[first]}
         child_required = _needed(kept.values(), set())
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         if len(kept) != len(node.assignments) or new_source is not node.source:
-            changed[0] = True
             return plan.ProjectNode(new_source, kept)
         return node
     if isinstance(node, plan.FilterNode):
         child_required = _needed([node.predicate], required)
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         if new_source is not node.source:
             return replace(node, source=new_source)
         return node
@@ -59,7 +56,6 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
         if not kept and node.outputs:
             kept = [node.outputs[0]]
         if len(kept) != len(node.outputs):
-            changed[0] = True
             return plan.TableScanNode(
                 node.table,
                 {s: node.assignments[s] for s in kept},
@@ -84,9 +80,8 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
                 child_required |= ir.referenced_variables(arg)
             if call.filter is not None:
                 child_required |= ir.referenced_variables(call.filter)
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         if len(kept_aggs) != len(node.aggregations) or new_source is not node.source:
-            changed[0] = True
             return plan.AggregationNode(new_source, node.group_by, kept_aggs, node.step)
         return node
     if isinstance(node, plan.JoinNode):
@@ -96,23 +91,23 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
             child_required.add(clause.right.name)
         if node.filter is not None:
             child_required |= ir.referenced_variables(node.filter)
-        new_left = _prune(node.left, child_required, changed)
-        new_right = _prune(node.right, child_required, changed)
+        new_left = _prune(node.left, child_required)
+        new_right = _prune(node.right, child_required)
         if new_left is not node.left or new_right is not node.right:
             return replace(node, left=new_left, right=new_right)
         return node
     if isinstance(node, plan.SemiJoinNode):
         child_required = set(required) | {k.name for k in node.source_keys}
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         new_filtering = _prune(
-            node.filtering_source, {k.name for k in node.filtering_keys}, changed
+            node.filtering_source, {k.name for k in node.filtering_keys}
         )
         if new_source is not node.source or new_filtering is not node.filtering_source:
             return replace(node, source=new_source, filtering_source=new_filtering)
         return node
     if isinstance(node, (plan.SortNode, plan.TopNNode)):
         child_required = set(required) | {o.symbol.name for o in node.order_by}
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         if new_source is not node.source:
             return replace(node, source=new_source)
         return node
@@ -125,9 +120,8 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
         # Window passes through every input column, so all source outputs
         # remain required; this rule only drops unused window functions.
         child_required = {s.name for s in node.source.output_symbols}
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         if len(kept_functions) != len(node.functions):
-            changed[0] = True
             return plan.WindowNode(
                 new_source, node.partition_by, node.order_by, kept_functions, node.frame
             )
@@ -137,7 +131,7 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
     if isinstance(node, plan.ExchangeNode):
         child_required = set(required) | {s.name for s in node.partition_keys}
         child_required |= {o.symbol.name for o in node.ordering}
-        new_source = _prune(node.source, child_required, changed)
+        new_source = _prune(node.source, child_required)
         if new_source is not node.source:
             return replace(node, source=new_source)
         return node
@@ -148,38 +142,28 @@ def _prune(node: plan.PlanNode, required: set[str], changed) -> plan.PlanNode:
             if isinstance(node, (plan.LimitNode, plan.EnforceSingleRowNode))
             else {s.name for s in node.output_symbols}
         )
-        new_source = _prune(node.sources[0], set(pass_through), changed)
+        new_source = _prune(node.sources[0], set(pass_through))
         if new_source is not node.sources[0]:
             return node.replace_sources([new_source])
         return node
     # Default: require everything the node outputs from its children.
-    new_sources = []
-    any_changed = False
-    for source in node.sources:
-        child_required = {s.name for s in source.output_symbols}
-        new_source = _prune(source, child_required, changed)
-        any_changed = any_changed or new_source is not source
-        new_sources.append(new_source)
-    if any_changed:
-        return node.replace_sources(new_sources)
-    return node
+    return plan.with_sources(
+        node,
+        [_prune(s, {o.name for o in s.output_symbols}) for s in node.sources],
+    )
 
 
-def remove_identity_projections(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
-    changed = [False]
-
+def remove_identity_projections(root: plan.PlanNode, context) -> plan.PlanNode:
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if isinstance(node, plan.ProjectNode) and node.is_identity():
-            changed[0] = True
             return node.source
         return None
 
-    return plan.rewrite_plan(root, rewrite), changed[0]
+    return plan.rewrite_plan(root, rewrite)
 
 
-def merge_adjacent_projections(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
+def merge_adjacent_projections(root: plan.PlanNode, context) -> plan.PlanNode:
     """Project(Project(x)) -> Project(x) by inlining, when safe."""
-    changed = [False]
 
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if not (
@@ -206,7 +190,6 @@ def merge_adjacent_projections(root: plan.PlanNode, context) -> tuple[plan.PlanN
             symbol: ir.replace_variables(expr, mapping)
             for symbol, expr in node.assignments.items()
         }
-        changed[0] = True
         return plan.ProjectNode(inner.source, merged)
 
-    return plan.rewrite_plan(root, rewrite), changed[0]
+    return plan.rewrite_plan(root, rewrite)

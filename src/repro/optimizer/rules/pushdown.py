@@ -14,19 +14,13 @@ from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 
 
-def pushdown_predicates(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
-    changed = [False]
-
+def pushdown_predicates(root: plan.PlanNode, context) -> plan.PlanNode:
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
-        if not isinstance(node, plan.FilterNode):
-            return None
-        replacement = _push_filter(node, context)
-        if replacement is not None:
-            changed[0] = True
-        return replacement
+        if isinstance(node, plan.FilterNode):
+            return _push_filter(node, context)
+        return None
 
-    new_root = plan.rewrite_plan(root, rewrite)
-    return new_root, changed[0]
+    return plan.rewrite_plan(root, rewrite)
 
 
 def _push_filter(node: plan.FilterNode, context) -> plan.PlanNode | None:

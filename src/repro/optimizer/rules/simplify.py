@@ -101,46 +101,30 @@ def _simplify_special(node: ir.SpecialForm) -> ir.RowExpression | None:
     return None
 
 
-def simplify_expressions(root: plan.PlanNode, context) -> tuple[plan.PlanNode, bool]:
+def simplify_expressions(root: plan.PlanNode, context) -> plan.PlanNode:
     """Fold constants in all node expressions; prune always-true filters
     and replace always-false filters with empty values."""
-    changed = [False]
 
     def rewrite(node: plan.PlanNode) -> plan.PlanNode | None:
         if isinstance(node, plan.FilterNode):
             predicate = fold_constants(node.predicate)
             if isinstance(predicate, ir.Constant):
                 if predicate.value is True:
-                    changed[0] = True
                     return node.source
-                changed[0] = True
                 return plan.ValuesNode(list(node.output_symbols), [])
             if predicate is not node.predicate:
-                changed[0] = True
                 return plan.FilterNode(node.source, predicate)
             return None
         if isinstance(node, plan.ProjectNode):
-            new_assignments = {}
-            any_changed = False
-            for symbol, expr in node.assignments.items():
-                folded = fold_constants(expr)
-                new_assignments[symbol] = folded
-                if folded is not expr:
-                    any_changed = True
-            if any_changed:
-                changed[0] = True
-                return plan.ProjectNode(node.source, new_assignments)
+            folded = {s: fold_constants(e) for s, e in node.assignments.items()}
+            if any(folded[s] is not e for s, e in node.assignments.items()):
+                return plan.ProjectNode(node.source, folded)
             return None
         if isinstance(node, plan.JoinNode) and node.filter is not None:
             folded = fold_constants(node.filter)
             if isinstance(folded, ir.Constant) and folded.value is True:
-                changed[0] = True
-                return plan.JoinNode(
-                    node.join_type, node.left, node.right, node.criteria, None,
-                    node.distribution,
-                )
+                folded = None
             if folded is not node.filter:
-                changed[0] = True
                 return plan.JoinNode(
                     node.join_type, node.left, node.right, node.criteria, folded,
                     node.distribution,
@@ -148,5 +132,4 @@ def simplify_expressions(root: plan.PlanNode, context) -> tuple[plan.PlanNode, b
             return None
         return None
 
-    new_root = plan.rewrite_plan(root, rewrite)
-    return new_root, changed[0]
+    return plan.rewrite_plan(root, rewrite)

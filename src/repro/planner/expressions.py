@@ -10,7 +10,7 @@ generator consumes (paper Sec. V-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from repro.functions.registry import ScalarFunction
@@ -165,17 +165,19 @@ def _collect_variables(expr: RowExpression, bound: frozenset, result: set) -> No
 def rewrite_expression(
     expr: RowExpression, fn: Callable[[RowExpression], RowExpression | None]
 ) -> RowExpression:
-    """Bottom-up rewrite: ``fn`` may return a replacement or None to keep."""
-    if isinstance(expr, Call):
+    """Bottom-up rewrite: ``fn`` may return a replacement or None to keep.
+
+    Returns ``expr`` itself when nothing below it was replaced: the
+    optimizer reads "same object" as "unchanged"
+    (docs/OPTIMIZER.md, pass protocol)."""
+    if isinstance(expr, (Call, SpecialForm)):
         new_args = tuple(rewrite_expression(a, fn) for a in expr.arguments)
-        expr = Call(expr.type, expr.name, expr.function, new_args)
-    elif isinstance(expr, SpecialForm):
-        new_args = tuple(rewrite_expression(a, fn) for a in expr.arguments)
-        expr = SpecialForm(expr.type, expr.form, new_args, expr.form_data)
+        if any(new is not old for new, old in zip(new_args, expr.arguments)):
+            expr = replace(expr, arguments=new_args)
     elif isinstance(expr, LambdaExpression):
-        expr = LambdaExpression(
-            expr.type, expr.parameters, rewrite_expression(expr.body, fn)
-        )
+        body = rewrite_expression(expr.body, fn)
+        if body is not expr.body:
+            expr = replace(expr, body=body)
     replacement = fn(expr)
     return replacement if replacement is not None else expr
 

@@ -641,11 +641,19 @@ def walk_plan(node: PlanNode):
         yield from walk_plan(source)
 
 
+def with_sources(node: PlanNode, new_sources: list[PlanNode]) -> PlanNode:
+    """``node`` over ``new_sources`` — ``node`` itself when every source
+    is the object it already has: the optimizer reads "same object" as
+    "unchanged" (docs/OPTIMIZER.md, pass protocol)."""
+    if all(new is old for new, old in zip(new_sources, node.sources)):
+        return node
+    return node.replace_sources(new_sources)
+
+
 def rewrite_plan(node: PlanNode, fn) -> PlanNode:
-    """Bottom-up rewrite; ``fn(node)`` returns a replacement or None."""
-    new_sources = [rewrite_plan(s, fn) for s in node.sources]
-    if new_sources != node.sources:
-        node = node.replace_sources(new_sources)
+    """Bottom-up rewrite; ``fn(node)`` returns a replacement or None.
+    Returns ``node`` itself when nothing below it was replaced."""
+    node = with_sources(node, [rewrite_plan(s, fn) for s in node.sources])
     replacement = fn(node)
     return replacement if replacement is not None else node
 

@@ -22,7 +22,7 @@ carrying it toward the table scans (and ultimately into connector
 TupleDomains) on the next fixed-point pass.
 
 Cost guard: skip when the predicate is estimated to keep more than
-``cte_pushdown_max_selectivity`` of the rows — pushing a
+``MAX_SELECTIVITY`` of the rows — pushing a
 non-filtering predicate below the boundary only moves work.
 """
 
@@ -33,6 +33,10 @@ from dataclasses import dataclass
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 from repro.planner.rules.engine import RewriteRule, register
+
+# Guard bound: pushing a predicate that keeps more than this fraction of
+# the rows below a window/distinct boundary just moves work.
+MAX_SELECTIVITY = 0.98
 
 
 @dataclass
@@ -93,7 +97,7 @@ class CtePushdown(RewriteRule):
         if filtered.row_count is None:
             return True
         selectivity = filtered.row_count / source.row_count
-        return selectivity <= context.config.cte_pushdown_max_selectivity
+        return selectivity <= MAX_SELECTIVITY
 
     def rewrite(self, match: _Match, context) -> plan.PlanNode:
         boundary = match.boundary

@@ -10,9 +10,11 @@ A :class:`RewriteRule` is *match + apply + cost-guard*:
   records a ``skipped_cost`` entry instead of firing;
 - ``rewrite(match, context)`` returns the replacement subtree.
 
-:func:`run_rewrite_rules` iterates the enabled ``optimize``-phase rules
-bottom-up over the plan to a fixed point, bounded by a per-query
-*rewrite budget* (``OptimizerConfig.rewrite_budget``). Every firing and
+:func:`run_rewrite_rules` applies the enabled ``optimize``-phase rules
+bottom-up over the plan, once; it is one pass of the optimizer's driver
+(:mod:`repro.optimizer.optimizer`), which repeats it together with the
+classic passes to a fixed point, bounded by a per-query *rewrite
+budget* (``REWRITE_BUDGET``). Every firing and
 every guard skip is recorded in a :class:`RuleTrace`, which the engine
 surfaces through EXPLAIN (``rules=[...]``), the plan cache entry, and
 the ``optimizer.rule_fired.*`` / ``optimizer.rule_skipped_cost.*``
@@ -68,6 +70,10 @@ class RewriteRule:
 
 REGISTRY: list[RewriteRule] = []
 
+# Total rule applications allowed per query; the engine stops rewriting
+# (and records budget exhaustion on the trace) once spent.
+REWRITE_BUDGET = 64
+
 
 def register(rule: RewriteRule) -> RewriteRule:
     REGISTRY.append(rule)
@@ -81,6 +87,9 @@ class RuleTrace:
     fired: list[str] = field(default_factory=list)
     skipped_cost: list[str] = field(default_factory=list)
     budget_exhausted: bool = False
+    # An optimizer fixed point gave up at its iteration cap instead of
+    # converging (repro.optimizer.optimizer).
+    fixed_point_cap_hit: bool = False
     _skip_keys: set = field(default_factory=set)
 
     def record_fired(self, name: str) -> None:
@@ -125,55 +134,39 @@ class RuleTrace:
             line += " cost_skipped=[" + ", ".join(skip_parts) + "]"
         if self.budget_exhausted:
             line += " (rewrite budget exhausted)"
+        if self.fixed_point_cap_hit:
+            line += " (fixed-point cap hit)"
         return line
 
 
-def run_rewrite_rules(
-    root: plan.PlanNode, context, rules: list[RewriteRule] | None = None
-) -> tuple[plan.PlanNode, bool]:
-    """Apply the enabled optimize-phase rules bottom-up to a fixed
-    point, within the rewrite budget. Returns (new_root, changed)."""
+def run_rewrite_rules(root: plan.PlanNode, context) -> plan.PlanNode:
+    """One bottom-up pass of the enabled optimize-phase rules, within
+    the rewrite budget. An optimizer pass like any other: returns
+    ``root`` itself when no rule fired, and the optimizer's driver
+    repeats it to a fixed point."""
     config = context.config
-    trace: RuleTrace | None = getattr(context, "trace", None)
-    if trace is None:
-        trace = context.trace = RuleTrace()
+    trace: RuleTrace = context.trace
     active = [
         rule
-        for rule in (REGISTRY if rules is None else rules)
+        for rule in REGISTRY
         if rule.phase == "optimize" and rule.enabled(config)
     ]
-    if not active:
-        return root, False
-    changed_any = False
-    for _ in range(config.max_optimizer_iterations):
-        fired_this_pass = [False]
 
-        def attempt(node: plan.PlanNode):
-            if trace.budget_exhausted:
-                return None
-            for rule in active:
-                match = rule.match(node, context)
-                if match is None:
-                    continue
-                if len(trace.fired) >= config.rewrite_budget:
-                    trace.budget_exhausted = True
-                    return None
-                if config.rewrite_cost_guards and not rule.cost_guard(
-                    match, context
-                ):
-                    trace.record_skipped(rule.name, key=(rule.name, node.id))
-                    continue
-                trace.record_fired(rule.name)
-                fired_this_pass[0] = True
-                return rule.rewrite(match, context)
-            return None
-
-        new_root = plan.rewrite_plan(root, attempt)
-        if not fired_this_pass[0]:
-            break
-        root = new_root
-        changed_any = True
-        context.invalidate_stats()
+    def attempt(node: plan.PlanNode):
         if trace.budget_exhausted:
-            break
-    return root, changed_any
+            return None
+        for rule in active:
+            match = rule.match(node, context)
+            if match is None:
+                continue
+            if len(trace.fired) >= REWRITE_BUDGET:
+                trace.budget_exhausted = True
+                return None
+            if config.rewrite_cost_guards and not rule.cost_guard(match, context):
+                trace.record_skipped(rule.name, key=(rule.name, node.id))
+                continue
+            trace.record_fired(rule.name)
+            return rule.rewrite(match, context)
+        return None
+
+    return plan.rewrite_plan(root, attempt)

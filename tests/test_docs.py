@@ -41,3 +41,18 @@ def test_guard_rejects_a_missing_module():
     assert _resolves("repro.exec.backend.current_backend")
     assert not _resolves("repro.scheduler.mlfq")
     assert not _resolves("repro.exec.kernels.no_such_function")
+
+
+def test_optimizer_knob_table_matches_the_dataclass():
+    """docs/OPTIMIZER.md's field table lists exactly OptimizerConfig's
+    fields with their defaults: a removed or new field fails here until
+    the doc says who sets it."""
+    import dataclasses
+
+    from repro.optimizer.context import OptimizerConfig
+
+    text = (REPO_ROOT / "docs" / "OPTIMIZER.md").read_text()
+    section = text.split("## `OptimizerConfig` fields")[1].split("\n## ")[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, re.M))
+    actual = {f.name: repr(f.default) for f in dataclasses.fields(OptimizerConfig)}
+    assert documented == actual

@@ -1,18 +1,28 @@
 """Optimizer rule tests (paper Sec. IV-C)."""
 
+import dataclasses
+
 import pytest
 
 from repro.catalog.metadata import Metadata
 from repro.connectors.api import TablePartitioning
+from repro.connectors.hive import HiveConnector
 from repro.connectors.memory import MemoryConnector
 from repro.connectors.shardedsql import ShardedSqlConnector
+from repro.errors import PrestoError
+from repro.fuzz.grammar import generate_case
+from repro.fuzz.runner import load_tables
 from repro.optimizer import optimize_plan
-from repro.optimizer.context import OptimizerConfig
+from repro.optimizer import optimizer as driver
+from repro.optimizer.context import OptimizerConfig, OptimizerContext
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 from repro.planner.planner import LogicalPlanner, SessionContext
+from repro.planner.rules import REGISTRY, RuleTrace, run_rewrite_rules
 from repro.sql import parse_statement
 from repro.types import BIGINT, DOUBLE, VARCHAR
+from repro.workload import setup_warehouse_dataset
+from repro.workload.tpcds import TPCDS_ANALOG_QUERIES
 
 
 def build_metadata(statistics=True):
@@ -37,11 +47,11 @@ def build_metadata(statistics=True):
     return metadata
 
 
-def optimized(sql, metadata=None, config=None):
+def optimized(sql, metadata=None):
     metadata = metadata or build_metadata()
     planner = LogicalPlanner(metadata, SessionContext("memory", "default"))
     logical = planner.plan_statement(parse_statement(sql))
-    return optimize_plan(logical, metadata, planner.symbols, config).root
+    return optimize_plan(logical, metadata, planner.symbols).root
 
 
 def find(root, node_type):
@@ -210,19 +220,13 @@ def test_no_stats_keeps_syntactic_order():
 
 
 def test_broadcast_for_tiny_build_vs_huge_probe():
-    config = OptimizerConfig(replication_factor=8.0)
-    root = optimized(
-        "SELECT count(*) FROM big b JOIN small s ON b.k = s.k", config=config
-    )
+    root = optimized("SELECT count(*) FROM big b JOIN small s ON b.k = s.k")
     join = find(root, plan.JoinNode)[0]
     assert join.distribution is plan.JoinDistribution.REPLICATED
 
 
 def test_partitioned_when_build_not_small_enough():
-    config = OptimizerConfig(replication_factor=8.0)
-    root = optimized(
-        "SELECT count(*) FROM big b JOIN medium m ON b.k = m.k", config=config
-    )
+    root = optimized("SELECT count(*) FROM big b JOIN medium m ON b.k = m.k")
     join = find(root, plan.JoinNode)[0]
     assert join.distribution is plan.JoinDistribution.PARTITIONED
 
@@ -309,3 +313,108 @@ def test_identity_projections_removed():
     root = optimized("SELECT k, v FROM big")
     projects = [p for p in find(root, plan.ProjectNode) if p.is_identity()]
     assert not projects
+
+
+# ---------------------------------------------------------------------------
+# Pass protocol (docs/OPTIMIZER.md): same object = unchanged
+# ---------------------------------------------------------------------------
+
+
+def _fig6_corpus():
+    hive = HiveConnector(statistics_enabled=True, catalog_name="hive")
+    setup_warehouse_dataset(hive, scale_factor=0.002)
+    metadata = Metadata()
+    metadata.register_catalog("hive", hive)
+    for query_id in sorted(TPCDS_ANALOG_QUERIES):
+        yield metadata, "hive", TPCDS_ANALOG_QUERIES[query_id], None
+
+
+def _rule_example_corpus():
+    memory = MemoryConnector(statistics_enabled=True)
+    for name, column in (("t0", "n"), ("t1", "m")):
+        memory.create_table_with_data(
+            "memory", "default", name, [("k", BIGINT), (column, BIGINT)],
+            [(1, 10), (3, 30), (3, 31), (None, 40), (5, None)],
+        )
+    metadata = Metadata()
+    metadata.register_catalog("memory", memory)
+    for rule in REGISTRY:
+        yield metadata, "memory", rule.example_sql, None
+
+
+def _fuzz_corpus():
+    # The bounded tier-1 corpus (tests/test_fuzz.py), planned as the
+    # `optimized` and the `rewrites` (cost guards off) configs plan it.
+    for seed in range(150):
+        case = generate_case(seed)
+        memory = MemoryConnector()
+        load_tables(memory, case.tables)
+        metadata = Metadata()
+        metadata.register_catalog("memory", memory)
+        for config in (None, OptimizerConfig(rewrite_cost_guards=False)):
+            yield metadata, "memory", case.sql, config
+
+
+def _node_expressions(value):
+    """Every RowExpression a plan node holds, however nested."""
+    if isinstance(value, ir.RowExpression):
+        yield value
+    elif isinstance(value, dict):
+        yield from _node_expressions(list(value.values()))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _node_expressions(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            held = getattr(value, f.name)
+            if not isinstance(held, plan.PlanNode):  # walk_plan reaches those
+                yield from _node_expressions(held)
+
+
+# Sweeps the slowest fixed point of each corpus needs, the confirming one
+# included (fig6: q64; fuzz: seed 149 moves one filter down four levels).
+@pytest.mark.parametrize(
+    "corpus, sweeps",
+    [(_fig6_corpus, 4), (_rule_example_corpus, 4), (_fuzz_corpus, 5)],
+    ids=["fig6", "rule_examples", "fuzz"],
+)
+def test_pass_protocol_conformance(corpus, sweeps, monkeypatch):
+    """(i) the rewrite helpers return the object they were given when
+    ``fn`` replaces nothing; (ii) every pass returns the optimizer's final
+    plan unchanged, as that same object; (iii) every fixed point converges
+    within ``sweeps`` sweeps, far from the cap."""
+    monkeypatch.setattr(driver, "MAX_OPTIMIZER_ITERATIONS", sweeps)
+    passes = (
+        *driver._ITERATIVE_RULES,
+        run_rewrite_rules,
+        driver.pick_table_layouts,
+        driver.reorder_joins,
+        driver.select_index_joins,
+        driver.select_join_distribution,
+        driver.plan_dynamic_filters,
+    )
+    planned = 0
+    for metadata, catalog, sql, config in corpus():
+        trace = RuleTrace()
+        planner = LogicalPlanner(
+            metadata, SessionContext(catalog, "default"), optimizer_config=config,
+            trace=trace,
+        )
+        try:
+            logical = planner.plan_statement(parse_statement(sql))
+        except PrestoError:
+            continue  # the fuzz grammar also generates invalid statements
+        planned += 1
+        final = optimize_plan(logical, metadata, planner.symbols, config, trace=trace)
+        assert not trace.fixed_point_cap_hit, sql
+        for root in (logical.root, final.root):
+            assert plan.rewrite_plan(root, lambda node: None) is root, sql
+            for node in plan.walk_plan(root):
+                for expr in _node_expressions(node):
+                    assert ir.rewrite_expression(expr, lambda e: None) is expr, sql
+        context = OptimizerContext(
+            metadata, planner.symbols, config or OptimizerConfig(), RuleTrace()
+        )
+        for run in passes:
+            assert run(final.root, context) is final.root, (run.__name__, sql)
+    assert planned >= len(REGISTRY)

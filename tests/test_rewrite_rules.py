@@ -263,7 +263,17 @@ def test_explain_header_lists_cost_skips():
     assert "cost_skipped=[setop_semijoin]" in header
 
 
-def test_cluster_counters_cover_registry_and_increment():
+def test_explain_header_flags_a_fixed_point_that_hit_its_cap(monkeypatch):
+    """Giving up at the iteration cap must not look like convergence."""
+    engine = _engine()
+    sql = "SELECT k FROM t0 WHERE n > 10"
+    assert "cap hit" not in _explain_header(engine, sql)
+    monkeypatch.setattr("repro.optimizer.optimizer.MAX_OPTIMIZER_ITERATIONS", 1)
+    assert _explain_header(engine, sql) == "rules=[] (fixed-point cap hit)"
+    assert engine.last_rule_trace.fired == []  # classic passes are not rule firings
+
+
+def test_cluster_counters_cover_registry_and_increment(monkeypatch):
     """stats_snapshot() publishes fired/skipped counters for every
     registered rule (zero-valued until a plan moves them)."""
     from repro.cluster import ClusterConfig, SimCluster
@@ -294,6 +304,11 @@ def test_cluster_counters_cover_registry_and_increment():
     # A plan-cache hit must not double-count.
     cluster.run_query("SELECT k FROM t0 INTERSECT SELECT k FROM t1", drain=True)
     assert cluster.stats_snapshot()["optimizer.rule_fired.setop_semijoin"] == 1
+    # Planned queries whose optimizer stopped at its fixed-point cap.
+    assert cluster.stats_snapshot()["optimizer.fixed_point_cap_hit"] == 0
+    monkeypatch.setattr("repro.optimizer.optimizer.MAX_OPTIMIZER_ITERATIONS", 1)
+    cluster.run_query("SELECT k FROM t0 WHERE k > 1", drain=True)
+    assert cluster.stats_snapshot()["optimizer.fixed_point_cap_hit"] == 1
 
 
 # --------------------------------------------------------------------------
