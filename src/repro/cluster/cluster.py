@@ -545,7 +545,12 @@ class SimCluster:
         if query.state == "failed" and query.error is not None:
             raise query.error
         if query.state not in ("finished", "failed"):
-            raise PrestoError(f"Query {query.query_id} did not complete (state={query.state})")
+            # The simulator went idle under a live query: some wake-up
+            # is missing. Say who is waiting on what.
+            raise PrestoError(
+                f"Query {query.query_id} did not complete (state={query.state}); "
+                f"unfinished stages:\n{query.describe_unfinished()}"
+            )
         return query
 
     def execute(self, sql: str, **kwargs) -> list[tuple]:
@@ -994,6 +999,7 @@ class SimCluster:
             snapshot[f"worker.{name}.alive"] = worker.alive
             snapshot[f"worker.{name}.cpu_ms"] = worker.stats.busy_ms
             snapshot[f"worker.{name}.quanta"] = worker.stats.quanta
+            snapshot[f"worker.{name}.quanta_idle"] = worker.stats.quanta_idle
             snapshot[f"worker.{name}.tasks_started"] = worker.stats.tasks_started
             snapshot[f"worker.{name}.tasks_finished"] = worker.stats.tasks_finished
             snapshot[f"worker.{name}.memory_general_used"] = (

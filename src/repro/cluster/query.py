@@ -500,10 +500,13 @@ class QueryExecution:
                 if all(s.done for s in stage.scan_schedules):
                     for task in stage.tasks:
                         task.no_more_splits()
-                        task.worker.kick(task)
                 else:
                     for task in stage.tasks:
                         task.scan_operators[schedule.scan_index].no_more_splits()
+                for task in stage.tasks:
+                    # The end of the split stream matters to a driver
+                    # only once its scan has nothing left to read.
+                    if task.scan_operators[schedule.scan_index].is_finished():
                         task.worker.kick(task)
             else:
                 self._later(_SPLIT_BATCH_LATENCY_MS, fetch)
@@ -594,7 +597,8 @@ class QueryExecution:
             )
         target.add_split_to(schedule.scan_index, split)
         schedule.assigned += 1
-        target.worker.kick(target)
+        if target.can_use(target.scan_operators[schedule.scan_index]):
+            target.worker.kick(target)
 
     def _affinity_target(self, schedule, split, tasks):
         """Pick the stripe-affine task for a cacheable split, or None.
@@ -677,6 +681,10 @@ class QueryExecution:
             # for durable storage, a documented simulation shortcut.)
             return
         delivery = task.output_buffer.poll(partition)
+        # A poll is where output drains, so it is where a stage can
+        # become complete: checking only after a task's own quantum
+        # would miss a last page polled from a deliver() chain.
+        self._check_stage_completed(self.stages[task.fragment.id])
         if delivery is None:
             eof_key = (task.producer_key, partition)
             if task.output_buffer.is_drained(partition) and eof_key not in self._transfer_eof:
@@ -731,7 +739,8 @@ class QueryExecution:
             if accepted and replay_key not in self._replays:
                 self._record_delivery(replay_key, producer_key, delivery.seq)
                 self._release_acked(task, partition, delivery.seq)
-            consumer_task.worker.kick(consumer_task)
+            if client.has_output and consumer_task.can_use(client):
+                consumer_task.worker.kick(consumer_task)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
             if accepted and self.cluster.roll_transfer_duplicate():
@@ -773,7 +782,8 @@ class QueryExecution:
             consumer_task = self.stages[consumer_stage_id].tasks[partition]
             client = consumer_task.exchange_clients[client_key]
             client.deliver(delivery.page, producer_key, delivery.seq)
-            consumer_task.worker.kick(consumer_task)
+            if client.has_output:
+                consumer_task.worker.kick(consumer_task)
 
         self._later(cost, duplicate)
 
@@ -806,7 +816,10 @@ class QueryExecution:
             consumer_task = self.stages[consumer_stage_id].tasks[partition]
             client = consumer_task.exchange_clients[client_key]
             client.producer_finished(producer_key)
-            consumer_task.worker.kick(consumer_task)
+            # Operators see EOFs only through all_finished, so an EOF
+            # that is not the last one unblocks nothing.
+            if client.all_finished:
+                consumer_task.worker.kick(consumer_task)
 
         self._later(self.cluster.cost_model.network_latency_ms, eof)
 
@@ -1107,7 +1120,8 @@ class QueryExecution:
             consumer_task = self.stages[consumer_stage_id].tasks[partition]
             client = consumer_task.exchange_clients[client_key]
             client.deliver(delivery.page, producer_key, seq)
-            consumer_task.worker.kick(consumer_task)
+            if client.has_output:
+                consumer_task.worker.kick(consumer_task)
             self._advance_replay(replay_key)
 
         self._later(cost, arrive)
@@ -1159,12 +1173,19 @@ class QueryExecution:
         # tasks) to consumers.
         for partition in range(task.output_buffer.partition_count):
             self._pump_transfers(task, partition)
-        if stage.check_completed():
-            if self.phased:
-                for other in self.stages.values():
-                    if not other.started and not self._phase_blocked(other):
-                        self._start_stage(other)
+        self._check_stage_completed(stage)
         self._check_done()
+
+    def _check_stage_completed(self, stage: StageExecution) -> None:
+        """Mark ``stage`` completed once its tasks finished and their
+        output drained, and start the stages phased execution gated on
+        it. Called wherever either condition can become true: a task's
+        last quantum and every output-buffer poll."""
+        if stage.completed or not stage.check_completed() or not self.phased:
+            return
+        for other in self.stages.values():
+            if not other.started and not self._phase_blocked(other):
+                self._start_stage(other)
 
     # ------------------------------------------------------------------
     # Dynamic filter collection (build side -> coordinator)
@@ -1332,6 +1353,48 @@ class QueryExecution:
         self._task_retries = task_retries
         self.started_at = None
         self.finished_at = None
+
+    def describe_unfinished(self) -> str:
+        """Why a running query is not moving: one line per unfinished
+        stage with each unfinished task's scheduler state and, per
+        unfinished driver, the operators that report blocked — the
+        cluster's counterpart of ``run_drivers_to_completion``'s
+        deadlock message. A missing wake-up shows as a parked task
+        whose drivers have no blocked operator."""
+        lines = []
+        gates = getattr(self, "_phase_gates", {})
+        for stage in self.stages.values():
+            if stage.completed:
+                continue
+            if not stage.started:
+                waits = sorted(
+                    g for g in gates.get(stage.id, ()) if not self.stages[g].completed
+                )
+                lines.append(f"stage {stage.id}: not started, gated on stages {waits}")
+                continue
+            tasks = []
+            for task in stage.tasks:
+                if task.is_finished() and task.output_drained():
+                    continue
+                if task.is_finished():
+                    tasks.append(f"{task.task_id} finished, output not drained")
+                    continue
+                drivers = [
+                    "[" + ", ".join(op.name for op in d.operators if op.is_blocked()) + "]"
+                    for d in task.drivers
+                    if not d.is_finished()
+                ]
+                state = task.worker.state_of(task)
+                if task.memory_blocked:
+                    state += ", memory-blocked"
+                tasks.append(
+                    f"{task.task_id} {state} on {task.worker.name}, "
+                    f"blocked operators per driver: {' '.join(drivers)}"
+                )
+            lines.append(
+                f"stage {stage.id}: " + ("; ".join(tasks) or "all tasks finished and drained")
+            )
+        return "\n".join(lines)
 
     # -- results -----------------------------------------------------------------
 

@@ -359,6 +359,17 @@ class ExchangeClient:
             and self.producers_finished >= self.producers_expected
         )
 
+    @property
+    def has_output(self) -> bool:
+        """Whether the source operator reading this client can move: a
+        page is ready or the stream has ended. An ordered merge holds
+        every page back until all producers finished. The coordinator
+        kicks the consuming task only when a delivery or EOF leaves this
+        true (docs/EXECUTION.md, "Task readiness and wake-ups")."""
+        if self.ordering:
+            return self.all_finished
+        return bool(self.pages) or self.all_finished
+
     def received_count(self, producer_key) -> int:
         """How many pages of this producer's stream have been accepted
         (the re-request point for a re-executed producer)."""
@@ -443,9 +454,7 @@ class ExchangeSourceOperator(Operator):
         return self.client.is_drained()
 
     def is_blocked(self) -> bool:
-        if self.client.ordering and not self.client.all_finished:
-            return True
-        return not self.client.pages and not self.client.all_finished
+        return not self.client.has_output
 
     def retained_bytes(self) -> int:
         return self.client.buffered_bytes

@@ -165,6 +165,15 @@ class SimTask:
         # Fusion outcome for this task's pipelines; the coordinator
         # aggregates it into cluster-wide exec.* counters at creation.
         self.fusion_report = planner.fusion_report
+        # Driver headed by each scan operator / exchange client, so that
+        # the coordinator can ask whether input it just handed over can
+        # be used (can_use) before spending a quantum on it.
+        self._source_driver: dict[int, Driver] = {}
+        for driver in self.drivers:
+            source = driver.operators[0]
+            source = getattr(source, "scan", source)  # fused: the embedded scan
+            source = getattr(source, "client", source)
+            self._source_driver[id(source)] = driver
         self.stats = TaskStats()
         self.no_more_splits_flag = False
         self.failed = False
@@ -186,15 +195,17 @@ class SimTask:
     def queued_splits(self) -> int:
         return sum(op.queued_splits for op in self.scan_operators)
 
-    def add_split(self, split) -> None:
-        # All scans in the fragment share the split stream only when there
-        # is a single scan; multi-scan fragments (co-located joins) get
-        # splits routed by table, handled by the scheduler.
-        raise AssertionError("use add_split_to(scan_index, split)")
-
     def add_split_to(self, scan_index: int, split) -> None:
         self.split_log.append((scan_index, split))
         self.scan_operators[scan_index].add_split(split)
+
+    def can_use(self, source) -> bool:
+        """``source`` — one of this task's scan operators or exchange
+        clients — just received a split or a page: can its driver move
+        it on? False when the next operator takes no input (a probe
+        waiting for its build side, a full sink), which a later quantum
+        of this task or a freed buffer resolves, not this arrival."""
+        return self._source_driver[id(source)].accepts_source_output()
 
     def no_more_splits(self) -> None:
         self.no_more_splits_flag = True
@@ -211,20 +222,31 @@ class SimTask:
             and not self.is_finished()
         )
 
-    def run_quantum(self, quantum_ms: float = 1000.0) -> tuple[float, bool]:
+    def awaits_input(self) -> bool:
+        """True while every pipeline's source operator is blocked: no
+        driver can move until a split, a page or an EOF arrives, and
+        each of those arrivals kicks the task (docs/EXECUTION.md, "Task
+        readiness and wake-ups")."""
+        return all(d.operators[0].is_blocked() for d in self.drivers)
+
+    def run_quantum(self, quantum_ms: float = 1000.0) -> tuple[float, bool, bool]:
         """Run one scheduling quantum: round-robin driver-loop passes over
         all of this task's pipelines until the quantum expires or no
         driver can make progress (cooperative multitasking, Sec. IV-F1).
 
-        Returns (virtual_cost_ms, progressed).
+        Returns (virtual_cost_ms, progressed, stalled). ``stalled`` means
+        the loop left on a pass in which no driver progressed: the task
+        cannot move again until something outside it changes, so the
+        worker parks it instead of giving it another quantum.
         """
         if not self.is_runnable():
-            return 0.0, False
+            return 0.0, False, True
         rows_before = sum(
             op.input_rows for d in self.drivers for op in d.operators
         )
         start = time.perf_counter()
         progressed_any = False
+        stalled = False
         virtual = 0.0
         passes = 0
         while virtual < quantum_ms:
@@ -238,6 +260,7 @@ class SimTask:
                     driver.close()
             passes += 1
             if not progressed:
+                stalled = True
                 break
             progressed_any = True
             python_ms = (time.perf_counter() - start) * 1000
@@ -258,7 +281,7 @@ class SimTask:
         )
         self.stats.cpu_ms += virtual
         self.stats.quanta += 1
-        return virtual, progressed_any
+        return virtual, progressed_any, stalled
 
     # -- memory --------------------------------------------------------------------
 

@@ -7,7 +7,11 @@ CPU time, they move to higher levels. Each level is assigned a
 configurable fraction of the available CPU time." Any given split runs
 at most one quantum (1 s) before returning to the queue; blocked tasks
 are parked and woken by events (new split, shuffle delivery, buffer
-space, memory unblock) — the "low-cost yield signal" arrangement.
+space, memory unblock) — the "low-cost yield signal" arrangement. A
+parked task gets no quantum: a task is queued only when it has just
+been kicked, or its last quantum ended on the clock rather than on a
+pass that moved nothing (docs/EXECUTION.md, "Task readiness and
+wake-ups").
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ def task_level(cpu_ms: float) -> int:
 class WorkerStats:
     busy_ms: float = 0.0
     quanta: int = 0
+    # Quanta in which no driver progressed: a wake-up that found nothing
+    # to do. Near zero when every kick reports a real change.
+    quanta_idle: int = 0
     tasks_started: int = 0
     tasks_finished: int = 0
 
@@ -49,7 +56,7 @@ class WorkerStats:
 class _ActiveQuantum:
     task: "SimTask"
     remaining_ms: float
-    progressed: bool
+    stalled: bool
 
 
 class Worker:
@@ -94,14 +101,19 @@ class Worker:
         self._active: dict[str, _ActiveQuantum] = {}
         self._rekick: set[str] = set()
         self._ps_last_update = 0.0
-        self._ps_version = 0
+        self._ps_timer = None
 
     # -- task lifecycle -----------------------------------------------------
 
     def add_task(self, task: "SimTask") -> None:
         self.tasks.add(task)
         self.stats.tasks_started += 1
-        self.enqueue(task)
+        if task.awaits_input():
+            # Nothing to run before the first split, page or EOF; each
+            # of those arrivals kicks the task.
+            self._parked.add(task.task_id)
+        else:
+            self.enqueue(task)
 
     def remove_task(self, task: "SimTask") -> None:
         self.tasks.discard(task)
@@ -133,6 +145,16 @@ class Worker:
             task.task_id not in self._queued and task in self.tasks
         ):
             self.enqueue(task)
+
+    def state_of(self, task: "SimTask") -> str:
+        """Where the scheduler holds ``task`` (hang diagnostics)."""
+        if task.task_id in self._active:
+            return "running"
+        if task.task_id in self._queued:
+            return "queued"
+        if task.task_id in self._parked:
+            return "parked"
+        return "absent"
 
     def _next_task(self) -> Optional[tuple["SimTask", int]]:
         # Pick the non-empty level with the smallest cpu-charged/weight
@@ -178,13 +200,15 @@ class Worker:
             self._ps_reschedule()
 
     def _start_quantum(self, task: "SimTask", level: int) -> None:
-        virtual_ms, progressed = task.run_quantum(QUANTUM_MS)
+        virtual_ms, progressed, stalled = task.run_quantum(QUANTUM_MS)
         self._scheduled_by_level[level] += virtual_ms
         self.stats.quanta += 1
+        if not progressed:
+            self.stats.quanta_idle += 1
         self.stats.busy_ms += virtual_ms
         self._ps_advance()
         self._active[task.task_id] = _ActiveQuantum(
-            task, max(virtual_ms, 0.01), progressed
+            task, max(virtual_ms, 0.01), stalled
         )
         self.busy_threads = len(self._active)
         self.utilization_trace.append(
@@ -208,19 +232,20 @@ class Worker:
             quantum.remaining_ms -= elapsed * rate
 
     def _ps_reschedule(self) -> None:
-        self._ps_version += 1
+        """One timer per worker, for the in-flight quantum that drains
+        first; a change to the active set supersedes it."""
+        if self._ps_timer is not None:
+            self._ps_timer.cancel()
+            self._ps_timer = None
         if not self._active:
             return
-        version = self._ps_version
         rate = self._ps_rate()
         next_in = max(
             min(q.remaining_ms for q in self._active.values()) / rate, 0.0001
         )
-        self.sim.schedule(next_in, lambda: self._ps_fire(version))
+        self._ps_timer = self.sim.schedule(next_in, self._ps_fire)
 
-    def _ps_fire(self, version: int) -> None:
-        if version != self._ps_version or not self.alive:
-            return
+    def _ps_fire(self) -> None:
         self._ps_advance()
         done = [
             task_id
@@ -245,9 +270,11 @@ class Worker:
             self.on_quantum_complete(self, task)
         if task.is_finished():
             self.stats.tasks_finished += 1
-        elif (quantum.progressed or kicked) and task.is_runnable():
+        elif (kicked or not quantum.stalled) and task.is_runnable():
             self.enqueue(task)
         else:
+            # The quantum ran dry and nothing changed since: whatever
+            # unblocks the task will kick it.
             self._parked.add(task.task_id)
 
     # -- faults -------------------------------------------------------------------
@@ -272,6 +299,6 @@ class Worker:
         self._queued.clear()
         self._parked.clear()
         self._active.clear()
-        self._ps_version += 1
+        self._ps_reschedule()
         self.busy_threads = 0
         return victims

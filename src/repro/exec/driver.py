@@ -57,6 +57,17 @@ class Driver:
         # may finish early (e.g. a satisfied LIMIT cancels its scan).
         return self.operators[-1].is_finished()
 
+    def accepts_source_output(self) -> bool:
+        """Whether input that just became available at the source could
+        be moved on by the next loop iteration: the operator after the
+        source takes a page, or the source is a fused pipeline (which
+        drives itself) and is not blocked. When false, new input at the
+        source changes nothing this driver can act on."""
+        source = self.operators[0]
+        if len(self.operators) == 1 or hasattr(source, "advance"):
+            return not source.is_blocked()
+        return self.operators[1].needs_input()
+
     def close(self) -> None:
         """Release upstream operators after early termination."""
         for operator in self.operators:

@@ -1,0 +1,320 @@
+"""Task readiness by notification (docs/EXECUTION.md, "Task readiness
+and wake-ups"): a task gets a quantum only when something it waits on
+changed, every change that matters does wake it, and a query left
+without a wake-up is reported, not timed out.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.cluster import ClusterConfig, SimCluster
+from repro.connectors.hive import HiveConnector
+from repro.connectors.memory import MemoryConnector
+from repro.connectors.tpch import TpchConnector
+from repro.errors import PrestoError
+from repro.types import BIGINT
+from repro.workload import setup_warehouse_dataset
+from tests.cluster_corpus import (
+    build_cluster,
+    build_connectors,
+    build_local_engine,
+    statements,
+    worker_sum,
+)
+
+
+# ---------------------------------------------------------------------------
+# The corpus: few idle quanta, one lowering per stage, same answers
+# ---------------------------------------------------------------------------
+
+
+def _sort_key(row):
+    return tuple(
+        "" if v is None else format(v, ".6g") if isinstance(v, float) else repr(v)
+        for v in row
+    )
+
+
+def assert_same_rows(observed, expected, label):
+    """Order-insensitive; floats within 1e-9 (sums add up in another
+    order on the cluster)."""
+    observed, expected = sorted(observed, key=_sort_key), sorted(expected, key=_sort_key)
+    assert len(observed) == len(expected), label
+    for got, want in zip(observed, expected):
+        assert len(got) == len(want), label
+        for g, w in zip(got, want):
+            if isinstance(w, float) and isinstance(g, float):
+                assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-12), (label, got, want)
+            else:
+                assert g == w, (label, got, want)
+
+
+#: ``ORDER BY <count or sum> DESC LIMIT n`` with equal values across the
+#: cut: which of the tied rows make it is not defined, so only the
+#: ordering column (its index here) is compared.
+TIES_AT_LIMIT = {"q73": 1, "dev00": 1}
+
+
+@pytest.fixture(scope="module")
+def corpus_run():
+    connectors = build_connectors()
+    cluster = build_cluster(connectors)
+    results = {
+        key: cluster.run_query(sql, drain=True, session_catalog=catalog)
+        for key, catalog, sql in statements()
+    }
+    return connectors, cluster, results
+
+
+def test_idle_quanta_are_rare(corpus_run):
+    _, cluster, _ = corpus_run
+    snapshot = cluster.stats_snapshot()
+    quanta = worker_sum(snapshot, ".quanta")
+    idle = worker_sum(snapshot, ".quanta_idle")
+    assert quanta > 0
+    # 65 % when every task was polled; what is left are last EOFs that
+    # reach a probe still waiting for its build side.
+    assert idle <= 0.05 * quanta, f"{idle} of {quanta} quanta moved nothing"
+
+
+def test_corpus_results_equal_local_engine(corpus_run):
+    connectors, _, results = corpus_run
+    engines = {
+        catalog: build_local_engine(connectors, catalog)
+        for catalog in ("hive", "shardedsql")
+    }
+    for key, catalog, sql in statements():
+        local = engines[catalog].execute(sql).rows
+        observed = results[key].rows()
+        if key in TIES_AT_LIMIT:
+            column = TIES_AT_LIMIT[key]
+            observed = [(row[column],) for row in observed]
+            local = [(row[column],) for row in local]
+        assert_same_rows(observed, local, key)
+
+
+# ---------------------------------------------------------------------------
+# Every wake-up source, one scenario each
+# ---------------------------------------------------------------------------
+
+
+def tpch_cluster(**overrides) -> SimCluster:
+    cluster = SimCluster(
+        ClusterConfig(
+            worker_count=overrides.pop("worker_count", 4),
+            default_catalog="tpch",
+            default_schema="tiny",
+            cost_mode="deterministic",
+            **overrides,
+        )
+    )
+    cluster.register_catalog("tpch", TpchConnector(scale_factor=0.002))
+    return cluster
+
+
+def _facts(task) -> dict:
+    clients = list(task.exchange_clients.values())
+    return {
+        "quanta": task.stats.quanta,
+        "splits": len(task.split_log),
+        "no_more_splits": task.no_more_splits_flag,
+        "pages": sum(len(c.pages) for c in clients),
+        "all_eof": bool(clients) and all(c.all_finished for c in clients),
+        "ordered": any(c.ordering for c in clients),
+        "buffer_full": task.output_buffer.is_full(),
+        "memory_blocked": task.memory_blocked,
+    }
+
+
+def spy_wakes(cluster: SimCluster) -> list[tuple[object, dict]]:
+    """Record (task, facts at that moment) for every kick that finds its
+    task parked — the wake-ups; kicks of queued or running tasks are
+    absorbed by the scheduler and tell nothing."""
+    wakes: list[tuple[object, dict]] = []
+    for worker in cluster.workers.values():
+        original = worker.kick
+
+        def kick(task, original=original, worker=worker):
+            if worker.state_of(task) == "parked" and not task.is_finished():
+                wakes.append((task, _facts(task)))
+            original(task)
+
+        worker.kick = kick
+    return wakes
+
+
+def first_wakes(wakes) -> dict[str, dict]:
+    first: dict[str, dict] = {}
+    for task, facts in wakes:
+        first.setdefault(task.task_id, facts)
+    return first
+
+
+def test_tasks_start_parked_and_run_nothing_before_their_first_input():
+    cluster = tpch_cluster()
+    wakes = spy_wakes(cluster)
+    query = cluster.run_query("SELECT returnflag, count(*) FROM lineitem GROUP BY 1")
+    assert len(query.rows()) == 3
+    first = first_wakes(wakes)
+    tasks = [t for stage in query.stages.values() for t in stage.tasks]
+    assert tasks and {t.task_id for t in tasks} == set(first)
+    assert all(facts["quanta"] == 0 for facts in first.values())
+
+
+def test_woken_by_split_assigned():
+    cluster = tpch_cluster()
+    wakes = spy_wakes(cluster)
+    query = cluster.run_query("SELECT count(*) FROM lineitem")
+    assert query.rows() == [(cluster.execute("SELECT count(*) FROM lineitem")[0][0],)]
+    leaf = [
+        facts
+        for task, facts in wakes
+        if task.scan_operators and facts["quanta"] == 0
+    ]
+    assert any(f["splits"] > 0 and not f["no_more_splits"] for f in leaf)
+
+
+def test_woken_by_no_more_splits():
+    """A leaf task that is assigned no split at all hears of the end of
+    the split stream, finishes, and sends the EOF its consumer needs."""
+    cluster = SimCluster(
+        ClusterConfig(worker_count=4, default_catalog="memory", default_schema="default")
+    )
+    memory = MemoryConnector()
+    memory.create_table_with_data(
+        "memory", "default", "t", [("k", BIGINT)], [(i,) for i in range(10)]
+    )
+    cluster.register_catalog("memory", memory)
+    wakes = spy_wakes(cluster)
+    query = cluster.run_query("SELECT sum(k) FROM t")
+    assert query.rows() == [(45,)]
+    first = first_wakes(wakes)
+    leaf = [
+        first[t.task_id]
+        for stage in query.stages.values()
+        for t in stage.tasks
+        if t.scan_operators
+    ]
+    assert any(f["splits"] == 0 and f["no_more_splits"] for f in leaf)
+
+
+def test_woken_by_page_delivered():
+    cluster = tpch_cluster()
+    wakes = spy_wakes(cluster)
+    cluster.run_query("SELECT orderkey, count(*) FROM lineitem GROUP BY 1")
+    first = first_wakes(wakes)
+    assert any(
+        f["pages"] > 0 and not f["all_eof"] and f["quanta"] == 0
+        for f in first.values()
+    )
+
+
+def test_ordered_merge_is_woken_by_the_last_eof_only():
+    cluster = tpch_cluster()
+    wakes = spy_wakes(cluster)
+    query = cluster.run_query("SELECT orderkey FROM orders ORDER BY totalprice DESC LIMIT 5")
+    assert len(query.rows()) == 5
+    ordered = [facts for _, facts in wakes if facts["ordered"]]
+    assert ordered
+    # Pages and earlier EOFs arrive first, but none of them can move an
+    # ordered merge, so none of them costs it a quantum.
+    assert all(f["all_eof"] for f in ordered)
+    assert all(f["quanta"] == 0 for f in ordered)
+
+
+def test_woken_by_buffer_space_freed():
+    """With a one-byte output buffer a producer stalls on every page and
+    moves again only because each delivery frees the space."""
+    cluster = tpch_cluster(output_buffer_bytes=1)
+    wakes = spy_wakes(cluster)
+    query = cluster.run_query("SELECT orderkey, partkey FROM lineitem WHERE quantity < 5")
+    expected = tpch_cluster().execute(
+        "SELECT orderkey, partkey FROM lineitem WHERE quantity < 5"
+    )
+    assert sorted(query.rows()) == sorted(expected)
+    rewoken = [
+        facts
+        for task, facts in wakes
+        if task.scan_operators and facts["quanta"] > 0 and not facts["buffer_full"]
+    ]
+    assert rewoken
+
+
+def test_woken_by_memory_released():
+    """A task stalled on an exhausted general pool runs again when a
+    finishing query releases memory."""
+    cluster = tpch_cluster(
+        node_memory_bytes=200_000,
+        reserved_pool_bytes=100_000,
+        per_node_user_limit_bytes=10_000_000,
+        global_user_limit_bytes=100_000_000,
+    )
+    wakes = spy_wakes(cluster)
+    sql = "SELECT orderkey, partkey, count(*) FROM lineitem GROUP BY 1, 2"
+    handles = [cluster.submit(sql) for _ in range(3)]
+    stalled = set()
+    while cluster.sim.step():
+        stalled.update(t.task_id for t in cluster._memory_blocked_tasks)
+    assert [h.state for h in handles] == ["finished"] * 3
+    assert stalled, "scenario no longer exhausts the general pool"
+    # Kicked when memory came back (the flag is cleared just before).
+    assert any(
+        task.task_id in stalled and facts["quanta"] > 0 and not facts["memory_blocked"]
+        for task, facts in wakes
+    )
+
+
+# ---------------------------------------------------------------------------
+# Phased execution: the gate opens where the build side drains
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def warehouse():
+    hive = HiveConnector(statistics_enabled=True, catalog_name="hive")
+    setup_warehouse_dataset(hive, 0.005)
+    return hive
+
+
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_phased_join_over_aggregated_build_side_finishes(warehouse, workers):
+    """The build-side stage's last page is polled inside a deliver() ->
+    _pump_transfers chain, not after one of its own quanta; the stage
+    must still be marked complete there, or the gated probe stage never
+    starts (hung at 2 and 4 workers before stage completion moved to
+    the poll)."""
+    cluster = SimCluster(
+        ClusterConfig(worker_count=workers, default_catalog="hive", default_schema="default")
+    )
+    cluster.register_catalog("hive", warehouse)
+    sql = (
+        "SELECT count(*) FROM orders o JOIN (SELECT orderkey, count(*) c "
+        "FROM lineitem GROUP BY orderkey) l ON o.orderkey = l.orderkey"
+    )
+    query = cluster.submit(sql, phased=True)
+    cluster.run()
+    assert query.state == "finished"
+    assert query._phase_gates == {0: {1}}
+    assert query.rows() == cluster.run_query(sql, phased=False).rows()
+
+
+# ---------------------------------------------------------------------------
+# A missing wake-up is a one-line diagnosis
+# ---------------------------------------------------------------------------
+
+
+def test_stalled_query_names_who_waits_on_what():
+    cluster = tpch_cluster(worker_count=2)
+    for worker in cluster.workers.values():
+        worker.kick = lambda task: None  # lose every wake-up
+    with pytest.raises(PrestoError) as error:
+        cluster.run_query("SELECT returnflag, count(*) FROM lineitem GROUP BY 1")
+    message = str(error.value)
+    assert "did not complete (state=running)" in message
+    assert "stage 0:" in message and "stage 1:" in message
+    assert "q0.1.0 parked on worker-0" in message
+    assert "[ExchangeSource]" in message  # the consumer's blocked source
+    assert math.isfinite(cluster.sim.now)

@@ -35,16 +35,21 @@ class FakeTask:
     def is_runnable(self):
         return self.runnable and not self.failed and bool(self.costs)
 
+    def awaits_input(self):
+        return not self.runnable
+
     def is_finished(self):
         return not self.costs
 
     def run_quantum(self, quantum_ms):
+        """(cost, progressed, stalled): every scripted quantum ends on
+        the clock, so the task wants another one until it finishes."""
         if not self.costs:
-            return 0.0, False
+            return 0.0, False, True
         cost = self.costs.pop(0)
         self.stats.cpu_ms += cost
         self.run_log.append(cost)
-        return cost, True
+        return cost, True, False
 
 
 def test_task_level_thresholds():
