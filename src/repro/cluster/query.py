@@ -97,13 +97,27 @@ class StageExecution:
         self.started = False
         self.scan_schedules: list[_ScanSchedule] = []
         self.completed = False
+        # Tasks in ``tasks`` whose drivers all finished; each task
+        # reports it once (SimTask.on_finished).
+        self.finished_tasks = 0
 
     @property
     def id(self) -> int:
         return self.fragment.id
 
+    def task_finished(self) -> None:
+        self.finished_tasks += 1
+
+    def replace_task(self, old: SimTask, new: SimTask) -> None:
+        """Swap in a replacement attempt; a finished attempt can still
+        be lost with undrained output, and then counts no longer."""
+        if old.drivers_finished:
+            self.finished_tasks -= 1
+        old.on_finished = None  # a stale attempt may still run to its end
+        self.tasks[old.partition] = new
+
     def all_tasks_finished(self) -> bool:
-        return all(t.is_finished() for t in self.tasks)
+        return self.finished_tasks == len(self.tasks)
 
     def check_completed(self) -> bool:
         if self.completed:
@@ -354,6 +368,7 @@ class QueryExecution:
                     if scaling and self._recovery_active
                     else None,
                     on_commit=self._commit_guard(),
+                    on_finished=stage.task_finished,
                 )
                 cluster.record_fusion(task.fusion_report)
                 # Output pages become visible only when the producing
@@ -991,6 +1006,7 @@ class QueryExecution:
             attempt=attempt,
             routing_log=self._routing_log.get(old.producer_key),
             on_commit=self._commit_guard(),
+            on_finished=self.stages[fragment.id].task_finished,
         )
         cluster.record_fusion(new.fusion_report)
         # Carry adaptive writer-scaling state across attempts: the
@@ -998,7 +1014,7 @@ class QueryExecution:
         # route against the scale-up level already reached.
         new.output_buffer.active_partitions = old.output_buffer.active_partitions
         new.output_buffer.pressure_threshold = old.output_buffer.pressure_threshold
-        self.stages[fragment.id].tasks[old.partition] = new
+        self.stages[fragment.id].replace_task(old, new)
         return new
 
     def _wire_replacement(self, old: SimTask, new: SimTask) -> None:
@@ -1170,9 +1186,20 @@ class QueryExecution:
             self._on_dynamic_filter_published(filter_, task.partition)
         self._aggregate_df_counters(task)
         # Ship pages produced during the quantum (and EOFs of finished
-        # tasks) to consumers.
-        for partition in range(task.output_buffer.partition_count):
-            self._pump_transfers(task, partition)
+        # tasks) to consumers: only the partitions the quantum wrote to
+        # or finished. Every other way a partition can have something to
+        # send re-pumps it itself (a completed delivery or replay, a
+        # replaced consumer, a dead worker's sweep).
+        dirty = task.dirty_partitions
+        if task.fragment.id not in self._consumers:
+            # The root's consumer is the client, whose long poll is
+            # re-armed after every quantum of the root task.
+            dirty.clear()
+            self._schedule_client_poll()
+        elif dirty:
+            for partition in sorted(dirty):
+                self._pump_transfers(task, partition)
+            dirty.clear()
         self._check_stage_completed(stage)
         self._check_done()
 

@@ -92,6 +92,9 @@ class OutputBuffer:
         self.total_bytes = 0
         # Peak utilization tracking (drives adaptive writer scaling).
         self.utilization_samples: list[float] = []
+        # Called with the partition on every add, and with each
+        # partition on set_finished: whoever ships the output learns
+        # which partitions have something new to send.
         self.on_data: Optional[Callable[[int], None]] = None
 
     @property
@@ -116,17 +119,18 @@ class OutputBuffer:
         entries.append(delivery)
         self.total_pages += 1
         self.total_bytes += size
+        if self.on_data is not None:
+            self.on_data(partition)
         if delivery.seq < self._cursors[partition]:
             # Re-execution regenerating an already-acknowledged prefix:
             # record it (sequence numbers stay aligned) but it is not
-            # pending output and exerts no backpressure.
+            # pending output and exerts no backpressure. (It still
+            # counts as data: a consumer replay may be waiting for it.)
             return
         self.buffered_bytes += size
         self.utilization_samples.append(self.utilization)
         if self.utilization > self.pressure_threshold:
             self.pressure_seen = True
-        if self.on_data is not None:
-            self.on_data(partition)
 
     def take_pressure(self) -> bool:
         """Return-and-clear: did utilization cross the threshold since the

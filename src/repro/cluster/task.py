@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.catalog.metadata import Metadata
 from repro.cluster.cost import CostModel
@@ -128,6 +128,7 @@ class SimTask:
         attempt: int = 0,
         routing_log: Optional[list] = None,
         on_commit: Optional[object] = None,
+        on_finished: Optional[Callable[[], None]] = None,
     ):
         self.task_id = task_id
         self.query_id = query_id
@@ -141,6 +142,9 @@ class SimTask:
         self.routing_log = routing_log
         # Commit fence for TableFinish (exactly-once metadata apply).
         self.on_commit = on_commit
+        # Called once, when the last driver finishes (the stage keeps a
+        # finished-task count instead of asking every task every time).
+        self.on_finished = on_finished
         # Stable identity across re-execution attempts: consumers dedup
         # and re-request streams by this key, not by task_id.
         self.attempt = attempt
@@ -160,11 +164,21 @@ class SimTask:
         self.output_buffer = OutputBuffer(
             output_partition_count, buffer_capacity, retain=retain_output
         )
+        # Output partitions written to (or finished) since the
+        # coordinator last pumped them; it pumps these and no others.
+        self.dirty_partitions: set[int] = set()
+        self.output_buffer.on_data = self.dirty_partitions.add
         planner = SimTaskPlanner(metadata, self)
         self.drivers = planner.plan_fragment(fragment)
         # Fusion outcome for this task's pipelines; the coordinator
         # aggregates it into cluster-wide exec.* counters at creation.
         self.fusion_report = planner.fusion_report
+        # Bookkeeping kept where it changes instead of re-derived per
+        # quantum: the drivers still running, every operator in one flat
+        # tuple, and the input-row total as of the last quantum.
+        self._live_drivers = list(self.drivers)
+        self._operators = tuple(op for d in self.drivers for op in d.operators)
+        self._input_rows = 0
         # Driver headed by each scan operator / exchange client, so that
         # the coordinator can ask whether input it just handed over can
         # be used (can_use) before spending a quantum on it.
@@ -241,9 +255,9 @@ class SimTask:
         """
         if not self.is_runnable():
             return 0.0, False, True
-        rows_before = sum(
-            op.input_rows for d in self.drivers for op in d.operators
-        )
+        rows_before = self._input_rows
+        operators = self._operators
+        live = self._live_drivers
         start = time.perf_counter()
         progressed_any = False
         stalled = False
@@ -251,24 +265,26 @@ class SimTask:
         passes = 0
         while virtual < quantum_ms:
             progressed = False
-            for driver in self.drivers:
-                if driver.is_finished():
-                    continue
+            closed = False
+            for driver in live:
                 if driver.process_once():
                     progressed = True
                 if driver.is_finished():
                     driver.close()
+                    closed = True
+            if closed:
+                live[:] = [d for d in live if not d.is_finished()]
+                if not live and self.on_finished is not None:
+                    self.on_finished()
             passes += 1
             if not progressed:
                 stalled = True
                 break
             progressed_any = True
             python_ms = (time.perf_counter() - start) * 1000
-            rows_now = sum(
-                op.input_rows for d in self.drivers for op in d.operators
-            )
+            self._input_rows = sum(op.input_rows for op in operators)
             virtual = self.cost_model.quantum_cost_ms(
-                python_ms, rows_now - rows_before, passes
+                python_ms, self._input_rows - rows_before, passes
             )
         # Charge simulated I/O (split time-to-first-byte + bandwidth).
         io_now = sum(op.io_cost_ms() for op in self.scan_operators)
@@ -288,7 +304,7 @@ class SimTask:
     def user_retained_bytes(self) -> int:
         """Operator state users can reason about from their inputs
         (hash tables, sort buffers) — 'user memory' per Sec. IV-F2."""
-        return sum(d.retained_bytes() for d in self.drivers)
+        return sum(op.retained_bytes() for op in self._operators)
 
     def system_retained_bytes(self) -> int:
         """Implementation byproducts: shuffle buffers."""
@@ -313,29 +329,31 @@ class SimTask:
 
     def revocable_bytes(self) -> int:
         return sum(
-            getattr(op, "revocable_bytes", lambda: 0)()
-            for d in self.drivers
-            for op in d.operators
+            getattr(op, "revocable_bytes", lambda: 0)() for op in self._operators
         )
 
     def revoke_memory(self, spill_context=None) -> int:
         """Ask revocable operators to spill (Sec. IV-F2); returns bytes
         released."""
         released = 0
-        for driver in self.drivers:
-            for op in driver.operators:
-                revoke = getattr(op, "revoke", None)
-                if revoke is None:
-                    continue
-                if spill_context is not None and hasattr(op, "spill_context"):
-                    op.spill_context = spill_context
-                released += revoke()
+        for op in self._operators:
+            revoke = getattr(op, "revoke", None)
+            if revoke is None:
+                continue
+            if spill_context is not None and hasattr(op, "spill_context"):
+                op.spill_context = spill_context
+            released += revoke()
         return released
 
     # -- lifecycle --------------------------------------------------------------------
 
+    @property
+    def drivers_finished(self) -> bool:
+        """Every driver ran to completion (``on_finished`` has fired)."""
+        return not self._live_drivers
+
     def is_finished(self) -> bool:
-        return all(d.is_finished() for d in self.drivers) or self.failed
+        return not self._live_drivers or self.failed
 
     def output_drained(self) -> bool:
         return self.output_buffer.finished and self.output_buffer.buffered_bytes == 0
