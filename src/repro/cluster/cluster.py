@@ -194,6 +194,9 @@ class SimCluster:
         # compiled into a FusedPipelineOperator vs. fallbacks by reason.
         self.pipelines_fused = 0
         self.fusion_fallbacks: dict[str, int] = {}
+        # Fragments lowered to a pipeline template: one per stage,
+        # however many tasks (and replacement attempts) instantiate it.
+        self.fragments_lowered = 0
         # Pages that took a per-row path instead of the vectorized
         # kernels, by "<operator>.<reason>", folded in as tasks finish.
         self.row_fallbacks: dict[str, int] = {}
@@ -920,6 +923,7 @@ class SimCluster:
             "df.waits_expired": self.df_waits_expired,
             "exec.pipelines_fused": self.pipelines_fused,
             "exec.fusion_fallbacks": sum(self.fusion_fallbacks.values()),
+            "exec.fragments_lowered": self.fragments_lowered,
         }
         for reason, count in sorted(self.fusion_fallbacks.items()):
             snapshot[f"exec.fusion_fallback.{reason}"] = count

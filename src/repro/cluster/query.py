@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.shuffle import OutputBuffer
-from repro.cluster.task import SimTask
+from repro.cluster.task import FragmentPlanner, SimTask
 from repro.connectors.hashing import stable_hash
 from repro.errors import (
     ExceededTimeLimitError,
@@ -90,9 +90,12 @@ class _ReplayState:
 
 
 class StageExecution:
-    def __init__(self, query: "QueryExecution", fragment: PlanFragment):
+    def __init__(self, query: "QueryExecution", fragment: PlanFragment, template):
         self.query = query
         self.fragment = fragment
+        # The fragment lowered once; every task of the stage, first
+        # attempt or replacement, instantiates it (paper Sec. IV-D).
+        self.template = template
         self.tasks: list[SimTask] = []
         self.started = False
         self.scan_schedules: list[_ScanSchedule] = []
@@ -327,7 +330,10 @@ class QueryExecution:
         # Create tasks bottom-up is unnecessary; all at once works since
         # delivery targets are looked up at transfer time.
         for fragment_id, fragment in fragments.items():
-            stage = StageExecution(self, fragment)
+            stage = StageExecution(
+                self, fragment, FragmentPlanner(cluster.metadata).lower_fragment(fragment)
+            )
+            cluster.fragments_lowered += 1
             self.stages[fragment_id] = stage
             consumer = self._consumers.get(fragment_id)
             if consumer is None:
@@ -351,7 +357,7 @@ class QueryExecution:
                     query_id=self.query_id,
                     fragment=fragment,
                     worker=worker,
-                    metadata=cluster.metadata,
+                    template=stage.template,
                     partition=partition,
                     output_partition_count=output_partitions,
                     remote_source_symbols=remote_symbols,
@@ -370,7 +376,7 @@ class QueryExecution:
                     on_commit=self._commit_guard(),
                     on_finished=stage.task_finished,
                 )
-                cluster.record_fusion(task.fusion_report)
+                cluster.record_fusion(stage.template.fusion_report)
                 # Output pages become visible only when the producing
                 # quantum's virtual time completes (on_task_quantum), so
                 # data flow cannot outrun the simulated clock.
@@ -612,7 +618,7 @@ class QueryExecution:
             )
         target.add_split_to(schedule.scan_index, split)
         schedule.assigned += 1
-        if target.can_use(target.scan_operators[schedule.scan_index]):
+        if target.can_use(schedule.scan_index):
             target.worker.kick(target)
 
     def _affinity_target(self, schedule, split, tasks):
@@ -754,7 +760,7 @@ class QueryExecution:
             if accepted and replay_key not in self._replays:
                 self._record_delivery(replay_key, producer_key, delivery.seq)
                 self._release_acked(task, partition, delivery.seq)
-            if client.has_output and consumer_task.can_use(client):
+            if client.has_output and consumer_task.can_use(client_key):
                 consumer_task.worker.kick(consumer_task)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
@@ -996,7 +1002,7 @@ class QueryExecution:
             query_id=self.query_id,
             fragment=fragment,
             worker=worker,
-            metadata=cluster.metadata,
+            template=self.stages[fragment.id].template,
             partition=old.partition,
             output_partition_count=old.output_buffer.partition_count,
             remote_source_symbols=remote_symbols,
@@ -1008,7 +1014,7 @@ class QueryExecution:
             on_commit=self._commit_guard(),
             on_finished=self.stages[fragment.id].task_finished,
         )
-        cluster.record_fusion(new.fusion_report)
+        cluster.record_fusion(new.template.fusion_report)
         # Carry adaptive writer-scaling state across attempts: the
         # journaled routing log replays past routes exactly; new pages
         # route against the scale-up level already reached.
@@ -1190,16 +1196,14 @@ class QueryExecution:
         # or finished. Every other way a partition can have something to
         # send re-pumps it itself (a completed delivery or replay, a
         # replaced consumer, a dead worker's sweep).
-        dirty = task.dirty_partitions
+        dirty = task.output_buffer.take_dirty()
         if task.fragment.id not in self._consumers:
             # The root's consumer is the client, whose long poll is
             # re-armed after every quantum of the root task.
-            dirty.clear()
             self._schedule_client_poll()
-        elif dirty:
-            for partition in sorted(dirty):
+        else:
+            for partition in dirty:
                 self._pump_transfers(task, partition)
-            dirty.clear()
         self._check_stage_completed(stage)
         self._check_done()
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.connectors.hashing import stable_hash
 from repro.exec import kernels
@@ -92,10 +92,10 @@ class OutputBuffer:
         self.total_bytes = 0
         # Peak utilization tracking (drives adaptive writer scaling).
         self.utilization_samples: list[float] = []
-        # Called with the partition on every add, and with each
-        # partition on set_finished: whoever ships the output learns
-        # which partitions have something new to send.
-        self.on_data: Optional[Callable[[int], None]] = None
+        # Bit p set: partition p was written to (or finished) since
+        # take_dirty() last ran — whoever ships the output pumps those
+        # partitions and no others.
+        self._dirty = 0
 
     @property
     def queues(self) -> list[list[_Delivery]]:
@@ -119,13 +119,13 @@ class OutputBuffer:
         entries.append(delivery)
         self.total_pages += 1
         self.total_bytes += size
-        if self.on_data is not None:
-            self.on_data(partition)
+        self._dirty |= 1 << partition
         if delivery.seq < self._cursors[partition]:
             # Re-execution regenerating an already-acknowledged prefix:
             # record it (sequence numbers stay aligned) but it is not
-            # pending output and exerts no backpressure. (It still
-            # counts as data: a consumer replay may be waiting for it.)
+            # pending output and exerts no backpressure. (It still marks
+            # the partition dirty: a consumer replay may be waiting for
+            # exactly this page.)
             return
         self.buffered_bytes += size
         self.utilization_samples.append(self.utilization)
@@ -205,9 +205,13 @@ class OutputBuffer:
 
     def set_finished(self) -> None:
         self.finished = True
-        if self.on_data is not None:
-            for partition in range(self.partition_count):
-                self.on_data(partition)
+        self._dirty = (1 << self.partition_count) - 1  # an EOF for each
+
+    def take_dirty(self) -> list[int]:
+        """Return-and-clear, ascending: the partitions with a page or
+        an EOF the transfer service has not been told about."""
+        dirty, self._dirty = self._dirty, 0
+        return [p for p in range(self.partition_count) if dirty >> p & 1]
 
     def is_drained(self, partition: int) -> bool:
         return self.finished and self._cursors[partition] >= len(

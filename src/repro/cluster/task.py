@@ -1,10 +1,11 @@
 """Simulated tasks: one fragment instance on one worker (paper Sec. IV-D).
 
-A task owns the fragment's pipelines (drivers). The planner here
-subclasses the local execution planner, replacing table scans with
-dynamically-fed scan operators (splits arrive from the coordinator's
-split scheduler, Sec. IV-D3) and remote sources / the fragment root
-with exchange operators.
+A task owns one instance of its fragment's pipelines (drivers). The
+planner here subclasses the local execution planner, replacing table
+scans with dynamically-fed scan operators (splits arrive from the
+coordinator's split scheduler, Sec. IV-D3) and remote sources / the
+fragment root with exchange operators; it runs once per stage, and every
+task of the stage instantiates the resulting template.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.catalog.metadata import Metadata
 from repro.cluster.cost import CostModel
 from repro.cluster.shuffle import (
     ExchangeClient,
@@ -21,55 +21,91 @@ from repro.cluster.shuffle import (
     ExchangeSourceOperator,
     OutputBuffer,
 )
-from repro.exec.driver import Driver
-from repro.exec.local import LocalExecutionPlanner, _channel
+from repro.exec.local import (
+    ExecutionTemplate,
+    LocalExecutionPlanner,
+    OperatorFactory,
+    channel_map,
+    channel_select,
+)
 from repro.exec.operators.core import TableScanOperator
+from repro.exec.operators.misc import TableFinishOperator
 from repro.planner import nodes as plan
 from repro.planner.fragmenter import PlanFragment
 
 
-class SimTaskPlanner(LocalExecutionPlanner):
-    """Lowers one fragment into pipelines with exchange endpoints."""
+class FragmentPlanner(LocalExecutionPlanner):
+    """Lowers one fragment, once per stage, into a template with
+    exchange endpoints. The context its factories read is the
+    :class:`SimTask` being instantiated: output buffer, exchange
+    clients, dynamic-filter registry, worker stripe cache, routing log,
+    commit guard and the recovery flag are the task's own."""
 
-    def __init__(self, metadata: Metadata, task: "SimTask"):
+    def __init__(self, metadata):
         super().__init__(metadata)
-        self.task = task
-        # Build operators publish into the task-local registry; the
-        # coordinator drains it after each quantum (repro.cluster.query).
-        self.dynamic_filters = task.dynamic_filters
+        # Scans seen so far; a scan's number is what the coordinator's
+        # split scheduler addresses it by (walk_plan order).
+        self._scan_count = 0
 
-    def plan_fragment(self, fragment: PlanFragment) -> list[Driver]:
-        operators, symbols = self.visit(fragment.root)
-        sink = ExchangeSinkOperator(
-            self.task.output_buffer,
-            fragment.output_kind,
-            [_channel(symbols, s) for s in fragment.output_keys],
-            routing_log=self.task.routing_log,
+    def lower_fragment(self, fragment: PlanFragment) -> ExecutionTemplate:
+        factories, symbols = self.visit(fragment.root)
+        channels = channel_map(symbols)
+        partition_channels = [channels[s.name] for s in fragment.output_keys]
+        kind = fragment.output_kind
+        factories.append(
+            OperatorFactory(
+                lambda instance: ExchangeSinkOperator(
+                    instance.context.output_buffer,
+                    kind,
+                    partition_channels,
+                    routing_log=instance.context.routing_log,
+                ),
+                ExchangeSinkOperator.name,
+                ExchangeSinkOperator.name,
+            )
         )
-        operators.append(sink)
-        self.pipelines.append(operators)
-        from repro.exec.pipeline import compile_pipelines
-
-        compiled = compile_pipelines(self.pipelines, self.fusion_report)
-        return [Driver(ops) for ops in compiled]
+        self.pipelines.append(factories)
+        return ExecutionTemplate(
+            self.pipelines, self._shared, scan_count=self._scan_count
+        )
 
     def _visit_TableScanNode(self, node: plan.TableScanNode):
         connector = self.metadata.connector(node.table.catalog)
         columns = [node.assignments[s] for s in node.outputs]
-        scan = TableScanOperator(connector, columns)
-        scan.stripe_cache = getattr(self.task.worker, "stripe_cache", None)
-        # Same-fragment (broadcast-join) filters apply live through the
-        # task registry — except under task recovery, where page content
-        # must be a pure function of the replayed split log, so filters
-        # reach the scan only via coordinator-attached splits.
-        if not self.task.recovery_active:
-            self._attach_scan_filters(scan, node, columns)
-        self.task.scan_operators.append(scan)
+        filter_specs = self._scan_filter_specs(node, columns)
+        scan_index = self._scan_count
+        self._scan_count += 1
+
+        def make(instance):
+            task = instance.context
+            scan = TableScanOperator(connector, columns)
+            scan.stripe_cache = getattr(task.worker, "stripe_cache", None)
+            # Same-fragment (broadcast-join) filters apply live through the
+            # task registry — except under task recovery, where page content
+            # must be a pure function of the replayed split log, so filters
+            # reach the scan only via coordinator-attached splits.
+            if filter_specs and not task.recovery_active:
+                scan.attach_dynamic_filters(filter_specs, task.dynamic_filters)
+            # Splits arrive from the coordinator, addressed by the
+            # scan's position in the plan.
+            task.scan_operators[scan_index] = scan
+            return scan
+
+        scan = OperatorFactory(
+            make, TableScanOperator.name, TableScanOperator.name, fed_by=scan_index
+        )
         return [scan], list(node.outputs)
 
     def _visit_RemoteSourceNode(self, node: plan.RemoteSourceNode):
-        client = self.task.exchange_clients[tuple(node.fragment_ids)]
-        return [ExchangeSourceOperator(client)], list(node.outputs)
+        key = tuple(node.fragment_ids)
+        source = OperatorFactory(
+            lambda instance: ExchangeSourceOperator(
+                instance.context.exchange_clients[key]
+            ),
+            ExchangeSourceOperator.name,
+            fed_by=key,
+        )
+        return [source], list(node.outputs)
 
     def _visit_TableFinishNode(self, node: plan.TableFinishNode):
         # Exactly-once commit under fault tolerance: the coordinator's
@@ -77,27 +113,26 @@ class SimTaskPlanner(LocalExecutionPlanner):
         # TableFinish task (or a re-run after coordinator restart)
         # regenerates the same row count without applying the write a
         # second time.
-        operators, _symbols = self.visit(node.source)
+        factories, _symbols = self.visit(node.source)
         metadata = self.metadata
-        commit_guard = self.task.on_commit
 
-        def commit(fragments):
-            if commit_guard is None or commit_guard():
-                metadata.finish_insert(node.target, node.insert_handle, fragments)
+        def make(instance):
+            commit_guard = instance.context.on_commit
 
-        from repro.exec.local import TableFinishOperator
+            def commit(fragments):
+                if commit_guard is None or commit_guard():
+                    metadata.finish_insert(node.target, node.insert_handle, fragments)
 
-        operators.append(TableFinishOperator(commit))
-        return operators, [node.rows_symbol]
+            return TableFinishOperator(commit)
+
+        factories.append(OperatorFactory(make, TableFinishOperator.name))
+        return factories, [node.rows_symbol]
 
     def _visit_OutputNode(self, node: plan.OutputNode):
         # The root fragment's OutputNode maps symbols to client columns.
-        operators, symbols = self.visit(node.source)
-        channels = [_channel(symbols, s) for s in node.outputs]
-        from repro.exec.local import ChannelSelectOperator
-
-        operators.append(ChannelSelectOperator(channels))
-        return operators, list(node.outputs)
+        factories, symbols = self.visit(node.source)
+        factories.append(channel_select(symbols, node.outputs))
+        return factories, list(node.outputs)
 
 
 @dataclass
@@ -112,13 +147,26 @@ class TaskStats:
 class SimTask:
     """One task: fragment pipelines + split queue + output buffer."""
 
+    # A cluster retains every finished query's tasks; past 30 attributes
+    # CPython gives each instance a full dict (1.5 KB a task, +45 MB on
+    # adhoc_short), so the attribute set is closed.
+    __slots__ = (
+        "task_id", "query_id", "fragment", "worker", "template", "partition",
+        "cost_model", "routing_log", "on_commit", "on_finished", "attempt",
+        "producer_key", "dynamic_filters", "recovery_active", "scan_operators",
+        "exchange_clients", "output_buffer", "drivers", "stats",
+        "no_more_splits_flag", "failed", "superseded", "memory_blocked",
+        "split_log", "_live_drivers", "_operators", "_input_rows",
+        "_last_user_retained", "_last_system_retained", "_last_io_ms",
+    )  # fmt: skip
+
     def __init__(
         self,
         task_id: str,
         query_id: str,
         fragment: PlanFragment,
         worker: "object",
-        metadata: Metadata,
+        template: ExecutionTemplate,
         partition: int,
         output_partition_count: int,
         remote_source_symbols: dict[tuple, tuple],
@@ -134,6 +182,8 @@ class SimTask:
         self.query_id = query_id
         self.fragment = fragment
         self.worker = worker
+        # The stage's lowered fragment; this task is one instance of it.
+        self.template = template
         self.partition = partition
         self.cost_model = cost_model
         # Coordinator-owned round-robin routing journal shared across
@@ -157,37 +207,20 @@ class SimTask:
 
         self.dynamic_filters = DynamicFilterRegistry()
         self.recovery_active = retain_output
-        self.scan_operators: list[TableScanOperator] = []
+        self.scan_operators: list[TableScanOperator] = [None] * template.scan_count
         self.exchange_clients: dict[tuple, ExchangeClient] = {}
         for key, (symbols, ordering) in remote_source_symbols.items():
             self.exchange_clients[key] = ExchangeClient(symbols, ordering)
         self.output_buffer = OutputBuffer(
             output_partition_count, buffer_capacity, retain=retain_output
         )
-        # Output partitions written to (or finished) since the
-        # coordinator last pumped them; it pumps these and no others.
-        self.dirty_partitions: set[int] = set()
-        self.output_buffer.on_data = self.dirty_partitions.add
-        planner = SimTaskPlanner(metadata, self)
-        self.drivers = planner.plan_fragment(fragment)
-        # Fusion outcome for this task's pipelines; the coordinator
-        # aggregates it into cluster-wide exec.* counters at creation.
-        self.fusion_report = planner.fusion_report
+        self.drivers = template.instantiate(self)
         # Bookkeeping kept where it changes instead of re-derived per
         # quantum: the drivers still running, every operator in one flat
         # tuple, and the input-row total as of the last quantum.
         self._live_drivers = list(self.drivers)
         self._operators = tuple(op for d in self.drivers for op in d.operators)
         self._input_rows = 0
-        # Driver headed by each scan operator / exchange client, so that
-        # the coordinator can ask whether input it just handed over can
-        # be used (can_use) before spending a quantum on it.
-        self._source_driver: dict[int, Driver] = {}
-        for driver in self.drivers:
-            source = driver.operators[0]
-            source = getattr(source, "scan", source)  # fused: the embedded scan
-            source = getattr(source, "client", source)
-            self._source_driver[id(source)] = driver
         self.stats = TaskStats()
         self.no_more_splits_flag = False
         self.failed = False
@@ -214,12 +247,14 @@ class SimTask:
         self.scan_operators[scan_index].add_split(split)
 
     def can_use(self, source) -> bool:
-        """``source`` — one of this task's scan operators or exchange
-        clients — just received a split or a page: can its driver move
-        it on? False when the next operator takes no input (a probe
-        waiting for its build side, a full sink), which a later quantum
-        of this task or a freed buffer resolves, not this arrival."""
-        return self._source_driver[id(source)].accepts_source_output()
+        """The scan (``source``: its index) or exchange client (its
+        remote-source key) just received a split or a page: can the
+        driver it heads move that on? False when the next operator takes
+        no input (a probe waiting for its build side, a full sink),
+        which a later quantum of this task or a freed buffer resolves,
+        not this arrival."""
+        driver = self.drivers[self.template.input_pipeline[source]]
+        return driver.accepts_source_output()
 
     def no_more_splits(self) -> None:
         self.no_more_splits_flag = True

@@ -1,20 +1,24 @@
-"""Single-process execution: lowers a plan tree to pipelines of
-operators and runs the drivers to completion.
+"""Lowering: a plan tree becomes a template of operator pipelines, and
+the template is instantiated into drivers once per task.
 
-This is the engine's local mode, used directly by tests/examples and by
-each simulated worker in the cluster runtime (each task executes a plan
-fragment through exactly this machinery).
+This is the one lowering path. The local engine lowers a whole plan and
+instantiates it once (``execute_plan``); the cluster runtime lowers each
+plan fragment once per stage through a subclass that swaps in exchange
+endpoints (repro.cluster.task) and instantiates it for every task of
+the stage — "every task of a stage runs the same pipelines" (paper
+Sec. IV-D).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.catalog.metadata import Metadata
 from repro.errors import NotSupportedError, PrestoError
 from repro.exec.blocks import make_block
 from repro.exec.compiler import compile_expression
 from repro.exec.driver import Driver, run_drivers_to_completion
+from repro.exec.dynamic_filters import DynamicFilterRegistry
 from repro.exec.operator import Operator, StreamingOperator, row_fallback_counts
 from repro.exec.operators.aggregation import AggregatorSpec, HashAggregationOperator
 from repro.exec.operators.core import (
@@ -54,7 +58,8 @@ from repro.exec.operators.sorting import (
     WindowOperator,
 )
 from repro.exec.page import Page, page_from_rows
-from repro.exec.pipeline import FusionReport, compile_pipelines
+from repro.exec.page_processor import PageProcessor
+from repro.exec.pipeline import FusionReport, fuse, fusible_prefix
 from repro.exec import interpreter
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
@@ -75,8 +80,129 @@ class ExecutionResult:
         return out
 
 
+class OperatorFactory:
+    """One slot of a lowered pipeline: how to make the slot's operator
+    for one task, plus what the pipeline compiler needs to know about it
+    before any operator exists — its name and its fusion stage label
+    (``None``: the fused pass cannot embed it)."""
+
+    __slots__ = ("make", "name", "label", "fed_by")
+
+    def __init__(
+        self,
+        make: Callable[["_Instance"], Operator],
+        name: str,
+        label: Optional[str] = None,
+        fed_by=None,
+    ):
+        self.make = make
+        self.name = name
+        self.label = label
+        #: for a source fed from outside the instance, what feeds it: a
+        #: scan's index in plan order, a remote source's key
+        self.fed_by = fed_by
+
+
+class _Instance:
+    """What one ``instantiate`` call hands every factory: the caller's
+    context (whatever is per task) and this instance's shared objects —
+    join bridges and local buffers, one per slot of the template."""
+
+    __slots__ = ("context", "shared")
+
+    def __init__(self, context, shared: list):
+        self.context = context
+        self.shared = shared
+
+
+class LocalContext:
+    """Per-execution state of a locally run plan: the live dynamic-filter
+    exchange between its build operators and probe scans
+    (repro.exec.dynamic_filters), and the collector its output pipeline
+    ends in."""
+
+    def __init__(self):
+        self.dynamic_filters = DynamicFilterRegistry()
+        self.collector: Optional[OutputCollectorOperator] = None
+
+
+class ExecutionTemplate:
+    """A plan (or plan fragment) lowered once.
+
+    Shared by every instance: the pipelines as operator factories, with
+    channels resolved, expressions compiled, aggregator specs bound and
+    the fusion decision taken. Made per ``instantiate`` call: every
+    operator (all operator state is per task), the bridges and local
+    buffers linking an instance's pipelines, and whatever the factories
+    read from the caller's ``context`` — dynamic-filter registry, and in
+    a cluster task its output buffer, exchange clients, stripe cache,
+    page sinks and commit guard."""
+
+    def __init__(
+        self,
+        pipelines: list[list[OperatorFactory]],
+        shared: list[Callable[[], object]],
+        interpreted: bool = False,
+        scan_count: int = 0,
+    ):
+        self.pipelines = pipelines
+        self._shared = shared
+        #: scans fed from outside (a fragment's, numbered in plan order)
+        self.scan_count = scan_count
+        #: external input (see OperatorFactory.fed_by) -> the pipeline,
+        #: hence driver, it heads
+        self.input_pipeline = {
+            factories[0].fed_by: index
+            for index, factories in enumerate(pipelines)
+            if factories[0].fed_by is not None
+        }
+        self.fusion_report = FusionReport()
+        self._labels = [[f.label for f in factories] for factories in pipelines]
+        self._fused = [
+            fusible_prefix(
+                [f.name for f in factories], labels, self.fusion_report, interpreted
+            )
+            for factories, labels in zip(pipelines, self._labels)
+        ]
+
+    def instantiate(self, context) -> list[Driver]:
+        """The drivers of one task, one per pipeline."""
+        instance = _Instance(context, [make() for make in self._shared])
+        drivers = []
+        for factories, labels, fused in zip(self.pipelines, self._labels, self._fused):
+            operators = [factory.make(instance) for factory in factories]
+            if fused:
+                operators = fuse(operators, labels, fused)
+            drivers.append(Driver(operators))
+        return drivers
+
+
+class _Channels(dict):
+    """Symbol name -> channel of one operator's output layout."""
+
+    def __missing__(self, name: str):
+        raise PrestoError(f"Symbol {name} not found in {list(self)}")
+
+
+def channel_map(symbols: Sequence[Symbol]) -> _Channels:
+    channels = _Channels()
+    for i, symbol in enumerate(symbols):
+        channels.setdefault(symbol.name, i)
+    return channels
+
+
+def _identity(symbols: Sequence[Symbol]) -> list[ir.RowExpression]:
+    return [ir.Variable(s.type, s.name) for s in symbols]
+
+
 class LocalExecutionPlanner:
-    """Lowers plan nodes to operator pipelines.
+    """Lowers plan nodes to pipeline templates.
+
+    A plan is walked once; each ``_visit_*`` returns the factories of
+    the pipeline it extends and that pipeline's output symbols, and
+    completed feeding pipelines (join builds, union branches) are
+    appended to ``self.pipelines``. Everything that can be decided from
+    the plan is decided here, so that a factory only constructs.
 
     ``interpreted=True`` selects row-at-a-time interpreted expression
     evaluation in every filter/project (and join residual) instead of
@@ -87,35 +213,58 @@ class LocalExecutionPlanner:
     def __init__(self, metadata: Metadata, interpreted: bool = False):
         self.metadata = metadata
         self.interpreted = interpreted
-        self.pipelines: list[list[Operator]] = []
-        # Filled by the pipeline compiler at plan time: how many
-        # pipelines fused and why the rest fell back (repro.exec.pipeline).
+        self.pipelines: list[list[OperatorFactory]] = []
+        self._shared: list[Callable[[], object]] = []
+        # Set by plan(): how many pipelines fused and why the rest fell
+        # back (repro.exec.pipeline).
         self.fusion_report = FusionReport()
-        # Live dynamic-filter exchange between build operators and probe
-        # scans planned from the same tree (repro.exec.dynamic_filters).
-        from repro.exec.dynamic_filters import DynamicFilterRegistry
-
-        self.dynamic_filters = DynamicFilterRegistry()
 
     # -- public API ------------------------------------------------------------
 
-    def plan(self, root: plan.PlanNode) -> tuple[list[Driver], OutputCollectorOperator]:
+    def lower(self, root: plan.PlanNode) -> ExecutionTemplate:
+        """Template of a whole plan, ending in an output collector."""
         if not isinstance(root, plan.OutputNode):
             raise PrestoError("execution roots must be OutputNode")
-        operators, symbols = self.visit(root.source)
-        channels = [_channel(symbols, s) for s in root.outputs]
-        collector = OutputCollectorOperator(channels)
-        operators.append(collector)
-        self.pipelines.append(operators)
-        compiled = compile_pipelines(
-            self.pipelines, self.fusion_report, interpreted=self.interpreted
+        factories, symbols = self.visit(root.source)
+        channels = channel_map(symbols)
+        selected = [channels[s.name] for s in root.outputs]
+
+        def collector(instance):
+            instance.context.collector = OutputCollectorOperator(selected)
+            return instance.context.collector
+
+        factories.append(OperatorFactory(collector, OutputCollectorOperator.name))
+        self.pipelines.append(factories)
+        return ExecutionTemplate(self.pipelines, self._shared, self.interpreted)
+
+    def plan(self, root: plan.PlanNode) -> tuple[list[Driver], OutputCollectorOperator]:
+        """Lower and instantiate once: the drivers of a local run."""
+        template = self.lower(root)
+        self.fusion_report = template.fusion_report
+        context = LocalContext()
+        drivers = template.instantiate(context)
+        return drivers, context.collector
+
+    def _share(self, make: Callable[[], object]) -> int:
+        """Reserve a per-instance object shared between operators of
+        different pipelines; factories read it as
+        ``instance.shared[slot]``."""
+        self._shared.append(make)
+        return len(self._shared) - 1
+
+    def _filter_project(self, symbols, filter_expr, projections) -> OperatorFactory:
+        processor = PageProcessor(
+            symbols, filter_expr, projections, interpreted=self.interpreted
         )
-        drivers = [Driver(ops) for ops in compiled]
-        return drivers, collector
+        return OperatorFactory(
+            lambda instance: FilterProjectOperator(processor.fresh()),
+            FilterProjectOperator.name,
+            None if self.interpreted else FilterProjectOperator.name,
+        )
 
     # -- node dispatch -------------------------------------------------------------
 
-    def visit(self, node: plan.PlanNode) -> tuple[list[Operator], list[Symbol]]:
+    def visit(self, node: plan.PlanNode) -> tuple[list[OperatorFactory], list[Symbol]]:
         method = getattr(self, "_visit_" + type(node).__name__, None)
         if method is None:
             raise NotSupportedError(f"Cannot execute plan node {type(node).__name__}")
@@ -130,41 +279,35 @@ class LocalExecutionPlanner:
             layouts = self.metadata.table_layouts(node.table, node.constraint, [])
             layout = layouts[0]
         columns = [node.assignments[s] for s in node.outputs]
-        scan = TableScanOperator(connector, columns)
-        self._attach_scan_filters(scan, node, columns)
-        source = connector.split_source(layout)
-        while not source.is_finished():
-            for split in source.get_next_batch(1000):
-                scan.add_split(split)
-        scan.no_more_splits()
+        filter_specs = self._scan_filter_specs(node, columns)
+
+        def make(instance):
+            scan = TableScanOperator(connector, columns)
+            if filter_specs:
+                scan.attach_dynamic_filters(
+                    filter_specs, instance.context.dynamic_filters
+                )
+            source = connector.split_source(layout)
+            while not source.is_finished():
+                for split in source.get_next_batch(1000):
+                    scan.add_split(split)
+            scan.no_more_splits()
+            return scan
+
+        scan = OperatorFactory(make, TableScanOperator.name, TableScanOperator.name)
         return [scan], list(node.outputs)
 
-    def _attach_scan_filters(self, scan, node: plan.TableScanNode, columns) -> None:
-        """Wire the scan to the plan-wide registry for every dynamic
-        filter the optimizer annotated it with."""
-        if not node.dynamic_filters or self.dynamic_filters is None:
-            return
-        specs = [
+    def _scan_filter_specs(self, node: plan.TableScanNode, columns) -> list[tuple[str, int]]:
+        """(filter id, channel) for every dynamic filter the optimizer
+        annotated the scan with; the scan applies them through its
+        instance's registry."""
+        if not node.dynamic_filters:
+            return []
+        return [
             (filter_id, columns.index(column))
             for filter_id, column in sorted(node.dynamic_filters.items())
             if column in columns
         ]
-        if specs:
-            scan.attach_dynamic_filters(specs, self.dynamic_filters)
-
-    def _build_filter_specs(self, node) -> list[tuple[str, int]]:
-        """(filter id, build key channel index) pairs for a join node's
-        annotated dynamic filters."""
-        if self.dynamic_filters is None:
-            return []
-        return sorted(
-            (filter_id, index)
-            for filter_id, index in node.dynamic_filter_ids.items()
-        )
-
-    def _publish_dynamic_filter(self, filter_) -> None:
-        if self.dynamic_filters is not None:
-            self.dynamic_filters.publish(filter_)
 
     def _visit_ValuesNode(self, node: plan.ValuesNode):
         rows = [
@@ -175,20 +318,18 @@ class LocalExecutionPlanner:
             pages = [page_from_rows(types, rows)] if rows else []
         else:
             pages = [Page([], len(rows))] if rows else []
-        return [ValuesOperator(pages)], list(node.outputs)
+        values = OperatorFactory(lambda instance: ValuesOperator(pages), ValuesOperator.name)
+        return [values], list(node.outputs)
 
     # -- stateless transforms --------------------------------------------------------------
 
     def _visit_FilterNode(self, node: plan.FilterNode):
         # Fuse Filter(+Project above it is handled in ProjectNode).
-        operators, symbols = self.visit(node.source)
-        identity = [ir.Variable(s.type, s.name) for s in symbols]
-        operators.append(
-            FilterProjectOperator(
-                symbols, node.predicate, identity, interpreted=self.interpreted
-            )
+        factories, symbols = self.visit(node.source)
+        factories.append(
+            self._filter_project(symbols, node.predicate, _identity(symbols))
         )
-        return operators, symbols
+        return factories, symbols
 
     def _visit_ProjectNode(self, node: plan.ProjectNode):
         source = node.source
@@ -197,36 +338,53 @@ class LocalExecutionPlanner:
             # Fused ScanFilterProject-style operator (paper Fig. 4).
             filter_expr = source.predicate
             source = source.source
-        operators, symbols = self.visit(source)
-        projections = list(node.assignments.values())
-        operators.append(
-            FilterProjectOperator(
-                symbols, filter_expr, projections, interpreted=self.interpreted
-            )
+        factories, symbols = self.visit(source)
+        factories.append(
+            self._filter_project(symbols, filter_expr, list(node.assignments.values()))
         )
-        return operators, list(node.assignments.keys())
+        return factories, list(node.assignments.keys())
 
     def _visit_LimitNode(self, node: plan.LimitNode):
-        operators, symbols = self.visit(node.source)
-        operators.append(LimitOperator(node.count))
-        return operators, symbols
+        factories, symbols = self.visit(node.source)
+        count = node.count
+        factories.append(
+            OperatorFactory(
+                lambda instance: LimitOperator(count),
+                LimitOperator.name,
+                LimitOperator.name,
+            )
+        )
+        return factories, symbols
 
     def _visit_SampleNode(self, node: plan.SampleNode):
         from repro.exec.operators.misc import SampleOperator
 
-        operators, symbols = self.visit(node.source)
-        operators.append(SampleOperator(node.fraction, node.method))
-        return operators, symbols
+        factories, symbols = self.visit(node.source)
+        factories.append(
+            OperatorFactory(
+                lambda instance: SampleOperator(node.fraction, node.method),
+                SampleOperator.name,
+            )
+        )
+        return factories, symbols
 
     def _visit_DistinctNode(self, node: plan.DistinctNode):
-        operators, symbols = self.visit(node.source)
-        operators.append(DistinctOperator())
-        return operators, symbols
+        factories, symbols = self.visit(node.source)
+        factories.append(
+            OperatorFactory(lambda instance: DistinctOperator(), DistinctOperator.name)
+        )
+        return factories, symbols
 
     def _visit_EnforceSingleRowNode(self, node: plan.EnforceSingleRowNode):
-        operators, symbols = self.visit(node.source)
-        operators.append(EnforceSingleRowOperator(len(symbols)))
-        return operators, symbols
+        factories, symbols = self.visit(node.source)
+        width = len(symbols)
+        factories.append(
+            OperatorFactory(
+                lambda instance: EnforceSingleRowOperator(width),
+                EnforceSingleRowOperator.name,
+            )
+        )
+        return factories, symbols
 
     def _visit_ExchangeNode(self, node: plan.ExchangeNode):
         # In single-process mode exchanges are identity data movements.
@@ -235,19 +393,19 @@ class LocalExecutionPlanner:
     # -- aggregation -----------------------------------------------------------------------
 
     def _visit_AggregationNode(self, node: plan.AggregationNode):
-        operators, symbols = self.visit(node.source)
-        group_channels = [_channel(symbols, s) for s in node.group_by]
+        factories, symbols = self.visit(node.source)
+        channels = channel_map(symbols)
+        group_channels = [channels[s.name] for s in node.group_by]
         group_types = [s.type for s in node.group_by]
         specs = []
         for out_symbol, call in node.aggregations.items():
             arg_channels = [
-                _channel(symbols, a.to_symbol()) for a in call.arguments
-                if isinstance(a, ir.Variable)
+                channels[a.name] for a in call.arguments if isinstance(a, ir.Variable)
             ]
             filter_channel = None
             if call.filter is not None:
                 assert isinstance(call.filter, ir.Variable)
-                filter_channel = _channel(symbols, call.filter.to_symbol())
+                filter_channel = channels[call.filter.name]
             specs.append(
                 AggregatorSpec(
                     call.function,
@@ -258,17 +416,24 @@ class LocalExecutionPlanner:
                     tuple(symbols[c].type for c in arg_channels),
                 )
             )
-        operators.append(
-            HashAggregationOperator(group_channels, group_types, specs, node.step)
+        step = node.step
+        factories.append(
+            OperatorFactory(
+                lambda instance: HashAggregationOperator(
+                    group_channels, group_types, specs, step
+                ),
+                HashAggregationOperator.name,
+                f"Aggregate[{step.value.lower()}]",
+            )
         )
-        return operators, node.group_by + list(node.aggregations.keys())
+        return factories, node.group_by + list(node.aggregations.keys())
 
     # -- joins -------------------------------------------------------------------------------
 
     def _visit_JoinNode(self, node: plan.JoinNode):
-        probe_ops, probe_symbols = self.visit(node.left)
-        build_ops, build_symbols = self.visit(node.right)
-        bridge = JoinBridge()
+        probe, probe_symbols = self.visit(node.left)
+        build, build_symbols = self.visit(node.right)
+        bridge = self._share(JoinBridge)
         output_symbols = probe_symbols + build_symbols
         outer = node.join_type in (
             plan.JoinType.LEFT,
@@ -282,34 +447,46 @@ class LocalExecutionPlanner:
             # empty key list (all rows share the key ``()``), because
             # padding of unmatched rows needs the matched-tracking the
             # filter approach cannot provide.
-            build_ops.append(NestedLoopBuildOperator(bridge))
-            self.pipelines.append(build_ops)
-            probe_ops.append(NestedLoopJoinOperator(bridge))
+            build.append(
+                OperatorFactory(
+                    lambda instance: NestedLoopBuildOperator(instance.shared[bridge]),
+                    NestedLoopBuildOperator.name,
+                )
+            )
+            self.pipelines.append(build)
+            probe.append(
+                OperatorFactory(
+                    lambda instance: NestedLoopJoinOperator(instance.shared[bridge]),
+                    NestedLoopJoinOperator.name,
+                )
+            )
             if node.filter is not None:
-                identity = [ir.Variable(s.type, s.name) for s in output_symbols]
-                probe_ops.append(
-                    FilterProjectOperator(
-                        output_symbols,
-                        node.filter,
-                        identity,
-                        interpreted=self.interpreted,
+                probe.append(
+                    self._filter_project(
+                        output_symbols, node.filter, _identity(output_symbols)
                     )
                 )
-            return probe_ops, output_symbols
-        build_keys = [_channel(build_symbols, c.right) for c in node.criteria]
-        probe_keys = [_channel(probe_symbols, c.left) for c in node.criteria]
+            return probe, output_symbols
+        build_channels = channel_map(build_symbols)
+        probe_channels = channel_map(probe_symbols)
+        build_keys = [build_channels[c.right.name] for c in node.criteria]
+        probe_keys = [probe_channels[c.left.name] for c in node.criteria]
         df_specs = [
-            (fid, build_keys[index]) for fid, index in self._build_filter_specs(node)
+            (filter_id, build_keys[index])
+            for filter_id, index in sorted(node.dynamic_filter_ids.items())
         ]
-        build_ops.append(
-            HashBuildOperator(
-                bridge,
-                build_keys,
-                dynamic_filters=df_specs,
-                on_dynamic_filter=self._publish_dynamic_filter,
+        build.append(
+            OperatorFactory(
+                lambda instance: HashBuildOperator(
+                    instance.shared[bridge],
+                    build_keys,
+                    dynamic_filters=df_specs,
+                    on_dynamic_filter=instance.context.dynamic_filters.publish,
+                ),
+                HashBuildOperator.name,
             )
         )
-        self.pipelines.append(build_ops)
+        self.pipelines.append(build)
         residual = None
         if node.filter is not None:
             if self.interpreted:
@@ -320,178 +497,237 @@ class LocalExecutionPlanner:
                     return interpreter.evaluate(_expr, dict(zip(_names, row)))
 
             else:
-                compiled = compile_expression(node.filter, output_symbols)
-                residual = compiled.evaluate_row
-        probe_ops.append(
-            LookupJoinOperator(
-                bridge,
-                probe_keys,
-                list(range(len(probe_symbols))),
-                list(range(len(build_symbols))),
-                node.join_type,
-                residual,
-                [s.type for s in build_symbols],
+                residual = compile_expression(node.filter, output_symbols).evaluate_row
+        probe_outputs = list(range(len(probe_symbols)))
+        build_outputs = list(range(len(build_symbols)))
+        build_types = [s.type for s in build_symbols]
+        join_type = node.join_type
+        probe.append(
+            OperatorFactory(
+                lambda instance: LookupJoinOperator(
+                    instance.shared[bridge],
+                    probe_keys,
+                    probe_outputs,
+                    build_outputs,
+                    join_type,
+                    residual,
+                    build_types,
+                ),
+                LookupJoinOperator.name,
             )
         )
-        return probe_ops, output_symbols
+        return probe, output_symbols
 
     def _visit_SemiJoinNode(self, node: plan.SemiJoinNode):
-        probe_ops, probe_symbols = self.visit(node.source)
-        build_ops, build_symbols = self.visit(node.filtering_source)
-        bridge = SemiJoinBridge()
-        build_ops.append(
-            SemiJoinBuildOperator(
-                bridge,
-                [_channel(build_symbols, k) for k in node.filtering_keys],
-                dynamic_filters=self._build_filter_specs(node),
-                on_dynamic_filter=self._publish_dynamic_filter,
-                null_aware=node.null_aware,
+        probe, probe_symbols = self.visit(node.source)
+        build, build_symbols = self.visit(node.filtering_source)
+        bridge = self._share(SemiJoinBridge)
+        build_channels = channel_map(build_symbols)
+        probe_channels = channel_map(probe_symbols)
+        build_keys = [build_channels[k.name] for k in node.filtering_keys]
+        probe_keys = [probe_channels[k.name] for k in node.source_keys]
+        df_specs = sorted(node.dynamic_filter_ids.items())
+        null_aware = node.null_aware
+        build.append(
+            OperatorFactory(
+                lambda instance: SemiJoinBuildOperator(
+                    instance.shared[bridge],
+                    build_keys,
+                    dynamic_filters=df_specs,
+                    on_dynamic_filter=instance.context.dynamic_filters.publish,
+                    null_aware=null_aware,
+                ),
+                SemiJoinBuildOperator.name,
             )
         )
-        self.pipelines.append(build_ops)
-        probe_ops.append(
-            SemiJoinOperator(
-                bridge,
-                [_channel(probe_symbols, k) for k in node.source_keys],
-                null_aware=node.null_aware,
+        self.pipelines.append(build)
+        probe.append(
+            OperatorFactory(
+                lambda instance: SemiJoinOperator(
+                    instance.shared[bridge], probe_keys, null_aware=null_aware
+                ),
+                SemiJoinOperator.name,
             )
         )
-        return probe_ops, probe_symbols + [node.output]
+        return probe, probe_symbols + [node.output]
 
     def _visit_IndexJoinNode(self, node: plan.IndexJoinNode):
-        probe_ops, probe_symbols = self.visit(node.probe)
+        probe, probe_symbols = self.visit(node.probe)
         connector = self.metadata.connector(node.index_table.catalog)
         key_columns = [column for _, column in node.key_mapping]
         output_columns = list(node.index_outputs.values())
-        index = connector.get_index(
-            node.index_table.connector_handle, key_columns, output_columns
-        )
-        if index is None:
-            raise PrestoError(
-                f"Connector {connector.name} did not provide an index"
-            )
-        probe_channels = [
-            _channel(probe_symbols, symbol) for symbol, _ in node.key_mapping
-        ]
+        channels = channel_map(probe_symbols)
+        probe_keys = [channels[symbol.name] for symbol, _ in node.key_mapping]
         output_types = [s.type for s in node.index_outputs]
-        probe_ops.append(
-            IndexJoinOperator(index, probe_channels, output_types, node.join_type)
-        )
-        return probe_ops, probe_symbols + list(node.index_outputs.keys())
+
+        def make(instance):
+            index = connector.get_index(
+                node.index_table.connector_handle, key_columns, output_columns
+            )
+            if index is None:
+                raise PrestoError(
+                    f"Connector {connector.name} did not provide an index"
+                )
+            return IndexJoinOperator(index, probe_keys, output_types, node.join_type)
+
+        probe.append(OperatorFactory(make, IndexJoinOperator.name))
+        return probe, probe_symbols + list(node.index_outputs.keys())
 
     # -- sorting / windows ----------------------------------------------------------------------
 
     def _orderings(self, symbols, order_by: list[plan.Ordering]):
+        channels = channel_map(symbols)
         return [
-            (_channel(symbols, o.symbol), o.ascending, o.nulls_first) for o in order_by
+            (channels[o.symbol.name], o.ascending, o.nulls_first) for o in order_by
         ]
 
     def _visit_SortNode(self, node: plan.SortNode):
-        operators, symbols = self.visit(node.source)
-        operators.append(
-            SortOperator(self._orderings(symbols, node.order_by), [s.type for s in symbols])
-        )
-        return operators, symbols
-
-    def _visit_TopNNode(self, node: plan.TopNNode):
-        operators, symbols = self.visit(node.source)
-        operators.append(
-            TopNOperator(
-                node.count,
-                self._orderings(symbols, node.order_by),
-                [s.type for s in symbols],
+        factories, symbols = self.visit(node.source)
+        orderings = self._orderings(symbols, node.order_by)
+        types = [s.type for s in symbols]
+        factories.append(
+            OperatorFactory(
+                lambda instance: SortOperator(orderings, types), SortOperator.name
             )
         )
-        return operators, symbols
+        return factories, symbols
+
+    def _visit_TopNNode(self, node: plan.TopNNode):
+        factories, symbols = self.visit(node.source)
+        orderings = self._orderings(symbols, node.order_by)
+        types = [s.type for s in symbols]
+        count = node.count
+        factories.append(
+            OperatorFactory(
+                lambda instance: TopNOperator(count, orderings, types),
+                TopNOperator.name,
+            )
+        )
+        return factories, symbols
 
     def _visit_WindowNode(self, node: plan.WindowNode):
-        operators, symbols = self.visit(node.source)
+        factories, symbols = self.visit(node.source)
+        channels = channel_map(symbols)
         calls = []
         for out_symbol, call in node.functions.items():
             arg_channels = [
-                _channel(symbols, a.to_symbol())
-                for a in call.arguments
-                if isinstance(a, ir.Variable)
+                channels[a.name] for a in call.arguments if isinstance(a, ir.Variable)
             ]
             calls.append((call, arg_channels, out_symbol.type))
-        operators.append(
-            WindowOperator(
-                [_channel(symbols, s) for s in node.partition_by],
-                self._orderings(symbols, node.order_by),
-                calls,
-                [s.type for s in symbols],
-                node.frame,
+        partition_channels = [channels[s.name] for s in node.partition_by]
+        orderings = self._orderings(symbols, node.order_by)
+        types = [s.type for s in symbols]
+        factories.append(
+            OperatorFactory(
+                lambda instance: WindowOperator(
+                    partition_channels, orderings, calls, types, node.frame
+                ),
+                WindowOperator.name,
             )
         )
-        return operators, symbols + list(node.functions.keys())
+        return factories, symbols + list(node.functions.keys())
 
     # -- set operations ----------------------------------------------------------------------------
 
     def _visit_UnionNode(self, node: plan.UnionNode):
-        buffer = LocalBuffer()
+        buffer = self._share(LocalBuffer)
         for source, mapping in zip(node.sources_, node.symbol_mapping):
-            source_ops, source_symbols = self.visit(source)
-            channel_mapping = [
-                _channel(source_symbols, mapping[out]) for out in node.outputs
-            ]
-            source_ops.append(LocalExchangeSinkOperator(buffer, channel_mapping))
-            self.pipelines.append(source_ops)
-        return [LocalExchangeSourceOperator(buffer)], list(node.outputs)
+            factories, source_symbols = self.visit(source)
+            channels = channel_map(source_symbols)
+            channel_mapping = [channels[mapping[out].name] for out in node.outputs]
+            factories.append(
+                OperatorFactory(
+                    lambda instance, channel_mapping=channel_mapping: (
+                        LocalExchangeSinkOperator(
+                            instance.shared[buffer], channel_mapping
+                        )
+                    ),
+                    LocalExchangeSinkOperator.name,
+                )
+            )
+            self.pipelines.append(factories)
+        union = OperatorFactory(
+            lambda instance: LocalExchangeSourceOperator(instance.shared[buffer]),
+            LocalExchangeSourceOperator.name,
+        )
+        return [union], list(node.outputs)
 
     def _visit_SetOperationNode(self, node: plan.SetOperationNode):
         left, right = node.sources_
         left_mapping, right_mapping = node.symbol_mapping
-        bridge = SetOperationBridge()
-        right_ops, right_symbols = self.visit(right)
-        right_channels = [
-            _channel(right_symbols, right_mapping[out]) for out in node.outputs
-        ]
-        right_ops.append(ChannelSelectOperator(right_channels))
-        right_ops.append(SetOperationBuildOperator(bridge))
-        self.pipelines.append(right_ops)
-        left_ops, left_symbols = self.visit(left)
-        left_channels = [
-            _channel(left_symbols, left_mapping[out]) for out in node.outputs
-        ]
-        left_ops.append(ChannelSelectOperator(left_channels))
-        left_ops.append(SetOperationOperator(node.kind, bridge))
-        return left_ops, list(node.outputs)
-
-    def _visit_UnnestNode(self, node: plan.UnnestNode):
-        operators, symbols = self.visit(node.source)
-        replicate = [_channel(symbols, s) for s in node.replicate_symbols]
-        unnest_channels = [
-            (_channel(symbols, source), len(produced))
-            for source, produced in node.unnest_symbols
-        ]
-        operators.append(
-            UnnestOperator(
-                replicate,
-                unnest_channels,
-                [s.type for s in node.output_symbols],
-                node.ordinality_symbol is not None,
+        bridge = self._share(SetOperationBridge)
+        right_factories, right_symbols = self.visit(right)
+        right_factories.append(
+            channel_select(right_symbols, [right_mapping[out] for out in node.outputs])
+        )
+        right_factories.append(
+            OperatorFactory(
+                lambda instance: SetOperationBuildOperator(instance.shared[bridge]),
+                SetOperationBuildOperator.name,
             )
         )
-        return operators, node.output_symbols
+        self.pipelines.append(right_factories)
+        left_factories, left_symbols = self.visit(left)
+        left_factories.append(
+            channel_select(left_symbols, [left_mapping[out] for out in node.outputs])
+        )
+        kind = node.kind
+        left_factories.append(
+            OperatorFactory(
+                lambda instance: SetOperationOperator(kind, instance.shared[bridge]),
+                SetOperationOperator.name,
+            )
+        )
+        return left_factories, list(node.outputs)
+
+    def _visit_UnnestNode(self, node: plan.UnnestNode):
+        factories, symbols = self.visit(node.source)
+        channels = channel_map(symbols)
+        replicate = [channels[s.name] for s in node.replicate_symbols]
+        unnest_channels = [
+            (channels[source.name], len(produced))
+            for source, produced in node.unnest_symbols
+        ]
+        output_types = [s.type for s in node.output_symbols]
+        with_ordinality = node.ordinality_symbol is not None
+        factories.append(
+            OperatorFactory(
+                lambda instance: UnnestOperator(
+                    replicate, unnest_channels, output_types, with_ordinality
+                ),
+                UnnestOperator.name,
+            )
+        )
+        return factories, node.output_symbols
 
     # -- writes --------------------------------------------------------------------------------------
 
     def _visit_TableWriterNode(self, node: plan.TableWriterNode):
-        operators, symbols = self.visit(node.source)
+        factories, symbols = self.visit(node.source)
         connector = self.metadata.connector(node.target.catalog)
-        sink = connector.page_sink(node.insert_handle)
-        operators.append(TableWriterOperator(sink))
-        return operators, list(node.output_symbols)
+        factories.append(
+            OperatorFactory(
+                lambda instance: TableWriterOperator(
+                    connector.page_sink(node.insert_handle)
+                ),
+                TableWriterOperator.name,
+            )
+        )
+        return factories, list(node.output_symbols)
 
     def _visit_TableFinishNode(self, node: plan.TableFinishNode):
-        operators, symbols = self.visit(node.source)
+        factories, symbols = self.visit(node.source)
         metadata = self.metadata
 
         def commit(fragments):
             metadata.finish_insert(node.target, node.insert_handle, fragments)
 
-        operators.append(TableFinishOperator(commit))
-        return operators, [node.rows_symbol]
+        factories.append(
+            OperatorFactory(
+                lambda instance: TableFinishOperator(commit), TableFinishOperator.name
+            )
+        )
+        return factories, [node.rows_symbol]
 
 
 class ChannelSelectOperator(StreamingOperator):
@@ -507,11 +743,14 @@ class ChannelSelectOperator(StreamingOperator):
         return page.select_channels(self.channels)
 
 
-def _channel(symbols: list[Symbol], symbol: Symbol) -> int:
-    for i, s in enumerate(symbols):
-        if s.name == symbol.name:
-            return i
-    raise PrestoError(f"Symbol {symbol.name} not found in {[s.name for s in symbols]}")
+def channel_select(symbols: Sequence[Symbol], selected: Sequence[Symbol]) -> OperatorFactory:
+    channels = channel_map(symbols)
+    picked = [channels[s.name] for s in selected]
+    return OperatorFactory(
+        lambda instance: ChannelSelectOperator(picked),
+        ChannelSelectOperator.name,
+        ChannelSelectOperator.name,
+    )
 
 
 def execute_plan(

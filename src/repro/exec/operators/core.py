@@ -8,8 +8,6 @@ from repro.connectors.api import Connector, PageSource, Split
 from repro.exec.operator import Operator, StreamingOperator
 from repro.exec.page import Page
 from repro.exec.page_processor import PageProcessor
-from repro.planner import expressions as ir
-from repro.planner.symbols import Symbol
 
 
 class ValuesOperator(Operator):
@@ -238,17 +236,9 @@ class FilterProjectOperator(StreamingOperator):
 
     name = "FilterProject"
 
-    def __init__(
-        self,
-        input_symbols: Sequence[Symbol],
-        filter_expr: Optional[ir.RowExpression],
-        projections: Sequence[ir.RowExpression],
-        interpreted: bool = False,
-    ):
+    def __init__(self, processor: PageProcessor):
         super().__init__()
-        self.processor = PageProcessor(
-            input_symbols, filter_expr, projections, interpreted=interpreted
-        )
+        self.processor = processor
 
     def process(self, page: Page) -> Optional[Page]:
         return self.processor.process(page)

@@ -97,6 +97,7 @@ class PageProcessor:
             self.projections = []
             self._heuristic = _DictionaryHeuristic()
             self._dictionary_cache = {}
+            self._filter_cache = None
             return
         self.filter = (
             compile_expression(filter_expr, self.input_symbols)
@@ -139,6 +140,17 @@ class PageProcessor:
         # id() key could collide with a recycled address after the
         # previous dictionary is freed.
         self._dictionary_cache: dict[int, tuple[Block, Block]] = {}
+
+    def fresh(self) -> "PageProcessor":
+        """A processor over the same compiled expressions with its own
+        heuristic and dictionary caches: expressions compile once per
+        plan, every task that runs them gets one of these."""
+        clone = object.__new__(PageProcessor)
+        clone.__dict__.update(self.__dict__)
+        clone._heuristic = _DictionaryHeuristic()
+        clone._dictionary_cache = {}
+        clone._filter_cache = None
+        return clone
 
     def process(self, page: Page) -> Optional[Page]:
         if self.interpreted:

@@ -3,7 +3,7 @@
 The engine is vectorized operator-by-operator, but the driver loop
 still materializes a Page at every operator boundary and pays one
 ``needs_input``/``get_output`` handshake per page per hop. This module
-recognizes fusible chains at driver-creation time —
+recognizes fusible chains when a plan is lowered —
 
     TableScan → FilterProject* → [partial HashAggregation | Limit] → [ExchangeSink]
 
@@ -39,11 +39,7 @@ from typing import Callable, Optional, Sequence
 from repro.exec import kernels
 from repro.exec.operator import Operator
 from repro.exec.operators.aggregation import HashAggregationOperator
-from repro.exec.operators.core import (
-    FilterProjectOperator,
-    LimitOperator,
-    TableScanOperator,
-)
+from repro.exec.operators.core import LimitOperator, TableScanOperator
 from repro.exec.page import Page
 from repro.planner import nodes as plan
 
@@ -320,9 +316,10 @@ _TERMINALS = ("Aggregate[partial]", "Aggregate[single]", "Limit")
 def fused_prefix(labels: Sequence[Optional[str]]) -> int:
     """The one eligibility rule, over a pipeline's stage labels (None =
     unfusible stage): how many leading stages fuse, 0 when the chain
-    stays on the driver loop. Shared by :func:`compile_pipeline`, which
-    labels operators, and :func:`fragment_fusion_summary`, which labels
-    plan nodes — so EXPLAIN cannot drift from what runs."""
+    stays on the driver loop. Shared by :func:`fusible_prefix`, over the
+    labels of a lowered pipeline's slots, and
+    :func:`fragment_fusion_summary`, which labels plan nodes — so
+    EXPLAIN cannot drift from what runs."""
     if labels[0] != "TableScan":
         return 0
     i = 1
@@ -335,50 +332,41 @@ def fused_prefix(labels: Sequence[Optional[str]]) -> int:
     return i if i > 1 else 0
 
 
-def _operator_labels(ops: Sequence[Operator]) -> list[Optional[str]]:
-    """Stage label of each operator in a chain: its name when the fused
-    pass can embed it, None otherwise."""
-    # Imported late: local/shuffle import this module at load time.
-    from repro.cluster.shuffle import ExchangeSinkOperator
-    from repro.exec.local import ChannelSelectOperator
-
-    named = (TableScanOperator, ChannelSelectOperator, LimitOperator, ExchangeSinkOperator)
-    labels: list[Optional[str]] = []
-    for op in ops:
-        if isinstance(op, HashAggregationOperator):
-            labels.append(f"Aggregate[{op.step.value.lower()}]")
-        elif isinstance(op, FilterProjectOperator):
-            labels.append(None if op.processor.interpreted else op.name)
-        else:
-            labels.append(op.name if isinstance(op, named) else None)
-    return labels
-
-
-def compile_pipeline(
-    operators: Sequence[Operator],
+def fusible_prefix(
+    names: Sequence[str],
+    labels: Sequence[Optional[str]],
     report: FusionReport,
     interpreted: bool = False,
-) -> list[Operator]:
-    """Compile one pipeline's operator chain, fusing the eligible prefix
-    into a :class:`FusedPipelineOperator`. Returns the (possibly
-    unchanged) operator list; every fallback is recorded with a reason.
-    """
-    ops = list(operators)
+) -> int:
+    """The plan-time half of the compiler, over one pipeline's operator
+    names and stage labels (no operator exists yet): how many leading
+    slots fuse, 0 when the chain stays on the driver loop. Every outcome
+    is recorded in ``report``, a fallback with its reason."""
     if interpreted:
         report.fallback("interpreted")
-        return ops
+        return 0
     if not kernels.enabled():
         report.fallback("fusion_disabled")
-        return ops
-    if not isinstance(ops[0], TableScanOperator):
-        report.fallback(f"source:{ops[0].name}")
-        return ops
-    labels = _operator_labels(ops)
+        return 0
+    if labels[0] != "TableScan":
+        report.fallback(f"source:{names[0]}")
+        return 0
     n = fused_prefix(labels)
     if not n:
-        tail = ops[1].name if len(ops) > 1 else "none"
+        tail = names[1] if len(names) > 1 else "none"
         report.fallback(f"unfusible:{tail}")
-        return ops
+        return 0
+    report.fused += 1
+    return n
+
+
+def fuse(
+    operators: Sequence[Operator], labels: Sequence[Optional[str]], n: int
+) -> list[Operator]:
+    """The per-task half: wrap the first ``n`` operators of a freshly
+    made chain (``n`` from :func:`fusible_prefix`) into one
+    :class:`FusedPipelineOperator`."""
+    ops = list(operators)
     chain = ops[1:n]
     sink = chain.pop() if labels[n - 1] == "ExchangeSink" else None
     agg = limit = None
@@ -389,25 +377,14 @@ def compile_pipeline(
     fused = FusedPipelineOperator(
         ops[0], chain, labels[:n], agg=agg, limit=limit, sink=sink
     )
-    report.fused += 1
     return [fused] + ops[n:]
-
-
-def compile_pipelines(
-    pipelines: Sequence[Sequence[Operator]],
-    report: FusionReport,
-    interpreted: bool = False,
-) -> list[list[Operator]]:
-    return [
-        compile_pipeline(ops, report, interpreted=interpreted) for ops in pipelines
-    ]
 
 
 # -- EXPLAIN support ------------------------------------------------------------
 
 def _scan_pipeline_labels(scan, parents: dict) -> list[Optional[str]]:
-    """Stage labels of the pipeline a fragment task lowers above one
-    ``TableScanNode`` (``SimTaskPlanner``): every ancestor up to the
+    """Stage labels of the pipeline a fragment lowers above one
+    ``TableScanNode`` (``FragmentPlanner``): every ancestor up to the
     first one that lowers to an unfusible operator (labelled None), or
     the fragment's sink when the chain reaches the root."""
     labels: list[Optional[str]] = ["TableScan"]

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.cluster import ClusterConfig, SimCluster
+from repro.cluster import ClusterConfig, FaultToleranceConfig, SimCluster
 from repro.connectors.hive import HiveConnector
 from repro.connectors.memory import MemoryConnector
 from repro.connectors.tpch import TpchConnector
@@ -78,6 +78,39 @@ def test_idle_quanta_are_rare(corpus_run):
     # 65 % when every task was polled; what is left are last EOFs that
     # reach a probe still waiting for its build side.
     assert idle <= 0.05 * quanta, f"{idle} of {quanta} quanta moved nothing"
+
+
+def test_each_stage_is_lowered_once(corpus_run):
+    _, cluster, results = corpus_run
+    stages = [stage for query in results.values() for stage in query.stages.values()]
+    assert all(stage.started for stage in stages)
+    snapshot = cluster.stats_snapshot()
+    assert snapshot["exec.fragments_lowered"] == len(stages)
+    assert worker_sum(snapshot, ".tasks_started") > 5 * len(stages)
+    # Every task of a stage is an instance of the stage's one template.
+    assert all(task.template is stage.template for stage in stages for task in stage.tasks)
+
+
+def test_replacement_attempts_lower_nothing():
+    cluster = SimCluster(
+        ClusterConfig(
+            worker_count=4,
+            default_catalog="tpch",
+            default_schema="tiny",
+            fault_tolerance=FaultToleranceConfig(enabled=True),
+        )
+    )
+    cluster.register_catalog("tpch", TpchConnector(scale_factor=0.002))
+    query = cluster.submit(
+        "SELECT returnflag, linestatus, sum(quantity), count(*) FROM lineitem "
+        "GROUP BY 1, 2 ORDER BY 1, 2"
+    )
+    cluster.sim.run(until_ms=1.0)
+    cluster.crash_worker("worker-1")
+    cluster.run()
+    assert query.state == "finished"
+    assert cluster.tasks_recovered >= 1
+    assert cluster.stats_snapshot()["exec.fragments_lowered"] == len(query.stages)
 
 
 def test_corpus_results_equal_local_engine(corpus_run):
