@@ -340,13 +340,6 @@ class QueryExecution:
                 output_partitions = 1  # root: the client
             else:
                 output_partitions = len(placements[consumer[0]])
-            remote_symbols = {}
-            for node in plan.walk_plan(fragment.root):
-                if isinstance(node, plan.RemoteSourceNode):
-                    remote_symbols[tuple(node.fragment_ids)] = (
-                        list(node.outputs),
-                        list(node.ordering),
-                    )
             scaling = (
                 fragment.output_kind is plan.ExchangeKind.ROUND_ROBIN
                 and cluster.config.writer_scaling_enabled
@@ -360,7 +353,6 @@ class QueryExecution:
                     template=stage.template,
                     partition=partition,
                     output_partition_count=output_partitions,
-                    remote_source_symbols=remote_symbols,
                     cost_model=cluster.cost_model,
                     buffer_capacity=cluster.config.output_buffer_bytes,
                     retain_output=self._recovery_active,
@@ -760,8 +752,7 @@ class QueryExecution:
             if accepted and replay_key not in self._replays:
                 self._record_delivery(replay_key, producer_key, delivery.seq)
                 self._release_acked(task, partition, delivery.seq)
-            if client.has_output and consumer_task.can_use(client_key):
-                consumer_task.worker.kick(consumer_task)
+            self._wake_consumer(consumer_task, client_key)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
             if accepted and self.cluster.roll_transfer_duplicate():
@@ -771,6 +762,16 @@ class QueryExecution:
             self._pump_transfers(task, partition)
 
         self._later(cost, deliver)
+
+    @staticmethod
+    def _wake_consumer(consumer_task: SimTask, client_key: tuple) -> None:
+        """A page reached ``consumer_task``'s exchange client: kick the
+        task if that is something its driver can act on — the client
+        has output to give (an ordered merge holds pages until the last
+        EOF) and the operator after the source takes it."""
+        client = consumer_task.exchange_clients[client_key]
+        if client.has_output and consumer_task.can_use(client_key):
+            consumer_task.worker.kick(consumer_task)
 
     def _release_acked(self, task: SimTask, partition: int, seq: int) -> None:
         """Retained-buffer GC: once the consumer acknowledged a segment
@@ -803,8 +804,7 @@ class QueryExecution:
             consumer_task = self.stages[consumer_stage_id].tasks[partition]
             client = consumer_task.exchange_clients[client_key]
             client.deliver(delivery.page, producer_key, delivery.seq)
-            if client.has_output:
-                consumer_task.worker.kick(consumer_task)
+            self._wake_consumer(consumer_task, client_key)
 
         self._later(cost, duplicate)
 
@@ -990,37 +990,30 @@ class QueryExecution:
         self._attempts[old.producer_key] = attempt
         worker = min(live, key=lambda w: (len(w.tasks), w.name))
         fragment = old.fragment
-        remote_symbols = {}
-        for node in plan.walk_plan(fragment.root):
-            if isinstance(node, plan.RemoteSourceNode):
-                remote_symbols[tuple(node.fragment_ids)] = (
-                    list(node.outputs),
-                    list(node.ordering),
-                )
+        stage = self.stages[fragment.id]
         new = SimTask(
             task_id=f"{self.query_id}.{fragment.id}.{old.partition}.r{attempt}",
             query_id=self.query_id,
             fragment=fragment,
             worker=worker,
-            template=self.stages[fragment.id].template,
+            template=stage.template,
             partition=old.partition,
             output_partition_count=old.output_buffer.partition_count,
-            remote_source_symbols=remote_symbols,
             cost_model=cluster.cost_model,
             buffer_capacity=cluster.config.output_buffer_bytes,
             retain_output=True,
             attempt=attempt,
             routing_log=self._routing_log.get(old.producer_key),
             on_commit=self._commit_guard(),
-            on_finished=self.stages[fragment.id].task_finished,
+            on_finished=stage.task_finished,
         )
-        cluster.record_fusion(new.template.fusion_report)
+        cluster.record_fusion(stage.template.fusion_report)
         # Carry adaptive writer-scaling state across attempts: the
         # journaled routing log replays past routes exactly; new pages
         # route against the scale-up level already reached.
         new.output_buffer.active_partitions = old.output_buffer.active_partitions
         new.output_buffer.pressure_threshold = old.output_buffer.pressure_threshold
-        self.stages[fragment.id].replace_task(old, new)
+        stage.replace_task(old, new)
         return new
 
     def _wire_replacement(self, old: SimTask, new: SimTask) -> None:
@@ -1142,8 +1135,7 @@ class QueryExecution:
             consumer_task = self.stages[consumer_stage_id].tasks[partition]
             client = consumer_task.exchange_clients[client_key]
             client.deliver(delivery.page, producer_key, seq)
-            if client.has_output:
-                consumer_task.worker.kick(consumer_task)
+            self._wake_consumer(consumer_task, client_key)
             self._advance_replay(replay_key)
 
         self._later(cost, arrive)

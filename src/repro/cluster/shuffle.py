@@ -211,6 +211,8 @@ class OutputBuffer:
         """Return-and-clear, ascending: the partitions with a page or
         an EOF the transfer service has not been told about."""
         dirty, self._dirty = self._dirty, 0
+        if not dirty:
+            return []
         return [p for p in range(self.partition_count) if dirty >> p & 1]
 
     def is_drained(self, partition: int) -> bool:

@@ -34,6 +34,17 @@ from repro.planner import nodes as plan
 from repro.planner.fragmenter import PlanFragment
 
 
+class FragmentTemplate(ExecutionTemplate):
+    """A lowered fragment, plus what each of its tasks must set up to be
+    fed from outside: how many scans take splits, and the symbols and
+    merge ordering of every remote source's exchange client."""
+
+    def __init__(self, pipelines, shared, scan_count: int, remote_sources: dict):
+        super().__init__(pipelines, shared)
+        self.scan_count = scan_count
+        self.remote_sources = remote_sources
+
+
 class FragmentPlanner(LocalExecutionPlanner):
     """Lowers one fragment, once per stage, into a template with
     exchange endpoints. The context its factories read is the
@@ -46,8 +57,10 @@ class FragmentPlanner(LocalExecutionPlanner):
         # Scans seen so far; a scan's number is what the coordinator's
         # split scheduler addresses it by (walk_plan order).
         self._scan_count = 0
+        # remote-source key -> (symbols, merge ordering)
+        self._remote_sources: dict[tuple, tuple] = {}
 
-    def lower_fragment(self, fragment: PlanFragment) -> ExecutionTemplate:
+    def lower_fragment(self, fragment: PlanFragment) -> FragmentTemplate:
         factories, symbols = self.visit(fragment.root)
         channels = channel_map(symbols)
         partition_channels = [channels[s.name] for s in fragment.output_keys]
@@ -65,8 +78,8 @@ class FragmentPlanner(LocalExecutionPlanner):
             )
         )
         self.pipelines.append(factories)
-        return ExecutionTemplate(
-            self.pipelines, self._shared, scan_count=self._scan_count
+        return FragmentTemplate(
+            self.pipelines, self._shared, self._scan_count, self._remote_sources
         )
 
     def _visit_TableScanNode(self, node: plan.TableScanNode):
@@ -98,6 +111,7 @@ class FragmentPlanner(LocalExecutionPlanner):
 
     def _visit_RemoteSourceNode(self, node: plan.RemoteSourceNode):
         key = tuple(node.fragment_ids)
+        self._remote_sources[key] = (list(node.outputs), list(node.ordering))
         source = OperatorFactory(
             lambda instance: ExchangeSourceOperator(
                 instance.context.exchange_clients[key]
@@ -166,10 +180,9 @@ class SimTask:
         query_id: str,
         fragment: PlanFragment,
         worker: "object",
-        template: ExecutionTemplate,
+        template: FragmentTemplate,
         partition: int,
         output_partition_count: int,
-        remote_source_symbols: dict[tuple, tuple],
         cost_model: CostModel,
         buffer_capacity: int,
         retain_output: bool = False,
@@ -208,9 +221,10 @@ class SimTask:
         self.dynamic_filters = DynamicFilterRegistry()
         self.recovery_active = retain_output
         self.scan_operators: list[TableScanOperator] = [None] * template.scan_count
-        self.exchange_clients: dict[tuple, ExchangeClient] = {}
-        for key, (symbols, ordering) in remote_source_symbols.items():
-            self.exchange_clients[key] = ExchangeClient(symbols, ordering)
+        self.exchange_clients: dict[tuple, ExchangeClient] = {
+            key: ExchangeClient(symbols, ordering)
+            for key, (symbols, ordering) in template.remote_sources.items()
+        }
         self.output_buffer = OutputBuffer(
             output_partition_count, buffer_capacity, retain=retain_output
         )

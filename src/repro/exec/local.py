@@ -143,12 +143,9 @@ class ExecutionTemplate:
         pipelines: list[list[OperatorFactory]],
         shared: list[Callable[[], object]],
         interpreted: bool = False,
-        scan_count: int = 0,
     ):
         self.pipelines = pipelines
         self._shared = shared
-        #: scans fed from outside (a fragment's, numbered in plan order)
-        self.scan_count = scan_count
         #: external input (see OperatorFactory.fed_by) -> the pipeline,
         #: hence driver, it heads
         self.input_pipeline = {
