@@ -21,7 +21,6 @@ def main() -> None:
             worker_count=8,
             default_catalog="hive",
             default_schema="default",
-            phased_execution=True,  # ETL default: phased (Sec. IV-D1)
         )
     )
     hive = HiveConnector()

@@ -35,25 +35,17 @@ class CacheConfig:
 
     # tier 1: coordinator metadata cache
     metadata_cache_enabled: bool = True
-    metadata_cache_entries: int = 4096
     #: simulated per-connector-call latency charged at query startup;
     #: models the metastore round-trips the cache exists to avoid
     metadata_latency_ms: float = 0.0
 
     # tier 3: plan + result cache
     plan_cache_enabled: bool = True
-    plan_cache_entries: int = 256
     result_cache_enabled: bool = False
-    result_cache_bytes: int = 16 << 20
 
     # tier 2: worker stripe cache + affinity scheduling
     stripe_cache_enabled: bool = False
-    stripe_cache_bytes: int = 8 << 20
-    #: fraction of a split's read latency still paid on a stripe-cache hit
-    stripe_hit_latency_factor: float = 0.25
     affinity_scheduling_enabled: bool = True
-    #: max queue-depth gap vs the shortest queue before affinity yields
-    affinity_queue_slack: int = 8
 
     @staticmethod
     def disabled() -> "CacheConfig":

@@ -21,10 +21,12 @@ POOL_OWNER = "cache:stripe"
 class StripeCache:
     """LRU of (connector, split_cache_key) -> cached stripe bytes."""
 
-    def __init__(self, capacity_bytes: int, memory_pool=None, hit_latency_factor: float = 0.25):
+    #: fraction of a split's read latency still paid on a hit
+    hit_latency_factor = 0.25
+
+    def __init__(self, capacity_bytes: int = 8 << 20, memory_pool=None):
         self.capacity_bytes = capacity_bytes
         self.memory_pool = memory_pool
-        self.hit_latency_factor = hit_latency_factor
         self.entries = LruCache(on_evict=self._release)
 
     # -- memory accounting -------------------------------------------------

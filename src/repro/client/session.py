@@ -52,16 +52,12 @@ class LocalEngine:
         catalog: str = "memory",
         schema: str = "default",
         optimize: bool = True,
-        interpreted: bool = False,
         optimizer_config=None,
     ):
         self.metadata = Metadata()
         self.default_catalog = catalog
         self.default_schema = schema
         self.optimize = optimize
-        # Row-at-a-time interpreted expression evaluation (reference mode
-        # for differential fuzzing) instead of the compiled path.
-        self.interpreted = interpreted
         # Optional OptimizerConfig override (rule knobs, guards,
         # thresholds); None = defaults.
         self.optimizer_config = optimizer_config
@@ -116,7 +112,7 @@ class LocalEngine:
         if isinstance(statement, ast.DropTable):
             return self._drop_table(statement)
         plan = self.plan(statement)
-        result = execute_plan(self.metadata, plan, interpreted=self.interpreted)
+        result = execute_plan(self.metadata, plan)
         self.last_row_fallbacks = result.row_fallbacks
         return QueryResult(result.column_names, result.column_types, result.rows())
 

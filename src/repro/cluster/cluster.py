@@ -74,8 +74,6 @@ class ClusterConfig:
     # Shuffle buffers.
     output_buffer_bytes: int = 8 * 1024 * 1024
     # Scheduling.
-    phased_execution: bool = False
-    prefer_local_reads: bool = True
     max_concurrent_queries: int = 100
     max_queued_queries: int = 1000
     # Queue policies (paper Sec. III: plugins provide queuing policies):
@@ -83,15 +81,12 @@ class ClusterConfig:
     resource_groups: dict = field(default_factory=dict)
     # Adaptive writer scaling (Sec. IV-E3): start with one active writer
     # and add writers while the producing stage's output buffer stays
-    # above the utilization threshold.
+    # above shuffle.WRITER_SCALING_PRESSURE.
     writer_scaling_enabled: bool = True
-    writer_scaling_utilization_threshold: float = 0.5
     # Transient shuffle failures are retried at a low level (Sec. IV-G)
-    # without failing the query; rate is per delivery attempt. Retry
-    # pacing comes from fault_tolerance.transfer_backoff_* (bounded
-    # exponential backoff); attempts are capped at
-    # fault_tolerance.transfer_max_attempts, after which the transfer
-    # escalates to task recovery / query failure.
+    # without failing the query; rate is per delivery attempt. Pacing
+    # and the attempt cap are fault.RetryPolicy's; past the cap the
+    # transfer escalates to task recovery / query failure.
     transient_failure_rate: float = 0.0
     # Chaos knob: probability that an accepted delivery is delivered a
     # second time (consumer-side dedup must drop the copy).
@@ -101,16 +96,11 @@ class ClusterConfig:
     fault_tolerance: FaultToleranceConfig = field(
         default_factory=FaultToleranceConfig
     )
-    # Runtime dynamic filtering: simulated collection/propagation latency
-    # between a build task publishing its key summary and the coordinator
-    # being able to act on it (split pruning, filtered splits).
-    dynamic_filter_latency_ms: float = 1.0
     # Hot-traffic caching tier (metadata / stripe / plan+result caches,
     # see docs/CACHING.md). Defaults change no simulated timings.
     cache: CacheConfig = field(default_factory=CacheConfig)
     # Cost model.
     cost_mode: str = "deterministic"
-    speed_factor: float = 1.0
     default_catalog: str = "memory"
     default_schema: str = "default"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -122,24 +112,14 @@ class SimCluster:
         self.sim = Simulation()
         cache_cfg = self.config.cache
         if cache_cfg.metadata_cache_enabled:
-            self.metadata = CachingMetadata(cache_cfg.metadata_cache_entries)
+            self.metadata = CachingMetadata()
         else:
             self.metadata = Metadata()
-        self.plan_cache = (
-            PlanCache(cache_cfg.plan_cache_entries)
-            if cache_cfg.plan_cache_enabled
-            else None
-        )
-        self.result_cache = (
-            ResultCache(cache_cfg.result_cache_bytes)
-            if cache_cfg.result_cache_enabled
-            else None
-        )
+        self.plan_cache = PlanCache() if cache_cfg.plan_cache_enabled else None
+        self.result_cache = ResultCache() if cache_cfg.result_cache_enabled else None
         self.affinity_routed = 0
         self.affinity_fallbacks = 0
-        self.cost_model = CostModel(
-            mode=self.config.cost_mode, speed_factor=self.config.speed_factor
-        )
+        self.cost_model = CostModel(mode=self.config.cost_mode)
         limits = MemoryLimits(
             per_node_user_bytes=self.config.per_node_user_limit_bytes,
             global_user_bytes=self.config.global_user_limit_bytes,
@@ -165,11 +145,7 @@ class SimCluster:
                 on_quantum_complete=self._on_quantum_complete,
             )
             if cache_cfg.stripe_cache_enabled:
-                self.workers[name].stripe_cache = StripeCache(
-                    cache_cfg.stripe_cache_bytes,
-                    memory_pool=pool,
-                    hit_latency_factor=cache_cfg.stripe_hit_latency_factor,
-                )
+                self.workers[name].stripe_cache = StripeCache(memory_pool=pool)
         self.queries: dict[str, QueryExecution] = {}
         self._query_counter = itertools.count()
         self._admission_queue: deque[QueryExecution] = deque()
@@ -220,7 +196,7 @@ class SimCluster:
             topology=self.topology,
             on_worker_readmitted=self._on_worker_readmitted,
         )
-        self.retry_policy = RetryPolicy(self.config.fault_tolerance)
+        self.retry_policy = RetryPolicy()
         # Durable external spool for drained exchange output; writes are
         # gated on fault_tolerance.spool_enabled (spool_active).
         self.spool = SpoolStore()
@@ -279,7 +255,7 @@ class SimCluster:
     def submit(
         self,
         sql: str,
-        phased: bool | None = None,
+        phased: bool = False,
         client_bandwidth_bytes_per_ms: float | None = None,
         session_catalog: str | None = None,
         session_schema: str | None = None,
@@ -303,7 +279,7 @@ class SimCluster:
             query_id,
             fragmented,
             self,
-            phased=self.config.phased_execution if phased is None else phased,
+            phased=phased,
             client_bandwidth_bytes_per_ms=client_bandwidth_bytes_per_ms,
         )
         # Simulated metastore round-trips: each call that actually reached
@@ -489,7 +465,7 @@ class SimCluster:
         return self._running > 0 or bool(self._admission_queue)
 
     def _group_admissible(self, query: QueryExecution) -> bool:
-        group = getattr(query, "resource_group", None)
+        group = query.resource_group
         if group is None:
             return True
         limit = self.config.resource_groups.get(group)
@@ -509,7 +485,7 @@ class SimCluster:
             if not self._group_admissible(query):
                 deferred.append(query)
                 continue
-            group = getattr(query, "resource_group", None)
+            group = query.resource_group
             if group is not None:
                 self._running_by_group[group] = self._running_by_group.get(group, 0) + 1
             self._running += 1
@@ -522,7 +498,7 @@ class SimCluster:
         # Terminal queries will never replay: reclaim their spool space.
         self.spool_bytes_reclaimed += self.spool.release_query(query.query_id)
         self._running -= 1
-        group = getattr(query, "resource_group", None)
+        group = query.resource_group
         if group is not None:
             self._running_by_group[group] = max(
                 0, self._running_by_group.get(group, 0) - 1
@@ -732,20 +708,6 @@ class SimCluster:
             self.partitions_healed += 1
         self.detector.ensure_running()
 
-    def drop_link(self, src: str, dst: str, symmetric: bool = True) -> None:
-        """Sever one link (or link pair) between two endpoints."""
-        self.topology.sever(src, dst)
-        if symmetric:
-            self.topology.sever(dst, src)
-        self.partitions_injected += 1
-        self.detector.ensure_running()
-
-    def heal_link(self, src: str, dst: str, symmetric: bool = True) -> None:
-        self.topology.restore(src, dst)
-        if symmetric:
-            self.topology.restore(dst, src)
-        self.detector.ensure_running()
-
     # -- coordinator crash/restart -----------------------------------------------
 
     def crash_coordinator(self) -> list[str]:
@@ -811,9 +773,9 @@ class SimCluster:
         for query in self.queries.values():
             if query.state != "running":
                 continue
-            retry_budgets[query.query_id] = getattr(query, "_task_retries", 0)
+            retry_budgets[query.query_id] = query._task_retries
             logs = {}
-            for stage in getattr(query, "stages", {}).values():
+            for stage in query.stages.values():
                 for task in stage.tasks:
                     logs[task.producer_key] = len(task.split_log)
             split_journal[query.query_id] = logs

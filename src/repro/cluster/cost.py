@@ -6,10 +6,11 @@ vectorized JVM execution — so the cluster simulation separates
 *what work happens* (real operators over real data) from *how long it
 takes* (this model). Two modes:
 
-- ``measured``: virtual cost = measured Python CPU time x a speed
-  factor (Python work is a faithful *relative* proxy: regex-heavy
-  splits cost more than arithmetic, exactly the variance Sec. IV-F1
-  discusses). Non-deterministic across runs but shape-preserving.
+- ``measured``: virtual cost = measured Python CPU time x
+  ``_SPEED_FACTOR`` (Python work is a faithful *relative* proxy:
+  regex-heavy splits cost more than arithmetic, exactly the variance
+  Sec. IV-F1 discusses). Non-deterministic across runs but
+  shape-preserving.
 - ``deterministic``: virtual cost = rows processed x per-row cost.
   Fully reproducible; used by unit tests.
 
@@ -21,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# measured: simulated_ms = python_ms * _SPEED_FACTOR — one second of
+# Python is one second of simulated single-thread work.
+_SPEED_FACTOR = 1.0
+
 
 @dataclass
 class CostModel:
     mode: str = "measured"  # "measured" | "deterministic"
-    # measured: simulated_ms = python_ms * speed_factor. The default treats
-    # one second of Python as one second of simulated single-thread work.
-    speed_factor: float = 1.0
     # deterministic: cost per input row moved through an operator chain.
     per_row_ms: float = 0.002
     per_page_ms: float = 0.05
@@ -40,7 +42,7 @@ class CostModel:
         self, python_ms: float, rows_processed: int, pages_processed: int
     ) -> float:
         if self.mode == "measured":
-            return max(python_ms * self.speed_factor, 0.01)
+            return max(python_ms * _SPEED_FACTOR, 0.01)
         return max(
             rows_processed * self.per_row_ms + pages_processed * self.per_page_ms,
             0.01,
@@ -48,6 +50,3 @@ class CostModel:
 
     def transfer_ms(self, size_bytes: int) -> float:
         return self.network_latency_ms + size_bytes / self.network_bandwidth_bytes_per_ms
-
-    def split_io_ms(self, split) -> float:
-        return split.read_latency_ms

@@ -57,17 +57,6 @@ class FaultToleranceConfig:
     # queries — the paper's behaviour, but via detection rather than
     # omniscience.
     task_recovery_enabled: bool = True
-    # Retry budget: total task re-executions allowed per query before
-    # the query fails (guards against crash loops). One worker loss
-    # costs one retry per lost task, so wide queries (many fragments x
-    # partitions) spend it faster — size generously.
-    max_task_retries_per_query: int = 64
-    # Transient transfer retry policy (bounded backoff).
-    transfer_max_attempts: int = 8
-    transfer_backoff_base_ms: float = 2.0
-    transfer_backoff_multiplier: float = 2.0
-    transfer_backoff_max_ms: float = 200.0
-    transfer_jitter_fraction: float = 0.25
     # Wall-clock (virtual) query timeout; None disables. Timed-out
     # queries are killed with ExceededTimeLimitError.
     query_timeout_ms: float | None = None
@@ -92,30 +81,28 @@ def _splitmix64(x: int) -> int:
 
 
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
+    """Transient transfer failures: bounded exponential backoff with
+    deterministic jitter, up to ``max_attempts`` deliveries.
 
     delay(attempt) = min(base * multiplier^(attempt-1), max) * (1 + j)
     where j in [0, jitter_fraction) is a pure function of (key, attempt)
     — different transfers desynchronize (no retry storms) while the
-    whole simulation stays bit-reproducible.
+    whole simulation stays bit-reproducible (with ``PYTHONHASHSEED``
+    fixed: ``key`` holds a task id, whose ``hash`` is salted per process).
     """
 
-    def __init__(self, config: FaultToleranceConfig):
-        self.config = config
-
-    @property
-    def max_attempts(self) -> int:
-        return max(1, self.config.transfer_max_attempts)
+    max_attempts = 8
+    backoff_base_ms = 2.0
+    backoff_multiplier = 2.0
+    backoff_max_ms = 200.0
+    jitter_fraction = 0.25
 
     def delay_ms(self, key: object, attempt: int) -> float:
-        config = self.config
-        backoff = config.transfer_backoff_base_ms * (
-            config.transfer_backoff_multiplier ** max(0, attempt - 1)
-        )
-        backoff = min(backoff, config.transfer_backoff_max_ms)
+        backoff = self.backoff_base_ms * self.backoff_multiplier ** max(0, attempt - 1)
+        backoff = min(backoff, self.backoff_max_ms)
         jitter = _splitmix64(hash((key, attempt)) & 0xFFFFFFFFFFFFFFFF)
         fraction = (jitter >> 11) / float(1 << 53)
-        return backoff * (1.0 + config.transfer_jitter_fraction * fraction)
+        return backoff * (1.0 + self.jitter_fraction * fraction)
 
 
 @dataclass
@@ -206,9 +193,6 @@ class NetworkTopology:
     def sever(self, src: str, dst: str) -> None:
         if src != dst:
             self._severed.add((src, dst))
-
-    def restore(self, src: str, dst: str) -> None:
-        self._severed.discard((src, dst))
 
     def partition_worker(
         self,

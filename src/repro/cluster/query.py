@@ -38,10 +38,9 @@ impossible does the query fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.shuffle import OutputBuffer
 from repro.cluster.task import FragmentPlanner, SimTask
 from repro.connectors.hashing import stable_hash
 from repro.errors import (
@@ -61,6 +60,17 @@ _SPLIT_BATCH_SIZE = 100
 # Simulated metastore/file-listing latency per split batch (Sec. IV-D3:
 # enumeration can take minutes at Facebook scale; scaled down here).
 _SPLIT_BATCH_LATENCY_MS = 2.0
+# Cache-affinity scheduling yields to shortest-queue once the affine
+# worker's split queue is this much deeper than the shortest.
+_AFFINITY_QUEUE_SLACK = 8
+# Total task re-executions allowed per query before it fails (guards
+# against crash loops). One worker loss costs one retry per lost task,
+# so wide queries (many fragments x partitions) spend it faster.
+_MAX_TASK_RETRIES_PER_QUERY = 64
+# Simulated collection/propagation latency between a build task
+# publishing its key summary and the coordinator being able to act on it
+# (split pruning, filtered splits).
+_DYNAMIC_FILTER_LATENCY_MS = 1.0
 
 
 @dataclass
@@ -68,13 +78,14 @@ class _ScanSchedule:
     """Split scheduling state for one table scan within one stage."""
 
     scan_index: int
+    # The TableScanNode (FragmentTemplate.scan_nodes[scan_index]); for
+    # runtime dynamic filtering it names the awaited filter ids and the
+    # bounded-wait policy (repro.optimizer.rules.dynamic_filters).
+    node: plan.TableScanNode
     connector: object
     split_source: object
     done: bool = False
     assigned: int = 0
-    # The TableScanNode, for runtime dynamic filtering: awaited filter
-    # ids + bounded-wait policy (repro.optimizer.rules.dynamic_filters).
-    node: object = None
     wait_deadline: Optional[float] = None
     wait_expired: bool = False
 
@@ -90,12 +101,14 @@ class _ReplayState:
 
 
 class StageExecution:
-    def __init__(self, query: "QueryExecution", fragment: PlanFragment, template):
+    def __init__(self, query: "QueryExecution", fragment: PlanFragment, template, placement):
         self.query = query
         self.fragment = fragment
         # The fragment lowered once; every task of the stage, first
         # attempt or replacement, instantiates it (paper Sec. IV-D).
         self.template = template
+        # One task per entry: the worker each first attempt is placed on.
+        self.placement: list = placement
         self.tasks: list[SimTask] = []
         self.started = False
         self.scan_schedules: list[_ScanSchedule] = []
@@ -146,24 +159,13 @@ class QueryExecution:
         self.cluster = cluster
         self.phased = phased
         self.client_bandwidth = client_bandwidth_bytes_per_ms
-        self.stages: dict[int, StageExecution] = {}
-        self.result_pages: list[Page] = []
         self.created_at = cluster.sim.now
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self.error: Exception | None = None
         self.state = "queued"
-        # fragment id -> consuming (stage id, remote-source key)
-        self._consumers: dict[int, tuple[int, tuple]] = {}
-        # In-flight transfers, per task *attempt*: (task_id, partition).
-        self._transfer_inflight: set[tuple[str, int]] = set()
-        # Delivered/announced EOFs, per *logical* stream (stable across
-        # attempts): (producer_key, consumer_partition). Discarding a
-        # key cancels an in-flight EOF and allows a re-send — used when
-        # a replaced consumer must hear every EOF again.
-        self._transfer_eof: set[tuple[tuple[int, int], int]] = set()
-        self._client_poll_scheduled = False
-        self.writer_scale_ups = 0
+        # Set by SimCluster.submit, which admits and retires the query.
+        self.resource_group: str | None = None
         self.on_finish = None
         # -- caching tier state (docs/CACHING.md) ----------------------
         # Simulated metastore latency charged before stage start: one
@@ -174,13 +176,52 @@ class QueryExecution:
         self.result_cache = None
         self.result_fingerprint: str | None = None
         self.result_tables: tuple = ()
-        # Version snapshot taken at the cache-miss lookup; the finish-time
-        # fill only happens if versions did not move while we ran.
-        self._result_fill_versions: tuple | None = None
         self.result_cache_status = "off"
         # -- fault tolerance state -------------------------------------
         ft = cluster.config.fault_tolerance
         self._recovery_active = ft.enabled and ft.task_recovery_enabled
+        self._timeout_event = None
+        # Incarnation counter: every internal event closure is scheduled
+        # through _later() and carries the incarnation it was created
+        # under. abandon() (coordinator crash) bumps it, so closures
+        # from a previous run no-op instead of firing into the re-run.
+        self._incarnation = 0
+        # Cumulative over the handle's life, coordinator restarts
+        # included: what happened to the query, not to its current run.
+        # (The retry budget spent is restored from the last checkpoint
+        # by prepare_restart, so a crash loop cannot launder it.)
+        self.restarts = 0
+        self._task_retries = 0
+        self.tasks_recovered = 0
+        self.writer_scale_ups = 0
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Everything one run of the query builds up, in its initial
+        state: what a coordinator crash loses (abandon) is exactly what
+        a new handle starts with. A field of the run is declared here
+        and nowhere else (tests/test_partitions.py compares an abandoned
+        handle with a fresh one, attribute by attribute)."""
+        self.stages: dict[int, StageExecution] = {}
+        self.result_pages: list[Page] = []
+        # fragment id -> consuming (stage id, remote-source key)
+        self._consumers: dict[int, tuple[int, tuple]] = {}
+        # Phased execution: fragment id -> build fragments that must
+        # complete before it may start (empty unless ``phased``).
+        self._phase_gates: dict[int, set[int]] = {}
+        # In-flight transfers, per task *attempt*: (task_id, partition).
+        self._transfer_inflight: set[tuple[str, int]] = set()
+        # Delivered/announced EOFs, per *logical* stream (stable across
+        # attempts): (producer_key, consumer_partition). Discarding a
+        # key cancels an in-flight EOF and allows a re-send — used when
+        # a replaced consumer must hear every EOF again.
+        self._transfer_eof: set[tuple[tuple[int, int], int]] = set()
+        self._client_poll_scheduled = False
+        self._root_deliveries = 0
+        # Version snapshot taken at the cache-miss lookup; the finish-time
+        # fill only happens if versions did not move while we ran.
+        self._result_fill_versions: tuple | None = None
+        # -- task recovery ---------------------------------------------
         # (consumer_stage_id, partition, client_key) -> ordered list of
         # (producer_key, seq) accepted by that consumer's client.
         self._delivery_log: dict[tuple[int, int, tuple], list] = {}
@@ -190,20 +231,10 @@ class QueryExecution:
         self._replays: dict[tuple[int, int, tuple], _ReplayState] = {}
         # producer_key -> last attempt number handed out.
         self._attempts: dict[tuple[int, int], int] = {}
-        self._task_retries = 0
-        self._root_deliveries = 0
-        self._timeout_event = None
-        self.tasks_recovered = 0
         # Round-robin routing journals shared across attempts, keyed by
         # producer_key (adaptive writer scaling under recovery).
         self._routing_log: dict[tuple[int, int], list[int]] = {}
-        # Incarnation counter: every internal event closure is scheduled
-        # through _later() and carries the incarnation it was created
-        # under. abandon() (coordinator crash) bumps it, so closures
-        # from a previous run no-op instead of firing into the re-run.
-        self._incarnation = 0
-        self.restarts = 0
-        # -- dynamic filter state --------------------------------------
+        # -- dynamic filters -------------------------------------------
         # filter id -> merged DynamicFilter, complete and usable.
         self._df_ready: dict[str, object] = {}
         # filter id -> {build partition: partial DynamicFilter}. For
@@ -273,10 +304,13 @@ class QueryExecution:
             self.fail(exc)
             return
         if self.phased:
-            self._start_phased()
-        else:
-            for stage in self.stages.values():
-                self._start_stage(stage)
+            # Phased execution (Sec. IV-D1): "if a hash-join is executed
+            # in phased mode, the tasks to schedule streaming of the left
+            # side will not be scheduled until the hash table is built".
+            # We gate the *source* stages feeding each join's probe side
+            # on the completion of the fragments feeding its build side.
+            self._phase_gates = self._compute_phase_gates()
+        self._start_unblocked_stages()
 
     def _on_timeout(self) -> None:
         if self.state != "running":
@@ -294,111 +328,34 @@ class QueryExecution:
             self._timeout_event.cancel()
             self._timeout_event = None
 
-    def _commit_guard(self):
-        """First-apply-wins fence for TableFinish commits, backed by the
-        cluster's write-ahead journal: a replayed finish task or a
-        post-commit coordinator restart must not apply the write twice."""
-        journal = getattr(self.cluster, "journal", None)
-        if journal is None:
-            return None
-        query_id = self.query_id
-        return lambda: journal.try_commit(query_id)
-
     def _create_stages(self) -> None:
         cluster = self.cluster
-        fragments = self.fragmented.fragments
-        # Determine task counts/placement per fragment. Placement uses
-        # the coordinator's *believed* liveness: a crashed-but-undetected
-        # worker can still receive tasks, which are then recovered once
-        # the heartbeat detector fires.
+        # Placement uses the coordinator's *believed* liveness: a
+        # crashed-but-undetected worker can still receive tasks, which
+        # are then recovered once the heartbeat detector fires.
         live_workers = cluster.live_workers()
         if not live_workers:
             raise PrestoError("No live workers in the cluster")
-        placements: dict[int, list] = {}
-        for fragment_id, fragment in fragments.items():
-            if fragment.partitioning in ("source", "hash"):
-                placements[fragment_id] = live_workers
-            else:
-                placements[fragment_id] = [cluster.coordinator_worker]
-        # Map each fragment to its consumer's remote-source key.
-        for fragment_id, fragment in fragments.items():
-            for node in plan.walk_plan(fragment.root):
-                if isinstance(node, plan.RemoteSourceNode):
-                    key = tuple(node.fragment_ids)
-                    for child_id in node.fragment_ids:
-                        self._consumers[child_id] = (fragment_id, key)
-        # Create tasks bottom-up is unnecessary; all at once works since
-        # delivery targets are looked up at transfer time.
-        for fragment_id, fragment in fragments.items():
-            stage = StageExecution(
-                self, fragment, FragmentPlanner(cluster.metadata).lower_fragment(fragment)
-            )
+        # Lower each fragment once (paper Sec. IV-D). The template knows
+        # what the fragment reads — its remote sources, its scans, the
+        # dynamic filters it publishes — so the plan is not walked again.
+        for fragment_id, fragment in self.fragmented.fragments.items():
+            template = FragmentPlanner(cluster.metadata).lower_fragment(fragment)
             cluster.fragments_lowered += 1
-            self.stages[fragment_id] = stage
-            consumer = self._consumers.get(fragment_id)
-            if consumer is None:
-                output_partitions = 1  # root: the client
+            if fragment.partitioning in ("source", "hash"):
+                placement = live_workers
             else:
-                output_partitions = len(placements[consumer[0]])
-            scaling = (
-                fragment.output_kind is plan.ExchangeKind.ROUND_ROBIN
-                and cluster.config.writer_scaling_enabled
-            )
-            for partition, worker in enumerate(placements[fragment_id]):
-                task = SimTask(
-                    task_id=f"{self.query_id}.{fragment_id}.{partition}",
-                    query_id=self.query_id,
-                    fragment=fragment,
-                    worker=worker,
-                    template=stage.template,
-                    partition=partition,
-                    output_partition_count=output_partitions,
-                    cost_model=cluster.cost_model,
-                    buffer_capacity=cluster.config.output_buffer_bytes,
-                    retain_output=self._recovery_active,
-                    # Adaptive round-robin routing is timing-dependent;
-                    # under recovery every choice is journaled so a
-                    # replacement attempt replays the identical routes
-                    # (docs/FAULT_TOLERANCE.md).
-                    routing_log=self._routing_log.setdefault(
-                        (fragment_id, partition), []
-                    )
-                    if scaling and self._recovery_active
-                    else None,
-                    on_commit=self._commit_guard(),
-                    on_finished=stage.task_finished,
-                )
-                cluster.record_fusion(stage.template.fusion_report)
-                # Output pages become visible only when the producing
-                # quantum's virtual time completes (on_task_quantum), so
-                # data flow cannot outrun the simulated clock.
-                if scaling:
-                    # Adaptive writer scaling (Sec. IV-E3): start with one
-                    # active writer; scale up on buffer pressure.
-                    task.output_buffer.active_partitions = 1
-                    task.output_buffer.pressure_threshold = (
-                        cluster.config.writer_scaling_utilization_threshold
-                    )
-                stage.tasks.append(task)
-        # Second pass: register producers now every stage exists.
-        for fragment_id, stage in self.stages.items():
-            consumer = self._consumers.get(fragment_id)
-            if consumer is None:
-                continue
-            consumer_stage_id, key = consumer
-            consumer_stage = self.stages[consumer_stage_id]
-            for consumer_task in consumer_stage.tasks:
-                client = consumer_task.exchange_clients[key]
-                for _ in stage.tasks:
-                    client.register_producer()
-        # Scan schedules.
-        for fragment_id, stage in self.stages.items():
-            scan_nodes = [
-                n
-                for n in plan.walk_plan(stage.fragment.root)
-                if isinstance(n, plan.TableScanNode)
-            ]
-            for scan_index, node in enumerate(scan_nodes):
+                placement = [cluster.coordinator_worker]
+            self.stages[fragment_id] = StageExecution(self, fragment, template, placement)
+            for key in template.remote_sources:
+                for child_id in key:
+                    self._consumers[child_id] = (fragment_id, key)
+        # All stages at once, in any order: delivery targets are looked
+        # up at transfer time.
+        for stage in self.stages.values():
+            for partition, worker in enumerate(stage.placement):
+                stage.tasks.append(self._new_task(stage, partition, worker))
+            for scan_index, node in enumerate(stage.template.scan_nodes):
                 connector = cluster.metadata.connector(node.table.catalog)
                 layout = node.layout
                 if layout is None:
@@ -407,29 +364,70 @@ class QueryExecution:
                     )[0]
                 stage.scan_schedules.append(
                     _ScanSchedule(
-                        scan_index,
-                        connector,
-                        connector.split_source(layout),
-                        node=node,
+                        scan_index, node, connector, connector.split_source(layout)
                     )
                 )
-        # Dynamic filters: each annotated Join/SemiJoin build collects one
-        # partial per task of its stage.
-        for fragment_id, stage in self.stages.items():
-            for node in plan.walk_plan(stage.fragment.root):
-                for filter_id in getattr(node, "dynamic_filter_ids", ()) or ():
-                    self._df_expected[filter_id] = len(stage.tasks)
+            # Each annotated Join/SemiJoin build collects one partial
+            # per task of its stage.
+            for filter_id in stage.template.dynamic_filter_ids:
+                self._df_expected[filter_id] = len(stage.tasks)
 
-    def _start_phased(self) -> None:
-        # Phased execution (Sec. IV-D1): "if a hash-join is executed in
-        # phased mode, the tasks to schedule streaming of the left side
-        # will not be scheduled until the hash table is built". We gate
-        # the *source* stages feeding each join's probe side on the
-        # completion of the fragments feeding its build side.
-        self._phase_gates = self._compute_phase_gates()
-        for stage in self.stages.values():
-            if not self._phase_blocked(stage):
-                self._start_stage(stage)
+    def _new_task(
+        self, stage: StageExecution, partition: int, worker, attempt: int = 0
+    ) -> SimTask:
+        """Build one task of ``stage``, first attempt or replacement."""
+        cluster = self.cluster
+        fragment = stage.fragment
+        # One output partition per task of the consuming stage; the
+        # root's consumer is the client.
+        consumer = self._consumers.get(fragment.id)
+        output_partitions = 1 if consumer is None else len(self.stages[consumer[0]].placement)
+        scaling = (
+            fragment.output_kind is plan.ExchangeKind.ROUND_ROBIN
+            and cluster.config.writer_scaling_enabled
+        )
+        # Adaptive round-robin routing is timing-dependent; under
+        # recovery every choice is journaled, in one log per producer
+        # key, so a replacement attempt replays the identical routes
+        # (docs/FAULT_TOLERANCE.md).
+        routing_log = None
+        if scaling and self._recovery_active:
+            routing_log = self._routing_log.setdefault((fragment.id, partition), [])
+        query_id = self.query_id
+        journal = cluster.journal
+        task = SimTask(
+            task_id=f"{query_id}.{fragment.id}.{partition}"
+            + (f".r{attempt}" if attempt else ""),
+            query_id=query_id,
+            fragment=fragment,
+            worker=worker,
+            template=stage.template,
+            partition=partition,
+            output_partition_count=output_partitions,
+            cost_model=cluster.cost_model,
+            buffer_capacity=cluster.config.output_buffer_bytes,
+            retain_output=self._recovery_active,
+            attempt=attempt,
+            routing_log=routing_log,
+            # First-apply-wins fence for TableFinish commits, backed by
+            # the write-ahead journal: a replayed finish task or a
+            # post-commit coordinator restart must not apply the write
+            # twice.
+            on_commit=lambda: journal.try_commit(query_id),
+            on_finished=stage.task_finished,
+        )
+        cluster.record_fusion(stage.template.fusion_report)
+        if scaling:
+            # Adaptive writer scaling (Sec. IV-E3): start with one
+            # active writer; scale up on buffer pressure.
+            task.output_buffer.active_partitions = 1
+        # Each exchange client hears one stream per task of every
+        # fragment its remote source reads.
+        for client_key, client in task.exchange_clients.items():
+            for fragment_id in client_key:
+                for _ in self.stages[fragment_id].placement:
+                    client.register_producer()
+        return task
 
     def _subtree_fragments(self, fragment_id: int) -> set[int]:
         out = {fragment_id}
@@ -440,23 +438,20 @@ class QueryExecution:
     def _compute_phase_gates(self) -> dict[int, set[int]]:
         """fragment id -> build fragments that must complete before it
         may start."""
+        def feeds(side: plan.PlanNode) -> set[int]:
+            return {
+                fid
+                for n in plan.walk_plan(side)
+                if isinstance(n, plan.RemoteSourceNode)
+                for fid in n.fragment_ids
+            }
+
         gates: dict[int, set[int]] = {}
         for fragment in self.fragmented.fragments.values():
             for node in plan.walk_plan(fragment.root):
                 if not isinstance(node, plan.JoinNode) or not node.criteria:
                     continue
-                build_feeds = {
-                    fid
-                    for n in plan.walk_plan(node.right)
-                    if isinstance(n, plan.RemoteSourceNode)
-                    for fid in n.fragment_ids
-                }
-                probe_feeds = {
-                    fid
-                    for n in plan.walk_plan(node.left)
-                    if isinstance(n, plan.RemoteSourceNode)
-                    for fid in n.fragment_ids
-                }
+                build_feeds, probe_feeds = feeds(node.right), feeds(node.left)
                 if not build_feeds or not probe_feeds:
                     continue
                 build_subtrees: set[int] = set()
@@ -471,15 +466,20 @@ class QueryExecution:
         return gates
 
     def _phase_blocked(self, stage: StageExecution) -> bool:
-        for build_id in getattr(self, "_phase_gates", {}).get(stage.id, ()):
+        for build_id in self._phase_gates.get(stage.id, ()):
             build_stage = self.stages.get(build_id)
             if build_stage is not None and not build_stage.completed:
                 return True
         return False
 
+    def _start_unblocked_stages(self) -> None:
+        """Start every stage no phase gate holds back: all of them,
+        unless the query runs phased."""
+        for stage in self.stages.values():
+            if not stage.started and not self._phase_blocked(stage):
+                self._start_stage(stage)
+
     def _start_stage(self, stage: StageExecution) -> None:
-        if stage.started:
-            return
         stage.started = True
         for task in stage.tasks:
             task.worker.add_task(task)
@@ -527,17 +527,14 @@ class QueryExecution:
         self._later(_SPLIT_BATCH_LATENCY_MS, fetch)
 
     def _df_wait_blocked(self, schedule: _ScanSchedule) -> bool:
-        node = schedule.node
-        awaited = getattr(node, "dynamic_filters", None)
+        awaited = schedule.node.dynamic_filters
         if not awaited:
             return False
         if all(fid in self._df_ready for fid in awaited):
             return False
         now = self.cluster.sim.now
         if schedule.wait_deadline is None:
-            schedule.wait_deadline = now + getattr(
-                node, "dynamic_filter_wait_ms", 0.0
-            )
+            schedule.wait_deadline = now + schedule.node.dynamic_filter_wait_ms
         if now < schedule.wait_deadline:
             return True
         if not schedule.wait_expired:
@@ -549,8 +546,7 @@ class QueryExecution:
         """Attach ready dynamic filters to the split (so filtered reads
         stay a pure function of the split, replay-safe), or return None
         when the connector proves the split holds no matching rows."""
-        node = schedule.node
-        awaited = getattr(node, "dynamic_filters", None)
+        awaited = schedule.node.dynamic_filters
         if not awaited:
             return split
         attached = dict(split.dynamic_filters)
@@ -565,11 +561,7 @@ class QueryExecution:
         if schedule.connector.prune_split(split, attached):
             self.cluster.df_splits_pruned += 1
             return None
-        import dataclasses
-
-        return dataclasses.replace(
-            split, dynamic_filters=tuple(sorted(attached.items()))
-        )
+        return replace(split, dynamic_filters=tuple(sorted(attached.items())))
 
     def _assign_split(self, stage: StageExecution, schedule: _ScanSchedule, split) -> None:
         tasks = [t for t in stage.tasks if not t.failed]
@@ -581,9 +573,7 @@ class QueryExecution:
         target = None
         if not split.remotely_accessible and split.addresses:
             # Shared-nothing: the split must run where its data lives.
-            candidates = [
-                t for t in tasks if t.worker.name in split.addresses
-            ]
+            candidates = [t for t in tasks if t.worker.name in split.addresses]
             if not candidates:
                 self.fail(
                     PrestoError(
@@ -596,11 +586,8 @@ class QueryExecution:
             # worker that already holds — or, by rendezvous hash, will
             # come to hold — its stripe; it beats plain DFS locality.
             target = self._affinity_target(schedule, split, tasks)
-            if split.addresses and self.cluster.config.prefer_local_reads:
-                local = [t for t in tasks if t.worker.name in split.addresses]
-                candidates = local or tasks
-            else:
-                candidates = tasks
+            # Without an affine worker, prefer a DFS-local read.
+            candidates = [t for t in tasks if t.worker.name in split.addresses] or tasks
         if target is None:
             # Shortest-queue assignment (Sec. IV-D3: "the coordinator
             # simply assigns new splits to tasks with the shortest queue").
@@ -620,7 +607,7 @@ class QueryExecution:
         failure detector believes alive, so the mapping is stable across
         queries yet redistributes automatically when a node dies. Falls
         back to shortest-queue (None) when the affine worker's split
-        queue is ``affinity_queue_slack`` deeper than the shortest."""
+        queue is ``_AFFINITY_QUEUE_SLACK`` deeper than the shortest."""
         cfg = self.cluster.config.cache
         if not (cfg.stripe_cache_enabled and cfg.affinity_scheduling_enabled):
             return None
@@ -635,7 +622,7 @@ class QueryExecution:
         holders = [
             t
             for t in pool
-            if getattr(t.worker, "stripe_cache", None) is not None
+            if t.worker.stripe_cache is not None
             and t.worker.stripe_cache.holds(cache_key)
         ]
         if holders:
@@ -653,7 +640,7 @@ class QueryExecution:
             return task.scan_operators[schedule.scan_index].queued_splits
 
         shortest = min(queue_depth(t) for t in pool)
-        if queue_depth(target) - shortest > cfg.affinity_queue_slack:
+        if queue_depth(target) - shortest > _AFFINITY_QUEUE_SLACK:
             self.cluster.affinity_fallbacks += 1
             return None
         self.cluster.affinity_routed += 1
@@ -680,19 +667,8 @@ class QueryExecution:
             # normal pumping resumes when the replay completes.
             self._advance_replay(replay_key)
             return
-        ft = self.cluster.config.fault_tolerance
-        if (
-            ft.enabled
-            and not task.worker.alive
-            and not task.output_buffer.is_drained(partition)
-        ):
-            # The node is down: its buffered output is unreachable.
-            # Recovery re-executes the task once the detector fires.
-            # (A fully drained stream survives in the spool store when
-            # spooling is on — only its EOF announcement may still need
-            # to go out; without the spool the retained buffer stands in
-            # for durable storage, a documented simulation shortcut.)
-            return
+        if self._output_lost(task, partition):
+            return  # recovery re-executes the task once the detector fires
         delivery = task.output_buffer.poll(partition)
         # A poll is where output drains, so it is where a stage can
         # become complete: checking only after a task's own quantum
@@ -702,7 +678,7 @@ class QueryExecution:
             eof_key = (task.producer_key, partition)
             if task.output_buffer.is_drained(partition) and eof_key not in self._transfer_eof:
                 self._transfer_eof.add(eof_key)
-                self._deliver_eof(task, partition)
+                self._deliver_eof(replay_key, task.producer_key)
             return
         if self.cluster.spool_active:
             # Durable spooling happens at poll time (the page leaves the
@@ -722,10 +698,10 @@ class QueryExecution:
             nonlocal attempt
             if self.state != "running":
                 return
-            consumer_task = self.stages[consumer_stage_id].tasks[partition]
+            consumer_worker = self.stages[consumer_stage_id].tasks[partition].worker
             failed = self.cluster.roll_transient_failure()
             if not failed and not self.cluster.reachable(
-                task.worker.name, consumer_task.worker.name
+                task.worker.name, consumer_worker.name
             ):
                 # Severed data link (network partition): the pull times
                 # out like a transient error and retries; a partition
@@ -747,31 +723,48 @@ class QueryExecution:
                 )
                 return
             self._transfer_inflight.discard(key)
-            client = consumer_task.exchange_clients[client_key]
-            accepted = client.deliver(delivery.page, producer_key, delivery.seq)
+            accepted = self._hand_over(replay_key, producer_key, delivery)
             if accepted and replay_key not in self._replays:
                 self._record_delivery(replay_key, producer_key, delivery.seq)
                 self._release_acked(task, partition, delivery.seq)
-            self._wake_consumer(consumer_task, client_key)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
             if accepted and self.cluster.roll_transfer_duplicate():
-                self._schedule_duplicate(
-                    consumer_stage_id, partition, client_key, producer_key, delivery
-                )
+                self._schedule_duplicate(replay_key, producer_key, delivery)
             self._pump_transfers(task, partition)
 
         self._later(cost, deliver)
 
-    @staticmethod
-    def _wake_consumer(consumer_task: SimTask, client_key: tuple) -> None:
-        """A page reached ``consumer_task``'s exchange client: kick the
-        task if that is something its driver can act on — the client
-        has output to give (an ordered merge holds pages until the last
-        EOF) and the operator after the source takes it."""
+    def _output_lost(self, task: SimTask, partition: int) -> bool:
+        """The task's node is down and ``partition`` of its output is
+        not drained: what is buffered there is unreachable until the
+        detector fires and recovery re-executes the task. (A fully
+        drained stream survives in the spool store when spooling is on —
+        only its EOF announcement may still need to go out; without the
+        spool the retained buffer stands in for durable storage, a
+        documented simulation shortcut.)"""
+        return (
+            self.cluster.config.fault_tolerance.enabled
+            and not task.worker.alive
+            and not task.output_buffer.is_drained(partition)
+        )
+
+    def _hand_over(self, replay_key, producer_key, delivery) -> bool:
+        """Give one page to the exchange client ``replay_key`` names —
+        (consumer stage, partition, remote-source key), resolved now:
+        the consumer may have been replaced while the page travelled —
+        and kick the consuming task if that is something its driver can
+        act on: the client has output to give (an ordered merge holds
+        pages until the last EOF) and the operator after the source
+        takes it. Returns whether the client accepted the page (False:
+        a duplicate, dropped)."""
+        consumer_stage_id, partition, client_key = replay_key
+        consumer_task = self.stages[consumer_stage_id].tasks[partition]
         client = consumer_task.exchange_clients[client_key]
+        accepted = client.deliver(delivery.page, producer_key, delivery.seq)
         if client.has_output and consumer_task.can_use(client_key):
             consumer_task.worker.kick(consumer_task)
+        return accepted
 
     def _release_acked(self, task: SimTask, partition: int, seq: int) -> None:
         """Retained-buffer GC: once the consumer acknowledged a segment
@@ -790,23 +783,16 @@ class QueryExecution:
         count_key = (producer_key, replay_key[1])
         self._delivered_counts[count_key] = self._delivered_counts.get(count_key, 0) + 1
 
-    def _schedule_duplicate(
-        self, consumer_stage_id, partition, client_key, producer_key, delivery
-    ) -> None:
+    def _schedule_duplicate(self, replay_key, producer_key, delivery) -> None:
         """Chaos injection: the network delivers the same page twice.
         Consumer-side dedup must drop the copy."""
         self.cluster.transfer_duplicates_injected += 1
-        cost = self.cluster.cost_model.transfer_ms(delivery.bytes)
 
         def duplicate() -> None:
-            if self.state != "running":
-                return
-            consumer_task = self.stages[consumer_stage_id].tasks[partition]
-            client = consumer_task.exchange_clients[client_key]
-            client.deliver(delivery.page, producer_key, delivery.seq)
-            self._wake_consumer(consumer_task, client_key)
+            if self.state == "running":
+                self._hand_over(replay_key, producer_key, delivery)
 
-        self._later(cost, duplicate)
+        self._later(self.cluster.cost_model.transfer_ms(delivery.bytes), duplicate)
 
     def _escalate_transfer_failure(self, task: SimTask, partition: int, delivery) -> None:
         """A transfer exhausted its retry budget: re-execute the
@@ -821,19 +807,13 @@ class QueryExecution:
             return
         self.fail(error)
 
-    def _deliver_eof(self, task: SimTask, partition: int) -> None:
-        consumer = self._consumers.get(task.fragment.id)
-        if consumer is None:
-            return
-        consumer_stage_id, client_key = consumer
-        producer_key = task.producer_key
-        eof_key = (producer_key, partition)
+    def _deliver_eof(self, replay_key, producer_key) -> None:
+        eof_key = (producer_key, replay_key[1])
 
         def eof() -> None:
-            if self.state != "running":
-                return
-            if eof_key not in self._transfer_eof:
+            if self.state != "running" or eof_key not in self._transfer_eof:
                 return  # cancelled: the consumer was replaced in flight
+            consumer_stage_id, partition, client_key = replay_key
             consumer_task = self.stages[consumer_stage_id].tasks[partition]
             client = consumer_task.exchange_clients[client_key]
             client.producer_finished(producer_key)
@@ -859,17 +839,10 @@ class QueryExecution:
             # Look the root task up at fire time: it may have been
             # replaced by recovery since this poll was scheduled.
             root_task = self.stages[root_fragment_id].tasks[0]
-            ft = self.cluster.config.fault_tolerance
-            if (
-                ft.enabled
-                and not root_task.worker.alive
-                and not root_task.output_buffer.is_drained(0)
-            ):
+            if self._output_lost(root_task, 0):
                 return  # the root node died; wait for recovery
-            delivery = root_task.output_buffer.poll(0)
+            delivery = self._take_root_page(root_task)
             if delivery is not None:
-                self.result_pages.append(delivery.page)
-                self._root_deliveries += 1
                 # The client's fetch is the ack; the coordinator keeps
                 # the pages, so the retained copy can be GC'd.
                 self._release_acked(root_task, 0, delivery.seq)
@@ -892,6 +865,15 @@ class QueryExecution:
 
         self._later(0.1, poll)
 
+    def _take_root_page(self, root_task: SimTask):
+        """Move the root task's next output page, if it has one, into
+        the client-visible result; returns the delivery taken."""
+        delivery = root_task.output_buffer.poll(0)
+        if delivery is not None:
+            self.result_pages.append(delivery.page)
+            self._root_deliveries += 1
+        return delivery
+
     # ------------------------------------------------------------------
     # Task-level recovery (lineage-style re-execution)
     # ------------------------------------------------------------------
@@ -902,7 +884,19 @@ class QueryExecution:
         or out of budget (the paper's Sec. IV-G baseline)."""
         if self.state != "running":
             return
-        lost = self.tasks_lost_on(worker_name)
+        placed = [
+            task
+            for stage in self.stages.values()
+            for task in stage.tasks
+            if task.worker.name == worker_name
+        ]
+        # A task that is fully produced and fully acknowledged is not
+        # lost: with the spool store enabled every polled segment is
+        # durably spooled, so replay re-requests it from the spool
+        # instead of re-executing the task. (Spool off keeps the legacy
+        # shortcut of reading the retained buffer; see
+        # docs/FAULT_TOLERANCE.md.)
+        lost = [t for t in placed if not (t.is_finished() and t.output_drained())]
         if lost and not self.recover_tasks(lost):
             self.fail(
                 WorkerFailedError(
@@ -914,29 +908,10 @@ class QueryExecution:
         # have announced their EOFs may have died with the node: sweep
         # every partition so outstanding EOF announcements go out (they
         # are coordinator-mediated metadata, idempotent to re-send).
-        for stage in self.stages.values():
-            for task in stage.tasks:
-                if task.worker.name != worker_name or task.superseded:
-                    continue
+        for task in placed:
+            if not task.superseded:
                 for p in range(task.output_buffer.partition_count):
                     self._pump_transfers(task, p)
-
-    def tasks_lost_on(self, worker_name: str) -> list[SimTask]:
-        lost = []
-        for stage in self.stages.values():
-            for task in stage.tasks:
-                if task.worker.name != worker_name:
-                    continue
-                if task.is_finished() and task.output_drained():
-                    # Fully produced and fully acknowledged: with the
-                    # spool store enabled every polled segment is durably
-                    # spooled, so replay re-requests it from the spool
-                    # instead of re-executing the task. (Spool off keeps
-                    # the legacy shortcut of reading the retained buffer;
-                    # see docs/FAULT_TOLERANCE.md.)
-                    continue
-                lost.append(task)
-        return lost
 
     def recover_tasks(self, lost: list[SimTask]) -> bool:
         """Re-execute the given tasks on surviving workers. Returns True
@@ -951,10 +926,9 @@ class QueryExecution:
         ]
         if not lost:
             return True
-        ft = self.cluster.config.fault_tolerance
         if not self._recovery_active:
             return False
-        if self._task_retries + len(lost) > ft.max_task_retries_per_query:
+        if self._task_retries + len(lost) > _MAX_TASK_RETRIES_PER_QUERY:
             return False
         live = self.cluster.live_workers()
         if not live:
@@ -985,34 +959,15 @@ class QueryExecution:
         return True
 
     def _build_replacement(self, old: SimTask, live: list) -> SimTask:
-        cluster = self.cluster
         attempt = self._attempts.get(old.producer_key, old.attempt) + 1
         self._attempts[old.producer_key] = attempt
         worker = min(live, key=lambda w: (len(w.tasks), w.name))
-        fragment = old.fragment
-        stage = self.stages[fragment.id]
-        new = SimTask(
-            task_id=f"{self.query_id}.{fragment.id}.{old.partition}.r{attempt}",
-            query_id=self.query_id,
-            fragment=fragment,
-            worker=worker,
-            template=stage.template,
-            partition=old.partition,
-            output_partition_count=old.output_buffer.partition_count,
-            cost_model=cluster.cost_model,
-            buffer_capacity=cluster.config.output_buffer_bytes,
-            retain_output=True,
-            attempt=attempt,
-            routing_log=self._routing_log.get(old.producer_key),
-            on_commit=self._commit_guard(),
-            on_finished=stage.task_finished,
-        )
-        cluster.record_fusion(stage.template.fusion_report)
-        # Carry adaptive writer-scaling state across attempts: the
-        # journaled routing log replays past routes exactly; new pages
-        # route against the scale-up level already reached.
+        stage = self.stages[old.fragment.id]
+        new = self._new_task(stage, old.partition, worker, attempt)
+        # Carry the writer scale-up level across attempts: the journaled
+        # routing log replays past routes exactly; new pages route
+        # against the level already reached.
         new.output_buffer.active_partitions = old.output_buffer.active_partitions
-        new.output_buffer.pressure_threshold = old.output_buffer.pressure_threshold
         stage.replace_task(old, new)
         return new
 
@@ -1036,13 +991,8 @@ class QueryExecution:
         # (b) Consumer side: fresh exchange clients must hear every
         # upstream stream again — re-feed the logged merged order first,
         # and cancel/rewind anything aimed at the dead attempt.
-        for client_key, client in new.exchange_clients.items():
-            upstream = [
-                t for fid in client_key for t in self.stages[fid].tasks
-            ]
-            for _ in upstream:
-                client.register_producer()
-            for producer in upstream:
+        for client_key in new.exchange_clients:
+            for producer in [t for fid in client_key for t in self.stages[fid].tasks]:
                 self._transfer_eof.discard((producer.producer_key, new.partition))
                 if producer.worker.alive and not producer.superseded:
                     # An in-flight transfer advanced the cursor past the
@@ -1090,7 +1040,7 @@ class QueryExecution:
         state = self._replays.get(replay_key)
         if state is None or state.inflight:
             return
-        consumer_stage_id, partition, client_key = replay_key
+        _, partition, client_key = replay_key
         log = self._delivery_log.get(replay_key, [])
         if state.pos >= len(log):
             del self._replays[replay_key]
@@ -1100,7 +1050,7 @@ class QueryExecution:
             return
         producer_key, seq = log[state.pos]
         producer = self.stages[producer_key[0]].tasks[producer_key[1]]
-        if not producer.worker.alive and not producer.output_buffer.is_drained(partition):
+        if self._output_lost(producer, partition):
             return  # the producer died too; its replacement re-triggers us
         delivery = self._replay_source(producer, partition, seq)
         if delivery is None:
@@ -1126,16 +1076,11 @@ class QueryExecution:
         self.cluster.network_bytes += delivery.bytes
 
         def arrive() -> None:
-            if self.state != "running":
-                return
-            if self._replays.get(replay_key) is not state:
-                return  # the consumer was replaced again; stale replay
+            if self.state != "running" or self._replays.get(replay_key) is not state:
+                return  # stale replay: the consumer was replaced again
             state.inflight = False
             state.pos += 1
-            consumer_task = self.stages[consumer_stage_id].tasks[partition]
-            client = consumer_task.exchange_clients[client_key]
-            client.deliver(delivery.page, producer_key, seq)
-            self._wake_consumer(consumer_task, client_key)
+            self._hand_over(replay_key, producer_key, delivery)
             self._advance_replay(replay_key)
 
         self._later(cost, arrive)
@@ -1204,11 +1149,8 @@ class QueryExecution:
         output drained, and start the stages phased execution gated on
         it. Called wherever either condition can become true: a task's
         last quantum and every output-buffer poll."""
-        if stage.completed or not stage.check_completed() or not self.phased:
-            return
-        for other in self.stages.values():
-            if not other.started and not self._phase_blocked(other):
-                self._start_stage(other)
+        if not stage.completed and stage.check_completed() and self.phased:
+            self._start_unblocked_stages()
 
     # ------------------------------------------------------------------
     # Dynamic filter collection (build side -> coordinator)
@@ -1225,7 +1167,7 @@ class QueryExecution:
         # Simulated collection/propagation latency: the filter becomes
         # usable one network hop after the last partial is published.
         self._later(
-            self.cluster.config.dynamic_filter_latency_ms,
+            _DYNAMIC_FILTER_LATENCY_MS,
             lambda: self._merge_dynamic_filter(filter_.filter_id),
         )
 
@@ -1257,26 +1199,15 @@ class QueryExecution:
         if self.state != "running":
             return
         root = self.stages.get(self.fragmented.root_fragment.id)
-        if root is None:
+        if root is None or not root.all_tasks_finished():
             return
-        if root.all_tasks_finished():
-            root_task = root.tasks[0]
-            ft = self.cluster.config.fault_tolerance
-            if (
-                ft.enabled
-                and not root_task.worker.alive
-                and not root_task.output_buffer.is_drained(0)
-            ):
-                return  # undelivered results died with the node
-            # Drain any remaining client output.
-            while True:
-                delivery = root_task.output_buffer.poll(0)
-                if delivery is None:
-                    break
-                self.result_pages.append(delivery.page)
-                self._root_deliveries += 1
-            if root_task.output_buffer.finished:
-                self._finish()
+        root_task = root.tasks[0]
+        if self._output_lost(root_task, 0):
+            return  # undelivered results died with the node
+        while self._take_root_page(root_task) is not None:
+            pass  # drain any remaining client output
+        if root_task.output_buffer.finished:
+            self._finish()
 
     def _finish(self) -> None:
         if self.state != "running":
@@ -1292,10 +1223,7 @@ class QueryExecution:
                 self.cluster.table_versions(self.result_tables),
                 self.result_pages,
             )
-        self._cancel_timeout()
-        self._cleanup()
-        if self.on_finish is not None:
-            self.on_finish(self)
+        self._settle()
 
     def fail(self, error: Exception) -> None:
         if self.state in ("finished", "failed"):
@@ -1303,21 +1231,23 @@ class QueryExecution:
         self.state = "failed"
         self.error = error
         self.finished_at = self.cluster.sim.now
-        self._cancel_timeout()
         self._replays.clear()
         for stage in self.stages.values():
             for task in stage.tasks:
                 task.fail()
-        self._cleanup()
-        if self.on_finish is not None:
-            self.on_finish(self)
+        self._settle()
 
-    def _cleanup(self) -> None:
+    def _settle(self) -> None:
+        """The query is finished or failed: take its tasks off their
+        workers, give its memory back, tell the cluster."""
+        self._cancel_timeout()
         for stage in self.stages.values():
             for task in stage.tasks:
                 task.worker.remove_task(task)
         self.cluster.memory_manager.release_query(self.query_id)
         self.cluster.on_query_memory_released()
+        if self.on_finish is not None:
+            self.on_finish(self)
 
     # ------------------------------------------------------------------
     # Coordinator crash/restart
@@ -1343,23 +1273,7 @@ class QueryExecution:
                 task.superseded = True
                 task.worker.remove_task(task)
                 task.fail()
-        self.stages.clear()
-        self._consumers.clear()
-        self._transfer_inflight.clear()
-        self._transfer_eof.clear()
-        self._delivery_log.clear()
-        self._delivered_counts.clear()
-        self._replays.clear()
-        self._attempts.clear()
-        self._routing_log.clear()
-        self._df_ready.clear()
-        self._df_partials.clear()
-        self._df_expected.clear()
-        self._df_counter_seen.clear()
-        self.result_pages = []
-        self._root_deliveries = 0
-        self._client_poll_scheduled = False
-        self._result_fill_versions = None
+        self._reset_run_state()
         self.cluster.memory_manager.release_query(self.query_id)
         self.cluster.on_query_memory_released()
 
@@ -1385,13 +1299,14 @@ class QueryExecution:
         deadlock message. A missing wake-up shows as a parked task
         whose drivers have no blocked operator."""
         lines = []
-        gates = getattr(self, "_phase_gates", {})
         for stage in self.stages.values():
             if stage.completed:
                 continue
             if not stage.started:
                 waits = sorted(
-                    g for g in gates.get(stage.id, ()) if not self.stages[g].completed
+                    g
+                    for g in self._phase_gates.get(stage.id, ())
+                    if not self.stages[g].completed
                 )
                 lines.append(f"stage {stage.id}: not started, gated on stages {waits}")
                 continue

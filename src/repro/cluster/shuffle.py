@@ -23,6 +23,9 @@ from repro.exec.page import Page, page_from_rows
 from repro.planner.nodes import ExchangeKind, Ordering
 
 DEFAULT_BUFFER_CAPACITY = 8 * 1024 * 1024  # bytes per output buffer
+# Adaptive writer scaling (Sec. IV-E3) adds a writer when a round-robin
+# producer's buffer utilization was above this since the last check.
+WRITER_SCALING_PRESSURE = 0.5
 
 
 @dataclass
@@ -80,7 +83,6 @@ class OutputBuffer:
         self.active_partitions = partition_count
         self.capacity_bytes = capacity_bytes
         self.retain = retain
-        self.pressure_threshold = 0.5
         self.pressure_seen = False
         self._partitions: list[list[Optional[_Delivery]]] = [
             [] for _ in range(partition_count)
@@ -88,10 +90,6 @@ class OutputBuffer:
         self._cursors: list[int] = [0] * partition_count
         self.buffered_bytes = 0
         self.finished = False
-        self.total_pages = 0
-        self.total_bytes = 0
-        # Peak utilization tracking (drives adaptive writer scaling).
-        self.utilization_samples: list[float] = []
         # Bit p set: partition p was written to (or finished) since
         # take_dirty() last ran — whoever ships the output pumps those
         # partitions and no others.
@@ -117,8 +115,6 @@ class OutputBuffer:
         entries = self._partitions[partition]
         delivery = _Delivery(page, size, seq=len(entries))
         entries.append(delivery)
-        self.total_pages += 1
-        self.total_bytes += size
         self._dirty |= 1 << partition
         if delivery.seq < self._cursors[partition]:
             # Re-execution regenerating an already-acknowledged prefix:
@@ -128,8 +124,7 @@ class OutputBuffer:
             # exactly this page.)
             return
         self.buffered_bytes += size
-        self.utilization_samples.append(self.utilization)
-        if self.utilization > self.pressure_threshold:
+        if self.utilization > WRITER_SCALING_PRESSURE:
             self.pressure_seen = True
 
     def take_pressure(self) -> bool:
@@ -199,9 +194,6 @@ class OutputBuffer:
             if entry is not None:
                 self.buffered_bytes += entry.bytes
         self._cursors[partition] = seq
-
-    def sent_count(self, partition: int) -> int:
-        return self._cursors[partition]
 
     def set_finished(self) -> None:
         self.finished = True
@@ -379,11 +371,6 @@ class ExchangeClient:
         if self.ordering:
             return self.all_finished
         return bool(self.pages) or self.all_finished
-
-    def received_count(self, producer_key) -> int:
-        """How many pages of this producer's stream have been accepted
-        (the re-request point for a re-executed producer)."""
-        return self._next_seq.get(producer_key, 0)
 
     def deliver(self, page: Page, producer_key=None, seq: int | None = None) -> bool:
         if producer_key is not None and seq is not None:

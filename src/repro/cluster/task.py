@@ -35,14 +35,23 @@ from repro.planner.fragmenter import PlanFragment
 
 
 class FragmentTemplate(ExecutionTemplate):
-    """A lowered fragment, plus what each of its tasks must set up to be
-    fed from outside: how many scans take splits, and the symbols and
-    merge ordering of every remote source's exchange client."""
+    """A lowered fragment, plus every fact about the fragment that its
+    stage and tasks act on, so nobody walks the plan again: the scans
+    that take splits, in the order that numbers them; the symbols and
+    merge ordering of each remote source's exchange client, by
+    remote-source key; the ids of the dynamic filters its join builds
+    publish."""
 
-    def __init__(self, pipelines, shared, scan_count: int, remote_sources: dict):
+    def __init__(
+        self, pipelines, shared, scan_nodes: list, remote_sources: dict, dynamic_filter_ids: list
+    ):
         super().__init__(pipelines, shared)
-        self.scan_count = scan_count
+        #: ``scan_nodes[i]`` is the ``TableScanNode`` a task's
+        #: ``scan_operators[i]`` reads and the split scheduler feeds as
+        #: scan ``i`` (numbered by ``FragmentPlanner._visit_TableScanNode``)
+        self.scan_nodes = scan_nodes
         self.remote_sources = remote_sources
+        self.dynamic_filter_ids = dynamic_filter_ids
 
 
 class FragmentPlanner(LocalExecutionPlanner):
@@ -54,11 +63,13 @@ class FragmentPlanner(LocalExecutionPlanner):
 
     def __init__(self, metadata):
         super().__init__(metadata)
-        # Scans seen so far; a scan's number is what the coordinator's
-        # split scheduler addresses it by (walk_plan order).
-        self._scan_count = 0
+        # Scans in the order visited. A scan's position here is its
+        # number — what the coordinator's split scheduler addresses it
+        # by — and _visit_TableScanNode is the only place one is given.
+        self._scan_nodes: list[plan.TableScanNode] = []
         # remote-source key -> (symbols, merge ordering)
         self._remote_sources: dict[tuple, tuple] = {}
+        self._dynamic_filter_ids: list[str] = []
 
     def lower_fragment(self, fragment: PlanFragment) -> FragmentTemplate:
         factories, symbols = self.visit(fragment.root)
@@ -79,15 +90,25 @@ class FragmentPlanner(LocalExecutionPlanner):
         )
         self.pipelines.append(factories)
         return FragmentTemplate(
-            self.pipelines, self._shared, self._scan_count, self._remote_sources
+            self.pipelines,
+            self._shared,
+            self._scan_nodes,
+            self._remote_sources,
+            self._dynamic_filter_ids,
         )
+
+    def visit(self, node: plan.PlanNode):
+        # Join and semi-join builds publish these; the coordinator
+        # collects one partial per task of the stage.
+        self._dynamic_filter_ids.extend(getattr(node, "dynamic_filter_ids", ()))
+        return super().visit(node)
 
     def _visit_TableScanNode(self, node: plan.TableScanNode):
         connector = self.metadata.connector(node.table.catalog)
         columns = [node.assignments[s] for s in node.outputs]
         filter_specs = self._scan_filter_specs(node, columns)
-        scan_index = self._scan_count
-        self._scan_count += 1
+        scan_index = len(self._scan_nodes)
+        self._scan_nodes.append(node)
 
         def make(instance):
             task = instance.context
@@ -100,7 +121,7 @@ class FragmentPlanner(LocalExecutionPlanner):
             if filter_specs and not task.recovery_active:
                 scan.attach_dynamic_filters(filter_specs, task.dynamic_filters)
             # Splits arrive from the coordinator, addressed by the
-            # scan's position in the plan.
+            # scan's number.
             task.scan_operators[scan_index] = scan
             return scan
 
@@ -154,8 +175,6 @@ class TaskStats:
     cpu_ms: float = 0.0
     quanta: int = 0
     splits_completed: int = 0
-    rows_produced: int = 0
-    memory_stalled_ms: float = 0.0
 
 
 class SimTask:
@@ -220,7 +239,7 @@ class SimTask:
 
         self.dynamic_filters = DynamicFilterRegistry()
         self.recovery_active = retain_output
-        self.scan_operators: list[TableScanOperator] = [None] * template.scan_count
+        self.scan_operators: list[TableScanOperator] = [None] * len(template.scan_nodes)
         self.exchange_clients: dict[tuple, ExchangeClient] = {
             key: ExchangeClient(symbols, ordering)
             for key, (symbols, ordering) in template.remote_sources.items()

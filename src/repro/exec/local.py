@@ -142,7 +142,6 @@ class ExecutionTemplate:
         self,
         pipelines: list[list[OperatorFactory]],
         shared: list[Callable[[], object]],
-        interpreted: bool = False,
     ):
         self.pipelines = pipelines
         self._shared = shared
@@ -156,9 +155,7 @@ class ExecutionTemplate:
         self.fusion_report = FusionReport()
         self._labels = [[f.label for f in factories] for factories in pipelines]
         self._fused = [
-            fusible_prefix(
-                [f.name for f in factories], labels, self.fusion_report, interpreted
-            )
+            fusible_prefix([f.name for f in factories], labels, self.fusion_report)
             for factories, labels in zip(pipelines, self._labels)
         ]
 
@@ -200,16 +197,10 @@ class LocalExecutionPlanner:
     completed feeding pipelines (join builds, union branches) are
     appended to ``self.pipelines``. Everything that can be decided from
     the plan is decided here, so that a factory only constructs.
-
-    ``interpreted=True`` selects row-at-a-time interpreted expression
-    evaluation in every filter/project (and join residual) instead of
-    the compiled/vectorized path — the reference execution mode used by
-    the differential fuzzing harness.
     """
 
-    def __init__(self, metadata: Metadata, interpreted: bool = False):
+    def __init__(self, metadata: Metadata):
         self.metadata = metadata
-        self.interpreted = interpreted
         self.pipelines: list[list[OperatorFactory]] = []
         self._shared: list[Callable[[], object]] = []
         # Set by plan(): how many pipelines fused and why the rest fell
@@ -232,7 +223,7 @@ class LocalExecutionPlanner:
 
         factories.append(OperatorFactory(collector, OutputCollectorOperator.name))
         self.pipelines.append(factories)
-        return ExecutionTemplate(self.pipelines, self._shared, self.interpreted)
+        return ExecutionTemplate(self.pipelines, self._shared)
 
     def plan(self, root: plan.PlanNode) -> tuple[list[Driver], OutputCollectorOperator]:
         """Lower and instantiate once: the drivers of a local run."""
@@ -250,13 +241,11 @@ class LocalExecutionPlanner:
         return len(self._shared) - 1
 
     def _filter_project(self, symbols, filter_expr, projections) -> OperatorFactory:
-        processor = PageProcessor(
-            symbols, filter_expr, projections, interpreted=self.interpreted
-        )
+        processor = PageProcessor(symbols, filter_expr, projections)
         return OperatorFactory(
             lambda instance: FilterProjectOperator(processor.fresh()),
             FilterProjectOperator.name,
-            None if self.interpreted else FilterProjectOperator.name,
+            FilterProjectOperator.name,
         )
 
     # -- node dispatch -------------------------------------------------------------
@@ -486,15 +475,7 @@ class LocalExecutionPlanner:
         self.pipelines.append(build)
         residual = None
         if node.filter is not None:
-            if self.interpreted:
-                names = [s.name for s in output_symbols]
-                residual_expr = node.filter
-
-                def residual(row, _names=names, _expr=residual_expr):
-                    return interpreter.evaluate(_expr, dict(zip(_names, row)))
-
-            else:
-                residual = compile_expression(node.filter, output_symbols).evaluate_row
+            residual = compile_expression(node.filter, output_symbols).evaluate_row
         probe_outputs = list(range(len(probe_symbols)))
         build_outputs = list(range(len(build_symbols)))
         build_types = [s.type for s in build_symbols]
@@ -750,11 +731,9 @@ def channel_select(symbols: Sequence[Symbol], selected: Sequence[Symbol]) -> Ope
     )
 
 
-def execute_plan(
-    metadata: Metadata, logical_plan, interpreted: bool = False
-) -> ExecutionResult:
+def execute_plan(metadata: Metadata, logical_plan) -> ExecutionResult:
     """Execute a planner Plan in-process and return all result pages."""
-    planner = LocalExecutionPlanner(metadata, interpreted=interpreted)
+    planner = LocalExecutionPlanner(metadata)
     drivers, collector = planner.plan(logical_plan.root)
     run_drivers_to_completion(drivers)
     result = ExecutionResult(

@@ -66,39 +66,19 @@ class _DictionaryHeuristic:
 
 
 class PageProcessor:
-    """Evaluates an optional filter plus a list of projections.
-
-    With ``interpreted=True`` the processor bypasses the expression
-    compiler entirely and evaluates every row one at a time through
-    :mod:`repro.exec.interpreter` — the deliberately naive evaluation
-    mode the fuzzing harness differentially tests against the
-    compiled/vectorized path (paper Sec. V-B vs a reference
-    interpreter).
-    """
+    """Evaluates an optional filter plus a list of projections."""
 
     def __init__(
         self,
         input_symbols: Sequence[Symbol],
         filter_expr: Optional[ir.RowExpression],
         projections: Sequence[ir.RowExpression],
-        interpreted: bool = False,
     ):
         self.input_symbols = list(input_symbols)
-        self.interpreted = interpreted
         # Array work routes through the kernel-backend seam
         # (repro.exec.backend); ``xp`` mirrors the numpy API surface.
         self.backend = current_backend()
         self._xp = self.backend.xp
-        if interpreted:
-            self._raw_filter = filter_expr
-            self._raw_projections = list(projections)
-            self._output_types = [p.type for p in projections]
-            self.filter = None
-            self.projections = []
-            self._heuristic = _DictionaryHeuristic()
-            self._dictionary_cache = {}
-            self._filter_cache = None
-            return
         self.filter = (
             compile_expression(filter_expr, self.input_symbols)
             if filter_expr is not None
@@ -153,8 +133,6 @@ class PageProcessor:
         return clone
 
     def process(self, page: Page) -> Optional[Page]:
-        if self.interpreted:
-            return self._process_interpreted(page)
         xp = self._xp
         ctx = EvalContext(page)
         selected: np.ndarray | None = None
@@ -179,29 +157,6 @@ class PageProcessor:
         for index, compiled in enumerate(self.projections):
             blocks.append(self._project(index, compiled, page, ctx, selected, row_count))
         return Page(blocks, row_count)
-
-    def _process_interpreted(self, page: Page) -> Optional[Page]:
-        from repro.exec import interpreter
-        from repro.exec.page import page_from_rows
-
-        names = [s.name for s in self.input_symbols]
-        out_rows: list[tuple] = []
-        for row in page.rows():  # row-path: interpreted reference mode
-            bindings = dict(zip(names, row))
-            if self._raw_filter is not None:
-                if interpreter.evaluate(self._raw_filter, bindings) is not True:
-                    continue
-            out_rows.append(
-                tuple(
-                    interpreter.evaluate(p, bindings)
-                    for p in self._raw_projections
-                )
-            )
-        if not out_rows:
-            return None
-        if not self._raw_projections:
-            return Page([], len(out_rows))
-        return page_from_rows(self._output_types, out_rows)
 
     # -- filter fast path ----------------------------------------------------
 

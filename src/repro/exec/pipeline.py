@@ -336,15 +336,11 @@ def fusible_prefix(
     names: Sequence[str],
     labels: Sequence[Optional[str]],
     report: FusionReport,
-    interpreted: bool = False,
 ) -> int:
     """The plan-time half of the compiler, over one pipeline's operator
     names and stage labels (no operator exists yet): how many leading
     slots fuse, 0 when the chain stays on the driver loop. Every outcome
     is recorded in ``report``, a fallback with its reason."""
-    if interpreted:
-        report.fallback("interpreted")
-        return 0
     if not kernels.enabled():
         report.fallback("fusion_disabled")
         return 0

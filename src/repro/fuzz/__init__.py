@@ -2,10 +2,9 @@
 
 The subsystem generates well-typed queries from a seed, executes each
 through the engine configurations of ``repro.fuzz.runner.CONFIG_NAMES``
-(interpreter, compiled, optimized, row kernels, and the simulated
-cluster under faults, connectors, caching and spill), and checks every
-result against a
-deliberately naive reference oracle evaluated over the unoptimized
+(compiled, optimized, row kernels, and the simulated cluster under
+faults, connectors, caching and spill), and checks every result against
+a deliberately naive reference oracle evaluated over the unoptimized
 plan. On disagreement, :mod:`repro.fuzz.shrink` minimizes both the
 query AST and the dataset and writes a self-contained reproducer.
 

@@ -1,36 +1,36 @@
 """Multi-way agreement runner.
 
-Executes one fuzz case through 15 engine configurations (``CONFIG_NAMES``)
-and compares every result against the reference oracle:
+Executes one fuzz case through 14 engine configurations (``CONFIG_NAMES``)
+and compares every result against the reference oracle, which evaluates
+every expression through the tree-walking :mod:`repro.exec.interpreter`
+— so each configuration is also a compiler-vs-interpreter differential:
 
-1. ``interpreter`` — unoptimized plan, row-at-a-time interpreted
-   expression evaluation (no compiler, no vectorization)
-2. ``compiled``    — unoptimized plan, compiled page processor
-3. ``optimized``   — full optimizer rules, local execution
-4. ``row_kernels`` — like ``optimized`` but with the vectorized hash
+1. ``compiled``    — unoptimized plan, compiled page processor
+2. ``optimized``   — full optimizer rules, local execution
+3. ``row_kernels`` — like ``optimized`` but with the vectorized hash
    kernels (repro.exec.kernels) forced onto the scalar row path, so the
    vector and row hash implementations are differentially tested
-5. ``cluster``     — SimCluster: fragmented, scheduled, shuffled
-6. ``cluster_faults`` — SimCluster with transient transfer failures
+4. ``cluster``     — SimCluster: fragmented, scheduled, shuffled
+5. ``cluster_faults`` — SimCluster with transient transfer failures
    plus a mid-query worker crash; the client retries per paper Sec. IV-G
-7. ``chaos``       — SimCluster with fault tolerance enabled: a worker
+6. ``chaos``       — SimCluster with fault tolerance enabled: a worker
    is crashed mid-query and transfers suffer transient failures and
    duplication, but heartbeat detection plus task-level recovery must
    complete the query bit-exactly *without* a client retry
-8. ``dynamic_filter`` — SimCluster with runtime dynamic filtering
+7. ``dynamic_filter`` — SimCluster with runtime dynamic filtering
    forced onto every eligible join edge (selectivity threshold 1.0,
    nonzero wait) — filters on must agree bit-exactly with filters off
-9. ``hive``        — SimCluster over the Hive connector with tiny
+8. ``hive``        — SimCluster over the Hive connector with tiny
    stripes/files and Bloom metadata on every column, dynamic filters
    forced, so stripe skipping and split pruning engage
-10. ``raptor``     — SimCluster over the Raptor connector (node-pinned
+9. ``raptor``     — SimCluster over the Raptor connector (node-pinned
    shards, tiny stripes), dynamic filters forced, exercising shard
    pruning
-11. ``ddl_roundtrip`` — the case tables are CTAS'd from a memory
+10. ``ddl_roundtrip`` — the case tables are CTAS'd from a memory
    catalog into Hive (encoded ORC-like write) and from Hive into
    Raptor, then the case query runs against the twice-round-tripped
    Raptor copies — the encoded write/decode paths must be lossless
-12. ``cache_coherence`` — the case query runs repeatedly on a
+11. ``cache_coherence`` — the case query runs repeatedly on a
    Hive-backed cluster with the full caching tier enabled (metadata,
    plan, result, and stripe caches + affinity scheduling,
    docs/CACHING.md) while random deterministic DDL/INSERT mutations are
@@ -38,16 +38,16 @@ and compares every result against the reference oracle:
    must agree with an identical uncached twin, and a repeat with no
    intervening mutation must be served bit-identically from the result
    cache — any stale answer raises ``CacheCoherenceError``
-13. ``spooled`` — SimCluster with fault tolerance *and* the durable
+12. ``spooled`` — SimCluster with fault tolerance *and* the durable
    output spool enabled, under an asymmetric network partition that
    later heals plus a worker crash: spool reads, partition-aware
    detection, re-admission fencing, and ack-driven buffer GC must all
    keep the result bit-exact with no client retry
-14. ``join_spill`` — SimCluster whose general memory pool is far
+13. ``join_spill`` — SimCluster whose general memory pool is far
    smaller than any join/aggregation state with spilling enabled, so
    memory revocation (HashBuild/sort/aggregation spill-and-merge)
    engages on stateful queries and must not change a byte of output
-15. ``rewrites`` — LocalEngine with every rewrite rule of the
+14. ``rewrites`` — LocalEngine with every rewrite rule of the
    repro.planner.rules pack enabled and their cost guards disabled, so
    each eligible shape actually rewrites (decorrelation, scan
    consolidation, set-op semi joins, CTE pushdown); the oracle runs
@@ -78,7 +78,6 @@ from repro.fuzz.oracle import run_oracle
 from repro.types import BIGINT, DOUBLE, VARCHAR
 
 CONFIG_NAMES = (
-    "interpreter",
     "compiled",
     "optimized",
     "row_kernels",
@@ -211,8 +210,8 @@ def load_tables(connector: MemoryConnector, tables: list[TableSpec]) -> None:
         )
 
 
-def _local_engine(tables, optimize: bool, interpreted: bool) -> LocalEngine:
-    engine = LocalEngine(optimize=optimize, interpreted=interpreted)
+def _local_engine(tables, optimize: bool) -> LocalEngine:
+    engine = LocalEngine(optimize=optimize)
     connector = MemoryConnector()
     load_tables(connector, tables)
     engine.register_catalog("memory", connector)
@@ -590,17 +589,14 @@ def run_config(name: str, case_tables, sql: str) -> Outcome:
         metadata = Metadata()
         metadata.register_catalog("memory", connector)
         return _capture(lambda: run_oracle(metadata, sql)[1])
-    if name == "interpreter":
-        engine = _local_engine(case_tables, optimize=False, interpreted=True)
-        return _capture(lambda: engine.execute(sql).rows)
     if name == "compiled":
-        engine = _local_engine(case_tables, optimize=False, interpreted=False)
+        engine = _local_engine(case_tables, optimize=False)
         return _capture(lambda: engine.execute(sql).rows)
     if name == "optimized":
-        engine = _local_engine(case_tables, optimize=True, interpreted=False)
+        engine = _local_engine(case_tables, optimize=True)
         return _capture(lambda: engine.execute(sql).rows)
     if name == "row_kernels":
-        engine = _local_engine(case_tables, optimize=True, interpreted=False)
+        engine = _local_engine(case_tables, optimize=True)
 
         def run_row_mode() -> list[tuple]:
             with kernels.forced_mode(kernels.ROW):
@@ -635,7 +631,7 @@ def run_config(name: str, case_tables, sql: str) -> Outcome:
     if name == "cache_coherence":
         return _capture(lambda: _run_cache_coherence(case_tables, sql))
     if name == "rewrites":
-        engine = _local_engine(case_tables, optimize=True, interpreted=False)
+        engine = _local_engine(case_tables, optimize=True)
         engine.optimizer_config = _forced_rewrites_optimizer()
         return _capture(lambda: engine.execute(sql).rows)
     if name == "spooled":

@@ -19,7 +19,7 @@ class WorkloadQuery:
     # Virtual-ms gap after the previous arrival.
     inter_arrival_ms: float = 0.0
     client_bandwidth_bytes_per_ms: Optional[float] = None
-    phased: Optional[bool] = None
+    phased: bool = False
 
 
 class _BaseWorkload:

@@ -95,7 +95,6 @@ def test_sink_preserves_dictionary_encoding():
 
 def test_pressure_flag_set_and_cleared():
     buffer = OutputBuffer(1, capacity_bytes=100)
-    buffer.pressure_threshold = 0.5
     sink = ExchangeSinkOperator(buffer, ExchangeKind.GATHER)
     sink.add_input(page_from_rows([BIGINT], [(i,) for i in range(64)]))
     assert buffer.take_pressure()

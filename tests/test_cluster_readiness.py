@@ -113,6 +113,85 @@ def test_replacement_attempts_lower_nothing():
     assert cluster.stats_snapshot()["exec.fragments_lowered"] == len(query.stages)
 
 
+def test_template_states_the_fragment_facts_of_every_corpus_stage(corpus_run):
+    """What ``_create_stages`` reads off the template instead of walking
+    the plan: every scan of the fragment exactly once, numbered 0..n-1
+    as the heads of n pipelines; the remote-source keys; the dynamic
+    filters its builds publish."""
+    from repro.planner import nodes as plan
+
+    _, _, results = corpus_run
+    scans = 0
+    for query in results.values():
+        for stage in query.stages.values():
+            template, nodes = stage.template, list(plan.walk_plan(stage.fragment.root))
+            in_plan = [n for n in nodes if isinstance(n, plan.TableScanNode)]
+            assert sorted(map(id, template.scan_nodes)) == sorted(map(id, in_plan))
+            numbered = sorted(k for k in template.input_pipeline if isinstance(k, int))
+            assert numbered == list(range(len(template.scan_nodes)))
+            assert set(template.remote_sources) == {
+                tuple(n.fragment_ids) for n in nodes if isinstance(n, plan.RemoteSourceNode)
+            }
+            assert sorted(template.dynamic_filter_ids) == sorted(
+                fid for n in nodes for fid in getattr(n, "dynamic_filter_ids", ())
+            )
+            for task in stage.tasks:
+                assert len(task.scan_operators) == len(template.scan_nodes)
+                assert None not in task.scan_operators
+            scans += len(template.scan_nodes)
+    assert scans >= len(results)  # the corpus does scan
+
+
+def test_scan_numbering_has_one_owner():
+    """A co-located join puts two scans, of tables in two connectors,
+    in one fragment. ``template.scan_nodes[i]`` is the node whose table
+    ``task.scan_operators[i]`` reads, the pipeline ``can_use(i)`` asks
+    is the one that scan heads, and split schedule ``i`` hands out that
+    table's splits."""
+    from repro.connectors.api import TablePartitioning
+    from repro.types import DOUBLE
+
+    def catalog(table, columns, rows):
+        connector = MemoryConnector()
+        connector.create_table_with_data(
+            "memory", "default", table, columns, rows,
+            partitioning=TablePartitioning(("orderkey",), 8, partitioning_handle="h8"),
+        )  # fmt: skip
+        return connector
+
+    cluster = SimCluster(
+        ClusterConfig(worker_count=3, default_catalog="facts", default_schema="default")
+    )
+    lineitem = [(i % 100, float(i)) for i in range(300)]
+    orders = [(i, float(i)) for i in range(100)]
+    cluster.register_catalog(
+        "facts", catalog("lineitem", [("orderkey", BIGINT), ("tax", DOUBLE)], lineitem)
+    )
+    cluster.register_catalog(
+        "dims", catalog("orders", [("orderkey", BIGINT), ("totalprice", DOUBLE)], orders)
+    )
+    query = cluster.run_query(
+        "SELECT o.orderkey, sum(l.tax) FROM dims.default.orders o "
+        "JOIN facts.default.lineitem l ON o.orderkey = l.orderkey GROUP BY o.orderkey"
+    )
+    assert len(query.rows()) == 100
+    (stage,) = [s for s in query.stages.values() if len(s.template.scan_nodes) == 2]
+    nodes = stage.template.scan_nodes
+    assert {n.table.catalog for n in nodes} == {"facts", "dims"}
+    for task in stage.tasks:
+        for index, (scan, node) in enumerate(zip(task.scan_operators, nodes)):
+            assert scan.connector is cluster.metadata.connector(node.table.catalog)
+            head = task.drivers[stage.template.input_pipeline[index]].operators[0]
+            assert scan in (head, getattr(head, "scan", None))
+        for index, split in task.split_log:
+            assert split.payload[0] == nodes[index].table.connector_handle
+    assert [s.scan_index for s in stage.scan_schedules] == [0, 1]
+    for schedule in stage.scan_schedules:
+        assert schedule.node is nodes[schedule.scan_index]
+        assert schedule.connector is cluster.metadata.connector(schedule.node.table.catalog)
+        assert schedule.assigned > 0
+
+
 def test_corpus_results_equal_local_engine(corpus_run):
     connectors, _, results = corpus_run
     engines = {

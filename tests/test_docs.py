@@ -43,16 +43,32 @@ def test_guard_rejects_a_missing_module():
     assert not _resolves("repro.exec.kernels.no_such_function")
 
 
-def test_optimizer_knob_table_matches_the_dataclass():
-    """docs/OPTIMIZER.md's field table lists exactly OptimizerConfig's
-    fields with their defaults: a removed or new field fails here until
-    the doc says who sets it."""
+def assert_field_table_matches(doc: str, config_class) -> None:
+    """``docs/<doc>``'s "## `<Class>` fields" table lists exactly the
+    dataclass's fields with their defaults: a removed or new field fails
+    here until the doc says who sets it."""
     import dataclasses
 
+    text = (REPO_ROOT / "docs" / doc).read_text()
+    section = text.split(f"## `{config_class.__name__}` fields")[1].split("\n## ")[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, re.M))
+    actual = {f.name: repr(f.default) for f in dataclasses.fields(config_class)}
+    assert documented == actual
+
+
+def test_optimizer_knob_table_matches_the_dataclass():
     from repro.optimizer.context import OptimizerConfig
 
-    text = (REPO_ROOT / "docs" / "OPTIMIZER.md").read_text()
-    section = text.split("## `OptimizerConfig` fields")[1].split("\n## ")[0]
-    documented = dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, re.M))
-    actual = {f.name: repr(f.default) for f in dataclasses.fields(OptimizerConfig)}
-    assert documented == actual
+    assert_field_table_matches("OPTIMIZER.md", OptimizerConfig)
+
+
+def test_fault_tolerance_field_table_matches_the_dataclass():
+    from repro.cluster import FaultToleranceConfig
+
+    assert_field_table_matches("FAULT_TOLERANCE.md", FaultToleranceConfig)
+
+
+def test_cache_field_table_matches_the_dataclass():
+    from repro.cache import CacheConfig
+
+    assert_field_table_matches("CACHING.md", CacheConfig)

@@ -81,12 +81,12 @@ def test_error_categories_and_retryability():
 
 
 def test_retry_policy_deterministic_bounded_backoff():
-    policy = RetryPolicy(FaultToleranceConfig())
+    policy = RetryPolicy()
     delays = [policy.delay_ms("k", attempt) for attempt in range(1, 9)]
     # Pure function of (key, attempt).
     assert delays == [policy.delay_ms("k", a) for a in range(1, 9)]
     # Grows (roughly doubling) until the cap; jitter is bounded.
-    base, cap, jitter = 2.0, 200.0, 0.25
+    base, cap, jitter = policy.backoff_base_ms, policy.backoff_max_ms, policy.jitter_fraction
     for attempt, delay in enumerate(delays, start=1):
         raw = min(base * 2.0 ** (attempt - 1), cap)
         assert raw <= delay < raw * (1 + jitter)
@@ -110,7 +110,7 @@ def test_transfer_retries_give_up_and_escalate():
     assert isinstance(handle.error, TransferFailedError)
     assert cluster.transfers_escalated >= 1
     stats = cluster.stats_snapshot()
-    assert stats["ft.transfers_retried"] >= cluster.config.fault_tolerance.transfer_max_attempts - 1
+    assert stats["ft.transfers_retried"] >= RetryPolicy.max_attempts - 1
 
     # With recovery, escalation re-executes the producer task; since
     # every transfer fails, the retry budget eventually exhausts and the

@@ -33,11 +33,11 @@ def tpch_cluster(**overrides) -> SimCluster:
     return cluster
 
 
-def local_drivers(sql: str, interpreted: bool = False):
+def local_drivers(sql: str):
     """Plan a query on the memory engine; return (drivers, collector, planner)."""
     engine = make_engine()
     plan = engine.plan(parse_statement(sql))
-    planner = LocalExecutionPlanner(engine.metadata, interpreted=interpreted)
+    planner = LocalExecutionPlanner(engine.metadata)
     drivers, collector = planner.plan(plan.root)
     return drivers, collector, planner
 
@@ -104,14 +104,6 @@ def test_row_kernel_mode_produces_no_fused_operators():
     assert not fused_operators(drivers)
     assert planner.fusion_report.fused == 0
     assert planner.fusion_report.fallbacks.get("fusion_disabled", 0) >= 1
-
-
-def test_interpreted_mode_never_fuses():
-    drivers, _, planner = local_drivers(
-        "SELECT status FROM orders", interpreted=True
-    )
-    assert not fused_operators(drivers)
-    assert planner.fusion_report.fallbacks.get("interpreted", 0) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,55 @@ def _walk(node):
     return plan.walk_plan(node)
 
 
+def test_coordinator_crash_leaves_the_run_state_of_a_fresh_handle():
+    """What a coordinator crash loses is exactly what a new handle
+    starts with. The run-state fields are whatever ``_reset_run_state``
+    assigns, found by calling it on a bare instance, so a field added
+    later is held to this without anybody listing it."""
+    from repro.cluster.query import QueryExecution
+
+    probe = object.__new__(QueryExecution)
+    probe._reset_run_state()
+    run_state = set(vars(probe))
+
+    sql = (
+        "SELECT count(*) FROM orders o JOIN (SELECT orderkey, count(*) c "
+        "FROM lineitem GROUP BY orderkey) l ON o.orderkey = l.orderkey"
+    )
+    cluster = spool_cluster()
+    handle = cluster.submit(sql, phased=True)
+    cluster.sim.run(until_ms=1.0)
+    cluster.crash_worker("worker-1")
+    for _ in range(200_000):
+        if (handle._attempts and handle._delivered_counts) or not cluster.sim.step():
+            break
+    assert handle.state == "running"
+    used = {name for name in run_state if getattr(handle, name) != getattr(probe, name)}
+    assert used >= {
+        "stages", "_consumers", "_phase_gates", "_delivery_log", "_delivered_counts", "_attempts",
+    }  # fmt: skip
+    # Counters of what happened to the query are cumulative over
+    # restarts, so they are not run state and a crash keeps them.
+    counters = {"writer_scale_ups", "tasks_recovered", "restarts", "_task_retries"}
+    assert counters.isdisjoint(run_state)
+    handle.writer_scale_ups = 3
+    recovered = handle.tasks_recovered
+    assert recovered > 0
+
+    cluster.crash_coordinator()
+    assert handle.state == "orphaned"
+    fresh = QueryExecution(handle.query_id, handle.fragmented, cluster, phased=True)
+    for name in sorted(run_state):
+        assert getattr(handle, name) == getattr(fresh, name), name
+    assert (handle.writer_scale_ups, handle.tasks_recovered) == (3, recovered)
+
+    cluster.restart_coordinator()
+    cluster.run()
+    assert handle.state == "finished"
+    assert handle._phase_gates == {0: {1}}  # recomputed by the re-run
+    assert handle.rows() == expected_rows(sql)
+
+
 def test_queued_queries_survive_coordinator_restart_in_order():
     cluster = _insert_cluster()
     cluster.config.max_concurrent_queries = 1

@@ -26,6 +26,11 @@ A third check keeps execution at one process-global switch:
 ``REPRO_KERNELS`` in ``exec/kernels.py`` is the only ``REPRO_*``
 environment variable read under ``src/`` and the only module-level
 mode global under ``src/repro/exec``.
+
+A fourth keeps the cluster layer's option count honest: a field of
+``ClusterConfig``, ``FaultToleranceConfig`` or ``CacheConfig`` that no
+file under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` ever
+sets is not an option, it is a constant with extra plumbing.
 """
 
 import os
@@ -259,3 +264,60 @@ def test_repro_kernels_value_is_validated_at_import(value, expected):
         assert result.returncode != 0
         assert "ValueError" in result.stderr
         assert "'vector'" in result.stderr and "'row'" in result.stderr
+
+
+# --------------------------------------------------------------------------
+# Option census: a config field nobody sets is a constant.
+# --------------------------------------------------------------------------
+
+CENSUS_ROOTS = ("src", "tests", "benchmarks", "examples")
+
+
+def _census_sources() -> list[tuple[str, str]]:
+    return [
+        (str(path.relative_to(REPO_ROOT)), path.read_text())
+        for root in CENSUS_ROOTS
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+    ]
+
+
+def _unset_fields(config_class, sources) -> list[str]:
+    """Fields of ``config_class`` that nothing assigns — as a keyword
+    argument or an attribute — other than their own declaration
+    (``name: type = default``, which the pattern does not match). A
+    same-named keyword elsewhere counts as a setter: the check can miss
+    a dead field, it cannot flag a live one."""
+    import dataclasses
+
+    return [
+        f.name
+        for f in dataclasses.fields(config_class)
+        if not any(re.search(rf"\b{f.name}\s*=(?!=)", text) for _, text in sources)
+    ]
+
+
+def test_every_cluster_config_field_is_set_by_someone():
+    from repro.cache import CacheConfig
+    from repro.cluster import ClusterConfig, FaultToleranceConfig
+
+    sources = _census_sources()
+    for config_class in (ClusterConfig, FaultToleranceConfig, CacheConfig):
+        unset = _unset_fields(config_class, sources)
+        assert not unset, (
+            f"{config_class.__name__}.{unset} is set by no file under "
+            f"{'/, '.join(CENSUS_ROOTS)}/: make it a module constant beside its one use"
+        )
+
+
+def test_census_lint_catches_an_unset_field():
+    import dataclasses
+
+    @dataclasses.dataclass
+    class Config:
+        worker_count: int = 4
+        nobody_sets_this_knob: float = 0.5
+
+    sources = [("a.py", "Config(worker_count=8)\nif c.nobody_sets_this_knob == 1: pass\n")]
+    assert _unset_fields(Config, sources) == ["nobody_sets_this_knob"]
+    sources.append(("b.py", "cluster.config.nobody_sets_this_knob = 0.9\n"))
+    assert _unset_fields(Config, sources) == []
