@@ -78,11 +78,6 @@ def main(argv=None) -> int:
         "100ms later (journal replay re-admits in-flight queries)",
     )
     parser.add_argument(
-        "--spool",
-        action="store_true",
-        help="enable the durable output spool (repro.cluster.spool)",
-    )
-    parser.add_argument(
         "--no-recovery",
         action="store_true",
         help="disable task recovery (failure detection still on): queries "
@@ -111,7 +106,6 @@ def main(argv=None) -> int:
         partition_count=args.partitions,
         one_way_partitions=args.one_way,
         coordinator_kill_at_ms=args.coordinator_kill,
-        spool_enabled=args.spool or args.coordinator_kill is not None,
         checkpoint_interval_ms=10.0 if args.coordinator_kill is not None else None,
     )
     elapsed = time.time() - started

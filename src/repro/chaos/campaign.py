@@ -80,8 +80,7 @@ class ChaosPlan:
     # journaled-incomplete query is re-admitted and re-planned.
     coordinator_kill_at_ms: Optional[float] = None
     coordinator_restart_after_ms: float = 100.0
-    # Durable spooling + checkpoint cadence (repro.cluster.spool/fault).
-    spool_enabled: bool = False
+    # Checkpoint cadence (repro.cluster.fault).
     checkpoint_interval_ms: Optional[float] = None
 
 
@@ -179,7 +178,6 @@ def _build_cluster(plan: ChaosPlan, tables) -> SimCluster:
             task_recovery_enabled=plan.recovery_enabled,
             heartbeat_interval_ms=plan.heartbeat_interval_ms,
             heartbeat_timeout_ms=plan.heartbeat_timeout_ms,
-            spool_enabled=plan.spool_enabled,
             checkpoint_interval_ms=plan.checkpoint_interval_ms,
         ),
     )
@@ -343,7 +341,6 @@ def run_partition(
         partition_count=1,
         one_way_partitions=one_way,
         partition_heal_after_ms=300.0,
-        spool_enabled=True,
     )
     return run_campaign(plan)
 
@@ -371,7 +368,6 @@ def run_coordinator_kill(
         transfer_duplicate_rate=0.0,
         coordinator_kill_at_ms=kill_at_ms,
         coordinator_restart_after_ms=restart_after_ms,
-        spool_enabled=True,
         checkpoint_interval_ms=10.0,
     )
     return run_campaign(plan)

@@ -3,8 +3,8 @@
 :class:`LocalEngine` runs the full pipeline — parse, analyze, plan,
 optimize, execute — inside one process. It is the engine the examples
 and tests use directly; the distributed story (coordinator, workers,
-scheduling) lives in :mod:`repro.server` and :mod:`repro.cluster` and
-shares every layer below planning.
+scheduling) lives in :mod:`repro.cluster` and shares every layer below
+planning.
 """
 
 from __future__ import annotations

@@ -197,8 +197,8 @@ class SimCluster:
             on_worker_readmitted=self._on_worker_readmitted,
         )
         self.retry_policy = RetryPolicy()
-        # Durable external spool for drained exchange output; writes are
-        # gated on fault_tolerance.spool_enabled (spool_active).
+        # Durable external spool for drained exchange output; queries
+        # write to it while task recovery is active.
         self.spool = SpoolStore()
         self.spool_bytes_reclaimed = 0
         # Coordinator durability: write-ahead journal + checkpoints.
@@ -258,7 +258,6 @@ class SimCluster:
         phased: bool = False,
         client_bandwidth_bytes_per_ms: float | None = None,
         session_catalog: str | None = None,
-        session_schema: str | None = None,
         resource_group: str | None = None,
     ) -> QueryExecution:
         """Parse, plan, optimize, fragment, and enqueue a query."""
@@ -272,7 +271,7 @@ class SimCluster:
         fragmented, cached = self._plan_statement(
             statement,
             session_catalog or self.config.default_catalog,
-            session_schema or self.config.default_schema,
+            self.config.default_schema,
         )
         metadata_misses = self.metadata.connector_calls - calls_before
         query = QueryExecution(
@@ -643,15 +642,6 @@ class SimCluster:
         if released:
             self.on_query_memory_released()
         self.sim.schedule(0.0, self._admit)
-
-    # -- durable spooling ---------------------------------------------------------
-
-    @property
-    def spool_active(self) -> bool:
-        """Spool writes/reads are on only when task recovery is on too:
-        the spool is an extension of lineage recovery, not a substitute."""
-        ft = self.config.fault_tolerance
-        return ft.enabled and ft.spool_enabled and ft.task_recovery_enabled
 
     # -- network partitions -------------------------------------------------------
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.connectors.hashing import stable_hash
+
 if TYPE_CHECKING:
     from repro.cluster.worker import Worker
 
@@ -60,11 +62,6 @@ class FaultToleranceConfig:
     # Wall-clock (virtual) query timeout; None disables. Timed-out
     # queries are killed with ExceededTimeLimitError.
     query_timeout_ms: float | None = None
-    # Durable spooling: every delivery the transfer service polls is
-    # also written to the cluster's external SpoolStore, so a fully
-    # drained stream survives the producer's node (and enables retained-
-    # buffer GC once consumers acknowledge past a segment).
-    spool_enabled: bool = False
     # Coordinator checkpointing: snapshot the query journal (admitted
     # queries, retry budgets, split journal, spool manifest) onto the
     # virtual clock every interval. None disables the loop (the
@@ -87,8 +84,7 @@ class RetryPolicy:
     delay(attempt) = min(base * multiplier^(attempt-1), max) * (1 + j)
     where j in [0, jitter_fraction) is a pure function of (key, attempt)
     — different transfers desynchronize (no retry storms) while the
-    whole simulation stays bit-reproducible (with ``PYTHONHASHSEED``
-    fixed: ``key`` holds a task id, whose ``hash`` is salted per process).
+    whole simulation stays bit-reproducible.
     """
 
     max_attempts = 8
@@ -100,7 +96,7 @@ class RetryPolicy:
     def delay_ms(self, key: object, attempt: int) -> float:
         backoff = self.backoff_base_ms * self.backoff_multiplier ** max(0, attempt - 1)
         backoff = min(backoff, self.backoff_max_ms)
-        jitter = _splitmix64(hash((key, attempt)) & 0xFFFFFFFFFFFFFFFF)
+        jitter = _splitmix64(stable_hash((key, attempt)))
         fraction = (jitter >> 11) / float(1 << 53)
         return backoff * (1.0 + self.jitter_fraction * fraction)
 

@@ -680,10 +680,10 @@ class QueryExecution:
                 self._transfer_eof.add(eof_key)
                 self._deliver_eof(replay_key, task.producer_key)
             return
-        if self.cluster.spool_active:
+        if self._recovery_active:
             # Durable spooling happens at poll time (the page leaves the
             # producer's pending window here), charged zero virtual time:
-            # enabling the spool changes what survives, not any timing.
+            # the spool changes what survives, not any timing.
             self.cluster.spool.put(
                 self.query_id, task.producer_key, partition, delivery
             )
@@ -739,10 +739,8 @@ class QueryExecution:
         """The task's node is down and ``partition`` of its output is
         not drained: what is buffered there is unreachable until the
         detector fires and recovery re-executes the task. (A fully
-        drained stream survives in the spool store when spooling is on —
-        only its EOF announcement may still need to go out; without the
-        spool the retained buffer stands in for durable storage, a
-        documented simulation shortcut.)"""
+        drained stream survives in the spool store — only its EOF
+        announcement may still need to go out.)"""
         return (
             self.cluster.config.fault_tolerance.enabled
             and not task.worker.alive
@@ -767,11 +765,10 @@ class QueryExecution:
         return accepted
 
     def _release_acked(self, task: SimTask, partition: int, seq: int) -> None:
-        """Retained-buffer GC: once the consumer acknowledged a segment
-        and the spool holds the durable copy, the producer-side retained
-        page is released (replay reads it from the spool instead)."""
-        if not self.cluster.spool_active:
-            return
+        """Retained-buffer GC: the consumer acknowledged a segment and
+        the spool holds the durable copy, so the producer-side retained
+        page is released (replay reads it from the spool instead). A
+        buffer that retains nothing — recovery off — releases nothing."""
         released = task.output_buffer.release_retained(partition, seq)
         if released:
             self.cluster.spool_bytes_reclaimed += released
@@ -891,11 +888,8 @@ class QueryExecution:
             if task.worker.name == worker_name
         ]
         # A task that is fully produced and fully acknowledged is not
-        # lost: with the spool store enabled every polled segment is
-        # durably spooled, so replay re-requests it from the spool
-        # instead of re-executing the task. (Spool off keeps the legacy
-        # shortcut of reading the retained buffer; see
-        # docs/FAULT_TOLERANCE.md.)
+        # lost: every polled segment is durably spooled, so replay
+        # re-requests it from the spool instead of re-executing the task.
         lost = [t for t in placed if not (t.is_finished() and t.output_drained())]
         if lost and not self.recover_tasks(lost):
             self.fail(
@@ -1054,9 +1048,7 @@ class QueryExecution:
             return  # the producer died too; its replacement re-triggers us
         delivery = self._replay_source(producer, partition, seq)
         if delivery is None:
-            if self.cluster.spool_active and producer.output_buffer.is_drained(
-                partition
-            ):
+            if producer.output_buffer.is_drained(partition):
                 # The stream is supposedly complete, yet neither worker
                 # memory nor the spool can serve this segment (lost or
                 # checksum-corrupt): fall back to lineage re-execution
@@ -1089,12 +1081,8 @@ class QueryExecution:
         """Where a replayed delivery is read from: the producer's
         retained buffer while its node is alive and still holds the
         slot, otherwise the durable spool (dead node, or GC reclaimed
-        the retained copy). With spooling off the retained buffer stands
-        in for durable storage even across node death — the legacy
-        simulation shortcut the spool store removes."""
+        the retained copy)."""
         buffered = producer.output_buffer.get_delivery(partition, seq)
-        if not self.cluster.spool_active:
-            return buffered
         if producer.worker.alive and buffered is not None:
             return buffered
         return self.cluster.spool.get(

@@ -3,26 +3,23 @@
 The paper's exchange keeps produced pages in worker memory until the
 consumer acknowledges them (Sec. IV-E2). Our task-recovery layer
 retains acknowledged pages too, so a *replaced consumer* can re-request
-a stream — but until this module existed, that retained copy lived in
-the dead-or-alive producer's Python heap, which made the recovery
-comment "a fully drained stream is treated as durably spooled" an
-assumption rather than a property.
+a stream — but a copy in the producer's heap dies with the producer's
+node, and replay after a node death must rest on state that survives it.
 
-:class:`SpoolStore` makes it a property. When
-``FaultToleranceConfig.spool_enabled`` is on, every delivery the
-transfer service polls out of an output buffer is also written here as
-a seq-numbered, checksummed segment keyed by the *logical* stream
-identity ``(query_id, producer_key, partition)`` — stable across task
-re-execution attempts, exactly like exchange-level dedup. Replay then
-prefers worker memory while the producer is reachable and falls back to
-the spool when it is not (or when GC already reclaimed the retained
-copy); a checksum mismatch reads as a miss, pushing the coordinator to
-lineage re-execution instead of serving corrupt bytes.
+:class:`SpoolStore` is that state. While task recovery is active, every
+delivery the transfer service polls out of an output buffer is also
+written here as a seq-numbered, checksummed segment keyed by the
+*logical* stream identity ``(query_id, producer_key, partition)`` —
+stable across task re-execution attempts, exactly like exchange-level
+dedup. Replay prefers worker memory while the producer is reachable and
+falls back to the spool when it is not (or when GC already reclaimed
+the retained copy); a checksum mismatch reads as a miss, pushing the
+coordinator to lineage re-execution instead of serving corrupt bytes.
 
 The store models durable shared storage (it survives worker crashes,
 network partitions, and coordinator restarts by construction); writes
-are charged zero virtual time so enabling the spool changes no
-simulated timings, only what survives a failure.
+are charged zero virtual time, so spooling changes no simulated
+timings, only what survives a failure.
 """
 
 from __future__ import annotations

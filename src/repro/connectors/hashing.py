@@ -31,6 +31,17 @@ def stable_hash(value) -> int:
     return stable_hash(str(value))
 
 
+def value_hash(value) -> int:
+    """Process-independent hash of one SQL value for sketches, checksums
+    and Bloom filters. Numbers keep python's own ``hash``: it is not
+    salted and agrees across int/float for equal values. Everything else
+    (``hash`` of a string differs per process) goes through
+    :func:`stable_hash`."""
+    if isinstance(value, (int, float)):
+        return hash(value)
+    return stable_hash(value)
+
+
 def stable_bucket(values, bucket_count: int) -> int:
     """Bucket a key tuple into ``bucket_count`` buckets."""
     return stable_hash(tuple(values)) % bucket_count

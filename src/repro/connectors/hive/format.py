@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.connectors.hashing import value_hash
 from repro.connectors.predicate import Range, TupleDomain
 from repro.exec import kernels
 from repro.exec.blocks import (
@@ -66,7 +67,7 @@ def _avg_size(values: list) -> float:
 
 
 def _bloom_hashes(value) -> tuple[int, int]:
-    h = hash(value) & 0xFFFFFFFFFFFFFFFF
+    h = value_hash(value) & 0xFFFFFFFFFFFFFFFF
     return (h % _BLOOM_BITS, (h >> 32) % _BLOOM_BITS)
 
 
@@ -404,7 +405,7 @@ class OrcWriter:
         if name not in self.bloom_columns:
             return None
         bloom = 0
-        # row-path: python hash() per *distinct* value, not per row
+        # row-path: one python-level hash per *distinct* value, not per row
         for value in values:
             if value is None or value != value:
                 continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from repro.connectors.hashing import value_hash
 from repro.functions.registry import AggregateFunction, FunctionRegistry
 from repro.functions.signature import Signature, T
 from repro.types import (
@@ -205,7 +206,7 @@ def register(registry: FunctionRegistry) -> None:
     aggregate(
         "checksum", [T], BIGINT,
         create=lambda: 0,
-        add=lambda state, x: (state + (hash(x) & 0x7FFFFFFFFFFF)) % (1 << 62),
+        add=lambda state, x: (state + (value_hash(x) & 0x7FFFFFFFFFFF)) % (1 << 62),
         combine=lambda a, b: (a + b) % (1 << 62),
         output=lambda state: state,
     )
@@ -373,8 +374,8 @@ def _histogram_combine(a: dict, b: dict) -> dict:
 
 
 def _approx_add(state: list, x) -> list:
-    # Scramble python's hash (it is identity-like for small ints).
-    h = (hash(x) * 0x9E3779B97F4A7C15 + 0x165667B19E3779F9) & 0xFFFFFFFFFFFFFFFF
+    # Scramble the hash (it is identity-like for small ints).
+    h = (value_hash(x) * 0x9E3779B97F4A7C15 + 0x165667B19E3779F9) & 0xFFFFFFFFFFFFFFFF
     bucket = h & 255
     h >>= 8
     rank = 1

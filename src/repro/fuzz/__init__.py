@@ -1,12 +1,12 @@
 """Grammar-driven SQL fuzzing with a reference oracle (paper Sec. III-IV).
 
 The subsystem generates well-typed queries from a seed, executes each
-through the engine configurations of ``repro.fuzz.runner.CONFIG_NAMES``
-(compiled, optimized, row kernels, and the simulated cluster under
-faults, connectors, caching and spill), and checks every result against
-a deliberately naive reference oracle evaluated over the unoptimized
-plan. On disagreement, :mod:`repro.fuzz.shrink` minimizes both the
-query AST and the dataset and writes a self-contained reproducer.
+through the engine configurations of ``repro.fuzz.runner.CONFIGS`` (rows
+of one table over engine, kernel mode, plan, storage, faults, memory and
+cache), and checks every result against a deliberately naive reference
+oracle evaluated over the unoptimized plan. On disagreement,
+:mod:`repro.fuzz.shrink` minimizes both the query AST and the dataset
+and writes a self-contained reproducer.
 
 Entry points:
 

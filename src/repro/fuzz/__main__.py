@@ -15,7 +15,7 @@ import sys
 import time
 
 from repro.fuzz.grammar import FeatureMask, generate_case
-from repro.fuzz.runner import CONFIG_NAMES, check_case
+from repro.fuzz.runner import CONFIGS, check_case
 from repro.fuzz.shrink import clause_count, shrink_case, write_reproducer
 
 
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--configs",
-        default=",".join(CONFIG_NAMES),
+        default=",".join(CONFIGS),
         help="comma-separated engine configurations to compare",
     )
     parser.add_argument(
@@ -62,10 +62,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
-    unknown = set(configs) - set(CONFIG_NAMES)
+    unknown = set(configs) - set(CONFIGS)
     if unknown:
         parser.error(
-            f"unknown config(s): {sorted(unknown)}; choices: {', '.join(CONFIG_NAMES)}"
+            f"unknown config(s): {sorted(unknown)}; choices: {', '.join(CONFIGS)}"
         )
 
     start = time.time()

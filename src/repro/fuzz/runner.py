@@ -1,60 +1,18 @@
 """Multi-way agreement runner.
 
-Executes one fuzz case through 14 engine configurations (``CONFIG_NAMES``)
-and compares every result against the reference oracle, which evaluates
-every expression through the tree-walking :mod:`repro.exec.interpreter`
-— so each configuration is also a compiler-vs-interpreter differential:
+Executes one fuzz case through every engine configuration of
+``CONFIGS`` and compares each result against the reference oracle,
+which evaluates every expression through the tree-walking
+:mod:`repro.exec.interpreter` — so each configuration is also a
+compiler-vs-interpreter differential.
 
-1. ``compiled``    — unoptimized plan, compiled page processor
-2. ``optimized``   — full optimizer rules, local execution
-3. ``row_kernels`` — like ``optimized`` but with the vectorized hash
-   kernels (repro.exec.kernels) forced onto the scalar row path, so the
-   vector and row hash implementations are differentially tested
-4. ``cluster``     — SimCluster: fragmented, scheduled, shuffled
-5. ``cluster_faults`` — SimCluster with transient transfer failures
-   plus a mid-query worker crash; the client retries per paper Sec. IV-G
-6. ``chaos``       — SimCluster with fault tolerance enabled: a worker
-   is crashed mid-query and transfers suffer transient failures and
-   duplication, but heartbeat detection plus task-level recovery must
-   complete the query bit-exactly *without* a client retry
-7. ``dynamic_filter`` — SimCluster with runtime dynamic filtering
-   forced onto every eligible join edge (selectivity threshold 1.0,
-   nonzero wait) — filters on must agree bit-exactly with filters off
-8. ``hive``        — SimCluster over the Hive connector with tiny
-   stripes/files and Bloom metadata on every column, dynamic filters
-   forced, so stripe skipping and split pruning engage
-9. ``raptor``     — SimCluster over the Raptor connector (node-pinned
-   shards, tiny stripes), dynamic filters forced, exercising shard
-   pruning
-10. ``ddl_roundtrip`` — the case tables are CTAS'd from a memory
-   catalog into Hive (encoded ORC-like write) and from Hive into
-   Raptor, then the case query runs against the twice-round-tripped
-   Raptor copies — the encoded write/decode paths must be lossless
-11. ``cache_coherence`` — the case query runs repeatedly on a
-   Hive-backed cluster with the full caching tier enabled (metadata,
-   plan, result, and stripe caches + affinity scheduling,
-   docs/CACHING.md) while random deterministic DDL/INSERT mutations are
-   interleaved between runs; after every mutation the cached cluster
-   must agree with an identical uncached twin, and a repeat with no
-   intervening mutation must be served bit-identically from the result
-   cache — any stale answer raises ``CacheCoherenceError``
-12. ``spooled`` — SimCluster with fault tolerance *and* the durable
-   output spool enabled, under an asymmetric network partition that
-   later heals plus a worker crash: spool reads, partition-aware
-   detection, re-admission fencing, and ack-driven buffer GC must all
-   keep the result bit-exact with no client retry
-13. ``join_spill`` — SimCluster whose general memory pool is far
-   smaller than any join/aggregation state with spilling enabled, so
-   memory revocation (HashBuild/sort/aggregation spill-and-merge)
-   engages on stateful queries and must not change a byte of output
-14. ``rewrites`` — LocalEngine with every rewrite rule of the
-   repro.planner.rules pack enabled and their cost guards disabled, so
-   each eligible shape actually rewrites (decorrelation, scan
-   consolidation, set-op semi joins, CTE pushdown); the oracle runs
-   the naive plans (scalar subqueries stay nested-loop apply joins),
-   making this a true rules-on vs rules-off differential. Run the
-   campaign under ``REPRO_KERNELS=row`` as well to cross the rewrites
-   with the row-path hash kernels
+A configuration is a row of one table: a value on each axis of ``AXES``
+(engine, kernels, plan, storage, faults, memory, cache). ``build`` turns
+a row into an engine, ``FAULT_SCRIPTS`` holds what happens while the
+query runs, and ``run_config`` is look up, build, run. Every pair of
+values from two different axes is either held by some row or listed in
+``EXCLUDED_PAIRS`` with the reason (a tier-1 test keeps the two equal);
+docs/FUZZING.md describes each axis value and row.
 
 Errors are outcomes too: if the oracle raises, every configuration must
 raise an error of the same class.
@@ -65,34 +23,26 @@ cluster's partial aggregation legitimately reorders additions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import astuple, dataclass
+from functools import partial
+from itertools import combinations
 from typing import Callable, Optional
 
+from repro.cache import CacheConfig
 from repro.client.session import LocalEngine
-from repro.cluster import ClusterConfig, SimCluster
+from repro.cluster import ClusterConfig, FaultToleranceConfig, SimCluster
+from repro.connectors.hashing import stable_hash
+from repro.connectors.hive import HiveConnector
 from repro.connectors.memory import MemoryConnector
+from repro.connectors.raptor import RaptorConnector
 from repro.errors import WorkerFailedError
 from repro.exec import kernels
 from repro.fuzz.grammar import FeatureMask, FuzzCase, TableSpec, generate_case
 from repro.fuzz.oracle import run_oracle
+from repro.optimizer.context import OptimizerConfig
 from repro.types import BIGINT, DOUBLE, VARCHAR
-
-CONFIG_NAMES = (
-    "compiled",
-    "optimized",
-    "row_kernels",
-    "cluster",
-    "cluster_faults",
-    "chaos",
-    "dynamic_filter",
-    "hive",
-    "raptor",
-    "ddl_roundtrip",
-    "cache_coherence",
-    "spooled",
-    "join_spill",
-    "rewrites",
-)
+from repro.workload.datasets import _load_table
 
 # The case currently (or most recently) executing. Deliberately NOT
 # cleared after a check: tests assert on check_case's result *after* it
@@ -109,6 +59,7 @@ class Outcome:
     rows: Optional[list[tuple]] = None
     error: Optional[str] = None
     ordered_rows: Optional[list[tuple]] = None  # pre-sort, for ORDER BY checks
+    raised: Optional[Exception] = None  # what ``error`` names
 
     def key(self):
         if self.error is not None:
@@ -199,186 +150,261 @@ def _check_sorted(rows, order_spec) -> bool:
 
 
 # --------------------------------------------------------------------------
+# The axis table
+# --------------------------------------------------------------------------
+
+#: Every way one engine configuration differs from another. A value's
+#: name is unique across axes, so a pair of values names itself.
+AXES: dict[str, tuple[str, ...]] = {
+    "engine": ("local", "cluster"),
+    "kernels": ("vector", "row"),
+    "plan": ("raw", "optimized", "rewrites", "dynamic_filters"),
+    "storage": ("memory", "hive", "raptor", "ctas"),
+    "faults": ("none", "client_retry", "recover", "partition"),
+    "memory": ("ample", "spill"),
+    "cache": ("default", "coherence"),
+}
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """One row of the table: a value on every axis of ``AXES`` (fields
+    are declared in its order). The defaults are the ``cluster`` row."""
+
+    engine: str = "cluster"
+    kernels: str = "vector"
+    plan: str = "optimized"
+    storage: str = "memory"
+    faults: str = "none"
+    memory: str = "ample"
+    cache: str = "default"
+
+    def __post_init__(self):
+        for axis, value in zip(AXES, astuple(self)):
+            if value not in AXES[axis]:
+                raise ValueError(f"{axis}={value!r} is not one of {AXES[axis]}")
+
+
+#: The first 14 rows each move one thing off a baseline, so a failure
+#: names what broke; the rows after them exist for pair coverage and
+#: cross several axes at once (docs/FUZZING.md explains each).
+CONFIGS: dict[str, EngineConfig] = {
+    "compiled": EngineConfig(engine="local", plan="raw"),
+    "optimized": EngineConfig(engine="local"),
+    "row_kernels": EngineConfig(engine="local", kernels="row"),
+    "cluster": EngineConfig(),
+    "cluster_faults": EngineConfig(faults="client_retry"),
+    "chaos": EngineConfig(faults="recover"),
+    "dynamic_filter": EngineConfig(plan="dynamic_filters"),
+    "hive": EngineConfig(plan="dynamic_filters", storage="hive"),
+    "raptor": EngineConfig(plan="dynamic_filters", storage="raptor"),
+    "ddl_roundtrip": EngineConfig(plan="dynamic_filters", storage="ctas"),
+    "cache_coherence": EngineConfig(
+        plan="dynamic_filters", storage="hive", cache="coherence"
+    ),
+    "spooled": EngineConfig(faults="partition"),
+    "join_spill": EngineConfig(memory="spill"),
+    "rewrites": EngineConfig(engine="local", plan="rewrites"),
+    "hive_recover_row": EngineConfig(
+        kernels="row", plan="rewrites", storage="hive", faults="recover", memory="spill"
+    ),
+    "local_raptor_row": EngineConfig(
+        engine="local", kernels="row", plan="dynamic_filters", storage="raptor"
+    ),
+}
+
+_BUDGET = "not run: per-case budget (the next rows to add)"
+
+#: Pairs of values that no row holds together, each with why: ``cannot``
+#: — the engine has no such combination; ``not run`` — it has, and
+#: nobody runs it (the seven compatible storage x faults pairs alone
+#: would take seven more rows). One entry per (value, partners, reason).
+EXCLUDED_PAIRS: dict[frozenset, str] = {
+    frozenset((value, partner)): reason
+    for value, partners, reason in (
+        ("raw", "cluster", "cannot: SimCluster always optimizes before it fragments"),
+        (
+            "local",
+            "client_retry recover partition spill coherence",
+            "cannot: a LocalEngine has no workers to lose, no memory pools, no cache tier",
+        ),
+        (
+            "raw",
+            "client_retry recover partition spill coherence",
+            "cannot: raw plans run on the LocalEngine only",
+        ),
+        (
+            "coherence",
+            "memory raptor ctas",
+            "cannot: the twin mutates and re-reads a Hive warehouse; the stripe "
+            "cache and affinity scheduling under test are Hive's",
+        ),
+        (
+            "coherence",
+            "client_retry recover partition",
+            "cannot: the twin script compares five complete runs on two whole "
+            "clusters; a crashed worker stays down",
+        ),
+        (
+            "client_retry",
+            "raptor ctas",
+            "cannot: the retried query cannot read the Raptor shards pinned to "
+            "the crashed node (no replica)",
+        ),
+        (
+            "coherence",
+            "row optimized rewrites spill",
+            "not run: a second twin row costs over a third of a whole case",
+        ),
+        (
+            "ctas",
+            "local row raw optimized rewrites recover partition spill",
+            "not run: a second round-trip row costs four CTAS statements per "
+            "case; what the query reads is Raptor",
+        ),
+        ("hive", "local raw optimized client_retry partition", _BUDGET),
+        ("raptor", "raw optimized rewrites recover partition spill", _BUDGET),
+        ("row", "raw client_retry partition", _BUDGET),
+        ("dynamic_filters", "client_retry recover partition spill", _BUDGET),
+        ("rewrites", "client_retry partition", _BUDGET),
+        ("spill", "client_retry partition", _BUDGET),
+    )
+    for partner in partners.split()
+}
+
+
+def uncovered_pairs(configs: dict[str, EngineConfig]) -> set[frozenset]:
+    """Pairs of values from two different axes that no row of
+    ``configs`` holds together."""
+    pairs = {
+        frozenset((a, b))
+        for first, second in combinations(AXES.values(), 2)
+        for a in first
+        for b in second
+    }
+    for config in configs.values():
+        pairs -= set(map(frozenset, combinations(astuple(config), 2)))
+    return pairs
+
+
+# --------------------------------------------------------------------------
 # Engine construction
 # --------------------------------------------------------------------------
 
+_WORKERS = 3
 
-def load_tables(connector: MemoryConnector, tables: list[TableSpec]) -> None:
-    for table in tables:
-        connector.create_table_with_data(
-            "memory", "default", table.name, table.column_defs(), list(table.rows)
+#: ``plan`` axis -> OptimizerConfig overrides. ``rewrites``: every rule
+#: fires without its cost guard (the guards are what hold a rewrite back
+#: on tiny tables), against the oracle's naive plans. ``dynamic_filters``:
+#: a filter on every eligible join edge and a scheduler that waits for
+#: it, so page masks, split pruning and the wait policy run on fuzz-sized
+#: tables.
+_PLAN_KNOBS = {
+    "raw": {},
+    "optimized": {},
+    "rewrites": {"rewrite_cost_guards": False},
+    "dynamic_filters": {
+        "dynamic_filter_selectivity_threshold": 1.0,
+        "dynamic_filter_wait_ms": 5.0,
+    },
+}
+
+#: ``memory`` axis -> ClusterConfig overrides. ``spill``: a general pool
+#: far below any join/aggregation state with spilling on, so revocation
+#: (HashBuild/sort/aggregation spill-and-merge) engages on stateful
+#: queries — and must not change a byte of output.
+_MEMORY_KNOBS = {
+    "ample": {},
+    "spill": {
+        "node_memory_bytes": 52_000,
+        "reserved_pool_bytes": 50_000,
+        "spill_enabled": True,
+    },
+}
+
+#: ``storage`` axis -> connector factory. Stripes, files and shards are
+#: tiny and every column has Bloom metadata, so stripe skipping and
+#: split / shard pruning engage on fuzz-sized tables.
+_STORAGE = {
+    "memory": MemoryConnector,
+    "hive": lambda: HiveConnector(
+        stripe_rows=16,
+        max_rows_per_file=32,
+        bloom_columns=("k", "n", "m", "x", "y", "s", "u"),
+    ),
+    "raptor": lambda: RaptorConnector(
+        hosts=[f"worker-{i}" for i in range(_WORKERS)],
+        catalog_name="memory",
+        stripe_rows=16,
+        max_rows_per_shard=32,
+    ),
+}
+
+
+def load_tables(connector, tables: list[TableSpec], catalog: str = "memory") -> None:
+    for t in tables:
+        _load_table(connector, catalog, "default", t.name, t.column_defs(), t.rows)
+
+
+def build(config: EngineConfig, tables, cache: CacheConfig | None = None):
+    """The engine of one row, with ``tables`` in its default catalog.
+    ``cache`` overrides the cluster's cache tier (the coherence twins)."""
+    optimizer = OptimizerConfig(**_PLAN_KNOBS[config.plan])
+    if config.engine == "local":
+        engine = LocalEngine(optimize=config.plan != "raw", optimizer_config=optimizer)
+    else:
+        recovering = config.faults in ("recover", "partition")
+        engine = SimCluster(
+            ClusterConfig(
+                worker_count=_WORKERS,
+                default_catalog="memory",
+                default_schema="default",
+                optimizer=optimizer,
+                transient_failure_rate=0.05 if config.faults != "none" else 0.0,
+                transfer_duplicate_rate=0.05 if recovering else 0.0,
+                fault_tolerance=FaultToleranceConfig(enabled=recovering),
+                cache=cache or CacheConfig(),
+                **_MEMORY_KNOBS[config.memory],
+            )
         )
-
-
-def _local_engine(tables, optimize: bool) -> LocalEngine:
-    engine = LocalEngine(optimize=optimize)
-    connector = MemoryConnector()
-    load_tables(connector, tables)
-    engine.register_catalog("memory", connector)
+    if config.storage != "ctas":
+        connector = _STORAGE[config.storage]()
+        load_tables(connector, tables)
+        engine.register_catalog("memory", connector)
+        return engine
+    # CTAS round trip: memory -> Hive (batch ORC-like encode) -> Raptor
+    # (a second encoded write, from decoded / passthrough blocks). The
+    # query then reads data that survived two write/read round trips.
+    source = _STORAGE["memory"]()
+    load_tables(source, tables, catalog="mem")
+    engine.register_catalog("mem", source)
+    engine.register_catalog("hivec", _STORAGE["hive"]())
+    engine.register_catalog("memory", _STORAGE["raptor"]())
+    for table in tables:
+        for target, origin in (("hivec", "mem"), ("memory", "hivec")):
+            _execute(
+                engine,
+                f"CREATE TABLE {target}.default.{table.name} AS "
+                f"SELECT * FROM {origin}.default.{table.name}",
+            )
     return engine
 
 
-def _forced_rewrites_optimizer():
-    """Every rewrite rule on with cost guards disabled, so eligible
-    shapes always rewrite regardless of stats (the knobs default on;
-    the guards are what usually hold a rewrite back on tiny tables)."""
-    from repro.optimizer.context import OptimizerConfig
-
-    return OptimizerConfig(rewrite_cost_guards=False)
+def _execute(engine, sql: str) -> list[tuple]:
+    if isinstance(engine, LocalEngine):
+        return engine.execute(sql).rows
+    return engine.run_query(sql).rows()
 
 
-def _forced_df_optimizer():
-    """Force dynamic filters onto every eligible join edge and make the
-    split scheduler actually wait for them, so the filtered code paths
-    (page masks, split pruning, wait policy) run on small fuzz tables."""
-    from repro.optimizer.context import OptimizerConfig
-
-    return OptimizerConfig(
-        dynamic_filter_selectivity_threshold=1.0,
-        dynamic_filter_wait_ms=5.0,
-    )
+# --------------------------------------------------------------------------
+# Fault scripts: what happens to the cluster while the query runs
+# --------------------------------------------------------------------------
 
 
-def _cluster(
-    tables,
-    faults: bool,
-    recovery: bool = False,
-    dynamic_filters: bool = False,
-    spool: bool = False,
-) -> SimCluster:
-    from repro.cluster import FaultToleranceConfig
-
-    config = ClusterConfig(
-        worker_count=3,
-        default_catalog="memory",
-        default_schema="default",
-        transient_failure_rate=0.05 if faults else 0.0,
-        transfer_duplicate_rate=0.05 if recovery else 0.0,
-        fault_tolerance=FaultToleranceConfig(
-            enabled=recovery, spool_enabled=spool
-        ),
-    )
-    if dynamic_filters:
-        config.optimizer = _forced_df_optimizer()
-    cluster = SimCluster(config)
-    connector = MemoryConnector()
-    load_tables(connector, tables)
-    cluster.register_catalog("memory", connector)
-    return cluster
-
-
-def _connector_cluster(tables, kind: str) -> SimCluster:
-    """A cluster whose default catalog is a real storage connector (Hive
-    or Raptor) with tiny stripes/files, so stripe skipping, Bloom
-    metadata, and dynamic-filter split pruning all engage on fuzz-sized
-    tables — differentially tested against the same oracle."""
-    config = ClusterConfig(
-        worker_count=3,
-        default_catalog="memory",
-        default_schema="default",
-        optimizer=_forced_df_optimizer(),
-    )
-    cluster = SimCluster(config)
-    if kind == "hive":
-        from repro.connectors.hive import HiveConnector
-
-        connector = HiveConnector(
-            stripe_rows=16,
-            max_rows_per_file=32,
-            bloom_columns=("k", "n", "m", "x", "y", "s", "u"),
-        )
-    else:
-        from repro.connectors.raptor import RaptorConnector
-
-        connector = RaptorConnector(
-            hosts=[f"worker-{i}" for i in range(3)],
-            catalog_name="memory",
-            stripe_rows=16,
-            max_rows_per_shard=32,
-        )
-    from repro.workload.datasets import _load_table
-
-    for table in tables:
-        _load_table(
-            connector,
-            "memory",
-            "default",
-            table.name,
-            [(c.name, c.type) for c in table.columns],
-            list(table.rows),
-        )
-    cluster.register_catalog("memory", connector)
-    return cluster
-
-
-def _ddl_roundtrip_cluster(tables) -> SimCluster:
-    """CTAS round-trip over the encoded write path (ROADMAP item): the
-    case tables load into a ``mem`` catalog, are CTAS'd into a Hive
-    catalog (batch ORC-like encode with tiny stripes/files and Bloom
-    metadata), then CTAS'd from Hive into the default Raptor catalog
-    (a second encoded write from decoded/passthrough blocks). The case
-    query then runs against data that survived two write/read round
-    trips and must stay bit-exact with the oracle on the original
-    rows."""
-    from repro.connectors.hive import HiveConnector
-    from repro.connectors.raptor import RaptorConnector
-
-    config = ClusterConfig(
-        worker_count=3,
-        default_catalog="memory",
-        default_schema="default",
-        optimizer=_forced_df_optimizer(),
-    )
-    cluster = SimCluster(config)
-    source = MemoryConnector()
-    for table in tables:
-        source.create_table_with_data(
-            "mem", "default", table.name, table.column_defs(), list(table.rows)
-        )
-    cluster.register_catalog("mem", source)
-    cluster.register_catalog(
-        "hivec",
-        HiveConnector(
-            stripe_rows=16,
-            max_rows_per_file=32,
-            bloom_columns=("k", "n", "m", "x", "y", "s", "u"),
-        ),
-    )
-    cluster.register_catalog(
-        "memory",
-        RaptorConnector(
-            hosts=[f"worker-{i}" for i in range(3)],
-            catalog_name="memory",
-            stripe_rows=16,
-            max_rows_per_shard=32,
-        ),
-    )
-    for table in tables:
-        for ddl in (
-            f"CREATE TABLE hivec.default.{table.name} AS "
-            f"SELECT * FROM mem.default.{table.name}",
-            f"CREATE TABLE memory.default.{table.name} AS "
-            f"SELECT * FROM hivec.default.{table.name}",
-        ):
-            handle = cluster.run_query(ddl)
-            if handle.state != "finished":
-                raise handle.error
-    return cluster
-
-
-def _capture(fn: Callable[[], list[tuple]]) -> Outcome:
-    try:
-        rows = fn()
-    except Exception as exc:  # errors are outcomes, compared by class
-        return Outcome(error=type(exc).__name__)
-    return Outcome(rows=normalize_rows(rows), ordered_rows=list(rows))
-
-
-def _run_faulted(tables, sql: str) -> list[tuple]:
-    """Fault-injected run: transient transfer failures are retried by the
-    cluster transparently; a worker crash mid-query fails the query and
-    the client retries on the surviving workers (paper Sec. IV-G)."""
-    cluster = _cluster(tables, faults=True)
+def _crash_then_client_retry(cluster: SimCluster, sql: str) -> list[tuple]:
+    """Transient transfer failures are retried by the cluster
+    transparently; a worker crash mid-query fails the query and the
+    client retries on the surviving workers (paper Sec. IV-G)."""
     handle = cluster.submit(sql)
     cluster.sim.run(until_ms=1.0)
     crash_victims = cluster.crash_worker("worker-2")
@@ -387,19 +413,18 @@ def _run_faulted(tables, sql: str) -> list[tuple]:
         return handle.rows()
     if not isinstance(handle.error, WorkerFailedError):
         raise handle.error
-    # Client-side retry on the remaining workers.
-    retry = cluster.run_query(sql)
-    return retry.rows()
+    return cluster.run_query(sql).rows()
 
 
-def _run_chaos(tables, sql: str) -> list[tuple]:
-    """Fault-tolerant run: a worker crash mid-query plus transient and
-    duplicated transfers; heartbeat detection and task-level recovery
-    must complete the query on the survivors with bit-exact results —
+def _crash_then_recover(cluster: SimCluster, sql: str, before_crash=None):
+    """Fault tolerance on: a worker crashes one virtual ms into the
+    query (after ``before_crash``, if any); heartbeat detection and
+    task-level recovery must finish it on the survivors bit-exactly —
     no client retry allowed."""
-    cluster = _cluster(tables, faults=True, recovery=True)
     handle = cluster.submit(sql)
     cluster.sim.run(until_ms=1.0)
+    if before_crash is not None:
+        before_crash(cluster)
     cluster.crash_worker("worker-2")
     cluster.run()
     if handle.state == "failed":
@@ -407,44 +432,23 @@ def _run_chaos(tables, sql: str) -> list[tuple]:
     return handle.rows()
 
 
-def _run_spooled(tables, sql: str) -> list[tuple]:
-    """Spool + partition run: one worker is cut off asymmetrically
-    (it can send, nothing reaches it) and healed later, while another
-    crashes outright. The durable spool must serve drained streams of
-    both victims, the healed worker's stale attempts must be fenced on
-    re-admission, and the query must finish bit-exactly without a
-    client retry."""
-    cluster = _cluster(tables, faults=True, recovery=True, spool=True)
-    handle = cluster.submit(sql)
-    cluster.sim.run(until_ms=1.0)
+def _partition_then_heal(cluster: SimCluster) -> None:
+    """One worker is cut off asymmetrically (it can send, nothing
+    reaches it) and healed before the other crashes: the spool must
+    serve drained streams of both victims and the healed worker's stale
+    attempts must be fenced on re-admission."""
     cluster.partition_worker("worker-1", one_way=True)
     cluster.sim.run(until_ms=cluster.sim.now + 250.0)
     cluster.heal_partition("worker-1")
-    cluster.crash_worker("worker-2")
-    cluster.run()
-    if handle.state == "failed":
-        raise handle.error
-    return handle.rows()
 
 
-def _run_join_spill(tables, sql: str) -> list[tuple]:
-    """Memory-pressure run: the general pool is far smaller than any
-    join/aggregation state and spilling is on, so memory revocation
-    (HashBuild/sort/aggregation spill-and-merge) engages on stateful
-    queries — and must not change a byte of output."""
-    config = ClusterConfig(
-        worker_count=3,
-        default_catalog="memory",
-        default_schema="default",
-        node_memory_bytes=52_000,
-        reserved_pool_bytes=50_000,
-        spill_enabled=True,
-    )
-    cluster = SimCluster(config)
-    connector = MemoryConnector()
-    load_tables(connector, tables)
-    cluster.register_catalog("memory", connector)
-    return cluster.run_query(sql).rows()
+#: ``faults`` axis -> ``script(engine, sql) -> rows``.
+FAULT_SCRIPTS: dict[str, Callable[..., list[tuple]]] = {
+    "none": _execute,
+    "client_retry": _crash_then_client_retry,
+    "recover": _crash_then_recover,
+    "partition": partial(_crash_then_recover, before_crash=_partition_then_heal),
+}
 
 
 class CacheCoherenceError(Exception):
@@ -452,99 +456,32 @@ class CacheCoherenceError(Exception):
     tier served a stale (or otherwise wrong) answer."""
 
 
-def _cached_hive_cluster(tables, cache_config) -> SimCluster:
-    """A Hive-backed cluster (tiny stripes/files so the stripe cache and
-    affinity scheduling engage) with the given cache configuration."""
-    from repro.connectors.hive import HiveConnector
-    from repro.workload.datasets import _load_table
-
-    config = ClusterConfig(
-        worker_count=3,
-        default_catalog="memory",
-        default_schema="default",
-        optimizer=_forced_df_optimizer(),
-        cache=cache_config,
-    )
-    cluster = SimCluster(config)
-    connector = HiveConnector(
-        stripe_rows=16,
-        max_rows_per_file=32,
-        bloom_columns=("k", "n", "m", "x", "y", "s", "u"),
-    )
-    for table in tables:
-        _load_table(
-            connector,
-            "memory",
-            "default",
-            table.name,
-            [(c.name, c.type) for c in table.columns],
-            list(table.rows),
-        )
-    cluster.register_catalog("memory", connector)
-    return cluster
-
-
-def _coherence_mutations(tables) -> tuple[str, ...]:
-    """Mutations interleaved between runs of the case query, derived
-    from the case's own tables (repro cases use arbitrary names, not
-    just the grammar's t0/t1). Each is deterministic as a multiset (no
-    bare LIMIT / sampling), so the cached and uncached clusters stay
-    row-for-row comparable after applying it."""
-    mutations = []
-    for table in tables:
-        mutations.append(f"INSERT INTO {table.name} SELECT * FROM {table.name}")
-        mutations.append(f"ctas_drop:{table.name}")
-    return tuple(mutations)
-
-
-def _run_cache_coherence(tables, sql: str) -> list[tuple]:
+def _run_coherence_twins(config: EngineConfig, tables, sql: str) -> list[tuple]:
     """Differential cache-coherence check (docs/CACHING.md test battery).
 
-    Runs ``sql`` on a fully-cached Hive cluster and an identical
-    uncached twin; interleaves deterministic DDL/INSERT mutations and
-    re-runs after each one. Every divergence — including a result-cache
-    repeat that is not bit-identical — raises ``CacheCoherenceError``.
-    Returns the *first* (pre-mutation) rows so the outcome matches the
-    oracle, which only knows the original tables.
+    Runs ``sql`` on the row's cluster with every cache level on and on
+    an identical uncached twin; interleaves deterministic DDL/INSERT
+    mutations and re-runs after each one. Every divergence — including
+    a result-cache repeat that is not bit-identical — raises
+    ``CacheCoherenceError``. Returns the *first* (pre-mutation) rows so
+    the outcome matches the oracle, which only knows the original tables.
     """
-    import random
-
-    from repro.cache import CacheConfig
-    from repro.connectors.hashing import stable_hash
-
-    cached = _cached_hive_cluster(tables, CacheConfig.full(metadata_latency_ms=0.5))
-    plain = _cached_hive_cluster(tables, CacheConfig.disabled())
+    cached = build(config, tables, CacheConfig.full(metadata_latency_ms=0.5))
+    plain = build(config, tables, CacheConfig.disabled())
 
     def run_both(context: str) -> list[tuple]:
-        try:
-            cached_rows = cached.run_query(sql, drain=True).rows()
-            cached_error = None
-        except Exception as exc:
-            cached_rows, cached_error = None, exc
-        try:
-            plain_rows = plain.run_query(sql, drain=True).rows()
-            plain_error = None
-        except Exception as exc:
-            plain_rows, plain_error = None, exc
-        cached_key = (
-            ("error", type(cached_error).__name__)
-            if cached_error is not None
-            else ("rows", tuple(normalize_rows(cached_rows)))
+        got, twin = (
+            _capture(lambda: cluster.run_query(sql, drain=True).rows())
+            for cluster in (cached, plain)
         )
-        plain_key = (
-            ("error", type(plain_error).__name__)
-            if plain_error is not None
-            else ("rows", tuple(normalize_rows(plain_rows)))
-        )
-        if cached_key != plain_key:
+        if got.key() != twin.key():
             raise CacheCoherenceError(
                 f"cached cluster diverged from uncached twin {context}: "
-                f"cached={cached_key[:1] + (str(cached_key[1])[:200],)} "
-                f"plain={plain_key[:1] + (str(plain_key[1])[:200],)}"
+                f"cached={_preview(got)} plain={_preview(twin)}"
             )
-        if cached_error is not None:
-            raise cached_error
-        return cached_rows
+        if got.raised is not None:
+            raise got.raised
+        return got.ordered_rows
 
     first = run_both("on the initial run")
     # Repeat with no intervening mutation: the second run must be served
@@ -557,88 +494,60 @@ def _run_cache_coherence(tables, sql: str) -> list[tuple]:
             f"unexpected result-cache status {repeat.result_cache_status!r}"
         )
 
+    # Two mutations of the case's own tables (repro cases use arbitrary
+    # names). Each is deterministic as a multiset (no bare LIMIT or
+    # sampling), so the twins stay row-for-row comparable after it.
     rng = random.Random(stable_hash(sql) & 0xFFFFFFFF)
-    mutations = _coherence_mutations(tables)
+    mutations = [
+        template.format(table.name)
+        for table in tables
+        for template in (
+            "INSERT INTO {0} SELECT * FROM {0}",
+            "CREATE TABLE tmp_cc AS SELECT * FROM {0}",
+        )
+    ]
     for mutation in rng.sample(mutations, min(2, len(mutations))):
-        if mutation.startswith("ctas_drop:"):
-            victim = mutation.split(":", 1)[1]
-            for cluster in (cached, plain):
-                cluster.run_query(
-                    f"CREATE TABLE tmp_cc AS SELECT * FROM {victim}", drain=True
-                )
+        for cluster in (cached, plain):
+            cluster.run_query(mutation, drain=True)
+            if mutation.startswith("CREATE"):
                 # Out-of-band drop through the metadata API (the planner
                 # has no DROP TABLE): invalidation must still propagate
                 # via the connector's version bump.
-                handle = cluster.metadata.require_table(
-                    "memory", "default", "tmp_cc"
-                )
+                handle = cluster.metadata.require_table("memory", "default", "tmp_cc")
                 cluster.metadata.drop_table(handle)
-        else:
-            for cluster in (cached, plain):
-                cluster.run_query(mutation, drain=True)
         run_both(f"after {mutation!r}")
     return first
 
 
-def run_config(name: str, case_tables, sql: str) -> Outcome:
-    if name == "oracle":
-        connector = MemoryConnector()
-        load_tables(connector, case_tables)
-        from repro.catalog.metadata import Metadata
+def _capture(fn: Callable[[], list[tuple]]) -> Outcome:
+    try:
+        rows = fn()
+    except Exception as exc:  # errors are outcomes, compared by class
+        return Outcome(error=type(exc).__name__, raised=exc)
+    return Outcome(rows=normalize_rows(rows), ordered_rows=list(rows))
 
-        metadata = Metadata()
-        metadata.register_catalog("memory", connector)
-        return _capture(lambda: run_oracle(metadata, sql)[1])
-    if name == "compiled":
-        engine = _local_engine(case_tables, optimize=False)
-        return _capture(lambda: engine.execute(sql).rows)
-    if name == "optimized":
-        engine = _local_engine(case_tables, optimize=True)
-        return _capture(lambda: engine.execute(sql).rows)
-    if name == "row_kernels":
-        engine = _local_engine(case_tables, optimize=True)
 
-        def run_row_mode() -> list[tuple]:
-            with kernels.forced_mode(kernels.ROW):
-                return engine.execute(sql).rows
+def oracle_outcome(tables, sql: str) -> Outcome:
+    metadata = build(CONFIGS["compiled"], tables).metadata
+    return _capture(lambda: run_oracle(metadata, sql)[1])
 
-        return _capture(run_row_mode)
-    if name == "cluster":
-        cluster = _cluster(case_tables, faults=False)
-        return _capture(lambda: cluster.run_query(sql).rows())
-    if name == "cluster_faults":
-        return _capture(lambda: _run_faulted(case_tables, sql))
-    if name == "chaos":
-        return _capture(lambda: _run_chaos(case_tables, sql))
-    if name == "dynamic_filter":
-        cluster = _cluster(case_tables, faults=False, dynamic_filters=True)
-        return _capture(lambda: cluster.run_query(sql).rows())
-    if name == "hive":
-        cluster = _connector_cluster(case_tables, "hive")
-        return _capture(lambda: cluster.run_query(sql).rows())
-    if name == "raptor":
-        cluster = _connector_cluster(case_tables, "raptor")
-        return _capture(lambda: cluster.run_query(sql).rows())
-    if name == "ddl_roundtrip":
 
-        def run_roundtrip() -> list[tuple]:
-            # Construct inside the capture: a CTAS failure is an outcome
-            # (compared against the oracle), not a harness crash.
-            cluster = _ddl_roundtrip_cluster(case_tables)
-            return cluster.run_query(sql).rows()
+def run_config(name: str, tables, sql: str) -> Outcome:
+    """Look the row up, build its engine, run its script. All of it is
+    captured under the row's kernel mode: a failed CTAS round trip or
+    Hive encode is an outcome (compared against the oracle), not a
+    harness crash."""
+    config = CONFIGS.get(name)
+    if config is None:
+        raise ValueError(f"unknown config {name!r}; choices: {', '.join(CONFIGS)}")
 
-        return _capture(run_roundtrip)
-    if name == "cache_coherence":
-        return _capture(lambda: _run_cache_coherence(case_tables, sql))
-    if name == "rewrites":
-        engine = _local_engine(case_tables, optimize=True)
-        engine.optimizer_config = _forced_rewrites_optimizer()
-        return _capture(lambda: engine.execute(sql).rows)
-    if name == "spooled":
-        return _capture(lambda: _run_spooled(case_tables, sql))
-    if name == "join_spill":
-        return _capture(lambda: _run_join_spill(case_tables, sql))
-    raise ValueError(f"unknown config {name!r}")
+    def run() -> list[tuple]:
+        with kernels.forced_mode(config.kernels):
+            if config.cache == "coherence":
+                return _run_coherence_twins(config, tables, sql)
+            return FAULT_SCRIPTS[config.faults](build(config, tables), sql)
+
+    return _capture(run)
 
 
 # --------------------------------------------------------------------------
@@ -650,7 +559,7 @@ def check_tables_sql(
     tables: list[TableSpec] | list[tuple],
     sql: str,
     seed: Optional[int] = None,
-    configs=CONFIG_NAMES,
+    configs=CONFIGS,
     order_spec=(),
 ) -> list[Disagreement]:
     """Run ``sql`` over ``tables`` through the oracle plus ``configs``
@@ -661,27 +570,21 @@ def check_tables_sql(
     format).
     """
     specs = [_coerce_table(t) for t in tables]
-    oracle = run_config("oracle", specs, sql)
+    oracle = oracle_outcome(specs, sql)
     disagreements: list[Disagreement] = []
     for name in configs:
         outcome = run_config(name, specs, sql)
         if outcome.key() != oracle.key():
-            disagreements.append(
-                Disagreement(name, sql, seed, expected=oracle, actual=outcome)
-            )
+            detail = ""
+        elif (
+            order_spec
+            and outcome.ordered_rows is not None
+            and not _check_sorted(outcome.ordered_rows, order_spec)
+        ):
+            detail = "output violates the query's ORDER BY"
+        else:
             continue
-        if order_spec and outcome.ordered_rows is not None:
-            if not _check_sorted(outcome.ordered_rows, order_spec):
-                disagreements.append(
-                    Disagreement(
-                        name,
-                        sql,
-                        seed,
-                        expected=oracle,
-                        actual=outcome,
-                        detail="output violates the query's ORDER BY",
-                    )
-                )
+        disagreements.append(Disagreement(name, sql, seed, oracle, outcome, detail))
     return disagreements
 
 
@@ -698,7 +601,7 @@ def _coerce_table(table) -> TableSpec:
     )
 
 
-def check_case(case: FuzzCase, configs=CONFIG_NAMES) -> list[Disagreement]:
+def check_case(case: FuzzCase, configs=CONFIGS) -> list[Disagreement]:
     global CURRENT_CASE
     CURRENT_CASE = case
     return check_tables_sql(
@@ -721,9 +624,8 @@ def run_campaign(
     seed: int,
     iterations: int,
     features: FeatureMask | None = None,
-    configs=CONFIG_NAMES,
+    configs=CONFIGS,
     stop_on_failure: bool = True,
-    progress: Optional[Callable[[int, FuzzCase], None]] = None,
 ) -> CampaignResult:
     """Check ``iterations`` consecutive seeds starting at ``seed``."""
     all_disagreements: list[Disagreement] = []
@@ -731,8 +633,6 @@ def run_campaign(
     count = 0
     for i in range(iterations):
         case = generate_case(seed + i, features)
-        if progress is not None:
-            progress(i, case)
         found = check_case(case, configs)
         count += 1
         if found:

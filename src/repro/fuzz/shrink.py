@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from repro.fuzz.grammar import FuzzCase, TableSpec
 from repro.fuzz.runner import (
-    CONFIG_NAMES,
+    CONFIGS,
     Disagreement,
     check_tables_sql,
 )
@@ -175,7 +175,7 @@ class ShrinkResult:
 def shrink(
     tables: Sequence[TableSpec],
     statement: ast.Statement,
-    configs=CONFIG_NAMES,
+    configs=CONFIGS,
     seed: Optional[int] = None,
 ) -> ShrinkResult:
     """Minimize (tables, statement) while the configurations still
@@ -249,7 +249,7 @@ def shrink(
     return ShrinkResult(current_tables, current_stmt, final, checks[0])
 
 
-def shrink_case(case: FuzzCase, configs=CONFIG_NAMES) -> ShrinkResult:
+def shrink_case(case: FuzzCase, configs=CONFIGS) -> ShrinkResult:
     return shrink(case.tables, case.statement, configs=configs, seed=case.seed)
 
 

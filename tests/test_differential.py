@@ -3,7 +3,7 @@
 Every generated query is routed through the multi-way agreement runner
 (``repro.fuzz.runner.check_tables_sql``), which compares the reference
 oracle (expressions evaluated by the tree-walking interpreter) against
-every engine configuration in ``CONFIG_NAMES``: compiled, optimized,
+every engine configuration in ``CONFIGS``: compiled, optimized,
 SimCluster, SimCluster with transient transfer failures plus a
 mid-query worker crash, and the rest.
 
@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.fuzz.runner import CONFIG_NAMES, check_tables_sql
+from repro.fuzz.runner import AXES, CONFIGS, check_tables_sql
 
 T_COLUMNS = ["a", "b", "v", "s"]
 U_COLUMNS = ["a", "w", "t"]
@@ -142,6 +142,6 @@ def test_template_pool_all_configs_agree(pool_tables, seed):
 
 
 def test_fault_injected_config_is_exercised():
-    # The runner's config list must include the crash/retry cluster so
-    # the template pool covers paper Sec. IV-G behavior.
-    assert "cluster_faults" in CONFIG_NAMES
+    # Every fault script must be some row's, so the template pool covers
+    # the crash/retry cluster of paper Sec. IV-G and the recovery paths.
+    assert {row.faults for row in CONFIGS.values()} == set(AXES["faults"])

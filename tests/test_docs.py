@@ -72,3 +72,28 @@ def test_cache_field_table_matches_the_dataclass():
     from repro.cache import CacheConfig
 
     assert_field_table_matches("CACHING.md", CacheConfig)
+
+
+def test_fuzz_config_table_matches_the_runner():
+    """docs/FUZZING.md's Axes and Rows tables are the runner's ``AXES``
+    and ``CONFIGS``: a new row, value or axis fails here until the doc
+    describes it."""
+    import dataclasses
+
+    from repro.fuzz.runner import AXES, CONFIGS, EXCLUDED_PAIRS
+
+    text = (REPO_ROOT / "docs" / "FUZZING.md").read_text()
+    axes = text.split("### Axes")[1].split("\n### ")[0]
+    documented_axes: dict[str, list[str]] = {}
+    for axis, value in re.findall(r"^\| `(\w+)` \| `(\w+)` \|", axes, re.M):
+        documented_axes.setdefault(axis, []).append(value)
+    assert documented_axes == {axis: list(values) for axis, values in AXES.items()}
+
+    rows = text.split("### Rows")[1].split("\n### ")[0]
+    header, *body = re.findall(r"^\| `?(\w+)`? \|((?: \w+ \|)+)$", rows, re.M)
+    assert [header[0], *header[1].replace("|", " ").split()] == ["config", *AXES]
+    documented_rows = {name: tuple(cells.replace("|", " ").split()) for name, cells in body}
+    assert documented_rows == {
+        name: dataclasses.astuple(config) for name, config in CONFIGS.items()
+    }
+    assert f"The other {len(EXCLUDED_PAIRS)} are `EXCLUDED_PAIRS`" in text

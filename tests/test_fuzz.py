@@ -5,16 +5,27 @@ catches and shrinks injected engine bugs."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.exec.operators import joins as join_ops
+from repro.fuzz import __main__ as fuzz_cli
 from repro.fuzz.grammar import FeatureMask, generate_case
-from repro.fuzz.runner import CONFIG_NAMES, check_case, run_campaign
+from repro.fuzz.runner import (
+    AXES,
+    CONFIGS,
+    EXCLUDED_PAIRS,
+    EngineConfig,
+    check_case,
+    run_campaign,
+    uncovered_pairs,
+)
 from repro.fuzz.shrink import clause_count, ddmin, reproducer_source, shrink_case
 
 # Tier-1 corpus size: every seed runs the query through the oracle plus
-# all five engine configurations (~50ms/seed), so 150 seeds stays well
-# under the 60s budget.
+# every row of CONFIGS (~0.2 s/seed, EXPERIMENTS.md has the per-row
+# cost), so 150 seeds stay near 30 s.
 TIER1_SEEDS = 150
 
 
@@ -45,6 +56,45 @@ def test_feature_mask_restricts_grammar():
         assert "UNION" not in sql
     with pytest.raises(ValueError):
         FeatureMask.only("no_such_feature")
+
+
+# ---------------------------------------------------------------------------
+# The configuration table
+# ---------------------------------------------------------------------------
+
+
+def test_every_pair_of_axis_values_is_run_or_excluded_with_a_reason():
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == list(AXES)
+    values = [value for axis in AXES.values() for value in axis]
+    assert len(values) == len(set(values)), "a value name must identify its axis"
+    assert uncovered_pairs(CONFIGS) == set(EXCLUDED_PAIRS)
+    for pair, reason in EXCLUDED_PAIRS.items():
+        assert reason.startswith(("cannot: ", "not run: ")), (pair, reason)
+    assert len(CONFIGS) <= 18
+
+
+def test_uncovered_pairs_sees_a_dropped_row():
+    without = {name: row for name, row in CONFIGS.items() if name != "join_spill"}
+    assert frozenset(("vector", "spill")) in uncovered_pairs(without) - set(EXCLUDED_PAIRS)
+    with pytest.raises(ValueError, match="storage='s3'"):
+        EngineConfig(storage="s3")
+
+
+def test_the_14_names_reproducers_and_docs_use_are_rows():
+    assert set(CONFIGS) >= {
+        "compiled", "optimized", "row_kernels", "cluster", "cluster_faults",
+        "chaos", "dynamic_filter", "hive", "raptor", "ddl_roundtrip",
+        "cache_coherence", "spooled", "join_spill", "rewrites",
+    }
+
+
+def test_cli_rejects_an_unknown_config_with_the_valid_names(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        fuzz_cli.main(["--configs", "nope", "--iterations", "1"])
+    assert exit_info.value.code == 2
+    message = capsys.readouterr().err
+    assert "'nope'" in message
+    assert all(name in message for name in CONFIGS)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +157,18 @@ def _broken_finish(self):
 def test_injected_join_bug_is_caught_and_shrunk(monkeypatch):
     monkeypatch.setattr(join_ops.HashBuildOperator, "finish", _broken_finish)
 
+    # Every shrink check runs every given row, and this test is about
+    # the harness, not the table: three cheap rows share the operator.
+    configs = ("compiled", "optimized", "cluster")
     failing = None
     for seed in range(50):
         case = generate_case(seed, FeatureMask.only("joins"))
-        if check_case(case):
+        if check_case(case, configs):
             failing = case
             break
     assert failing is not None, "injected operator bug was never detected"
 
-    result = shrink_case(failing)
+    result = shrink_case(failing, configs)
     assert result.disagreements, "shrinking lost the disagreement"
     assert result.total_rows <= 5, f"{result.total_rows} rows after shrinking"
     assert clause_count(result.statement) <= 3, result.sql
@@ -137,7 +190,7 @@ def test_injected_bug_localizes_to_oracle_vs_engines(monkeypatch):
         case = generate_case(seed, FeatureMask.only("joins"))
         found = check_case(case)
         if found:
-            assert {d.config for d in found} <= set(CONFIG_NAMES)
+            assert {d.config for d in found} <= set(CONFIGS)
             return
     pytest.fail("injected operator bug was never detected")
 

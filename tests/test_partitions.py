@@ -38,7 +38,7 @@ def spool_cluster(ft=None, **overrides) -> SimCluster:
         default_catalog="tpch",
         default_schema="tiny",
         fault_tolerance=ft
-        or FaultToleranceConfig(enabled=True, spool_enabled=True),
+        or FaultToleranceConfig(enabled=True),
         **overrides,
     )
     cluster = SimCluster(config)
@@ -106,7 +106,6 @@ def test_flapping_partition_heals_before_timeout_no_detection():
     heartbeats but never a death verdict (no spurious recovery)."""
     ft = FaultToleranceConfig(
         enabled=True,
-        spool_enabled=True,
         heartbeat_interval_ms=10.0,
         heartbeat_timeout_ms=80.0,
     )
@@ -276,8 +275,8 @@ def test_spool_checksum_mismatch_falls_back_to_lineage_replay():
 def test_spool_gc_reclaims_acked_retained_buffers():
     """With the spool holding the durable copy, consumer acks release
     the producer-side retained pages (ft.spool_bytes_reclaimed grows);
-    with spooling off, retained buffers are the only replay source and
-    must never be GC'd."""
+    with task recovery off nothing will ever replay, so nothing is
+    retained or spooled."""
     cluster = spool_cluster()
     handle = cluster.run_query(SQL)
     stats = cluster.stats_snapshot()
@@ -285,11 +284,13 @@ def test_spool_gc_reclaims_acked_retained_buffers():
     assert stats["ft.spool_writes"] > 0
     assert stats["ft.spool_bytes_reclaimed"] > 0
 
-    legacy = spool_cluster(FaultToleranceConfig(enabled=True))
-    legacy.run_query(SQL)
-    legacy_stats = legacy.stats_snapshot()
-    assert legacy_stats["ft.spool_writes"] == 0
-    assert legacy_stats["ft.spool_bytes_reclaimed"] == 0
+    detect_only = spool_cluster(
+        FaultToleranceConfig(enabled=True, task_recovery_enabled=False)
+    )
+    detect_only.run_query(SQL)
+    detect_only_stats = detect_only.stats_snapshot()
+    assert detect_only_stats["ft.spool_writes"] == 0
+    assert detect_only_stats["ft.spool_bytes_reclaimed"] == 0
 
 
 def test_finished_query_releases_spool_segments():
@@ -312,7 +313,7 @@ def _insert_cluster(rows: int = 500):
         default_catalog="memory",
         default_schema="default",
         fault_tolerance=FaultToleranceConfig(
-            enabled=True, spool_enabled=True, checkpoint_interval_ms=5.0
+            enabled=True, checkpoint_interval_ms=5.0
         ),
     )
     cluster = SimCluster(config)
@@ -483,9 +484,7 @@ def test_checkpoint_carries_retry_budget_across_restart():
     budget spent before the coordinator died is restored from the last
     checkpoint on restart."""
     cluster = spool_cluster(
-        FaultToleranceConfig(
-            enabled=True, spool_enabled=True, checkpoint_interval_ms=2.0
-        )
+        FaultToleranceConfig(enabled=True, checkpoint_interval_ms=2.0)
     )
     handle = cluster.submit(SQL)
     cluster.sim.run(until_ms=1.0)
@@ -531,9 +530,7 @@ def test_writer_scaling_active_under_recovery_and_crash_exact():
                 default_catalog="hive",
                 default_schema="default",
                 output_buffer_bytes=64 * 1024,
-                fault_tolerance=FaultToleranceConfig(
-                    enabled=ft_enabled, spool_enabled=ft_enabled
-                ),
+                fault_tolerance=FaultToleranceConfig(enabled=ft_enabled),
             )
         )
         hive = HiveConnector()

@@ -30,7 +30,15 @@ mode global under ``src/repro/exec``.
 A fourth keeps the cluster layer's option count honest: a field of
 ``ClusterConfig``, ``FaultToleranceConfig`` or ``CacheConfig`` that no
 file under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` ever
-sets is not an option, it is a constant with extra plumbing.
+sets is not an option, it is a constant with extra plumbing — and so
+is a keyword parameter of ``SimCluster.submit`` / ``run_query`` or
+``LocalEngine.__init__`` that nobody passes.
+
+A fifth keeps answers and simulated counts independent of
+``PYTHONHASHSEED``: builtin ``hash(`` appears under ``src/repro`` only
+in ``connectors/hashing.py`` (whose ``value_hash`` / ``stable_hash``
+everything else calls) or on a line tagged ``# hash-ok: <why the
+argument can only be a number>``.
 """
 
 import os
@@ -281,19 +289,39 @@ def _census_sources() -> list[tuple[str, str]]:
     ]
 
 
+def _unset(names, sources) -> list[str]:
+    """The ``names`` that nothing assigns — as a keyword argument or an
+    attribute — other than their own declaration (``name: type =
+    default``, which the pattern does not match). A same-named keyword
+    elsewhere counts as a setter: the check can miss a dead option, it
+    cannot flag a live one."""
+    return [
+        name
+        for name in names
+        if not any(re.search(rf"\b{name}\s*=(?!=)", text) for _, text in sources)
+    ]
+
+
 def _unset_fields(config_class, sources) -> list[str]:
-    """Fields of ``config_class`` that nothing assigns — as a keyword
-    argument or an attribute — other than their own declaration
-    (``name: type = default``, which the pattern does not match). A
-    same-named keyword elsewhere counts as a setter: the check can miss
-    a dead field, it cannot flag a live one."""
     import dataclasses
 
-    return [
-        f.name
-        for f in dataclasses.fields(config_class)
-        if not any(re.search(rf"\b{f.name}\s*=(?!=)", text) for _, text in sources)
-    ]
+    return _unset([f.name for f in dataclasses.fields(config_class)], sources)
+
+
+def _unset_keywords(function, sources) -> list[str]:
+    """Parameters of ``function`` that have a default and that no call
+    passes by keyword."""
+    import inspect
+
+    parameters = inspect.signature(function).parameters.values()
+    return _unset(
+        [
+            p.name
+            for p in parameters
+            if p.default is not p.empty and p.kind is not p.VAR_KEYWORD
+        ],
+        sources,
+    )
 
 
 def test_every_cluster_config_field_is_set_by_someone():
@@ -309,6 +337,19 @@ def test_every_cluster_config_field_is_set_by_someone():
         )
 
 
+def test_every_submit_and_engine_keyword_is_passed_by_someone():
+    from repro.client import LocalEngine
+    from repro.cluster import SimCluster
+
+    sources = _census_sources()
+    for function in (SimCluster.submit, SimCluster.run_query, LocalEngine.__init__):
+        unset = _unset_keywords(function, sources)
+        assert not unset, (
+            f"{function.__qualname__}({unset}=) is passed by no file under "
+            f"{'/, '.join(CENSUS_ROOTS)}/: delete the parameter"
+        )
+
+
 def test_census_lint_catches_an_unset_field():
     import dataclasses
 
@@ -321,3 +362,96 @@ def test_census_lint_catches_an_unset_field():
     assert _unset_fields(Config, sources) == ["nobody_sets_this_knob"]
     sources.append(("b.py", "cluster.config.nobody_sets_this_knob = 0.9\n"))
     assert _unset_fields(Config, sources) == []
+
+
+def test_census_lint_catches_an_unpassed_keyword():
+    def submit(self, sql, phased=False, nobody_passes_this=None, **kwargs):
+        pass
+
+    sources = [("a.py", "cluster.submit(sql, phased=True)\nif nobody_passes_this: pass\n")]
+    assert _unset_keywords(submit, sources) == ["nobody_passes_this"]
+    sources.append(("b.py", "cluster.submit(sql, nobody_passes_this=3)\n"))
+    assert _unset_keywords(submit, sources) == []
+
+
+# --------------------------------------------------------------------------
+# Hash-seed independence: builtin hash() of a string differs per process.
+# --------------------------------------------------------------------------
+
+BUILTIN_HASH = re.compile(r"(?<![\w.])hash\(")
+HASH_OK = re.compile(r"#\s*hash-ok:\s*\S")
+HASHING_HOME = "repro/connectors/hashing.py"
+
+
+def _salted_hash_lines(text: str) -> list[str]:
+    """Lines whose code (not their comment) calls builtin ``hash(`` and
+    that carry no ``# hash-ok: <reason>`` tag."""
+    return [
+        line.strip()
+        for line in text.splitlines()
+        if BUILTIN_HASH.search(line.split("#", 1)[0]) and not HASH_OK.search(line)
+    ]
+
+
+def test_builtin_hash_is_confined_to_the_hashing_module():
+    offenders = {
+        str(path.relative_to(SRC)): found
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if str(path.relative_to(SRC)) != HASHING_HOME
+        and (found := _salted_hash_lines(path.read_text()))
+    }
+    assert not offenders, (
+        f"builtin hash() is salted per process for str/bytes: call "
+        f"connectors.hashing.value_hash / stable_hash, or tag the line "
+        f"'# hash-ok: <why only numbers reach it>': {offenders}"
+    )
+
+
+def test_hash_lint_catches_a_salted_hash():
+    assert _salted_hash_lines("h = hash(value) & MASK\n") == ["h = hash(value) & MASK"]
+    assert _salted_hash_lines("jitter = mix(hash((key, attempt)))\n")
+    assert not _salted_hash_lines("h = hash(n)  # hash-ok: n is a row count\n")
+    assert _salted_hash_lines("h = hash(n)  # hash-ok:\n")  # a tag needs a reason
+    assert not _salted_hash_lines("h = stable_hash(v) + self.hash(v) + value_hash(v)\n")
+    assert not _salted_hash_lines("x = 1  # python hash() per distinct value\n")
+    assert not _salted_hash_lines("def __hash__(self):\n")
+
+
+HASH_SEED_PROBE = """
+from repro.chaos.__main__ import main
+from repro.client import LocalEngine
+from repro.connectors.memory import MemoryConnector
+from repro.types import VARCHAR
+
+connector = MemoryConnector()
+connector.create_table_with_data(
+    "memory", "default", "t", [("s", VARCHAR)], [("a",), ("b",), ("a",), (None,)]
+)
+engine = LocalEngine()
+engine.register_catalog("memory", connector)
+print(engine.execute("SELECT checksum(s), approx_distinct(s) FROM t").rows)
+main(["--partitions", "1", "--one-way"])  # three campaigns, ~65 retried transfers
+"""
+
+
+def test_answers_and_chaos_counts_do_not_depend_on_the_hash_seed():
+    def start(hash_seed: str) -> subprocess.Popen:
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        return subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+
+    outputs = []
+    for process in [start("1"), start("2")]:
+        stdout, stderr = process.communicate(timeout=120)
+        assert process.returncode == 0, stderr
+        # The closing summary line carries wall-clock seconds.
+        outputs.append([l for l in stdout.splitlines() if "campaign(s)" not in l])
+    assert outputs[0] == outputs[1]
+    answer, *campaigns = outputs[0]
+    assert answer == "[(34623264967007, 2)]"
+    assert len(campaigns) == 3 and all(line.startswith("PASS ") for line in campaigns)

@@ -28,7 +28,7 @@ from repro.exec.operators.sorting import SortOperator
 from repro.exec.page import page_from_rows
 from repro.exec.spill import SpillContext
 from repro.fuzz.grammar import FeatureMask, generate_case
-from repro.fuzz.runner import load_tables, normalize_rows, run_config
+from repro.fuzz.runner import load_tables, normalize_rows, oracle_outcome
 from repro.functions import FUNCTIONS
 from repro.types import BIGINT, DOUBLE, VARCHAR
 
@@ -208,7 +208,7 @@ def test_cluster_join_spills_and_agrees_with_oracle():
     sql = "SELECT a.k, a.m, b.u FROM t1 AS a JOIN t1 AS b ON a.k = b.k AND a.m = b.m"
     cluster = pressure_cluster(case.tables, spill=True, general_bytes=8_000)
     rows = normalize_rows(cluster.run_query(sql).rows())
-    oracle = run_config("oracle", case.tables, sql)
+    oracle = oracle_outcome(case.tables, sql)
     assert oracle.error is None
     assert rows == oracle.rows
     assert cluster.spill_context.spill_events > 0
@@ -251,7 +251,7 @@ def test_cluster_spills_and_agrees_with_oracle():
     )
     cluster = pressure_cluster(case.tables, spill=True)
     rows = normalize_rows(cluster.run_query(sql).rows())
-    oracle = run_config("oracle", case.tables, sql)
+    oracle = oracle_outcome(case.tables, sql)
     assert oracle.error is None
     assert rows == oracle.rows
     assert cluster.spill_context.spill_events > 0
@@ -270,7 +270,7 @@ def test_cluster_without_spill_promotes_to_reserved():
     )
     cluster = pressure_cluster(case.tables, spill=False)
     rows = normalize_rows(cluster.run_query(sql).rows())
-    oracle = run_config("oracle", case.tables, sql)
+    oracle = oracle_outcome(case.tables, sql)
     assert rows == oracle.rows
     assert cluster.spill_context.spill_events == 0
     assert cluster.memory_manager.promotions > 0
@@ -288,7 +288,7 @@ def test_fuzz_queries_under_memory_pressure_agree(seed):
         outcome_rows = normalize_rows(cluster.run_query(case.sql).rows())
     except Exception as exc:  # noqa: BLE001 - compared against oracle below
         error = type(exc).__name__
-    oracle = run_config("oracle", case.tables, case.sql)
+    oracle = oracle_outcome(case.tables, case.sql)
     if oracle.error is not None:
         assert error == oracle.error
     else:
