@@ -6,6 +6,10 @@ assignments would differ between runs; these helpers are deterministic.
 
 from __future__ import annotations
 
+import numpy as np
+
+_NUMBERS = (int, float, np.integer, np.floating)
+
 
 def stable_hash(value) -> int:
     if value is None:
@@ -34,10 +38,10 @@ def stable_hash(value) -> int:
 def value_hash(value) -> int:
     """Process-independent hash of one SQL value for sketches, checksums
     and Bloom filters. Numbers keep python's own ``hash``: it is not
-    salted and agrees across int/float for equal values. Everything else
-    (``hash`` of a string differs per process) goes through
-    :func:`stable_hash`."""
-    if isinstance(value, (int, float)):
+    salted and agrees across int / float / NumPy scalars for equal
+    values. Everything else (``hash`` of a string differs per process)
+    goes through :func:`stable_hash`."""
+    if isinstance(value, _NUMBERS):
         return hash(value)
     return stable_hash(value)
 

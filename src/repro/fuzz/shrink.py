@@ -187,14 +187,21 @@ def shrink(
         raise ValueError("shrink() called on a case with no disagreement")
     # Chase the same kind of failure: rows-vs-rows or error-vs-rows.
     oracle_errored = original[0].expected.error is not None
+    # A check re-runs only the rows that disagreed: the others agree on
+    # the whole case and would be most of every check's cost. The
+    # minimized case then goes through all of ``configs`` once more, so
+    # the result names every row it breaks.
+    failing = [d.config for d in original]
 
-    def interesting(tabs: Sequence[TableSpec], stmt: ast.Statement) -> list[Disagreement]:
+    def interesting(
+        tabs: Sequence[TableSpec], stmt: ast.Statement, rows=failing
+    ) -> list[Disagreement]:
         if checks[0] >= MAX_CHECKS:
             return []
         checks[0] += 1
         try:
             sql = format_statement(stmt)
-            found = check_tables_sql(list(tabs), sql, seed=seed, configs=configs)
+            found = check_tables_sql(list(tabs), sql, seed=seed, configs=rows)
         except Exception:
             return []
         return [
@@ -245,7 +252,7 @@ def shrink(
         if not progressed:
             break
 
-    final = interesting(current_tables, current_stmt) or last_disagreements
+    final = interesting(current_tables, current_stmt, configs) or last_disagreements
     return ShrinkResult(current_tables, current_stmt, final, checks[0])
 
 

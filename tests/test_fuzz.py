@@ -157,21 +157,22 @@ def _broken_finish(self):
 def test_injected_join_bug_is_caught_and_shrunk(monkeypatch):
     monkeypatch.setattr(join_ops.HashBuildOperator, "finish", _broken_finish)
 
-    # Every shrink check runs every given row, and this test is about
-    # the harness, not the table: three cheap rows share the operator.
-    configs = ("compiled", "optimized", "cluster")
     failing = None
     for seed in range(50):
         case = generate_case(seed, FeatureMask.only("joins"))
-        if check_case(case, configs):
+        if check_case(case):
             failing = case
             break
     assert failing is not None, "injected operator bug was never detected"
 
-    result = shrink_case(failing, configs)
+    result = shrink_case(failing)
     assert result.disagreements, "shrinking lost the disagreement"
     assert result.total_rows <= 5, f"{result.total_rows} rows after shrinking"
     assert clause_count(result.statement) <= 3, result.sql
+    # Shrink checks re-run only the rows that caught the bug; the
+    # minimized case is then reported against the whole table, and a
+    # two-row join with a lost build row breaks every engine.
+    assert {d.config for d in result.disagreements} == set(CONFIGS)
 
     # The reproducer file is self-contained and replays the failure.
     source = reproducer_source(result, seed=failing.seed, original_sql=failing.sql)

@@ -36,9 +36,8 @@ is a keyword parameter of ``SimCluster.submit`` / ``run_query`` or
 
 A fifth keeps answers and simulated counts independent of
 ``PYTHONHASHSEED``: builtin ``hash(`` appears under ``src/repro`` only
-in ``connectors/hashing.py`` (whose ``value_hash`` / ``stable_hash``
-everything else calls) or on a line tagged ``# hash-ok: <why the
-argument can only be a number>``.
+in ``connectors/hashing.py``, whose ``value_hash`` / ``stable_hash``
+everything else calls.
 """
 
 import os
@@ -379,17 +378,15 @@ def test_census_lint_catches_an_unpassed_keyword():
 # --------------------------------------------------------------------------
 
 BUILTIN_HASH = re.compile(r"(?<![\w.])hash\(")
-HASH_OK = re.compile(r"#\s*hash-ok:\s*\S")
 HASHING_HOME = "repro/connectors/hashing.py"
 
 
 def _salted_hash_lines(text: str) -> list[str]:
-    """Lines whose code (not their comment) calls builtin ``hash(`` and
-    that carry no ``# hash-ok: <reason>`` tag."""
+    """Lines whose code (not their comment) calls builtin ``hash(``."""
     return [
         line.strip()
         for line in text.splitlines()
-        if BUILTIN_HASH.search(line.split("#", 1)[0]) and not HASH_OK.search(line)
+        if BUILTIN_HASH.search(line.split("#", 1)[0])
     ]
 
 
@@ -402,19 +399,28 @@ def test_builtin_hash_is_confined_to_the_hashing_module():
     }
     assert not offenders, (
         f"builtin hash() is salted per process for str/bytes: call "
-        f"connectors.hashing.value_hash / stable_hash, or tag the line "
-        f"'# hash-ok: <why only numbers reach it>': {offenders}"
+        f"connectors.hashing.value_hash / stable_hash: {offenders}"
     )
 
 
 def test_hash_lint_catches_a_salted_hash():
     assert _salted_hash_lines("h = hash(value) & MASK\n") == ["h = hash(value) & MASK"]
     assert _salted_hash_lines("jitter = mix(hash((key, attempt)))\n")
-    assert not _salted_hash_lines("h = hash(n)  # hash-ok: n is a row count\n")
-    assert _salted_hash_lines("h = hash(n)  # hash-ok:\n")  # a tag needs a reason
     assert not _salted_hash_lines("h = stable_hash(v) + self.hash(v) + value_hash(v)\n")
     assert not _salted_hash_lines("x = 1  # python hash() per distinct value\n")
     assert not _salted_hash_lines("def __hash__(self):\n")
+
+
+def test_value_hash_is_one_hash_per_number():
+    # A Bloom filter built from Python ints must answer for the equal
+    # NumPy scalar (and float): otherwise stripes are skipped wrongly.
+    import numpy as np
+
+    from repro.connectors.hashing import stable_hash, value_hash
+
+    assert value_hash(5) == value_hash(5.0) == value_hash(np.int64(5)) == hash(5)
+    assert value_hash(2.5) == value_hash(np.float64(2.5)) == value_hash(np.float32(2.5))
+    assert value_hash("5") == stable_hash("5")
 
 
 HASH_SEED_PROBE = """
