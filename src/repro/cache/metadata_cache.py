@@ -32,9 +32,6 @@ class CachingMetadata(Metadata):
 
     # -- version plumbing --------------------------------------------------
 
-    def _table_version(self, catalog: str, schema: str, table: str) -> int:
-        return self.connector(catalog).metadata.versions.table_version(schema, table)
-
     def _handle_version(self, handle: TableHandle) -> int:
         name = handle.name
         return self._table_version(name.catalog, name.schema, name.table)

@@ -18,7 +18,7 @@ Both are validated — not purged — by the connectors' monotonic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache.lru import LruCache
 
@@ -28,32 +28,37 @@ class CachedPlan:
     """An optimized plan plus everything needed to validate and reuse it."""
 
     fragmented: object  # planner.fragmenter.FragmentedPlan
-    #: ((catalog, schema, table) -> version) snapshot at plan time
+    #: ((catalog, schema, table), version) snapshot at plan time
     table_versions: tuple
     fingerprint: str
     result_cacheable: bool
-    planning_info: dict = field(default_factory=dict)
 
 
 class PlanCache:
-    """Versioned LRU of formatted-SQL -> CachedPlan."""
+    """Versioned LRU of formatted-SQL -> CachedPlan. ``current_versions``
+    maps ``(catalog, schema, table)`` keys to ``(key, version)`` pairs
+    (``Metadata.table_versions``)."""
 
     def __init__(self, max_entries: int = 256):
         self.cache = LruCache(max_entries=max_entries)
 
+    def peek(self, key: tuple, current_versions) -> CachedPlan | None:
+        """The entry if its table versions are still current, without
+        counting or touching recency (EXPLAIN)."""
+        entry = self.cache.peek(key)
+        if entry is None:
+            return None
+        keys = [table for table, _ in entry.table_versions]
+        return entry if entry.table_versions == current_versions(keys) else None
+
     def get(self, key: tuple, current_versions) -> CachedPlan | None:
         """Counting lookup; a version mismatch counts as a miss and drops
         the stale entry."""
-        entry = self.cache.get(key)
-        if entry is None:
-            return None
-        if entry.table_versions != current_versions(entry.table_versions):
+        if self.peek(key, current_versions) is None:
             self.cache.invalidate(key)
-            # get() above counted a hit for the stale entry; reclassify.
-            self.cache.hits -= 1
             self.cache.misses += 1
             return None
-        return entry
+        return self.cache.get(key)
 
     def put(self, key: tuple, entry: CachedPlan) -> None:
         self.cache.put(key, entry)

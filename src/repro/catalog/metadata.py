@@ -53,6 +53,19 @@ class Metadata:
         except KeyError:
             raise CatalogNotFoundError(f"Catalog not found: {catalog}")
 
+    def table_versions(self, tables) -> tuple:
+        """``((catalog, schema, table), version)`` for each key of
+        ``tables``, read from the owning connector's monotonic counters
+        (what the plan and result caches validate an entry against)."""
+        return tuple((key, self._table_version(*key)) for key in tables)
+
+    def _table_version(self, catalog: str, schema: str, table: str) -> int:
+        try:
+            versions = self.connector(catalog).metadata.versions
+        except CatalogNotFoundError:
+            return -1  # catalog vanished: can never match a snapshot
+        return versions.table_version(schema, table)
+
     def resolve_table(self, catalog: str, schema: str, table: str) -> TableHandle | None:
         connector = self.connector(catalog)
         self.connector_calls += 1

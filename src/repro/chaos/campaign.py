@@ -38,6 +38,17 @@ from repro.fuzz.oracle import run_oracle
 from repro.fuzz.runner import load_tables, normalize_rows
 
 
+# What every campaign holds fixed: no caller ever varied these, and a
+# tier-1 census lint fails on a ChaosPlan field nobody sets.
+SUBMIT_WINDOW_MS = 20.0  # queries are submitted at uniform times in [0, this)
+CRASH_WINDOW_MS = (0.5, 8.0)  # crashes and slow-downs land in this window
+MIN_SURVIVORS = 2  # crash_count is capped to leave this many workers
+SLOW_FACTOR = 4.0
+PARTITION_WINDOW_MS = (0.5, 8.0)
+HEARTBEAT_INTERVAL_MS = 50.0
+HEARTBEAT_TIMEOUT_MS = 200.0
+
+
 @dataclass
 class ChaosPlan:
     """One campaign's full specification; results are a pure function
@@ -46,13 +57,10 @@ class ChaosPlan:
     seed: int = 0
     queries: int = 8
     worker_count: int = 4
-    # Faults: how many workers to crash (capped so at least
-    # ``min_survivors`` remain), when, and how many nodes to degrade.
+    # Faults: how many workers to crash (capped by MIN_SURVIVORS) and
+    # how many of the survivors to degrade.
     crash_count: int = 1
-    crash_window_ms: tuple[float, float] = (0.5, 8.0)
-    min_survivors: int = 2
     slow_worker_count: int = 1
-    slow_factor: float = 4.0
     transient_failure_rate: float = 0.02
     transfer_duplicate_rate: float = 0.02
     # Memory pressure: when set, shrinks the per-node user memory limit
@@ -60,19 +68,14 @@ class ChaosPlan:
     # deterministic, non-retryable kill — an acceptable outcome, never
     # a correctness one).
     per_node_memory_limit_bytes: Optional[int] = None
-    # Queries are submitted at uniform times in [0, submit_window_ms).
-    submit_window_ms: float = 20.0
     recovery_enabled: bool = True
-    heartbeat_interval_ms: float = 50.0
-    heartbeat_timeout_ms: float = 200.0
-    # Network partitions: how many (non-crashed) workers to cut off,
-    # when, and whether/when each partition heals. one_way severs only
-    # the inbound direction (the classic asymmetric partition: the node
+    # Network partitions: how many (non-crashed) workers to cut off and
+    # whether/when each partition heals. one_way severs only the
+    # inbound direction (the classic asymmetric partition: the node
     # looks dead but keeps emitting stale output that must be fenced).
     # All draws are gated on partition_count so legacy plans keep their
     # PRNG sequences byte-identical.
     partition_count: int = 0
-    partition_window_ms: tuple[float, float] = (0.5, 8.0)
     partition_heal_after_ms: Optional[float] = 300.0
     one_way_partitions: bool = False
     # Coordinator kill/restart: crash the coordinator at a fixed virtual
@@ -176,8 +179,8 @@ def _build_cluster(plan: ChaosPlan, tables) -> SimCluster:
         fault_tolerance=FaultToleranceConfig(
             enabled=True,
             task_recovery_enabled=plan.recovery_enabled,
-            heartbeat_interval_ms=plan.heartbeat_interval_ms,
-            heartbeat_timeout_ms=plan.heartbeat_timeout_ms,
+            heartbeat_interval_ms=HEARTBEAT_INTERVAL_MS,
+            heartbeat_timeout_ms=HEARTBEAT_TIMEOUT_MS,
             checkpoint_interval_ms=plan.checkpoint_interval_ms,
         ),
     )
@@ -228,23 +231,23 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
             submit_errors[index] = exc
 
     for i, case in enumerate(cases):
-        at = rng.uniform(0.0, plan.submit_window_ms)
+        at = rng.uniform(0.0, SUBMIT_WINDOW_MS)
         cluster.sim.schedule(at, lambda i=i, sql=case.sql: submit(i, sql))
 
-    # Fault schedule: crashes first (capped to keep min_survivors),
+    # Fault schedule: crashes first (capped to keep MIN_SURVIVORS),
     # then degrade some survivors.
     names = list(cluster.workers)
-    crash_count = max(0, min(plan.crash_count, plan.worker_count - plan.min_survivors))
+    crash_count = max(0, min(plan.crash_count, plan.worker_count - MIN_SURVIVORS))
     victims = rng.sample(names, crash_count)
     for name in victims:
-        at = rng.uniform(*plan.crash_window_ms)
+        at = rng.uniform(*CRASH_WINDOW_MS)
         cluster.sim.schedule(at, lambda n=name: cluster.crash_worker(n))
     survivors = [n for n in names if n not in victims]
     slowed = rng.sample(survivors, min(plan.slow_worker_count, len(survivors)))
     for name in slowed:
-        at = rng.uniform(*plan.crash_window_ms)
+        at = rng.uniform(*CRASH_WINDOW_MS)
         cluster.sim.schedule(
-            at, lambda n=name: cluster.degrade_worker(n, plan.slow_factor)
+            at, lambda n=name: cluster.degrade_worker(n, SLOW_FACTOR)
         )
 
     # Asymmetric/symmetric partitions against non-crashed workers. Every
@@ -257,7 +260,7 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
             candidates, min(plan.partition_count, len(candidates))
         )
         for name in partitioned:
-            at = rng.uniform(*plan.partition_window_ms)
+            at = rng.uniform(*PARTITION_WINDOW_MS)
             cluster.sim.schedule(
                 at,
                 lambda n=name: cluster.partition_worker(
@@ -427,8 +430,8 @@ def _affinity_cluster(tables, worker_count: int, cache_config) -> SimCluster:
         fault_tolerance=FaultToleranceConfig(
             enabled=True,
             task_recovery_enabled=True,
-            heartbeat_interval_ms=50.0,
-            heartbeat_timeout_ms=200.0,
+            heartbeat_interval_ms=HEARTBEAT_INTERVAL_MS,
+            heartbeat_timeout_ms=HEARTBEAT_TIMEOUT_MS,
         ),
         cache=cache_config,
     )

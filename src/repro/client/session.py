@@ -3,23 +3,24 @@
 :class:`LocalEngine` runs the full pipeline — parse, analyze, plan,
 optimize, execute — inside one process. It is the engine the examples
 and tests use directly; the distributed story (coordinator, workers,
-scheduling) lives in :mod:`repro.cluster` and shares every layer below
-planning.
+scheduling) lives in :mod:`repro.cluster`. Both hand the SQL text to
+:mod:`repro.frontend` and run the plan it returns, and share every layer
+below planning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 from repro.catalog.metadata import Metadata
 from repro.connectors.api import Connector
-from repro.errors import NotSupportedError
+from repro.errors import NotScalarResultError
 from repro.exec.local import execute_plan
-from repro.planner.nodes import format_plan
-from repro.planner.planner import LogicalPlanner, SessionContext
-from repro.sql import ast, parse_statement
-from repro.types import Type, VARCHAR, BIGINT
+from repro.frontend import StatementFrontEnd
+from repro.optimizer.context import OptimizerConfig
+from repro.planner.planner import SessionContext
+from repro.sql import ast
+from repro.types import Type
 
 
 @dataclass
@@ -36,7 +37,11 @@ class QueryResult:
 
     def scalar(self):
         """The single value of a one-row, one-column result."""
-        assert len(self.rows) == 1 and len(self.rows[0]) == 1, "not a scalar result"
+        if len(self.rows) != 1 or len(self.rows[0]) != 1:
+            raise NotScalarResultError(
+                f"not a scalar result: {len(self.rows)} row(s) of "
+                f"{len(self.column_names)} column(s)"
+            )
         return self.rows[0][0]
 
     def column(self, name: str) -> list:
@@ -58,11 +63,11 @@ class LocalEngine:
         self.default_catalog = catalog
         self.default_schema = schema
         self.optimize = optimize
-        # Optional OptimizerConfig override (rule knobs, guards,
-        # thresholds); None = defaults.
-        self.optimizer_config = optimizer_config
-        # RuleTrace of the most recent plan() call (rewrite-rule
-        # firings / cost-guard skips), for tests and EXPLAIN.
+        # Rule knobs, guards, thresholds.
+        self.optimizer_config = optimizer_config or OptimizerConfig()
+        # RuleTrace of the most recent statement (rewrite-rule firings /
+        # cost-guard skips), for tests; None when it planned nothing
+        # (SHOW, DROP).
         self.last_rule_trace = None
         #: ``{"<operator>.<reason>": pages}`` of the last executed query:
         #: pages that took a per-row path instead of the vectorized kernels
@@ -76,88 +81,29 @@ class LocalEngine:
     # -- query execution -----------------------------------------------------
 
     def execute(self, sql: str) -> QueryResult:
-        statement = parse_statement(sql)
-        if isinstance(statement, ast.Explain):
-            return self._explain(statement)
-        if isinstance(statement, ast.ShowTables):
-            return self._show_tables(statement)
-        if isinstance(statement, ast.ShowColumns):
-            return self._show_columns(statement)
-        if isinstance(statement, ast.ShowCatalogs):
-            return QueryResult(
-                ["Catalog"], [VARCHAR], [(c,) for c in self.metadata.catalogs()]
-            )
-        if isinstance(statement, ast.ShowSchemas):
-            catalog = statement.catalog or self.default_catalog
-            schemas = self.metadata.connector(catalog).metadata.list_schemas()
-            return QueryResult(["Schema"], [VARCHAR], [(s,) for s in schemas])
-        if isinstance(statement, ast.ShowFunctions):
-            from repro.functions import FUNCTIONS
-
-            names = sorted(
-                set(FUNCTIONS.scalar_names())
-                | set(FUNCTIONS._aggregates)
-                | set(FUNCTIONS._windows)
-            )
-            kinds = [
-                (
-                    name,
-                    "aggregate"
-                    if FUNCTIONS.is_aggregate(name)
-                    else ("window" if FUNCTIONS.is_window(name) else "scalar"),
-                )
-                for name in names
-            ]
-            return QueryResult(["Function", "Kind"], [VARCHAR, VARCHAR], kinds)
-        if isinstance(statement, ast.DropTable):
-            return self._drop_table(statement)
-        plan = self.plan(statement)
-        result = execute_plan(self.metadata, plan)
+        """Front end, then run: every statement kind arrives as a plan
+        (repro.frontend)."""
+        planned = self._front_end().plan_sql(sql)
+        self.last_rule_trace = planned.trace
+        result = execute_plan(self.metadata, planned.plan)
         self.last_row_fallbacks = result.row_fallbacks
         return QueryResult(result.column_names, result.column_types, result.rows())
 
-    def plan(self, statement: ast.Statement, optimize: Optional[bool] = None):
-        from repro.planner.rules import RuleTrace
+    def plan(self, statement: ast.Statement):
+        """The optimized logical plan of a parsed statement."""
+        planned = self._front_end().plan_statement(statement)
+        self.last_rule_trace = planned.trace
+        return planned.plan
 
-        trace = RuleTrace()
-        planner = LogicalPlanner(
+    def _front_end(self) -> StatementFrontEnd:
+        # No plan cache: an embedded engine plans every statement afresh.
+        return StatementFrontEnd(
             self.metadata,
             SessionContext(self.default_catalog, self.default_schema),
-            optimizer_config=self.optimizer_config,
-            trace=trace,
+            self.optimizer_config,
+            optimize=self.optimize,
+            explain_analyze=self._explain_analyze,
         )
-        plan = planner.plan_statement(statement)
-        if optimize if optimize is not None else self.optimize:
-            from repro.optimizer import optimize_plan
-
-            plan = optimize_plan(
-                plan,
-                self.metadata,
-                planner.symbols,
-                config=self.optimizer_config,
-                trace=trace,
-            )
-        self.last_rule_trace = trace
-        return plan
-
-    # -- auxiliary statements ----------------------------------------------------
-
-    def _explain(self, statement: ast.Explain) -> QueryResult:
-        plan = self.plan(statement.statement)
-        if statement.analyze:
-            text = self._explain_analyze(plan)
-        elif statement.explain_type == "DISTRIBUTED":
-            from repro.planner.fragmenter import fragment_plan, format_fragmented_plan
-
-            fragmented = fragment_plan(plan)
-            text = format_fragmented_plan(fragmented)
-        else:
-            text = format_plan(plan.root)
-        # Rewrite-rule header (docs/OPTIMIZER.md): which rules shaped
-        # this plan and which were skipped by their cost guards.
-        if self.last_rule_trace is not None:
-            text = self.last_rule_trace.summary() + "\n" + text
-        return QueryResult(["Query Plan"], [VARCHAR], [(text,)])
 
     def _explain_analyze(self, plan) -> str:
         """Execute the query and report per-operator statistics — the
@@ -202,43 +148,3 @@ class LocalEngine:
                     for inner in embedded():
                         lines.append(stat_line(inner, "    "))
         return "\n".join(lines)
-
-    def _show_tables(self, statement: ast.ShowTables) -> QueryResult:
-        catalog = self.default_catalog
-        schema: Optional[str] = self.default_schema
-        if statement.schema is not None:
-            parts = statement.schema.parts
-            if len(parts) == 1:
-                schema = parts[0]
-            else:
-                catalog, schema = parts[0], parts[1]
-        connector = self.metadata.connector(catalog)
-        tables = connector.metadata.list_tables(schema)
-        return QueryResult(["Table"], [VARCHAR], [(t,) for t in tables])
-
-    def _show_columns(self, statement: ast.ShowColumns) -> QueryResult:
-        planner = LogicalPlanner(
-            self.metadata, SessionContext(self.default_catalog, self.default_schema)
-        )
-        handle = planner._resolve_table_name(statement.table)
-        if handle is None:
-            from repro.errors import TableNotFoundError
-
-            raise TableNotFoundError(f"Table not found: {statement.table}")
-        metadata = self.metadata.table_metadata(handle)
-        rows = [(c.name, str(c.type)) for c in metadata.columns]
-        return QueryResult(["Column", "Type"], [VARCHAR, VARCHAR], rows)
-
-    def _drop_table(self, statement: ast.DropTable) -> QueryResult:
-        planner = LogicalPlanner(
-            self.metadata, SessionContext(self.default_catalog, self.default_schema)
-        )
-        handle = planner._resolve_table_name(statement.name)
-        if handle is None:
-            if statement.if_exists:
-                return QueryResult(["result"], [BIGINT], [(0,)])
-            from repro.errors import TableNotFoundError
-
-            raise TableNotFoundError(f"Table not found: {statement.name}")
-        self.metadata.drop_table(handle)
-        return QueryResult(["result"], [BIGINT], [(1,)])

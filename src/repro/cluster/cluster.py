@@ -11,18 +11,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from repro.cache import (
     CacheConfig,
-    CachedPlan,
     CachingMetadata,
     PlanCache,
     ResultCache,
     StripeCache,
 )
 from repro.catalog.metadata import Metadata
-from repro.catalog.schema import QualifiedTableName
 from repro.cluster.cost import CostModel
 from repro.cluster.fault import (
     CoordinatorCheckpoint,
@@ -45,17 +42,10 @@ from repro.errors import (
     WorkerFailedError,
 )
 from repro.exec.operator import row_fallback_counts
+from repro.frontend import StatementFrontEnd
 from repro.memory.pools import ClusterMemoryManager, MemoryLimits, MemoryPool
 from repro.optimizer.context import OptimizerConfig
-from repro.planner.fingerprint import (
-    is_result_cacheable,
-    plan_fingerprint,
-    referenced_tables,
-)
-from repro.planner.fragmenter import fragment_plan
-from repro.planner.planner import LogicalPlanner, SessionContext
-from repro.sql import ast, parse_statement
-from repro.sql.formatter import format_statement
+from repro.planner.planner import SessionContext
 
 
 @dataclass
@@ -260,23 +250,22 @@ class SimCluster:
         session_catalog: str | None = None,
         resource_group: str | None = None,
     ) -> QueryExecution:
-        """Parse, plan, optimize, fragment, and enqueue a query."""
+        """Plan the statement (repro.frontend), fragment, and enqueue."""
         if not self.coordinator_alive:
             raise PrestoError("Coordinator is unavailable")
         if len(self._admission_queue) >= self.config.max_queued_queries:
             raise QueryQueueFullError("Admission queue is full")
+        # Task ids feed the retry-jitter hash: a statement the front end
+        # rejects still takes its id.
         query_id = f"q{next(self._query_counter)}"
-        statement = parse_statement(sql)
         calls_before = self.metadata.connector_calls
-        fragmented, cached = self._plan_statement(
-            statement,
-            session_catalog or self.config.default_catalog,
-            self.config.default_schema,
-        )
+        planned = self._front_end(session_catalog).plan_sql(sql)
         metadata_misses = self.metadata.connector_calls - calls_before
+        if planned.trace is not None:
+            self._count_rules(planned.trace)
         query = QueryExecution(
             query_id,
-            fragmented,
+            planned.fragmented(),
             self,
             phased=phased,
             client_bandwidth_bytes_per_ms=client_bandwidth_bytes_per_ms,
@@ -286,6 +275,7 @@ class SimCluster:
         query.startup_delay_ms = (
             metadata_misses * self.config.cache.metadata_latency_ms
         )
+        cached = planned.cached
         if (
             cached is not None
             and cached.result_cacheable
@@ -306,62 +296,27 @@ class SimCluster:
         self._ensure_checkpoint_loop()
         return query
 
-    # -- planning + plan cache ------------------------------------------------
+    def explain(self, sql: str) -> str:
+        """What ``EXPLAIN (TYPE DISTRIBUTED) <sql>`` answers with, as
+        text: cache status, rule header, annotated fragments."""
+        return self._front_end().explain_sql(sql)
 
-    def table_versions(self, tables) -> tuple:
-        """((catalog, schema, table), version) for each referenced table,
-        read from the owning connector's monotonic counters."""
-        out = []
-        for item in tables:
-            if isinstance(item, QualifiedTableName):
-                key = (item.catalog, item.schema, item.table)
-            elif len(item) == 2 and isinstance(item[0], tuple):
-                key = item[0]  # a stored ((cat, schema, table), version) pair
-            else:
-                key = tuple(item)
-            catalog, schema, table = key
-            try:
-                connector = self.metadata.connector(catalog)
-            except PrestoError:
-                version = -1  # catalog vanished: can never match a snapshot
-            else:
-                version = connector.metadata.versions.table_version(schema, table)
-            out.append((key, version))
-        return tuple(out)
-
-    def _plan_statement(
-        self, statement, catalog: str, schema: str
-    ) -> tuple[object, Optional[CachedPlan]]:
-        """Plan/optimize/fragment, going through the plan cache for plain
-        SELECT queries. Returns the fragmented plan plus the (new or
-        cached) CachedPlan entry when the statement shape is cacheable."""
-        cacheable = isinstance(statement, ast.Query)
-        key = None
-        if cacheable and self.plan_cache is not None:
-            # The formatter normalizes whitespace/case, so cosmetically
-            # different spellings of one query share a cache entry. The
-            # effective optimizer config is part of the key: a plan
-            # built under different rule knobs/thresholds is a
-            # different plan.
-            key = self._plan_cache_key(statement, catalog, schema)
-            entry = self.plan_cache.get(key, self.table_versions)
-            if entry is not None:
-                return entry.fragmented, entry
-        from repro.planner.rules import RuleTrace
-
-        trace = RuleTrace()
-        planner = LogicalPlanner(
+    def _front_end(self, session_catalog: str | None = None) -> StatementFrontEnd:
+        """The statement front end over this coordinator's metadata and
+        caches. EXPLAIN ANALYZE stays a typed NotSupportedError there
+        until a distributed one exists (ROADMAP item 5)."""
+        return StatementFrontEnd(
             self.metadata,
-            SessionContext(catalog, schema),
-            optimizer_config=self.config.optimizer,
-            trace=trace,
+            SessionContext(
+                session_catalog or self.config.default_catalog,
+                self.config.default_schema,
+            ),
+            self.config.optimizer,
+            plan_cache=self.plan_cache,
+            result_cache=self.result_cache,
         )
-        plan = planner.plan_statement(statement)
-        from repro.optimizer import optimize_plan
 
-        plan = optimize_plan(
-            plan, self.metadata, planner.symbols, self.config.optimizer, trace=trace
-        )
+    def _count_rules(self, trace) -> None:
         for name, count in trace.fired_counts().items():
             self.rules_fired[name] = self.rules_fired.get(name, 0) + count
         for name, count in trace.skipped_counts().items():
@@ -369,29 +324,6 @@ class SimCluster:
                 self.rules_skipped_cost.get(name, 0) + count
             )
         self.fixed_point_cap_hits += trace.fixed_point_cap_hit
-        fragmented = fragment_plan(plan)
-        entry = None
-        if cacheable and (self.plan_cache is not None or self.result_cache is not None):
-            entry = CachedPlan(
-                fragmented,
-                self.table_versions(referenced_tables(fragmented)),
-                plan_fingerprint(fragmented),
-                is_result_cacheable(fragmented),
-                planning_info={"rules": trace.summary()},
-            )
-            if self.plan_cache is not None:
-                self.plan_cache.put(key, entry)
-        return fragmented, entry
-
-    def _plan_cache_key(self, statement, catalog: str, schema: str) -> tuple:
-        from repro.planner.fingerprint import optimizer_config_token
-
-        return (
-            catalog,
-            schema,
-            format_statement(statement),
-            optimizer_config_token(self.config.optimizer),
-        )
 
     def record_fusion(self, report) -> None:
         """Fold one task's pipeline-fusion outcome (repro.exec.pipeline
@@ -401,64 +333,6 @@ class SimCluster:
             self.fusion_fallbacks[reason] = (
                 self.fusion_fallbacks.get(reason, 0) + count
             )
-
-    def explain(self, sql: str) -> str:
-        """Distributed EXPLAIN with cache-tier visibility: reports the
-        plan-cache outcome for this shape and whether a current result-
-        cache entry could serve it, then the fragmented plan."""
-        from repro.planner.fragmenter import format_fragmented_plan
-
-        statement = parse_statement(sql)
-        if isinstance(statement, ast.Explain):
-            statement = statement.statement
-        catalog, schema = self.config.default_catalog, self.config.default_schema
-        plan_status = "uncacheable"
-        if isinstance(statement, ast.Query) and self.plan_cache is not None:
-            key = self._plan_cache_key(statement, catalog, schema)
-            entry = self.plan_cache.cache.peek(key)
-            stale = entry is not None and entry.table_versions != self.table_versions(
-                entry.table_versions
-            )
-            plan_status = "hit" if entry is not None and not stale else "miss"
-        fragmented, cached = self._plan_statement(statement, catalog, schema)
-        result_status = "uncacheable"
-        if cached is not None and cached.result_cacheable:
-            if self.result_cache is None:
-                result_status = "disabled"
-            else:
-                versions = self.table_versions(cached.table_versions)
-                ready = self.result_cache.peek(cached.fingerprint, versions)
-                result_status = "ready" if ready is not None else "cold"
-        lines = [
-            f"plan cache: {plan_status}"
-            if self.plan_cache is not None
-            else "plan cache: disabled",
-            f"result cache: {result_status} (fingerprint {cached.fingerprint[:12]})"
-            if cached is not None
-            else "result cache: uncacheable",
-        ]
-        if cached is not None and "rules" in cached.planning_info:
-            # For cache hits this reports the rules that built the
-            # cached plan, which is exactly what will execute.
-            lines.append(cached.planning_info["rules"])
-        lines += [
-            "",
-            format_fragmented_plan(fragmented, self._fusion_annotations(fragmented)),
-        ]
-        return "\n".join(lines)
-
-    def _fusion_annotations(self, fragmented) -> dict[int, str]:
-        """Per-fragment fused-stage summaries for EXPLAIN (predicted at
-        plan level by repro.exec.pipeline; runtime counters are in
-        stats_snapshot as exec.pipelines_fused)."""
-        from repro.exec.pipeline import fragment_fusion_summary
-
-        annotations = {}
-        for fragment_id, fragment in fragmented.fragments.items():
-            summary = fragment_fusion_summary(fragment)
-            if summary:
-                annotations[fragment_id] = summary
-        return annotations
 
     def _has_active_work(self) -> bool:
         return self._running > 0 or bool(self._admission_queue)

@@ -284,7 +284,7 @@ class QueryExecution:
         fingerprint + current table versions match a stored entry."""
         if self.result_cache is None or self.result_fingerprint is None:
             return False
-        versions = self.cluster.table_versions(self.result_tables)
+        versions = self.cluster.metadata.table_versions(self.result_tables)
         pages = self.result_cache.get(self.result_fingerprint, versions)
         if pages is not None:
             self.result_cache_status = "hit"
@@ -1208,7 +1208,7 @@ class QueryExecution:
             self.result_cache.fill(
                 self.result_fingerprint,
                 self._result_fill_versions,
-                self.cluster.table_versions(self.result_tables),
+                self.cluster.metadata.table_versions(self.result_tables),
                 self.result_pages,
             )
         self._settle()

@@ -189,6 +189,7 @@ class ShardedSqlMetadata(ConnectorMetadata):
         )
         handle = ShardedTableHandle(metadata.name.schema, metadata.name.table)
         self._connector.tables[handle] = table
+        self.versions.bump_table(handle.schema, handle.table)
         return handle
 
     def begin_insert(self, handle: ShardedTableHandle) -> ShardedTableHandle:
@@ -204,9 +205,11 @@ class ShardedSqlMetadata(ConnectorMetadata):
         self._connector.rebuild_indexes(table)
         if self._connector.statistics_enabled:
             self._connector.analyze_table(insert_handle)
+        self.versions.bump_table(insert_handle.schema, insert_handle.table)
 
     def drop_table(self, handle: ShardedTableHandle) -> None:
         self._connector.tables.pop(handle, None)
+        self.versions.bump_table(handle.schema, handle.table)
 
 
 class _ShardedSink(PageSink):

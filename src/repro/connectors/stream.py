@@ -128,6 +128,7 @@ class StreamConnector(Connector):
             name, list(schema), [[] for _ in range(self.partitions_per_topic)]
         )
         self.topics[name] = topic
+        self._metadata.versions.bump_table("default", name)
         return topic
 
     def produce(self, topic_name: str, timestamp: int, values: tuple,
@@ -139,7 +140,10 @@ class StreamConnector(Connector):
             partition = stable_hash(values[0] if values else timestamp) % len(
                 topic.partitions
             )
-        return topic.append(partition, timestamp, values)
+        offset = topic.append(partition, timestamp, values)
+        # A message is this connector's committed insert.
+        self._metadata.versions.bump_table("default", topic_name)
+        return offset
 
     def topic(self, name: str) -> Topic:
         try:

@@ -89,6 +89,13 @@ class NotSupportedError(UserError):
     code = "NOT_SUPPORTED"
 
 
+class NotScalarResultError(UserError):
+    """``QueryResult.scalar()`` on a result that is not one row of one
+    column."""
+
+    code = "NOT_A_SCALAR_RESULT"
+
+
 class DivisionByZeroError(UserError):
     code = "DIVISION_BY_ZERO"
 

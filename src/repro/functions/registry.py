@@ -96,6 +96,12 @@ class FunctionRegistry:
     def scalar_names(self) -> list[str]:
         return sorted(self._scalars)
 
+    def aggregate_names(self) -> list[str]:
+        return sorted(self._aggregates)
+
+    def window_names(self) -> list[str]:
+        return sorted(self._windows)
+
     # -- resolution ----------------------------------------------------------------
 
     def resolve_scalar(

@@ -510,11 +510,9 @@ def _run_coherence_twins(config: EngineConfig, tables, sql: str) -> list[tuple]:
         for cluster in (cached, plain):
             cluster.run_query(mutation, drain=True)
             if mutation.startswith("CREATE"):
-                # Out-of-band drop through the metadata API (the planner
-                # has no DROP TABLE): invalidation must still propagate
-                # via the connector's version bump.
-                handle = cluster.metadata.require_table("memory", "default", "tmp_cc")
-                cluster.metadata.drop_table(handle)
+                # The drop's version bump must rotate the plan- and
+                # result-cache keys like the other two mutations.
+                cluster.run_query("DROP TABLE tmp_cc", drain=True)
         run_both(f"after {mutation!r}")
     return first
 

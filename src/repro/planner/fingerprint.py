@@ -114,16 +114,17 @@ def optimizer_config_token(config) -> tuple:
     )
 
 
-def referenced_tables(fragmented: FragmentedPlan) -> list[QualifiedTableName]:
-    """Every table the plan reads, in deterministic order (for version
-    stamping in the plan/result caches)."""
-    seen: dict[QualifiedTableName, None] = {}
+def referenced_tables(fragmented: FragmentedPlan) -> list[tuple[str, str, str]]:
+    """``(catalog, schema, table)`` of every table the plan reads, in
+    deterministic order (for version stamping in the plan/result caches)."""
+    seen: dict[tuple[str, str, str], None] = {}
     for fragment in fragmented.fragments.values():
         for node in walk_plan(fragment.root):
             for attr in ("table", "index_table"):
                 handle = getattr(node, attr, None)
                 if isinstance(handle, TableHandle):
-                    seen.setdefault(handle.name)
+                    name = handle.name
+                    seen.setdefault((name.catalog, name.schema, name.table))
     return list(seen)
 
 

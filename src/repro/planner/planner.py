@@ -61,6 +61,17 @@ class SessionContext:
     catalog: str
     schema: str
 
+    def qualify(self, name: ast.QualifiedName) -> tuple[str, str, str]:
+        """``(catalog, schema, table)`` of a one-, two- or three-part name."""
+        parts = name.parts
+        if len(parts) == 1:
+            return self.catalog, self.schema, parts[0]
+        if len(parts) == 2:
+            return self.catalog, parts[0], parts[1]
+        if len(parts) == 3:
+            return parts[0], parts[1], parts[2]
+        raise SemanticError(f"Too many name parts: {name}")
+
 
 class LogicalPlanner:
     def __init__(
@@ -166,7 +177,7 @@ class LogicalPlanner:
         from repro.catalog import Column, QualifiedTableName, TableMetadata
 
         query_plan = self.plan_query(statement.query)
-        catalog, schema, table = self._qualify(statement.name)
+        catalog, schema, table = self.session.qualify(statement.name)
         fields = query_plan.scope.fields
         columns = []
         for i, field in enumerate(fields):
@@ -780,19 +791,8 @@ class LogicalPlanner:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _qualify(self, name: ast.QualifiedName) -> tuple[str, str, str]:
-        parts = name.parts
-        if len(parts) == 1:
-            return self.session.catalog, self.session.schema, parts[0]
-        if len(parts) == 2:
-            return self.session.catalog, parts[0], parts[1]
-        if len(parts) == 3:
-            return parts[0], parts[1], parts[2]
-        raise SemanticError(f"Too many name parts: {name}")
-
     def _resolve_table_name(self, name: ast.QualifiedName) -> TableHandle | None:
-        catalog, schema, table = self._qualify(name)
-        return self.metadata.resolve_table(catalog, schema, table)
+        return self.metadata.resolve_table(*self.session.qualify(name))
 
 
 def _append_projection(

@@ -162,6 +162,92 @@ def test_result_cache_ctas_and_drop_invalidate():
     assert fresh.rows() == [(2,)]
 
 
+def _writable_connector(catalog: str):
+    from repro.connectors.hive import HiveConnector
+    from repro.connectors.raptor import RaptorConnector
+    from repro.connectors.shardedsql import ShardedSqlConnector
+
+    if catalog == "hive":
+        return HiveConnector(catalog_name="hive")
+    if catalog == "raptor":
+        return RaptorConnector(hosts=["worker-0", "worker-1"], catalog_name="raptor")
+    return ShardedSqlConnector(shard_count=4) if catalog == "shardedsql" else MemoryConnector()
+
+
+@pytest.mark.parametrize("catalog", ["memory", "hive", "raptor", "shardedsql"])
+def test_every_writable_connector_bumps_versions_and_no_stale_result_survives(catalog):
+    """MetadataVersions' contract — every DDL or committed insert bumps
+    — over every connector that takes SQL writes: create / insert / drop
+    each move ``table_version``, and with every cache level on no cached
+    result is served across any of them."""
+    connector = _writable_connector(catalog)
+    cluster = SimCluster(
+        ClusterConfig(
+            worker_count=2,
+            default_catalog=catalog,
+            default_schema="default",
+            cache=CacheConfig.full(),
+        )
+    )
+    cluster.register_catalog(catalog, connector)
+    seen = [connector.metadata.versions.table_version("default", "w")]
+
+    def count_twice(expected: int) -> None:
+        """A first read past the mutation, then a repeat that the result
+        cache may serve."""
+        version = connector.metadata.versions.table_version("default", "w")
+        assert version > seen[-1], f"{catalog}: the write did not bump the version"
+        seen.append(version)
+        first = cluster.run_query("SELECT count(*) FROM w", drain=True)
+        assert first.result_cache_status == "miss"
+        assert first.rows() == [(expected,)]
+        repeat = cluster.run_query("SELECT count(*) FROM w", drain=True)
+        assert repeat.result_cache_status == "hit"
+        assert repeat.rows() == [(expected,)]
+
+    cluster.run_query("CREATE TABLE w AS SELECT 1 a", drain=True)
+    count_twice(1)
+    cluster.run_query("INSERT INTO w SELECT 2", drain=True)
+    count_twice(2)
+    cluster.run_query("DROP TABLE w", drain=True)
+    assert connector.metadata.versions.table_version("default", "w") > seen[-1]
+    cluster.run_query(
+        "CREATE TABLE w AS SELECT * FROM (VALUES 1, 2, 3) AS v(a)", drain=True
+    )
+    count_twice(3)
+
+
+def test_stream_topic_writes_bump_versions_and_no_stale_result_survives():
+    """The stream connector takes its writes through the producer API:
+    create_topic and every produce are its DDL and committed insert."""
+    from repro.connectors.stream import StreamConnector
+
+    stream = StreamConnector()
+    cluster = SimCluster(
+        ClusterConfig(
+            worker_count=2,
+            default_catalog="stream",
+            default_schema="default",
+            cache=CacheConfig.full(),
+        )
+    )
+    cluster.register_catalog("stream", stream)
+    versions = stream.metadata.versions
+    assert versions.table_version("default", "events") == 0
+    stream.create_topic("events", [("user", BIGINT)])
+    created = versions.table_version("default", "events")
+    assert created > 0
+    sql = "SELECT count(*) FROM events"
+    assert cluster.run_query(sql, drain=True).rows() == [(0,)]
+    for produced in (1, 2, 3):
+        stream.produce("events", timestamp=produced, values=(produced,))
+        assert versions.table_version("default", "events") == created + produced
+        fresh = cluster.run_query(sql, drain=True)
+        assert fresh.result_cache_status == "miss"
+        assert fresh.rows() == [(produced,)]
+        assert cluster.run_query(sql, drain=True).result_cache_status == "hit"
+
+
 # ---------------------------------------------------------------------------
 # Result-cache keying
 # ---------------------------------------------------------------------------
