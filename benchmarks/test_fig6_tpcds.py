@@ -206,16 +206,16 @@ def test_fig6_rule_ablation(benchmark):
         rows,
     )
 
-    # decorrelate_subquery has no ablation axis: with the knob off,
-    # correlated EXISTS/IN queries are not plannable at all (the naive
-    # form needs free variables at execution). Record it as a
-    # capability so the registry conformance test sees every rule.
+    # decorrelate_subquery has no ablation axis and no knob: the naive
+    # form of a correlated EXISTS/IN needs free variables at execution,
+    # so the rule always runs. Record it as a capability so the
+    # registry conformance test sees every rule.
     payload = {
         "families": ablation,
         "capability": {
             "decorrelate_subquery": {
-                "knob": "rule_decorrelate_subquery",
-                "note": "off means correlated EXISTS/IN raise; "
+                "knob": None,
+                "note": "always on (no executable fallback); "
                 "enables q35/q69-class queries rather than speeding them up",
             }
         },

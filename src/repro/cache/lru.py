@@ -69,13 +69,6 @@ class LruCache:
         self._evict_one(key, invalidation=True)
         return True
 
-    def invalidate_if(self, predicate: Callable[[object, object], bool]) -> int:
-        """Drop every entry where ``predicate(key, value)`` holds."""
-        stale = [k for k, (v, _) in self._entries.items() if predicate(k, v)]
-        for key in stale:
-            self._evict_one(key, invalidation=True)
-        return len(stale)
-
     def clear(self) -> int:
         count = len(self._entries)
         while self._entries:

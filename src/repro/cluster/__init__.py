@@ -9,9 +9,9 @@ general/reserved arbitration (Sec. IV-F2), and crash-fault injection
 
 Operators do *real* work on real data inside simulated tasks; only
 time is virtual. Each driver quantum reports a cost through a
-:class:`~repro.cluster.cost.CostModel` — measured CPU scaled to the
-simulated substrate, plus modeled I/O latencies — which advances the
-virtual clock. See DESIGN.md ("real execution, simulated time").
+:class:`~repro.cluster.cost.CostModel` — rows x a per-row cost by
+default, measured CPU under ``cost_mode="measured"``, plus modeled I/O
+latencies — which advances the virtual clock. See DESIGN.md ("real execution, simulated time").
 """
 
 from repro.cluster.cluster import SimCluster, ClusterConfig

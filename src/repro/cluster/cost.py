@@ -11,8 +11,9 @@ takes* (this model). Two modes:
   regex-heavy splits cost more than arithmetic, exactly the variance
   Sec. IV-F1 discusses). Non-deterministic across runs but
   shape-preserving.
-- ``deterministic``: virtual cost = rows processed x per-row cost.
-  Fully reproducible; used by unit tests.
+- ``deterministic`` (the ``ClusterConfig.cost_mode`` default): virtual
+  cost = rows processed x per-row cost + pages x ``PER_PAGE_MS``.
+  Fully reproducible; what the tests, benchmarks and goldens run.
 
 I/O latencies (split time-to-first-byte, shuffle transfer time) come
 from connector characteristics and the simulated network.
@@ -25,18 +26,20 @@ from dataclasses import dataclass
 # measured: simulated_ms = python_ms * _SPEED_FACTOR — one second of
 # Python is one second of simulated single-thread work.
 _SPEED_FACTOR = 1.0
+# deterministic: cost per page moved through an operator chain, on top
+# of ``CostModel.per_row_ms`` per row.
+PER_PAGE_MS = 0.05
+# Network model for shuffles: per-stream bandwidth of a shared
+# datacenter network (shuffles contend with storage reads).
+NETWORK_LATENCY_MS = 1.0
+NETWORK_BANDWIDTH_BYTES_PER_MS = 128 * 1024  # ~128 MB/s per stream
 
 
 @dataclass
 class CostModel:
-    mode: str = "measured"  # "measured" | "deterministic"
+    mode: str  # "measured" | "deterministic" (``ClusterConfig.cost_mode``)
     # deterministic: cost per input row moved through an operator chain.
     per_row_ms: float = 0.002
-    per_page_ms: float = 0.05
-    # Network model for shuffles: per-stream bandwidth of a shared
-    # datacenter network (shuffles contend with storage reads).
-    network_latency_ms: float = 1.0
-    network_bandwidth_bytes_per_ms: float = 128 * 1024  # ~128 MB/s per stream
 
     def quantum_cost_ms(
         self, python_ms: float, rows_processed: int, pages_processed: int
@@ -44,9 +47,8 @@ class CostModel:
         if self.mode == "measured":
             return max(python_ms * _SPEED_FACTOR, 0.01)
         return max(
-            rows_processed * self.per_row_ms + pages_processed * self.per_page_ms,
-            0.01,
+            rows_processed * self.per_row_ms + pages_processed * PER_PAGE_MS, 0.01
         )
 
     def transfer_ms(self, size_bytes: int) -> float:
-        return self.network_latency_ms + size_bytes / self.network_bandwidth_bytes_per_ms
+        return NETWORK_LATENCY_MS + size_bytes / NETWORK_BANDWIDTH_BYTES_PER_MS

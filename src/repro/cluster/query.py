@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.cost import NETWORK_LATENCY_MS
 from repro.cluster.task import FragmentPlanner, SimTask
 from repro.connectors.hashing import stable_hash
 from repro.errors import (
@@ -819,7 +820,7 @@ class QueryExecution:
             if client.all_finished:
                 consumer_task.worker.kick(consumer_task)
 
-        self._later(self.cluster.cost_model.network_latency_ms, eof)
+        self._later(NETWORK_LATENCY_MS, eof)
 
     # -- client-side result consumption ------------------------------------------
 

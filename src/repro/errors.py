@@ -152,10 +152,6 @@ class TransferFailedError(PrestoError):
     retryable = True
 
 
-class PlannerError(PrestoError):
-    code = "PLANNER_ERROR"
-
-
 class ConnectorError(PrestoError):
     code = "CONNECTOR_ERROR"
     category = EXTERNAL

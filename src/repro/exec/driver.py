@@ -44,14 +44,6 @@ class Driver:
     def _pending_kernel_ms(self) -> float:
         return sum(op.pending_kernel_ms for op in self._deferred_ops)
 
-    @property
-    def source_operator(self) -> Operator:
-        return self.operators[0]
-
-    @property
-    def sink_operator(self) -> Operator:
-        return self.operators[-1]
-
     def is_finished(self) -> bool:
         # The driver is done when its sink is done — upstream operators
         # may finish early (e.g. a satisfied LIMIT cancels its scan).

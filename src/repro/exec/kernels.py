@@ -11,20 +11,11 @@ columnar batch-at-a-time equivalents:
   building block for hash aggregation, DISTINCT, and semi joins.
 - :class:`VectorMultiMap` — a join build table over primitive keys:
   build rows sorted by key hash, probed in one batch per page with
-  ``xp.searchsorted`` and verified with exact vectorized compares.
+  ``np.searchsorted`` and verified with exact vectorized compares.
 - :func:`hash_rows` — batch evaluation of
   :func:`repro.connectors.hashing.stable_hash` over whole pages, used
   by the shuffle partitioner (must agree bit-for-bit with the scalar
   hash: two sinks feeding one consumer may take different paths).
-
-Every kernel routes its array work through the
-:class:`repro.exec.backend.KernelBackend` seam: inputs enter via
-``backend.to_device``, math runs on ``backend.xp``, and results that
-host code consumes leave via ``backend.to_host``. Under the numpy
-backend both transfer hooks are identity functions and ``xp is numpy``.
-Remaining bare ``np.`` uses are host-boundary work (Block decode,
-python-list staging, scalar-hash fallbacks) and carry a ``# host-only``
-tag enforced by the backend-purity lint.
 
 Null / NaN / numeric-equality contract (must match the row path, which
 keys python dicts with value tuples):
@@ -74,7 +65,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.connectors.hashing import stable_hash
-from repro.exec.backend import current_backend
 from repro.exec.blocks import (
     Block,
     DictionaryBlock,
@@ -140,22 +130,18 @@ def forced_mode(mode: str):
 
 
 # --------------------------------------------------------------------------
-# Block -> numpy extraction (host side: Blocks store host arrays, so
-# decode happens before the upload seam)
+# Block -> numpy extraction
 # --------------------------------------------------------------------------
 
 #: kind codes: 'i' = int64 (bigint/integer/date/timestamp), 'f' = float64,
 #: 'b' = boolean. Object columns have no kind.
-_INT64_MAX = np.iinfo(np.int64).max  # host-only: dtype metadata
 
 
 def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str]]:
     """Return ``(values, nulls, kind)`` for numpy-representable blocks.
 
     Dictionary/RLE/lazy wrappings are decoded; object columns return
-    ``None`` (caller falls back to the row path). This is the Block
-    boundary: results are host arrays, uploaded by the kernels that
-    consume them.
+    ``None`` (caller falls back to the row path).
     """
     if isinstance(block, LazyBlock):
         return primitive_arrays(block.load())
@@ -173,30 +159,25 @@ def primitive_arrays(block: Block) -> Optional[tuple[np.ndarray, np.ndarray, str
             return None
         values, nulls, kind = inner
         indices = block.indices
-        clipped = np.clip(indices, 0, None)  # host-only: Block decode
+        clipped = np.clip(indices, 0, None)
         if len(values) == 0:
             # All indices must be -1 (null) for an empty dictionary.
             n = len(indices)
             dtype = {"b": np.bool_, "f": np.float64, "i": np.int64}[kind]
-            # host-only: Block decode
             return np.zeros(n, dtype=dtype), np.ones(n, dtype=np.bool_), kind
         return values[clipped], (indices < 0) | nulls[clipped], kind
     if isinstance(block, RunLengthBlock):
         n = len(block)
         value = block.value
         if value is None:
-            # host-only: Block decode
             return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.bool_), "i"
         if isinstance(value, bool):
-            # host-only: Block decode
             return np.full(n, value, dtype=np.bool_), np.zeros(n, dtype=np.bool_), "b"
         if isinstance(value, int):
             if not (-(2**63) <= value < 2**63):
                 return None
-            # host-only: Block decode
             return np.full(n, value, dtype=np.int64), np.zeros(n, dtype=np.bool_), "i"
         if isinstance(value, float):
-            # host-only: Block decode
             return np.full(n, value, dtype=np.float64), np.zeros(n, dtype=np.bool_), "f"
         return None
     return None
@@ -215,7 +196,7 @@ def key_arrays(
     return out
 
 
-def _canonical_codes(values, kind: str, xp) -> tuple:
+def _canonical_codes(values, kind: str) -> tuple:
     """Exact int64 code per value plus a NaN mask for float columns.
 
     Codes are chosen so code equality == python value equality within
@@ -225,7 +206,7 @@ def _canonical_codes(values, kind: str, xp) -> tuple:
     """
     if kind == "f":
         normalized = values + 0.0  # -0.0 + 0.0 == 0.0
-        return normalized.view(np.int64), xp.isnan(values)
+        return normalized.view(np.int64), np.isnan(values)
     return values.astype(np.int64, copy=False), None
 
 
@@ -238,7 +219,7 @@ def _flatten_dictionary(
     the leaf's entry space (``-1`` marks a NULL row), or ``indices=None``
     when the block was not dictionary-encoded. Given starting
     ``indices`` (positions into ``block``), only those are carried down
-    the chain. Host-side Block decode.
+    the chain.
     """
     while True:
         if isinstance(block, LazyBlock):
@@ -248,7 +229,7 @@ def _flatten_dictionary(
             if indices is None:
                 indices = inner
             elif not len(inner):
-                # host-only: Block decode (empty dictionary, all rows NULL)
+                # empty dictionary: all rows NULL
                 indices = np.full(len(indices), -1, dtype=np.int64)
             else:
                 composed = inner[indices]  # a -1 wraps to the last entry ...
@@ -272,37 +253,33 @@ def _varchar_entry_codes(entries: list) -> Optional[tuple[np.ndarray, int]]:
     codes = dict(zip(codes, range(len(codes))))
     codes[None] = len(codes)
     # row-path: per distinct dictionary entry, not per row
-    entry_codes = np.fromiter(  # host-only: python-object staging
+    entry_codes = np.fromiter(
         map(codes.__getitem__, entries), dtype=np.int64, count=len(entries)
     )
     return entry_codes, len(codes)
 
 
-def _entry_codes(leaf: Block, backend):
+def _entry_codes(leaf: Block):
     """``(entry_codes, cardinality, entry_nan)`` for every entry of an
     unwrapped block: dense codes in ``[0, cardinality)`` with NULL as
     the last code, and (when not None) a mask of non-null NaN entries.
     Returns ``None`` when the block has no such coding."""
-    xp = backend.xp
     arrays = primitive_arrays(leaf)
     if arrays is None:
         if isinstance(leaf, RunLengthBlock) and type(leaf.value) is str:
-            return xp.zeros(len(leaf), dtype=np.int64), 2, None
+            return np.zeros(len(leaf), dtype=np.int64), 2, None
         coded = (
             _varchar_entry_codes(leaf.items) if isinstance(leaf, ObjectBlock) else None
         )
         if coded is None:
             return None
-        return backend.to_device(coded[0]), coded[1], None
+        return *coded, None
     values, nulls, kind = arrays
-    values = backend.to_device(values)
-    nulls = backend.to_device(nulls)
-    codes, nan_mask = _canonical_codes(values, kind, xp)
-    uniq, inverse = xp.unique(codes, return_inverse=True)
+    codes, nan_mask = _canonical_codes(values, kind)
+    uniq, inverse = np.unique(codes, return_inverse=True)
     inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-    # Nulls are their own per-column code; unconditional where avoids a
-    # per-page any() sync on device backends.
-    inverse = xp.where(nulls, np.int64(len(uniq)), inverse)
+    # Nulls are their own per-column code.
+    inverse = np.where(nulls, np.int64(len(uniq)), inverse)
     entry_nan = None
     if nan_mask is not None and nan_mask.any():
         # Null entries hold arbitrary backing values; only non-null NaNs
@@ -311,9 +288,7 @@ def _entry_codes(leaf: Block, backend):
     return inverse, len(uniq) + 1, entry_nan
 
 
-def _column_codes(
-    block: Block, backend, cache: Optional[dict] = None, slot: int = 0
-):
+def _column_codes(block: Block, cache: Optional[dict] = None, slot: int = 0):
     """Dense per-row codes for one key column.
 
     Returns ``(codes, cardinality, nan_rows)``: codes are dense in
@@ -327,26 +302,24 @@ def _column_codes(
     cannot be recycled). Returns ``None`` for object-typed columns
     other than all-``str`` varchar.
     """
-    xp = backend.xp
     leaf, indices = _flatten_dictionary(block)
     if indices is None:
-        return _entry_codes(leaf, backend)
+        return _entry_codes(leaf)
     cached = cache.get(slot) if cache is not None else None
     if cached is not None and cached[0] is leaf:
         coded = cached[1]
     else:
-        coded = _entry_codes(leaf, backend)
+        coded = _entry_codes(leaf)
         if cache is not None:
             cache[slot] = (leaf, coded)
     if coded is None:
         return None
     entry_codes, cardinality, entry_nan = coded
-    indices = backend.to_device(indices)
     if not len(entry_codes):
         # All indices must be -1 (null) for an empty dictionary.
-        return xp.zeros(len(indices), dtype=np.int64), 1, None
-    clipped = xp.clip(indices, 0, None)
-    row_codes = xp.where(indices < 0, np.int64(cardinality - 1), entry_codes[clipped])
+        return np.zeros(len(indices), dtype=np.int64), 1, None
+    clipped = np.clip(indices, 0, None)
+    row_codes = np.where(indices < 0, np.int64(cardinality - 1), entry_codes[clipped])
     nan_rows = None
     if entry_nan is not None:
         nan_rows = entry_nan[clipped] & (indices >= 0)
@@ -366,8 +339,8 @@ class Factorization:
     insertion order a row-at-a-time dict build would produce. Rows whose
     keys contain NaN get singleton groups (NaN never equals NaN).
 
-    Both arrays are host int64 (``first_positions`` feeds
-    ``key_tuples``; ``group_ids`` is walked by the per-row fallbacks).
+    Both arrays are int64 (``first_positions`` feeds ``key_tuples``;
+    ``group_ids`` is walked by the per-row fallbacks).
     """
 
     __slots__ = ("group_ids", "group_count", "first_positions")
@@ -393,20 +366,16 @@ def factorize(
         return None
     if not blocks:
         if row_count == 0:
-            # host-only: degenerate zero-row shortcut
             return Factorization(
                 np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
             )
-        # host-only: zero-key aggregation shortcut
         return Factorization(
             np.zeros(row_count, dtype=np.int64), 1, np.zeros(1, dtype=np.int64)
         )
-    backend = current_backend()
-    xp = backend.xp
     combined = None
     nan_any = None
     for slot, block in enumerate(blocks):
-        column = _column_codes(block, backend, cache, slot)
+        column = _column_codes(block, cache, slot)
         if column is None:
             return None
         inverse, cardinality, nan_rows = column
@@ -418,26 +387,22 @@ def factorize(
             # Exact (collision-free) combine: the previous step's codes are
             # dense, so combined * cardinality + inverse is injective.
             combined = combined * cardinality + inverse
-            combined = xp.unique(combined, return_inverse=True)[1]
+            combined = np.unique(combined, return_inverse=True)[1]
             combined = combined.astype(np.int64, copy=False).reshape(-1)
     assert combined is not None
     if nan_any is not None and nan_any.any():
         combined = combined.copy()
         base = np.int64(0 if len(combined) == 0 else int(combined.max()) + 1)
-        combined[nan_any] = base + xp.arange(int(nan_any.sum()), dtype=np.int64)
-    _, first_index, inverse = xp.unique(
+        combined[nan_any] = base + np.arange(int(nan_any.sum()), dtype=np.int64)
+    _, first_index, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
     inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-    # xp.unique orders groups by code value; renumber in first-seen order.
-    order = xp.argsort(first_index, kind="stable")
-    rank = xp.empty(len(order), dtype=np.int64)
-    rank[order] = xp.arange(len(order), dtype=np.int64)
-    return Factorization(
-        backend.to_host(rank[inverse]),
-        len(order),
-        backend.to_host(first_index[order]),
-    )
+    # np.unique orders groups by code value; renumber in first-seen order.
+    order = np.argsort(first_index, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return Factorization(rank[inverse], len(order), first_index[order])
 
 
 def _gather_values(block: Block, positions: np.ndarray) -> list:
@@ -458,7 +423,7 @@ def _gather_values(block: Block, positions: np.ndarray) -> list:
 
 def key_tuples(blocks: Sequence[Block], positions: np.ndarray) -> list[tuple]:
     """Materialize representative key tuples (python values, row-path
-    compatible) for the given host positions, one gather per column."""
+    compatible) for the given positions, one gather per column."""
     if not blocks:
         return [()] * len(positions)
     return list(zip(*(_gather_values(block, positions) for block in blocks)))
@@ -469,27 +434,23 @@ def group_reduce(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group ``ufunc`` reduction (sort + reduceat, no ufunc.at).
 
-    Returns host ``(result, touched)``: result[g] is the reduction over
+    Returns ``(result, touched)``: result[g] is the reduction over
     the group's values (unspecified where ``touched[g]`` is False).
     """
-    backend = current_backend()
-    xp = backend.xp
-    group_ids = backend.to_device(group_ids)
-    counts = xp.bincount(group_ids, minlength=group_count)
-    touched = backend.to_host(counts > 0)
+    counts = np.bincount(group_ids, minlength=group_count)
+    touched = counts > 0
     if not len(values):
-        # host-only: empty-page shortcut, nothing to reduce
+        # empty page: nothing to reduce
         return np.zeros(group_count, dtype=values.dtype), touched
-    values = backend.to_device(values)
-    order = xp.argsort(group_ids, kind="stable")
+    order = np.argsort(group_ids, kind="stable")
     sorted_values = values[order]
-    starts = xp.zeros(group_count, dtype=np.int64)
-    starts[1:] = xp.cumsum(counts[:-1])
+    starts = np.zeros(group_count, dtype=np.int64)
+    starts[1:] = np.cumsum(counts[:-1])
     # reduceat requires valid start indices; clamp empty groups onto an
     # arbitrary position and mask them out via ``touched``.
-    safe_starts = xp.minimum(starts, len(sorted_values) - 1)
+    safe_starts = np.minimum(starts, len(sorted_values) - 1)
     result = ufunc.reduceat(sorted_values, safe_starts)
-    return backend.to_host(result), touched
+    return result, touched
 
 
 # --------------------------------------------------------------------------
@@ -497,13 +458,13 @@ def group_reduce(
 # --------------------------------------------------------------------------
 
 
-def _mix_hashes(code_columns: list, xp):
+def _mix_hashes(code_columns: list):
     """Internal (non-stable) hash combine for multimap bucketing.
 
     Collisions only cost verification work — matches are confirmed with
     exact code compares.
     """
-    h = xp.zeros(len(code_columns[0]), dtype=np.uint64) if code_columns else None
+    h = np.zeros(len(code_columns[0]), dtype=np.uint64) if code_columns else None
     assert h is not None
     for codes in code_columns:
         u = codes.view(np.uint64)
@@ -512,7 +473,7 @@ def _mix_hashes(code_columns: list, xp):
     return h
 
 
-def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str, xp):
+def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str):
     """Re-encode probe codes into the build column's code space.
 
     Returns ``(codes, unmatchable)`` where ``unmatchable`` marks probe
@@ -525,19 +486,19 @@ def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str, xp
     if build_kind == "f":
         # int/bool probe into a float build: match exact representations.
         as_float = probe_codes.astype(np.float64)
-        with xp.errstate(invalid="ignore"):
-            in_range = xp.abs(as_float) < float(2**63)
-        roundtrip = xp.where(in_range, as_float, 0.0).astype(np.int64)
+        with np.errstate(invalid="ignore"):
+            in_range = np.abs(as_float) < float(2**63)
+        roundtrip = np.where(in_range, as_float, 0.0).astype(np.int64)
         unmatchable = ~(in_range & (roundtrip == probe_codes))
-        return _canonical_codes(as_float, "f", xp)[0], unmatchable
+        return _canonical_codes(as_float, "f")[0], unmatchable
     # float probe into an int/bool build: match integral in-range floats.
     floats = probe_values
-    with xp.errstate(invalid="ignore"):
-        integral = xp.isfinite(floats) & (xp.trunc(floats) == floats)
-        in_range = integral & (xp.abs(floats) < float(2**63))
-    as_int = xp.where(in_range, floats, 0.0).astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        integral = np.isfinite(floats) & (np.trunc(floats) == floats)
+        in_range = integral & (np.abs(floats) < float(2**63))
+    as_int = np.where(in_range, floats, 0.0).astype(np.int64)
     back = as_int.astype(np.float64)
-    exact = in_range & (back == xp.where(in_range, floats, 0.0))
+    exact = in_range & (back == np.where(in_range, floats, 0.0))
     return as_int, ~exact
 
 
@@ -551,10 +512,8 @@ class VectorMultiMap:
     collisions. Emission order matches the row path: probe rows
     ascending, build rows ascending within a probe row.
 
-    The build-side arrays (hashes, positions, code columns) stay
-    backend arrays for the lifetime of the join and every probe page
-    reuses them in place. Probe results pass ``to_host`` — match
-    positions splice host Blocks.
+    The build-side arrays (hashes, positions, code columns) live for
+    the lifetime of the join and every probe page reuses them in place.
     """
 
     def __init__(
@@ -578,26 +537,20 @@ class VectorMultiMap:
         columns = key_arrays(blocks)
         if columns is None:
             return None
-        backend = current_backend()
-        xp = backend.xp
-        valid = xp.ones(row_count, dtype=np.bool_)
+        valid = np.ones(row_count, dtype=np.bool_)
         code_columns = []
         kinds: list[str] = []
         for values, nulls, kind in columns:
-            values = backend.to_device(values)
-            nulls = backend.to_device(nulls)
-            codes, nan_mask = _canonical_codes(values, kind, xp)
+            codes, nan_mask = _canonical_codes(values, kind)
             valid &= ~nulls  # SQL equi-joins never match NULL keys
             if nan_mask is not None:
                 valid &= ~nan_mask  # NaN never equals NaN
             code_columns.append(codes)
             kinds.append(kind)
-        positions = xp.flatnonzero(valid).astype(np.int64)
+        positions = np.flatnonzero(valid).astype(np.int64)
         codes_valid = [codes[positions] for codes in code_columns]
-        hashes = (
-            _mix_hashes(codes_valid, xp) if len(positions) else xp.empty(0, np.uint64)
-        )
-        order = xp.argsort(hashes, kind="stable")
+        hashes = _mix_hashes(codes_valid) if len(positions) else np.empty(0, np.uint64)
+        order = np.argsort(hashes, kind="stable")
         return cls(
             hashes[order],
             positions[order],
@@ -609,7 +562,7 @@ class VectorMultiMap:
     def probe(
         self, blocks: Sequence[Block], row_count: int
     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Match one probe page: host ``(probe_rows, build_rows)`` arrays.
+        """Match one probe page: ``(probe_rows, build_rows)`` arrays.
 
         NULL/NaN/unrepresentable probe keys produce no pairs (outer-join
         callers emit those rows with NULL build columns). Returns None
@@ -620,48 +573,41 @@ class VectorMultiMap:
         columns = key_arrays(blocks)
         if columns is None:
             return None
-        backend = current_backend()
-        xp = backend.xp
-        valid = xp.ones(row_count, dtype=np.bool_)
+        valid = np.ones(row_count, dtype=np.bool_)
         probe_codes = []
         for (values, nulls, kind), build_kind in zip(columns, self.kinds):
-            values = backend.to_device(values)
-            nulls = backend.to_device(nulls)
-            codes, nan_mask = _canonical_codes(values, kind, xp)
+            codes, nan_mask = _canonical_codes(values, kind)
             valid &= ~nulls
             if nan_mask is not None:
                 valid &= ~nan_mask
-            codes, unmatchable = _align_kinds(codes, kind, values, build_kind, xp)
+            codes, unmatchable = _align_kinds(codes, kind, values, build_kind)
             if unmatchable is not None:
                 valid &= ~unmatchable
             probe_codes.append(codes)
-        empty = np.empty(0, dtype=np.int64)  # host-only: no-match result
-        probe_rows = xp.flatnonzero(valid).astype(np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        probe_rows = np.flatnonzero(valid).astype(np.int64)
         if not len(probe_rows) or not len(self.hashes):
             return empty, empty
         codes_valid = [codes[probe_rows] for codes in probe_codes]
-        hashes = _mix_hashes(codes_valid, xp)
-        left = xp.searchsorted(self.hashes, hashes, side="left")
-        right = xp.searchsorted(self.hashes, hashes, side="right")
+        hashes = _mix_hashes(codes_valid)
+        left = np.searchsorted(self.hashes, hashes, side="left")
+        right = np.searchsorted(self.hashes, hashes, side="right")
         counts = right - left
         total = int(counts.sum())
         if total == 0:
             return empty, empty
-        probe_sel = xp.repeat(xp.arange(len(probe_rows), dtype=np.int64), counts)
-        run_starts = xp.zeros(len(probe_rows), dtype=np.int64)
-        run_starts[1:] = xp.cumsum(counts[:-1])
+        probe_sel = np.repeat(np.arange(len(probe_rows), dtype=np.int64), counts)
+        run_starts = np.zeros(len(probe_rows), dtype=np.int64)
+        run_starts[1:] = np.cumsum(counts[:-1])
         offsets = (
-            xp.arange(total, dtype=np.int64)
-            - xp.repeat(run_starts, counts)
-            + xp.repeat(left, counts)
+            np.arange(total, dtype=np.int64)
+            - np.repeat(run_starts, counts)
+            + np.repeat(left, counts)
         )
-        keep = xp.ones(total, dtype=np.bool_)
+        keep = np.ones(total, dtype=np.bool_)
         for build_codes, codes in zip(self.code_columns, codes_valid):
             keep &= build_codes[offsets] == codes[probe_sel]
-        return (
-            backend.to_host(probe_rows[probe_sel[keep]]),
-            backend.to_host(self.positions[offsets[keep]]),
-        )
+        return probe_rows[probe_sel[keep]], self.positions[offsets[keep]]
 
 
 # --------------------------------------------------------------------------
@@ -676,38 +622,37 @@ def _murmur_int64(values):
     return (u ^ (u >> np.uint64(33))) & _MASK63
 
 
-def _hash_primitive(values, nulls, kind: str, xp):
+def _hash_primitive(values, nulls, kind: str):
     """Per-value stable hashes for one primitive column, plus a mask of
     float values that overflow the int64 fast path and need the scalar
-    fallback. ``values``/``nulls`` are backend arrays."""
+    fallback."""
     fallback = None
     if kind == "b":
-        column_hash = xp.where(values, np.uint64(1), np.uint64(2))
+        column_hash = np.where(values, np.uint64(1), np.uint64(2))
     elif kind == "f":
         # stable_hash(float) == stable_hash(int(value * 1_000_003))
         scaled = values * float(_FLOAT_SCALE)
-        with xp.errstate(invalid="ignore"):
-            ok = xp.isfinite(scaled) & (xp.abs(scaled) < float(2**63))
+        with np.errstate(invalid="ignore"):
+            ok = np.isfinite(scaled) & (np.abs(scaled) < float(2**63))
         bad = ~ok & ~nulls
         if bad.any():
             fallback = bad
-        as_int = xp.where(ok, scaled, 0.0).astype(np.int64)
+        as_int = np.where(ok, scaled, 0.0).astype(np.int64)
         column_hash = _murmur_int64(as_int)
     else:
         column_hash = _murmur_int64(values.astype(np.int64, copy=False))
     if nulls.any():
-        column_hash = xp.where(nulls, np.uint64(0), column_hash)
+        column_hash = np.where(nulls, np.uint64(0), column_hash)
     return column_hash, fallback
 
 
-def _column_hash(block: Block, row_count: int, backend):
+def _column_hash(block: Block):
     """Stable column hashes for one key block.
 
     Dictionary blocks hash once per *entry* and gather through the
     indices (NULL rows hash to 0, as in the scalar path). Returns
     ``None`` for object-typed columns.
     """
-    xp = backend.xp
     if isinstance(block, LazyBlock):
         block = block.load()
     if isinstance(block, DictionaryBlock) and isinstance(
@@ -716,14 +661,12 @@ def _column_hash(block: Block, row_count: int, backend):
         inner = primitive_arrays(block.dictionary)
         assert inner is not None
         values, entry_nulls, kind = inner
-        indices = backend.to_device(block.indices)
+        indices = block.indices
         if len(values) == 0:
-            return xp.zeros(len(indices), dtype=np.uint64), None
-        values = backend.to_device(values)
-        entry_nulls = backend.to_device(entry_nulls)
-        entry_hash, entry_fallback = _hash_primitive(values, entry_nulls, kind, xp)
-        clipped = xp.clip(indices, 0, None)
-        column_hash = xp.where(indices < 0, np.uint64(0), entry_hash[clipped])
+            return np.zeros(len(indices), dtype=np.uint64), None
+        entry_hash, entry_fallback = _hash_primitive(values, entry_nulls, kind)
+        clipped = np.clip(indices, 0, None)
+        column_hash = np.where(indices < 0, np.uint64(0), entry_hash[clipped])
         fallback = None
         if entry_fallback is not None:
             fallback = entry_fallback[clipped] & (indices >= 0)
@@ -733,10 +676,7 @@ def _column_hash(block: Block, row_count: int, backend):
     arrays = primitive_arrays(block)
     if arrays is None:
         return None
-    values, nulls, kind = arrays
-    return _hash_primitive(
-        backend.to_device(values), backend.to_device(nulls), kind, xp
-    )
+    return _hash_primitive(*arrays)
 
 
 def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
@@ -747,17 +687,14 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
     primitive, another object-typed) and must agree on partitions. Rows
     whose float keys overflow the int64 fast path are rehashed through
     the scalar function (preserving its exact behavior, exceptions
-    included). Returns a host array (hashes feed exchange serialization
-    — a genuine host boundary); returns None for object-typed keys.
+    included). Returns None for object-typed keys.
     """
     if not enabled():
         return None
-    backend = current_backend()
-    xp = backend.xp
-    h = xp.full(row_count, 17, dtype=np.uint64)
+    h = np.full(row_count, 17, dtype=np.uint64)
     fallback = None
     for block in blocks:
-        column = _column_hash(block, row_count, backend)
+        column = _column_hash(block)
         if column is None:
             return None
         column_hash, column_fallback = column
@@ -766,32 +703,21 @@ def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:
                 column_fallback if fallback is None else (fallback | column_fallback)
             )
         h = (h * np.uint64(31) + column_hash) & _MASK63
-    h = backend.to_host(h)
-    if fallback is not None:
-        fallback = backend.to_host(fallback)
-        if fallback.any():
-            # host-only: scalar stable_hash rehash for float-overflow rows
-            for row in np.flatnonzero(fallback):
-                key = tuple(block.get(int(row)) for block in blocks)
-                h[row] = stable_hash(key)
+    if fallback is not None and fallback.any():
+        # scalar stable_hash rehash for float-overflow rows
+        for row in np.flatnonzero(fallback):
+            key = tuple(block.get(int(row)) for block in blocks)
+            h[row] = stable_hash(key)
     return h
 
 
 def partition_positions(hashes: np.ndarray, count: int) -> list[np.ndarray]:
-    """Group row positions by ``hash % count`` (row order preserved).
-
-    Returns host position arrays — they feed ``Page.copy_positions``
-    during exchange serialization, a genuine host boundary.
-    """
-    backend = current_backend()
-    xp = backend.xp
-    hashes = backend.to_device(hashes)
+    """Group row positions by ``hash % count`` (row order preserved);
+    the arrays feed ``Page.copy_positions`` during exchange
+    serialization."""
     parts = (hashes % np.uint64(count)).astype(np.int64)
-    order = xp.argsort(parts, kind="stable")
-    boundaries = backend.to_host(
-        xp.searchsorted(parts[order], xp.arange(count + 1))
-    )
-    order = backend.to_host(order)
+    order = np.argsort(parts, kind="stable")
+    boundaries = np.searchsorted(parts[order], np.arange(count + 1))
     return [order[boundaries[p] : boundaries[p + 1]] for p in range(count)]
 
 
@@ -810,26 +736,23 @@ def domain_mask(
 ) -> Optional[np.ndarray]:
     """Vectorized keep-mask for a dynamic filter over one primitive
     column: non-null and inside the IN-list (when given) or the
-    ``[low, high]`` range. Returns a host mask, or ``None`` when the
+    ``[low, high]`` range. Returns the mask, or ``None`` when the
     filter values are incomparable with the column (caller keeps every
     row — dynamic filters must stay conservative)."""
-    backend = current_backend()
-    xp = backend.xp
-    values = backend.to_device(values)
-    keep = ~backend.to_device(nulls)
+    keep = ~nulls
     if in_values is not None:
-        candidates = np.asarray(in_values)  # host-only: python IN-list staging
+        candidates = np.asarray(in_values)
         if candidates.dtype.kind not in "biuf":
             return None
-        with xp.errstate(invalid="ignore"):
-            keep &= xp.isin(values, candidates)
-        return backend.to_host(keep)
+        with np.errstate(invalid="ignore"):
+            keep &= np.isin(values, candidates)
+        return keep
     try:
-        with xp.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             if low is not None:
                 keep &= values >= low
             if high is not None:
                 keep &= values <= high
     except TypeError:
         return None
-    return backend.to_host(keep)
+    return keep

@@ -94,15 +94,6 @@ def row_fallback_counts(operators) -> dict[str, int]:
     return counts
 
 
-class PassthroughState:
-    """Mixin-style helper for one-in/one-out streaming operators."""
-
-    def __init__(self):
-        self._pending: Optional[Page] = None
-        self._finishing = False
-        self._finished = False
-
-
 class StreamingOperator(Operator):
     """Base for operators that transform one input page into one output
     page (filter/project, limit, unnest...)."""

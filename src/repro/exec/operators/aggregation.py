@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import PrestoError
 from repro.exec import kernels
-from repro.exec.backend import current_backend
 from repro.exec.blocks import is_primitive_type, make_block, ObjectBlock
 from repro.exec.operator import AccumulatingOperator
 from repro.exec.page import DEFAULT_PAGE_ROWS, Page
@@ -71,13 +70,11 @@ class _RowFallback(Exception):
 
 # --------------------------------------------------------------------------
 # Group table: key tuple -> dense group id, one state column per aggregator.
-# State columns live on host (their python values leave through
-# ``states``); only the per-page reductions run on the kernel backend.
 # --------------------------------------------------------------------------
 
 
 def _extended(array: Optional[np.ndarray], capacity: int, dtype) -> np.ndarray:
-    out = np.zeros(capacity, dtype=dtype)  # host-only: group-state column
+    out = np.zeros(capacity, dtype=dtype)
     if array is not None:
         out[: len(array)] = array
     return out
@@ -181,7 +178,6 @@ class _Accumulator:
             return [None] * (stop - start)
         out = self.values[start:stop].tolist()
         if self.seen is not None:
-            # host-only: group-state column
             for i in np.flatnonzero(~self.seen[start:stop]).tolist():
                 out[i] = None
         return out
@@ -292,7 +288,7 @@ class _GroupTable:
         return group
 
     def lookup(self, keys: list[tuple]) -> tuple[np.ndarray, list[tuple]]:
-        """Group ids of ``keys`` (distinct key tuples) as a host array,
+        """Group ids of ``keys`` (distinct key tuples) as an array,
         creating a group for every unseen key; also returns the keys
         that were new."""
         ids = self.ids
@@ -306,47 +302,35 @@ class _GroupTable:
                     created.append(key)
             for column in self.columns:
                 column.ensure(len(ids))
-        # host-only: group ids index the host state columns
         return np.array(groups, dtype=np.int64), created
 
 
 def _sums(group_ids, group_count: int, inputs: list) -> tuple[list, np.ndarray]:
-    """Per-local-group sums of one page on the kernel backend, one per
-    ``(values, kind)`` input — ``values=None`` weighs every row one (a
-    count). Returns host ``(partials, touched)``; the row counts behind
-    ``touched`` are computed once for all inputs."""
-    backend = current_backend()
-    xp = backend.xp
-    counts = xp.bincount(group_ids, minlength=group_count)
-    host_counts = None
+    """Per-local-group sums of one page, one per ``(values, kind)``
+    input — ``values=None`` weighs every row one (a count). Returns
+    ``(partials, touched)``; the row counts behind ``touched`` are
+    computed once for all inputs."""
+    counts = np.bincount(group_ids, minlength=group_count)
     partials = []
     for values, kind in inputs:
         if values is None:
-            if host_counts is None:
-                host_counts = backend.to_host(counts)
-            partials.append(host_counts)
+            partials.append(counts)
             continue
         if kind != "f" and len(values):
             bound = max(abs(int(values.min())), abs(int(values.max()))) * len(values)
             if bound >= _EXACT_INT_SUM_BOUND:
                 raise _RowFallback("int_sum_overflow")
-        sums = backend.to_host(
-            xp.bincount(
-                group_ids, weights=values.astype(np.float64), minlength=group_count
-            )
+        sums = np.bincount(
+            group_ids, weights=values.astype(np.float64), minlength=group_count
         )
         partials.append(sums if kind == "f" else sums.astype(np.int64))
-    if host_counts is not None:
-        return partials, host_counts > 0
-    # Only *which* groups were hit is needed: download the compact bool
-    # mask instead of the counts.
-    return partials, backend.to_host(counts > 0)
+    return partials, counts > 0
 
 
 def _extremum(ufunc, group_ids, group_count: int, values, kind: str):
-    """Per-local-group minimum or maximum of one page: host
+    """Per-local-group minimum or maximum of one page:
     ``(partial, touched)``."""
-    if kind == "f" and current_backend().xp.isnan(values).any():
+    if kind == "f" and np.isnan(values).any():
         # minimum/maximum propagate NaN; the row path keeps NaN only
         # when it was the first value seen. Preserve that
         # order-dependence.
@@ -361,7 +345,7 @@ def _extremum(ufunc, group_ids, group_count: int, values, kind: str):
 
 def _decode_states(states: list, parts: int):
     """A page of partial states (python objects — the PARTIAL→FINAL
-    wire format) as host arrays: ``(present, [(values, kind), ...])``,
+    wire format) as arrays: ``(present, [(values, kind), ...])``,
     one array per accumulator, ``present`` None when no state is NULL."""
     kinds = set(map(type, states))
     kinds.discard(type(None))
@@ -373,16 +357,13 @@ def _decode_states(states: list, parts: int):
     kind = kinds.pop()
     present = None
     if None in states:
-        # host-only: python-state staging
         present = np.fromiter((s is not None for s in states), np.bool_, len(states))
         fill = (0.0, 0) if parts == 2 else kind()
         states = [fill if s is None else s for s in states]
     try:
         if parts == 2:  # avg: (float sum, int count)
-            # host-only: python-state staging
             pairs = np.array(states, dtype=np.float64).reshape(-1, 2)
             return present, [(pairs[:, 0], "f"), (pairs[:, 1].astype(np.int64), "i")]
-        # host-only: python-state staging
         return present, [(np.array(states, dtype=_DTYPES[kind]), _KINDS[kind])]
     except OverflowError:
         raise _RowFallback("int_sum_overflow") from None
@@ -479,24 +460,20 @@ class HashAggregationOperator(AccumulatingOperator):
         groups: np.ndarray,
     ) -> None:
         """Fold one page into one aggregator's state column: a bulk
-        backend reduction per local group, then one fancy-indexed
-        update of the column; only the small per-group partials come
-        back to host. Raises :class:`_RowFallback` — before touching
+        reduction per local group, then one fancy-indexed update of the
+        column. Raises :class:`_RowFallback` — before touching
         the column — when the page needs the row path."""
         if agg.distinct:
             raise _RowFallback("distinct")
         if not isinstance(column, _ArrayStates):
             raise _RowFallback("non_vectorizable")
-        backend = current_backend()
         valid = None
         if agg.filter_channel is not None:
             arrays = kernels.primitive_arrays(page.block(agg.filter_channel))
             if arrays is None:
                 raise _RowFallback("object_argument")
             filter_values, filter_nulls, _ = arrays
-            valid = backend.xp.asarray(
-                filter_values, dtype=np.bool_
-            ) & ~backend.to_device(filter_nulls)
+            valid = np.asarray(filter_values, dtype=np.bool_) & ~filter_nulls
         if self.step is AggregationStep.FINAL:
             if fact.group_count != page.row_count:
                 # A key repeats within the page: folding the page's own
@@ -506,13 +483,11 @@ class HashAggregationOperator(AccumulatingOperator):
             present, inputs = _decode_states(
                 page.block(agg.argument_channels[0]).to_values(), len(column.parts)
             )
-            inputs = [(backend.to_device(values), kind) for values, kind in inputs]
         else:
             present, inputs = self._raw_inputs(page, agg)
         if present is not None:
-            present = backend.to_device(present)
             valid = present if valid is None else (valid & present)
-        group_ids = backend.to_device(fact.group_ids)
+        group_ids = fact.group_ids
         if valid is not None:
             group_ids = group_ids[valid]
             inputs = [
@@ -540,15 +515,13 @@ class HashAggregationOperator(AccumulatingOperator):
         arrays = kernels.primitive_arrays(page.block(agg.argument_channels[0]))
         if arrays is None:
             raise _RowFallback("object_argument")
-        backend = current_backend()
         values, nulls, kind = arrays
-        values = backend.to_device(values)
-        present = ~backend.to_device(nulls)
+        present = ~nulls
         name = agg.function.signature.name
         if name == "count":
             return present, [(None, "i")]
         if name == "count_if":
-            return present & backend.xp.asarray(values, dtype=np.bool_), [(None, "i")]
+            return present & np.asarray(values, dtype=np.bool_), [(None, "i")]
         if name == "avg":
             return present, [(values.astype(np.float64), "f"), (None, "i")]
         return present, [(values, kind)]

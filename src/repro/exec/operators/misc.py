@@ -169,10 +169,6 @@ class TableFinishOperator(Operator):
                 if fragment is not None
             )
 
-    def add_fragment(self, fragment) -> None:
-        if fragment is not None:
-            self.fragments.append(fragment)
-
     def get_output(self) -> Optional[Page]:
         if not self._finishing or self._emitted:
             return None

@@ -25,7 +25,6 @@ from repro.exec.blocks import (
 )
 from repro.errors import PrestoError
 from repro.exec import kernels
-from repro.exec.backend import current_backend
 from repro.exec.compiler import (
     CompiledExpression,
     EvalContext,
@@ -75,10 +74,6 @@ class PageProcessor:
         projections: Sequence[ir.RowExpression],
     ):
         self.input_symbols = list(input_symbols)
-        # Array work routes through the kernel-backend seam
-        # (repro.exec.backend); ``xp`` mirrors the numpy API surface.
-        self.backend = current_backend()
-        self._xp = self.backend.xp
         self.filter = (
             compile_expression(filter_expr, self.input_symbols)
             if filter_expr is not None
@@ -133,21 +128,16 @@ class PageProcessor:
         return clone
 
     def process(self, page: Page) -> Optional[Page]:
-        xp = self._xp
         ctx = EvalContext(page)
         selected: np.ndarray | None = None
         if self.filter is not None:
             mask = self._filter_mask(page)
             if mask is None:
                 values, nulls = self.filter.evaluate_context(ctx)
-                mask = xp.asarray(values, dtype=np.bool_) & ~nulls
-            # One compact bool download covers emptiness, all-pass, and
-            # the selected positions; mask.any()/mask.all() would each
-            # cost a device sync and flatnonzero a wider int64 download.
-            mask_host = self.backend.to_host(mask)
-            # Selected positions splice host Blocks (copy_positions /
-            # context subsetting), so this is the mask's host boundary.
-            selected = np.flatnonzero(mask_host)  # host-only: mask downloaded above
+                mask = np.asarray(values, dtype=np.bool_) & ~nulls
+            # One flatnonzero covers emptiness, all-pass and the
+            # selected positions (copy_positions / context subsetting).
+            selected = np.flatnonzero(mask)
             if not len(selected):
                 return None
             if len(selected) == page.row_count:
@@ -177,7 +167,6 @@ class PageProcessor:
             # would load it anyway; loading it here exposes the chunk's
             # encoding (LazyBlock accounting is identical either way).
             block = block.load()
-        xp = self._xp
         if isinstance(block, RunLengthBlock):
             try:
                 verdict = self.filter.evaluate_row(
@@ -185,7 +174,7 @@ class PageProcessor:
                 )
             except PrestoError:
                 return None
-            return xp.full(page.row_count, verdict is True, dtype=np.bool_)
+            return np.full(page.row_count, verdict is True, dtype=np.bool_)
         if isinstance(block, DictionaryBlock):
             dictionary = block.dictionary
             if not self._heuristic.should_process_dictionary(
@@ -198,9 +187,9 @@ class PageProcessor:
             self._heuristic.record(len(dictionary), page.row_count)
             indices = block.indices
             if len(dictionary) == 0:
-                return xp.full(page.row_count, bool(keep[-1]), dtype=np.bool_)
-            clipped = xp.clip(indices, 0, None)
-            return xp.where(indices < 0, keep[-1], keep[clipped])
+                return np.full(page.row_count, bool(keep[-1]), dtype=np.bool_)
+            clipped = np.clip(indices, 0, None)
+            return np.where(indices < 0, keep[-1], keep[clipped])
         return None
 
     def _filter_entries(
@@ -217,7 +206,7 @@ class PageProcessor:
             values, nulls = self.filter.evaluate_context(
                 entries_context(width, channel, dictionary)
             )
-            keep = self._xp.asarray(values, dtype=np.bool_) & ~nulls
+            keep = np.asarray(values, dtype=np.bool_) & ~nulls
         except PrestoError:
             keep = None
         self._filter_cache = (dictionary, keep)

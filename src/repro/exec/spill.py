@@ -32,14 +32,3 @@ class SpillContext:
     def read(self, size_bytes: int) -> float:
         self.bytes_read_back += size_bytes
         return size_bytes / self.disk_bandwidth_bytes_per_ms
-
-
-class Revocable:
-    """Mixin interface for operators that can give memory back."""
-
-    def revocable_bytes(self) -> int:
-        return 0
-
-    def revoke(self) -> int:
-        """Spill state to disk; returns bytes released."""
-        return 0

@@ -82,14 +82,14 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
         ),
     )
     scalar("round", [BIGINT], BIGINT, lambda x: x)
-    scalar("sqrt", [DOUBLE], DOUBLE, math.sqrt, numpy_impl=np.sqrt, cost_weight=1.5)
+    scalar("sqrt", [DOUBLE], DOUBLE, _sqrt, numpy_impl=_ieee(np.sqrt), cost_weight=1.5)
     scalar("cbrt", [DOUBLE], DOUBLE, lambda x: math.copysign(abs(x) ** (1 / 3), x))
-    scalar("exp", [DOUBLE], DOUBLE, math.exp, numpy_impl=np.exp, cost_weight=2.0)
+    scalar("exp", [DOUBLE], DOUBLE, _exp, numpy_impl=_ieee(np.exp), cost_weight=2.0)
     scalar("ln", [DOUBLE], DOUBLE, _checked_log, cost_weight=2.0)
     scalar("log2", [DOUBLE], DOUBLE, lambda x: _checked_log(x) / math.log(2))
     scalar("log10", [DOUBLE], DOUBLE, lambda x: _checked_log(x) / math.log(10))
-    scalar("power", [DOUBLE, DOUBLE], DOUBLE, lambda x, y: float(x**y), cost_weight=2.0)
-    scalar("pow", [DOUBLE, DOUBLE], DOUBLE, lambda x, y: float(x**y), cost_weight=2.0)
+    scalar("power", [DOUBLE, DOUBLE], DOUBLE, _power, cost_weight=2.0)
+    scalar("pow", [DOUBLE, DOUBLE], DOUBLE, _power, cost_weight=2.0)
     scalar("mod", [BIGINT, BIGINT], BIGINT, _int_mod)
     scalar("mod", [DOUBLE, DOUBLE], DOUBLE, math.fmod)
     scalar("sign", [DOUBLE], DOUBLE, lambda x: float((x > 0) - (x < 0)))
@@ -132,16 +132,16 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     scalar("ends_with", [VARCHAR, VARCHAR], BOOLEAN, str.endswith)
     scalar("lpad", [VARCHAR, BIGINT, VARCHAR], VARCHAR, _lpad)
     scalar("rpad", [VARCHAR, BIGINT, VARCHAR], VARCHAR, _rpad)
-    scalar("split", [VARCHAR, VARCHAR], ARRAY(VARCHAR), lambda s, sep: s.split(sep))
+    scalar("split", [VARCHAR, VARCHAR], ARRAY(VARCHAR), _split)
     scalar("split_part", [VARCHAR, VARCHAR, BIGINT], VARCHAR, _split_part)
-    scalar("chr", [BIGINT], VARCHAR, chr)
+    scalar("chr", [BIGINT], VARCHAR, _chr)
     scalar("codepoint", [VARCHAR], BIGINT, lambda s: ord(s[0]) if s else 0)
     scalar("repeat", [VARCHAR, BIGINT], VARCHAR, lambda s, n: s * max(0, n))
     scalar(
         "regexp_like",
         [VARCHAR, VARCHAR],
         BOOLEAN,
-        lambda s, p: re.search(p, s) is not None,
+        lambda s, p: _regex(p).search(s) is not None,
         cost_weight=20.0,  # the paper singles out regexes as quanta hogs (IV-F1)
     )
     scalar("regexp_extract", [VARCHAR, VARCHAR], VARCHAR, _regexp_extract, cost_weight=20.0)
@@ -156,7 +156,7 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
         "regexp_replace",
         [VARCHAR, VARCHAR, VARCHAR],
         VARCHAR,
-        lambda s, p, r: re.sub(p, r, s),
+        _regexp_replace,
         cost_weight=20.0,
     )
     scalar("to_hex", [BIGINT], VARCHAR, lambda x: format(x, "X"))
@@ -283,6 +283,41 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
 # ---- implementation helpers -----------------------------------------------------
 
 
+# Out-of-domain and out-of-range arguments answer what IEEE arithmetic
+# (``x * 10``, ``0.0 / 0.0`` on a column) answers — NaN or inf — in the
+# scalar and the array form alike, never a Python exception or a numpy
+# RuntimeWarning.
+
+
+def _ieee(ufunc):
+    def quiet(*arrays):
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return ufunc(*arrays)
+
+    return quiet
+
+
+def _sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0 else math.nan
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+_ieee_power = _ieee(np.float_power)
+
+
+def _power(x: float, y: float) -> float:
+    try:
+        return math.pow(x, y)
+    except (OverflowError, ValueError):  # 10 ** 1000, 0 ** -1, (-8) ** 0.5
+        return float(_ieee_power(x, y))
+
+
 def _checked_log(x: float) -> float:
     if x <= 0:
         raise InvalidFunctionArgumentError(f"ln of non-positive value: {x}")
@@ -331,18 +366,53 @@ def _rpad(s: str, size: int, pad: str) -> str:
     return s + fill
 
 
+def _split(s: str, sep: str) -> list:
+    if not sep:
+        raise InvalidFunctionArgumentError("The delimiter may not be the empty string")
+    return s.split(sep)
+
+
 def _split_part(s: str, sep: str, index: int):
-    parts = s.split(sep)
+    parts = _split(s, sep)
     if 1 <= index <= len(parts):
         return parts[index - 1]
     return None
 
 
+def _chr(code: int) -> str:
+    if not 0 <= code < 0x110000:
+        raise InvalidFunctionArgumentError(f"Not a valid Unicode code point: {code}")
+    return chr(code)
+
+
+def _regex(pattern: str) -> re.Pattern:
+    try:
+        return re.compile(pattern)  # re keeps its own cache of compiled patterns
+    except re.error as error:
+        raise InvalidFunctionArgumentError(
+            f"Invalid regular expression {pattern!r}: {error}"
+        ) from None
+
+
 def _regexp_extract(s: str, pattern: str, group: int = 0):
-    match = re.search(pattern, s)
+    regex = _regex(pattern)
+    if not 0 <= group <= regex.groups:
+        raise InvalidFunctionArgumentError(
+            f"Pattern {pattern!r} has {regex.groups} group(s), cannot access group {group}"
+        )
+    match = regex.search(s)
     if match is None:
         return None
     return match.group(group)
+
+
+def _regexp_replace(s: str, pattern: str, replacement: str) -> str:
+    try:
+        return _regex(pattern).sub(replacement, s)
+    except (re.error, IndexError) as error:  # a bad group reference in the template
+        raise InvalidFunctionArgumentError(
+            f"Invalid replacement {replacement!r}: {error}"
+        ) from None
 
 
 def _hamming(a: str, b: str) -> int:

@@ -165,14 +165,6 @@ class FuzzCase:
     def sql(self) -> str:
         return format_statement(self.statement)
 
-    def with_statement(self, statement: ast.Query) -> "FuzzCase":
-        return FuzzCase(self.seed, self.features, self.tables, statement, [])
-
-    def with_tables(self, tables: list[TableSpec]) -> "FuzzCase":
-        return FuzzCase(
-            self.seed, self.features, tables, self.statement, list(self.order_spec)
-        )
-
 
 def generate_case(seed: int, features: FeatureMask | None = None) -> FuzzCase:
     features = features or FeatureMask.all()

@@ -60,13 +60,6 @@ class MemoryPool:
         self.general_by_query: dict[str, int] = {}
         self.reserved_query: str | None = None
 
-    @property
-    def general_free(self) -> int:
-        return self.general_capacity - self.general_used
-
-    def usage_of(self, query_id: str) -> int:
-        return self.general_by_query.get(query_id, 0)
-
     def try_reserve(self, query_id: str, delta: int, reserved: bool = False) -> bool:
         """Attempt to charge ``delta`` bytes; False if it does not fit."""
         if delta <= 0:
@@ -262,11 +255,3 @@ class ClusterMemoryManager:
     def _kill(self, query_id: str) -> None:
         self.queries_killed_for_memory.append(query_id)
         self.release_query(query_id)
-
-    # -- introspection ------------------------------------------------------------
-
-    def cluster_user_bytes(self) -> int:
-        return sum(t.total_user_bytes for t in self.trackers.values())
-
-    def node_general_used(self, node: str) -> int:
-        return self.pools[node].general_used

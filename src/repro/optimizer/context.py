@@ -30,10 +30,10 @@ class OptimizerConfig:
     # stall).
     dynamic_filter_wait_ms: float = 0.0
     # -- rewrite-rule pack (repro.planner.rules; docs/OPTIMIZER.md) ----
-    # Per-rule gates for the QueryTorque-taxonomy rewrites. The two
-    # decorrelation rules run at plan time (the planner consults this
+    # Per-rule gates for the QueryTorque-taxonomy rewrites that have an
+    # executable fallback (decorrelate_subquery has none, so no gate).
+    # decorrelate_scalar runs at plan time (the planner consults this
     # config); the rest run inside the optimizer's rewrite engine.
-    rule_decorrelate_subquery: bool = True
     rule_decorrelate_scalar: bool = True
     rule_consolidate_scans: bool = True
     rule_setop_semijoin: bool = True

@@ -224,9 +224,5 @@ def _is_true(expr: RowExpression) -> bool:
     return isinstance(expr, Constant) and expr.value is True
 
 
-def true_literal() -> Constant:
-    return Constant(BOOLEAN, True)
-
-
 def false_literal() -> Constant:
     return Constant(BOOLEAN, False)

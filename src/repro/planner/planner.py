@@ -1300,16 +1300,6 @@ class _QueryBuilder(SubqueryPlanner):
         except Exception:
             return None
 
-    def _require_decorrelation(self, rule) -> None:
-        # Unlike decorrelate_scalar there is no executable fallback for
-        # correlated EXISTS/IN — an un-decorrelated plan has free
-        # variables — so a disabled knob must reject, not degrade.
-        if not rule.enabled(self.planner.optimizer_config):
-            raise NotSupportedError(
-                f"Correlated subqueries require optimizer rule {rule.name!r} "
-                f"(OptimizerConfig.{rule.knob} is disabled)"
-            )
-
     def _plan_subquery_with_capture(self, query: ast.Query, scope: Scope):
         """Plan a subquery allowing correlated references to ``scope``;
         returns (relation, captured outer fields)."""
@@ -1362,7 +1352,6 @@ class _QueryBuilder(SubqueryPlanner):
             from repro.planner.decorrelation import decorrelate
             from repro.planner.rules import DECORRELATE_SUBQUERY
 
-            self._require_decorrelation(DECORRELATE_SUBQUERY)
             outer_symbols = {f.symbol.name: f.symbol for f in captures}
             result = decorrelate(sub.node, outer_symbols, self.planner.symbols)
             self.planner.trace.record_fired(DECORRELATE_SUBQUERY.name)
@@ -1406,7 +1395,6 @@ class _QueryBuilder(SubqueryPlanner):
             from repro.planner.decorrelation import decorrelate
             from repro.planner.rules import DECORRELATE_SUBQUERY
 
-            self._require_decorrelation(DECORRELATE_SUBQUERY)
             outer_symbols = {f.symbol.name: f.symbol for f in captures}
             result = decorrelate(sub.node, outer_symbols, self.planner.symbols)
             self.planner.trace.record_fired(DECORRELATE_SUBQUERY.name)

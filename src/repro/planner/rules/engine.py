@@ -45,7 +45,8 @@ class RewriteRule:
     # elimination, SC = scan consolidation, SO = set operation,
     # SR = scan reduction.
     family: str = ""
-    # OptimizerConfig attribute gating this rule.
+    # OptimizerConfig attribute gating this rule; empty = always on (a
+    # rule with no executable fallback).
     knob: str = ""
     # "optimize" rules run in run_rewrite_rules; "plan" rules are
     # applied by the planner (see module docstring).
@@ -56,7 +57,7 @@ class RewriteRule:
     example_sql: str = ""
 
     def enabled(self, config) -> bool:
-        return bool(getattr(config, self.knob, False))
+        return not self.knob or bool(getattr(config, self.knob, False))
 
     def match(self, node: plan.PlanNode, context):
         return None

@@ -8,14 +8,12 @@ variables and is not executable, so there is no valid "before" tree
 for a plan-to-plan rewrite (see repro.planner.rules.engine). They are
 registered here so the catalog, config knobs, EXPLAIN trace, and the
 conformance test treat them like every other rule; the planner
-(repro.planner.planner) consults ``enabled()`` and records firings
-into the shared :class:`RuleTrace`.
+(repro.planner.planner) records firings into the shared
+:class:`RuleTrace`.
 
 - ``decorrelate_subquery``: correlated EXISTS / IN into multi-key semi
   joins (repro.planner.decorrelation.decorrelate). There is no
-  executable fallback, so disabling the knob makes correlated
-  EXISTS/IN fail with NotSupportedError rather than silently choosing
-  a slower plan.
+  executable fallback, so it has no knob: it always runs.
 
 - ``decorrelate_scalar``: correlated scalar aggregate subqueries into
   ONE aggregation grouped by the correlation keys, LEFT-joined back to
@@ -37,11 +35,10 @@ from repro.planner.rules.engine import RewriteRule, register
 class DecorrelateSubquery(RewriteRule):
     name = "decorrelate_subquery"
     family = "SE"
-    knob = "rule_decorrelate_subquery"
     phase = "plan"
     description = (
-        "correlated EXISTS/IN -> multi-key semi join (no fallback: "
-        "disabled means correlated EXISTS/IN are rejected)"
+        "correlated EXISTS/IN -> multi-key semi join (no fallback, so "
+        "no knob: always on)"
     )
     example_sql = (
         "SELECT k FROM t0 WHERE EXISTS "

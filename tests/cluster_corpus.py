@@ -32,13 +32,15 @@ def build_connectors() -> dict:
     return {"hive": hive, "shardedsql": sharded}
 
 
-def build_cluster(connectors: dict, workers: int = WORKERS) -> SimCluster:
+def build_cluster(
+    connectors: dict, workers: int = WORKERS, cost_mode: str = "deterministic"
+) -> SimCluster:
     cluster = SimCluster(
         ClusterConfig(
             worker_count=workers,
             default_catalog="hive",
             default_schema="default",
-            cost_mode="deterministic",
+            cost_mode=cost_mode,
         )
     )
     for name, connector in connectors.items():

@@ -69,6 +69,23 @@ def corpus_run():
     return connectors, cluster, results
 
 
+def test_measured_cost_mode_answers_what_the_deterministic_run_answers(corpus_run):
+    """``cost_mode="measured"`` charges each quantum its measured Python
+    time instead of rows x ``per_row_ms``: quanta end elsewhere and pages
+    arrive in another order, the answers do not move. One aggregation
+    over a join, one scalar-subquery battery, one window over the
+    sharded store."""
+    connectors, _, results = corpus_run
+    measured = build_cluster(connectors, cost_mode="measured")
+    assert measured.cost_model.mode == "measured"
+    catalogs = {key: (catalog, sql) for key, catalog, sql in statements()}
+    for key in ("q18", "q28", "dev01"):
+        catalog, sql = catalogs[key]
+        query = measured.run_query(sql, drain=True, session_catalog=catalog)
+        assert_same_rows(query.rows(), results[key].rows(), key)
+        assert query.total_cpu_ms > 0
+
+
 def test_idle_quanta_are_rare(corpus_run):
     _, cluster, _ = corpus_run
     snapshot = cluster.stats_snapshot()

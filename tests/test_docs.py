@@ -38,7 +38,8 @@ def test_named_modules_exist(path):
 
 def test_guard_rejects_a_missing_module():
     assert _resolves("repro.exec.kernels")
-    assert _resolves("repro.exec.backend.current_backend")
+    assert _resolves("repro.exec.kernels.factorize")
+    assert not _resolves("repro.exec.backend.current_backend")
     assert not _resolves("repro.scheduler.mlfq")
     assert not _resolves("repro.exec.kernels.no_such_function")
 

@@ -1,14 +1,18 @@
 """Scalar function library tests (resolution + semantics)."""
 
 import math
+import warnings
 
 import pytest
 
+from repro.client import LocalEngine
+from repro.connectors.memory import MemoryConnector
 from repro.errors import (
     DivisionByZeroError,
     FunctionNotFoundError,
     InvalidFunctionArgumentError,
 )
+from repro.exec import kernels
 from repro.functions import FUNCTIONS
 from repro.types import ARRAY, BIGINT, BOOLEAN, DATE, DOUBLE, MAP, TIMESTAMP, UNKNOWN, VARCHAR
 
@@ -152,3 +156,55 @@ def test_timestamps():
 def test_cost_weights_present():
     f, _ = FUNCTIONS.resolve_scalar("regexp_like", [VARCHAR, VARCHAR])
     assert f.cost_weight > 1.0  # regexes are quanta hogs (paper IV-F1)
+
+
+# --------------------------------------------------------------------------
+# Every failure is a typed PrestoError: out-of-range and malformed
+# arguments answer an IEEE value or raise InvalidFunctionArgumentError,
+# constant-folded and over a column, with both kernel modes, and never
+# a stray Python exception or a numpy RuntimeWarning.
+# --------------------------------------------------------------------------
+
+_NAN = float("nan")
+_TYPED = InvalidFunctionArgumentError
+EDGE_ARGUMENTS = {
+    # id: (folded statement, the same over column(s) of t, expected)
+    "power_overflow": ("power(10, 1000)", "power(10, big)", math.inf),
+    "power_zero_to_negative": ("power(0, -1)", "power(big - big, minus)", math.inf),
+    "power_negative_to_fraction": ("power(-8, 0.5)", "power(minus * 8, 0.5)", _NAN),
+    "exp_overflow": ("exp(1000)", "exp(big)", math.inf),
+    "sqrt_negative": ("sqrt(-1)", "sqrt(minus)", _NAN),
+    "chr_negative": ("chr(-1)", "chr(minus)", _TYPED),
+    "split_empty_delimiter": ("split('a,b', '')", "split('a,b', empty)", _TYPED),
+    "split_part_empty_delimiter": ("split_part('a,b', '', 1)", "split_part('a,b', empty, 1)", _TYPED),
+    "regexp_like_pattern": ("regexp_like('a', '(')", "regexp_like('a', paren)", _TYPED),
+    "regexp_extract_pattern": ("regexp_extract('a', '(')", "regexp_extract('a', paren)", _TYPED),
+    "regexp_extract_group": ("regexp_extract('a', 'a', 3)", "regexp_extract('a', 'a', big)", _TYPED),
+    "regexp_replace_pattern": ("regexp_replace('a', '(', 'x')", "regexp_replace('a', paren, 'x')", _TYPED),
+    "regexp_replace_template": ("regexp_replace('a', 'a', '\\9')", "regexp_replace('a', 'a', '\\' || nine)", _TYPED),
+}
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("case", EDGE_ARGUMENTS)
+def test_edge_arguments_answer_a_value_or_a_typed_error(case, mode):
+    folded, over_column, expected = EDGE_ARGUMENTS[case]
+    connector = MemoryConnector()
+    connector.create_table_with_data(
+        "memory",
+        "default",
+        "t",
+        [("big", BIGINT), ("minus", BIGINT), ("empty", VARCHAR), ("paren", VARCHAR), ("nine", VARCHAR)],
+        [(1000, -1, "", "(", "9")],
+    )
+    engine = LocalEngine()
+    engine.register_catalog("memory", connector)
+    with kernels.forced_mode(mode), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sql in (f"SELECT {folded}", f"SELECT {over_column} FROM t"):
+            if isinstance(expected, float):
+                ((value,),) = engine.execute(sql).rows
+                assert value == expected or (math.isnan(value) and math.isnan(expected)), sql
+            else:
+                with pytest.raises(expected):
+                    engine.execute(sql)

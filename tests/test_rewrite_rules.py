@@ -10,14 +10,12 @@ ablation results.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
-import pytest
-
 from repro.client import LocalEngine
 from repro.connectors.memory import MemoryConnector
-from repro.errors import NotSupportedError
 from repro.optimizer.context import OptimizerConfig
 from repro.planner.rules import REGISTRY
 from repro.types import BIGINT
@@ -73,14 +71,6 @@ def test_correlated_exists_fires_and_matches_semantics():
     rows = sorted(engine.execute(sql).rows)
     assert rows == [(1,), (3,), (3,)]
     assert "decorrelate_subquery" in _fired(engine)
-
-
-def test_correlated_exists_requires_rule():
-    engine = _engine(OptimizerConfig(rule_decorrelate_subquery=False))
-    with pytest.raises(NotSupportedError, match="rule_decorrelate_subquery"):
-        engine.execute(
-            "SELECT k FROM t0 WHERE EXISTS (SELECT 1 FROM t1 WHERE t1.k = t0.k)"
-        )
 
 
 # --------------------------------------------------------------------------
@@ -319,14 +309,24 @@ def test_cluster_counters_cover_registry_and_increment(monkeypatch):
 def test_registry_conformance():
     """Every registered rule must (a) be exercised by name in this test
     module, (b) fire on its own example_sql over the conformance schema
-    and show up in the EXPLAIN header, and (c) have an entry in the
-    checked-in fig6 rule ablation results."""
+    and show up in the EXPLAIN header, (c) have an entry in the
+    checked-in fig6 rule ablation results, and (d) be gated by an
+    ``OptimizerConfig`` field that turns it off, or by nothing (a rule
+    with no executable fallback has no knob and is always on)."""
     assert len(REGISTRY) >= 5
     test_source = pathlib.Path(__file__).read_text()
     ablation_path = REPO_ROOT / "benchmarks" / "results" / "fig6_rule_ablation.json"
     ablation = json.loads(ablation_path.read_text())
     ablation_names = set(ablation["families"]) | set(ablation["capability"])
+    knobs = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    assert [r.name for r in REGISTRY if not r.knob] == ["decorrelate_subquery"]
     for rule in REGISTRY:
+        assert rule.enabled(OptimizerConfig())
+        if rule.knob:
+            assert rule.knob in knobs, f"{rule.name}: knob {rule.knob!r} is no config field"
+            assert not rule.enabled(OptimizerConfig(**{rule.knob: False}))
+        else:
+            assert ablation["capability"][rule.name]["knob"] is None
         assert rule.name in test_source, f"{rule.name}: no unit test mentions it"
         assert rule.example_sql, f"{rule.name}: no example_sql"
         assert rule.description, f"{rule.name}: no description"

@@ -14,13 +14,10 @@ sanction.
 This keeps future edits from quietly reintroducing per-row hot loops —
 the regression the vectorization PRs exist to prevent.
 
-A second check guards the kernel-backend seam (docs/EXECUTION.md): the
-backend-routed files must do their array work through ``backend.xp``,
-not bare ``np.`` calls, so replacing the backend instance really
-retargets every kernel. Bare numpy is allowed only for dtype/scalar
-constructors and metadata helpers (``np.int64``, ``np.iinfo``, ...) or
-with an explicit ``# host-only`` tag marking genuine host-boundary
-work (Block decode, python-state loops, coordinator filter state).
+A second check keeps the kernels plain numpy: the vocabulary of the
+deleted ``KernelBackend`` seam (``current_backend``, ``to_device``,
+``to_host``, ``# host-only`` tags) appears nowhere under ``src/repro``,
+so it cannot drift back through a copied snippet.
 
 A third check keeps execution at one process-global switch:
 ``REPRO_KERNELS`` in ``exec/kernels.py`` is the only ``REPRO_*``
@@ -28,18 +25,26 @@ environment variable read under ``src/`` and the only module-level
 mode global under ``src/repro/exec``.
 
 A fourth keeps the cluster layer's option count honest: a field of
-``ClusterConfig``, ``FaultToleranceConfig`` or ``CacheConfig`` that no
+``ClusterConfig``, ``FaultToleranceConfig``, ``CacheConfig``,
+``ChaosPlan`` or ``CostModel`` that no
 file under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` ever
 sets is not an option, it is a constant with extra plumbing — and so
 is a keyword parameter of ``SimCluster.submit`` / ``run_query`` or
 ``LocalEngine.__init__`` that nobody passes.
 
-A fifth keeps answers and simulated counts independent of
+A fifth keeps dead public names out: a class, function or method
+defined under ``src/repro`` whose name appears nowhere else in
+``src/``, ``tests/``, ``benchmarks/``, ``examples/``, ``docs/`` or the
+top-level ``*.md`` files fails.
+
+A sixth keeps answers and simulated counts independent of
 ``PYTHONHASHSEED``: builtin ``hash(`` appears under ``src/repro`` only
 in ``connectors/hashing.py``, whose ``value_hash`` / ``stable_hash``
 everything else calls.
 """
 
+import ast
+import collections
 import os
 import re
 import subprocess
@@ -60,10 +65,9 @@ HOT_FILES = [
     "src/repro/cluster/shuffle.py",
     # Fault-tolerance PR: the durable spool sits on the delivery path.
     "src/repro/cluster/spool.py",
-    # Pipeline-fusion PR: the compiler, the fused operator, the kernel
-    # backend seam, and the page processor they route through.
+    # Pipeline-fusion PR: the compiler, the fused operator, and the
+    # page processor they route through.
     "src/repro/exec/pipeline.py",
-    "src/repro/exec/backend.py",
     "src/repro/exec/page_processor.py",
     # Storage layer (columnar scan PR): encode/decode and page sinks.
     "src/repro/connectors/hive/format.py",
@@ -124,76 +128,24 @@ def test_lint_catches_rows_walk():
 
 
 # --------------------------------------------------------------------------
-# Backend purity: no bare np.<func>() calls in backend-routed kernel
-# paths. Array work must go through backend.xp so a backend port really
-# retargets it; genuine host-boundary work carries a '# host-only' tag.
+# Plain numpy: the deleted backend seam's vocabulary stays deleted.
 # --------------------------------------------------------------------------
 
-BACKEND_ROUTED_FILES = [
-    "src/repro/exec/kernels.py",
-    "src/repro/exec/page_processor.py",
-    "src/repro/exec/pipeline.py",
-    "src/repro/exec/dynamic_filters.py",
-    "src/repro/exec/operators/aggregation.py",
-    "src/repro/exec/operators/joins.py",
-]
-
-NP_CALL = re.compile(r"\bnp\.(\w+)\s*\(")
-
-# dtype/scalar constructors and metadata helpers: these build arguments
-# (dtypes, scalar constants, error-state guards), not array kernels, and
-# are identical on every backend.
-ALLOWED_NP_CALLS = frozenset({
-    "bool_", "int8", "int16", "int32", "int64", "intp",
-    "uint8", "uint16", "uint32", "uint64",
-    "float16", "float32", "float64",
-    "dtype", "iinfo", "finfo", "errstate", "promote_types", "result_type",
-})
-
-HOST_ONLY = re.compile(r"#\s*host-only")
+SEAM_VOCABULARY = re.compile(r"current_backend|to_device|to_host|host-only")
 
 
-def _backend_violations(path: Path) -> list[str]:
-    lines = path.read_text().splitlines()
-    bad = []
-    for i, line in enumerate(lines):
-        names = [m for m in NP_CALL.findall(line) if m not in ALLOWED_NP_CALLS]
-        if not names:
-            continue
-        window = lines[max(0, i - 2) : i + 1]
-        if any(HOST_ONLY.search(w) for w in window):
-            continue
-        bad.append(f"{path.relative_to(REPO_ROOT)}:{i + 1}: {line.strip()}")
-    return bad
+def _seam_lines(text: str) -> list[str]:
+    return [line.strip() for line in text.splitlines() if SEAM_VOCABULARY.search(line)]
 
 
-@pytest.mark.parametrize("relpath", BACKEND_ROUTED_FILES)
-def test_no_bare_numpy_in_backend_routed_paths(relpath):
-    violations = _backend_violations(REPO_ROOT / relpath)
-    assert not violations, (
-        "bare np. call in a backend-routed kernel path — route it "
-        "through backend.xp, or tag genuine host-boundary work with "
-        "'# host-only':\n" + "\n".join(violations)
-    )
-
-
-def test_backend_lint_catches_bare_call(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text(
-        "import numpy as np\n"
-        "mask = np.flatnonzero(values)\n"
-        "codes = values.astype(np.int64, copy=False)\n"
-        "n = np.iinfo(np.int64).max\n"
-        "tagged = np.unique(codes)  # host-only: filter summary\n"
-    )
-    lines = sample.read_text().splitlines()
-    flagged = [
-        m for line in lines
-        if not HOST_ONLY.search(line)
-        for m in NP_CALL.findall(line)
-        if m not in ALLOWED_NP_CALLS
-    ]
-    assert flagged == ["flatnonzero"]
+def test_no_backend_seam_vocabulary_under_src():
+    offenders = {
+        str(path.relative_to(REPO_ROOT)): found
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if (found := _seam_lines(path.read_text()))
+    }
+    assert not offenders, f"the kernels call numpy by its name: {offenders}"
+    assert _seam_lines("xp = current_backend().xp\nkeep = np.flatnonzero(m)  # host-only\n")
 
 
 # --------------------------------------------------------------------------
@@ -327,9 +279,16 @@ def test_every_cluster_config_field_is_set_by_someone():
     from repro.cache import CacheConfig
     from repro.chaos.campaign import ChaosPlan
     from repro.cluster import ClusterConfig, FaultToleranceConfig
+    from repro.cluster.cost import CostModel
 
     sources = _census_sources()
-    for config_class in (ClusterConfig, FaultToleranceConfig, CacheConfig, ChaosPlan):
+    for config_class in (
+        ClusterConfig,
+        FaultToleranceConfig,
+        CacheConfig,
+        ChaosPlan,
+        CostModel,
+    ):
         unset = _unset_fields(config_class, sources)
         assert not unset, (
             f"{config_class.__name__}.{unset} is set by no file under "
@@ -401,6 +360,71 @@ def test_census_lint_catches_an_unpassed_keyword():
     assert _unset_keywords(submit, sources) == ["nobody_passes_this"]
     sources.append(("b.py", "cluster.submit(sql, nobody_passes_this=3)\n"))
     assert _unset_keywords(submit, sources) == []
+
+
+# --------------------------------------------------------------------------
+# Unreferenced names: a public definition nothing else mentions is dead.
+# --------------------------------------------------------------------------
+
+REFERENCE_TREES = (*CENSUS_ROOTS, "docs")
+WORD = re.compile(r"[A-Za-z_]\w*")
+#: Operator / connector protocol methods the engine calls by contract
+#: and nothing names. Empty today: each has a second implementation or
+#: a caller that spells it out.
+CALLED_BY_CONTRACT: frozenset = frozenset()
+
+
+def _public_definitions(source: str) -> list[str]:
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _unreferenced(defining: dict, others: list, allowed=frozenset()) -> list[str]:
+    """``path: name`` of every public class, function or method defined
+    in ``defining`` (path -> source) whose name occurs exactly once in
+    all the text given — its own definition. A same-named definition or
+    a mention in prose counts as a reference: the check can miss a dead
+    name, it cannot flag a live one."""
+    counts = collections.Counter(
+        word for text in (*defining.values(), *others) for word in WORD.findall(text)
+    )
+    return [
+        f"{path}: {name}"
+        for path, source in defining.items()
+        for name in _public_definitions(source)
+        if counts[name] == 1 and name not in allowed
+    ]
+
+
+def test_every_public_name_under_src_is_referenced_somewhere():
+    defining = {
+        str(path.relative_to(REPO_ROOT)): path.read_text()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+    }
+    others = [
+        path.read_text()
+        for tree in REFERENCE_TREES
+        for path in sorted((REPO_ROOT / tree).rglob("*"))
+        if path.suffix in (".py", ".md") and str(path.relative_to(REPO_ROOT)) not in defining
+    ]
+    # ISSUE.md is the per-PR task text: it names what it asks to delete.
+    others += [p.read_text() for p in sorted(REPO_ROOT.glob("*.md")) if p.name != "ISSUE.md"]
+    dead = _unreferenced(defining, others, CALLED_BY_CONTRACT)
+    assert not dead, (
+        "defined under src/repro and named nowhere else in "
+        f"{'/, '.join(REFERENCE_TREES)}/ or *.md — delete it: {dead}"
+    )
+
+
+def test_unreferenced_lint_catches_a_dead_method():
+    sample = {"pool.py": "class Pool:\n    def spare_bytes(self, q): return self._used[q]\n"}
+    assert _unreferenced(sample, ["Pool()"]) == ["pool.py: spare_bytes"]
+    assert _unreferenced(sample, ["Pool().spare_bytes(q)"]) == []
+    assert _unreferenced(sample, ["Pool()"], allowed={"spare_bytes"}) == []
 
 
 # --------------------------------------------------------------------------
