@@ -239,9 +239,21 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
     names = list(cluster.workers)
     crash_count = max(0, min(plan.crash_count, plan.worker_count - MIN_SURVIVORS))
     victims = rng.sample(names, crash_count)
+    crashed: list[str] = []
+
+    def crash(drawn: str) -> None:
+        # A stage has tasks only where it has work, and crashing an idle
+        # worker exercises nothing: the victim is a worker that holds a
+        # task of a running query and carries no other fault (the drawn
+        # one when there is none).
+        spared = slowed + partitioned
+        busy = [n for n, w in cluster.workers.items() if w.alive and w.tasks and n not in spared]
+        crashed.append(rng.choice(busy) if busy else drawn)
+        cluster.crash_worker(crashed[-1])
+
     for name in victims:
         at = rng.uniform(*CRASH_WINDOW_MS)
-        cluster.sim.schedule(at, lambda n=name: cluster.crash_worker(n))
+        cluster.sim.schedule(at, lambda n=name: crash(n))
     survivors = [n for n in names if n not in victims]
     slowed = rng.sample(survivors, min(plan.slow_worker_count, len(survivors)))
     for name in slowed:
@@ -286,7 +298,7 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
 
     report = CampaignReport(
         plan,
-        crashed_workers=victims,
+        crashed_workers=crashed,
         slowed_workers=slowed,
         partitioned_workers=partitioned,
     )

@@ -163,6 +163,10 @@ class SimCluster:
         # Fragments lowered to a pipeline template: one per stage,
         # however many tasks (and replacement attempts) instantiate it.
         self.fragments_lowered = 0
+        # Why each stage created has the width it has (query.py, "How
+        # many tasks a stage gets"); the counts sum to fragments_lowered.
+        reasons = "narrowed wide.enumeration_unfinished wide.splits_cover_workers inherited single"
+        self.stage_widths = dict.fromkeys(reasons.split(), 0)
         # Pages that took a per-row path instead of the vectorized
         # kernels, by "<operator>.<reason>", folded in as tasks finish.
         self.row_fallbacks: dict[str, int] = {}
@@ -753,6 +757,8 @@ class SimCluster:
         }
         for reason, count in sorted(self.fusion_fallbacks.items()):
             snapshot[f"exec.fusion_fallback.{reason}"] = count
+        for reason, count in self.stage_widths.items():
+            snapshot[f"stage_width.{reason}"] = count
         snapshot["exec.row_fallbacks"] = sum(self.row_fallbacks.values())
         for reason, count in sorted(self.row_fallbacks.items()):
             snapshot[f"exec.row_fallback.{reason}"] = count

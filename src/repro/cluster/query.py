@@ -1,11 +1,20 @@
 """Distributed query execution over the simulated cluster.
 
 Implements the coordinator-side orchestration of Sec. III/IV-D: stage
-creation from plan fragments, task placement (leaf stages on every
-worker, or pinned by split affinity for shared-nothing connectors),
-lazy split enumeration with shortest-queue assignment, all-at-once vs
-phased stage scheduling, the shuffle transfer service, and query
-lifecycle/result collection.
+creation from plan fragments, task placement, lazy split enumeration
+with shortest-queue assignment, all-at-once vs phased stage scheduling,
+the shuffle transfer service, and query lifecycle/result collection.
+
+How many tasks a stage gets (Sec. IV-D2) follows from what is known
+before any task exists, by two rules. A *source* stage takes the first
+split batch of each of its scans when it is created and runs the
+split-assignment rule on it there (node-local address, then
+stripe-cache holder or rendezvous hash, then DFS-local shortest queue):
+if every enumeration ended within that batch, the stage gets a task on
+exactly the workers a split went to, at least one; a source still
+enumerating is as wide as the cluster. A *hash* stage is as wide as the
+widest stage feeding it, on the least-loaded live workers. Recovery
+replaces a task of either on any live worker.
 
 Fault tolerance (Sec. IV-G, extended past the paper's fail-the-query
 baseline) lives here too: when ``FaultToleranceConfig.enabled`` is on,
@@ -85,10 +94,23 @@ class _ScanSchedule:
     node: plan.TableScanNode
     connector: object
     split_source: object
+    # The first split batch as (split, worker), taken and assigned at
+    # stage creation to size the stage; the first fetch() delivers it.
+    held: Optional[list] = None
     done: bool = False
     assigned: int = 0
     wait_deadline: Optional[float] = None
     wait_expired: bool = False
+
+
+@dataclass
+class _Seat:
+    """A task that does not exist yet, as split assignment sees one:
+    stage creation seats one per live worker to learn which of them the
+    first split batch would reach."""
+
+    worker: object
+    queued: int = 0
 
 
 @dataclass
@@ -102,14 +124,16 @@ class _ReplayState:
 
 
 class StageExecution:
-    def __init__(self, query: "QueryExecution", fragment: PlanFragment, template, placement):
+    def __init__(self, query: "QueryExecution", fragment: PlanFragment, template):
         self.query = query
         self.fragment = fragment
         # The fragment lowered once; every task of the stage, first
         # attempt or replacement, instantiates it (paper Sec. IV-D).
         self.template = template
-        # One task per entry: the worker each first attempt is placed on.
-        self.placement: list = placement
+        # One task per entry: the worker each first attempt is placed
+        # on, and why there are that many (a stage_width.* counter).
+        self.placement: list = []
+        self.width_reason = "single"
         self.tasks: list[SimTask] = []
         self.started = False
         self.scan_schedules: list[_ScanSchedule] = []
@@ -238,14 +262,16 @@ class QueryExecution:
         # -- dynamic filters -------------------------------------------
         # filter id -> merged DynamicFilter, complete and usable.
         self._df_ready: dict[str, object] = {}
-        # filter id -> {build partition: partial DynamicFilter}. For
-        # hash-partitioned joins each build task holds one key slice, so
-        # the filter is usable only once *every* partition reported; the
-        # partition key also dedups republications from recovered builds
-        # (filter content is order-independent, so copies are identical).
-        self._df_partials: dict[str, dict[int, object]] = {}
-        # filter id -> number of build-task partials required.
-        self._df_expected: dict[str, int] = {}
+        # (filter id, publishing stage) -> {build partition: partial
+        # DynamicFilter}. For hash-partitioned joins each build task
+        # holds one key slice, so the filter is usable only once *every*
+        # partition of one stage reported (a grouping-sets expansion
+        # copies a join into two stages, of any two widths, that publish
+        # one id); the partition key also dedups republications from
+        # recovered builds (content is order-independent: identical).
+        self._df_partials: dict[tuple[str, int], dict[int, object]] = {}
+        # (filter id, stage) -> number of build-task partials required.
+        self._df_expected: dict[tuple[str, int], int] = {}
         # task_id -> (rows_filtered, splits_pruned) last aggregated.
         self._df_counter_seen: dict[str, tuple[int, int]] = {}
 
@@ -337,26 +363,22 @@ class QueryExecution:
         live_workers = cluster.live_workers()
         if not live_workers:
             raise PrestoError("No live workers in the cluster")
+        # Tasks per worker: what runs there plus what this query has
+        # placed so far (nothing is on a worker before its stage starts).
+        load = {w: len(w.tasks) for w in live_workers}
+
+        def least_loaded(worker) -> tuple:
+            return load[worker], worker.name
+
         # Lower each fragment once (paper Sec. IV-D). The template knows
         # what the fragment reads — its remote sources, its scans, the
         # dynamic filters it publishes — so the plan is not walked again.
+        # Children come first, so a stage is sized after its inputs.
         for fragment_id, fragment in self.fragmented.fragments.items():
             template = FragmentPlanner(cluster.metadata).lower_fragment(fragment)
             cluster.fragments_lowered += 1
-            if fragment.partitioning in ("source", "hash"):
-                placement = live_workers
-            else:
-                placement = [cluster.coordinator_worker]
-            self.stages[fragment_id] = StageExecution(self, fragment, template, placement)
-            for key in template.remote_sources:
-                for child_id in key:
-                    self._consumers[child_id] = (fragment_id, key)
-        # All stages at once, in any order: delivery targets are looked
-        # up at transfer time.
-        for stage in self.stages.values():
-            for partition, worker in enumerate(stage.placement):
-                stage.tasks.append(self._new_task(stage, partition, worker))
-            for scan_index, node in enumerate(stage.template.scan_nodes):
+            stage = self.stages[fragment_id] = StageExecution(self, fragment, template)
+            for scan_index, node in enumerate(template.scan_nodes):
                 connector = cluster.metadata.connector(node.table.catalog)
                 layout = node.layout
                 if layout is None:
@@ -368,10 +390,62 @@ class QueryExecution:
                         scan_index, node, connector, connector.split_source(layout)
                     )
                 )
+            if fragment.partitioning == "source":
+                reached, stage.width_reason = self._seat_first_batch(stage, live_workers)
+                # Nothing to read: one task hears so and ends.
+                reached = reached or {min(live_workers, key=least_loaded)}
+            elif fragment.partitioning == "hash":
+                # As wide as the widest stage feeding it, on the
+                # least-loaded workers.
+                width = max(
+                    len(self.stages[child_id].placement)
+                    for key in template.remote_sources
+                    for child_id in key
+                )
+                reached = set(sorted(live_workers, key=least_loaded)[:width])
+                stage.width_reason = "inherited"
+            else:
+                reached = {cluster.coordinator_worker}
+            stage.placement = [w for w in live_workers if w in reached]
+            cluster.stage_widths[stage.width_reason] += 1
+            for worker in reached:
+                load[worker] += 1
+            for key in template.remote_sources:
+                for child_id in key:
+                    self._consumers[child_id] = (fragment_id, key)
+        # All stages at once, in any order: delivery targets are looked
+        # up at transfer time.
+        for stage in self.stages.values():
+            for partition, worker in enumerate(stage.placement):
+                stage.tasks.append(self._new_task(stage, partition, worker))
             # Each annotated Join/SemiJoin build collects one partial
             # per task of its stage.
             for filter_id in stage.template.dynamic_filter_ids:
-                self._df_expected[filter_id] = len(stage.tasks)
+                self._df_expected[filter_id, stage.id] = len(stage.tasks)
+
+    def _seat_first_batch(self, stage: StageExecution, live_workers: list) -> tuple[set, str]:
+        """Take the first split batch of every scan of a source stage
+        and run the assignment rule on it now. No task exists yet, so
+        the rule sees one ``_Seat`` per live worker, whose queue is
+        exactly what it has been given; fetch() hands each held split
+        to the task on its seat. Returns the workers that need a task
+        of the stage, with the stage_width reason: all of them while an
+        enumeration is unfinished, otherwise the seats taken."""
+        reached = set()
+        for schedule in stage.scan_schedules:
+            seats = [_Seat(w) for w in live_workers]
+            schedule.held = []
+            for split in schedule.split_source.get_next_batch(_SPLIT_BATCH_SIZE):
+                seat = self._split_target(schedule, split, seats, lambda s: s.queued)
+                if seat is not None:  # else fetch() fails the query
+                    seat.queued += 1
+                    reached.add(seat.worker)
+                schedule.held.append((split, seat and seat.worker))
+        if not all(s.split_source.is_finished() for s in stage.scan_schedules):
+            return set(live_workers), "wide.enumeration_unfinished"
+        if len(reached) == len(live_workers):
+            return reached, "wide.splits_cover_workers"
+        return reached, "narrowed"
 
     def _new_task(
         self, stage: StageExecution, partition: int, worker, attempt: int = 0
@@ -506,9 +580,12 @@ class QueryExecution:
                 # gracefully to unfiltered reads.
                 self._later(_SPLIT_BATCH_LATENCY_MS, fetch)
                 return
-            batch = schedule.split_source.get_next_batch(_SPLIT_BATCH_SIZE)
-            for split in batch:
-                self._assign_split(stage, schedule, split)
+            batch, schedule.held = schedule.held, None
+            if not batch:  # past the first: assigned against live queues
+                source = schedule.split_source
+                batch = [(s, None) for s in source.get_next_batch(_SPLIT_BATCH_SIZE)]
+            for split, worker in batch:
+                self._assign_split(stage, schedule, split, worker)
             if schedule.split_source.is_finished():
                 schedule.done = True
                 if all(s.done for s in stage.scan_schedules):
@@ -564,45 +641,57 @@ class QueryExecution:
             return None
         return replace(split, dynamic_filters=tuple(sorted(attached.items())))
 
-    def _assign_split(self, stage: StageExecution, schedule: _ScanSchedule, split) -> None:
+    def _assign_split(
+        self, stage: StageExecution, schedule: _ScanSchedule, split, worker=None
+    ) -> None:
+        """Give ``split`` to the task on ``worker`` (where stage creation
+        seated it), or to the one the assignment rule picks now."""
         tasks = [t for t in stage.tasks if not t.failed]
         if not tasks:
             return
         split = self._df_augment_split(schedule, split)
         if split is None:
             return  # pruned: never journaled, never assigned
-        target = None
+        index = schedule.scan_index
+        target = next((t for t in tasks if t.worker is worker), None)
+        if target is None:  # not seated, or the seat's task was replaced
+            target = self._split_target(
+                schedule, split, tasks, lambda t: t.scan_operators[index].queued_splits
+            )
+        if target is None:
+            error = f"No worker available for node-local split on {split.addresses}"
+            self.fail(PrestoError(error))
+            return
+        target.add_split_to(index, split)
+        schedule.assigned += 1
+        if target.can_use(index):
+            target.worker.kick(target)
+
+    def _split_target(self, schedule, split, seats, depth):
+        """The split-assignment rule: which of ``seats`` — the stage's
+        tasks, or at stage creation one ``_Seat`` per live worker —
+        takes ``split``, ``depth`` giving a seat's queued splits of
+        this scan. None when the split is node-local to no seat."""
         if not split.remotely_accessible and split.addresses:
             # Shared-nothing: the split must run where its data lives.
-            candidates = [t for t in tasks if t.worker.name in split.addresses]
+            candidates = [s for s in seats if s.worker.name in split.addresses]
             if not candidates:
-                self.fail(
-                    PrestoError(
-                        f"No worker available for node-local split on {split.addresses}"
-                    )
-                )
-                return
+                return None
         else:
             # Cache affinity (docs/CACHING.md): send the split to the
             # worker that already holds — or, by rendezvous hash, will
             # come to hold — its stripe; it beats plain DFS locality.
-            target = self._affinity_target(schedule, split, tasks)
+            target = self._affinity_target(schedule, split, seats, depth)
+            if target is not None:
+                return target
             # Without an affine worker, prefer a DFS-local read.
-            candidates = [t for t in tasks if t.worker.name in split.addresses] or tasks
-        if target is None:
-            # Shortest-queue assignment (Sec. IV-D3: "the coordinator
-            # simply assigns new splits to tasks with the shortest queue").
-            target = min(
-                candidates,
-                key=lambda t: t.scan_operators[schedule.scan_index].queued_splits,
-            )
-        target.add_split_to(schedule.scan_index, split)
-        schedule.assigned += 1
-        if target.can_use(schedule.scan_index):
-            target.worker.kick(target)
+            candidates = [s for s in seats if s.worker.name in split.addresses] or seats
+        # Shortest-queue assignment (Sec. IV-D3: "the coordinator
+        # simply assigns new splits to tasks with the shortest queue").
+        return min(candidates, key=depth)
 
-    def _affinity_target(self, schedule, split, tasks):
-        """Pick the stripe-affine task for a cacheable split, or None.
+    def _affinity_target(self, schedule, split, seats, depth):
+        """Pick the stripe-affine seat for a cacheable split, or None.
 
         Holder first; otherwise rendezvous hashing over the workers the
         failure detector believes alive, so the mapping is stable across
@@ -616,32 +705,27 @@ class QueryExecution:
         if raw_key is None:
             return None
         detector = self.cluster.detector
-        pool = [t for t in tasks if detector.believes_alive(t.worker.name)]
+        pool = [s for s in seats if detector.believes_alive(s.worker.name)]
         if not pool:
             return None
         cache_key = (split.connector, raw_key)
         holders = [
-            t
-            for t in pool
-            if t.worker.stripe_cache is not None
-            and t.worker.stripe_cache.holds(cache_key)
+            s
+            for s in pool
+            if s.worker.stripe_cache is not None
+            and s.worker.stripe_cache.holds(cache_key)
         ]
         if holders:
-            target = min(holders, key=lambda t: t.worker.name)
+            target = min(holders, key=lambda s: s.worker.name)
         else:
             target = max(
                 pool,
-                key=lambda t: (
-                    stable_hash((raw_key, t.worker.name)),
-                    t.worker.name,
+                key=lambda s: (
+                    stable_hash((raw_key, s.worker.name)),
+                    s.worker.name,
                 ),
             )
-
-        def queue_depth(task) -> int:
-            return task.scan_operators[schedule.scan_index].queued_splits
-
-        shortest = min(queue_depth(t) for t in pool)
-        if queue_depth(target) - shortest > _AFFINITY_QUEUE_SLACK:
+        if depth(target) - min(map(depth, pool)) > _AFFINITY_QUEUE_SLACK:
             self.cluster.affinity_fallbacks += 1
             return None
         self.cluster.affinity_routed += 1
@@ -1115,7 +1199,7 @@ class QueryExecution:
         # Collect dynamic filters published by build operators during the
         # quantum, and fold the task's df counters into cluster stats.
         for filter_ in task.dynamic_filters.drain_published():
-            self._on_dynamic_filter_published(filter_, task.partition)
+            self._on_dynamic_filter_published(filter_, task)
         self._aggregate_df_counters(task)
         # Ship pages produced during the quantum (and EOFs of finished
         # tasks) to consumers: only the partitions the quantum wrote to
@@ -1145,27 +1229,25 @@ class QueryExecution:
     # Dynamic filter collection (build side -> coordinator)
     # ------------------------------------------------------------------
 
-    def _on_dynamic_filter_published(self, filter_, partition: int) -> None:
-        partials = self._df_partials.setdefault(filter_.filter_id, {})
-        if partition in partials:
+    def _on_dynamic_filter_published(self, filter_, task: SimTask) -> None:
+        key = (filter_.filter_id, task.fragment.id)
+        partials = self._df_partials.setdefault(key, {})
+        if task.partition in partials:
             # A recovered build task replayed and republished; content is
             # order-independent, so the copy is bit-identical — drop it.
             self.cluster.df_filters_republished += 1
             return
-        partials[partition] = filter_
+        partials[task.partition] = filter_
         # Simulated collection/propagation latency: the filter becomes
         # usable one network hop after the last partial is published.
-        self._later(
-            _DYNAMIC_FILTER_LATENCY_MS,
-            lambda: self._merge_dynamic_filter(filter_.filter_id),
-        )
+        self._later(_DYNAMIC_FILTER_LATENCY_MS, lambda: self._merge_dynamic_filter(key))
 
-    def _merge_dynamic_filter(self, filter_id: str) -> None:
+    def _merge_dynamic_filter(self, key: tuple[str, int]) -> None:
+        filter_id = key[0]
         if self.state != "running" or filter_id in self._df_ready:
             return
-        partials = self._df_partials.get(filter_id, {})
-        expected = self._df_expected.get(filter_id)
-        if expected is None or len(partials) < expected:
+        partials = self._df_partials[key]
+        if len(partials) < self._df_expected[key]:
             return  # partitioned build: other tasks' key slices pending
         merged = None
         for partition in sorted(partials):
@@ -1297,7 +1379,10 @@ class QueryExecution:
                     for g in self._phase_gates.get(stage.id, ())
                     if not self.stages[g].completed
                 )
-                lines.append(f"stage {stage.id}: not started, gated on stages {waits}")
+                lines.append(
+                    f"stage {stage.id} (width {len(stage.tasks)}): "
+                    f"not started, gated on stages {waits}"
+                )
                 continue
             tasks = []
             for task in stage.tasks:
@@ -1319,7 +1404,8 @@ class QueryExecution:
                     f"blocked operators per driver: {' '.join(drivers)}"
                 )
             lines.append(
-                f"stage {stage.id}: " + ("; ".join(tasks) or "all tasks finished and drained")
+                f"stage {stage.id} (width {len(stage.tasks)}): "
+                + ("; ".join(tasks) or "all tasks finished and drained")
             )
         return "\n".join(lines)
 

@@ -636,29 +636,29 @@ def _vector_arithmetic(expr: ir.SpecialForm, layout) -> Callable:
         lv, ln = left_fn(ctx)
         rv, rn = right_fn(ctx)
         nulls = _combine_nulls([ln, rn], ctx.count)
-        if op == "+":
-            return lv + rv, nulls
-        if op == "-":
-            return lv - rv, nulls
-        if op == "*":
-            return lv * rv, nulls
-        if op == "/":
-            if integral:
-                zero_div = (rv == 0) & ~nulls
-                if zero_div.any():
-                    raise DivisionByZeroError("Division by zero")
-                safe_rv = np.where(rv == 0, 1, rv)
-                quotient = np.abs(lv) // np.abs(safe_rv)
-                sign = np.where((lv >= 0) == (rv >= 0), 1, -1)
-                return quotient * sign, nulls
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # Doubles answer IEEE inf / nan, without numpy's RuntimeWarning.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if op == "+":
+                return lv + rv, nulls
+            if op == "-":
+                return lv - rv, nulls
+            if op == "*":
+                return lv * rv, nulls
+            if op == "/":
+                if integral:
+                    zero_div = (rv == 0) & ~nulls
+                    if zero_div.any():
+                        raise DivisionByZeroError("Division by zero")
+                    safe_rv = np.where(rv == 0, 1, rv)
+                    quotient = np.abs(lv) // np.abs(safe_rv)
+                    sign = np.where((lv >= 0) == (rv >= 0), 1, -1)
+                    return quotient * sign, nulls
                 return lv / rv, nulls
-        if op == "%":
-            zero_div = (rv == 0) & ~nulls
-            if integral and zero_div.any():
-                raise DivisionByZeroError("Division by zero")
-            safe_rv = np.where(rv == 0, 1, rv) if integral else rv
-            with np.errstate(divide="ignore", invalid="ignore"):
+            if op == "%":
+                zero_div = (rv == 0) & ~nulls
+                if integral and zero_div.any():
+                    raise DivisionByZeroError("Division by zero")
+                safe_rv = np.where(rv == 0, 1, rv) if integral else rv
                 return np.fmod(lv, safe_rv), nulls
         raise PrestoError(f"Unknown arithmetic operator: {op}")
 

@@ -21,6 +21,7 @@ from enum import Enum
 
 from repro.catalog.metadata import TableHandle
 from repro.catalog.schema import QualifiedTableName
+from repro.connectors.predicate import TupleDomain
 from repro.planner.fragmenter import FragmentedPlan
 from repro.planner.nodes import (
     OutputNode,
@@ -74,11 +75,21 @@ class _Canonicalizer:
             )
             return ("dc", type(value).__name__, fields)
         if isinstance(value, dict):
-            return ("dict", tuple((self.token(k), self.token(v)) for k, v in value.items()))
+            # Sorted by key, like sets: equal containers tokenise alike
+            # however they were filled (symbols are numbered first).
+            items = [(self.token(k), self.token(v)) for k, v in value.items()]
+            return ("dict", tuple(sorted(items, key=lambda item: repr(item[0]))))
         if isinstance(value, (list, tuple)):
             return ("seq", tuple(self.token(v) for v in value))
         if isinstance(value, (set, frozenset)):
             return ("set", tuple(sorted(repr(self.token(v)) for v in value)))
+        if isinstance(value, TupleDomain):
+            domains = sorted((column, repr(d)) for column, d in value.domains.items())
+            return ("domains", value.is_none(), tuple(domains))
+        if callable(value):
+            # A function's repr carries its address, which differs from
+            # process to process; its qualified name does not.
+            return ("fn", value.__module__, value.__qualname__)
         return ("obj", type(value).__name__, repr(value))
 
 

@@ -126,10 +126,43 @@ def test_cpu_conservation_per_worker():
 
 
 def test_split_scheduling_spreads_work():
+    """Shortest-queue assignment gives each split of a small scan to a
+    worker of its own, and the scan stage has a task nowhere else."""
     cluster = tpch_cluster(worker_count=4)
-    cluster.run_query("SELECT sum(extendedprice * quantity) FROM lineitem")
-    busy = [w.stats.quanta for w in cluster.workers.values()]
-    assert sum(1 for b in busy if b > 0) >= 3  # nearly all workers engaged
+    handle = cluster.run_query("SELECT sum(extendedprice * quantity) FROM lineitem")
+    (scan,) = [stage for stage in handle.stages.values() if stage.scan_schedules]
+    assert scan.scan_schedules[0].assigned == 12000 // 8192 + 1
+    assert [len(task.split_log) for task in scan.tasks] == [1, 1]
+    assert len({task.worker.name for task in scan.tasks}) == 2
+    assert scan.width_reason == "narrowed"
+
+
+def test_a_scan_stage_stays_wide_when_it_cannot_be_narrowed():
+    """Two reasons a source stage is as wide as the cluster: its first
+    split batch reaches every worker, or the enumeration has not ended
+    after one batch (so nobody knows yet how many splits there are)."""
+    from repro.connectors.hive import HiveConnector
+    from repro.types import BIGINT
+
+    cluster = tpch_cluster(worker_count=2)
+    handle = cluster.run_query("SELECT count(*) FROM lineitem")  # two splits
+    assert [len(t.split_log) for t in handle.stages[0].tasks] == [1, 1]
+    assert handle.stages[0].width_reason == "wide.splits_cover_workers"
+
+    hive = HiveConnector(catalog_name="hive", max_rows_per_file=8)
+    _load_table(hive, "hive", "default", "t", [("k", BIGINT)], [(i,) for i in range(1000)])
+    cluster.register_catalog("hive", hive)
+    handle = cluster.run_query("SELECT sum(k) FROM hive.default.t")  # 125 files
+    assert handle.rows() == [(499500,)]
+    scan = handle.stages[0]
+    assert scan.width_reason == "wide.enumeration_unfinished" and len(scan.tasks) == 2
+    assert sum(len(t.split_log) for t in scan.tasks) == scan.scan_schedules[0].assigned == 125
+
+    snapshot = cluster.stats_snapshot()
+    assert snapshot["stage_width.wide.splits_cover_workers"] == 1
+    assert snapshot["stage_width.wide.enumeration_unfinished"] == 1
+    assert snapshot["stage_width.narrowed"] == snapshot["stage_width.inherited"] == 0
+    assert snapshot["stage_width.single"] == 2  # the two root stages
 
 
 def test_lazy_split_enumeration_with_limit():
@@ -233,7 +266,8 @@ def test_client_retry_after_crash():
     cluster = tpch_cluster()
     handle = cluster.submit("SELECT count(*) FROM lineitem")
     cluster.sim.run(until_ms=1.0)
-    cluster.crash_worker("worker-2")
+    # A crash fails the queries that run a task on the node.
+    cluster.crash_worker(handle.stages[0].tasks[-1].worker.name)
     cluster.run()
     assert handle.state == "failed"
     retry = cluster.run_query("SELECT count(*) FROM lineitem")

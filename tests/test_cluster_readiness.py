@@ -103,9 +103,81 @@ def test_each_stage_is_lowered_once(corpus_run):
     assert all(stage.started for stage in stages)
     snapshot = cluster.stats_snapshot()
     assert snapshot["exec.fragments_lowered"] == len(stages)
-    assert worker_sum(snapshot, ".tasks_started") > 5 * len(stages)
+    # Once per stage, not once per task: there are more tasks than stages.
+    tasks = sum(len(stage.tasks) for stage in stages)
+    assert worker_sum(snapshot, ".tasks_started") == tasks > len(stages)
     # Every task of a stage is an instance of the stage's one template.
     assert all(task.template is stage.template for stage in stages for task in stage.tasks)
+
+
+#: Tasks per stage, in fragment order, of every corpus statement on the
+#: 8-worker cluster: a scan stage has a task per worker its splits are
+#: seated on (6, 3 or 1 Hive files; one shard), a hash stage as many as
+#: the widest stage feeding it, and the root one.
+STAGE_WIDTHS = {
+    "q09": [6, 1],
+    "q18": [6, 1, 3, 6, 6, 1],
+    "q20": [6, 6, 1],
+    "q26": [1, 3, 6, 6, 1],
+    "q28": [6, 1],
+    "q35": [3, 1, 1, 1],
+    "q37": [1, 6, 6, 1],
+    "q44": [6, 6, 6, 6, 1],
+    "q50": [1, 6, 3, 6, 6, 1],
+    "q54": [3, 3, 3, 1],
+    "q60": [1, 1, 1, 6, 6, 1],
+    "q64": [6, 1, 3, 1, 6, 6, 1],
+    "q69": [1, 3, 1, 1, 1],
+    "q71": [1, 6, 3, 6, 6, 1],
+    "q73": [3, 1, 3, 3, 1],
+    "q76": [3, 6, 6, 1],
+    "q78": [6, 3, 6, 6, 1],
+    "q80": [1, 1, 1, 6, 3, 6, 6, 1],
+    "q82": [1, 6, 6, 1],
+    **{f"dev{i:02d}": [1, 1, 1] for i in range(30)},
+    "int00": [1, 1, 3, 3, 1],
+    "int01": [3, 1],
+    "int02": [3, 3, 1],
+    "int03": [1, 1, 3, 3, 1],
+    "int04": [1, 1, 3, 3, 1],
+    "int05": [3, 1],
+    "int06": [3, 3, 1],
+    "int07": [3, 3, 1],
+    "int08": [3, 3, 1],
+    "int09": [3, 1],
+}
+
+
+def test_every_stage_is_as_wide_as_its_splits(corpus_run):
+    """Stage width comes from the splits (cluster/query.py, "How many
+    tasks a stage gets"); the same run's rows are held to LocalEngine's
+    by test_corpus_results_equal_local_engine."""
+    _, cluster, results = corpus_run
+    widths = {
+        key: [len(stage.tasks) for stage in query.stages.values()]
+        for key, query in results.items()
+    }
+    assert widths == STAGE_WIDTHS
+    reasons: dict[str, int] = {}
+    for key, query in results.items():
+        for stage in query.stages.values():
+            reasons[stage.width_reason] = reasons.get(stage.width_reason, 0) + 1
+            if stage.fragment.partitioning == "source":
+                # Every enumeration ended within its first batch, so each
+                # task exists because a split was seated on its worker.
+                assert stage.width_reason == "narrowed", (key, stage.id)
+                assert all(task.split_log for task in stage.tasks), (key, stage.id)
+            elif stage.fragment.partitioning == "hash":
+                feeding = [
+                    len(query.stages[child].tasks)
+                    for source in stage.template.remote_sources
+                    for child in source
+                ]
+                assert len(stage.tasks) == max(feeding), (key, stage.id)
+    snapshot = cluster.stats_snapshot()
+    counted = {k.removeprefix("stage_width."): v for k, v in snapshot.items() if k.startswith("stage_width.")}
+    assert {k: v for k, v in counted.items() if v} == reasons
+    assert sum(counted.values()) == snapshot["exec.fragments_lowered"]
 
 
 def test_replacement_attempts_lower_nothing():
@@ -308,18 +380,19 @@ def test_woken_by_split_assigned():
 
 def test_woken_by_no_more_splits():
     """A leaf task that is assigned no split at all hears of the end of
-    the split stream, finishes, and sends the EOF its consumer needs."""
+    the split stream, finishes, and sends the EOF its consumer needs. A
+    table without files has no split; its scan stage still gets a task."""
+    from repro.workload.datasets import _load_table
+
     cluster = SimCluster(
-        ClusterConfig(worker_count=4, default_catalog="memory", default_schema="default")
+        ClusterConfig(worker_count=4, default_catalog="hive", default_schema="default")
     )
-    memory = MemoryConnector()
-    memory.create_table_with_data(
-        "memory", "default", "t", [("k", BIGINT)], [(i,) for i in range(10)]
-    )
-    cluster.register_catalog("memory", memory)
+    hive = HiveConnector(catalog_name="hive")
+    _load_table(hive, "hive", "default", "t", [("k", BIGINT)], [])
+    cluster.register_catalog("hive", hive)
     wakes = spy_wakes(cluster)
-    query = cluster.run_query("SELECT sum(k) FROM t")
-    assert query.rows() == [(45,)]
+    query = cluster.run_query("SELECT count(k) FROM t")
+    assert query.rows() == [(0,)]
     first = first_wakes(wakes)
     leaf = [
         first[t.task_id]
@@ -327,7 +400,7 @@ def test_woken_by_no_more_splits():
         for t in stage.tasks
         if t.scan_operators
     ]
-    assert any(f["splits"] == 0 and f["no_more_splits"] for f in leaf)
+    assert [(f["splits"], f["no_more_splits"]) for f in leaf] == [(0, True)]
 
 
 def test_woken_by_page_delivered():
@@ -443,7 +516,7 @@ def test_stalled_query_names_who_waits_on_what():
         cluster.run_query("SELECT returnflag, count(*) FROM lineitem GROUP BY 1")
     message = str(error.value)
     assert "did not complete (state=running)" in message
-    assert "stage 0:" in message and "stage 1:" in message
+    assert "stage 0 (width 2):" in message and "stage 1 (width 2):" in message
     assert "q0.1.0 parked on worker-0" in message
     assert "[ExchangeSource]" in message  # the consumer's blocked source
     assert math.isfinite(cluster.sim.now)

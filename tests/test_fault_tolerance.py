@@ -161,17 +161,65 @@ def test_crash_recovery_is_bit_exact(sql):
     cluster = ft_cluster()
     handle = cluster.submit(sql)
     cluster.sim.run(until_ms=1.0)
-    cluster.crash_worker("worker-1")
+    # A stage has tasks only where it has work: crash a node that holds
+    # some, other than the root task's.
+    placed = [t.worker.name for stage in handle.stages.values() for t in stage.tasks]
+    victim = max(placed)
+    assert victim != "worker-0"
+    cluster.crash_worker(victim)
     cluster.run()
     assert handle.state == "finished"
     assert handle.rows() == expected
-    assert cluster.tasks_recovered >= 1
+    assert cluster.tasks_recovered == placed.count(victim)
     # Recovered work landed on survivors only.
     assert all(
-        task.worker.name != "worker-1"
+        task.worker.name != victim
         for stage in handle.stages.values()
         for task in stage.tasks
     )
+
+
+def test_crash_of_a_worker_without_a_task_recovers_nothing():
+    """A narrow query leaves workers idle; losing one of those is
+    detected, costs the query nothing and recovers nothing."""
+    sql = RECOVERY_QUERIES[0]
+    # Heartbeats fast enough that the death is detected mid-query.
+    ft = FaultToleranceConfig(enabled=True, heartbeat_interval_ms=1.0, heartbeat_timeout_ms=3.0)
+    cluster = ft_cluster(ft, worker_count=8)
+    handle = cluster.submit(sql)
+    cluster.sim.run(until_ms=1.0)
+    placed = {t.worker.name for stage in handle.stages.values() for t in stage.tasks}
+    idle = sorted(set(cluster.workers) - placed)
+    assert idle
+    assert cluster.crash_worker(idle[0]) == []
+    cluster.sim.run(until_ms=8.0)
+    assert idle[0] in cluster.detector.detected_dead and handle.state == "running"
+    cluster.run()
+    assert handle.state == "finished"
+    assert handle.rows() == expected_rows(sql)
+    assert cluster.tasks_recovered == 0 and handle.tasks_recovered == 0
+
+
+def test_replacement_of_a_narrow_stage_task_may_land_outside_its_placement():
+    """Recovery puts a replacement on the least-loaded live worker,
+    whichever stage it belongs to: a narrow stage does not stay on the
+    workers it started on."""
+    sql = RECOVERY_QUERIES[1]
+    cluster = ft_cluster(worker_count=8)
+    handle = cluster.submit(sql)
+    cluster.sim.run(until_ms=1.0)
+    scan = handle.stages[0]
+    original = [worker.name for worker in scan.placement]
+    assert scan.width_reason == "narrowed" and len(original) < 8
+    victim = original[-1]
+    cluster.crash_worker(victim)
+    cluster.run()
+    assert handle.state == "finished"
+    assert handle.rows() == expected_rows(sql)
+    replacement = scan.tasks[-1]
+    assert replacement.attempt == 1
+    assert replacement.worker.name not in original
+    assert len(replacement.split_log) == 1  # its split was replayed there
 
 
 def test_double_crash_recovery():

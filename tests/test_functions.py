@@ -174,6 +174,12 @@ EDGE_ARGUMENTS = {
     "power_negative_to_fraction": ("power(-8, 0.5)", "power(minus * 8, 0.5)", _NAN),
     "exp_overflow": ("exp(1000)", "exp(big)", math.inf),
     "sqrt_negative": ("sqrt(-1)", "sqrt(minus)", _NAN),
+    # exec/compiler.py::arithmetic_fn, the vector arithmetic site
+    "add_overflow": ("1e308 + 1e308", "big * 1e305 + big * 1e305", math.inf),
+    "subtract_overflow": ("-1e308 - 1e308", "minus * 1e308 - big * 1e305", -math.inf),
+    "multiply_overflow": ("1e308 * 10", "big * 1e305 * 10", math.inf),
+    "divide_overflow": ("1e308 / 1e-308", "big * 1e305 / 1e-308", math.inf),
+    "inf_minus_inf": ("1e308 * 10 - 1e308 * 10", "big * 1e308 - big * 1e308", _NAN),
     "chr_negative": ("chr(-1)", "chr(minus)", _TYPED),
     "split_empty_delimiter": ("split('a,b', '')", "split('a,b', empty)", _TYPED),
     "split_part_empty_delimiter": ("split_part('a,b', '', 1)", "split_part('a,b', empty, 1)", _TYPED),

@@ -50,31 +50,47 @@ def expected_rows(sql: str = SQL) -> list[tuple]:
     return spool_cluster(FaultToleranceConfig(enabled=False)).run_query(sql).rows()
 
 
-def _run_until_drained_on(cluster, handle, worker_name: str):
-    """Step the simulation until some producer on ``worker_name`` has a
-    fully drained, spooled output stream while the query still runs.
-    Returns the drained producer keys."""
+def consumer_worker(handle) -> str:
+    """A worker off the root task's node that runs a task reading an
+    exchange: a query cannot finish without reaching it. (A stage has
+    tasks only where it has work, so not every worker is one.)"""
+    return next(
+        task.worker.name
+        for stage in handle.stages.values()
+        for task in stage.tasks
+        if task.exchange_clients and task.worker.name != "worker-0"
+    )
+
+
+def _run_until_drained(cluster, handle):
+    """Step the simulation until some worker holds a producer whose
+    output stream is fully drained and spooled while the query still
+    runs. Returns the drained producer tasks on that worker."""
     for _ in range(200_000):
         if not cluster.sim.step():
             break
-        drained = [
-            task.producer_key
-            for stage in handle.stages.values()
-            for task in stage.tasks
-            if task.worker.name == worker_name
-            and task.output_buffer.finished
-            and all(
-                task.output_buffer.is_drained(p)
-                for p in range(task.output_buffer.partition_count)
-            )
-            and cluster.spool.segment_count(
-                handle.query_id, task.producer_key, 0
-            )
-            > 0
-        ]
+        drained: dict[str, list] = {}
+        for stage in handle.stages.values():
+            for task in stage.tasks:
+                buffer = task.output_buffer
+                if (
+                    buffer.finished
+                    and all(buffer.is_drained(p) for p in range(buffer.partition_count))
+                    and cluster.spool.segment_count(handle.query_id, task.producer_key, 0) > 0
+                ):
+                    drained.setdefault(task.worker.name, []).append(task)
         if drained and handle.state == "running":
-            return drained
+            return min(drained.items())[1]
     raise AssertionError("no drained spooled stream materialized")
+
+
+def _crash_producer_then_consumer(cluster, handle, producers) -> None:
+    """Crash the node of ``producers``, then the node of the task that
+    read partition 0 of the first one's output."""
+    consumer_stage_id, _ = handle._consumers[producers[0].fragment.id]
+    consumer = handle.stages[consumer_stage_id].tasks[0]
+    cluster.crash_worker(producers[0].worker.name)
+    cluster.crash_worker(consumer.worker.name)
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +151,18 @@ def test_one_way_partition_detects_readmits_and_fences():
     cluster = spool_cluster()
     handle = cluster.submit(SQL)
     cluster.sim.run(until_ms=1.0)
-    cluster.partition_worker("worker-1", one_way=True)
+    cut_off = consumer_worker(handle)
+    cluster.partition_worker(cut_off, one_way=True)
     cluster.sim.run(until_ms=400.0)
-    assert not cluster.detector.believes_alive("worker-1")
-    cluster.heal_partition("worker-1")
+    assert not cluster.detector.believes_alive(cut_off)
+    cluster.heal_partition(cut_off)
     cluster.run()
     stats = cluster.stats_snapshot()
     assert handle.state == "finished"
     assert handle.rows() == expected_rows()
     assert stats["ft.workers_readmitted"] == 1
     assert stats["ft.stale_tasks_fenced"] >= 1
-    assert cluster.detector.believes_alive("worker-1")
+    assert cluster.detector.believes_alive(cut_off)
 
 
 def test_partition_drops_data_plane_deliveries():
@@ -154,9 +171,10 @@ def test_partition_drops_data_plane_deliveries():
     cluster = spool_cluster()
     handle = cluster.submit(SQL)
     cluster.sim.run(until_ms=1.0)
-    cluster.partition_worker("worker-1")
+    cut_off = consumer_worker(handle)
+    cluster.partition_worker(cut_off)
     cluster.sim.run(until_ms=400.0)
-    cluster.heal_partition("worker-1")
+    cluster.heal_partition(cut_off)
     cluster.run()
     assert handle.state == "finished"
     assert handle.rows() == expected_rows()
@@ -170,16 +188,17 @@ def test_partition_healed_mid_replay_stays_exact():
     cluster = spool_cluster()
     handle = cluster.submit(SQL)
     cluster.sim.run(until_ms=1.0)
-    cluster.partition_worker("worker-1", one_way=True)
+    cut_off = consumer_worker(handle)
+    cluster.partition_worker(cut_off, one_way=True)
     # Step until detection fires, then heal immediately: re-admission
     # lands while the replacement attempts are still replaying.
     for _ in range(200_000):
         if not cluster.sim.step():
             break
-        if not cluster.detector.believes_alive("worker-1"):
+        if not cluster.detector.believes_alive(cut_off):
             break
     assert handle.state == "running"
-    cluster.heal_partition("worker-1")
+    cluster.heal_partition(cut_off)
     cluster.run()
     assert handle.state == "finished"
     assert handle.rows() == expected_rows()
@@ -229,10 +248,10 @@ def test_drained_then_killed_producer_served_from_spool():
     drained producer."""
     cluster = spool_cluster()
     handle = cluster.submit(SQL)
-    drained = _run_until_drained_on(cluster, handle, "worker-1")
+    producers = _run_until_drained(cluster, handle)
+    drained = [task.producer_key for task in producers]
     attempts_before = dict(handle._attempts)
-    cluster.crash_worker("worker-1")  # the drained producer's node
-    cluster.crash_worker("worker-0")  # its consumer (root) node
+    _crash_producer_then_consumer(cluster, handle, producers)
     cluster.run()
     stats = cluster.stats_snapshot()
     assert handle.state == "finished"
@@ -254,12 +273,12 @@ def test_spool_checksum_mismatch_falls_back_to_lineage_replay():
     the producer via lineage — still finishing bit-exactly."""
     cluster = spool_cluster()
     handle = cluster.submit(SQL)
-    drained = _run_until_drained_on(cluster, handle, "worker-1")
+    producers = _run_until_drained(cluster, handle)
+    drained = [task.producer_key for task in producers]
     for key in list(cluster.spool._segments):
         cluster.spool.corrupt(*key)
     attempts_before = dict(handle._attempts)
-    cluster.crash_worker("worker-1")
-    cluster.crash_worker("worker-0")
+    _crash_producer_then_consumer(cluster, handle, producers)
     cluster.run()
     stats = cluster.stats_snapshot()
     assert handle.state == "finished"

@@ -491,12 +491,24 @@ engine = LocalEngine()
 engine.register_catalog("memory", connector)
 print(engine.execute("SELECT checksum(s), approx_distinct(s) FROM t").rows)
 main(["--partitions", "1", "--one-way"])  # three campaigns, ~65 retried transfers
+
+# The plan fingerprint of every corpus statement, as cluster EXPLAIN shows it.
+from tests.cluster_corpus import build_cluster, build_connectors, statements
+
+cluster = build_cluster(build_connectors())
+for key, catalog, sql in statements():
+    explained = cluster._front_end(catalog).explain_sql(sql)
+    print(key, *(line for line in explained.splitlines() if "fingerprint" in line))
 """
 
 
 def test_answers_and_chaos_counts_do_not_depend_on_the_hash_seed():
     def start(hash_seed: str) -> subprocess.Popen:
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(SRC), str(REPO_ROOT)]),
+            PYTHONHASHSEED=hash_seed,
+        )
         return subprocess.Popen(
             [sys.executable, "-c", HASH_SEED_PROBE],
             env=env,
@@ -512,6 +524,8 @@ def test_answers_and_chaos_counts_do_not_depend_on_the_hash_seed():
         # The closing summary line carries wall-clock seconds.
         outputs.append([l for l in stdout.splitlines() if "campaign(s)" not in l])
     assert outputs[0] == outputs[1]
-    answer, *campaigns = outputs[0]
+    answer, *campaigns = outputs[0][:4]
     assert answer == "[(34623264967007, 2)]"
     assert len(campaigns) == 3 and all(line.startswith("PASS ") for line in campaigns)
+    fingerprints = outputs[0][4:]
+    assert len(fingerprints) == 59 and all("(fingerprint " in line for line in fingerprints)
