@@ -8,7 +8,9 @@ margin on bulk evaluation.
 
 Reproduction: the same row expressions evaluated over pages by (a) the
 compiled vectorized evaluator (our "codegen", Sec. V-B analog) and (b)
-the interpreter. Asserts the compiled path is at least 5x faster on the
+the tree-walking interpreter, which like the paper's is kept for tests
+only: it is the fuzz oracle's evaluator (``repro.fuzz.interpreter``).
+Asserts the compiled path is at least 5x faster on the
 arithmetic/comparison suite.
 """
 
@@ -19,9 +21,9 @@ import time
 import pytest
 
 from benchmarks.conftest import print_table, save_results
-from repro.exec import interpreter
 from repro.exec.compiler import compile_expression
 from repro.exec.page import page_from_rows
+from repro.fuzz import interpreter
 from repro.planner import expressions as ir
 from repro.planner.symbols import Symbol
 from repro.types import BIGINT, BOOLEAN, DOUBLE, VARCHAR

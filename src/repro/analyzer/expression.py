@@ -515,6 +515,6 @@ class SubqueryPlanner:
 def _coerce_constant(value, target: Type):
     if value is None:
         return None
-    from repro.exec.interpreter import cast_value
+    from repro.exec.compiler import cast_value
 
     return cast_value(value, target)

@@ -108,6 +108,12 @@ class InvalidCastError(UserError):
     code = "INVALID_CAST_ARGUMENT"
 
 
+class NumericValueOutOfRangeError(UserError):
+    """An integral result does not fit BIGINT (SQLSTATE 22003)."""
+
+    code = "NUMERIC_VALUE_OUT_OF_RANGE"
+
+
 class ExceededMemoryLimitError(PrestoError):
     """Query exceeded its per-node or global user memory limit (Sec. IV-F2).
 

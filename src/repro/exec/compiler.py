@@ -10,20 +10,27 @@ paper's generated code, a compiled expression:
 - handles constants, function calls, variable references, and lazy or
   short-circuiting operations natively (CASE/IF branches are evaluated
   only on the rows they cover, preserving error semantics);
-- avoids per-row interpretive dispatch (the interpreter in
-  :mod:`repro.exec.interpreter` is the "much too slow" baseline);
+- avoids per-row interpretive dispatch (the paper's "much too slow"
+  tree-walking interpreter is only the fuzz oracle's evaluator);
 - touches only the input channels it references, which preserves the
   benefit of lazy blocks (Sec. V-D).
+
+It is the engine's only evaluator: plan-time constants run through
+:func:`compile_row`, so a folded constant answers what the same
+expression answers over a column, BIGINT range checks included.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import DivisionByZeroError, PrestoError
-from repro.exec import interpreter
+from repro.errors import DivisionByZeroError, InvalidCastError, InvalidFunctionArgumentError
+from repro.errors import NumericValueOutOfRangeError, PrestoError
 from repro.exec.blocks import (
     Block,
     ObjectBlock,
@@ -33,11 +40,108 @@ from repro.exec.blocks import (
 )
 from repro.exec.page import Page
 from repro.planner import expressions as ir
-from repro.types import BIGINT, BOOLEAN, DOUBLE, INTEGER, VARCHAR, Type
+from repro.types import BIGINT, BOOLEAN, DOUBLE, INTEGER, VARCHAR, ArrayType, MapType, Type
+from repro.types.types import BIGINT_MAX, BIGINT_MIN, checked_bigint
 
 # A column during evaluation: (values, nulls). values is an np.ndarray for
 # primitive types and a python list for object types; nulls is np.bool_[n].
 Col = tuple[object, np.ndarray]
+
+_COMPARATORS = {"=": operator.eq, "<>": operator.ne, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+# ===========================================================================
+# Scalar semantics: BIGINT range, arithmetic, CAST, LIKE
+# ===========================================================================
+
+
+def apply_arithmetic(op: str, left, right, result_type: Type):
+    """One arithmetic operator on two non-NULL values. Integer ``/`` and
+    ``%`` truncate toward zero, exactly; an integral result must fit."""
+    if op in _ARITHMETIC:
+        result = _ARITHMETIC[op](left, right)
+        return checked_bigint(result) if result_type.is_integral else result
+    if op not in ("/", "%"):
+        raise PrestoError(f"Unknown arithmetic operator: {op}")
+    if right == 0 and (op == "%" or result_type.is_integral):
+        raise DivisionByZeroError("Division by zero")
+    if not result_type.is_integral:
+        if op == "%":
+            return math.fmod(left, right)
+        if right == 0:
+            return math.nan if left == 0 else (math.inf if left > 0 else -math.inf)
+        return left / right
+    magnitude = abs(left) // abs(right) if op == "/" else abs(left) % abs(right)
+    negative = (left < 0) != (right < 0) if op == "/" else left < 0
+    return checked_bigint(-magnitude if negative else magnitude)
+
+
+def cast_value(value, target: Type, safe: bool = False):
+    """CAST of one value; ``safe`` (TRY_CAST) answers NULL for a value
+    the target cannot hold."""
+    if value is None:
+        return None
+    try:
+        if target in (BIGINT, INTEGER):
+            if isinstance(value, float):
+                if math.isnan(value) or math.isinf(value):
+                    raise InvalidCastError(f"Cannot cast {value} to bigint")
+                value = int(value + 0.5) if value >= 0 else -int(-value + 0.5)
+            elif isinstance(value, str):
+                value = int(value.strip())
+            return checked_bigint(int(value))
+        if target == DOUBLE:
+            if isinstance(value, str):
+                return float(value.strip())
+            return float(value)
+        if target == VARCHAR:
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return repr(value)
+            return str(value)
+        if target == BOOLEAN:
+            if isinstance(value, str):
+                lowered = value.strip().lower()
+                if lowered in ("true", "t", "1"):
+                    return True
+                if lowered in ("false", "f", "0"):
+                    return False
+                raise InvalidCastError(f"Cannot cast {value!r} to boolean")
+            return bool(value)
+        if isinstance(target, ArrayType):
+            return [cast_value(v, target.element, safe) for v in value]
+        if isinstance(target, MapType):
+            return {
+                cast_value(k, target.key, safe): cast_value(v, target.value, safe)
+                for k, v in value.items()
+            }
+        if target.name in ("date", "timestamp"):
+            if isinstance(value, str):
+                from repro.functions.scalars import _parse_date
+
+                days = _parse_date(value.split(" ")[0])
+                return days if target.name == "date" else days * 86_400_000
+            return int(value)
+        return value
+    except (ValueError, TypeError) as exc:
+        if safe:
+            return None
+        raise InvalidCastError(f"Cannot cast {value!r} to {target}: {exc}")
+    except (InvalidCastError, NumericValueOutOfRangeError):
+        if safe:
+            return None
+        raise
+
+
+def like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
+    """Translate a SQL LIKE pattern to an anchored regex."""
+    tokens = re.findall(f"{re.escape(escape)}.|." if escape else ".", pattern, re.DOTALL)
+    wildcards = {"%": ".*", "_": "."}
+    body = "".join(wildcards.get(t) or re.escape(t[-1]) for t in tokens)
+    return re.compile(f"^{body}$", re.DOTALL)
 
 
 class EvalContext:
@@ -125,7 +229,7 @@ class CompiledExpression:
         self.type = expr.type
         self.layout = layout
         self._page_fn = _compile_vector(expr, layout)
-        self._row_fn = _compile_row(expr, layout)
+        self._row_fn = _row(expr, layout, {})
 
     def evaluate_context(self, ctx: EvalContext) -> Col:
         return self._page_fn(ctx)
@@ -143,11 +247,11 @@ def compile_expression(
 ) -> CompiledExpression:
     """Compile ``expr``; variables resolve positionally in ``input_symbols``
     (a list of Symbols or symbol names defining the channel layout)."""
-    layout: dict[str, int] = {}
-    for i, symbol in enumerate(input_symbols):
-        name = symbol if isinstance(symbol, str) else symbol.name
-        layout[name] = i
-    return CompiledExpression(expr, layout)
+    return CompiledExpression(expr, _layout(input_symbols))
+
+
+def _layout(input_symbols: Sequence) -> dict[str, int]:
+    return {getattr(symbol, "name", symbol): i for i, symbol in enumerate(input_symbols)}
 
 
 # ===========================================================================
@@ -155,8 +259,12 @@ def compile_expression(
 # ===========================================================================
 
 
-def _compile_row(expr: ir.RowExpression, layout: dict[str, int]) -> Callable:
-    return _row(expr, layout, {})
+def compile_row(expr: ir.RowExpression, input_symbols: Sequence = ()) -> Callable:
+    """``expr`` as a closure over one row (a sequence laid out like
+    ``input_symbols``, Symbols or names), without the vector closure
+    :func:`compile_expression` also builds: what plan-time evaluation
+    of a constant, a NULL probe or a ``VALUES`` cell calls."""
+    return _row(expr, _layout(input_symbols), {})
 
 
 def _row(expr: ir.RowExpression, layout: dict[str, int], env_slots: dict[str, list]):
@@ -260,7 +368,7 @@ def _row_special(expr: ir.SpecialForm, layout, env):  # noqa: C901
         fn = fns[0]
         return lambda row: fn(row) is None
     if form == ir.COMPARISON:
-        compare = interpreter._COMPARATORS[expr.form_data]
+        compare = _COMPARATORS[expr.form_data]
         left, right = fns
         def cmp_fn(row):
             a = left(row)
@@ -292,10 +400,12 @@ def _row_special(expr: ir.SpecialForm, layout, env):  # noqa: C901
             b = right(row)
             if b is None:
                 return None
-            return interpreter.apply_arithmetic(op, a, b, result_type)
+            return apply_arithmetic(op, a, b, result_type)
         return arith_fn
     if form == ir.NEGATE:
         fn = fns[0]
+        if expr.type.is_integral:
+            return lambda row: (lambda v: None if v is None else checked_bigint(-v))(fn(row))
         return lambda row: (lambda v: None if v is None else -v)(fn(row))
     if form == ir.IF:
         cond, then, otherwise = fns
@@ -370,18 +480,20 @@ def _row_special(expr: ir.SpecialForm, layout, env):  # noqa: C901
         if safe:
             def try_cast_fn(row):
                 try:
-                    return interpreter.cast_value(fn(row), target, safe=True)
+                    return cast_value(fn(row), target, safe=True)
                 except PrestoError:
                     return None
             return try_cast_fn
-        return lambda row: interpreter.cast_value(fn(row), target, safe=False)
+        return lambda row: cast_value(fn(row), target, safe=False)
     if form == ir.LIKE:
         value_fn = fns[0]
         if isinstance(expr.arguments[1], ir.Constant):
             escape = None
             if len(expr.arguments) > 2 and isinstance(expr.arguments[2], ir.Constant):
                 escape = expr.arguments[2].value
-            regex = interpreter.like_to_regex(expr.arguments[1].value or "", escape)
+            if expr.arguments[1].value is None:
+                return lambda row: None
+            regex = like_to_regex(expr.arguments[1].value, escape)
             def like_const_fn(row):
                 v = value_fn(row)
                 if v is None:
@@ -396,7 +508,7 @@ def _row_special(expr: ir.SpecialForm, layout, env):  # noqa: C901
             if v is None or p is None:
                 return None
             e = escape_fn(row) if escape_fn else None
-            return interpreter.like_to_regex(p, e).match(v) is not None
+            return like_to_regex(p, e).match(v) is not None
         return like_fn
     if form == ir.DEREFERENCE:
         fn = fns[0]
@@ -411,8 +523,6 @@ def _row_special(expr: ir.SpecialForm, layout, env):  # noqa: C901
                 return None
             if isinstance(base, dict):
                 return base.get(index)
-            from repro.errors import InvalidFunctionArgumentError
-
             if not 1 <= index <= len(base):
                 raise InvalidFunctionArgumentError(
                     f"Array subscript {index} out of bounds (size {len(base)})"
@@ -578,6 +688,14 @@ def _vector_special(expr: ir.SpecialForm, layout) -> Callable:  # noqa: C901
         return is_null_fn
     if form == ir.NEGATE:
         inner = _compile_vector(expr.arguments[0], layout)
+        if expr.type.is_integral:
+
+            def negate_integral(ctx):
+                values, nulls = inner(ctx)
+                _check_int64(values == BIGINT_MIN, nulls, lambda i: -int(values[i]))
+                return -values, nulls
+
+            return negate_integral
         if is_primitive_type(expr.type):
             return lambda ctx: (lambda col: (-col[0], col[1]))(inner(ctx))
         return _rowwise(expr, layout)
@@ -636,19 +754,32 @@ def _vector_arithmetic(expr: ir.SpecialForm, layout) -> Callable:
         lv, ln = left_fn(ctx)
         rv, rn = right_fn(ctx)
         nulls = _combine_nulls([ln, rn], ctx.count)
-        # Doubles answer IEEE inf / nan, without numpy's RuntimeWarning.
+        # Doubles answer IEEE inf / nan, without numpy's RuntimeWarning;
+        # an integral result that wraps raises instead.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if op == "+":
-                return lv + rv, nulls
+                out = lv + rv
+                if integral:
+                    # Overflow iff both operands' signs differ from the sum's.
+                    _check_int64(((lv ^ out) & (rv ^ out)) < 0, nulls,
+                                 lambda i: int(lv[i]) + int(rv[i]))
+                return out, nulls
             if op == "-":
-                return lv - rv, nulls
+                out = lv - rv
+                if integral:
+                    _check_int64(((lv ^ rv) & (lv ^ out)) < 0, nulls,
+                                 lambda i: int(lv[i]) - int(rv[i]))
+                return out, nulls
             if op == "*":
+                if integral:
+                    _check_int64_product(lv, rv, nulls)
                 return lv * rv, nulls
             if op == "/":
                 if integral:
                     zero_div = (rv == 0) & ~nulls
                     if zero_div.any():
                         raise DivisionByZeroError("Division by zero")
+                    _check_int64((lv == BIGINT_MIN) & (rv == -1), nulls, lambda i: -BIGINT_MIN)
                     safe_rv = np.where(rv == 0, 1, rv)
                     quotient = np.abs(lv) // np.abs(safe_rv)
                     sign = np.where((lv >= 0) == (rv >= 0), 1, -1)
@@ -663,6 +794,31 @@ def _vector_arithmetic(expr: ir.SpecialForm, layout) -> Callable:
         raise PrestoError(f"Unknown arithmetic operator: {op}")
 
     return arithmetic_fn
+
+
+def _check_int64(wrapped: np.ndarray, nulls: np.ndarray, exact: Callable) -> None:
+    """Raise for the first non-NULL row flagged in ``wrapped``;
+    ``exact(i)`` is that row's true (Python int) result."""
+    if wrapped.any():
+        rows = np.flatnonzero(wrapped & ~nulls)
+        if len(rows):
+            checked_bigint(exact(rows[0]))
+
+
+def _check_int64_product(lv: np.ndarray, rv: np.ndarray, nulls: np.ndarray) -> None:
+    """Exact overflow check for an int64 product. The operands' extremes
+    clear almost every page; otherwise a float estimate (relative error
+    ~1e-16, far inside the 2x margin) picks the candidates, and Python
+    ints decide each one."""
+    if not len(lv):
+        return
+    left = max(-int(lv.min()), int(lv.max()))
+    right = max(-int(rv.min()), int(rv.max()))
+    if left * right <= BIGINT_MAX:
+        return
+    estimate = np.abs(lv.astype(np.float64) * rv.astype(np.float64))
+    for i in np.flatnonzero((estimate >= 2.0**62) & ~nulls):
+        checked_bigint(int(lv[i]) * int(rv[i]))
 
 
 _NUMPY_COMPARATORS = {
@@ -692,7 +848,7 @@ def _vector_comparison(expr: ir.SpecialForm, layout) -> Callable:
 
         return primitive_cmp
     if operand_type == VARCHAR:
-        scalar_cmp = interpreter._COMPARATORS[op]
+        scalar_cmp = _COMPARATORS[op]
 
         def varchar_cmp(ctx):
             lv, ln = left_fn(ctx)
@@ -878,14 +1034,14 @@ def _vector_cast(expr: ir.SpecialForm, layout) -> Callable:
         if target in (BIGINT, INTEGER) and source_type == DOUBLE:
             def to_int(ctx):
                 values, nulls = inner(ctx)
-                finite = np.where(np.isfinite(values), values, 0.0)
-                rounded = np.where(finite >= 0, finite + 0.5, finite - 0.5).astype(np.int64)
-                bad = ~np.isfinite(values) & ~nulls
-                if bad.any():
-                    from repro.errors import InvalidCastError
-
-                    raise InvalidCastError("Cannot cast non-finite double to bigint")
-                return rounded, nulls
+                # NaN fails both comparisons; -2**63 is exact, 2**63 is not.
+                fits = (values >= -(2.0**63)) & (values < 2.0**63)
+                bad = np.flatnonzero(~fits & ~nulls)
+                if len(bad):
+                    cast_value(float(values[bad[0]]), target)  # raises the row's error
+                fitting = np.where(fits, values, 0.0)
+                rounded = np.where(fitting >= 0, fitting + 0.5, fitting - 0.5)
+                return rounded.astype(np.int64), nulls
             return to_int
         if target in (BIGINT, INTEGER) and source_type.is_integral:
             return inner
@@ -897,9 +1053,9 @@ def _vector_cast(expr: ir.SpecialForm, layout) -> Callable:
 
 
 def _vector_like(expr: ir.SpecialForm, layout) -> Callable:
-    if not isinstance(expr.arguments[1], ir.Constant):
+    if not isinstance(expr.arguments[1], ir.Constant) or expr.arguments[1].value is None:
         return _rowwise(expr, layout)
-    pattern = expr.arguments[1].value or ""
+    pattern = expr.arguments[1].value
     escape = None
     if len(expr.arguments) > 2 and isinstance(expr.arguments[2], ir.Constant):
         escape = expr.arguments[2].value
@@ -919,10 +1075,10 @@ def _vector_like(expr: ir.SpecialForm, layout) -> Callable:
         elif leading:
             check = lambda s, _b=body: s.endswith(_b)  # noqa: E731
         else:
-            regex = interpreter.like_to_regex(pattern, escape)
+            regex = like_to_regex(pattern, escape)
             check = lambda s, _r=regex: _r.match(s) is not None  # noqa: E731
     else:
-        regex = interpreter.like_to_regex(pattern, escape)
+        regex = like_to_regex(pattern, escape)
         check = lambda s, _r=regex: _r.match(s) is not None  # noqa: E731
 
     def like_fn(ctx: EvalContext) -> Col:

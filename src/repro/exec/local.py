@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from repro.catalog.metadata import Metadata
 from repro.errors import NotSupportedError, PrestoError
 from repro.exec.blocks import make_block
-from repro.exec.compiler import compile_expression
+from repro.exec.compiler import compile_expression, compile_row
 from repro.exec.driver import Driver, run_drivers_to_completion
 from repro.exec.dynamic_filters import DynamicFilterRegistry
 from repro.exec.operator import Operator, StreamingOperator, row_fallback_counts
@@ -60,7 +60,6 @@ from repro.exec.operators.sorting import (
 from repro.exec.page import Page, page_from_rows
 from repro.exec.page_processor import PageProcessor
 from repro.exec.pipeline import FusionReport, fuse, fusible_prefix
-from repro.exec import interpreter
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 from repro.planner.symbols import Symbol
@@ -296,9 +295,7 @@ class LocalExecutionPlanner:
         ]
 
     def _visit_ValuesNode(self, node: plan.ValuesNode):
-        rows = [
-            tuple(interpreter.evaluate(e, {}) for e in row) for row in node.rows
-        ]
+        rows = [tuple(compile_row(e)(()) for e in row) for row in node.rows]
         types = [s.type for s in node.outputs]
         if node.outputs:
             pages = [page_from_rows(types, rows)] if rows else []

@@ -23,6 +23,7 @@ from repro.types import (
     VARCHAR,
     Type,
 )
+from repro.types.types import checked_bigint
 
 
 def _sig(name: str, args: list[Type], ret: Type) -> Signature:
@@ -58,13 +59,19 @@ def register(registry: FunctionRegistry) -> None:
         output=lambda state: state,
     )
 
-    for in_type, out_type in ((BIGINT, BIGINT), (DOUBLE, DOUBLE)):
+    # A BIGINT sum's partial states are Python ints, exact at any size;
+    # only the final value must fit BIGINT, so the answer cannot depend
+    # on page order, plan shape or a recovery replay.
+    for in_type, out_type, output in (
+        (BIGINT, BIGINT, lambda state: None if state is None else checked_bigint(state)),
+        (DOUBLE, DOUBLE, lambda state: state),
+    ):
         aggregate(
             "sum", [in_type], out_type,
             create=lambda: None,
             add=lambda state, x: x if state is None else state + x,
             combine=_nullable_add,
-            output=lambda state: state,
+            output=output,
         )
 
     aggregate(

@@ -31,6 +31,7 @@ from repro.types import (
     FunctionType,
     Type,
 )
+from repro.types.types import checked_bigint
 
 _MS_PER_DAY = 86_400_000
 _MS_PER_HOUR = 3_600_000
@@ -65,7 +66,7 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
         )
 
     # ---- math ----------------------------------------------------------------
-    scalar("abs", [BIGINT], BIGINT, abs, numpy_impl=np.abs)
+    scalar("abs", [BIGINT], BIGINT, lambda x: checked_bigint(abs(x)), numpy_impl=_abs_bigint)
     scalar("abs", [DOUBLE], DOUBLE, abs, numpy_impl=np.abs)
     scalar("ceil", [DOUBLE], BIGINT, lambda x: int(math.ceil(x)))
     scalar("ceiling", [DOUBLE], BIGINT, lambda x: int(math.ceil(x)))
@@ -295,6 +296,13 @@ def _ieee(ufunc):
             return ufunc(*arrays)
 
     return quiet
+
+
+def _abs_bigint(values: np.ndarray) -> np.ndarray:
+    out = np.abs(values)
+    if (out < 0).any():  # only BIGINT_MIN has no positive counterpart
+        checked_bigint(-int(out[np.flatnonzero(out < 0)[0]]))
+    return out
 
 
 def _sqrt(x: float) -> float:

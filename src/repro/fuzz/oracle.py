@@ -3,11 +3,13 @@
 Ground truth for differential fuzzing. The oracle takes the *analyzed,
 unoptimized* logical plan and evaluates it with plain Python lists and
 nested loops — no optimizer, no blocks, no compiled expressions, no
-operators. Expressions are evaluated through
-:mod:`repro.exec.interpreter` (the engine's single shared definition of
-scalar semantics); everything relational — joins, aggregation, windows,
-sorting, set operations — is independently re-implemented here in the
-most obvious way possible.
+operators. Expressions are evaluated by the oracle's own tree-walking
+:mod:`repro.fuzz.interpreter`, not by the engine's compiler; everything
+relational — joins, aggregation, windows, sorting, set operations — is
+independently re-implemented here in the most obvious way possible.
+It still shares the analyzer and planner, function implementations and
+aggregate objects with the engine, so it range-checks every integral
+value it produces, aggregate results included.
 
 Semantics contract (what the engines must agree with):
 
@@ -27,7 +29,7 @@ import functools
 
 from repro.catalog.metadata import Metadata
 from repro.errors import NotSupportedError, SemanticError
-from repro.exec import interpreter
+from repro.fuzz import interpreter
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 from repro.planner.planner import LogicalPlanner, SessionContext
@@ -177,6 +179,7 @@ class _PlanEvaluator:
         symbols, rows = self.eval(node.source)
         key_channels = [self._channel(symbols, s) for s in node.group_by]
         calls = list(node.aggregations.values())
+        types = [symbol.type for symbol in node.aggregations]
         arg_channels = [
             [
                 self._channel(symbols, a.to_symbol())
@@ -229,7 +232,7 @@ class _PlanEvaluator:
                 state = call.function.create()
                 for args in collected:
                     state = call.function.add(state, *args)
-                values.append(call.function.output(state))
+                values.append(interpreter.checked(call.function.output(state), types[i]))
             out_rows.append(key + tuple(values))
         out_symbols = list(node.group_by) + list(node.aggregations.keys())
         return out_symbols, out_rows
@@ -381,7 +384,10 @@ class _PlanEvaluator:
                 ]
                 args = [tuple(row[c] for c in arg_channels) for row in partition]
                 columns.append(
-                    self._window_values(call, node, args, peers, n)
+                    [
+                        interpreter.checked(value, out_symbol.type)
+                        for value in self._window_values(call, node, args, peers, n)
+                    ]
                 )
             for i, row in enumerate(partition):
                 out_rows.append(row + tuple(col[i] for col in columns))

@@ -2,8 +2,8 @@
 
 Executes one fuzz case through every engine configuration of
 ``CONFIGS`` and compares each result against the reference oracle,
-which evaluates every expression through the tree-walking
-:mod:`repro.exec.interpreter` — so each configuration is also a
+which evaluates every expression through its own tree-walking
+:mod:`repro.fuzz.interpreter` — so each configuration is also a
 compiler-vs-interpreter differential.
 
 A configuration is a row of one table: a value on each axis of ``AXES``

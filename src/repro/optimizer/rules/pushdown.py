@@ -93,13 +93,11 @@ def _null_rejecting(conjunct: ir.RowExpression, symbols: set[str]) -> bool:
         # for the other side. Be conservative.
         return False
     from repro.errors import PrestoError
-    from repro.exec import interpreter
+    from repro.exec.compiler import compile_row
 
     try:
-        value = interpreter.evaluate(conjunct, {name: None for name in referenced})
+        value = compile_row(conjunct, sorted(referenced))((None,) * len(referenced))
     except PrestoError:
-        return False
-    except Exception:
         return False
     return value is not True
 

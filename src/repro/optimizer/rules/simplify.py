@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import PrestoError
-from repro.exec import interpreter
+from repro.exec.compiler import compile_row
 from repro.planner import expressions as ir
 from repro.planner import nodes as plan
 from repro.types import BOOLEAN
@@ -28,11 +28,9 @@ def fold_constants(expr: ir.RowExpression) -> ir.RowExpression:
 
 def _try_evaluate(node: ir.RowExpression) -> ir.Constant | None:
     try:
-        value = interpreter.evaluate(node, {})
+        value = compile_row(node)(())
     except PrestoError:
         return None  # leave runtime errors to execution time
-    except Exception:
-        return None
     return ir.Constant(node.type, value)
 
 

@@ -209,7 +209,10 @@ def decorrelate_scalar(
 
     # Fold the peeled layers over the aggregation's empty-input row to
     # learn what the subquery yields when an outer row has no matches.
-    from repro.exec import interpreter
+    from repro.exec.compiler import compile_row
+
+    def evaluate(expression: ir.RowExpression, bindings: dict[str, object]):
+        return compile_row(expression, list(bindings))(tuple(bindings.values()))
 
     bindings: dict[str, object] = {}
     for symbol, call in agg.aggregations.items():
@@ -219,7 +222,7 @@ def decorrelate_scalar(
     try:
         for kind, payload in reversed(layers):
             if kind == "filter":
-                if interpreter.evaluate(payload, bindings) is not True:
+                if evaluate(payload, bindings) is not True:
                     # HAVING rejects the empty-input row: the subquery
                     # returns no row, i.e. plain NULL — exactly what
                     # the LEFT join produces. Nothing to patch.
@@ -227,7 +230,7 @@ def decorrelate_scalar(
                     break
             else:
                 bindings = {
-                    symbol.name: interpreter.evaluate(expression, bindings)
+                    symbol.name: evaluate(expression, bindings)
                     for symbol, expression in payload.items()
                 }
         if empty_is_row:

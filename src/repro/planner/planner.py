@@ -17,6 +17,7 @@ from repro.analyzer.scope import Field, Scope
 from repro.catalog.metadata import Metadata, TableHandle
 from repro.errors import (
     NotSupportedError,
+    PrestoError,
     SemanticError,
     TableNotFoundError,
     TypeError_,
@@ -175,6 +176,7 @@ class LogicalPlanner:
 
     def _plan_ctas(self, statement: ast.CreateTableAsSelect) -> Plan:
         from repro.catalog import Column, QualifiedTableName, TableMetadata
+        from repro.exec.compiler import compile_row
 
         query_plan = self.plan_query(statement.query)
         catalog, schema, table = self.session.qualify(statement.name)
@@ -188,10 +190,8 @@ class LogicalPlanner:
             analyzer = ExpressionAnalyzer(Scope.empty(), self.registry)
             value = analyzer.analyze(value_expr)
             try:
-                from repro.exec.interpreter import evaluate
-
-                properties[key] = evaluate(value, {})
-            except Exception:
+                properties[key] = compile_row(value)(())
+            except PrestoError:
                 raise SemanticError(f"Table property {key} must be a constant")
         table_metadata = TableMetadata(
             QualifiedTableName(catalog, schema, table), tuple(columns), properties

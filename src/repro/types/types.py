@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import TypeError_
+from repro.errors import NumericValueOutOfRangeError, TypeError_
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ class FunctionType(Type):
 BOOLEAN = Type("boolean")
 INTEGER = Type("integer")
 BIGINT = Type("bigint")
+BIGINT_MIN, BIGINT_MAX = -(1 << 63), (1 << 63) - 1
 DOUBLE = Type("double")
 VARCHAR = Type("varchar")
 VARBINARY = Type("varbinary")
@@ -248,3 +249,13 @@ def text_field_name(word: str) -> str:
 
 def _is_type_head(word: str) -> bool:
     return word in _SCALARS or word in _ALIASES or word in ("array", "map", "row")
+
+
+def checked_bigint(value: int) -> int:
+    """``value`` if it fits BIGINT; otherwise SQL's "numeric value out of
+    range" (SQLSTATE 22003) instead of a silent int64 wrap. The engine's
+    one range check: the compiler's arithmetic, negation and casts, and
+    the ``abs`` and ``sum`` results, all call it."""
+    if BIGINT_MIN <= value <= BIGINT_MAX:
+        return value
+    raise NumericValueOutOfRangeError(f"bigint out of range: {value}")

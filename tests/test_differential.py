@@ -2,7 +2,7 @@
 
 Every generated query is routed through the multi-way agreement runner
 (``repro.fuzz.runner.check_tables_sql``), which compares the reference
-oracle (expressions evaluated by the tree-walking interpreter) against
+oracle (expressions evaluated by its own tree-walking interpreter) against
 every engine configuration in ``CONFIGS``: compiled, optimized,
 SimCluster, SimCluster with transient transfer failures plus a
 mid-query worker crash, and the rest.
@@ -19,7 +19,9 @@ import random
 
 import pytest
 
-from repro.fuzz.runner import AXES, CONFIGS, check_tables_sql
+from repro.fuzz.grammar import ColumnSpec, TableSpec
+from repro.fuzz.runner import AXES, CONFIGS, check_tables_sql, oracle_outcome
+from repro.types import BIGINT
 
 T_COLUMNS = ["a", "b", "v", "s"]
 U_COLUMNS = ["a", "w", "t"]
@@ -145,3 +147,27 @@ def test_fault_injected_config_is_exercised():
     # Every fault script must be some row's, so the template pool covers
     # the crash/retry cluster of paper Sec. IV-G and the recovery paths.
     assert {row.faults for row in CONFIGS.values()} == set(AXES["faults"])
+
+
+RANGE_TABLES = [TableSpec("t", [ColumnSpec("k", BIGINT)], [(2,), (3,)])]
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT 9223372036854775807 * 2",
+        "SELECT k * 9223372036854775807 FROM t",
+        "SELECT k FROM t WHERE k * 9223372036854775807 > 0",
+        "SELECT sum(k * 4611686018427387904) FROM t",
+        "SELECT sum(k * 4611686018427387904) OVER () FROM t",
+        "SELECT sum(k * 3074457345618258602) FROM t",
+        "SELECT sum(k * 3074457345618258602) OVER () FROM t",
+    ],
+)
+def test_bigint_overflow_is_one_error_on_every_row(sql):
+    """The oracle answers a BIGINT overflow with SQLSTATE 22003 from its
+    own range check, and so does every engine configuration — folded,
+    over a column, in a sum and in a windowed sum."""
+    assert oracle_outcome(RANGE_TABLES, sql).error == "NumericValueOutOfRangeError"
+    disagreements = check_tables_sql(RANGE_TABLES, sql)
+    assert disagreements == [], "\n".join(str(d) for d in disagreements)

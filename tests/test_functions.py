@@ -11,6 +11,7 @@ from repro.errors import (
     DivisionByZeroError,
     FunctionNotFoundError,
     InvalidFunctionArgumentError,
+    NumericValueOutOfRangeError,
 )
 from repro.exec import kernels
 from repro.functions import FUNCTIONS
@@ -167,6 +168,8 @@ def test_cost_weights_present():
 
 _NAN = float("nan")
 _TYPED = InvalidFunctionArgumentError
+_RANGE = NumericValueOutOfRangeError
+_MAX = "9223372036854775807"
 EDGE_ARGUMENTS = {
     # id: (folded statement, the same over column(s) of t, expected)
     "power_overflow": ("power(10, 1000)", "power(10, big)", math.inf),
@@ -188,6 +191,13 @@ EDGE_ARGUMENTS = {
     "regexp_extract_group": ("regexp_extract('a', 'a', 3)", "regexp_extract('a', 'a', big)", _TYPED),
     "regexp_replace_pattern": ("regexp_replace('a', '(', 'x')", "regexp_replace('a', paren, 'x')", _TYPED),
     "regexp_replace_template": ("regexp_replace('a', 'a', '\\9')", "regexp_replace('a', 'a', '\\' || nine)", _TYPED),
+    # BIGINT results that leave int64 (big = 1000, minus = -1)
+    "bigint_multiply": (f"{_MAX} * 2", f"big * {_MAX}", _RANGE),
+    "bigint_add": (f"{_MAX} + 1", f"big + {_MAX}", _RANGE),
+    "bigint_negate": (f"-(-{_MAX} - 1)", f"-(minus - {_MAX})", _RANGE),
+    "bigint_abs": (f"abs(-{_MAX} - 1)", f"abs(minus - {_MAX})", _RANGE),
+    "bigint_cast": ("CAST(1e19 AS bigint)", "CAST(big * 1e19 AS bigint)", _RANGE),
+    "bigint_window_sum": (f"sum({_MAX} * 2) OVER ()", "sum(big * 4611686018427387904) OVER ()", _RANGE),
 }
 
 
@@ -214,3 +224,53 @@ def test_edge_arguments_answer_a_value_or_a_typed_error(case, mode):
             else:
                 with pytest.raises(expected):
                     engine.execute(sql)
+
+
+# The statements of the BIGINT range bug class on t(k) = {2, 3}: folded
+# and over a column, the WHERE form, the sum and windowed sum (each
+# product fits, the total does not), on both engines and kernel modes.
+RANGE_STATEMENTS = [
+    f"SELECT {_MAX} * 2",
+    f"SELECT k * {_MAX} FROM t",
+    f"SELECT k FROM t WHERE k * {_MAX} > 0",
+    "SELECT sum(k * 4611686018427387904) FROM t",
+    "SELECT sum(k * 4611686018427387904) OVER () FROM t",
+    "SELECT sum(3074457345618258602 * 3) FROM t",
+    "SELECT sum(k * 3074457345618258602) FROM t",
+    "SELECT sum(k * 3074457345618258602) OVER () FROM t",
+    "SELECT sum(DISTINCT k * 3074457345618258602) FROM t",
+    f"SELECT -(2 - {_MAX} - 3)",
+    f"SELECT -(k - {_MAX} - 3) FROM t",
+    f"SELECT abs(k - {_MAX} - 3) FROM t",
+    f"SELECT {_MAX} + 1",
+    "SELECT CAST(1e19 AS bigint)",
+    "SELECT CAST(k * 1e19 AS bigint) FROM t",
+]
+
+
+@pytest.fixture(scope="module")
+def range_engines():
+    from repro.cluster import ClusterConfig, SimCluster
+
+    connector = MemoryConnector()
+    connector.create_table_with_data("memory", "default", "t", [("k", BIGINT)], [(2,), (3,)])
+    engine = LocalEngine()
+    engine.register_catalog("memory", connector)
+    cluster = SimCluster(
+        ClusterConfig(worker_count=3, default_catalog="memory", default_schema="default")
+    )
+    cluster.register_catalog("memory", connector)
+    return {
+        "local": lambda sql: engine.execute(sql).rows,
+        "cluster": lambda sql: cluster.run_query(sql).rows(),
+    }
+
+
+@pytest.mark.parametrize("engine", ["local", "cluster"])
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("sql", RANGE_STATEMENTS)
+def test_bigint_out_of_range_is_a_typed_error(range_engines, engine, mode, sql):
+    with kernels.forced_mode(mode), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericValueOutOfRangeError):
+            range_engines[engine](sql)

@@ -41,6 +41,12 @@ A sixth keeps answers and simulated counts independent of
 ``PYTHONHASHSEED``: builtin ``hash(`` appears under ``src/repro`` only
 in ``connectors/hashing.py``, whose ``value_hash`` / ``stable_hash``
 everything else calls.
+
+A seventh keeps one evaluator in the engine: the tree-walking
+interpreter is the fuzz oracle's, so no engine module (everything under
+``src/repro`` outside ``fuzz/``) refers to it in code, and only
+``fuzz/`` and ``chaos/`` import ``repro.fuzz`` at all. It reads the
+syntax tree, so prose about "the Python interpreter" stays legal.
 """
 
 import ast
@@ -529,3 +535,72 @@ def test_answers_and_chaos_counts_do_not_depend_on_the_hash_seed():
     assert len(campaigns) == 3 and all(line.startswith("PASS ") for line in campaigns)
     fingerprints = outputs[0][4:]
     assert len(fingerprints) == 59 and all("(fingerprint " in line for line in fingerprints)
+
+
+# --------------------------------------------------------------------------
+# One evaluator: the interpreter belongs to the oracle, not the engine.
+# --------------------------------------------------------------------------
+
+INTERPRETER_MODULES = {"repro.exec.interpreter", "repro.fuzz.interpreter"}
+FUZZ_IMPORTERS = ("repro/fuzz/", "repro/chaos/")
+
+
+def _interpreter_references(source: str, may_import_fuzz: bool) -> list[str]:
+    """Code references to the interpreter in ``source``: an import of an
+    interpreter module (or, unless ``may_import_fuzz``, of anything in
+    ``repro.fuzz``), or an attribute read off a name ``interpreter``.
+    Strings and comments are not code."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "interpreter"
+        ):
+            found.append(f"line {node.lineno}: interpreter.{node.attr}")
+            continue
+        else:
+            continue
+        for module in modules:
+            fuzz = module == "repro.fuzz" or module.startswith("repro.fuzz.")
+            if module in INTERPRETER_MODULES or (fuzz and not may_import_fuzz):
+                found.append(f"line {node.lineno}: import {module}")
+    return found
+
+
+def _engine_interpreter_references(src: Path) -> dict[str, list[str]]:
+    out = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        relative = str(path.relative_to(src))
+        if relative.startswith("repro/fuzz/"):
+            continue
+        found = _interpreter_references(path.read_text(), relative.startswith(FUZZ_IMPORTERS))
+        if found:
+            out[relative] = found
+    return out
+
+
+def test_no_engine_module_refers_to_the_interpreter():
+    offenders = _engine_interpreter_references(SRC)
+    assert not offenders, (
+        "the engine evaluates through repro.exec.compiler only; the "
+        f"tree-walking interpreter is the fuzz oracle's: {offenders}"
+    )
+
+
+def test_interpreter_lint_reads_code_not_prose():
+    assert _interpreter_references("from repro.exec import interpreter\n", False)
+    assert _interpreter_references("from repro.fuzz.interpreter import cast_value\n", True)
+    assert _interpreter_references("import repro.fuzz.oracle\n", False)
+    assert not _interpreter_references("from repro.fuzz.oracle import run_oracle\n", True)
+    assert _interpreter_references("def f(e):\n    return interpreter.evaluate(e, {})\n", False)
+    prose = (
+        '"""A Python interpreter cannot reproduce the absolute speed of\n'
+        'pipelined execution; the paper calls its interpreter "much too slow".\n"""\n'
+        "x = 1  # interpreter.evaluate is the oracle's\n"
+    )
+    assert _interpreter_references(prose, False) == []
