@@ -44,7 +44,11 @@ def main() -> None:
     print("loading A/B testing dataset (bucketed on userid)...")
     setup_ab_testing_dataset(raptor, users=6_000, events=30_000, bucket_count=8)
 
-    handle = cluster.run_query(ANALYSIS)
+    handle = cluster.submit(ANALYSIS)
+    # Read the plan before the run: a settled handle keeps its QueryInfo
+    # and its rows, not its plan.
+    fragments = handle.fragmented.fragments
+    cluster.run()
     print(f"\nexperiment {EXPERIMENT} — conversion by variant and country "
           f"({handle.wall_time_ms:.1f} sim-ms):\n")
     print(f"{'variant':>7} {'country':>8} {'events':>7} {'users':>6} {'mean':>8}")
@@ -57,12 +61,12 @@ def main() -> None:
 
     joins = [
         node.distribution.value
-        for fragment in handle.fragmented.fragments.values()
+        for fragment in fragments.values()
         for node in plan.walk_plan(fragment.root)
         if isinstance(node, plan.JoinNode)
     ]
     print(f"\njoin distributions: {joins}")
-    print(f"stages: {len(handle.fragmented.fragments)}")
+    print(f"stages: {len(fragments)}")
     print(f"network bytes shuffled: {cluster.network_bytes:,} "
           "(co-located joins move no join input over the network)")
 

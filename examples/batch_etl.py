@@ -61,7 +61,7 @@ def main() -> None:
         print(
             f"job {name:<18} wrote {rows_written:>6} rows | "
             f"wall {handle.wall_time_ms:8.1f} sim-ms | cpu {handle.total_cpu_ms:8.1f} sim-ms | "
-            f"stages {len(handle.stages)}"
+            f"stages {len(handle.info.stages)}"
         )
 
     top = cluster.run_query(

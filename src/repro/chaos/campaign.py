@@ -154,7 +154,7 @@ class CampaignReport:
             f"partitioned {self.partitioned_workers or 'none'}, "
             f"recovered {self.stats.get('ft.tasks_recovered', 0)} task(s), "
             f"retried {self.stats.get('ft.transfers_retried', 0)} transfer(s), "
-            f"dropped {self.stats.get('chaos.duplicates_dropped', 0)} duplicate(s)"
+            f"dropped {self.stats.get('ft.duplicates_dropped', 0)} duplicate(s)"
         ]
         for r in failed:
             lines.append(
@@ -302,7 +302,6 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
         slowed_workers=slowed,
         partitioned_workers=partitioned,
     )
-    duplicates_dropped = 0
     for i, case in enumerate(cases):
         handle = handles[i]
         if handle is None:
@@ -314,12 +313,6 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
             actual = ("rows", tuple(normalize_rows(handle.rows())))
             state = "finished"
             category = None
-            duplicates_dropped += sum(
-                client.duplicates_dropped
-                for stage in handle.stages.values()
-                for task in stage.tasks
-                for client in task.exchange_clients.values()
-            )
         else:
             actual = ("error", type(handle.error).__name__)
             state = handle.state
@@ -328,7 +321,6 @@ def run_campaign(plan: ChaosPlan) -> CampaignReport:
             QueryReport(case.seed, case.sql, expected[i], actual, state, category)
         )
     report.stats = cluster.stats_snapshot()
-    report.stats["chaos.duplicates_dropped"] = duplicates_dropped
     return report
 
 

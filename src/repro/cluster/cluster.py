@@ -137,6 +137,7 @@ class SimCluster:
             if cache_cfg.stripe_cache_enabled:
                 self.workers[name].stripe_cache = StripeCache(memory_pool=pool)
         self.queries: dict[str, QueryExecution] = {}
+        self.queries_settled = {"finished": 0, "failed": 0}
         self._query_counter = itertools.count()
         self._admission_queue: deque[QueryExecution] = deque()
         self._running = 0
@@ -148,6 +149,7 @@ class SimCluster:
         self.tasks_recovered = 0
         self.transfers_escalated = 0
         self.transfer_duplicates_injected = 0
+        self.duplicates_dropped = 0  # by exchange clients, folded in at settle
         self.queries_timed_out = 0
         self.dead_node_bytes_released = 0
         # Dynamic-filter counters (runtime filtering, docs/EXECUTION.md).
@@ -288,7 +290,6 @@ class SimCluster:
             query.result_cache = self.result_cache
             query.result_fingerprint = cached.fingerprint
             query.result_tables = tuple(key for key, _ in cached.table_versions)
-        query.on_finish = self._on_query_finish
         query.resource_group = resource_group
         self.queries[query_id] = query
         # Admission is journaled before the query is queued: a restarted
@@ -370,7 +371,8 @@ class SimCluster:
             query.start()
         self._admission_queue.extendleft(reversed(deferred))
 
-    def _on_query_finish(self, query: QueryExecution) -> None:
+    def on_query_settled(self, query: QueryExecution) -> None:
+        """Called by ``QueryExecution._settle`` once per query, at its end."""
         self.journal.record_completion(query.query_id)
         # Terminal queries will never replay: reclaim their spool space.
         self.spool_bytes_reclaimed += self.spool.release_query(query.query_id)
@@ -423,6 +425,9 @@ class SimCluster:
                 self.row_fallbacks[reason] = self.row_fallbacks.get(reason, 0) + pages
         query = self.queries.get(task.query_id)
         if query is None or query.state != "running" or task.superseded:
+            return
+        if task.error is not None:
+            query.fail(task.error)
             return
         user_delta, system_delta = task.memory_deltas()
         if user_delta or system_delta:
@@ -707,12 +712,7 @@ class SimCluster:
             "queries.total": len(self.queries),
             "queries.running": self._running,
             "queries.queued": len(self._admission_queue),
-            "queries.finished": sum(
-                1 for q in self.queries.values() if q.state == "finished"
-            ),
-            "queries.failed": sum(
-                1 for q in self.queries.values() if q.state == "failed"
-            ),
+            **{f"queries.{state}": count for state, count in self.queries_settled.items()},
             "queries.killed_for_memory": len(
                 self.memory_manager.queries_killed_for_memory
             ),
@@ -727,6 +727,7 @@ class SimCluster:
             "ft.transfers_retried": self.transient_retries,
             "ft.transfers_escalated": self.transfers_escalated,
             "ft.transfer_duplicates_injected": self.transfer_duplicates_injected,
+            "ft.duplicates_dropped": self.duplicates_dropped,
             "ft.queries_timed_out": self.queries_timed_out,
             "ft.dead_node_bytes_released": self.dead_node_bytes_released,
             "ft.spool_segments": len(self.spool),

@@ -51,6 +51,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cost import NETWORK_LATENCY_MS
+from repro.cluster.info import QueryInfo, freeze
 from repro.cluster.task import FragmentPlanner, SimTask
 from repro.connectors.hashing import stable_hash
 from repro.errors import (
@@ -191,7 +192,7 @@ class QueryExecution:
         self.state = "queued"
         # Set by SimCluster.submit, which admits and retires the query.
         self.resource_group: str | None = None
-        self.on_finish = None
+        self.info: QueryInfo | None = None
         # -- caching tier state (docs/CACHING.md) ----------------------
         # Simulated metastore latency charged before stage start: one
         # round-trip per metadata call that missed the coordinator cache.
@@ -586,6 +587,8 @@ class QueryExecution:
                 batch = [(s, None) for s in source.get_next_batch(_SPLIT_BATCH_SIZE)]
             for split, worker in batch:
                 self._assign_split(stage, schedule, split, worker)
+            if self.state != "running":
+                return  # a split no worker can run failed the query
             if schedule.split_source.is_finished():
                 schedule.done = True
                 if all(s.done for s in stage.scan_schedules):
@@ -988,7 +991,7 @@ class QueryExecution:
         # every partition so outstanding EOF announcements go out (they
         # are coordinator-mediated metadata, idempotent to re-send).
         for task in placed:
-            if not task.superseded:
+            if not task.superseded and self.state == "running":
                 for p in range(task.output_buffer.partition_count):
                     self._pump_transfers(task, p)
 
@@ -1220,9 +1223,9 @@ class QueryExecution:
     def _check_stage_completed(self, stage: StageExecution) -> None:
         """Mark ``stage`` completed once its tasks finished and their
         output drained, and start the stages phased execution gated on
-        it. Called wherever either condition can become true: a task's
-        last quantum and every output-buffer poll."""
-        if not stage.completed and stage.check_completed() and self.phased:
+        it. Called wherever either condition can become true while the
+        query runs: a task's last quantum and every output-buffer poll."""
+        if self.state == "running" and not stage.completed and stage.check_completed() and self.phased:
             self._start_unblocked_stages()
 
     # ------------------------------------------------------------------
@@ -1300,9 +1303,8 @@ class QueryExecution:
         if self.state in ("finished", "failed"):
             return
         self.state = "failed"
-        self.error = error
+        self.error = error.with_traceback(None)  # its stack would pin the raising frames
         self.finished_at = self.cluster.sim.now
-        self._replays.clear()
         for stage in self.stages.values():
             for task in stage.tasks:
                 task.fail()
@@ -1310,15 +1312,24 @@ class QueryExecution:
 
     def _settle(self) -> None:
         """The query is finished or failed: take its tasks off their
-        workers, give its memory back, tell the cluster."""
+        workers, give its memory back, tell the cluster, then keep its
+        QueryInfo and rows and let go of the rest (docs/EXECUTION.md)."""
         self._cancel_timeout()
+        self.info = freeze(self)
         for stage in self.stages.values():
             for task in stage.tasks:
                 task.worker.remove_task(task)
+                for client in task.exchange_clients.values():
+                    self.cluster.duplicates_dropped += client.duplicates_dropped
+                task.release()
         self.cluster.memory_manager.release_query(self.query_id)
         self.cluster.on_query_memory_released()
-        if self.on_finish is not None:
-            self.on_finish(self)
+        self.cluster.queries_settled[self.state] += 1
+        self.cluster.on_query_settled(self)
+        self._incarnation += 1  # the closures of the run do nothing now
+        for name in _RUN_STATE:
+            delattr(self, name)
+        del self.fragmented
 
     # ------------------------------------------------------------------
     # Coordinator crash/restart
@@ -1344,6 +1355,7 @@ class QueryExecution:
                 task.superseded = True
                 task.worker.remove_task(task)
                 task.fail()
+                task.release()
         self._reset_run_state()
         self.cluster.memory_manager.release_query(self.query_id)
         self.cluster.on_query_memory_released()
@@ -1431,6 +1443,14 @@ class QueryExecution:
 
     @property
     def total_cpu_ms(self) -> float:
+        if self.info is not None:
+            return self.info.cpu_ms
         return sum(
             task.stats.cpu_ms for stage in self.stages.values() for task in stage.tasks
         )
+
+
+# A fresh run's state: _settle drops each of its fields but the rows.
+_FRESH_RUN = object.__new__(QueryExecution)
+_FRESH_RUN._reset_run_state()
+_RUN_STATE = tuple(vars(_FRESH_RUN).keys() - {"result_pages"})

@@ -180,15 +180,14 @@ class TaskStats:
 class SimTask:
     """One task: fragment pipelines + split queue + output buffer."""
 
-    # A cluster retains every finished query's tasks; past 30 attributes
-    # CPython gives each instance a full dict (1.5 KB a task, +45 MB on
-    # adhoc_short), so the attribute set is closed.
+    # Past 30 attributes CPython gives each instance a full dict (1.5 KB
+    # a task), so the attribute set is closed: live tasks stay small.
     __slots__ = (
         "task_id", "query_id", "fragment", "worker", "template", "partition",
         "cost_model", "routing_log", "on_commit", "on_finished", "attempt",
         "producer_key", "dynamic_filters", "recovery_active", "scan_operators",
         "exchange_clients", "output_buffer", "drivers", "stats",
-        "no_more_splits_flag", "failed", "superseded", "memory_blocked",
+        "no_more_splits_flag", "failed", "error", "superseded", "memory_blocked",
         "split_log", "_live_drivers", "_operators", "_input_rows",
         "_last_user_retained", "_last_system_retained", "_last_io_ms",
     )  # fmt: skip
@@ -257,6 +256,7 @@ class SimTask:
         self.stats = TaskStats()
         self.no_more_splits_flag = False
         self.failed = False
+        self.error: Optional[Exception] = None  # raised by a quantum (Worker)
         # Set when a replacement attempt took over this task's slot; a
         # superseded task's late quanta are ignored by the coordinator.
         self.superseded = False
@@ -430,3 +430,10 @@ class SimTask:
         self.failed = True
         for driver in self.drivers:
             driver.close()
+
+    def release(self) -> None:
+        """The query settled: drop what would keep the graph in cycles for
+        the collector; reference counting frees it now."""
+        self.drivers = self._live_drivers = self._operators = self.scan_operators = ()
+        self.exchange_clients = {}
+        self.output_buffer = self.on_finished = self.on_commit = None

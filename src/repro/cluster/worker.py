@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.cluster.sim import Simulation
+from repro.errors import PrestoError
 from repro.memory.pools import MemoryPool
 
 if TYPE_CHECKING:
@@ -200,7 +201,11 @@ class Worker:
             self._ps_reschedule()
 
     def _start_quantum(self, task: "SimTask", level: int) -> None:
-        virtual_ms, progressed, stalled = task.run_quantum(QUANTUM_MS)
+        try:
+            virtual_ms, progressed, stalled = task.run_quantum(QUANTUM_MS)
+        except PrestoError as exc:  # the query fails when the quantum completes
+            task.error = exc
+            virtual_ms, progressed, stalled = 0.0, False, True
         self._scheduled_by_level[level] += virtual_ms
         self.stats.quanta += 1
         if not progressed:

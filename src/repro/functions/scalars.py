@@ -68,17 +68,17 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     # ---- math ----------------------------------------------------------------
     scalar("abs", [BIGINT], BIGINT, lambda x: checked_bigint(abs(x)), numpy_impl=_abs_bigint)
     scalar("abs", [DOUBLE], DOUBLE, abs, numpy_impl=np.abs)
-    scalar("ceil", [DOUBLE], BIGINT, lambda x: int(math.ceil(x)))
-    scalar("ceiling", [DOUBLE], BIGINT, lambda x: int(math.ceil(x)))
+    scalar("ceil", [DOUBLE], BIGINT, _to_bigint(math.ceil))
+    scalar("ceiling", [DOUBLE], BIGINT, _to_bigint(math.ceil))
     scalar("ceil", [BIGINT], BIGINT, lambda x: x)
-    scalar("floor", [DOUBLE], BIGINT, lambda x: int(math.floor(x)))
+    scalar("floor", [DOUBLE], BIGINT, _to_bigint(math.floor))
     scalar("floor", [BIGINT], BIGINT, lambda x: x)
-    scalar("round", [DOUBLE], BIGINT, lambda x: int(x + 0.5) if x >= 0 else -int(-x + 0.5))
+    scalar("round", [DOUBLE], BIGINT, _to_bigint(lambda x: int(x + 0.5) if x >= 0 else -int(-x + 0.5)))
     scalar(
         "round",
         [DOUBLE, BIGINT],
         DOUBLE,
-        lambda x, digits: float(
+        lambda x, digits: x if not math.isfinite(x) else float(
             math.floor(abs(x) * 10**digits + 0.5) / 10**digits * (1 if x >= 0 else -1)
         ),
     )
@@ -109,7 +109,7 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     scalar("nan", [], DOUBLE, lambda: math.nan)
     scalar("degrees", [DOUBLE], DOUBLE, math.degrees)
     scalar("radians", [DOUBLE], DOUBLE, math.radians)
-    scalar("truncate", [DOUBLE], DOUBLE, math.trunc)
+    scalar("truncate", [DOUBLE], DOUBLE, lambda x: float(math.trunc(x)) if math.isfinite(x) else x)
     scalar("width_bucket", [DOUBLE, DOUBLE, DOUBLE, BIGINT], BIGINT, _width_bucket)
 
     # ---- strings --------------------------------------------------------------
@@ -161,7 +161,7 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
         cost_weight=20.0,
     )
     scalar("to_hex", [BIGINT], VARCHAR, lambda x: format(x, "X"))
-    scalar("from_hex", [VARCHAR], BIGINT, lambda s: int(s, 16))
+    scalar("from_hex", [VARCHAR], BIGINT, _from_hex)
     scalar("hamming_distance", [VARCHAR, VARCHAR], BIGINT, _hamming)
     scalar("levenshtein_distance", [VARCHAR, VARCHAR], BIGINT, _levenshtein, cost_weight=10.0)
 
@@ -324,6 +324,21 @@ def _power(x: float, y: float) -> float:
         return math.pow(x, y)
     except (OverflowError, ValueError):  # 10 ** 1000, 0 ** -1, (-8) ** 0.5
         return float(_ieee_power(x, y))
+
+
+def _to_bigint(rounding):
+    """A DOUBLE -> BIGINT rounding; NaN and the infinities have no bigint value."""
+    def impl(x: float) -> int:
+        if math.isfinite(x):
+            return checked_bigint(rounding(x))
+        raise InvalidFunctionArgumentError(f"cannot round {x} to bigint")
+    return impl
+
+
+def _from_hex(s: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9a-fA-F]+", s):
+        raise InvalidFunctionArgumentError(f"not a hexadecimal number: {s!r}")
+    return checked_bigint(int(s, 16))
 
 
 def _checked_log(x: float) -> float:

@@ -400,12 +400,6 @@ class PlanFragment:
     partitioning: str = "single"
     remote_source_ids: list[int] = field(default_factory=list)
 
-    @property
-    def has_table_scan(self) -> bool:
-        return any(
-            isinstance(n, plan.TableScanNode) for n in plan.walk_plan(self.root)
-        )
-
 
 @dataclass
 class FragmentedPlan:

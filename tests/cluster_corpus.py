@@ -8,8 +8,12 @@ quantities depend on what earlier statements left in the caches.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 from repro.client import LocalEngine
 from repro.cluster import ClusterConfig, SimCluster
+from repro.cluster.query import QueryExecution
 from repro.connectors.hive import HiveConnector
 from repro.connectors.shardedsql import ShardedSqlConnector
 from repro.workload import (
@@ -74,3 +78,43 @@ def worker_sum(snapshot: dict, suffix: str):
         for key, value in snapshot.items()
         if key.startswith("worker.") and key.endswith(suffix)
     )
+
+
+@contextmanager
+def lowering_captured():
+    """Yield ``query id -> {fragment id -> stage}`` for every query that
+    settles inside the block: each stage's fragment, template and scan
+    schedules, and each task's template, drivers, scan operators and
+    split log, copied at settle, before the handle lets go of them. For
+    tests of how fragments were lowered; what a settled query reports
+    is its ``info``."""
+    captured: dict = {}
+    settle = QueryExecution._settle
+
+    def capture(query) -> None:
+        captured[query.query_id] = {
+            fragment_id: SimpleNamespace(
+                id=stage.id,
+                fragment=stage.fragment,
+                template=stage.template,
+                scan_schedules=stage.scan_schedules,
+                tasks=[
+                    SimpleNamespace(
+                        task_id=task.task_id,
+                        template=task.template,
+                        drivers=list(task.drivers),
+                        scan_operators=list(task.scan_operators),
+                        split_log=list(task.split_log),
+                    )
+                    for task in stage.tasks
+                ],
+            )
+            for fragment_id, stage in query.stages.items()
+        }
+        settle(query)
+
+    QueryExecution._settle = capture
+    try:
+        yield captured
+    finally:
+        QueryExecution._settle = settle

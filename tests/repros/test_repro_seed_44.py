@@ -56,8 +56,6 @@ def test_two_stages_of_different_widths_publish_one_filter(monkeypatch):
     query = cluster.submit(SQL)
     cluster.sim.run(until_ms=1.0)
     cluster.degrade_worker(query.stages[2].tasks[1].worker.name, 100.0)
-    cluster.run()
-    assert query.state == "finished"
     publishing = {
         stage.id: len(stage.tasks)
         for stage in query.stages.values()
@@ -65,6 +63,8 @@ def test_two_stages_of_different_widths_publish_one_filter(monkeypatch):
     }
     assert publishing == {2: 2, 6: 1}
     assert query._df_expected == {("df_0", 2): 2, ("df_0", 6): 1}
-    assert "df_0" in query._df_ready
+    cluster.sim.run(stop_when=lambda: "df_0" in query._df_ready)
+    cluster.run()
+    assert query.state == "finished"
     assert cluster.stats_snapshot()["df.rows_filtered"] > 0
     assert normalize_rows(query.rows()) == normalize_rows(expected)

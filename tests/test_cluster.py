@@ -130,10 +130,10 @@ def test_split_scheduling_spreads_work():
     worker of its own, and the scan stage has a task nowhere else."""
     cluster = tpch_cluster(worker_count=4)
     handle = cluster.run_query("SELECT sum(extendedprice * quantity) FROM lineitem")
-    (scan,) = [stage for stage in handle.stages.values() if stage.scan_schedules]
-    assert scan.scan_schedules[0].assigned == 12000 // 8192 + 1
-    assert [len(task.split_log) for task in scan.tasks] == [1, 1]
-    assert len({task.worker.name for task in scan.tasks}) == 2
+    (scan,) = [stage for stage in handle.info.stages.values() if stage.splits_assigned]
+    assert scan.splits_assigned[0] == 12000 // 8192 + 1
+    assert [task.splits for task in scan.tasks] == [1, 1]
+    assert len({task.worker for task in scan.tasks}) == 2
     assert scan.width_reason == "narrowed"
 
 
@@ -146,17 +146,17 @@ def test_a_scan_stage_stays_wide_when_it_cannot_be_narrowed():
 
     cluster = tpch_cluster(worker_count=2)
     handle = cluster.run_query("SELECT count(*) FROM lineitem")  # two splits
-    assert [len(t.split_log) for t in handle.stages[0].tasks] == [1, 1]
-    assert handle.stages[0].width_reason == "wide.splits_cover_workers"
+    assert [t.splits for t in handle.info.stages[0].tasks] == [1, 1]
+    assert handle.info.stages[0].width_reason == "wide.splits_cover_workers"
 
     hive = HiveConnector(catalog_name="hive", max_rows_per_file=8)
     _load_table(hive, "hive", "default", "t", [("k", BIGINT)], [(i,) for i in range(1000)])
     cluster.register_catalog("hive", hive)
     handle = cluster.run_query("SELECT sum(k) FROM hive.default.t")  # 125 files
     assert handle.rows() == [(499500,)]
-    scan = handle.stages[0]
+    scan = handle.info.stages[0]
     assert scan.width_reason == "wide.enumeration_unfinished" and len(scan.tasks) == 2
-    assert sum(len(t.split_log) for t in scan.tasks) == scan.scan_schedules[0].assigned == 125
+    assert sum(t.splits for t in scan.tasks) == scan.splits_assigned[0] == 125
 
     snapshot = cluster.stats_snapshot()
     assert snapshot["stage_width.wide.splits_cover_workers"] == 1
@@ -170,12 +170,6 @@ def test_lazy_split_enumeration_with_limit():
     cluster = tpch_cluster()
     handle = cluster.run_query("SELECT orderkey FROM lineitem LIMIT 5")
     assert len(handle.rows()) == 5
-    splits_done = sum(
-        t.stats.splits_completed
-        for stage in handle.stages.values()
-        for t in stage.tasks
-    )
-    total_splits = 12000 // 8192 + 1
     # Not every split needs to finish for the limit to be satisfied (at
     # this scale there are few splits; just assert early completion).
     assert handle.state == "finished"
@@ -201,12 +195,9 @@ def test_raptor_node_local_split_placement():
     handle = cluster.run_query("SELECT count(*) FROM orders")
     assert handle.rows() == [(3000,)]
     # Every scan task only processed splits pinned to its own host.
-    for stage in handle.stages.values():
-        if not stage.fragment.has_table_scan:
-            continue
+    for stage in handle.info.stages.values():
         for task in stage.tasks:
-            for op in task.scan_operators:
-                assert op.queued_splits == 0  # all consumed
+            assert task.splits_queued == 0  # all consumed
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +246,8 @@ def test_queries_after_crash_use_remaining_workers():
     handle = cluster.run_query("SELECT count(*) FROM orders")
     assert handle.rows() == [(3000,)]
     assert all(
-        task.worker.name != "worker-0"
-        for stage in handle.stages.values()
+        task.worker != "worker-0"
+        for stage in handle.info.stages.values()
         for task in stage.tasks
     )
 

@@ -21,6 +21,7 @@ from tests.cluster_corpus import (
     build_cluster,
     build_connectors,
     build_local_engine,
+    lowering_captured,
     statements,
     worker_sum,
 )
@@ -62,11 +63,12 @@ TIES_AT_LIMIT = {"q73": 1, "dev00": 1}
 def corpus_run():
     connectors = build_connectors()
     cluster = build_cluster(connectors)
-    results = {
-        key: cluster.run_query(sql, drain=True, session_catalog=catalog)
-        for key, catalog, sql in statements()
-    }
-    return connectors, cluster, results
+    with lowering_captured() as lowered:
+        results = {
+            key: cluster.run_query(sql, drain=True, session_catalog=catalog)
+            for key, catalog, sql in statements()
+        }
+    return connectors, cluster, results, {k: lowered[q.query_id] for k, q in results.items()}
 
 
 def test_measured_cost_mode_answers_what_the_deterministic_run_answers(corpus_run):
@@ -75,7 +77,7 @@ def test_measured_cost_mode_answers_what_the_deterministic_run_answers(corpus_ru
     arrive in another order, the answers do not move. One aggregation
     over a join, one scalar-subquery battery, one window over the
     sharded store."""
-    connectors, _, results = corpus_run
+    connectors, _, results, _ = corpus_run
     measured = build_cluster(connectors, cost_mode="measured")
     assert measured.cost_model.mode == "measured"
     catalogs = {key: (catalog, sql) for key, catalog, sql in statements()}
@@ -87,7 +89,7 @@ def test_measured_cost_mode_answers_what_the_deterministic_run_answers(corpus_ru
 
 
 def test_idle_quanta_are_rare(corpus_run):
-    _, cluster, _ = corpus_run
+    _, cluster, _, _ = corpus_run
     snapshot = cluster.stats_snapshot()
     quanta = worker_sum(snapshot, ".quanta")
     idle = worker_sum(snapshot, ".quanta_idle")
@@ -98,8 +100,8 @@ def test_idle_quanta_are_rare(corpus_run):
 
 
 def test_each_stage_is_lowered_once(corpus_run):
-    _, cluster, results = corpus_run
-    stages = [stage for query in results.values() for stage in query.stages.values()]
+    _, cluster, results, lowered = corpus_run
+    stages = [stage for query in results.values() for stage in query.info.stages.values()]
     assert all(stage.started for stage in stages)
     snapshot = cluster.stats_snapshot()
     assert snapshot["exec.fragments_lowered"] == len(stages)
@@ -107,7 +109,12 @@ def test_each_stage_is_lowered_once(corpus_run):
     tasks = sum(len(stage.tasks) for stage in stages)
     assert worker_sum(snapshot, ".tasks_started") == tasks > len(stages)
     # Every task of a stage is an instance of the stage's one template.
-    assert all(task.template is stage.template for stage in stages for task in stage.tasks)
+    assert all(
+        task.template is stage.template
+        for query in lowered.values()
+        for stage in query.values()
+        for task in stage.tasks
+    )
 
 
 #: Tasks per stage, in fragment order, of every corpus statement on the
@@ -152,27 +159,23 @@ def test_every_stage_is_as_wide_as_its_splits(corpus_run):
     """Stage width comes from the splits (cluster/query.py, "How many
     tasks a stage gets"); the same run's rows are held to LocalEngine's
     by test_corpus_results_equal_local_engine."""
-    _, cluster, results = corpus_run
+    _, cluster, results, _ = corpus_run
     widths = {
-        key: [len(stage.tasks) for stage in query.stages.values()]
+        key: [len(stage.tasks) for stage in query.info.stages.values()]
         for key, query in results.items()
     }
     assert widths == STAGE_WIDTHS
     reasons: dict[str, int] = {}
     for key, query in results.items():
-        for stage in query.stages.values():
+        for stage in query.info.stages.values():
             reasons[stage.width_reason] = reasons.get(stage.width_reason, 0) + 1
-            if stage.fragment.partitioning == "source":
+            if stage.partitioning == "source":
                 # Every enumeration ended within its first batch, so each
                 # task exists because a split was seated on its worker.
                 assert stage.width_reason == "narrowed", (key, stage.id)
-                assert all(task.split_log for task in stage.tasks), (key, stage.id)
-            elif stage.fragment.partitioning == "hash":
-                feeding = [
-                    len(query.stages[child].tasks)
-                    for source in stage.template.remote_sources
-                    for child in source
-                ]
+                assert all(task.splits for task in stage.tasks), (key, stage.id)
+            elif stage.partitioning == "hash":
+                feeding = [len(query.info.stages[child].tasks) for child in stage.sources]
                 assert len(stage.tasks) == max(feeding), (key, stage.id)
     snapshot = cluster.stats_snapshot()
     counted = {k.removeprefix("stage_width."): v for k, v in snapshot.items() if k.startswith("stage_width.")}
@@ -199,7 +202,7 @@ def test_replacement_attempts_lower_nothing():
     cluster.run()
     assert query.state == "finished"
     assert cluster.tasks_recovered >= 1
-    assert cluster.stats_snapshot()["exec.fragments_lowered"] == len(query.stages)
+    assert cluster.stats_snapshot()["exec.fragments_lowered"] == len(query.info.stages)
 
 
 def test_template_states_the_fragment_facts_of_every_corpus_stage(corpus_run):
@@ -209,10 +212,10 @@ def test_template_states_the_fragment_facts_of_every_corpus_stage(corpus_run):
     filters its builds publish."""
     from repro.planner import nodes as plan
 
-    _, _, results = corpus_run
+    _, _, results, lowered = corpus_run
     scans = 0
-    for query in results.values():
-        for stage in query.stages.values():
+    for query in lowered.values():
+        for stage in query.values():
             template, nodes = stage.template, list(plan.walk_plan(stage.fragment.root))
             in_plan = [n for n in nodes if isinstance(n, plan.TableScanNode)]
             assert sorted(map(id, template.scan_nodes)) == sorted(map(id, in_plan))
@@ -259,12 +262,14 @@ def test_scan_numbering_has_one_owner():
     cluster.register_catalog(
         "dims", catalog("orders", [("orderkey", BIGINT), ("totalprice", DOUBLE)], orders)
     )
-    query = cluster.run_query(
-        "SELECT o.orderkey, sum(l.tax) FROM dims.default.orders o "
-        "JOIN facts.default.lineitem l ON o.orderkey = l.orderkey GROUP BY o.orderkey"
-    )
+    with lowering_captured() as lowered:
+        query = cluster.run_query(
+            "SELECT o.orderkey, sum(l.tax) FROM dims.default.orders o "
+            "JOIN facts.default.lineitem l ON o.orderkey = l.orderkey GROUP BY o.orderkey"
+        )
     assert len(query.rows()) == 100
-    (stage,) = [s for s in query.stages.values() if len(s.template.scan_nodes) == 2]
+    stages = lowered[query.query_id].values()
+    (stage,) = [s for s in stages if len(s.template.scan_nodes) == 2]
     nodes = stage.template.scan_nodes
     assert {n.table.catalog for n in nodes} == {"facts", "dims"}
     for task in stage.tasks:
@@ -282,7 +287,7 @@ def test_scan_numbering_has_one_owner():
 
 
 def test_corpus_results_equal_local_engine(corpus_run):
-    connectors, _, results = corpus_run
+    connectors, _, results, _ = corpus_run
     engines = {
         catalog: build_local_engine(connectors, catalog)
         for catalog in ("hive", "shardedsql")
@@ -320,6 +325,7 @@ def _facts(task) -> dict:
     clients = list(task.exchange_clients.values())
     return {
         "quanta": task.stats.quanta,
+        "scans": len(task.scan_operators),
         "splits": len(task.split_log),
         "no_more_splits": task.no_more_splits_flag,
         "pages": sum(len(c.pages) for c in clients),
@@ -360,7 +366,7 @@ def test_tasks_start_parked_and_run_nothing_before_their_first_input():
     query = cluster.run_query("SELECT returnflag, count(*) FROM lineitem GROUP BY 1")
     assert len(query.rows()) == 3
     first = first_wakes(wakes)
-    tasks = [t for stage in query.stages.values() for t in stage.tasks]
+    tasks = [t for stage in query.info.stages.values() for t in stage.tasks]
     assert tasks and {t.task_id for t in tasks} == set(first)
     assert all(facts["quanta"] == 0 for facts in first.values())
 
@@ -373,7 +379,7 @@ def test_woken_by_split_assigned():
     leaf = [
         facts
         for task, facts in wakes
-        if task.scan_operators and facts["quanta"] == 0
+        if facts["scans"] and facts["quanta"] == 0
     ]
     assert any(f["splits"] > 0 and not f["no_more_splits"] for f in leaf)
 
@@ -396,9 +402,9 @@ def test_woken_by_no_more_splits():
     first = first_wakes(wakes)
     leaf = [
         first[t.task_id]
-        for stage in query.stages.values()
+        for stage in query.info.stages.values()
         for t in stage.tasks
-        if t.scan_operators
+        if first[t.task_id]["scans"]
     ]
     assert [(f["splits"], f["no_more_splits"]) for f in leaf] == [(0, True)]
 
@@ -440,7 +446,7 @@ def test_woken_by_buffer_space_freed():
     rewoken = [
         facts
         for task, facts in wakes
-        if task.scan_operators and facts["quanta"] > 0 and not facts["buffer_full"]
+        if facts["scans"] and facts["quanta"] > 0 and not facts["buffer_full"]
     ]
     assert rewoken
 
@@ -497,9 +503,10 @@ def test_phased_join_over_aggregated_build_side_finishes(warehouse, workers):
         "FROM lineitem GROUP BY orderkey) l ON o.orderkey = l.orderkey"
     )
     query = cluster.submit(sql, phased=True)
+    cluster.sim.run(stop_when=lambda: query._phase_gates)
+    assert query._phase_gates == {0: {1}}
     cluster.run()
     assert query.state == "finished"
-    assert query._phase_gates == {0: {1}}
     assert query.rows() == cluster.run_query(sql, phased=False).rows()
 
 

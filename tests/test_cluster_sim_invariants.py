@@ -59,7 +59,7 @@ def observe() -> dict:
             "network_bytes": after["network.bytes"] - before["network.bytes"],
             "tasks_started": worker_sum(after, ".tasks_started")
             - worker_sum(before, ".tasks_started"),
-            "fragments": len(query.fragmented.fragments),
+            "fragments": query.info.fragments,
         }
         observed["model"][key] = {
             "sim_events": after["sim.events"] - before["sim.events"],

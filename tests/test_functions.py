@@ -198,6 +198,18 @@ EDGE_ARGUMENTS = {
     "bigint_abs": (f"abs(-{_MAX} - 1)", f"abs(minus - {_MAX})", _RANGE),
     "bigint_cast": ("CAST(1e19 AS bigint)", "CAST(big * 1e19 AS bigint)", _RANGE),
     "bigint_window_sum": (f"sum({_MAX} * 2) OVER ()", "sum(big * 4611686018427387904) OVER ()", _RANGE),
+    # DOUBLE -> BIGINT roundings: out of range, or no integral value
+    "ceil_out_of_range": ("ceil(1e19)", "ceil(big * 1e19)", _RANGE),
+    "ceiling_nan": ("ceiling(nan())", "ceiling(big * nan())", _TYPED),
+    "floor_out_of_range": ("floor(-1e19)", "floor(big * -1e19)", _RANGE),
+    "floor_infinity": ("floor(infinity())", "floor(minus * infinity())", _TYPED),
+    "round_out_of_range": ("round(1e19)", "round(big * 1e19)", _RANGE),
+    "round_nan": ("round(nan())", "round(big * nan())", _TYPED),
+    "round_digits_nan": ("round(nan(), 2)", "round(big * nan(), 2)", _NAN),
+    "truncate_double": ("truncate(2.5)", "truncate(big / 400.0)", 2.0),
+    # from_hex: more than 16 hex digits, or no hex digits
+    "from_hex_out_of_range": ("from_hex('FFFFFFFFFFFFFFFFFF')", "from_hex('FFFFFFFFFFFFFFFFF' || nine)", _RANGE),
+    "from_hex_digits": ("from_hex('zz')", "from_hex(paren)", _TYPED),
 }
 
 
@@ -220,6 +232,7 @@ def test_edge_arguments_answer_a_value_or_a_typed_error(case, mode):
         for sql in (f"SELECT {folded}", f"SELECT {over_column} FROM t"):
             if isinstance(expected, float):
                 ((value,),) = engine.execute(sql).rows
+                assert isinstance(value, float), sql
                 assert value == expected or (math.isnan(value) and math.isnan(expected)), sql
             else:
                 with pytest.raises(expected):

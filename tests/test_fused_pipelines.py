@@ -18,6 +18,7 @@ from repro.exec.pipeline import FusedPipelineOperator
 from repro.sql import parse_statement
 from repro.workload.datasets import setup_warehouse_dataset
 from repro.workload.tpcds import TPCDS_ANALOG_QUERIES
+from tests.cluster_corpus import lowering_captured
 from tests.conftest import make_engine
 
 
@@ -283,9 +284,11 @@ def test_explain_annotation_equals_runtime_fused_stages_on_fig6():
             int(fragment_id): sorted(note.split(", ")) if note else []
             for fragment_id, note in header.findall(cluster.explain(sql))
         }
-        query = cluster.run_query(sql)
-        assert set(explained) == set(query.stages), query_id
-        for fragment_id, stage in query.stages.items():
+        with lowering_captured() as lowered:
+            query = cluster.run_query(sql)
+        stages = lowered[query.query_id]
+        assert set(explained) == set(stages), query_id
+        for fragment_id, stage in stages.items():
             annotated += bool(explained[fragment_id])
             for task in stage.tasks:
                 ran = sorted(

@@ -84,6 +84,16 @@ def _run_until_drained(cluster, handle):
     raise AssertionError("no drained spooled stream materialized")
 
 
+def settled_attempts(handle) -> dict:
+    """Producer key -> the attempt that held the slot when the query
+    settled: the last one handed out."""
+    return {
+        (stage.id, partition): task.attempt
+        for stage in handle.info.stages.values()
+        for partition, task in enumerate(stage.tasks)
+    }
+
+
 def _crash_producer_then_consumer(cluster, handle, producers) -> None:
     """Crash the node of ``producers``, then the node of the task that
     read partition 0 of the first one's output."""
@@ -262,7 +272,7 @@ def test_drained_then_killed_producer_served_from_spool():
     re_executed = [
         key
         for key in drained
-        if handle._attempts.get(key, 0) > attempts_before.get(key, 0)
+        if settled_attempts(handle)[key] > attempts_before.get(key, 0)
     ]
     assert re_executed == []
 
@@ -286,7 +296,7 @@ def test_spool_checksum_mismatch_falls_back_to_lineage_replay():
     assert stats["ft.spool_checksum_mismatches"] >= 1
     # This time the drained producer WAS re-executed (lineage fallback).
     assert any(
-        handle._attempts.get(key, 0) > attempts_before.get(key, 0)
+        settled_attempts(handle)[key] > attempts_before.get(key, 0)
         for key in drained
     )
 
@@ -474,9 +484,10 @@ def test_coordinator_crash_leaves_the_run_state_of_a_fresh_handle():
     assert (handle.writer_scale_ups, handle.tasks_recovered) == (3, recovered)
 
     cluster.restart_coordinator()
+    cluster.sim.run(stop_when=lambda: handle._phase_gates)
+    assert handle._phase_gates == {0: {1}}  # recomputed by the re-run
     cluster.run()
     assert handle.state == "finished"
-    assert handle._phase_gates == {0: {1}}  # recomputed by the re-run
     assert handle.rows() == expected_rows(sql)
 
 

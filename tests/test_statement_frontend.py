@@ -97,7 +97,7 @@ def test_statement_matrix_same_rows_on_both_engines(case, cache):
         clustered = _strip_cache_status(clustered)
     assert local.rows == clustered
     assert bool(local.rows) == (case != "show_tables_empty")
-    assert local.column_names == handle.fragmented.column_names
+    assert local.column_names == list(handle.info.column_names)
     if effect is not None:
         assert engine.execute(effect).rows == cluster.execute(effect)
 
