@@ -152,12 +152,6 @@ class SimCluster:
         self.duplicates_dropped = 0  # by exchange clients, folded in at settle
         self.queries_timed_out = 0
         self.dead_node_bytes_released = 0
-        # Dynamic-filter counters (runtime filtering, docs/EXECUTION.md).
-        self.df_filters_published = 0
-        self.df_filters_republished = 0
-        self.df_splits_pruned = 0
-        self.df_rows_filtered = 0
-        self.df_waits_expired = 0
         # Pipeline-fusion counters (repro.exec.pipeline): pipelines
         # compiled into a FusedPipelineOperator vs. fallbacks by reason.
         self.pipelines_fused = 0
@@ -747,11 +741,6 @@ class SimCluster:
             "ft.queries_restarted": self.queries_restarted,
             "ft.checkpoints_taken": self.journal.checkpoints_taken,
             "ft.commits_fenced": self.journal.commits_fenced,
-            "df.filters_published": self.df_filters_published,
-            "df.filters_republished": self.df_filters_republished,
-            "df.splits_pruned": self.df_splits_pruned,
-            "df.rows_filtered": self.df_rows_filtered,
-            "df.waits_expired": self.df_waits_expired,
             "exec.pipelines_fused": self.pipelines_fused,
             "exec.fusion_fallbacks": sum(self.fusion_fallbacks.values()),
             "exec.fragments_lowered": self.fragments_lowered,

@@ -47,7 +47,7 @@ impossible does the query fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cost import NETWORK_LATENCY_MS
@@ -78,10 +78,6 @@ _AFFINITY_QUEUE_SLACK = 8
 # against crash loops). One worker loss costs one retry per lost task,
 # so wide queries (many fragments x partitions) spend it faster.
 _MAX_TASK_RETRIES_PER_QUERY = 64
-# Simulated collection/propagation latency between a build task
-# publishing its key summary and the coordinator being able to act on it
-# (split pruning, filtered splits).
-_DYNAMIC_FILTER_LATENCY_MS = 1.0
 
 
 @dataclass
@@ -89,10 +85,6 @@ class _ScanSchedule:
     """Split scheduling state for one table scan within one stage."""
 
     scan_index: int
-    # The TableScanNode (FragmentTemplate.scan_nodes[scan_index]); for
-    # runtime dynamic filtering it names the awaited filter ids and the
-    # bounded-wait policy (repro.optimizer.rules.dynamic_filters).
-    node: plan.TableScanNode
     connector: object
     split_source: object
     # The first split batch as (split, worker), taken and assigned at
@@ -100,8 +92,6 @@ class _ScanSchedule:
     held: Optional[list] = None
     done: bool = False
     assigned: int = 0
-    wait_deadline: Optional[float] = None
-    wait_expired: bool = False
 
 
 @dataclass
@@ -260,21 +250,6 @@ class QueryExecution:
         # Round-robin routing journals shared across attempts, keyed by
         # producer_key (adaptive writer scaling under recovery).
         self._routing_log: dict[tuple[int, int], list[int]] = {}
-        # -- dynamic filters -------------------------------------------
-        # filter id -> merged DynamicFilter, complete and usable.
-        self._df_ready: dict[str, object] = {}
-        # (filter id, publishing stage) -> {build partition: partial
-        # DynamicFilter}. For hash-partitioned joins each build task
-        # holds one key slice, so the filter is usable only once *every*
-        # partition of one stage reported (a grouping-sets expansion
-        # copies a join into two stages, of any two widths, that publish
-        # one id); the partition key also dedups republications from
-        # recovered builds (content is order-independent: identical).
-        self._df_partials: dict[tuple[str, int], dict[int, object]] = {}
-        # (filter id, stage) -> number of build-task partials required.
-        self._df_expected: dict[tuple[str, int], int] = {}
-        # task_id -> (rows_filtered, splits_pruned) last aggregated.
-        self._df_counter_seen: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Startup
@@ -372,8 +347,8 @@ class QueryExecution:
             return load[worker], worker.name
 
         # Lower each fragment once (paper Sec. IV-D). The template knows
-        # what the fragment reads — its remote sources, its scans, the
-        # dynamic filters it publishes — so the plan is not walked again.
+        # what the fragment reads — its remote sources and its scans — so
+        # the plan is not walked again.
         # Children come first, so a stage is sized after its inputs.
         for fragment_id, fragment in self.fragmented.fragments.items():
             template = FragmentPlanner(cluster.metadata).lower_fragment(fragment)
@@ -387,9 +362,7 @@ class QueryExecution:
                         node.table, node.constraint, []
                     )[0]
                 stage.scan_schedules.append(
-                    _ScanSchedule(
-                        scan_index, node, connector, connector.split_source(layout)
-                    )
+                    _ScanSchedule(scan_index, connector, connector.split_source(layout))
                 )
             if fragment.partitioning == "source":
                 reached, stage.width_reason = self._seat_first_batch(stage, live_workers)
@@ -419,10 +392,6 @@ class QueryExecution:
         for stage in self.stages.values():
             for partition, worker in enumerate(stage.placement):
                 stage.tasks.append(self._new_task(stage, partition, worker))
-            # Each annotated Join/SemiJoin build collects one partial
-            # per task of its stage.
-            for filter_id in stage.template.dynamic_filter_ids:
-                self._df_expected[filter_id, stage.id] = len(stage.tasks)
 
     def _seat_first_batch(self, stage: StageExecution, live_workers: list) -> tuple[set, str]:
         """Take the first split batch of every scan of a source stage
@@ -574,13 +543,6 @@ class QueryExecution:
         def fetch() -> None:
             if self.state != "running" or schedule.done:
                 return
-            if self._df_wait_blocked(schedule):
-                # Bounded wait for awaited dynamic filters: deferring the
-                # very first split fetch lets a fast build side prune
-                # splits before any are assigned. Expired waits degrade
-                # gracefully to unfiltered reads.
-                self._later(_SPLIT_BATCH_LATENCY_MS, fetch)
-                return
             batch, schedule.held = schedule.held, None
             if not batch:  # past the first: assigned against live queues
                 source = schedule.split_source
@@ -607,43 +569,6 @@ class QueryExecution:
 
         self._later(_SPLIT_BATCH_LATENCY_MS, fetch)
 
-    def _df_wait_blocked(self, schedule: _ScanSchedule) -> bool:
-        awaited = schedule.node.dynamic_filters
-        if not awaited:
-            return False
-        if all(fid in self._df_ready for fid in awaited):
-            return False
-        now = self.cluster.sim.now
-        if schedule.wait_deadline is None:
-            schedule.wait_deadline = now + schedule.node.dynamic_filter_wait_ms
-        if now < schedule.wait_deadline:
-            return True
-        if not schedule.wait_expired:
-            schedule.wait_expired = True
-            self.cluster.df_waits_expired += 1
-        return False
-
-    def _df_augment_split(self, schedule: _ScanSchedule, split):
-        """Attach ready dynamic filters to the split (so filtered reads
-        stay a pure function of the split, replay-safe), or return None
-        when the connector proves the split holds no matching rows."""
-        awaited = schedule.node.dynamic_filters
-        if not awaited:
-            return split
-        attached = dict(split.dynamic_filters)
-        changed = False
-        for filter_id, column in awaited.items():
-            ready = self._df_ready.get(filter_id)
-            if ready is not None and column not in attached:
-                attached[column] = ready
-                changed = True
-        if not changed:
-            return split
-        if schedule.connector.prune_split(split, attached):
-            self.cluster.df_splits_pruned += 1
-            return None
-        return replace(split, dynamic_filters=tuple(sorted(attached.items())))
-
     def _assign_split(
         self, stage: StageExecution, schedule: _ScanSchedule, split, worker=None
     ) -> None:
@@ -652,9 +577,6 @@ class QueryExecution:
         tasks = [t for t in stage.tasks if not t.failed]
         if not tasks:
             return
-        split = self._df_augment_split(schedule, split)
-        if split is None:
-            return  # pruned: never journaled, never assigned
         index = schedule.scan_index
         target = next((t for t in tasks if t.worker is worker), None)
         if target is None:  # not seated, or the seat's task was replaced
@@ -1199,11 +1121,6 @@ class QueryExecution:
         ):
             buffer.active_partitions += 1
             self.writer_scale_ups += 1
-        # Collect dynamic filters published by build operators during the
-        # quantum, and fold the task's df counters into cluster stats.
-        for filter_ in task.dynamic_filters.drain_published():
-            self._on_dynamic_filter_published(filter_, task)
-        self._aggregate_df_counters(task)
         # Ship pages produced during the quantum (and EOFs of finished
         # tasks) to consumers: only the partitions the quantum wrote to
         # or finished. Every other way a partition can have something to
@@ -1227,47 +1144,6 @@ class QueryExecution:
         query runs: a task's last quantum and every output-buffer poll."""
         if self.state == "running" and not stage.completed and stage.check_completed() and self.phased:
             self._start_unblocked_stages()
-
-    # ------------------------------------------------------------------
-    # Dynamic filter collection (build side -> coordinator)
-    # ------------------------------------------------------------------
-
-    def _on_dynamic_filter_published(self, filter_, task: SimTask) -> None:
-        key = (filter_.filter_id, task.fragment.id)
-        partials = self._df_partials.setdefault(key, {})
-        if task.partition in partials:
-            # A recovered build task replayed and republished; content is
-            # order-independent, so the copy is bit-identical — drop it.
-            self.cluster.df_filters_republished += 1
-            return
-        partials[task.partition] = filter_
-        # Simulated collection/propagation latency: the filter becomes
-        # usable one network hop after the last partial is published.
-        self._later(_DYNAMIC_FILTER_LATENCY_MS, lambda: self._merge_dynamic_filter(key))
-
-    def _merge_dynamic_filter(self, key: tuple[str, int]) -> None:
-        filter_id = key[0]
-        if self.state != "running" or filter_id in self._df_ready:
-            return
-        partials = self._df_partials[key]
-        if len(partials) < self._df_expected[key]:
-            return  # partitioned build: other tasks' key slices pending
-        merged = None
-        for partition in sorted(partials):
-            part = partials[partition]
-            merged = part if merged is None else merged.union(part)
-        self._df_ready[filter_id] = merged
-        self.cluster.df_filters_published += 1
-
-    def _aggregate_df_counters(self, task: SimTask) -> None:
-        rows = sum(op.df_rows_filtered for op in task.scan_operators)
-        pruned = sum(op.df_splits_pruned for op in task.scan_operators)
-        if not rows and not pruned:
-            return
-        last_rows, last_pruned = self._df_counter_seen.get(task.task_id, (0, 0))
-        self.cluster.df_rows_filtered += rows - last_rows
-        self.cluster.df_splits_pruned += pruned - last_pruned
-        self._df_counter_seen[task.task_id] = (rows, pruned)
 
     def _check_done(self) -> None:
         if self.state != "running":

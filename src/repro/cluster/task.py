@@ -39,27 +39,23 @@ class FragmentTemplate(ExecutionTemplate):
     stage and tasks act on, so nobody walks the plan again: the scans
     that take splits, in the order that numbers them; the symbols and
     merge ordering of each remote source's exchange client, by
-    remote-source key; the ids of the dynamic filters its join builds
-    publish."""
+    remote-source key."""
 
-    def __init__(
-        self, pipelines, shared, scan_nodes: list, remote_sources: dict, dynamic_filter_ids: list
-    ):
+    def __init__(self, pipelines, shared, scan_nodes: list, remote_sources: dict):
         super().__init__(pipelines, shared)
         #: ``scan_nodes[i]`` is the ``TableScanNode`` a task's
         #: ``scan_operators[i]`` reads and the split scheduler feeds as
         #: scan ``i`` (numbered by ``FragmentPlanner._visit_TableScanNode``)
         self.scan_nodes = scan_nodes
         self.remote_sources = remote_sources
-        self.dynamic_filter_ids = dynamic_filter_ids
 
 
 class FragmentPlanner(LocalExecutionPlanner):
     """Lowers one fragment, once per stage, into a template with
     exchange endpoints. The context its factories read is the
     :class:`SimTask` being instantiated: output buffer, exchange
-    clients, dynamic-filter registry, worker stripe cache, routing log,
-    commit guard and the recovery flag are the task's own."""
+    clients, worker stripe cache, routing log and commit guard are the
+    task's own."""
 
     def __init__(self, metadata):
         super().__init__(metadata)
@@ -69,7 +65,6 @@ class FragmentPlanner(LocalExecutionPlanner):
         self._scan_nodes: list[plan.TableScanNode] = []
         # remote-source key -> (symbols, merge ordering)
         self._remote_sources: dict[tuple, tuple] = {}
-        self._dynamic_filter_ids: list[str] = []
 
     def lower_fragment(self, fragment: PlanFragment) -> FragmentTemplate:
         factories, symbols = self.visit(fragment.root)
@@ -90,23 +85,12 @@ class FragmentPlanner(LocalExecutionPlanner):
         )
         self.pipelines.append(factories)
         return FragmentTemplate(
-            self.pipelines,
-            self._shared,
-            self._scan_nodes,
-            self._remote_sources,
-            self._dynamic_filter_ids,
+            self.pipelines, self._shared, self._scan_nodes, self._remote_sources
         )
-
-    def visit(self, node: plan.PlanNode):
-        # Join and semi-join builds publish these; the coordinator
-        # collects one partial per task of the stage.
-        self._dynamic_filter_ids.extend(getattr(node, "dynamic_filter_ids", ()))
-        return super().visit(node)
 
     def _visit_TableScanNode(self, node: plan.TableScanNode):
         connector = self.metadata.connector(node.table.catalog)
         columns = [node.assignments[s] for s in node.outputs]
-        filter_specs = self._scan_filter_specs(node, columns)
         scan_index = len(self._scan_nodes)
         self._scan_nodes.append(node)
 
@@ -114,12 +98,6 @@ class FragmentPlanner(LocalExecutionPlanner):
             task = instance.context
             scan = TableScanOperator(connector, columns)
             scan.stripe_cache = getattr(task.worker, "stripe_cache", None)
-            # Same-fragment (broadcast-join) filters apply live through the
-            # task registry — except under task recovery, where page content
-            # must be a pure function of the replayed split log, so filters
-            # reach the scan only via coordinator-attached splits.
-            if filter_specs and not task.recovery_active:
-                scan.attach_dynamic_filters(filter_specs, task.dynamic_filters)
             # Splits arrive from the coordinator, addressed by the
             # scan's number.
             task.scan_operators[scan_index] = scan
@@ -185,9 +163,9 @@ class SimTask:
     __slots__ = (
         "task_id", "query_id", "fragment", "worker", "template", "partition",
         "cost_model", "routing_log", "on_commit", "on_finished", "attempt",
-        "producer_key", "dynamic_filters", "recovery_active", "scan_operators",
-        "exchange_clients", "output_buffer", "drivers", "stats",
-        "no_more_splits_flag", "failed", "error", "superseded", "memory_blocked",
+        "producer_key", "scan_operators", "exchange_clients", "output_buffer",
+        "drivers", "stats", "no_more_splits_flag", "failed", "error",
+        "superseded", "memory_blocked",
         "split_log", "_live_drivers", "_operators", "_input_rows",
         "_last_user_retained", "_last_system_retained", "_last_io_ms",
     )  # fmt: skip
@@ -230,14 +208,6 @@ class SimTask:
         # and re-request streams by this key, not by task_id.
         self.attempt = attempt
         self.producer_key = (fragment.id, partition)
-        # Dynamic filters published by this task's build operators; the
-        # coordinator drains new entries after each quantum. retain_output
-        # doubles as the "task recovery active" signal: replayed tasks
-        # must not apply filters live (timing-dependent page content).
-        from repro.exec.dynamic_filters import DynamicFilterRegistry
-
-        self.dynamic_filters = DynamicFilterRegistry()
-        self.recovery_active = retain_output
         self.scan_operators: list[TableScanOperator] = [None] * len(template.scan_nodes)
         self.exchange_clients: dict[tuple, ExchangeClient] = {
             key: ExchangeClient(symbols, ordering)

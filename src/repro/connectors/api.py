@@ -43,11 +43,6 @@ class Split:
     estimated_bytes: int = 0
     # Simulated time to first byte for this split's storage system.
     read_latency_ms: float = 0.0
-    # Runtime dynamic filters attached before assignment, as sorted
-    # (column name, repro.exec.dynamic_filters.DynamicFilter) pairs.
-    # Riding on the split keeps filtered reads a pure function of the
-    # split itself, so task recovery's split-log replay stays bit-exact.
-    dynamic_filters: tuple = ()
 
 
 class SplitSource:
@@ -305,13 +300,6 @@ class Connector:
         different bytes — the worker stripe cache relies on that to stay
         coherent without an invalidation protocol."""
         return None
-
-    def prune_split(self, split: Split, filters: dict) -> bool:
-        """True when the given runtime dynamic filters (column name ->
-        DynamicFilter) prove the split holds no matching rows — e.g. a
-        Hive partition value or every Raptor shard stripe falls outside
-        a filter's domain. Must be conservative: only prune on proof."""
-        return False
 
     # Characteristics used by the simulator's cost model.
     #: simulated per-split time-to-first-byte (remote storage pays more)

@@ -435,18 +435,6 @@ class HiveConnector(Connector):
         table = self.metastore.require_table(table_handle.schema, table_handle.table)
         partition_columns = table.partition_columns
         data_columns = [c for c in columns if c not in partition_columns]
-        if split.dynamic_filters:
-            # Runtime dynamic filters ride on the split; fold their
-            # domains into the stripe-skipping constraint so the reader
-            # skips stripes whose min/max exclude the build-side keys.
-            from repro.exec.dynamic_filters import constraint_from
-
-            df_constraint = constraint_from(
-                (c, f) for c, f in split.dynamic_filters if c in data_columns
-            )
-            constraint = (
-                df_constraint if constraint is None else constraint.intersect(df_constraint)
-            )
         reader = OrcReader(
             file,
             data_columns,
@@ -480,30 +468,6 @@ class HiveConnector(Connector):
         # File paths come from a global counter and are never reused, so
         # a path uniquely identifies immutable bytes.
         return split.payload[0]
-
-    def prune_split(self, split: Split, filters: dict) -> bool:
-        """Prune a file split using runtime dynamic filters: drop it when
-        its partition value falls outside a filter's domain, or when every
-        stripe's statistics (min/max + Bloom) exclude the filter."""
-        path, partition_values, _constraint = split.payload
-        table_handle = self._table_handle_for_path(path)
-        table = self.metastore.require_table(table_handle.schema, table_handle.table)
-        if table.partition_columns and partition_values is not None:
-            row = dict(zip(table.partition_columns, partition_values))
-            for column, filter_ in filters.items():
-                if column in row and not filter_.contains_value(row[column]):
-                    return True
-        dfs_file = self.dfs.stat(path)
-        file = dfs_file.payload if dfs_file is not None else None
-        if file is not None and file.stripes:
-            for column, filter_ in filters.items():
-                chunks = [stripe.columns.get(column) for stripe in file.stripes]
-                if all(
-                    chunk is not None and not filter_.might_match_chunk(chunk)
-                    for chunk in chunks
-                ):
-                    return True
-        return False
 
     def _table_handle_for_path(self, path: str) -> HiveTableHandle:
         parts = path.split("/")

@@ -300,15 +300,6 @@ class RaptorConnector(Connector):
             return IteratorPageSource(iter(()))
         table = self.table(handle)
         shard = next(s for s in table.shards if s.shard_id == shard_id)
-        if split.dynamic_filters:
-            # Fold runtime dynamic-filter domains into the stripe-skipping
-            # constraint (same mechanism as Hive stripe pruning).
-            from repro.exec.dynamic_filters import constraint_from
-
-            df_constraint = constraint_from(split.dynamic_filters)
-            constraint = (
-                df_constraint if constraint is None else constraint.intersect(df_constraint)
-            )
         reader = OrcReader(
             shard.file, columns, constraint, lazy=True, stats=self.read_stats
         )
@@ -318,25 +309,6 @@ class RaptorConnector(Connector):
         # Shard ids are allocated once and never reused; the placeholder
         # split for an empty table (shard_id None) is not cacheable.
         return split.payload[1]
-
-    def prune_split(self, split: Split, filters: dict) -> bool:
-        """Prune a shard when every stripe's statistics (min/max + Bloom)
-        prove it holds no build-side join keys."""
-        handle, shard_id, _constraint = split.payload
-        if shard_id is None:
-            return False
-        table = self.table(handle)
-        shard = next((s for s in table.shards if s.shard_id == shard_id), None)
-        if shard is None or not shard.file.stripes:
-            return False
-        for column, filter_ in filters.items():
-            chunks = [stripe.columns.get(column) for stripe in shard.file.stripes]
-            if all(
-                chunk is not None and not filter_.might_match_chunk(chunk)
-                for chunk in chunks
-            ):
-                return True
-        return False
 
     def page_sink(self, insert_handle: RaptorTableHandle) -> RaptorPageSink:
         return RaptorPageSink(self, insert_handle)

@@ -719,40 +719,3 @@ def partition_positions(hashes: np.ndarray, count: int) -> list[np.ndarray]:
     order = np.argsort(parts, kind="stable")
     boundaries = np.searchsorted(parts[order], np.arange(count + 1))
     return [order[boundaries[p] : boundaries[p + 1]] for p in range(count)]
-
-
-# --------------------------------------------------------------------------
-# Dynamic-filter membership (runtime filtering)
-# --------------------------------------------------------------------------
-
-
-def domain_mask(
-    values: np.ndarray,
-    nulls: np.ndarray,
-    kind: str,
-    low,
-    high,
-    in_values=None,
-) -> Optional[np.ndarray]:
-    """Vectorized keep-mask for a dynamic filter over one primitive
-    column: non-null and inside the IN-list (when given) or the
-    ``[low, high]`` range. Returns the mask, or ``None`` when the
-    filter values are incomparable with the column (caller keeps every
-    row — dynamic filters must stay conservative)."""
-    keep = ~nulls
-    if in_values is not None:
-        candidates = np.asarray(in_values)
-        if candidates.dtype.kind not in "biuf":
-            return None
-        with np.errstate(invalid="ignore"):
-            keep &= np.isin(values, candidates)
-        return keep
-    try:
-        with np.errstate(invalid="ignore"):
-            if low is not None:
-                keep &= values >= low
-            if high is not None:
-                keep &= values <= high
-    except TypeError:
-        return None
-    return keep

@@ -18,7 +18,6 @@ from repro.errors import NotSupportedError, PrestoError
 from repro.exec.blocks import make_block
 from repro.exec.compiler import compile_expression, compile_row
 from repro.exec.driver import Driver, run_drivers_to_completion
-from repro.exec.dynamic_filters import DynamicFilterRegistry
 from repro.exec.operator import Operator, StreamingOperator, row_fallback_counts
 from repro.exec.operators.aggregation import AggregatorSpec, HashAggregationOperator
 from repro.exec.operators.core import (
@@ -115,13 +114,10 @@ class _Instance:
 
 
 class LocalContext:
-    """Per-execution state of a locally run plan: the live dynamic-filter
-    exchange between its build operators and probe scans
-    (repro.exec.dynamic_filters), and the collector its output pipeline
-    ends in."""
+    """Per-execution state of a locally run plan: the collector its
+    output pipeline ends in."""
 
     def __init__(self):
-        self.dynamic_filters = DynamicFilterRegistry()
         self.collector: Optional[OutputCollectorOperator] = None
 
 
@@ -133,9 +129,9 @@ class ExecutionTemplate:
     the fusion decision taken. Made per ``instantiate`` call: every
     operator (all operator state is per task), the bridges and local
     buffers linking an instance's pipelines, and whatever the factories
-    read from the caller's ``context`` — dynamic-filter registry, and in
-    a cluster task its output buffer, exchange clients, stripe cache,
-    page sinks and commit guard."""
+    read from the caller's ``context`` — the output collector, and in a
+    cluster task its output buffer, exchange clients, stripe cache, page
+    sinks and commit guard."""
 
     def __init__(
         self,
@@ -264,14 +260,9 @@ class LocalExecutionPlanner:
             layouts = self.metadata.table_layouts(node.table, node.constraint, [])
             layout = layouts[0]
         columns = [node.assignments[s] for s in node.outputs]
-        filter_specs = self._scan_filter_specs(node, columns)
 
         def make(instance):
             scan = TableScanOperator(connector, columns)
-            if filter_specs:
-                scan.attach_dynamic_filters(
-                    filter_specs, instance.context.dynamic_filters
-                )
             source = connector.split_source(layout)
             while not source.is_finished():
                 for split in source.get_next_batch(1000):
@@ -281,18 +272,6 @@ class LocalExecutionPlanner:
 
         scan = OperatorFactory(make, TableScanOperator.name, TableScanOperator.name)
         return [scan], list(node.outputs)
-
-    def _scan_filter_specs(self, node: plan.TableScanNode, columns) -> list[tuple[str, int]]:
-        """(filter id, channel) for every dynamic filter the optimizer
-        annotated the scan with; the scan applies them through its
-        instance's registry."""
-        if not node.dynamic_filters:
-            return []
-        return [
-            (filter_id, columns.index(column))
-            for filter_id, column in sorted(node.dynamic_filters.items())
-            if column in columns
-        ]
 
     def _visit_ValuesNode(self, node: plan.ValuesNode):
         rows = [tuple(compile_row(e)(()) for e in row) for row in node.rows]
@@ -454,18 +433,9 @@ class LocalExecutionPlanner:
         probe_channels = channel_map(probe_symbols)
         build_keys = [build_channels[c.right.name] for c in node.criteria]
         probe_keys = [probe_channels[c.left.name] for c in node.criteria]
-        df_specs = [
-            (filter_id, build_keys[index])
-            for filter_id, index in sorted(node.dynamic_filter_ids.items())
-        ]
         build.append(
             OperatorFactory(
-                lambda instance: HashBuildOperator(
-                    instance.shared[bridge],
-                    build_keys,
-                    dynamic_filters=df_specs,
-                    on_dynamic_filter=instance.context.dynamic_filters.publish,
-                ),
+                lambda instance: HashBuildOperator(instance.shared[bridge], build_keys),
                 HashBuildOperator.name,
             )
         )
@@ -501,15 +471,12 @@ class LocalExecutionPlanner:
         probe_channels = channel_map(probe_symbols)
         build_keys = [build_channels[k.name] for k in node.filtering_keys]
         probe_keys = [probe_channels[k.name] for k in node.source_keys]
-        df_specs = sorted(node.dynamic_filter_ids.items())
         null_aware = node.null_aware
         build.append(
             OperatorFactory(
                 lambda instance: SemiJoinBuildOperator(
                     instance.shared[bridge],
                     build_keys,
-                    dynamic_filters=df_specs,
-                    on_dynamic_filter=instance.context.dynamic_filters.publish,
                     null_aware=null_aware,
                 ),
                 SemiJoinBuildOperator.name,

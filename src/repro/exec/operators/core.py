@@ -65,22 +65,6 @@ class TableScanOperator(Operator):
         # cluster task planner, None in the local engine. Hits shorten
         # the simulated open latency — never the bytes produced.
         self.stripe_cache = None
-        # Runtime dynamic filtering (repro.exec.dynamic_filters): filters
-        # arrive either attached to a split by the coordinator
-        # (replay-deterministic) or through a live registry shared with
-        # same-plan build operators (local engine / recovery-off tasks).
-        self.df_specs: list[tuple[str, int]] = []  # (filter id, channel)
-        self.df_registry = None
-        self.df_rows_filtered = 0
-        self.df_splits_pruned = 0
-        self._split_filters: list = []  # (channel, DynamicFilter) for open split
-        self._split_filter_ids: frozenset = frozenset()
-
-    def attach_dynamic_filters(self, specs, registry) -> None:
-        """Filter the scan's pages through ``registry`` as the given
-        (filter id, key channel) filters become ready."""
-        self.df_specs = list(specs)
-        self.df_registry = registry
 
     def _split_open_latency(self, split: Split) -> float:
         """Time-to-first-byte for one split: a stripe-cache hit pays only
@@ -128,19 +112,9 @@ class TableScanOperator(Operator):
             if self._source is None:
                 if not self._splits:
                     return None
-                split = self._augment_split(self._splits.pop(0))
-                if split.dynamic_filters and self.connector.prune_split(
-                    split, dict(split.dynamic_filters)
-                ):
-                    self.df_splits_pruned += 1
-                    self.completed_splits += 1
-                    continue
+                split = self._splits.pop(0)
                 self.opened_latency_ms += self._split_open_latency(split)
                 self._source = self.connector.page_source(split, self.columns)
-                self._split_filters = self._channel_filters(split)
-                self._split_filter_ids = frozenset(
-                    f.filter_id for _, f in self._split_filters
-                )
             page = self._source.next_page()
             if page is None:
                 self.completed_bytes += self._source.completed_bytes
@@ -148,73 +122,8 @@ class TableScanOperator(Operator):
                 self._source = None
                 self.completed_splits += 1
                 continue
-            page = self._apply_dynamic_filters(page)
-            if page is None:
-                continue
             self.record_output(page)
             return page
-
-    def _augment_split(self, split: Split):
-        """Attach currently-ready live-registry filters so the connector's
-        reader can skip stripes. Coordinator-attached filters (task
-        recovery's deterministic path) already ride on the split."""
-        if self.df_registry is None or not self.df_specs:
-            return split
-        from dataclasses import replace
-
-        attached = dict(split.dynamic_filters)
-        for filter_id, channel in self.df_specs:
-            ready = self.df_registry.get(filter_id)
-            if ready is not None:
-                attached.setdefault(self.columns[channel], ready)
-        if len(attached) == len(split.dynamic_filters):
-            return split
-        return replace(split, dynamic_filters=tuple(sorted(attached.items())))
-
-    def _channel_filters(self, split: Split) -> list:
-        out = []
-        for column, filter_ in split.dynamic_filters:
-            try:
-                out.append((self.columns.index(column), filter_))
-            except ValueError:
-                continue  # filter column not read by this scan
-        return out
-
-    def _apply_dynamic_filters(self, page: Page) -> Optional[Page]:
-        """Vectorized page filtering; None when every row is dropped.
-
-        Blocks the columnar scan passed through encoded stay encoded:
-        :meth:`DynamicFilter.mask` decides dictionary/RLE blocks per
-        distinct entry, and ``Page.copy_positions`` re-wraps surviving
-        rows around the same shared dictionary."""
-        if not self._split_filters and not self.df_specs:
-            return page
-        import numpy as np
-
-        mask = None
-        for channel, filter_ in self._split_filters:
-            m = filter_.mask(page.block(channel), page.row_count)
-            if m is not None:
-                mask = m if mask is None else (mask & m)
-        if self.df_registry is not None:
-            for filter_id, channel in self.df_specs:
-                if filter_id in self._split_filter_ids:
-                    continue  # already applied via the split attachment
-                ready = self.df_registry.get(filter_id)
-                if ready is None:
-                    continue
-                m = ready.mask(page.block(channel), page.row_count)
-                if m is not None:
-                    mask = m if mask is None else (mask & m)
-        if mask is None:
-            return page
-        kept = int(mask.sum())
-        if kept == page.row_count:
-            return page
-        self.df_rows_filtered += page.row_count - kept
-        if kept == 0:
-            return None
-        return page.copy_positions(np.flatnonzero(mask))
 
     def finish(self) -> None:
         self._no_more_splits = True

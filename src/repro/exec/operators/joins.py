@@ -89,16 +89,10 @@ class HashBuildOperator(Operator):
         self,
         bridge: JoinBridge,
         key_channels: Sequence[int],
-        dynamic_filters: Sequence[tuple[str, int]] = (),
-        on_dynamic_filter: Optional[Callable] = None,
     ):
         super().__init__()
         self.bridge = bridge
         self.key_channels = list(key_channels)
-        # (filter id, key channel) pairs to summarize at finish time
-        # (repro.exec.dynamic_filters); the callback publishes them.
-        self.dynamic_filter_specs = list(dynamic_filters)
-        self.on_dynamic_filter = on_dynamic_filter
         self._pages: list[Page] = []
         self._finished = False
         self._retained = 0
@@ -156,14 +150,6 @@ class HashBuildOperator(Operator):
         self._finished = True
         combined = concat_pages(self._collect_input())
         row_count = combined.row_count if combined is not None else 0
-        if self.dynamic_filter_specs and self.on_dynamic_filter is not None:
-            from repro.exec.dynamic_filters import DynamicFilter
-
-            for filter_id, channel in self.dynamic_filter_specs:
-                block = combined.block(channel) if combined is not None else None
-                self.on_dynamic_filter(
-                    DynamicFilter.from_block(filter_id, block, row_count)
-                )
         multimap = None
         if combined is not None:
             multimap = VectorMultiMap.build(
@@ -449,8 +435,6 @@ class SemiJoinBuildOperator(Operator):
         self,
         bridge: SemiJoinBridge,
         key_channels,
-        dynamic_filters: Sequence[tuple[str, int]] = (),
-        on_dynamic_filter: Optional[Callable] = None,
         null_aware: bool = False,
     ):
         super().__init__()
@@ -458,13 +442,9 @@ class SemiJoinBuildOperator(Operator):
         self.key_channels = (
             list(key_channels) if isinstance(key_channels, (list, tuple)) else [key_channels]
         )
-        # (filter id, key index) pairs to summarize at finish time.
-        self.dynamic_filter_specs = list(dynamic_filters)
-        self.on_dynamic_filter = on_dynamic_filter
         # Null-aware mode (INTERSECT/EXCEPT short-circuit): NULL is an
         # ordinary key value — stored in the lookup set so NULL = NULL
-        # matches. ``_has_null`` is still tracked to keep dynamic
-        # filters sound (a domain filter would prune NULL probe rows).
+        # matches.
         self.null_aware = null_aware
         self._values: set = set()
         self._has_null = False
@@ -504,23 +484,6 @@ class SemiJoinBuildOperator(Operator):
     def finish(self) -> None:
         if not self._finished:
             self._finished = True
-            publish = self.dynamic_filter_specs and self.on_dynamic_filter is not None
-            if publish and self.null_aware and self._has_null:
-                # A NULL build key matches NULL probe rows in null-aware
-                # mode, but a value-domain filter would prune them at
-                # the scan. Stay unfiltered rather than lose rows.
-                publish = False
-            if publish:
-                from repro.exec.dynamic_filters import DynamicFilter
-
-                for filter_id, index in self.dynamic_filter_specs:
-                    # _values holds only complete non-null key tuples —
-                    # exactly the keys a probe row could still match.
-                    if len(self.key_channels) > 1:
-                        raw = [key[index] for key in self._values]
-                    else:
-                        raw = list(self._values)
-                    self.on_dynamic_filter(DynamicFilter.from_values(filter_id, raw))
             self.bridge.set(self._values, self._has_null)
 
     def is_finished(self) -> bool:

@@ -14,7 +14,9 @@ import numpy as np
 
 from repro.errors import (
     DivisionByZeroError,
+    InvalidCastError,
     InvalidFunctionArgumentError,
+    NumericValueOutOfRangeError,
 )
 from repro.functions.registry import FunctionRegistry, ScalarFunction
 from repro.functions.signature import K, Signature, T, U, V
@@ -203,13 +205,8 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     scalar("array_join", [ARRAY(VARCHAR), VARCHAR], VARCHAR, lambda arr, sep: sep.join(str(x) for x in arr if x is not None))
     scalar("array_position", [ARRAY(T), T], BIGINT, lambda arr, x: arr.index(x) + 1 if x in arr else 0)
     scalar("slice", [ARRAY(T), BIGINT, BIGINT], ARRAY(T), _array_slice)
-    scalar("sequence", [BIGINT, BIGINT], ARRAY(BIGINT), lambda a, b: list(range(a, b + 1)))
-    scalar(
-        "sequence",
-        [BIGINT, BIGINT, BIGINT],
-        ARRAY(BIGINT),
-        lambda a, b, step: list(range(a, b + (1 if step > 0 else -1), step)),
-    )
+    scalar("sequence", [BIGINT, BIGINT], ARRAY(BIGINT), _sequence)
+    scalar("sequence", [BIGINT, BIGINT, BIGINT], ARRAY(BIGINT), _sequence)
     scalar("element_at", [ARRAY(T), BIGINT], T, _element_at_array, null_on_null=True)
     scalar("element_at", [MAP(K, V), K], V, lambda m, k: m.get(k), null_on_null=True)
     scalar("flatten", [ARRAY(ARRAY(T))], ARRAY(T), lambda arrs: [x for a in arrs if a is not None for x in a])
@@ -276,8 +273,8 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     # ---- type conversion helpers ---------------------------------------------------
     scalar("to_varchar", [BIGINT], VARCHAR, str)
     scalar("to_varchar", [DOUBLE], VARCHAR, str)
-    scalar("to_bigint", [VARCHAR], BIGINT, int)
-    scalar("to_double", [VARCHAR], DOUBLE, float)
+    scalar("to_bigint", [VARCHAR], BIGINT, _varchar_to_bigint)
+    scalar("to_double", [VARCHAR], DOUBLE, _varchar_to_double)
     scalar("parse_int_or_null", [VARCHAR], BIGINT, _parse_int_or_null, null_on_null=False)
 
 
@@ -356,10 +353,14 @@ def _int_mod(a: int, b: int) -> int:
 def _width_bucket(x: float, low: float, high: float, buckets: int) -> int:
     if buckets <= 0:
         raise InvalidFunctionArgumentError("bucket count must be positive")
+    if math.isnan(x):
+        raise InvalidFunctionArgumentError("operand must not be NaN")
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise InvalidFunctionArgumentError("bounds must be finite")
     if x < low:
         return 0
     if x >= high:
-        return buckets + 1
+        return checked_bigint(buckets + 1)
     return int((x - low) / (high - low) * buckets) + 1
 
 
@@ -375,18 +376,21 @@ def _substr(s: str, start: int, length: int | None = None):
     return s[begin:end]
 
 
+def _pad_fill(s: str, size: int, pad: str) -> str:
+    """What lpad/rpad add to ``s``; ``s`` longer than ``size`` is cut to it."""
+    if size < 0:
+        raise InvalidFunctionArgumentError(f"target length must not be negative: {size}")
+    if not pad:
+        raise InvalidFunctionArgumentError("padding string must not be empty")
+    return (pad * size)[: max(0, size - len(s))]
+
+
 def _lpad(s: str, size: int, pad: str) -> str:
-    if len(s) >= size:
-        return s[:size]
-    fill = (pad * size)[: size - len(s)]
-    return fill + s
+    return _pad_fill(s, size, pad) + s[:size]
 
 
 def _rpad(s: str, size: int, pad: str) -> str:
-    if len(s) >= size:
-        return s[:size]
-    fill = (pad * size)[: size - len(s)]
-    return s + fill
+    return s[:size] + _pad_fill(s, size, pad)
 
 
 def _split(s: str, sep: str) -> list:
@@ -518,9 +522,30 @@ def _parse_int_or_null(s):
     if s is None:
         return None
     try:
-        return int(s)
-    except (TypeError, ValueError):
+        return checked_bigint(int(s))
+    except (TypeError, ValueError, NumericValueOutOfRangeError):
         return None
+
+
+def _varchar_to_bigint(s: str) -> int:
+    try:
+        value = int(s)
+    except ValueError:
+        raise InvalidCastError(f"cannot cast {s!r} to bigint") from None
+    return checked_bigint(value)
+
+
+def _varchar_to_double(s: str) -> float:
+    try:
+        return float(s)
+    except ValueError:
+        raise InvalidCastError(f"cannot cast {s!r} to double") from None
+
+
+def _sequence(start: int, stop: int, step: int = 1) -> list:
+    if step == 0:
+        raise InvalidFunctionArgumentError("sequence step must not be zero")
+    return list(range(start, stop + (1 if step > 0 else -1), step))
 
 
 # ---- civil-date math (days since 1970-01-01, proleptic Gregorian) ---------------

@@ -158,7 +158,7 @@ def _check_sorted(rows, order_spec) -> bool:
 AXES: dict[str, tuple[str, ...]] = {
     "engine": ("local", "cluster"),
     "kernels": ("vector", "row"),
-    "plan": ("raw", "optimized", "rewrites", "dynamic_filters"),
+    "plan": ("raw", "optimized", "rewrites"),
     "storage": ("memory", "hive", "raptor", "ctas"),
     "faults": ("none", "client_retry", "recover", "partition"),
     "memory": ("ample", "spill"),
@@ -185,7 +185,7 @@ class EngineConfig:
                 raise ValueError(f"{axis}={value!r} is not one of {AXES[axis]}")
 
 
-#: The first 14 rows each move one thing off a baseline, so a failure
+#: The first 13 rows each move one thing off a baseline, so a failure
 #: names what broke; the rows after them exist for pair coverage and
 #: cross several axes at once (docs/FUZZING.md explains each).
 CONFIGS: dict[str, EngineConfig] = {
@@ -195,22 +195,17 @@ CONFIGS: dict[str, EngineConfig] = {
     "cluster": EngineConfig(),
     "cluster_faults": EngineConfig(faults="client_retry"),
     "chaos": EngineConfig(faults="recover"),
-    "dynamic_filter": EngineConfig(plan="dynamic_filters"),
-    "hive": EngineConfig(plan="dynamic_filters", storage="hive"),
-    "raptor": EngineConfig(plan="dynamic_filters", storage="raptor"),
-    "ddl_roundtrip": EngineConfig(plan="dynamic_filters", storage="ctas"),
-    "cache_coherence": EngineConfig(
-        plan="dynamic_filters", storage="hive", cache="coherence"
-    ),
+    "hive": EngineConfig(storage="hive"),
+    "raptor": EngineConfig(storage="raptor"),
+    "ddl_roundtrip": EngineConfig(storage="ctas"),
+    "cache_coherence": EngineConfig(storage="hive", cache="coherence"),
     "spooled": EngineConfig(faults="partition"),
     "join_spill": EngineConfig(memory="spill"),
     "rewrites": EngineConfig(engine="local", plan="rewrites"),
     "hive_recover_row": EngineConfig(
         kernels="row", plan="rewrites", storage="hive", faults="recover", memory="spill"
     ),
-    "local_raptor_row": EngineConfig(
-        engine="local", kernels="row", plan="dynamic_filters", storage="raptor"
-    ),
+    "local_raptor_row": EngineConfig(engine="local", kernels="row", storage="raptor"),
 }
 
 _BUDGET = "not run: per-case budget (the next rows to add)"
@@ -253,19 +248,18 @@ EXCLUDED_PAIRS: dict[frozenset, str] = {
         ),
         (
             "coherence",
-            "row optimized rewrites spill",
+            "row rewrites spill",
             "not run: a second twin row costs over a third of a whole case",
         ),
         (
             "ctas",
-            "local row raw optimized rewrites recover partition spill",
+            "local row raw rewrites recover partition spill",
             "not run: a second round-trip row costs four CTAS statements per "
             "case; what the query reads is Raptor",
         ),
-        ("hive", "local raw optimized client_retry partition", _BUDGET),
-        ("raptor", "raw optimized rewrites recover partition spill", _BUDGET),
+        ("hive", "local raw client_retry partition", _BUDGET),
+        ("raptor", "raw rewrites recover partition spill", _BUDGET),
         ("row", "raw client_retry partition", _BUDGET),
-        ("dynamic_filters", "client_retry recover partition spill", _BUDGET),
         ("rewrites", "client_retry partition", _BUDGET),
         ("spill", "client_retry partition", _BUDGET),
     )
@@ -295,18 +289,11 @@ _WORKERS = 3
 
 #: ``plan`` axis -> OptimizerConfig overrides. ``rewrites``: every rule
 #: fires without its cost guard (the guards are what hold a rewrite back
-#: on tiny tables), against the oracle's naive plans. ``dynamic_filters``:
-#: a filter on every eligible join edge and a scheduler that waits for
-#: it, so page masks, split pruning and the wait policy run on fuzz-sized
-#: tables.
+#: on tiny tables), against the oracle's naive plans.
 _PLAN_KNOBS = {
     "raw": {},
     "optimized": {},
     "rewrites": {"rewrite_cost_guards": False},
-    "dynamic_filters": {
-        "dynamic_filter_selectivity_threshold": 1.0,
-        "dynamic_filter_wait_ms": 5.0,
-    },
 }
 
 #: ``memory`` axis -> ClusterConfig overrides. ``spill``: a general pool
@@ -323,8 +310,8 @@ _MEMORY_KNOBS = {
 }
 
 #: ``storage`` axis -> connector factory. Stripes, files and shards are
-#: tiny and every column has Bloom metadata, so stripe skipping and
-#: split / shard pruning engage on fuzz-sized tables.
+#: tiny and every column has Bloom metadata, so stripe skipping engages
+#: on fuzz-sized tables.
 _STORAGE = {
     "memory": MemoryConnector,
     "hive": lambda: HiveConnector(

@@ -15,20 +15,6 @@ class OptimizerConfig:
     table in docs/OPTIMIZER.md lists every field. Thresholds no caller
     varies are constants beside their one use."""
 
-    # Runtime dynamic filtering (build-side join domains pushed into
-    # probe scans and split pruning). The planning pass annotates a
-    # join edge only when the build side is small enough to summarize
-    # and stats suggest the filter keeps at most
-    # ``dynamic_filter_selectivity_threshold`` of the probe's distinct
-    # keys (unknown stats enable optimistically — the wait policy
-    # bounds the downside).
-    dynamic_filtering_enabled: bool = True
-    dynamic_filter_selectivity_threshold: float = 0.9
-    # How long a probe scan's split scheduling may stall waiting for
-    # build-side filters before degrading to unfiltered reads
-    # (virtual-clock ms; 0 = apply filters opportunistically, never
-    # stall).
-    dynamic_filter_wait_ms: float = 0.0
     # -- rewrite-rule pack (repro.planner.rules; docs/OPTIMIZER.md) ----
     # Per-rule gates for the QueryTorque-taxonomy rewrites that have an
     # executable fallback (decorrelate_subquery has none, so no gate).

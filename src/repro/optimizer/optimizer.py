@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.catalog.metadata import Metadata
 from repro.optimizer.context import OptimizerConfig, OptimizerContext
-from repro.optimizer.rules.dynamic_filters import plan_dynamic_filters
 from repro.optimizer.rules.joins import (
     reorder_joins,
     select_index_joins,
@@ -65,10 +64,9 @@ def optimize_plan(
     phases = (
         iterative,
         # The rewrite-rule pack runs before layout selection so scan
-        # consolidation sees un-pruned scans and the semi joins it plants
-        # are visible to plan_dynamic_filters below. Each firing can expose
-        # new work for the iterative rules (and vice versa), so they share
-        # a fixed point.
+        # consolidation sees un-pruned scans. Each firing can expose new
+        # work for the iterative rules (and vice versa), so they share a
+        # fixed point.
         _fixed_point(run_rewrite_rules, *_ITERATIVE_RULES),
         # Layout selection (pushes TupleDomains into connectors) may leave
         # residual filters; re-run the iterative rules afterwards.
@@ -83,9 +81,6 @@ def optimize_plan(
         select_index_joins,
         select_join_distribution,
         iterative,
-        # Annotate runtime dynamic filters once the plan shape is final
-        # (join order, distribution, and column pruning all settled).
-        plan_dynamic_filters,
     )
     return Plan(_sweep(phases, plan.root, context), plan.column_names, plan.column_types)
 

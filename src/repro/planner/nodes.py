@@ -61,12 +61,6 @@ class TableScanNode(PlanNode):
     # happens during layout selection, Sec. IV-C2).
     constraint: TupleDomain = field(default_factory=TupleDomain.all)
     layout: Optional[ConnectorTableLayout] = None
-    # Runtime dynamic filters this scan consumes: filter id -> connector
-    # column name, plus how long the scheduler may defer split fetches
-    # waiting for the build side (0 = never wait). Annotated by the
-    # optimizer's plan_dynamic_filters pass.
-    dynamic_filters: dict[str, str] = field(default_factory=dict)
-    dynamic_filter_wait_ms: float = 0.0
 
     @property
     def sources(self) -> list[PlanNode]:
@@ -214,10 +208,6 @@ class JoinNode(PlanNode):
     criteria: list[EquiJoinClause]
     filter: Optional[RowExpression] = None
     distribution: JoinDistribution = JoinDistribution.AUTOMATIC
-    # Runtime dynamic filters this join's build side produces:
-    # filter id -> index into ``criteria`` (the clause whose right/build
-    # key is summarized). Annotated by plan_dynamic_filters.
-    dynamic_filter_ids: dict[str, int] = field(default_factory=dict)
 
     @property
     def sources(self) -> list[PlanNode]:
@@ -242,8 +232,6 @@ class SemiJoinNode(PlanNode):
     source_keys: list[Symbol]
     filtering_keys: list[Symbol]
     output: Symbol  # boolean
-    # filter id -> index into ``filtering_keys`` (see JoinNode).
-    dynamic_filter_ids: dict[str, int] = field(default_factory=dict)
     # NULL-as-value matching (NULL = NULL, output strictly TRUE/FALSE)
     # instead of the ANSI three-valued IN semantics; backs the
     # INTERSECT/EXCEPT semi-join short-circuit, whose distinct-based
@@ -253,10 +241,6 @@ class SemiJoinNode(PlanNode):
     @property
     def source_key(self) -> Symbol:
         return self.source_keys[0]
-
-    @property
-    def filtering_key(self) -> Symbol:
-        return self.filtering_keys[0]
 
     @property
     def sources(self) -> list[PlanNode]:
@@ -670,13 +654,6 @@ def format_plan(node: PlanNode, indent: int = 0) -> str:
             details += f" partitioned_on={list(node.layout.partitioning.columns)}"
         if not node.constraint.is_all():
             details += f" constraint={node.constraint}"
-        if node.dynamic_filters:
-            awaited = ", ".join(
-                f"{fid}({column})" for fid, column in sorted(node.dynamic_filters.items())
-            )
-            details += (
-                f" dynamic_filters=[{awaited}] wait={node.dynamic_filter_wait_ms:g}ms"
-            )
     elif isinstance(node, FilterNode):
         details = f" predicate={node.predicate}"
     elif isinstance(node, ProjectNode):
@@ -691,8 +668,6 @@ def format_plan(node: PlanNode, indent: int = 0) -> str:
     elif isinstance(node, JoinNode):
         clauses = ", ".join(f"{c.left.name}={c.right.name}" for c in node.criteria)
         details = f" type={node.join_type.value} dist={node.distribution.value} on=[{clauses}]"
-        if node.dynamic_filter_ids:
-            details += f" df=[{', '.join(sorted(node.dynamic_filter_ids))}]"
     elif isinstance(node, ExchangeNode):
         keys = ", ".join(s.name for s in node.partition_keys)
         details = f" scope={node.scope.value} kind={node.kind.value} keys=[{keys}]"

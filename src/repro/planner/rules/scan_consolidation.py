@@ -220,7 +220,7 @@ def _recognize_branch(index: int, operand: plan.PlanNode) -> _Branch | None:
     if not isinstance(node, plan.TableScanNode):
         return None
     scan = node
-    if scan.layout is not None or not scan.constraint.is_all() or scan.dynamic_filters:
+    if scan.layout is not None or not scan.constraint.is_all():
         return None
     if not all(_deterministic(c) for c in conjuncts):
         return None

@@ -5,10 +5,8 @@
 tuples and streams the left side through it on a single comparison
 shape. Rewriting to a *null-aware* semi join keeps the same set
 semantics (distinct output, NULL compares equal to NULL) while buying
-everything the join infrastructure already has: build-side dynamic
-filters pruning the probe scan (INTERSECT keeps only matching rows, so
-the ``Filter(match)`` polarity qualifies), fused probe pipelines, and a
-distinct-keys-only build.
+everything the join infrastructure already has: fused probe pipelines
+and a distinct-keys-only build.
 
     L INTERSECT R   =>  Distinct(Project(Filter[match]   (SemiJoin(L, R))))
     L EXCEPT R      =>  Distinct(Project(Filter[NOT match](SemiJoin(L, R))))
@@ -32,7 +30,7 @@ class SetOpSemiJoin(RewriteRule):
     knob = "rule_setop_semijoin"
     description = (
         "INTERSECT/EXCEPT -> null-aware semi-join + filter + distinct "
-        "(enables dynamic filters and fused probe pipelines)"
+        "(enables fused probe pipelines)"
     )
     example_sql = "SELECT k FROM t0 INTERSECT SELECT k FROM t1"
 

@@ -208,8 +208,7 @@ def test_replacement_attempts_lower_nothing():
 def test_template_states_the_fragment_facts_of_every_corpus_stage(corpus_run):
     """What ``_create_stages`` reads off the template instead of walking
     the plan: every scan of the fragment exactly once, numbered 0..n-1
-    as the heads of n pipelines; the remote-source keys; the dynamic
-    filters its builds publish."""
+    as the heads of n pipelines; the remote-source keys."""
     from repro.planner import nodes as plan
 
     _, _, results, lowered = corpus_run
@@ -224,9 +223,6 @@ def test_template_states_the_fragment_facts_of_every_corpus_stage(corpus_run):
             assert set(template.remote_sources) == {
                 tuple(n.fragment_ids) for n in nodes if isinstance(n, plan.RemoteSourceNode)
             }
-            assert sorted(template.dynamic_filter_ids) == sorted(
-                fid for n in nodes for fid in getattr(n, "dynamic_filter_ids", ())
-            )
             for task in stage.tasks:
                 assert len(task.scan_operators) == len(template.scan_nodes)
                 assert None not in task.scan_operators
@@ -281,8 +277,8 @@ def test_scan_numbering_has_one_owner():
             assert split.payload[0] == nodes[index].table.connector_handle
     assert [s.scan_index for s in stage.scan_schedules] == [0, 1]
     for schedule in stage.scan_schedules:
-        assert schedule.node is nodes[schedule.scan_index]
-        assert schedule.connector is cluster.metadata.connector(schedule.node.table.catalog)
+        node = nodes[schedule.scan_index]
+        assert schedule.connector is cluster.metadata.connector(node.table.catalog)
         assert schedule.assigned > 0
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, FaultToleranceConfig, SimCluster
 from repro.cluster.fault import RetryPolicy
+from repro.connectors.memory import MemoryConnector
 from repro.connectors.tpch import TpchConnector
 from repro.errors import (
     EXTERNAL,
@@ -25,6 +26,7 @@ from repro.errors import (
     error_category,
     is_retryable,
 )
+from repro.types import BIGINT, VARCHAR
 
 
 def ft_cluster(ft=None, **overrides) -> SimCluster:
@@ -38,6 +40,32 @@ def ft_cluster(ft=None, **overrides) -> SimCluster:
     cluster = SimCluster(config)
     cluster.register_catalog("tpch", TpchConnector(scale_factor=0.002))
     return cluster
+
+
+def memory_cluster(**config_overrides) -> tuple[SimCluster, MemoryConnector]:
+    config = ClusterConfig(
+        worker_count=3,
+        default_catalog="memory",
+        default_schema="default",
+        **config_overrides,
+    )
+    cluster = SimCluster(config)
+    connector = MemoryConnector()
+    cluster.register_catalog("memory", connector)
+    return cluster, connector
+
+
+def load_fact_dim(connector, fact_rows=5000, dim_keys=(0, 1, 2)):
+    connector.create_table_with_data(
+        "memory", "default", "fact",
+        [("k", BIGINT), ("g", BIGINT)],
+        [(i, i % 100) for i in range(fact_rows)],
+    )
+    connector.create_table_with_data(
+        "memory", "default", "dim",
+        [("k", BIGINT), ("name", VARCHAR)],
+        [(k, f"n{k}") for k in dim_keys],
+    )
 
 
 RECOVERY_QUERIES = [
@@ -261,6 +289,56 @@ def test_duplicate_deliveries_are_dropped():
     assert stats["ft.transfer_duplicates_injected"] >= 1
     # Folded over the query's exchange clients when it settled.
     assert stats["ft.duplicates_dropped"] == stats["ft.transfer_duplicates_injected"]
+
+
+def test_join_recovery_under_duplicate_deliveries_is_bit_exact():
+    """A worker crash mid-join while transfers deliver duplicates: the
+    recovered build and probe tasks replay, consumers drop the copies,
+    and the result matches a fault-free run."""
+    sql = (
+        "SELECT f.g, count(*), sum(f.k) FROM fact f JOIN dim d ON f.g = d.k "
+        "GROUP BY f.g ORDER BY f.g"
+    )
+    baseline_cluster, baseline_conn = memory_cluster()
+    load_fact_dim(baseline_conn)
+    baseline = baseline_cluster.run_query(sql).rows()
+
+    cluster, connector = memory_cluster(
+        fault_tolerance=FaultToleranceConfig(enabled=True),
+        transfer_duplicate_rate=0.05,
+    )
+    load_fact_dim(connector)
+    handle = cluster.submit(sql)
+    cluster.sim.run(until_ms=1.0)
+    cluster.crash_worker("worker-2")
+    cluster.run()
+    assert handle.state == "finished"
+    assert handle.rows() == baseline
+    snapshot = cluster.stats_snapshot()
+    assert snapshot["ft.tasks_recovered"] > 0
+
+
+def test_dead_node_memory_released_at_detection():
+    cluster, connector = memory_cluster(
+        fault_tolerance=FaultToleranceConfig(enabled=True)
+    )
+    connector.create_table_with_data(
+        "memory", "default", "t",
+        [("k", BIGINT), ("g", BIGINT)],
+        [(i, i % 7) for i in range(60000)],
+    )
+    handle = cluster.submit("SELECT g, count(*), sum(k) FROM t GROUP BY g ORDER BY g")
+    cluster.sim.run(until_ms=30.0)
+    pool = cluster.workers["worker-2"].memory_pool
+    charged = pool.general_used + pool.reserved_used
+    assert charged > 0  # the doomed node holds reservations mid-query
+    cluster.crash_worker("worker-2")
+    cluster.run()
+    assert handle.state == "finished"
+    # Reservations were released at failure *detection*, not query end.
+    assert cluster.dead_node_bytes_released >= charged
+    assert pool.general_used == 0 and not pool.general_by_query
+    assert cluster.stats_snapshot()["ft.dead_node_bytes_released"] > 0
 
 
 def test_slow_worker_degrades_but_stays_exact():

@@ -10,6 +10,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.errors import (
     DivisionByZeroError,
     FunctionNotFoundError,
+    InvalidCastError,
     InvalidFunctionArgumentError,
     NumericValueOutOfRangeError,
 )
@@ -161,14 +162,17 @@ def test_cost_weights_present():
 
 # --------------------------------------------------------------------------
 # Every failure is a typed PrestoError: out-of-range and malformed
-# arguments answer an IEEE value or raise InvalidFunctionArgumentError,
-# constant-folded and over a column, with both kernel modes, and never
-# a stray Python exception or a numpy RuntimeWarning.
+# arguments answer an IEEE value, NULL where the function promises it,
+# or raise InvalidFunctionArgumentError / InvalidCastError /
+# NumericValueOutOfRangeError, constant-folded and over a column, with
+# both kernel modes, and never a stray Python exception or a numpy
+# RuntimeWarning.
 # --------------------------------------------------------------------------
 
 _NAN = float("nan")
 _TYPED = InvalidFunctionArgumentError
 _RANGE = NumericValueOutOfRangeError
+_CAST = InvalidCastError
 _MAX = "9223372036854775807"
 EDGE_ARGUMENTS = {
     # id: (folded statement, the same over column(s) of t, expected)
@@ -210,6 +214,22 @@ EDGE_ARGUMENTS = {
     # from_hex: more than 16 hex digits, or no hex digits
     "from_hex_out_of_range": ("from_hex('FFFFFFFFFFFFFFFFFF')", "from_hex('FFFFFFFFFFFFFFFFF' || nine)", _RANGE),
     "from_hex_digits": ("from_hex('zz')", "from_hex(paren)", _TYPED),
+    # VARCHAR -> number conversions: unparsable, or outside BIGINT
+    "to_bigint_unparsable": ("to_bigint('abc')", "to_bigint(paren)", _CAST),
+    "to_double_unparsable": ("to_double('abc')", "to_double(paren)", _CAST),
+    "to_bigint_out_of_range": ("to_bigint('99999999999999999999')", "to_bigint('9999999999999999999' || nine)", _RANGE),
+    "parse_int_or_null_out_of_range": ("parse_int_or_null('99999999999999999999')", "parse_int_or_null('9999999999999999999' || nine)", None),
+    # width_bucket: NaN operand, infinite bounds, the overflow bucket
+    # past BIGINT
+    "width_bucket_nan": ("width_bucket(nan(), 0.0, 10.0, 5)", "width_bucket(big * nan(), 0.0, 10.0, 5)", _TYPED),
+    "width_bucket_infinite_bounds": ("width_bucket(1.0, -infinity(), infinity(), 5)", "width_bucket(1.0, minus * infinity(), big * infinity(), 5)", _TYPED),
+    "width_bucket_overflow_bucket": (f"width_bucket(20.0, 0.0, 10.0, {_MAX})", f"width_bucket(big * 1.0, 0.0, 10.0, {_MAX})", _RANGE),
+    "sequence_zero_step": ("sequence(1, 10, 0)", "sequence(1, 10, big - big)", _TYPED),
+    # lpad / rpad: negative target length, empty padding
+    "lpad_negative_size": ("lpad('abc', -1, 'x')", "lpad('abc', minus, 'x')", _TYPED),
+    "rpad_negative_size": ("rpad('abc', -1, 'x')", "rpad('abc', minus, 'x')", _TYPED),
+    "lpad_empty_pad": ("lpad('abc', 5, '')", "lpad('abc', 5, empty)", _TYPED),
+    "rpad_empty_pad": ("rpad('abc', 5, '')", "rpad('abc', 5, empty)", _TYPED),
 }
 
 
@@ -230,7 +250,9 @@ def test_edge_arguments_answer_a_value_or_a_typed_error(case, mode):
     with kernels.forced_mode(mode), warnings.catch_warnings():
         warnings.simplefilter("error")
         for sql in (f"SELECT {folded}", f"SELECT {over_column} FROM t"):
-            if isinstance(expected, float):
+            if expected is None:
+                assert engine.execute(sql).rows == [(None,)], sql
+            elif isinstance(expected, float):
                 ((value,),) = engine.execute(sql).rows
                 assert isinstance(value, float), sql
                 assert value == expected or (math.isnan(value) and math.isnan(expected)), sql

@@ -80,11 +80,11 @@ def test_uncovered_pairs_sees_a_dropped_row():
         EngineConfig(storage="s3")
 
 
-def test_the_14_names_reproducers_and_docs_use_are_rows():
+def test_the_13_names_reproducers_and_docs_use_are_rows():
     assert set(CONFIGS) >= {
         "compiled", "optimized", "row_kernels", "cluster", "cluster_faults",
-        "chaos", "dynamic_filter", "hive", "raptor", "ddl_roundtrip",
-        "cache_coherence", "spooled", "join_spill", "rewrites",
+        "chaos", "hive", "raptor", "ddl_roundtrip", "cache_coherence",
+        "spooled", "join_spill", "rewrites",
     }
 
 

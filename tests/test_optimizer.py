@@ -391,7 +391,6 @@ def test_pass_protocol_conformance(corpus, sweeps, monkeypatch):
         driver.reorder_joins,
         driver.select_index_joins,
         driver.select_join_distribution,
-        driver.plan_dynamic_filters,
     )
     planned = 0
     for metadata, catalog, sql, config in corpus():

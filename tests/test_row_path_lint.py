@@ -67,7 +67,6 @@ HOT_FILES = [
     "src/repro/exec/operators/sorting.py",
     "src/repro/exec/operators/misc.py",
     "src/repro/exec/operators/core.py",
-    "src/repro/exec/dynamic_filters.py",
     "src/repro/cluster/shuffle.py",
     # Fault-tolerance PR: the durable spool sits on the delivery path.
     "src/repro/cluster/spool.py",
@@ -286,6 +285,7 @@ def test_every_cluster_config_field_is_set_by_someone():
     from repro.chaos.campaign import ChaosPlan
     from repro.cluster import ClusterConfig, FaultToleranceConfig
     from repro.cluster.cost import CostModel
+    from repro.optimizer.context import OptimizerConfig
 
     sources = _census_sources()
     for config_class in (
@@ -294,6 +294,7 @@ def test_every_cluster_config_field_is_set_by_someone():
         CacheConfig,
         ChaosPlan,
         CostModel,
+        OptimizerConfig,
     ):
         unset = _unset_fields(config_class, sources)
         assert not unset, (
@@ -328,7 +329,16 @@ def test_chaos_plan_constants_stay_constants():
 def test_every_submit_and_engine_keyword_is_passed_by_someone():
     from repro.client import LocalEngine
     from repro.cluster import SimCluster
+    from repro.cluster.query import QueryExecution
+    from repro.cluster.task import SimTask
+    from repro.connectors.hive import HiveConnector
+    from repro.connectors.memory import MemoryConnector
+    from repro.connectors.raptor import RaptorConnector
+    from repro.connectors.shardedsql import ShardedSqlConnector
+    from repro.connectors.stream import StreamConnector
+    from repro.connectors.tpch import TpchConnector
     from repro.frontend import StatementFrontEnd
+    from repro.workload import generators
 
     sources = _census_sources()
     for function in (
@@ -336,6 +346,20 @@ def test_every_submit_and_engine_keyword_is_passed_by_someone():
         SimCluster.run_query,
         LocalEngine.__init__,
         StatementFrontEnd.__init__,
+        QueryExecution.__init__,
+        SimTask.__init__,
+        HiveConnector.__init__,
+        MemoryConnector.__init__,
+        RaptorConnector.__init__,
+        ShardedSqlConnector.__init__,
+        StreamConnector.__init__,
+        TpchConnector.__init__,
+        *(
+            workload.__init__
+            for workload in vars(generators).values()
+            if isinstance(workload, type)
+            and workload.__module__ == generators.__name__
+        ),
     ):
         unset = _unset_keywords(function, sources)
         assert not unset, (
