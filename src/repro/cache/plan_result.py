@@ -1,19 +1,12 @@
-"""Coordinator plan + result caches (tier 3 of the caching tier).
+"""Coordinator plan cache (level 2 of the caching tier).
 
-Both are validated — not purged — by the connectors' monotonic
-:class:`~repro.connectors.api.MetadataVersions` counters:
-
-- The **plan cache** keys on ``(catalog, schema, formatted SQL)`` (the
-  formatter normalizes whitespace) and stores the optimized fragmented
-  plan together with the versions of every referenced table at plan
-  time. A lookup only hits while those versions are still current, so a
-  plan never outlives a DDL/INSERT on anything it reads.
-- The **result cache** keys on ``(plan fingerprint, table versions)``.
-  The fingerprint is alias- and symbol-name-insensitive (see
-  ``planner/fingerprint.py``); the versions ride in the key, so a bump
-  rotates the key and stale pages become unreachable, ageing out of the
-  LRU. Entries are filled only when the versions did not move while the
-  query ran — a mid-flight INSERT simply skips the fill.
+Validated — not purged — by the connectors' monotonic
+:class:`~repro.connectors.api.MetadataVersions` counters. It keys on
+``(catalog, schema, formatted SQL, optimizer settings)`` (the formatter
+normalizes whitespace) and stores the optimized fragmented plan
+together with the versions of every referenced table at plan time. A
+lookup only hits while those versions are still current, so a plan
+never outlives a DDL/INSERT on anything it reads.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ class CachedPlan:
     fragmented: object  # planner.fragmenter.FragmentedPlan
     #: ((catalog, schema, table), version) snapshot at plan time
     table_versions: tuple
-    fingerprint: str
-    result_cacheable: bool
 
 
 class PlanCache:
@@ -71,44 +62,3 @@ class PlanCache:
     def misses(self) -> int:
         return self.cache.misses
 
-
-class ResultCache:
-    """Byte-bounded LRU of (fingerprint, table versions) -> result pages."""
-
-    def __init__(self, capacity_bytes: int = 16 << 20):
-        self.cache = LruCache(max_weight=capacity_bytes)
-        self.fills = 0
-        self.skipped_fills = 0
-
-    @staticmethod
-    def _weight(pages) -> int:
-        return max(1, sum(page.size_bytes() for page in pages))
-
-    def get(self, fingerprint: str, versions: tuple):
-        return self.cache.get((fingerprint, versions))
-
-    def peek(self, fingerprint: str, versions: tuple):
-        return self.cache.peek((fingerprint, versions))
-
-    def fill(self, fingerprint: str, versions_at_start: tuple, current_versions: tuple, pages) -> bool:
-        """Store ``pages`` unless a referenced table moved mid-query, in
-        which case the snapshot is ambiguous and caching it would be the
-        classic staleness bug this tier's tests hunt for."""
-        if versions_at_start != current_versions:
-            self.skipped_fills += 1
-            return False
-        self.cache.put((fingerprint, versions_at_start), list(pages), self._weight(pages))
-        self.fills += 1
-        return True
-
-    @property
-    def hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self.cache.misses
-
-    @property
-    def used_bytes(self) -> int:
-        return int(self.cache.weight)

@@ -56,7 +56,7 @@ class Metadata:
     def table_versions(self, tables) -> tuple:
         """``((catalog, schema, table), version)`` for each key of
         ``tables``, read from the owning connector's monotonic counters
-        (what the plan and result caches validate an entry against)."""
+        (what the plan cache validates an entry against)."""
         return tuple((key, self._table_version(*key)) for key in tables)
 
     def _table_version(self, catalog: str, schema: str, table: str) -> int:

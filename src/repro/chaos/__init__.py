@@ -11,11 +11,9 @@ function of its plan: failures reproduce from the seed alone.
 """
 
 from repro.chaos.campaign import (
-    AffinityKillReport,
     CampaignReport,
     ChaosPlan,
     QueryReport,
-    run_affinity_kill,
     run_campaign,
     run_campaigns,
     run_coordinator_kill,
@@ -23,11 +21,9 @@ from repro.chaos.campaign import (
 )
 
 __all__ = [
-    "AffinityKillReport",
     "CampaignReport",
     "ChaosPlan",
     "QueryReport",
-    "run_affinity_kill",
     "run_campaign",
     "run_campaigns",
     "run_coordinator_kill",

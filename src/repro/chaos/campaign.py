@@ -380,162 +380,6 @@ def run_coordinator_kill(
     return run_campaign(plan)
 
 
-# ---------------------------------------------------------------------------
-# Affinity-kill scenario (caching tier, docs/CACHING.md)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AffinityKillReport:
-    """Outcome of one affinity-kill run: the affinity-preferred worker
-    (the one holding the most cached stripes) is crashed mid-query."""
-
-    victim: str
-    expected: tuple
-    cold: tuple
-    warm: tuple
-    killed: tuple
-    rewarmed: tuple
-    #: stripe-cache hits observed during each phase
-    warm_hit_delta: int
-    killed_hit_delta: int
-    rewarm_hit_delta: int
-    killed_state: str
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def bit_exact(self) -> bool:
-        return (
-            self.cold == self.expected
-            and self.warm == self.expected
-            and self.killed == self.expected
-            and self.rewarmed == self.expected
-        )
-
-    @property
-    def degraded_gracefully(self) -> bool:
-        """Hits dip when the holder dies, without the query failing, and
-        recover once the survivors re-warm."""
-        return (
-            self.killed_state == "finished"
-            and self.killed_hit_delta < self.warm_hit_delta
-            and self.rewarm_hit_delta > self.killed_hit_delta
-        )
-
-
-def _affinity_cluster(tables, worker_count: int, cache_config) -> SimCluster:
-    from repro.connectors.hive import HiveConnector
-    from repro.workload.datasets import _load_table
-
-    config = ClusterConfig(
-        worker_count=worker_count,
-        default_catalog="hive",
-        default_schema="default",
-        fault_tolerance=FaultToleranceConfig(
-            enabled=True,
-            task_recovery_enabled=True,
-            heartbeat_interval_ms=HEARTBEAT_INTERVAL_MS,
-            heartbeat_timeout_ms=HEARTBEAT_TIMEOUT_MS,
-        ),
-        cache=cache_config,
-    )
-    cluster = SimCluster(config)
-    connector = HiveConnector(
-        catalog_name="hive", stripe_rows=32, max_rows_per_file=64
-    )
-    for name, columns, rows in tables:
-        _load_table(connector, "hive", "default", name, columns, rows)
-    cluster.register_catalog("hive", connector)
-    return cluster
-
-
-def run_affinity_kill(
-    seed: int = 0, worker_count: int = 4, row_count: int = 2000
-) -> AffinityKillReport:
-    """Kill the affinity-preferred worker mid-query.
-
-    Cold run warms the stripe caches, a warm run proves they hit, then
-    the worker holding the most stripes is crashed while a third run is
-    in flight: task recovery must finish it with exact rows while
-    ``cache.stripe_hits`` degrades (the victim's stripes are gone), and
-    a final run re-warms the survivors. Results are a pure function of
-    ``seed``."""
-    from repro.cache import CacheConfig
-    from repro.types import BIGINT, DOUBLE, VARCHAR
-
-    rng = random.Random(seed * 0x9E3779B1 + 0xAFF1)
-    rows = [
-        (
-            i,
-            rng.randrange(1_000),
-            round(rng.uniform(0.0, 500.0), 3),
-            rng.choice(("a", "b", "c", "d", "e")),
-        )
-        for i in range(row_count)
-    ]
-    tables = [
-        ("events", [("k", BIGINT), ("v", BIGINT), ("x", DOUBLE), ("s", VARCHAR)], rows)
-    ]
-    sql = "SELECT s, count(*), sum(v), sum(x) FROM events GROUP BY 1"
-
-    # The result cache must stay OFF here: a result-cache hit would serve
-    # the killed run from the coordinator without touching a single
-    # worker, and the scenario exists to exercise the worker-side path.
-    cache_config = CacheConfig(
-        stripe_cache_enabled=True,
-        affinity_scheduling_enabled=True,
-        result_cache_enabled=False,
-        metadata_latency_ms=0.5,
-    )
-    cluster = _affinity_cluster(tables, worker_count, cache_config)
-    plain = _affinity_cluster(tables, worker_count, CacheConfig.disabled())
-    expected = ("rows", tuple(normalize_rows(plain.run_query(sql, drain=True).rows())))
-
-    def stripe_hits() -> int:
-        return cluster.stats_snapshot()["cache.stripe_hits"]
-
-    def outcome(handle) -> tuple:
-        if handle.state == "finished":
-            return ("rows", tuple(normalize_rows(handle.rows())))
-        return ("error", type(handle.error).__name__)
-
-    cold = cluster.run_query(sql, drain=True)
-    base = stripe_hits()
-    warm = cluster.run_query(sql, drain=True)
-    warm_delta = stripe_hits() - base
-
-    # The affinity-preferred worker is the one holding the most stripes.
-    victim = max(
-        cluster.workers.values(),
-        key=lambda w: (len(w.stripe_cache.entries), w.name),
-    ).name
-    killed = cluster.submit(sql)
-    cluster.sim.run(until_ms=cluster.sim.now + 1.0)
-    before_kill = stripe_hits()
-    cluster.crash_worker(victim)
-    cluster.run()
-    killed_delta = stripe_hits() - before_kill
-
-    before_rewarm = stripe_hits()
-    rewarmed = cluster.run_query(sql, drain=True)
-    rewarm_delta = stripe_hits() - before_rewarm
-
-    stats = cluster.stats_snapshot()
-    return AffinityKillReport(
-        victim=victim,
-        expected=expected,
-        cold=outcome(cold),
-        warm=outcome(warm),
-        killed=outcome(killed),
-        rewarmed=outcome(rewarmed),
-        warm_hit_delta=warm_delta,
-        killed_hit_delta=killed_delta,
-        rewarm_hit_delta=rewarm_delta,
-        killed_state=killed.state,
-        stats=stats,
-    )
-
-
 def run_campaigns(
     seed: int, campaigns: int, **plan_overrides
 ) -> list[CampaignReport]:

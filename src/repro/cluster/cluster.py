@@ -12,14 +12,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.cache import (
-    CacheConfig,
-    CachingMetadata,
-    PlanCache,
-    ResultCache,
-    StripeCache,
-)
-from repro.catalog.metadata import Metadata
+from repro.cache import CachingMetadata, PlanCache
 from repro.cluster.cost import CostModel
 from repro.cluster.fault import (
     CoordinatorCheckpoint,
@@ -86,9 +79,6 @@ class ClusterConfig:
     fault_tolerance: FaultToleranceConfig = field(
         default_factory=FaultToleranceConfig
     )
-    # Hot-traffic caching tier (metadata / stripe / plan+result caches,
-    # see docs/CACHING.md). Defaults change no simulated timings.
-    cache: CacheConfig = field(default_factory=CacheConfig)
     # Cost model.
     cost_mode: str = "deterministic"
     default_catalog: str = "memory"
@@ -100,15 +90,9 @@ class SimCluster:
     def __init__(self, config: ClusterConfig | None = None):
         self.config = config or ClusterConfig()
         self.sim = Simulation()
-        cache_cfg = self.config.cache
-        if cache_cfg.metadata_cache_enabled:
-            self.metadata = CachingMetadata()
-        else:
-            self.metadata = Metadata()
-        self.plan_cache = PlanCache() if cache_cfg.plan_cache_enabled else None
-        self.result_cache = ResultCache() if cache_cfg.result_cache_enabled else None
-        self.affinity_routed = 0
-        self.affinity_fallbacks = 0
+        # The coordinator's caches (docs/CACHING.md).
+        self.metadata = CachingMetadata()
+        self.plan_cache = PlanCache()
         self.cost_model = CostModel(mode=self.config.cost_mode)
         limits = MemoryLimits(
             per_node_user_bytes=self.config.per_node_user_limit_bytes,
@@ -134,8 +118,6 @@ class SimCluster:
                 memory_pool=pool,
                 on_quantum_complete=self._on_quantum_complete,
             )
-            if cache_cfg.stripe_cache_enabled:
-                self.workers[name].stripe_cache = StripeCache(memory_pool=pool)
         self.queries: dict[str, QueryExecution] = {}
         self.queries_settled = {"finished": 0, "failed": 0}
         self._query_counter = itertools.count()
@@ -258,9 +240,7 @@ class SimCluster:
         # Task ids feed the retry-jitter hash: a statement the front end
         # rejects still takes its id.
         query_id = f"q{next(self._query_counter)}"
-        calls_before = self.metadata.connector_calls
         planned = self._front_end(session_catalog).plan_sql(sql)
-        metadata_misses = self.metadata.connector_calls - calls_before
         if planned.trace is not None:
             self._count_rules(planned.trace)
         query = QueryExecution(
@@ -270,20 +250,6 @@ class SimCluster:
             phased=phased,
             client_bandwidth_bytes_per_ms=client_bandwidth_bytes_per_ms,
         )
-        # Simulated metastore round-trips: each call that actually reached
-        # a connector is charged at query startup; cache hits are free.
-        query.startup_delay_ms = (
-            metadata_misses * self.config.cache.metadata_latency_ms
-        )
-        cached = planned.cached
-        if (
-            cached is not None
-            and cached.result_cacheable
-            and self.result_cache is not None
-        ):
-            query.result_cache = self.result_cache
-            query.result_fingerprint = cached.fingerprint
-            query.result_tables = tuple(key for key, _ in cached.table_versions)
         query.resource_group = resource_group
         self.queries[query_id] = query
         # Admission is journaled before the query is queued: a restarted
@@ -312,7 +278,6 @@ class SimCluster:
             ),
             self.config.optimizer,
             plan_cache=self.plan_cache,
-            result_cache=self.result_cache,
         )
 
     def _count_rules(self, trace) -> None:
@@ -765,42 +730,14 @@ class SimCluster:
                 self.rules_skipped_cost.get(rule.name, 0)
             )
         snapshot["optimizer.fixed_point_cap_hit"] = self.fixed_point_cap_hits
-        # Caching-tier counters (docs/CACHING.md). Keys are always
-        # present so dashboards/tests can rely on them; disabled levels
-        # report zeros.
-        meta_cache = getattr(self.metadata, "cache", None)
-        snapshot["cache.metadata_hits"] = meta_cache.hits if meta_cache else 0
-        snapshot["cache.metadata_misses"] = meta_cache.misses if meta_cache else 0
-        snapshot["cache.metadata_entries"] = len(meta_cache) if meta_cache else 0
+        # Cache counters (docs/CACHING.md).
+        meta_cache = self.metadata.cache
+        snapshot["cache.metadata_hits"] = meta_cache.hits
+        snapshot["cache.metadata_misses"] = meta_cache.misses
+        snapshot["cache.metadata_entries"] = len(meta_cache)
         snapshot["cache.connector_metadata_calls"] = self.metadata.connector_calls
-        snapshot["cache.plan_hits"] = self.plan_cache.hits if self.plan_cache else 0
-        snapshot["cache.plan_misses"] = self.plan_cache.misses if self.plan_cache else 0
-        snapshot["cache.result_hits"] = self.result_cache.hits if self.result_cache else 0
-        snapshot["cache.result_misses"] = (
-            self.result_cache.misses if self.result_cache else 0
-        )
-        snapshot["cache.result_fills"] = self.result_cache.fills if self.result_cache else 0
-        snapshot["cache.result_skipped_fills"] = (
-            self.result_cache.skipped_fills if self.result_cache else 0
-        )
-        snapshot["cache.result_bytes"] = (
-            self.result_cache.used_bytes if self.result_cache else 0
-        )
-        stripe_hits = stripe_misses = stripe_bytes = stripe_evictions = 0
-        for worker in self.workers.values():
-            stripe = getattr(worker, "stripe_cache", None)
-            if stripe is None:
-                continue
-            stripe_hits += stripe.hits
-            stripe_misses += stripe.misses
-            stripe_bytes += stripe.used_bytes
-            stripe_evictions += stripe.entries.evictions
-        snapshot["cache.stripe_hits"] = stripe_hits
-        snapshot["cache.stripe_misses"] = stripe_misses
-        snapshot["cache.stripe_bytes"] = stripe_bytes
-        snapshot["cache.stripe_evictions"] = stripe_evictions
-        snapshot["cache.affinity_routed"] = self.affinity_routed
-        snapshot["cache.affinity_fallbacks"] = self.affinity_fallbacks
+        snapshot["cache.plan_hits"] = self.plan_cache.hits
+        snapshot["cache.plan_misses"] = self.plan_cache.misses
         # Columnar-scan counters aggregated over every registered
         # connector's ReadStats (Hive and Raptor share the ORC-like
         # reader; connectors without one contribute nothing).

@@ -8,8 +8,8 @@ the shuffle transfer service, and query lifecycle/result collection.
 How many tasks a stage gets (Sec. IV-D2) follows from what is known
 before any task exists, by two rules. A *source* stage takes the first
 split batch of each of its scans when it is created and runs the
-split-assignment rule on it there (node-local address, then
-stripe-cache holder or rendezvous hash, then DFS-local shortest queue):
+split-assignment rule on it there (node-local address, then DFS-local
+shortest queue):
 if every enumeration ended within that batch, the stage gets a task on
 exactly the workers a split went to, at least one; a source still
 enumerating is as wide as the cluster. A *hash* stage is as wide as the
@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.cluster.cost import NETWORK_LATENCY_MS
 from repro.cluster.info import QueryInfo, freeze
 from repro.cluster.task import FragmentPlanner, SimTask
-from repro.connectors.hashing import stable_hash
 from repro.errors import (
     ExceededTimeLimitError,
     PrestoError,
@@ -71,9 +70,6 @@ _SPLIT_BATCH_SIZE = 100
 # Simulated metastore/file-listing latency per split batch (Sec. IV-D3:
 # enumeration can take minutes at Facebook scale; scaled down here).
 _SPLIT_BATCH_LATENCY_MS = 2.0
-# Cache-affinity scheduling yields to shortest-queue once the affine
-# worker's split queue is this much deeper than the shortest.
-_AFFINITY_QUEUE_SLACK = 8
 # Total task re-executions allowed per query before it fails (guards
 # against crash loops). One worker loss costs one retry per lost task,
 # so wide queries (many fragments x partitions) spend it faster.
@@ -85,7 +81,6 @@ class _ScanSchedule:
     """Split scheduling state for one table scan within one stage."""
 
     scan_index: int
-    connector: object
     split_source: object
     # The first split batch as (split, worker), taken and assigned at
     # stage creation to size the stage; the first fetch() delivers it.
@@ -161,6 +156,22 @@ class StageExecution:
         return self.completed
 
 
+def _split_target(split, seats, depth):
+    """The split-assignment rule: which of ``seats`` — the stage's
+    tasks, or at stage creation one ``_Seat`` per live worker — takes
+    ``split``, ``depth`` giving a seat's queued splits of this scan.
+    None when the split is node-local to no seat."""
+    candidates = [s for s in seats if s.worker.name in split.addresses]
+    if not candidates:
+        if not split.remotely_accessible and split.addresses:
+            return None  # shared-nothing: the split runs where its data lives
+        candidates = seats
+    # Prefer a local read, then the shortest queue (Sec. IV-D3: "the
+    # coordinator simply assigns new splits to tasks with the shortest
+    # queue").
+    return min(candidates, key=depth)
+
+
 class QueryExecution:
     def __init__(
         self,
@@ -183,16 +194,6 @@ class QueryExecution:
         # Set by SimCluster.submit, which admits and retires the query.
         self.resource_group: str | None = None
         self.info: QueryInfo | None = None
-        # -- caching tier state (docs/CACHING.md) ----------------------
-        # Simulated metastore latency charged before stage start: one
-        # round-trip per metadata call that missed the coordinator cache.
-        self.startup_delay_ms = 0.0
-        # Set by SimCluster.submit when this plan shape is eligible for
-        # the result cache.
-        self.result_cache = None
-        self.result_fingerprint: str | None = None
-        self.result_tables: tuple = ()
-        self.result_cache_status = "off"
         # -- fault tolerance state -------------------------------------
         ft = cluster.config.fault_tolerance
         self._recovery_active = ft.enabled and ft.task_recovery_enabled
@@ -234,9 +235,6 @@ class QueryExecution:
         self._transfer_eof: set[tuple[tuple[int, int], int]] = set()
         self._client_poll_scheduled = False
         self._root_deliveries = 0
-        # Version snapshot taken at the cache-miss lookup; the finish-time
-        # fill only happens if versions did not move while we ran.
-        self._result_fill_versions: tuple | None = None
         # -- task recovery ---------------------------------------------
         # (consumer_stage_id, partition, client_key) -> ordered list of
         # (producer_key, seq) accepted by that consumer's client.
@@ -275,28 +273,7 @@ class QueryExecution:
             self._timeout_event = self.cluster.sim.schedule(
                 timeout, self._on_timeout
             )
-        if self._try_serve_cached_result():
-            return
-        if self.startup_delay_ms > 0:
-            self._later(self.startup_delay_ms, self._start_stages)
-        else:
-            self._start_stages()
-
-    def _try_serve_cached_result(self) -> bool:
-        """Serve bit-identical pages from the result cache when the
-        fingerprint + current table versions match a stored entry."""
-        if self.result_cache is None or self.result_fingerprint is None:
-            return False
-        versions = self.cluster.metadata.table_versions(self.result_tables)
-        pages = self.result_cache.get(self.result_fingerprint, versions)
-        if pages is not None:
-            self.result_cache_status = "hit"
-            self.result_pages = list(pages)
-            self._finish()
-            return True
-        self.result_cache_status = "miss"
-        self._result_fill_versions = versions
-        return False
+        self._start_stages()
 
     def _start_stages(self) -> None:
         if self.state != "running":
@@ -362,7 +339,7 @@ class QueryExecution:
                         node.table, node.constraint, []
                     )[0]
                 stage.scan_schedules.append(
-                    _ScanSchedule(scan_index, connector, connector.split_source(layout))
+                    _ScanSchedule(scan_index, connector.split_source(layout))
                 )
             if fragment.partitioning == "source":
                 reached, stage.width_reason = self._seat_first_batch(stage, live_workers)
@@ -406,7 +383,7 @@ class QueryExecution:
             seats = [_Seat(w) for w in live_workers]
             schedule.held = []
             for split in schedule.split_source.get_next_batch(_SPLIT_BATCH_SIZE):
-                seat = self._split_target(schedule, split, seats, lambda s: s.queued)
+                seat = _split_target(split, seats, lambda s: s.queued)
                 if seat is not None:  # else fetch() fails the query
                     seat.queued += 1
                     reached.add(seat.worker)
@@ -580,8 +557,8 @@ class QueryExecution:
         index = schedule.scan_index
         target = next((t for t in tasks if t.worker is worker), None)
         if target is None:  # not seated, or the seat's task was replaced
-            target = self._split_target(
-                schedule, split, tasks, lambda t: t.scan_operators[index].queued_splits
+            target = _split_target(
+                split, tasks, lambda t: t.scan_operators[index].queued_splits
             )
         if target is None:
             error = f"No worker available for node-local split on {split.addresses}"
@@ -591,70 +568,6 @@ class QueryExecution:
         schedule.assigned += 1
         if target.can_use(index):
             target.worker.kick(target)
-
-    def _split_target(self, schedule, split, seats, depth):
-        """The split-assignment rule: which of ``seats`` — the stage's
-        tasks, or at stage creation one ``_Seat`` per live worker —
-        takes ``split``, ``depth`` giving a seat's queued splits of
-        this scan. None when the split is node-local to no seat."""
-        if not split.remotely_accessible and split.addresses:
-            # Shared-nothing: the split must run where its data lives.
-            candidates = [s for s in seats if s.worker.name in split.addresses]
-            if not candidates:
-                return None
-        else:
-            # Cache affinity (docs/CACHING.md): send the split to the
-            # worker that already holds — or, by rendezvous hash, will
-            # come to hold — its stripe; it beats plain DFS locality.
-            target = self._affinity_target(schedule, split, seats, depth)
-            if target is not None:
-                return target
-            # Without an affine worker, prefer a DFS-local read.
-            candidates = [s for s in seats if s.worker.name in split.addresses] or seats
-        # Shortest-queue assignment (Sec. IV-D3: "the coordinator
-        # simply assigns new splits to tasks with the shortest queue").
-        return min(candidates, key=depth)
-
-    def _affinity_target(self, schedule, split, seats, depth):
-        """Pick the stripe-affine seat for a cacheable split, or None.
-
-        Holder first; otherwise rendezvous hashing over the workers the
-        failure detector believes alive, so the mapping is stable across
-        queries yet redistributes automatically when a node dies. Falls
-        back to shortest-queue (None) when the affine worker's split
-        queue is ``_AFFINITY_QUEUE_SLACK`` deeper than the shortest."""
-        cfg = self.cluster.config.cache
-        if not (cfg.stripe_cache_enabled and cfg.affinity_scheduling_enabled):
-            return None
-        raw_key = schedule.connector.split_cache_key(split)
-        if raw_key is None:
-            return None
-        detector = self.cluster.detector
-        pool = [s for s in seats if detector.believes_alive(s.worker.name)]
-        if not pool:
-            return None
-        cache_key = (split.connector, raw_key)
-        holders = [
-            s
-            for s in pool
-            if s.worker.stripe_cache is not None
-            and s.worker.stripe_cache.holds(cache_key)
-        ]
-        if holders:
-            target = min(holders, key=lambda s: s.worker.name)
-        else:
-            target = max(
-                pool,
-                key=lambda s: (
-                    stable_hash((raw_key, s.worker.name)),
-                    s.worker.name,
-                ),
-            )
-        if depth(target) - min(map(depth, pool)) > _AFFINITY_QUEUE_SLACK:
-            self.cluster.affinity_fallbacks += 1
-            return None
-        self.cluster.affinity_routed += 1
-        return target
 
     # ------------------------------------------------------------------
     # Shuffle transfer service (Sec. IV-E2)
@@ -1164,15 +1077,6 @@ class QueryExecution:
             return
         self.state = "finished"
         self.finished_at = self.cluster.sim.now
-        if self.result_cache is not None and self._result_fill_versions is not None:
-            # Fill only when no referenced table changed while the query
-            # ran: a mid-flight INSERT makes the snapshot ambiguous.
-            self.result_cache.fill(
-                self.result_fingerprint,
-                self._result_fill_versions,
-                self.cluster.metadata.table_versions(self.result_tables),
-                self.result_pages,
-            )
         self._settle()
 
     def fail(self, error: Exception) -> None:

@@ -54,7 +54,7 @@ class FragmentPlanner(LocalExecutionPlanner):
     """Lowers one fragment, once per stage, into a template with
     exchange endpoints. The context its factories read is the
     :class:`SimTask` being instantiated: output buffer, exchange
-    clients, worker stripe cache, routing log and commit guard are the
+    clients, routing log and commit guard are the
     task's own."""
 
     def __init__(self, metadata):
@@ -97,7 +97,6 @@ class FragmentPlanner(LocalExecutionPlanner):
         def make(instance):
             task = instance.context
             scan = TableScanOperator(connector, columns)
-            scan.stripe_cache = getattr(task.worker, "stripe_cache", None)
             # Splits arrive from the coordinator, addressed by the
             # scan's number.
             task.scan_operators[scan_index] = scan

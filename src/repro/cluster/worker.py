@@ -81,9 +81,6 @@ class Worker:
         self.task_concurrency = task_concurrency or threads * 16
         self.memory_pool = memory_pool
         self.on_quantum_complete = on_quantum_complete
-        # Worker-local stripe/footer cache (repro.cache.stripe_cache);
-        # installed by SimCluster when the cache tier enables it.
-        self.stripe_cache = None
         self.busy_threads = 0
         self.tasks: set[SimTask] = set()
         self._queues: list[deque[SimTask]] = [deque() for _ in LEVEL_WEIGHTS]
@@ -293,10 +290,6 @@ class Worker:
     def crash(self) -> list["SimTask"]:
         """Kill the node; returns the tasks that were running here."""
         self.alive = False
-        if self.stripe_cache is not None:
-            # Cached stripes die with the node; releasing the memory
-            # reservations too keeps the pool honest for recovery work.
-            self.stripe_cache.clear()
         victims = list(self.tasks)
         self.tasks.clear()
         for queue in self._queues:

@@ -31,16 +31,12 @@ class Split:
 
     ``addresses`` lists hosts that can serve the split locally; an empty
     tuple plus ``remotely_accessible=True`` means any worker may read it.
-    The ``estimated_*`` fields feed the discrete-event cost model (our
-    substitute for real cluster hardware, see DESIGN.md).
     """
 
     connector: str
     payload: object
     addresses: tuple[str, ...] = ()
     remotely_accessible: bool = True
-    estimated_rows: int = 0
-    estimated_bytes: int = 0
     # Simulated time to first byte for this split's storage system.
     read_latency_ms: float = 0.0
 
@@ -291,14 +287,6 @@ class Connector:
         self, handle: object, key_columns: Sequence[str], output_columns: Sequence[str]
     ) -> Index | None:
         """Return an Index for key_columns, or None if unsupported."""
-        return None
-
-    def split_cache_key(self, split: Split) -> object | None:
-        """Stable identity of the immutable storage unit behind a split
-        (Hive file path, Raptor shard id), or None when the connector's
-        splits have no cacheable identity. Keys must never be reused for
-        different bytes — the worker stripe cache relies on that to stay
-        coherent without an invalidation protocol."""
         return None
 
     # Characteristics used by the simulator's cost model.

@@ -414,15 +414,11 @@ class HiveConnector(Connector):
         for partition_values, paths in file_lists:
             for path in paths:
                 dfs_file = self.dfs.stat(path)
-                size = dfs_file.size_bytes if dfs_file else 0
-                file: OrcLikeFile | None = dfs_file.payload if dfs_file else None
                 yield Split(
                     connector=self.catalog_name,
                     payload=(path, partition_values, constraint),
                     addresses=dfs_file.replica_hosts if dfs_file else (),
                     remotely_accessible=True,
-                    estimated_rows=file.row_count if file else 0,
-                    estimated_bytes=size,
                     read_latency_ms=self.base_read_latency_ms,
                 )
 
@@ -463,11 +459,6 @@ class HiveConnector(Connector):
                 yield page
 
         return HivePageSource(generate())
-
-    def split_cache_key(self, split: Split) -> object | None:
-        # File paths come from a global counter and are never reused, so
-        # a path uniquely identifies immutable bytes.
-        return split.payload[0]
 
     def _table_handle_for_path(self, path: str) -> HiveTableHandle:
         parts = path.split("/")

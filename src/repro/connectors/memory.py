@@ -177,8 +177,6 @@ class MemoryConnector(Connector):
             Split(
                 connector=self.name,
                 payload=(handle, page_index),
-                estimated_rows=page.row_count,
-                estimated_bytes=page.size_bytes(),
             )
             for page_index, page in enumerate(table.pages)
         ]

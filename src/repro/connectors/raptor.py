@@ -282,8 +282,6 @@ class RaptorConnector(Connector):
                 payload=(handle, shard.shard_id, layout.unenforced_predicate),
                 addresses=(shard.host,),
                 remotely_accessible=False,  # shared-nothing: read locally
-                estimated_rows=shard.file.row_count,
-                estimated_bytes=shard.file.size_bytes(),
                 read_latency_ms=self.base_read_latency_ms,
             )
             for shard in table.shards
@@ -304,11 +302,6 @@ class RaptorConnector(Connector):
             shard.file, columns, constraint, lazy=True, stats=self.read_stats
         )
         return IteratorPageSource(reader.pages())
-
-    def split_cache_key(self, split: Split) -> object | None:
-        # Shard ids are allocated once and never reused; the placeholder
-        # split for an empty table (shard_id None) is not cacheable.
-        return split.payload[1]
 
     def page_sink(self, insert_handle: RaptorTableHandle) -> RaptorPageSink:
         return RaptorPageSink(self, insert_handle)

@@ -310,8 +310,6 @@ class ShardedSqlConnector(Connector):
             Split(
                 connector=self.catalog_name,
                 payload=(handle, shard_id, enforced),
-                estimated_rows=len(table.shards[shard_id].rows),
-                estimated_bytes=len(table.shards[shard_id].rows) * 48,
                 read_latency_ms=self.base_read_latency_ms,
             )
             for shard_id in matched_shards

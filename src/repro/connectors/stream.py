@@ -165,8 +165,6 @@ class StreamConnector(Connector):
                 Split(
                     connector=self.catalog_name,
                     payload=(handle.topic, partition_id, enforced),
-                    estimated_rows=len(log),
-                    estimated_bytes=len(log) * 64,
                     read_latency_ms=self.base_read_latency_ms,
                 )
             )

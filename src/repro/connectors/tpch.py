@@ -233,8 +233,6 @@ class TpchConnector(Connector):
                 Split(
                     connector=self.name,
                     payload=(handle.table, start, count),
-                    estimated_rows=count,
-                    estimated_bytes=count * 64,
                 )
             )
         return FixedSplitSource(splits)

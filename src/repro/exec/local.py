@@ -130,8 +130,8 @@ class ExecutionTemplate:
     operator (all operator state is per task), the bridges and local
     buffers linking an instance's pipelines, and whatever the factories
     read from the caller's ``context`` — the output collector, and in a
-    cluster task its output buffer, exchange clients, stripe cache, page
-    sinks and commit guard."""
+    cluster task its output buffer, exchange clients, page sinks and
+    commit guard."""
 
     def __init__(
         self,

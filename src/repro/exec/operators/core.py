@@ -61,24 +61,6 @@ class TableScanOperator(Operator):
         self.completed_bytes = 0
         # Accumulated simulated time-to-first-byte of opened splits.
         self.opened_latency_ms = 0.0
-        # Worker stripe cache (repro.cache.stripe_cache); set by the
-        # cluster task planner, None in the local engine. Hits shorten
-        # the simulated open latency — never the bytes produced.
-        self.stripe_cache = None
-
-    def _split_open_latency(self, split: Split) -> float:
-        """Time-to-first-byte for one split: a stripe-cache hit pays only
-        the cache's residual latency fraction."""
-        cache = self.stripe_cache
-        if cache is None:
-            return split.read_latency_ms
-        key = self.connector.split_cache_key(split)
-        if key is None:
-            return split.read_latency_ms
-        weight = split.estimated_bytes or 1
-        if cache.record_access((split.connector, key), weight):
-            return split.read_latency_ms * cache.hit_latency_factor
-        return split.read_latency_ms
 
     def io_cost_ms(self) -> float:
         """Simulated I/O time consumed so far: per-split latency plus
@@ -113,7 +95,7 @@ class TableScanOperator(Operator):
                 if not self._splits:
                     return None
                 split = self._splits.pop(0)
-                self.opened_latency_ms += self._split_open_latency(split)
+                self.opened_latency_ms += split.read_latency_ms
                 self._source = self.connector.page_source(split, self.columns)
             page = self._source.next_page()
             if page is None:

@@ -69,8 +69,8 @@ class FusedPipelineOperator(Operator):
     """A whole scan pipeline compiled into one operator.
 
     Embeds the original operators rather than re-deriving their state:
-    the scan keeps its split queue (so coordinator split feeds, dynamic
-    filters, stripe caches, and replay journals work unchanged), the
+    the scan keeps its split queue (so coordinator split feeds and
+    replay journals work unchanged), the
     aggregation keeps its hash state (so spill revocation works
     unchanged), and the sink keeps its output buffer (so backpressure
     and retained-stream recovery work unchanged). What fusion removes

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.cache import CachedPlan, PlanCache, ResultCache
+from repro.cache import CachedPlan, PlanCache
 from repro.catalog.metadata import Metadata
 from repro.errors import NotSupportedError, TableNotFoundError
 from repro.exec.pipeline import fragment_fusion_summary
@@ -24,12 +24,7 @@ from repro.optimizer import optimize_plan
 from repro.optimizer.context import OptimizerConfig
 from repro.planner import expressions as ir
 from repro.planner import nodes
-from repro.planner.fingerprint import (
-    is_result_cacheable,
-    optimizer_config_token,
-    plan_fingerprint,
-    referenced_tables,
-)
+from repro.planner.fingerprint import optimizer_config_token, referenced_tables
 from repro.planner.fragmenter import (
     FragmentedPlan,
     format_fragmented_plan,
@@ -52,7 +47,7 @@ class PlannedStatement:
     #: rule firings of the planning this call did, if it did any
     trace: Optional[RuleTrace] = None
     #: the new or reused cache entry, for a plain query on an engine
-    #: with a plan or result cache
+    #: with a plan cache
     cached: Optional[CachedPlan] = None
 
     def fragmented(self) -> FragmentedPlan:
@@ -72,7 +67,6 @@ class StatementFrontEnd:
     optimizer_config: OptimizerConfig
     optimize: bool = True
     plan_cache: Optional[PlanCache] = None
-    result_cache: Optional[ResultCache] = None
     explain_analyze: Optional[Callable[[Plan], str]] = None
 
     def plan_sql(self, sql: str) -> PlannedStatement:
@@ -129,17 +123,12 @@ class StatementFrontEnd:
         )
 
     def _cache_entry(self, statement: ast.Statement, plan: Plan) -> Optional[CachedPlan]:
-        """What the plan and result caches keep of a plain query."""
-        if not isinstance(statement, ast.Query) or (
-            self.plan_cache is None and self.result_cache is None
-        ):
+        """What the plan cache keeps of a plain query."""
+        if self.plan_cache is None or not isinstance(statement, ast.Query):
             return None
         fragmented = fragment_plan(plan)
         return CachedPlan(
-            fragmented,
-            self.metadata.table_versions(referenced_tables(fragmented)),
-            plan_fingerprint(fragmented),
-            is_result_cacheable(fragmented),
+            fragmented, self.metadata.table_versions(referenced_tables(fragmented))
         )
 
     # -- EXPLAIN ------------------------------------------------------------------
@@ -149,22 +138,21 @@ class StatementFrontEnd:
         return _answer(["Query Plan"], [VARCHAR], [(text,)], trace)
 
     def _explain_text(self, statement: ast.Explain) -> tuple[str, RuleTrace]:
-        """Cache status (on an engine with a cache tier), the rule
+        """Plan-cache status (on an engine with a plan cache), the rule
         header, the plan. EXPLAIN plans afresh and only peeks at the
-        caches: no lookup is counted, no entry filled."""
+        cache: no lookup is counted, no entry filled."""
         inner = statement.statement
         if statement.analyze and self.explain_analyze is None:
             raise NotSupportedError("EXPLAIN ANALYZE is not supported on this engine")
         plan, trace = self._plan_fresh(inner)
-        planned = PlannedStatement(plan, trace, self._cache_entry(inner, plan))
         lines = []
-        if self.plan_cache is not None or self.result_cache is not None:
-            lines += self._cache_status(inner, planned.cached)
+        if self.plan_cache is not None:
+            lines.append(f"plan cache: {self._plan_cache_status(inner)}")
         lines.append(trace.summary())
         if statement.analyze:
             lines.append(self.explain_analyze(plan))
         elif statement.explain_type == "DISTRIBUTED":
-            fragmented = planned.fragmented()
+            fragmented = fragment_plan(plan)
             lines.append(
                 format_fragmented_plan(fragmented, _fusion_annotations(fragmented))
             )
@@ -172,31 +160,14 @@ class StatementFrontEnd:
             lines.append(nodes.format_plan(plan.root))
         return "\n".join(lines), trace
 
-    def _cache_status(
-        self, statement: ast.Statement, entry: Optional[CachedPlan]
-    ) -> list[str]:
-        """Would a run now hit the plan cache; could the result cache
-        serve it."""
+    def _plan_cache_status(self, statement: ast.Statement) -> str:
+        """Would a run now hit the plan cache."""
         key = self._plan_cache_key(statement)
-        if self.plan_cache is None:
-            plan_status = "disabled"
-        elif key is None:
-            plan_status = "uncacheable"
-        elif self.plan_cache.peek(key, self.metadata.table_versions) is not None:
-            plan_status = "hit"
-        else:
-            plan_status = "miss"
-        if entry is None or not entry.result_cacheable:
-            result_status = "uncacheable"
-        elif self.result_cache is None:
-            result_status = "disabled"
-        elif self.result_cache.peek(entry.fingerprint, entry.table_versions) is not None:
-            result_status = "ready"
-        else:
-            result_status = "cold"
-        if entry is not None:
-            result_status += f" (fingerprint {entry.fingerprint[:12]})"
-        return [f"plan cache: {plan_status}", f"result cache: {result_status}"]
+        if key is None:
+            return "uncacheable"
+        if self.plan_cache.peek(key, self.metadata.table_versions) is not None:
+            return "hit"
+        return "miss"
 
     # -- statements answered from metadata -------------------------------------------
 

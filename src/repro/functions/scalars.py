@@ -139,7 +139,7 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     scalar("split_part", [VARCHAR, VARCHAR, BIGINT], VARCHAR, _split_part)
     scalar("chr", [BIGINT], VARCHAR, _chr)
     scalar("codepoint", [VARCHAR], BIGINT, lambda s: ord(s[0]) if s else 0)
-    scalar("repeat", [VARCHAR, BIGINT], VARCHAR, lambda s, n: s * max(0, n))
+    scalar("repeat", [VARCHAR, BIGINT], VARCHAR, _repeat)
     scalar(
         "regexp_like",
         [VARCHAR, VARCHAR],
@@ -185,14 +185,16 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     scalar("day_of_week", [DATE], BIGINT, lambda d: (d + 3) % 7 + 1)  # 1970-01-01 = Thu
     scalar("day_of_year", [DATE], BIGINT, _day_of_year)
     scalar("date_trunc", [VARCHAR, TIMESTAMP], TIMESTAMP, _date_trunc)
-    scalar("date_add", [VARCHAR, BIGINT, DATE], DATE, _date_add_days)
-    scalar("date_add", [VARCHAR, BIGINT, TIMESTAMP], TIMESTAMP, _ts_add)
+    # DATE and TIMESTAMP are int64 days and milliseconds: a result past
+    # that range is out of range like a BIGINT one.
+    scalar("date_add", [VARCHAR, BIGINT, DATE], DATE, lambda u, n, d: checked_bigint(_date_add_days(u, n, d)))
+    scalar("date_add", [VARCHAR, BIGINT, TIMESTAMP], TIMESTAMP, lambda u, n, ts: checked_bigint(_ts_add(u, n, ts)))
     scalar("date_diff", [VARCHAR, DATE, DATE], BIGINT, _date_diff_days)
     scalar("date_diff", [VARCHAR, TIMESTAMP, TIMESTAMP], BIGINT, _ts_diff)
-    scalar("from_unixtime", [BIGINT], TIMESTAMP, lambda s: s * 1000)
+    scalar("from_unixtime", [BIGINT], TIMESTAMP, lambda s: checked_bigint(s * 1000))
     scalar("to_unixtime", [TIMESTAMP], DOUBLE, lambda ts: ts / 1000.0)
     scalar("date", [VARCHAR], DATE, _parse_date)
-    scalar("to_date_int", [BIGINT, BIGINT, BIGINT], DATE, _days_from_civil)
+    scalar("to_date_int", [BIGINT, BIGINT, BIGINT], DATE, lambda y, m, d: checked_bigint(_days_from_civil(y, m, d)))
 
     # ---- arrays & higher-order functions (paper Sec. IV-A) -----------------------
     scalar("cardinality", [ARRAY(T)], BIGINT, len)
@@ -376,13 +378,30 @@ def _substr(s: str, start: int, length: int | None = None):
     return s[begin:end]
 
 
+#: The longest string repeat / lpad / rpad build, in characters.
+MAX_STRING_RESULT = 1 << 20
+#: The most entries one sequence() builds (Presto's limit).
+MAX_SEQUENCE_ENTRIES = 10_000
+
+
+def _repeat(s: str, count: int) -> str:
+    if len(s) * count > MAX_STRING_RESULT:
+        raise InvalidFunctionArgumentError(
+            f"repeat result must not be longer than {MAX_STRING_RESULT} characters"
+        )
+    return s * max(0, count)
+
+
 def _pad_fill(s: str, size: int, pad: str) -> str:
     """What lpad/rpad add to ``s``; ``s`` longer than ``size`` is cut to it."""
-    if size < 0:
-        raise InvalidFunctionArgumentError(f"target length must not be negative: {size}")
+    if not 0 <= size <= MAX_STRING_RESULT:
+        raise InvalidFunctionArgumentError(
+            f"target length must be in [0, {MAX_STRING_RESULT}]: {size}"
+        )
     if not pad:
         raise InvalidFunctionArgumentError("padding string must not be empty")
-    return (pad * size)[: max(0, size - len(s))]
+    missing = max(0, size - len(s))
+    return (pad * (missing // len(pad) + 1))[:missing]
 
 
 def _lpad(s: str, size: int, pad: str) -> str:
@@ -545,6 +564,10 @@ def _varchar_to_double(s: str) -> float:
 def _sequence(start: int, stop: int, step: int = 1) -> list:
     if step == 0:
         raise InvalidFunctionArgumentError("sequence step must not be zero")
+    if (stop - start) // step >= MAX_SEQUENCE_ENTRIES:
+        raise InvalidFunctionArgumentError(
+            f"sequence must not have more than {MAX_SEQUENCE_ENTRIES} entries"
+        )
     return list(range(start, stop + (1 if step > 0 else -1), step))
 
 

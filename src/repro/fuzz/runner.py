@@ -29,7 +29,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Optional
 
-from repro.cache import CacheConfig
+from repro.catalog.metadata import Metadata
 from repro.client.session import LocalEngine
 from repro.cluster import ClusterConfig, FaultToleranceConfig, SimCluster
 from repro.connectors.hashing import stable_hash
@@ -230,15 +230,9 @@ EXCLUDED_PAIRS: dict[frozenset, str] = {
         ),
         (
             "coherence",
-            "memory raptor ctas",
-            "cannot: the twin mutates and re-reads a Hive warehouse; the stripe "
-            "cache and affinity scheduling under test are Hive's",
-        ),
-        (
-            "coherence",
             "client_retry recover partition",
-            "cannot: the twin script compares five complete runs on two whole "
-            "clusters; a crashed worker stays down",
+            "cannot: the coherence script is the row's whole run; its mutations "
+            "and re-runs take the place of a fault script",
         ),
         (
             "client_retry",
@@ -248,8 +242,15 @@ EXCLUDED_PAIRS: dict[frozenset, str] = {
         ),
         (
             "coherence",
+            "memory raptor ctas",
+            "not run: both caches key on the version counters that every "
+            "writable connector bumps, and tests/test_caching.py checks each "
+            "connector; one storage a case is enough",
+        ),
+        (
+            "coherence",
             "row rewrites spill",
-            "not run: a second twin row costs over a third of a whole case",
+            "not run: a second coherence row costs a third of a whole case",
         ),
         (
             "ctas",
@@ -333,9 +334,8 @@ def load_tables(connector, tables: list[TableSpec], catalog: str = "memory") -> 
         _load_table(connector, catalog, "default", t.name, t.column_defs(), t.rows)
 
 
-def build(config: EngineConfig, tables, cache: CacheConfig | None = None):
-    """The engine of one row, with ``tables`` in its default catalog.
-    ``cache`` overrides the cluster's cache tier (the coherence twins)."""
+def build(config: EngineConfig, tables):
+    """The engine of one row, with ``tables`` in its default catalog."""
     optimizer = OptimizerConfig(**_PLAN_KNOBS[config.plan])
     if config.engine == "local":
         engine = LocalEngine(optimize=config.plan != "raw", optimizer_config=optimizer)
@@ -350,7 +350,6 @@ def build(config: EngineConfig, tables, cache: CacheConfig | None = None):
                 transient_failure_rate=0.05 if config.faults != "none" else 0.0,
                 transfer_duplicate_rate=0.05 if recovering else 0.0,
                 fault_tolerance=FaultToleranceConfig(enabled=recovering),
-                cache=cache or CacheConfig(),
                 **_MEMORY_KNOBS[config.memory],
             )
         )
@@ -439,51 +438,38 @@ FAULT_SCRIPTS: dict[str, Callable[..., list[tuple]]] = {
 
 
 class CacheCoherenceError(Exception):
-    """A cached cluster disagreed with its uncached twin — the caching
-    tier served a stale (or otherwise wrong) answer."""
+    """The cached cluster disagreed with the oracle after a mutation, or
+    with itself on a plan-cache hit — a cache served a stale (or
+    otherwise wrong) answer."""
 
 
-def _run_coherence_twins(config: EngineConfig, tables, sql: str) -> list[tuple]:
-    """Differential cache-coherence check (docs/CACHING.md test battery).
+def _run_coherence(config: EngineConfig, tables, sql: str) -> list[tuple]:
+    """Cache-coherence check (docs/CACHING.md).
 
-    Runs ``sql`` on the row's cluster with every cache level on and on
-    an identical uncached twin; interleaves deterministic DDL/INSERT
-    mutations and re-runs after each one. Every divergence — including
-    a result-cache repeat that is not bit-identical — raises
+    Runs ``sql`` on the row's cluster, whose metadata and plan caches
+    are on like every cluster's, then again (a plan-cache hit), then
+    after each of two deterministic DDL/INSERT mutations. Every run
+    after a mutation is checked against the oracle over a plain
+    ``Metadata`` router of the cluster's own connectors, which sees the
+    mutated tables and caches nothing; a divergence raises
     ``CacheCoherenceError``. Returns the *first* (pre-mutation) rows so
     the outcome matches the oracle, which only knows the original tables.
     """
-    cached = build(config, tables, CacheConfig.full(metadata_latency_ms=0.5))
-    plain = build(config, tables, CacheConfig.disabled())
+    cluster = build(config, tables)
+    uncached = Metadata()
+    for catalog in cluster.metadata.catalogs():
+        uncached.register_catalog(catalog, cluster.metadata.connector(catalog))
 
-    def run_both(context: str) -> list[tuple]:
-        got, twin = (
-            _capture(lambda: cluster.run_query(sql, drain=True).rows())
-            for cluster in (cached, plain)
-        )
-        if got.key() != twin.key():
-            raise CacheCoherenceError(
-                f"cached cluster diverged from uncached twin {context}: "
-                f"cached={_preview(got)} plain={_preview(twin)}"
-            )
-        if got.raised is not None:
-            raise got.raised
-        return got.ordered_rows
+    def run() -> list[tuple]:
+        return cluster.run_query(sql, drain=True).rows()
 
-    first = run_both("on the initial run")
-    # Repeat with no intervening mutation: the second run must be served
-    # from the result cache, bit-identical (not merely multiset-equal).
-    repeat = cached.run_query(sql, drain=True)
-    if repeat.result_cache_status == "hit" and repeat.rows() != first:
-        raise CacheCoherenceError("result-cache repeat was not bit-identical")
-    if repeat.result_cache_status not in ("hit", "miss", "off"):
-        raise CacheCoherenceError(
-            f"unexpected result-cache status {repeat.result_cache_status!r}"
-        )
+    first = run()
+    if normalize_rows(run()) != normalize_rows(first):
+        raise CacheCoherenceError("the plan-cache repeat changed the answer")
 
     # Two mutations of the case's own tables (repro cases use arbitrary
-    # names). Each is deterministic as a multiset (no bare LIMIT or
-    # sampling), so the twins stay row-for-row comparable after it.
+    # names), each deterministic as a multiset (no bare LIMIT or
+    # sampling).
     rng = random.Random(stable_hash(sql) & 0xFFFFFFFF)
     mutations = [
         template.format(table.name)
@@ -494,13 +480,18 @@ def _run_coherence_twins(config: EngineConfig, tables, sql: str) -> list[tuple]:
         )
     ]
     for mutation in rng.sample(mutations, min(2, len(mutations))):
-        for cluster in (cached, plain):
-            cluster.run_query(mutation, drain=True)
-            if mutation.startswith("CREATE"):
-                # The drop's version bump must rotate the plan- and
-                # result-cache keys like the other two mutations.
-                cluster.run_query("DROP TABLE tmp_cc", drain=True)
-        run_both(f"after {mutation!r}")
+        cluster.run_query(mutation, drain=True)
+        if mutation.startswith("CREATE"):
+            # The drop's version bump must rotate the cache keys like
+            # the other two mutations.
+            cluster.run_query("DROP TABLE tmp_cc", drain=True)
+        got = _capture(run)
+        expected = _capture(lambda: run_oracle(uncached, sql)[1])
+        if got.key() != expected.key():
+            raise CacheCoherenceError(
+                f"cached cluster diverged from the oracle after {mutation!r}: "
+                f"cluster={_preview(got)} oracle={_preview(expected)}"
+            )
     return first
 
 
@@ -529,7 +520,7 @@ def run_config(name: str, tables, sql: str) -> Outcome:
     def run() -> list[tuple]:
         with kernels.forced_mode(config.kernels):
             if config.cache == "coherence":
-                return _run_coherence_twins(config, tables, sql)
+                return _run_coherence(config, tables, sql)
             return FAULT_SCRIPTS[config.faults](build(config, tables), sql)
 
     return _capture(run)

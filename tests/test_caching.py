@@ -1,26 +1,19 @@
-"""Caching-tier unit tests (docs/CACHING.md): the DDL invalidation
-matrix across all three cache levels, result-cache keying, and
-memory-bounded LRU eviction accounting against the memory manager."""
+"""Cache unit tests (docs/CACHING.md): the DDL invalidation matrix of
+the metadata and plan caches, on the metadata router and on a cluster,
+over every connector that takes writes."""
 
 import pytest
 
-from repro.cache import CacheConfig, CachingMetadata, LruCache, StripeCache
+from repro.cache import CachingMetadata, LruCache
 from repro.catalog import Column, QualifiedTableName, TableMetadata
 from repro.cluster import ClusterConfig, SimCluster
 from repro.connectors.memory import MemoryConnector
-from repro.memory.pools import MemoryPool
 from repro.types import BIGINT, VARCHAR
 
 
-def _cached_cluster(**cache_overrides) -> SimCluster:
-    cache = CacheConfig(result_cache_enabled=True, **cache_overrides)
+def _cached_cluster() -> SimCluster:
     cluster = SimCluster(
-        ClusterConfig(
-            worker_count=2,
-            default_catalog="memory",
-            default_schema="default",
-            cache=cache,
-        )
+        ClusterConfig(worker_count=2, default_catalog="memory", default_schema="default")
     )
     connector = MemoryConnector()
     connector.create_table_with_data(
@@ -34,12 +27,15 @@ def _cached_cluster(**cache_overrides) -> SimCluster:
     return cluster
 
 
-def _snapshot(cluster) -> dict:
-    return cluster.stats_snapshot()
+def _run(cluster: SimCluster, sql: str) -> tuple[str, list]:
+    """Run ``sql``; whether its plan came from the plan cache, and its rows."""
+    hits = cluster.plan_cache.hits
+    rows = cluster.run_query(sql, drain=True).rows()
+    return ("hit" if cluster.plan_cache.hits > hits else "miss"), rows
 
 
 # ---------------------------------------------------------------------------
-# Level 1: coordinator metadata cache — invalidation matrix
+# Metadata cache — invalidation matrix
 # ---------------------------------------------------------------------------
 
 
@@ -110,7 +106,7 @@ def test_metadata_cache_drop_invalidates_resolution():
 
 
 # ---------------------------------------------------------------------------
-# Levels 1+3 on a cluster: plan & result cache invalidation matrix
+# Both levels on a cluster: plan-cache invalidation matrix
 # ---------------------------------------------------------------------------
 
 SQL = "SELECT s, count(*) FROM t GROUP BY 1"
@@ -118,48 +114,29 @@ SQL = "SELECT s, count(*) FROM t GROUP BY 1"
 
 def test_plan_cache_hit_on_repeat_and_miss_after_insert():
     cluster = _cached_cluster()
-    cluster.run_query(SQL, drain=True)
-    cluster.run_query(SQL, drain=True)
-    snap = _snapshot(cluster)
-    assert snap["cache.plan_hits"] == 1
+    assert _run(cluster, SQL)[0] == "miss"
+    assert _run(cluster, SQL)[0] == "hit"
     cluster.run_query("INSERT INTO t SELECT k + 10, s FROM t", drain=True)
-    q = cluster.run_query(SQL, drain=True)
     # The version moved: the stale plan is a miss, and the fresh rows
     # reflect the insert.
-    assert _snapshot(cluster)["cache.plan_misses"] > snap["cache.plan_misses"]
-    assert sorted(q.rows()) == [("a", 4), ("b", 2), ("c", 2)]
+    status, rows = _run(cluster, SQL)
+    assert status == "miss"
+    assert sorted(rows) == [("a", 4), ("b", 2), ("c", 2)]
 
 
-def test_result_cache_serves_bit_identical_pages_and_insert_invalidates():
-    cluster = _cached_cluster()
-    q1 = cluster.run_query(SQL, drain=True)
-    q2 = cluster.run_query(SQL, drain=True)
-    assert q2.result_cache_status == "hit"
-    assert q2.rows() == q1.rows()
-    assert q2.wall_time_ms == 0.0
-    cluster.run_query("INSERT INTO t SELECT k + 10, s FROM t", drain=True)
-    q3 = cluster.run_query(SQL, drain=True)
-    assert q3.result_cache_status == "miss"
-    assert sorted(q3.rows()) == [("a", 4), ("b", 2), ("c", 2)]
-
-
-def test_result_cache_ctas_and_drop_invalidate():
+def test_plan_cache_ctas_and_out_of_band_drop_invalidate():
     cluster = _cached_cluster()
     cluster.run_query("CREATE TABLE u AS SELECT k, s FROM t", drain=True)
-    first = cluster.run_query("SELECT count(*) FROM u", drain=True)
-    warm = cluster.run_query("SELECT count(*) FROM u", drain=True)
-    assert warm.result_cache_status == "hit"
+    assert _run(cluster, "SELECT count(*) FROM u") == ("miss", [(4,)])
+    assert _run(cluster, "SELECT count(*) FROM u") == ("hit", [(4,)])
     # Drop through the metadata API (out-of-band DDL), then recreate the
-    # same name with different contents: no stale answer may survive.
+    # same name with different contents: no stale plan may survive.
     handle = cluster.metadata.require_table("memory", "default", "u")
     cluster.metadata.drop_table(handle)
     cluster.run_query(
         "CREATE TABLE u AS SELECT k, s FROM t WHERE k <= 2", drain=True
     )
-    fresh = cluster.run_query("SELECT count(*) FROM u", drain=True)
-    assert fresh.result_cache_status == "miss"
-    assert first.rows() == [(4,)]
-    assert fresh.rows() == [(2,)]
+    assert _run(cluster, "SELECT count(*) FROM u") == ("miss", [(2,)])
 
 
 def _writable_connector(catalog: str):
@@ -178,32 +155,22 @@ def _writable_connector(catalog: str):
 def test_every_writable_connector_bumps_versions_and_no_stale_result_survives(catalog):
     """MetadataVersions' contract — every DDL or committed insert bumps
     — over every connector that takes SQL writes: create / insert / drop
-    each move ``table_version``, and with every cache level on no cached
-    result is served across any of them."""
+    each move ``table_version``, so the first read after each is a
+    plan-cache miss with a fresh count, and only its repeat hits."""
     connector = _writable_connector(catalog)
     cluster = SimCluster(
-        ClusterConfig(
-            worker_count=2,
-            default_catalog=catalog,
-            default_schema="default",
-            cache=CacheConfig.full(),
-        )
+        ClusterConfig(worker_count=2, default_catalog=catalog, default_schema="default")
     )
     cluster.register_catalog(catalog, connector)
     seen = [connector.metadata.versions.table_version("default", "w")]
 
     def count_twice(expected: int) -> None:
-        """A first read past the mutation, then a repeat that the result
-        cache may serve."""
+        """A first read past the mutation, then a repeat."""
         version = connector.metadata.versions.table_version("default", "w")
         assert version > seen[-1], f"{catalog}: the write did not bump the version"
         seen.append(version)
-        first = cluster.run_query("SELECT count(*) FROM w", drain=True)
-        assert first.result_cache_status == "miss"
-        assert first.rows() == [(expected,)]
-        repeat = cluster.run_query("SELECT count(*) FROM w", drain=True)
-        assert repeat.result_cache_status == "hit"
-        assert repeat.rows() == [(expected,)]
+        assert _run(cluster, "SELECT count(*) FROM w") == ("miss", [(expected,)])
+        assert _run(cluster, "SELECT count(*) FROM w") == ("hit", [(expected,)])
 
     cluster.run_query("CREATE TABLE w AS SELECT 1 a", drain=True)
     count_twice(1)
@@ -224,12 +191,7 @@ def test_stream_topic_writes_bump_versions_and_no_stale_result_survives():
 
     stream = StreamConnector()
     cluster = SimCluster(
-        ClusterConfig(
-            worker_count=2,
-            default_catalog="stream",
-            default_schema="default",
-            cache=CacheConfig.full(),
-        )
+        ClusterConfig(worker_count=2, default_catalog="stream", default_schema="default")
     )
     cluster.register_catalog("stream", stream)
     versions = stream.metadata.versions
@@ -238,113 +200,40 @@ def test_stream_topic_writes_bump_versions_and_no_stale_result_survives():
     created = versions.table_version("default", "events")
     assert created > 0
     sql = "SELECT count(*) FROM events"
-    assert cluster.run_query(sql, drain=True).rows() == [(0,)]
+    assert _run(cluster, sql) == ("miss", [(0,)])
     for produced in (1, 2, 3):
         stream.produce("events", timestamp=produced, values=(produced,))
         assert versions.table_version("default", "events") == created + produced
-        fresh = cluster.run_query(sql, drain=True)
-        assert fresh.result_cache_status == "miss"
-        assert fresh.rows() == [(produced,)]
-        assert cluster.run_query(sql, drain=True).result_cache_status == "hit"
+        assert _run(cluster, sql) == ("miss", [(produced,)])
+        assert _run(cluster, sql) == ("hit", [(produced,)])
 
 
 # ---------------------------------------------------------------------------
-# Result-cache keying
+# Plan-cache keying
 # ---------------------------------------------------------------------------
 
 
-def test_result_cache_different_literals_miss():
+def test_plan_cache_different_literals_miss():
     cluster = _cached_cluster()
     cluster.run_query("SELECT count(*) FROM t WHERE k > 1", drain=True)
-    q = cluster.run_query("SELECT count(*) FROM t WHERE k > 2", drain=True)
-    assert q.result_cache_status == "miss"
-    assert q.rows() == [(2,)]
+    assert _run(cluster, "SELECT count(*) FROM t WHERE k > 2") == ("miss", [(2,)])
 
 
-def test_result_cache_whitespace_only_change_hits():
+def test_plan_cache_whitespace_only_change_hits():
     cluster = _cached_cluster()
     cluster.run_query("SELECT count(*) FROM t WHERE k > 1", drain=True)
-    q = cluster.run_query(
-        "SELECT   count( * )\n  FROM t\n  WHERE k > 1", drain=True
-    )
-    assert q.result_cache_status == "hit"
-    assert q.rows() == [(3,)]
+    respelled = "SELECT   count( * )\n  FROM t\n  WHERE k > 1"
+    assert _run(cluster, respelled) == ("hit", [(3,)])
 
 
-def test_result_cache_alias_only_change_hits():
-    cluster = _cached_cluster()
-    q1 = cluster.run_query("SELECT s AS grp, count(*) AS n FROM t GROUP BY 1", drain=True)
-    q2 = cluster.run_query("SELECT s AS g2, count(*) AS cnt FROM t GROUP BY 1", drain=True)
-    # Different SQL text (plan-cache key) but an identical canonical
-    # fingerprint: the pages are reused even though the aliases differ.
-    assert q2.result_cache_status == "hit"
-    assert q2.rows() == q1.rows()
-
-
-def test_result_cache_disabled_by_default():
-    cluster = SimCluster(
-        ClusterConfig(worker_count=2, default_catalog="memory", default_schema="default")
-    )
-    connector = MemoryConnector()
-    connector.create_table_with_data("memory", "default", "t", [("k", BIGINT)], [(1,)])
-    cluster.register_catalog("memory", connector)
-    q = cluster.run_query("SELECT k FROM t", drain=True)
-    assert q.result_cache_status == "off"
-
-
-# ---------------------------------------------------------------------------
-# Level 2: stripe-cache LRU + memory-manager accounting
-# ---------------------------------------------------------------------------
-
-
-def test_stripe_cache_eviction_accounting_against_memory_pool():
-    pool = MemoryPool("worker-x", general_bytes=100_000, reserved_bytes=0)
-    cache = StripeCache(capacity_bytes=1_000, memory_pool=pool)
-    assert cache.record_access(("hive", "f1"), 400) is False  # cold
-    assert cache.record_access(("hive", "f2"), 400) is False
-    assert pool.general_used == 800 == cache.used_bytes
-    assert cache.record_access(("hive", "f1"), 400) is True  # resident
-    # Admitting a third entry exceeds capacity: LRU (f2) is evicted and
-    # its reservation released.
-    assert cache.record_access(("hive", "f3"), 400) is False
-    assert cache.entries.evictions == 1
-    assert pool.general_used == 800 == cache.used_bytes
-    assert cache.holds(("hive", "f1")) and cache.holds(("hive", "f3"))
-    assert not cache.holds(("hive", "f2"))
-    # clear() (worker crash) releases every reservation.
-    cache.clear()
-    assert pool.general_used == 0
-    assert cache.used_bytes == 0
-
-
-def test_stripe_cache_respects_memory_pool_pressure():
-    pool = MemoryPool("worker-x", general_bytes=1_000, reserved_bytes=0)
-    # Another query holds most of the pool; the cache must not overrun it.
-    assert pool.try_reserve("q0", 800)
-    cache = StripeCache(capacity_bytes=10_000, memory_pool=pool)
-    assert cache.record_access(("hive", "f1"), 150) is False
-    assert cache.record_access(("hive", "f1"), 150) is True
-    # No room for a second entry even below cache capacity: the first is
-    # evicted to make room rather than overrunning the pool.
-    cache.record_access(("hive", "f2"), 150)
-    assert pool.general_used <= 1_000
-    assert cache.used_bytes <= 200
-
-
-def test_stripe_cache_oversized_entry_rejected():
-    cache = StripeCache(capacity_bytes=100)
-    assert cache.record_access(("hive", "big"), 500) is False
-    assert cache.record_access(("hive", "big"), 500) is False  # never admitted
-    assert cache.used_bytes == 0
-
-
-def test_lru_cache_weight_and_counters():
+def test_lru_cache_bound_and_counters():
     cache = LruCache(max_entries=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1
     cache.put("c", 3)  # evicts LRU ("b")
     assert cache.get("b") is None
-    assert cache.hits == 1 and cache.misses == 1 and cache.evictions == 1
-    assert cache.invalidate("a") is True
+    assert cache.hits == 1 and cache.misses == 1
+    assert cache.peek("a") == 1 and cache.hits == 1  # peek counts nothing
+    cache.invalidate("a")
     assert len(cache) == 1

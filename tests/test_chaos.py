@@ -103,38 +103,3 @@ def test_extended_chaos_sweep(base_seed):
     for report in reports:
         assert report.mismatches == [], report.summary()
         assert report.survival_rate >= 0.95, report.summary()
-
-
-def test_affinity_kill_stays_bit_exact_and_degrades_gracefully():
-    """Kill the affinity-preferred worker mid-query: every run (cold,
-    warm, during-kill, re-warmed) must match the uncached oracle
-    bit-exactly, and ``cache.stripe_hits`` must degrade gracefully —
-    fewer hits right after the kill, recovering on the next run."""
-    from repro.chaos import run_affinity_kill
-
-    report = run_affinity_kill(seed=0)
-    assert report.killed_state == "finished"
-    assert report.bit_exact, report
-    assert report.degraded_gracefully, (
-        report.warm_hit_delta,
-        report.killed_hit_delta,
-        report.rewarm_hit_delta,
-    )
-    # The warmed run was actually served from the stripe cache.
-    assert report.warm_hit_delta > 0
-    assert report.stats["cache.stripe_evictions"] >= 0
-
-
-def test_affinity_kill_is_deterministic():
-    from repro.chaos import run_affinity_kill
-
-    first = run_affinity_kill(seed=3)
-    second = run_affinity_kill(seed=3)
-    assert first.victim == second.victim
-    assert first.expected == second.expected
-    assert (first.warm_hit_delta, first.killed_hit_delta, first.rewarm_hit_delta) == (
-        second.warm_hit_delta,
-        second.killed_hit_delta,
-        second.rewarm_hit_delta,
-    )
-    assert first.stats == second.stats

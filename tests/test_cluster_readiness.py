@@ -277,8 +277,6 @@ def test_scan_numbering_has_one_owner():
             assert split.payload[0] == nodes[index].table.connector_handle
     assert [s.scan_index for s in stage.scan_schedules] == [0, 1]
     for schedule in stage.scan_schedules:
-        node = nodes[schedule.scan_index]
-        assert schedule.connector is cluster.metadata.connector(node.table.catalog)
         assert schedule.assigned > 0
 
 

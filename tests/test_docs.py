@@ -69,12 +69,6 @@ def test_fault_tolerance_field_table_matches_the_dataclass():
     assert_field_table_matches("FAULT_TOLERANCE.md", FaultToleranceConfig)
 
 
-def test_cache_field_table_matches_the_dataclass():
-    from repro.cache import CacheConfig
-
-    assert_field_table_matches("CACHING.md", CacheConfig)
-
-
 def test_fuzz_config_table_matches_the_runner():
     """docs/FUZZING.md's Axes and Rows tables are the runner's ``AXES``
     and ``CONFIGS``: a new row, value or axis fails here until the doc

@@ -207,6 +207,58 @@ def test_crash_recovery_is_bit_exact(sql):
     )
 
 
+def test_crash_mid_hive_scan_is_exact():
+    """A worker dies while its tasks still read Hive files: recovery
+    replays their split logs on the survivors, and the answer equals a
+    run without the crash (floats to the oracle's six digits: the
+    survivors add partial sums in another order)."""
+    from repro.connectors.hive import HiveConnector
+    from repro.fuzz.runner import normalize_rows
+
+    sql = "SELECT s, count(*), sum(v), sum(x) FROM events GROUP BY 1 ORDER BY 1"
+
+    def hive_cluster(ft: bool) -> SimCluster:
+        cluster = SimCluster(
+            ClusterConfig(
+                worker_count=4,
+                default_catalog="hive",
+                default_schema="default",
+                fault_tolerance=FaultToleranceConfig(enabled=ft),
+            )
+        )
+        hive = HiveConnector(catalog_name="hive", stripe_rows=32, max_rows_per_file=64)
+        cluster.register_catalog("hive", hive)
+        cluster.register_catalog("tpch", TpchConnector(scale_factor=0.001))
+        cluster.run_query(
+            "CREATE TABLE events AS SELECT orderkey k, partkey % 1000 v, "
+            "extendedprice x, shipmode s FROM tpch.tiny.lineitem WHERE orderkey <= 500"
+        )
+        return cluster
+
+    expected = normalize_rows(hive_cluster(False).run_query(sql).rows())
+    cluster = hive_cluster(True)
+    handle = cluster.submit(sql)
+
+    def reading() -> list:
+        """Scan tasks that have finished a split and have more queued."""
+        return [
+            task
+            for stage in handle.stages.values()
+            for task in stage.tasks
+            for scan in task.scan_operators
+            if scan.completed_splits and scan.queued_splits
+        ]
+
+    cluster.sim.run(stop_when=lambda: bool(reading()))
+    victim = max(t.worker.name for t in reading())
+    assert victim != "worker-0"
+    cluster.crash_worker(victim)
+    cluster.run()
+    assert handle.state == "finished"
+    assert normalize_rows(handle.rows()) == expected
+    assert cluster.tasks_recovered >= 1
+
+
 def test_crash_of_a_worker_without_a_task_recovers_nothing():
     """A narrow query leaves workers idle; losing one of those is
     detected, costs the query nothing and recovers nothing."""

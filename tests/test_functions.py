@@ -230,6 +230,17 @@ EDGE_ARGUMENTS = {
     "rpad_negative_size": ("rpad('abc', -1, 'x')", "rpad('abc', minus, 'x')", _TYPED),
     "lpad_empty_pad": ("lpad('abc', 5, '')", "lpad('abc', 5, empty)", _TYPED),
     "rpad_empty_pad": ("rpad('abc', 5, '')", "rpad('abc', 5, empty)", _TYPED),
+    # DATE / TIMESTAMP results past int64 days / milliseconds
+    "from_unixtime_out_of_range": (f"from_unixtime({_MAX})", "from_unixtime(big * 9223372036854775)", _RANGE),
+    "date_add_days_out_of_range": (f"date_add('day', {_MAX}, DATE '2020-01-01')", "date_add('day', big * 9223372036854775, DATE '2020-01-01')", _RANGE),
+    "date_add_seconds_out_of_range": (f"date_add('second', {_MAX}, TIMESTAMP '2020-01-01 00:00:00')", "date_add('second', big * 9223372036854775, TIMESTAMP '2020-01-01 00:00:00')", _RANGE),
+    "to_date_int_out_of_range": (f"to_date_int({_MAX}, 1, 1)", "to_date_int(big * 9223372036854775, 1, 1)", _RANGE),
+    # results longer than MAX_STRING_RESULT / MAX_SEQUENCE_ENTRIES
+    "repeat_huge_count": (f"repeat('ab', {_MAX})", "repeat('ab', big * 9223372036854775)", _TYPED),
+    "lpad_huge_size": (f"lpad('abc', {_MAX}, 'x')", "lpad('abc', big * 9223372036854775, 'x')", _TYPED),
+    "rpad_huge_size": (f"rpad('abc', {_MAX}, 'x')", "rpad('abc', big * 9223372036854775, 'x')", _TYPED),
+    "sequence_huge": (f"sequence(1, {_MAX})", "sequence(1, big * 9223372036854775)", _TYPED),
+    "sequence_past_limit": ("sequence(1, 10001)", "sequence(1, big * 10 + 1)", _TYPED),
 }
 
 
@@ -259,6 +270,21 @@ def test_edge_arguments_answer_a_value_or_a_typed_error(case, mode):
             else:
                 with pytest.raises(expected):
                     engine.execute(sql)
+
+
+def test_result_size_limits_are_inclusive():
+    from repro.functions.scalars import MAX_SEQUENCE_ENTRIES, MAX_STRING_RESULT
+
+    engine = LocalEngine()
+    half = MAX_STRING_RESULT // 2
+    sql = (
+        f"SELECT cardinality(sequence(1, {MAX_SEQUENCE_ENTRIES})), "
+        f"length(repeat('ab', {half})), length(lpad('a', {MAX_STRING_RESULT}, 'xy')), "
+        f"rpad('a', 6, 'xy')"
+    )
+    assert engine.execute(sql).rows == [
+        (MAX_SEQUENCE_ENTRIES, MAX_STRING_RESULT, MAX_STRING_RESULT, "axyxyx")
+    ]
 
 
 # The statements of the BIGINT range bug class on t(k) = {2, 3}: folded

@@ -12,7 +12,6 @@ from types import FunctionType, ModuleType
 
 import pytest
 
-from repro.cache import CacheConfig
 from repro.cluster import ClusterConfig, FaultToleranceConfig, SimCluster
 from repro.cluster.query import StageExecution
 from repro.cluster.shuffle import ExchangeClient, OutputBuffer
@@ -121,11 +120,12 @@ def rerun_after_coordinator_crash():
     return handle
 
 
-def served_from_the_result_cache():
-    cluster = tpch_cluster(cache=CacheConfig(result_cache_enabled=True))
+def finished_on_a_plan_cache_hit():
+    cluster = tpch_cluster()
     cluster.run_query(AGGREGATE)
+    hits = cluster.plan_cache.hits
     handle = cluster.run_query(AGGREGATE)
-    assert handle.result_cache_status == "hit" and handle.info.stages == {}
+    assert cluster.plan_cache.hits == hits + 1
     return handle
 
 
@@ -136,7 +136,7 @@ ENDINGS = {
     "timed_out": timed_out,
     "finished_after_task_recovery": finished_after_task_recovery,
     "rerun_after_coordinator_crash": rerun_after_coordinator_crash,
-    "served_from_the_result_cache": served_from_the_result_cache,
+    "finished_on_a_plan_cache_hit": finished_on_a_plan_cache_hit,
 }
 
 

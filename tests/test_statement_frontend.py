@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import CacheConfig
 from repro.client import LocalEngine
 from repro.cluster import ClusterConfig, SimCluster
 from repro.connectors.memory import MemoryConnector
@@ -34,11 +33,11 @@ def _catalogs() -> dict:
     return {"memory": memory, "tpch": TpchConnector(scale_factor=0.001)}
 
 
-def _engines(cache: CacheConfig | None = None) -> tuple[LocalEngine, SimCluster]:
+def _engines() -> tuple[LocalEngine, SimCluster]:
     """Both engines over equal catalogs (one copy each: a write through
     one must not show through the other)."""
     engine = LocalEngine()
-    cluster = SimCluster(ClusterConfig(worker_count=2, cache=cache or CacheConfig()))
+    cluster = SimCluster(ClusterConfig(worker_count=2))
     for target in (engine, cluster):
         for name, connector in _catalogs().items():
             target.register_catalog(name, connector)
@@ -46,10 +45,10 @@ def _engines(cache: CacheConfig | None = None) -> tuple[LocalEngine, SimCluster]
 
 
 def _strip_cache_status(rows: list[tuple]) -> list[tuple]:
-    """EXPLAIN on an engine with a cache tier starts with two status
-    lines a LocalEngine has nothing to say about."""
-    plan_status, result_status, rest = rows[0][0].split("\n", 2)
-    assert plan_status.startswith("plan cache: ") and result_status.startswith("result cache: ")
+    """EXPLAIN on an engine with a plan cache starts with a status line
+    a LocalEngine has nothing to say about."""
+    plan_status, rest = rows[0][0].split("\n", 1)
+    assert plan_status.startswith("plan cache: ")
     return [(rest,)]
 
 
@@ -83,17 +82,51 @@ MATRIX = {
 }  # fmt: skip
 
 
-@pytest.mark.parametrize("cache", ["default", "disabled"])
+#: Reads that fill the cluster's metadata and plan caches before a
+#: "warm" case runs; the writes that follow must invalidate what they
+#: cached, including a "no such table" answer.
+WARM_UP = ("SHOW TABLES", "SELECT count(*) FROM t", "SHOW COLUMNS FROM t")
+
+
+def _writes(statement: str) -> bool:
+    from repro.sql import ast, parse_statement
+
+    return isinstance(parse_statement(statement), (ast.Insert, ast.CreateTableAsSelect, ast.DropTable))
+
+
+def _same_outcome(engine: LocalEngine, cluster: SimCluster, sql: str) -> None:
+    """Both engines answer ``sql`` with the same rows or the same
+    typed error."""
+    try:
+        local = engine.execute(sql).rows
+    except TableNotFoundError as error:
+        with pytest.raises(TableNotFoundError, match=re.escape(str(error))):
+            cluster.execute(sql)
+        return
+    rows = cluster.execute(sql)
+    if sql.startswith("EXPLAIN"):
+        rows = _strip_cache_status(rows)
+    assert local == rows
+
+
+@pytest.mark.parametrize("caches", ["cold", "warm"])
 @pytest.mark.parametrize("case", MATRIX)
-def test_statement_matrix_same_rows_on_both_engines(case, cache):
+def test_statement_matrix_same_rows_on_both_engines(case, caches):
     before, statement, effect = MATRIX[case]
-    engine, cluster = _engines(CacheConfig.disabled() if cache == "disabled" else None)
+    engine, cluster = _engines()
+    if caches == "warm":
+        warm_up = WARM_UP + ((effect,) if effect else ()) + (() if _writes(statement) else (statement,))
+        for sql in warm_up:
+            _same_outcome(engine, cluster, sql)
     for sql in before:
         assert engine.execute(sql).rows == cluster.execute(sql)
+    hits = cluster.plan_cache.hits
     local = engine.execute(statement)
     handle = cluster.run_query(statement)
+    if caches == "warm" and statement.startswith("SELECT") and not before:
+        assert cluster.plan_cache.hits == hits + 1
     clustered = handle.rows()
-    if statement.startswith("EXPLAIN") and cache == "default":
+    if statement.startswith("EXPLAIN"):
         clustered = _strip_cache_status(clustered)
     assert local.rows == clustered
     assert bool(local.rows) == (case != "show_tables_empty")
