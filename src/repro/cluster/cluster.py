@@ -427,6 +427,9 @@ class SimCluster:
             if outcome == "blocked":
                 task.memory_blocked = True
                 self._memory_blocked_tasks.append(task)
+            if user_delta + system_delta > 0:  # held input may no longer fit
+                for other in sorted(worker.tasks, key=lambda t: t.task_id):
+                    other.release_held_input()
         query.on_task_quantum(task)
 
     def on_query_memory_released(self) -> None:

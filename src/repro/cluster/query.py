@@ -675,16 +675,21 @@ class QueryExecution:
         (consumer stage, partition, remote-source key), resolved now:
         the consumer may have been replaced while the page travelled —
         and kick the consuming task if that is something its driver can
-        act on: the client has output to give (an ordered merge holds
-        pages until the last EOF) and the operator after the source
-        takes it. Returns whether the client accepted the page (False:
-        a duplicate, dropped)."""
+        act on: the client has output to give (a full page, or the last
+        EOF; an ordered merge holds pages until the last EOF) and the
+        operator after the source takes it; a page it holds back may
+        release the task's input under memory pressure
+        (``SimTask.release_held_input``). Returns whether the client
+        accepted the page (False: a duplicate, dropped)."""
         consumer_stage_id, partition, client_key = replay_key
         consumer_task = self.stages[consumer_stage_id].tasks[partition]
         client = consumer_task.exchange_clients[client_key]
         accepted = client.deliver(delivery.page, producer_key, delivery.seq)
-        if client.has_output and consumer_task.can_use(client_key):
-            consumer_task.worker.kick(consumer_task)
+        if client.has_output:
+            if consumer_task.can_use(client_key):
+                consumer_task.worker.kick(consumer_task)
+        elif client.held:
+            consumer_task.release_held_input()
         return accepted
 
     def _release_acked(self, task: SimTask, partition: int, seq: int) -> None:

@@ -7,6 +7,14 @@ the consumer requests the next segment). Full output buffers stall
 split execution (the sink stops accepting input, the driver blocks, the
 MLFQ deprioritizes the task) — this is the end-to-end backpressure the
 paper credits with protecting the cluster from slow clients.
+
+A consumer is woken for a full page, not for every fragment: a
+non-ordered :class:`ExchangeClient` has output once it holds
+``DEFAULT_PAGE_ROWS`` rows or its last EOF arrived (or memory pressure
+released it), and ``poll`` concatenates what it holds, up to that
+target ("few large messages", Hespe et al., PAPERS.md). Coalescing
+follows ``deliver``'s dedup: replay and the delivery log see the pages
+the producers sent.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from repro.connectors.hashing import stable_hash
 from repro.exec import kernels
 from repro.exec.operator import Operator
 from repro.exec.operators.sorting import sort_rows
-from repro.exec.page import Page, page_from_rows
+from repro.exec.page import DEFAULT_PAGE_ROWS, Page, concat_pages, page_from_rows
 from repro.planner.nodes import ExchangeKind, Ordering
 
 DEFAULT_BUFFER_CAPACITY = 8 * 1024 * 1024  # bytes per output buffer
@@ -212,6 +220,11 @@ class OutputBuffer:
             self._partitions[partition]
         )
 
+    def close(self) -> None:
+        """The query settled: drop every page, sent or not."""
+        self._partitions = [[] for _ in range(self.partition_count)]
+        self.buffered_bytes = 0
+
 
 class ExchangeSinkOperator(Operator):
     """Terminal operator of a fragment: routes pages into the output
@@ -329,6 +342,9 @@ class ExchangeClient:
 
     def __init__(self, symbols: Sequence = (), ordering: Sequence[Ordering] = ()):
         self.pages: deque[Page] = deque()
+        self.rows = 0  # rows in ``pages``
+        # Set under memory pressure: any queued page is output.
+        self.released = False
         self.producers_expected = 0
         self.producers_finished = 0
         self.buffered_bytes = 0
@@ -363,14 +379,20 @@ class ExchangeClient:
 
     @property
     def has_output(self) -> bool:
-        """Whether the source operator reading this client can move: a
-        page is ready or the stream has ended. An ordered merge holds
-        every page back until all producers finished. The coordinator
-        kicks the consuming task only when a delivery or EOF leaves this
-        true (docs/EXECUTION.md, "Task readiness and wake-ups")."""
-        if self.ordering:
+        """Whether the source operator reading this client can move: it
+        holds a full page (``DEFAULT_PAGE_ROWS`` rows), it was released,
+        or the stream has ended. An ordered merge holds every page back
+        until all producers finished. The coordinator kicks the
+        consuming task only when a delivery or EOF leaves this true
+        (docs/EXECUTION.md, "Task readiness and wake-ups")."""
+        if self.ordering or self.all_finished:
             return self.all_finished
-        return bool(self.pages) or self.all_finished
+        return self.rows >= DEFAULT_PAGE_ROWS or (self.released and bool(self.pages))
+
+    @property
+    def held(self) -> bool:
+        """Pages are queued that the consumer may not take yet."""
+        return bool(self.pages) and not self.has_output
 
     def deliver(self, page: Page, producer_key=None, seq: int | None = None) -> bool:
         if producer_key is not None and seq is not None:
@@ -385,6 +407,7 @@ class ExchangeClient:
             self._merge_rows.extend(page.rows())
             return True
         self.pages.append(page)
+        self.rows += page.row_count
         self.buffered_bytes += page.size_bytes()
         return True
 
@@ -400,18 +423,25 @@ class ExchangeClient:
                 ]
                 rows = sort_rows(self._merge_rows, orderings)
                 self._merge_rows = []
-                for start in range(0, len(rows), 4096):
+                for start in range(0, len(rows), DEFAULT_PAGE_ROWS):
                     self.pages.append(
-                        page_from_rows(self.types, rows[start : start + 4096])
+                        page_from_rows(self.types, rows[start : start + DEFAULT_PAGE_ROWS])
                     )
             if self.pages:
                 return self.pages.popleft()
             return None
-        if self.pages:
+        # Whole queued pages, as many as fit the target (at least one).
+        taken: list[Page] = []
+        rows = 0
+        while self.pages and (
+            not taken or rows + self.pages[0].row_count <= DEFAULT_PAGE_ROWS
+        ):
             page = self.pages.popleft()
+            taken.append(page)
+            rows += page.row_count
             self.buffered_bytes -= page.size_bytes()
-            return page
-        return None
+        self.rows -= rows
+        return concat_pages(taken)
 
     def _channel(self, ordering: Ordering) -> int:
         for i, symbol in enumerate(self.symbols):
@@ -421,6 +451,12 @@ class ExchangeClient:
 
     def is_drained(self) -> bool:
         return self.all_finished and not self.pages and not self._merge_rows
+
+    def close(self) -> None:
+        """The query settled: drop what is queued, held or not."""
+        self.pages.clear()
+        self._merge_rows = []
+        self.rows = self.buffered_bytes = 0
 
 
 class ExchangeSourceOperator(Operator):

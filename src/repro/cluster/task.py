@@ -352,6 +352,19 @@ class SimTask:
     def retained_bytes(self) -> int:
         return self.user_retained_bytes() + self.system_retained_bytes()
 
+    def release_held_input(self) -> None:
+        """Memory pressure: the input this task's clients hold below the
+        page target is in no pool, so once it no longer fits the node's
+        free general pool every client is released and the task kicked;
+        its operators take the pages and revocation sees them."""
+        clients = self.exchange_clients.values()
+        held = sum(c.buffered_bytes for c in clients if c.held)
+        pool = self.worker.memory_pool
+        if held and held > pool.general_capacity - pool.general_used:
+            for client in clients:
+                client.released = True
+            self.worker.kick(self)
+
     def memory_deltas(self) -> tuple[int, int]:
         """(user_delta, system_delta) since the last call."""
         user = self.user_retained_bytes()
@@ -402,7 +415,12 @@ class SimTask:
 
     def release(self) -> None:
         """The query settled: drop what would keep the graph in cycles for
-        the collector; reference counting frees it now."""
+        the collector; reference counting frees it now. Queued pages
+        (held input too) are dropped first."""
+        for client in self.exchange_clients.values():
+            client.close()
+        if self.output_buffer is not None:
+            self.output_buffer.close()
         self.drivers = self._live_drivers = self._operators = self.scan_operators = ()
         self.exchange_clients = {}
         self.output_buffer = self.on_finished = self.on_commit = None

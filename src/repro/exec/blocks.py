@@ -173,9 +173,9 @@ class ObjectBlock(Block):
 
     __slots__ = ("items", "_size")
 
-    def __init__(self, items: list):
+    def __init__(self, items: list, size: int | None = None):
         self.items = items
-        self._size: int | None = None
+        self._size = size
 
     def __len__(self) -> int:
         return len(self.items)

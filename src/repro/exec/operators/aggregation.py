@@ -343,6 +343,16 @@ def _extremum(ufunc, group_ids, group_count: int, values, kind: str):
     return partial, touched
 
 
+def _occurrence_rank(group_ids: np.ndarray) -> np.ndarray:
+    """Each row's occurrence rank within its group: 0 for a group's
+    first row, 1 for its second, ..."""
+    order = np.argsort(group_ids, kind="stable")
+    counts = np.bincount(group_ids)
+    rank = np.empty(len(group_ids), dtype=np.int64)
+    rank[order] = np.arange(len(group_ids)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rank
+
+
 def _decode_states(states: list, parts: int):
     """A page of partial states (python objects — the PARTIAL→FINAL
     wire format) as arrays: ``(present, [(values, kind), ...])``,
@@ -442,27 +452,39 @@ class HashAggregationOperator(AccumulatingOperator):
         )
         for key in created:
             self._retained += self._group_bytes(key)
+        rank = None
+        if self.step is AggregationStep.FINAL and fact.group_count != page.row_count:
+            # A key repeats (states from several producers): folding the
+            # page's own total would add floats as s+(p1+p2), the row
+            # path adds (s+p1)+p2. Fold in rounds instead, round r
+            # taking each key's (r+1)-th state; no key repeats in one.
+            rank = _occurrence_rank(fact.group_ids)
         for column, agg in zip(table.columns, self.aggregators):
+            folded = 0
             try:
-                self._fold_page(page, column, agg, fact, groups)
+                valid, inputs = self._page_inputs(page, column, agg)
+                if rank is None:
+                    self._fold(column, fact, groups, valid, inputs)
+                else:
+                    for folded in range(int(rank.max()) + 1):
+                        rows = np.flatnonzero(rank == folded)
+                        self._fold(column, fact, groups, valid, inputs, rows)
             except _RowFallback as fallback:
+                # The declined round and every later one, in row order.
                 self.count_row_fallback(str(fallback))
                 self._accumulate_aggregator_rows(
-                    page, column, agg, groups[fact.group_ids].tolist()
+                    page,
+                    column,
+                    agg,
+                    groups[fact.group_ids].tolist(),
+                    None if not folded else np.flatnonzero(rank >= folded).tolist(),
                 )
 
-    def _fold_page(
-        self,
-        page: Page,
-        column,
-        agg: AggregatorSpec,
-        fact: kernels.Factorization,
-        groups: np.ndarray,
-    ) -> None:
-        """Fold one page into one aggregator's state column: a bulk
-        reduction per local group, then one fancy-indexed update of the
-        column. Raises :class:`_RowFallback` — before touching
-        the column — when the page needs the row path."""
+    def _page_inputs(self, page: Page, column, agg: AggregatorSpec):
+        """``(valid, [(values, kind), ...])`` for one aggregator over a
+        page: the rows that count (None: all), and one array per
+        accumulator. Raises :class:`_RowFallback` when the page needs
+        the row path."""
         if agg.distinct:
             raise _RowFallback("distinct")
         if not isinstance(column, _ArrayStates):
@@ -475,11 +497,6 @@ class HashAggregationOperator(AccumulatingOperator):
             filter_values, filter_nulls, _ = arrays
             valid = np.asarray(filter_values, dtype=np.bool_) & ~filter_nulls
         if self.step is AggregationStep.FINAL:
-            if fact.group_count != page.row_count:
-                # A key repeats within the page: folding the page's own
-                # total would add floats as s+(p1+p2), the row path adds
-                # (s+p1)+p2.
-                raise _RowFallback("final_step")
             present, inputs = _decode_states(
                 page.block(agg.argument_channels[0]).to_values(), len(column.parts)
             )
@@ -487,11 +504,30 @@ class HashAggregationOperator(AccumulatingOperator):
             present, inputs = self._raw_inputs(page, agg)
         if present is not None:
             valid = present if valid is None else (valid & present)
+        return valid, inputs
+
+    @staticmethod
+    def _fold(
+        column: _ArrayStates,
+        fact: kernels.Factorization,
+        groups: np.ndarray,
+        valid: Optional[np.ndarray],
+        inputs: list,
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        """Fold the valid rows among ``rows`` (None: the page) into one
+        aggregator's state column: a bulk reduction per local group,
+        then one fancy-indexed update of the column. Raises
+        :class:`_RowFallback` — before touching the column — when they
+        need the row path."""
+        select = valid
+        if rows is not None:
+            select = rows if valid is None else rows[valid[rows]]
         group_ids = fact.group_ids
-        if valid is not None:
-            group_ids = group_ids[valid]
+        if select is not None:
+            group_ids = group_ids[select]
             inputs = [
-                (values if values is None else values[valid], kind)
+                (values if values is None else values[select], kind)
                 for values, kind in inputs
             ]
         ufunc = column.parts[0].ufunc
@@ -527,11 +563,17 @@ class HashAggregationOperator(AccumulatingOperator):
         return present, [(values, kind)]
 
     def _accumulate_aggregator_rows(
-        self, page: Page, column, agg: AggregatorSpec, groups: list[int]
+        self,
+        page: Page,
+        column,
+        agg: AggregatorSpec,
+        groups: list[int],
+        rows: Optional[list[int]] = None,
     ) -> None:
-        """Per-row path for one aggregator, driven by group ids (no
-        per-row dict probes): the reference loop, and the fallback for
-        pages the bulk fold declines."""
+        """Per-row path for one aggregator over ``rows`` (ascending; None:
+        every row), driven by group ids (no per-row dict probes): the
+        reference loop, and the fallback for pages or FINAL rounds the
+        bulk fold declines."""
         mask = (
             page.block(agg.filter_channel).to_values()
             if agg.filter_channel is not None
@@ -540,7 +582,8 @@ class HashAggregationOperator(AccumulatingOperator):
         arg_columns = [page.block(c).to_values() for c in agg.argument_channels]
         final_step = self.step is AggregationStep.FINAL
         function = agg.function
-        for row, group in enumerate(groups):
+        for row in range(len(groups)) if rows is None else rows:
+            group = groups[row]
             if mask is not None and mask[row] is not True:
                 continue
             state = column.get(group)

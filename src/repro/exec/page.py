@@ -129,7 +129,7 @@ def concat_pages(pages: list[Page]) -> Page | None:
 def _concat_blocks(blocks: list[Block]) -> Block:
     import numpy as np
 
-    from repro.exec.blocks import DictionaryBlock, PrimitiveBlock, RunLengthBlock
+    from repro.exec.blocks import DictionaryBlock, ObjectBlock, PrimitiveBlock, RunLengthBlock
 
     loaded = [b.load() if isinstance(b, LazyBlock) else b for b in blocks]
     first = loaded[0]
@@ -148,6 +148,12 @@ def _concat_blocks(blocks: list[Block]) -> Block:
         return DictionaryBlock(
             first.dictionary, np.concatenate([b.indices for b in loaded])
         )
+    if all(type(b) is ObjectBlock for b in loaded):
+        # Sizes add up: the parts' are known, no walk over the items.
+        return ObjectBlock(
+            [item for b in loaded for item in b.items],
+            sum(b.size_bytes() for b in loaded),
+        )
     if isinstance(first, RunLengthBlock) and all(
         isinstance(b, RunLengthBlock) and b.value is first.value for b in loaded
     ):
@@ -155,7 +161,10 @@ def _concat_blocks(blocks: list[Block]) -> Block:
     values: list = []
     for block in loaded:
         values.extend(block.to_values())
-    return make_block_from_any(values, first)
+    # An RLE block does not know its type: take the template from a
+    # block that does, where there is one.
+    template = next((b for b in loaded if not isinstance(b, RunLengthBlock)), first)
+    return make_block_from_any(values, template)
 
 
 def make_block_from_any(values: list, template: Block) -> Block:

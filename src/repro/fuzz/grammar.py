@@ -578,6 +578,7 @@ class _QueryGen:
         rng = self.rng
         ints = scope.of_type(BIGINT)
         doubles = scope.of_type(DOUBLE)
+        strings = scope.of_type(VARCHAR)
         choices = []
         choices.append(lambda: (call("count"), True))
         if ints:
@@ -593,6 +594,11 @@ class _QueryGen:
             choices.append(lambda: (call("sum", column(*rng.choice(doubles))), False))
             choices.append(lambda: (call("avg", column(*rng.choice(doubles))), False))
             choices.append(lambda: (call("min", column(*rng.choice(doubles))), False))
+        if strings:
+            # VARCHAR extrema: a FINAL step folds them as python-object
+            # states (the one aggregation state with no array form here).
+            choices.append(lambda: (call("min", column(*rng.choice(strings))), True))
+            choices.append(lambda: (call("max", column(*rng.choice(strings))), True))
         items: list[ast.SingleColumn] = []
         exact: list[int] = []
         for i in range(rng.randrange(1, 4)):

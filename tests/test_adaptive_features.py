@@ -14,7 +14,7 @@ from repro.cluster.shuffle import (
 from repro.connectors.hive import HiveConnector
 from repro.connectors.tpch import TpchConnector
 from repro.exec.blocks import DictionaryBlock, LazyBlock, make_block
-from repro.exec.page import Page, page_from_rows
+from repro.exec.page import DEFAULT_PAGE_ROWS, Page, page_from_rows
 from repro.planner.nodes import ExchangeKind, Ordering
 from repro.planner.symbols import Symbol
 from repro.types import BIGINT
@@ -115,6 +115,30 @@ def test_ordered_exchange_client_merges():
     page = client.poll()
     assert [r[0] for r in page.rows()] == [1, 5, 7, 9]
     assert client.is_drained()
+
+
+def test_exchange_client_hands_over_whole_pages_up_to_the_page_target():
+    """Held until DEFAULT_PAGE_ROWS rows or the last EOF; ``poll``
+    concatenates whole queued pages, never more than the target unless
+    one page alone is larger, and never splits one."""
+    client = ExchangeClient([Symbol("k", BIGINT)])
+    client.register_producer()
+    client.register_producer()
+    for start in range(0, 5000, 1000):
+        assert not client.has_output
+        client.deliver(page_from_rows([BIGINT], [(i,) for i in range(start, start + 1000)]))
+    assert client.has_output and client.rows == 5000 >= DEFAULT_PAGE_ROWS
+    page = client.poll()
+    assert [r[0] for r in page.rows()] == list(range(4000))
+    assert client.held and not client.has_output
+    client.producer_finished()
+    assert not client.has_output  # not the last EOF
+    client.producer_finished()
+    assert [r[0] for r in client.poll().rows()] == list(range(4000, 5000))
+    assert client.is_drained() and client.buffered_bytes == client.rows == 0
+    big = ExchangeClient([Symbol("k", BIGINT)])
+    big.deliver(page_from_rows([BIGINT], [(i,) for i in range(5000)]))
+    assert big.poll().row_count == 5000
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,21 @@ def test_concat_pages():
     assert pages_to_rows([combined]) == [(1,), (2,), (3,)]
 
 
+def test_concat_pages_keeps_the_type_and_the_size_of_what_it_joins():
+    """Exchange pages are coalesced with concat_pages: a run-length page
+    first must not turn a BIGINT column into python objects, and a
+    VARCHAR column keeps the byte size its parts already computed."""
+    rle = Page([RunLengthBlock(7, 2), ObjectBlock(["ab", None])], 2)
+    flat = Page([make_block(BIGINT, [8]), ObjectBlock(["cde"])], 1)
+    flat.size_bytes()
+    combined = concat_pages([rle, flat])
+    assert isinstance(combined.block(0), PrimitiveBlock)
+    assert combined.block(0).type is BIGINT
+    assert pages_to_rows([combined]) == [(7, "ab"), (7, None), (8, "cde")]
+    strings = combined.block(1)
+    assert strings._size == ObjectBlock(["ab", None, "cde"]).size_bytes()
+
+
 def test_ragged_page_rejected():
     with pytest.raises(ValueError, match="ragged page"):
         Page([make_block(BIGINT, [1]), make_block(BIGINT, [1, 2])])

@@ -15,6 +15,7 @@ from repro.connectors.hive import HiveConnector
 from repro.connectors.memory import MemoryConnector
 from repro.connectors.tpch import TpchConnector
 from repro.errors import PrestoError
+from repro.exec.page import DEFAULT_PAGE_ROWS
 from repro.types import BIGINT
 from repro.workload import setup_warehouse_dataset
 from tests.cluster_corpus import (
@@ -323,6 +324,8 @@ def _facts(task) -> dict:
         "splits": len(task.split_log),
         "no_more_splits": task.no_more_splits_flag,
         "pages": sum(len(c.pages) for c in clients),
+        "full": any(c.rows >= DEFAULT_PAGE_ROWS for c in clients),
+        "released": any(c.released for c in clients),
         "all_eof": bool(clients) and all(c.all_finished for c in clients),
         "ordered": any(c.ordering for c in clients),
         "buffer_full": task.output_buffer.is_full(),
@@ -403,15 +406,105 @@ def test_woken_by_no_more_splits():
     assert [(f["splits"], f["no_more_splits"]) for f in leaf] == [(0, True)]
 
 
-def test_woken_by_page_delivered():
+def test_woken_by_the_page_that_fills_a_client():
+    """Two workers split the join's 12k lineitem rows two ways: each
+    probe task's client reaches DEFAULT_PAGE_ROWS before the last EOF,
+    and that page is what first wakes the task."""
+    cluster = tpch_cluster(worker_count=2)
+    wakes = spy_wakes(cluster)
+    sql = "SELECT l.orderkey, o.totalprice FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey"
+    query = cluster.run_query(sql)
+    assert sorted(query.rows()) == sorted(tpch_cluster().execute(sql))
+    assert any(
+        f["full"] and not f["all_eof"] and f["quanta"] == 0 and not f["scans"]
+        for f in first_wakes(wakes).values()
+    )
+
+
+def test_a_consumer_held_below_the_target_is_first_woken_by_its_last_eof():
+    """No consumer of this aggregation gets DEFAULT_PAGE_ROWS rows: each
+    holds what arrives and costs no quantum until its last EOF."""
     cluster = tpch_cluster()
     wakes = spy_wakes(cluster)
-    cluster.run_query("SELECT orderkey, count(*) FROM lineitem GROUP BY 1")
+    query = cluster.run_query("SELECT orderkey, count(*) FROM lineitem GROUP BY 1")
     first = first_wakes(wakes)
+    consumers = [
+        first[t.task_id]
+        for stage in query.info.stages.values()
+        for t in stage.tasks
+        if not first[t.task_id]["scans"]
+    ]
+    assert consumers
+    assert all(f["all_eof"] and f["quanta"] == 0 and not f["full"] for f in consumers)
+    assert all(f["pages"] for f in consumers)  # held until then
+
+
+def test_memory_pressure_releases_held_input():
+    """When held input outgrows the node's free general pool, the hand-
+    over releases the task's clients and wakes it below the target, so
+    its operators take the pages and revocation can see them."""
+    sql = "SELECT orderkey, count(*) FROM lineitem GROUP BY 1"
+    cluster = tpch_cluster(node_memory_bytes=50_000_000 + 20_000, reserved_pool_bytes=50_000_000)
+    wakes = spy_wakes(cluster)
+    query = cluster.run_query(sql)
+    assert sorted(query.rows()) == sorted(tpch_cluster().execute(sql))
     assert any(
-        f["pages"] > 0 and not f["all_eof"] and f["quanta"] == 0
-        for f in first.values()
+        f["released"] and not f["full"] and not f["all_eof"] and f["pages"] and f["quanta"] == 0
+        for f in first_wakes(wakes).values()
     )
+    # the general pool that was plenty for the same query holds nothing back
+    plenty = tpch_cluster()
+    wakes = spy_wakes(plenty)
+    plenty.run_query(sql)
+    assert not any(f["released"] for _, f in wakes)
+
+
+def test_a_pool_that_fills_under_held_input_releases_it():
+    """The pressure check also runs when a quantum grows its node's
+    pool, not only when a page arrives: another query takes all but
+    half the room a held input needs just before a growth on that node,
+    and that growth releases the input, below the target and before
+    the last EOF."""
+    sql = "SELECT orderkey, count(*) FROM lineitem GROUP BY 1"
+    cluster = tpch_cluster(worker_count=2)
+    wakes = spy_wakes(cluster)
+    query = cluster.submit(sql)
+
+    def holding():
+        tasks = (t for stage in query.stages.values() for t in stage.tasks)
+        return next((t for t in tasks if any(c.held for c in t.exchange_clients.values())), None)
+
+    cluster.sim.run(stop_when=lambda: holding() is not None)
+    task = holding()
+    held = sum(c.buffered_bytes for c in task.exchange_clients.values())
+    pool = task.worker.memory_pool
+    reserve = cluster.memory_manager.reserve
+    grown = []  # the filled pool's growth: its outcome, then the tasks it woke
+
+    def fill_then_reserve(query_id, node, user, system, **kwargs):
+        if node != task.worker.name or user + system <= 0 or grown:
+            return reserve(query_id, node, user, system, **kwargs)
+        room = pool.general_capacity - pool.general_used - (user + system) - held // 2
+        assert pool.try_reserve("another", room)
+        outcome = reserve(query_id, node, user, system, **kwargs)
+        grown.append(outcome)
+        return outcome
+
+    def book(worker, booked, original=cluster._on_quantum_complete):
+        before = len(wakes)
+        original(worker, booked)
+        if len(grown) == 1:  # this booking grew the filled pool
+            grown.append([t for t, _ in wakes[before:]])
+
+    cluster.memory_manager.reserve = fill_then_reserve
+    for worker in cluster.workers.values():
+        worker.on_quantum_complete = book
+    woken = len(wakes)
+    cluster.sim.run(stop_when=lambda: query.state in ("finished", "failed"))
+    assert sorted(query.rows()) == sorted(tpch_cluster().execute(sql))
+    assert grown[0] == "ok" and task in grown[1]
+    first = next(f for t, f in wakes[woken:] if t is task)
+    assert first["released"] and not first["full"] and not first["all_eof"]
 
 
 def test_ordered_merge_is_woken_by_the_last_eof_only():

@@ -19,11 +19,17 @@ from repro.cluster.sim import Simulation
 from repro.cluster.task import SimTask
 from repro.cluster.worker import Worker
 from repro.connectors.tpch import TpchConnector
-from repro.errors import DivisionByZeroError, ExceededMemoryLimitError, ExceededTimeLimitError
+from repro.errors import (
+    DivisionByZeroError,
+    ExceededMemoryLimitError,
+    ExceededTimeLimitError,
+    PrestoError,
+)
 from repro.exec.driver import Driver
 from repro.exec.local import ExecutionTemplate
 from repro.exec.operator import Operator
 from tests.cluster_corpus import build_cluster, build_connectors, statements
+from tests.test_spill_fuzz import assert_pools_drained
 
 #: What only a running query may reach.
 EXECUTION = (
@@ -201,3 +207,86 @@ def test_history_grows_by_a_few_objects_a_query():
     (queries_2, objects_2), (queries_6, objects_6) = counts[1], counts[5]
     per_query = (objects_6 - objects_2) / (queries_6 - queries_2)
     assert per_query <= OBJECTS_PER_SETTLED_QUERY, per_query
+
+
+# ---------------------------------------------------------------------------
+# Ending while an exchange client holds input below its page target
+# ---------------------------------------------------------------------------
+
+#: 12k lineitem rows over four probe tasks: each client holds ~3k rows,
+#: below DEFAULT_PAGE_ROWS, until its last EOF.
+HELD_JOIN = (
+    "SELECT l.orderkey, o.totalprice FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey"
+)
+
+
+def _tasks(handle):
+    return [task for stage in handle.stages.values() for task in stage.tasks]
+
+
+def _holds_input(handle) -> bool:
+    return any(c.held for task in _tasks(handle) for c in task.exchange_clients.values())
+
+
+def _cancel(handle):
+    handle.fail(PrestoError("Query was cancelled by the user"))
+
+
+def _fail_a_task(handle):
+    """A scan raises in its task's next quantum: the error reaches the
+    query through the worker, as an operator's own error does."""
+    task = next(t for t in _tasks(handle) if t.scan_operators and not t.is_finished())
+
+    def boom():
+        raise DivisionByZeroError("Division by zero")
+
+    task.scan_operators[0].get_output = boom
+    task.worker.kick(task)
+
+
+def _first_hold_ms() -> float:
+    cluster = tpch_cluster()
+    handle = cluster.submit(HELD_JOIN)
+    cluster.sim.run(stop_when=lambda: _holds_input(handle))
+    return cluster.sim.now
+
+
+ENDS_WITH_HELD_INPUT = {
+    "cancel": (dict, _cancel, PrestoError),
+    "task_error": (dict, _fail_a_task, DivisionByZeroError),
+    # the limit fires just after the first client starts holding
+    "timeout": (
+        lambda: {
+            "fault_tolerance": FaultToleranceConfig(query_timeout_ms=_first_hold_ms() + 0.5)
+        },
+        lambda handle: None,
+        ExceededTimeLimitError,
+    ),
+}
+
+
+@pytest.mark.parametrize("ending", ENDS_WITH_HELD_INPUT)
+def test_a_query_ending_with_held_input_leaves_nothing_behind(ending):
+    overrides, end, error = ENDS_WITH_HELD_INPUT[ending]
+    cluster = tpch_cluster(**overrides())
+    handle = cluster.submit(HELD_JOIN)
+    cluster.sim.run(stop_when=lambda: _holds_input(handle))
+    clients = [c for task in _tasks(handle) for c in task.exchange_clients.values()]
+    buffers = [task.output_buffer for task in _tasks(handle)]
+    held_at_settle = []
+    settle = handle._settle
+
+    def recording_settle():
+        held_at_settle.append(sum(c.buffered_bytes for c in clients if c.held))
+        settle()
+
+    handle._settle = recording_settle
+    end(handle)
+    cluster.run()
+    assert handle.state == "failed" and isinstance(handle.error, error)
+    assert held_at_settle[0] > 0  # it did end while a client held input
+    assert all(c.buffered_bytes == c.rows == 0 and not c.pages for c in clients)
+    assert all(b.buffered_bytes == 0 for b in buffers)
+    assert_pools_drained(cluster)
+    snapshot = cluster.stats_snapshot()
+    assert sum(v for k, v in snapshot.items() if k.endswith(".memory_general_used")) == 0

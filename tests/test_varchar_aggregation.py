@@ -337,8 +337,8 @@ def test_accumulator_unseen_group_adopts_rather_than_merges():
 
 
 def test_final_page_with_a_repeated_key_adds_floats_in_row_order():
-    """FINAL folds a page in bulk only when its keys are distinct:
-    (s+p1)+p2 and s+(p1+p2) differ for inexact doubles."""
+    """FINAL folds a page with a repeated key in rounds, one state per
+    key a round: (s+p1)+p2 and s+(p1+p2) differ for inexact doubles."""
 
     def run():
         final = HashAggregationOperator(
@@ -367,7 +367,79 @@ def test_final_page_with_a_repeated_key_adds_floats_in_row_order():
     assert rows == expected
     assert rows[0] == ("ash", (0.1 + 0.2) + 0.3, ((0.1 + 0.2) + 0.3) / 5)
     assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)  # the order matters here
-    assert fallbacks == {"final_step": 2}  # the second page, per aggregator
+    assert fallbacks == {}  # the repeated key stays on the vector path
+
+
+#: FINAL pages whose keys repeat (states of one key from several
+#: producers, as a coalesced exchange page carries them): name ->
+#: (aggregators over channels 1.., the state columns of the page per
+#: entry of FINAL_KEYS, the vector run's row fallbacks)
+FINAL_KEYS = (["ash", "birch"], ["ash", "birch", "ash", "ash", "birch", "cedar"])
+FINAL_CASES = {
+    # float adds, whose order the rounds must keep: ash adds up as
+    # ((0.1 + 0.2) + 0.4) + 0.3, not 0.1 + (0.2 + 0.4 + 0.3)
+    "double_sum_avg": (
+        [_spec("sum", [DOUBLE], [1], DOUBLE), _spec("avg", [DOUBLE], [2], DOUBLE)],
+        [
+            ([0.1, 0.7], [(0.1, 1), (0.7, 2)]),
+            (
+                [0.2, None, 0.4, 0.3, 0.1, -0.5],
+                [(0.2, 1), (0.1, 1), (0.4, 3), (0.3, 1), None, (-0.5, 2)],
+            ),
+        ],
+        {},
+    ),
+    # round 0 folds; round 1 (2**60 for ash) trips the exact-int bound,
+    # so it and round 2 take the row path, in row order
+    "count_bigint_sum": (
+        [_spec("count", [BIGINT], [1], BIGINT), _spec("sum", [BIGINT], [2], BIGINT)],
+        [
+            ([2, 1], [40, None]),
+            ([1, 2, 3, 4, 5, 6], [5, None, 2**60, 3, -7, 11]),
+        ],
+        {"int_sum_overflow": 1},
+    ),
+    # _ObjectStates: no array form for VARCHAR extrema
+    "varchar_min_max": (
+        [_spec("min", [VARCHAR], [1], VARCHAR), _spec("max", [VARCHAR], [2], VARCHAR)],
+        [
+            (["m", None], ["m", "q"]),
+            (["k", "z", None, "a", "b", "c"], ["x", None, "y", "a", "r", "c"]),
+        ],
+        {"non_vectorizable": 4},
+    ),
+    # an aggregate with no array form at all: Welford states
+    "variance": (
+        [_spec("variance", [DOUBLE], [1], DOUBLE)],
+        [
+            ([(2, 0.1, 0.02), (1, 0.7, 0.0)],),
+            ([(3, 0.2, 0.1), None, (1, 0.3, 0.0), (2, 1e8, 0.5), (4, 0.1, 0.3), (1, 2.0, 0.0)],),
+        ],
+        {"non_vectorizable": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FINAL_CASES)
+def test_final_page_with_repeated_keys_folds_bit_exact_with_the_row_path(case):
+    aggregators, pages, vector_fallbacks = FINAL_CASES[case]
+
+    def run():
+        final = HashAggregationOperator([0], [VARCHAR], aggregators, AggregationStep.FINAL)
+        for keys, columns in zip(FINAL_KEYS, pages):
+            blocks = [ObjectBlock(keys)] + [ObjectBlock(list(c)) for c in columns]
+            final.add_input(Page(blocks, len(keys)))
+        rows = [row for page in _drain(final) for row in page.rows()]
+        return repr(rows), dict(final.row_fallbacks)
+
+    with kernels.forced_mode(kernels.ROW):
+        expected, _ = run()
+    with kernels.forced_mode(kernels.VECTOR):
+        rows, fallbacks = run()
+    assert rows == expected
+    assert fallbacks == vector_fallbacks
+    assert "final_step" not in fallbacks
+    assert ((0.1 + 0.2) + 0.4) + 0.3 != 0.1 + ((0.2 + 0.4) + 0.3)  # the order matters
 
 
 @pytest.fixture(scope="module")
