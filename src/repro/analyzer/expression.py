@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import (
+    InvalidFunctionArgumentError,
     NotSupportedError,
     SemanticError,
     TypeError_,
@@ -166,12 +167,12 @@ class ExpressionAnalyzer:
             and left.type in (DATE, TIMESTAMP)
         ):
             return ir.SpecialForm(BIGINT, ir.ARITHMETIC, (left, right), "-")
-        # Date/timestamp +/- interval (bigint ms / days).
+        # Date/timestamp +/- interval or bigint (days / ms).
         for date_like in (DATE, TIMESTAMP):
             if left.type == date_like and right.type.is_integral:
-                return ir.SpecialForm(date_like, ir.ARITHMETIC, (left, right), node.op.value)
+                return self._date_plus(left, right, node.right, node.op)
             if right.type == date_like and left.type.is_integral and node.op is ast.ArithmeticOp.ADD:
-                return ir.SpecialForm(date_like, ir.ARITHMETIC, (right, left), node.op.value)
+                return self._date_plus(right, left, node.left, node.op)
         if not left.type.is_numeric and left.type != UNKNOWN:
             raise TypeError_(f"Cannot apply {node.op.value} to {left.type}")
         if not right.type.is_numeric and right.type != UNKNOWN:
@@ -186,6 +187,29 @@ class ExpressionAnalyzer:
             (self.coerce(left, common), self.coerce(right, common)),
             node.op.value,
         )
+
+    def _date_plus(self, value, amount, amount_node, op) -> ir.RowExpression:
+        """``value`` (DATE or TIMESTAMP) +/- ``amount``. An INTERVAL literal
+        counts in its own unit: a year-month one in calendar months, as
+        ``date_add('month', n, value)`` does; a day-time one in whole days
+        on a DATE and in ms on a TIMESTAMP."""
+        if isinstance(amount_node, ast.IntervalLiteral):
+            n = amount.value if op is ast.ArithmeticOp.ADD else -amount.value
+            if amount_node.unit in ("month", "year"):
+                return self._date_add("month", n, value)
+            if value.type == DATE:
+                days, rest = divmod(n, _MS["day"])
+                if rest:
+                    raise InvalidFunctionArgumentError(
+                        "Cannot add hour, minutes or seconds to a date"
+                    )
+                return self._date_add("day", days, value)
+        return ir.SpecialForm(value.type, ir.ARITHMETIC, (value, amount), op.value)
+
+    def _date_add(self, unit: str, amount: int, value) -> ir.Call:
+        function, _ = self.registry.resolve_scalar("date_add", [VARCHAR, BIGINT, value.type])
+        arguments = (ir.Constant(VARCHAR, unit), ir.Constant(BIGINT, amount), value)
+        return ir.Call(value.type, "date_add", function, arguments)
 
     def _analyze_ArithmeticUnary(self, node: ast.ArithmeticUnary) -> ir.RowExpression:
         value = self.analyze(node.value)

@@ -37,42 +37,41 @@ from repro.connectors.api import (
 from repro.connectors.hashing import stable_hash
 from repro.connectors.predicate import Domain, TupleDomain
 from repro.errors import TableNotFoundError
-from repro.exec.page import DEFAULT_PAGE_ROWS, Page, page_from_rows
+from repro.exec.blocks import make_block
+from repro.exec.page import DEFAULT_PAGE_ROWS, Page
 from repro.types import Type
 
 
 @dataclass
 class _ShardIndex:
-    """A sorted secondary index over one column within one shard."""
+    """A sorted secondary index over one column within one shard: the
+    non-null ``keys`` in order and, beside them, the row ``positions``
+    they came from, so a lookup bisects ``keys`` directly."""
 
     column: str
-    # Sorted list of (value, row_position) over non-null values.
-    entries: list[tuple] = field(default_factory=list)
+    keys: list = field(default_factory=list)
+    positions: list[int] = field(default_factory=list)
 
     def rebuild(self, rows: list[tuple], column_index: int) -> None:
-        self.entries = sorted(
+        entries = sorted(
             (row[column_index], position)
             for position, row in enumerate(rows)
             if row[column_index] is not None
         )
+        self.keys = [key for key, _ in entries]
+        self.positions = [position for _, position in entries]
 
     def positions_for_domain(self, domain: Domain) -> list[int]:
-        positions: set[int] = set()
-        keys = [e[0] for e in self.entries]
+        """Row positions of the non-null keys inside ``domain``'s ranges."""
+        keys, matched = self.keys, set()
         for r in domain.ranges:
-            lo = 0
+            lo, hi = 0, len(keys)
             if r.low is not None:
-                lo = bisect.bisect_left(keys, r.low)
-                if not r.low_inclusive:
-                    lo = bisect.bisect_right(keys, r.low)
-            hi = len(keys)
+                lo = (bisect.bisect_left if r.low_inclusive else bisect.bisect_right)(keys, r.low)
             if r.high is not None:
-                hi = bisect.bisect_right(keys, r.high)
-                if not r.high_inclusive:
-                    hi = bisect.bisect_left(keys, r.high)
-            for i in range(lo, hi):
-                positions.add(self.entries[i][1])
-        return sorted(positions)
+                hi = (bisect.bisect_right if r.high_inclusive else bisect.bisect_left)(keys, r.high)
+            matched.update(self.positions[lo:hi])
+        return sorted(matched)
 
 
 @dataclass
@@ -330,37 +329,48 @@ class ShardedSqlConnector(Connector):
         pages = []
         for start in range(0, len(rows), DEFAULT_PAGE_ROWS):
             chunk = rows[start : start + DEFAULT_PAGE_ROWS]
-            pages.append(
-                page_from_rows(
-                    types, [tuple(r[i] for i in column_indexes) for r in chunk]
-                )
-            )
+            blocks = [
+                make_block(t, [row[i] for row in chunk])
+                for t, i in zip(types, column_indexes)
+            ]
+            pages.append(Page(blocks, len(chunk)))
         return IteratorPageSource(iter(pages))
 
     def _shard_rows(self, table, shard: _Shard, enforced: TupleDomain | None) -> list[tuple]:
         if enforced is None or enforced.is_all():
             shard.scans += 1
             return shard.rows
-        # Serve via the most selective index, then verify remaining domains.
+        # Serve via the most selective index, then verify remaining
+        # domains. The index holds no NULLs, so a domain that admits
+        # NULL is only verified.
         best_positions: list[int] | None = None
+        best_column = None
         for column, domain in enforced.domains.items():
             index = shard.indexes.get(column)
-            if index is None:
+            if index is None or domain.null_allowed:
                 continue
             positions = index.positions_for_domain(domain)
             if best_positions is None or len(positions) < len(best_positions):
-                best_positions = positions
+                best_positions, best_column = positions, column
         if best_positions is None:
             shard.scans += 1
             candidates = shard.rows
         else:
             shard.point_queries += 1
             candidates = [shard.rows[p] for p in best_positions]
+        if enforced.is_none():
+            return []
+        checks = [
+            (table.column_index(column), domain)
+            for column, domain in enforced.domains.items()
+            if column != best_column
+        ]
         out = []
-        column_indexes = {c.name: i for i, c in enumerate(table.columns)}
         for row in candidates:
-            values = {name: row[i] for name, i in column_indexes.items()}
-            if enforced.contains_row(values):
+            for i, domain in checks:
+                if not domain.contains_value(row[i]):
+                    break
+            else:
                 out.append(row)
         return out
 

@@ -98,12 +98,19 @@ def _sweep(passes, root, context):
 
 def _fixed_point(*passes):
     """The pass that sweeps ``passes`` until a whole sweep returns the
-    object it was given."""
+    object it was given. It remembers the root it last converged on and
+    returns that root unswept when given it again; the memo belongs to
+    this one pass set (another set has not converged on that root)."""
+    converged = None
 
     def run(root, context):
+        nonlocal converged
+        if root is converged:
+            return root
         for _ in range(MAX_OPTIMIZER_ITERATIONS):
             swept = _sweep(passes, root, context)
             if swept is root:
+                converged = root
                 return root
             root = swept
         context.trace.fixed_point_cap_hit = True

@@ -637,7 +637,13 @@ def with_sources(node: PlanNode, new_sources: list[PlanNode]) -> PlanNode:
 def rewrite_plan(node: PlanNode, fn) -> PlanNode:
     """Bottom-up rewrite; ``fn(node)`` returns a replacement or None.
     Returns ``node`` itself when nothing below it was replaced."""
-    node = with_sources(node, [rewrite_plan(s, fn) for s in node.sources])
+    sources = node.sources
+    if sources:
+        new_sources = [rewrite_plan(s, fn) for s in sources]
+        for new, old in zip(new_sources, sources):
+            if new is not old:
+                node = node.replace_sources(new_sources)
+                break
     replacement = fn(node)
     return replacement if replacement is not None else node
 

@@ -1,6 +1,8 @@
 """Scalar function library tests (resolution + semantics)."""
 
+import datetime
 import math
+import re
 import warnings
 
 import pytest
@@ -153,6 +155,75 @@ def test_timestamps():
     assert call("minute", [TIMESTAMP], ts) == 1
     truncated = call("date_trunc", [VARCHAR, TIMESTAMP], "hour", ts)
     assert truncated == 3600 * 5 * 1000
+
+
+def _days(y, m, d):
+    return (datetime.date(y, m, d) - datetime.date(1970, 1, 1)).days
+
+
+def _ms(y, m, d, hour, minute):
+    return _days(y, m, d) * 86_400_000 + (hour * 60 + minute) * 60_000
+
+
+# DATE / TIMESTAMP +/- INTERVAL: the interval counts in its own unit.
+# Row of t: d = 2000-01-31, ts = 2000-01-31 10:30.
+INTERVAL_ARITHMETIC = {
+    "date_minus_day": ("d - INTERVAL '1' DAY", _days(2000, 1, 30)),
+    "date_plus_year": ("d + INTERVAL '1' YEAR", _days(2001, 1, 31)),
+    "date_plus_month_clamps": ("d + INTERVAL '1' MONTH", _days(2000, 2, 29)),
+    "interval_plus_date": ("INTERVAL '2' MONTH + d", _days(2000, 3, 31)),
+    "date_minus_months": ("d - INTERVAL '13' MONTH", _days(1998, 12, 31)),
+    "date_plus_whole_days_in_hours": ("d + INTERVAL '48' HOUR", _days(2000, 2, 2)),
+    "timestamp_plus_month": ("ts + INTERVAL '1' MONTH", _ms(2000, 2, 29, 10, 30)),
+    "timestamp_minus_year": ("ts - INTERVAL '1' YEAR", _ms(1999, 1, 31, 10, 30)),
+    "timestamp_plus_minutes": ("ts + INTERVAL '90' MINUTE", _ms(2000, 1, 31, 12, 0)),
+    "timestamp_minus_day": ("ts - INTERVAL '1' DAY", _ms(2000, 1, 30, 10, 30)),
+}
+SUB_DAY_ON_DATE = ["d + INTERVAL '1' HOUR", "d - INTERVAL '30' SECOND", "d + INTERVAL '25' HOUR"]
+
+
+@pytest.fixture(scope="module")
+def interval_engine():
+    connector = MemoryConnector()
+    connector.create_table_with_data(
+        "memory", "default", "t", [("d", DATE), ("ts", TIMESTAMP)],
+        [(_days(2000, 1, 31), _ms(2000, 1, 31, 10, 30))],
+    )
+    engine = LocalEngine()
+    engine.register_catalog("memory", connector)
+    return engine
+
+
+def _interval_texts(expr):
+    """The expression over literals (folded at plan time) and over t."""
+    folded = re.sub(r"\bd\b", "DATE '2000-01-31'", expr)
+    folded = re.sub(r"\bts\b", "(TIMESTAMP '2000-01-31' + INTERVAL '630' MINUTE)", folded)
+    return f"SELECT {folded}", f"SELECT {expr} FROM t"
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("case", INTERVAL_ARITHMETIC)
+def test_date_interval_arithmetic_uses_the_interval_unit(interval_engine, case, mode):
+    from repro.fuzz.oracle import run_oracle
+
+    expr, want = INTERVAL_ARITHMETIC[case]
+    with kernels.forced_mode(mode):
+        for sql in _interval_texts(expr):
+            assert interval_engine.execute(sql).rows == [(want,)], sql
+            assert run_oracle(interval_engine.metadata, sql)[1] == [(want,)], sql
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("expr", SUB_DAY_ON_DATE)
+def test_sub_day_interval_on_a_date_is_a_typed_error(interval_engine, expr, mode):
+    from repro.fuzz.oracle import run_oracle
+
+    with kernels.forced_mode(mode):
+        for sql in _interval_texts(expr):
+            with pytest.raises(InvalidFunctionArgumentError, match="to a date"):
+                interval_engine.execute(sql)
+            with pytest.raises(InvalidFunctionArgumentError, match="to a date"):
+                run_oracle(interval_engine.metadata, sql)
 
 
 def test_cost_weights_present():

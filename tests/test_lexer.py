@@ -85,3 +85,34 @@ def test_unexpected_character():
     with pytest.raises(SyntaxError_) as excinfo:
         tokenize("a @ b")
     assert "line 1:3" in str(excinfo.value)
+
+
+def test_unterminated_literal_reported_at_its_opening_quote():
+    # 'a'' is not a closed literal followed by an open one: the escaped
+    # quote belongs to the body, so the literal opened at column 1.
+    for sql, message in (("x 'a''b", "string literal"), ('x "a""b', "quoted identifier")):
+        with pytest.raises(SyntaxError_, match=message) as excinfo:
+            tokenize(sql)
+        assert "line 1:3" in str(excinfo.value)
+    with pytest.raises(SyntaxError_, match="block comment") as excinfo:
+        tokenize("a\n /*/ b")
+    assert "line 2:2" in str(excinfo.value)
+
+
+def test_character_classes_are_pythons():
+    # Digits are str.isdigit (superscripts, Arabic-Indic), letters
+    # str.isalpha, identifier bodies str.isalnum or "_".
+    assert [(t.type, t.text) for t in tokenize("1² ٣.٤e٥ é1½ x_²")[:-1]] == [
+        (TokenType.INTEGER, "1²"),
+        (TokenType.DECIMAL, "٣.٤e٥"),
+        (TokenType.IDENTIFIER, "é1½"),
+        (TokenType.IDENTIFIER, "x_²"),
+    ]
+    with pytest.raises(SyntaxError_, match="Unexpected character '½'"):
+        tokenize("a ½")
+
+
+def test_number_edges_and_positions():
+    assert texts("1.e5 1.e 1e+ 1..2") == ["1.e5", "1.", "e", "1e+", "1", ".", ".2"]
+    positions = [(t.line, t.column) for t in tokenize("a\r\n\tbc 'x\ny' d")]
+    assert positions == [(1, 1), (2, 2), (2, 5), (3, 4), (3, 5)]
