@@ -6,6 +6,7 @@ from repro.catalog.schema import (
     QualifiedTableName,
     TableMetadata,
     TableStatistics,
+    compute_block_statistics,
     compute_column_statistics,
 )
 
@@ -15,5 +16,6 @@ __all__ = [
     "QualifiedTableName",
     "TableStatistics",
     "ColumnStatistics",
+    "compute_block_statistics",
     "compute_column_statistics",
 ]

@@ -134,3 +134,33 @@ def compute_column_statistics(values: list) -> ColumnStatistics:
     if isinstance(sample, str):
         avg_size = sum(len(v) for v in non_null) / len(non_null)
     return ColumnStatistics(distinct, null_fraction, minimum, maximum, avg_size)
+
+
+def compute_block_statistics(type_: Type, blocks: list) -> ColumnStatistics:
+    """:func:`compute_column_statistics` over the rows of ``blocks``
+    (ANALYZE's column reads), from arrays for BIGINT, DATE and DOUBLE.
+    Other types, all-null columns, and float columns holding a NaN or a
+    negative zero (where python's set and min depend on value order)
+    take the reference over materialized values."""
+    import numpy as np
+
+    from repro.exec.kernels import primitive_arrays
+    from repro.types import BIGINT, DATE, DOUBLE
+
+    kind = "f" if type_ is DOUBLE else "i"
+    arrays = [primitive_arrays(b) for b in blocks] if type_ in (BIGINT, DATE, DOUBLE) else []
+    if arrays and all(a is not None and a[2] == kind for a in arrays):
+        nulls = np.concatenate([a[1] for a in arrays])
+        data = np.concatenate([a[0] for a in arrays])[~nulls]
+        odd = kind == "f" and (np.isnan(data).any() or np.signbit(data[data == 0]).any())
+        if len(data) and not odd:
+            minimum, maximum = data.min().item(), data.max().item()
+            if kind == "f" and not math.isfinite(minimum):
+                minimum = maximum = None
+            ordered = np.sort(data)
+            distinct = float(np.count_nonzero(ordered[1:] != ordered[:-1]) + 1)
+            return ColumnStatistics(distinct, 1.0 - len(data) / len(nulls), minimum, maximum, 8.0)
+    values: list = []
+    for block in blocks:
+        values.extend(block.to_values())
+    return compute_column_statistics(values)

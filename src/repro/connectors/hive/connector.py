@@ -26,7 +26,7 @@ from repro.catalog import (
     QualifiedTableName,
     TableMetadata,
     TableStatistics,
-    compute_column_statistics,
+    compute_block_statistics,
 )
 from repro.connectors.api import (
     Connector,
@@ -50,6 +50,7 @@ from repro.connectors.hive.metastore import HivePartition, HiveTable, Metastore
 from repro.connectors.predicate import TupleDomain
 from repro.errors import TableNotFoundError
 from repro.exec import kernels
+from repro.exec.blocks import RunLengthBlock
 from repro.exec.page import Page
 
 import numpy as np
@@ -443,8 +444,6 @@ class HiveConnector(Connector):
             for page in reader.pages():
                 if partition_columns and partition_values is not None:
                     # Synthesize partition-column blocks (RLE: constant per file).
-                    from repro.exec.blocks import RunLengthBlock
-
                     partition_map = dict(zip(partition_columns, partition_values))
                     blocks = []
                     data_iter = iter(range(len(data_columns)))
@@ -475,12 +474,12 @@ class HiveConnector(Connector):
     def analyze_table(self, schema: str, table_name: str) -> TableStatistics:
         """Compute and store table/column statistics (ANALYZE)."""
         table = self.metastore.require_table(schema, table_name)
-        columns = [c.name for c in table.columns]
-        values: dict[str, list] = {c: [] for c in columns}
+        blocks: dict[str, list] = {c.name: [] for c in table.columns}
+        data_names = [c.name for c in table.data_columns]
         row_count = 0
         for partition_values, path in self._all_files(table):
             file: OrcLikeFile = self.dfs.read(path).payload
-            reader = OrcReader(file, [c.name for c in table.data_columns], lazy=False)
+            reader = OrcReader(file, data_names, lazy=False)
             partition_map = (
                 dict(zip(table.partition_columns, partition_values))
                 if partition_values is not None
@@ -488,14 +487,16 @@ class HiveConnector(Connector):
             )
             for page in reader.pages():
                 row_count += page.row_count
-                data_iter = [c.name for c in table.data_columns]
-                for i, name in enumerate(data_iter):
-                    values[name].extend(page.block(i).to_values())
+                for name, block in zip(data_names, page.blocks):
+                    blocks[name].append(block)
                 for name, value in partition_map.items():
-                    values[name].extend([value] * page.row_count)
+                    blocks[name].append(RunLengthBlock(value, page.row_count))
         statistics = TableStatistics(
             float(row_count),
-            {name: compute_column_statistics(vals) for name, vals in values.items()},
+            {
+                c.name: compute_block_statistics(c.type, blocks[c.name])
+                for c in table.columns
+            },
         )
         self.metastore.update_statistics(schema, table_name, statistics)
         self._metadata.versions.bump_table(schema, table_name)

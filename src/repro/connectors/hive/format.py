@@ -16,15 +16,17 @@ reader can:
   are never decoded (Sec. V-D), with read-accounting hooks the
   lazy-loading benchmark consumes.
 
-Both directions are batch operations in the default kernel mode:
-stripes encode with numpy (one-pass null masks and min/max, run
-boundaries from a shifted compare, dictionary build via canonical-code
-factorize, Bloom bits hashed once per *distinct* value) and decode
-straight into numpy-backed or still-encoded blocks (multi-run RLE
-expands as a dictionary over the run values). ``REPRO_KERNELS=row``
-routes every chunk through the original value-at-a-time reference
-loops instead — the differential fuzzer compares the two modes
-bit-for-bit. Files written in either mode can be read in either mode.
+Both directions are batch operations in the default kernel mode. The
+writer buffers blocks, not values: at flush a primitive column
+concatenates its arrays and encodes with numpy (one-pass null masks and
+min/max, runs from a shifted compare, distinct count by one sort, the
+dictionary gathered in first-occurrence order, Bloom bits hashed once
+per *distinct* value), and a VARCHAR column of ``str``/``None`` encodes
+over its distinct strings. A dict chunk keeps its dictionary as a block
+that every decode shares; plain and RLE chunks decode straight into
+numpy-backed or still-encoded blocks. ``REPRO_KERNELS=row`` routes
+every chunk through the value-at-a-time reference loops instead, and
+the chunks a write produces are pinned by tests/test_file_digests.py.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ from repro.exec.blocks import (
     Block,
     DictionaryBlock,
     LazyBlock,
+    ObjectBlock,
     PrimitiveBlock,
     RunLengthBlock,
     is_primitive_type,
     make_block,
 )
 from repro.exec.page import Page
-from repro.types import BOOLEAN, DOUBLE, Type
+from repro.types import BOOLEAN, DOUBLE, VARCHAR, Type
 
 DEFAULT_STRIPE_ROWS = 10_000
 _BLOOM_BITS = 1024
@@ -78,16 +81,11 @@ class ColumnChunk:
     ``data`` is polymorphic per encoding (and per writer mode):
 
     - ``plain`` — a python list of values, or a ``(values, nulls)``
-      numpy pair when written by the vectorized encoder;
-    - ``dict`` — ``(dictionary_values, indices)`` where indices is a
-      python list or an int64 ndarray (``-1`` = null);
+      numpy pair the chunk owns (null slots zero) from the vector path;
+    - ``dict`` — ``(dictionary Block, int64 indices)`` (``-1`` = null),
+      arrays read-only: Fig. 5's stripe-wide dictionary, which every
+      decode hands out as it is;
     - ``rle`` — ``[(value, run_length), ...]``.
-
-    Decoding is kernel-mode dependent: the vectorized path hands
-    encoded data to the engine as Dictionary/RunLength blocks (late
-    materialization, Sec. V-E), while ``REPRO_KERNELS=row`` decodes
-    through value-at-a-time reference loops and materializes flat
-    blocks for plain and multi-run RLE chunks.
     """
 
     encoding: str  # "plain" | "dict" | "rle"
@@ -124,87 +122,46 @@ class ColumnChunk:
     # -- decoding -----------------------------------------------------------
 
     def decode(self, type_: Type) -> Block:
-        if kernels.enabled():
-            return self._decode_vector(type_)
-        return self._decode_row(type_)
-
-    def _decode_vector(self, type_: Type) -> Block:
-        """Batch decode: plain chunks become numpy-backed blocks without
-        touching individual values; dict/RLE chunks stay encoded."""
+        """A dict chunk hands out its one dictionary block in both modes.
+        Otherwise the vectorized path passes plain arrays through and
+        keeps multi-run RLE encoded (late materialization, Sec. V-E);
+        ``REPRO_KERNELS=row`` rebuilds flat blocks value by value."""
+        vector = kernels.enabled()
+        if self.encoding == "dict":
+            return DictionaryBlock(*self.data)
         if self.encoding == "plain":
-            if isinstance(self.data, tuple):
-                values, nulls = self.data
+            if not isinstance(self.data, tuple):
+                return make_block(type_, self.data)
+            values, nulls = self.data
+            if vector:
                 return PrimitiveBlock(type_, values, nulls)
-            return make_block(type_, self.data)
-        if self.encoding == "dict":
-            dictionary_values, indices = self.data
-            return DictionaryBlock(
-                make_block(type_, dictionary_values),
-                np.asarray(indices, dtype=np.int64),
-            )
-        if self.encoding == "rle":
-            runs = self.data
-            if len(runs) == 1:
-                value, count = runs[0]
-                return RunLengthBlock(value, count)
-            run_values = [value for value, _ in runs]
-            if is_primitive_type(type_):
-                # Vectorized run expansion: a dictionary over the run
-                # values with np.repeat'ed indices — the runs pass into
-                # the engine still encoded.
-                counts = np.fromiter(
-                    (count for _, count in runs), dtype=np.int64, count=len(runs)
-                )
-                indices = np.repeat(np.arange(len(runs), dtype=np.int64), counts)
-                return DictionaryBlock(make_block(type_, run_values), indices)
-            values: list = []
-            for value, count in runs:
-                values.extend([value] * count)
-            return make_block(type_, values)
-        raise ValueError(f"unknown encoding {self.encoding}")
-
-    def _decode_row(self, type_: Type) -> Block:
-        """Reference decode (``REPRO_KERNELS=row``): value-at-a-time
-        loops materializing flat blocks for plain/multi-run RLE data.
-        Dictionary chunks still surface as DictionaryBlocks — the page
-        processor's Sec. V-E fast path predates the batch decoder and is
-        exercised in both modes."""
-        if self.encoding == "plain":
-            data = self.data
-            if isinstance(data, tuple):  # chunk written by the vector encoder
-                values, nulls = data
-                out = values.tolist()
-                # row-path: reference decode rebuilds python values
-                for position in np.flatnonzero(nulls):
-                    out[position] = None
-                return make_block(type_, out)
-            return make_block(type_, data)
-        if self.encoding == "dict":
-            dictionary_values, indices = self.data
-            return DictionaryBlock(
-                make_block(type_, dictionary_values),
-                np.asarray(indices, dtype=np.int64),
-            )
-        if self.encoding == "rle":
-            runs = self.data
-            if len(runs) == 1:
-                value, count = runs[0]
-                return RunLengthBlock(value, count)
-            values = []
-            for value, count in runs:
-                values.extend([value] * count)
-            return make_block(type_, values)
-        raise ValueError(f"unknown encoding {self.encoding}")
+            out = values.tolist()
+            # row-path: reference decode rebuilds python values
+            for position in np.flatnonzero(nulls):
+                out[position] = None
+            return make_block(type_, out)
+        if self.encoding != "rle":
+            raise ValueError(f"unknown encoding {self.encoding}")
+        runs = self.data
+        if len(runs) == 1:
+            return RunLengthBlock(*runs[0])
+        if vector and is_primitive_type(type_):
+            # A dictionary over the run values with np.repeat'ed indices:
+            # the runs pass into the engine still encoded.
+            counts = np.fromiter((count for _, count in runs), dtype=np.int64, count=len(runs))
+            indices = np.repeat(np.arange(len(runs), dtype=np.int64), counts)
+            return DictionaryBlock(make_block(type_, [value for value, _ in runs]), indices)
+        values: list = []
+        for value, count in runs:
+            values.extend([value] * count)
+        return make_block(type_, values)
 
     @property
     def cell_count(self) -> int:
-        if self.encoding == "plain":
-            if isinstance(self.data, tuple):
-                return len(self.data[0])
-            return len(self.data)
-        if self.encoding == "dict":
-            return len(self.data[1])
-        return sum(count for _, count in self.data)
+        if self.encoding == "rle":
+            return sum(count for _, count in self.data)
+        # plain lists; (values, nulls) and (dictionary, indices) pairs
+        return len(self.data[1] if isinstance(self.data, tuple) else self.data)
 
 
 @dataclass
@@ -237,16 +194,51 @@ class OrcLikeFile:
         raise KeyError(name)
 
 
-class OrcWriter:
-    """Buffers rows and encodes stripes on flush.
+def _dict_data(dictionary: Block, indices) -> tuple[Block, np.ndarray]:
+    """A dict chunk's ``data``: the one dictionary block every decode
+    hands out, and the indices, their arrays read-only."""
+    indices = np.asarray(indices, dtype=np.int64)
+    for array in (indices, *(kernels.primitive_arrays(dictionary) or ())[:2]):
+        array.flags.writeable = False
+    return dictionary, indices
 
-    Ingestion is batched: rows/pages are transposed into per-column
-    buffers in stripe-sized slices, never one value at a time. Each
-    stripe's columns then encode through the vectorized path (primitive
-    types, default kernel mode) or the value-at-a-time reference
-    encoder (``REPRO_KERNELS=row``, object-typed columns). Encoding
-    choices may differ between modes on borderline cardinalities; the
-    decoded values are identical either way.
+
+def _part_arrays(type_: Type, parts: list) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Concatenate one primitive column's parts as ``(values, nulls)``
+    arrays the chunk owns, null slots zeroed. Dictionary, RLE and lazy
+    blocks unwrap by one gather; value lists, and blocks of another
+    kind, convert through ``make_block``. ``None`` when a value does
+    not fit the type (the reference encoder takes the column)."""
+    kind = "f" if type_ is DOUBLE else ("b" if type_ is BOOLEAN else "i")
+    values, nulls = [], []
+    for part in parts:
+        arrays = kernels.primitive_arrays(part) if isinstance(part, Block) else None
+        if arrays is None or arrays[2] != kind:
+            try:
+                block = make_block(type_, part.to_values() if isinstance(part, Block) else part)
+            except (OverflowError, TypeError, ValueError):
+                return None
+            arrays = block.values, block.nulls, kind
+        values.append(arrays[0])
+        nulls.append(arrays[1])
+    out, mask = np.concatenate(values), np.concatenate(nulls)
+    out[mask] = 0
+    return out, mask
+
+
+class OrcWriter:
+    """Buffers pages and encodes stripes on flush.
+
+    ``add_page`` keeps each column's blocks, sliced at stripe
+    boundaries (``region``, no copy); ``add_rows`` transposes row
+    tuples into per-column value lists. At flush, in the default kernel
+    mode, a primitive column concatenates its parts as arrays and
+    encodes with numpy, and a VARCHAR column of ``str``/``None`` encodes
+    in entry space (one dense code per distinct string). Other object
+    columns, and ``REPRO_KERNELS=row``, go through the value-at-a-time
+    reference encoder. Encoding choices may differ between modes on
+    borderline cardinalities; the decoded values are identical either
+    way.
     """
 
     def __init__(
@@ -266,26 +258,21 @@ class OrcWriter:
 
     def add_rows(self, rows: Iterable[Sequence]) -> None:
         rows = rows if isinstance(rows, list) else list(rows)
-        total = len(rows)
-        start = 0
-        while start < total:
-            take = min(self.stripe_rows - self._buffered_rows, total - start)
-            chunk = rows[start : start + take]
-            for buffer, column in zip(self._buffer, zip(*chunk)):
-                buffer.extend(column)
-            self._buffered_rows += take
-            start += take
-            if self._buffered_rows >= self.stripe_rows:
-                self._flush_stripe()
+        self._add(list(zip(*rows)), len(rows))
 
     def add_page(self, page: Page) -> None:
-        columns = [block.to_values() for block in page.blocks]
-        total = page.row_count
+        self._add(page.blocks, page.row_count)
+
+    def _add(self, columns: Sequence, total: int) -> None:
+        """Buffer row-tuple columns or blocks in stripe-sized slices."""
         start = 0
         while start < total:
             take = min(self.stripe_rows - self._buffered_rows, total - start)
             for buffer, column in zip(self._buffer, columns):
-                buffer.extend(column[start : start + take])
+                if isinstance(column, Block):
+                    buffer.append(column.region(start, take))
+                else:
+                    buffer.append(column[start : start + take])
             self._buffered_rows += take
             start += take
             if self._buffered_rows >= self.stripe_rows:
@@ -298,27 +285,32 @@ class OrcWriter:
 
     def _flush_stripe(self) -> None:
         columns: dict[str, ColumnChunk] = {}
-        for (name, type_), values in zip(self.schema, self._buffer):
-            columns[name] = self._encode_column(name, type_, values)
+        for (name, type_), parts in zip(self.schema, self._buffer):
+            columns[name] = self._encode_column(name, type_, parts)
         self._stripes.append(Stripe(self._buffered_rows, columns))
         self._buffer = [[] for _ in self.schema]
         self._buffered_rows = 0
 
-    def _encode_column(self, name: str, type_: Type, values: list) -> ColumnChunk:
+    def _encode_column(self, name: str, type_: Type, parts: list) -> ColumnChunk:
         if kernels.enabled() and is_primitive_type(type_):
-            try:
-                return self._encode_column_vector(name, type_, values)
-            except (OverflowError, TypeError, ValueError):
-                # Out-of-range or mistyped values: reference encoder.
-                pass
+            arrays = _part_arrays(type_, parts)
+            if arrays is not None:
+                return self._encode_column_vector(name, type_, *arrays)
+        values: list = []
+        for part in parts:
+            values.extend(part.to_values() if isinstance(part, Block) else part)
+        if kernels.enabled() and type_ is VARCHAR:
+            coded = kernels._varchar_entry_codes(values)
+            if coded is not None:
+                return self._encode_varchar(name, values, *coded)
         return self._encode_column_row(name, type_, values)
 
     # -- vectorized encoder --------------------------------------------------
 
-    def _encode_column_vector(self, name: str, type_: Type, values: list) -> ColumnChunk:
-        n = len(values)
-        block = make_block(type_, values)
-        arr, nulls = block.values, block.nulls
+    def _encode_column_vector(
+        self, name: str, type_: Type, arr: np.ndarray, nulls: np.ndarray
+    ) -> ColumnChunk:
+        n = len(arr)
         kind = "f" if type_ is DOUBLE else ("b" if type_ is BOOLEAN else "i")
         null_count = int(nulls.sum())
         # One vectorized stats pass. NaN poisons ordering (the reference
@@ -328,72 +320,99 @@ class OrcWriter:
         min_value = max_value = None
         if null_count < n and kind != "b":
             data = arr[~nulls] if null_count else arr
-            if kind == "f":
-                if not np.isnan(data).any():
-                    min_value = float(data.min())
-                    max_value = float(data.max())
-            else:
-                min_value = int(data.min())
-                max_value = int(data.max())
+            if kind == "i" or not np.isnan(data).any():
+                min_value, max_value = data.min().item(), data.max().item()
         # Run boundaries from one shifted compare. NaN != NaN breaks
         # runs, matching the reference encoder's `==` chaining; a null
         # run continues only into another null.
-        if n == 0:
-            starts = np.empty(0, dtype=np.int64)
-        elif n == 1:
-            starts = np.zeros(1, dtype=np.int64)
-        else:
-            eq = arr[1:] == arr[:-1]
-            prev_null, next_null = nulls[:-1], nulls[1:]
-            same = (eq & ~prev_null & ~next_null) | (prev_null & next_null)
-            starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.flatnonzero(~same).astype(np.int64) + 1)
-            )
-        run_count = len(starts)
+        eq = arr[1:] == arr[:-1]
+        prev_null, next_null = nulls[:-1], nulls[1:]
+        same = (eq & ~prev_null & ~next_null) | (prev_null & next_null)
+        starts = np.append(0, np.flatnonzero(~same) + 1)
         value_size = 8.0
-        if run_count <= max(1, n // 8):
-            lengths = np.diff(np.append(starts, n))
-            runs = [
-                (block.get(int(position)), int(length))
-                for position, length in zip(starts, lengths)
-            ]
-            bloom = self._bloom_from(name, (value for value, _ in runs))
+        if len(starts) <= max(1, n // 8):
+            # Run values by one gather; null runs hold None.
+            run_values = arr[starts].tolist()
+            for run in np.flatnonzero(nulls[starts]).tolist():
+                run_values[run] = None
+            runs = list(zip(run_values, np.diff(np.append(starts, n)).tolist()))
             return ColumnChunk(
-                "rle", runs, null_count, min_value, max_value, bloom,
-                max(int(run_count * (value_size + 4)), 1),
+                "rle", runs, null_count, min_value, max_value,
+                self._bloom_from(name, run_values),
+                max(int(len(runs) * (value_size + 4)), 1),
             )
-        # Dictionary build: canonical-code factorize in first-occurrence
-        # order, compatible with the reference python-dict build (-0.0
-        # and 0.0 collapse onto the first-seen value; NaNs unify by bit
-        # pattern).
+        # Distinct count by one sort over canonical codes (-0.0 and 0.0
+        # are one value; NaNs unify by bit pattern, as the reference
+        # python-dict build does).
         valid = np.flatnonzero(~nulls)
         if kind == "f":
-            codes = (arr + 0.0).view(np.int64)
+            codes = (arr + 0.0).view(np.int64)[valid]
         else:
-            codes = arr.astype(np.int64, copy=False)
-        uniq, first_index, inverse = np.unique(
-            codes[valid], return_index=True, return_inverse=True
-        )
-        inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        dictionary_values = [
-            block.get(int(valid[first_index[position]])) for position in order
-        ]
-        bloom = self._bloom_from(name, dictionary_values)
-        distinct = len(uniq)
-        if n and distinct <= self.dictionary_threshold * n:
+            codes = arr.astype(np.int64, copy=False)[valid]
+        ordered = np.sort(codes)
+        distinct = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + bool(len(codes))
+        as_dict = distinct <= self.dictionary_threshold * n
+        bloom = None
+        if as_dict or name in self.bloom_columns:
+            # Dictionary in first-occurrence order, as the reference
+            # build makes it: each distinct value's first row, gathered.
+            _, first_index, inverse = np.unique(
+                codes, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first_index, kind="stable")
+            dictionary = arr[valid[first_index[order]]]
+            bloom = self._bloom_from(name, dictionary.tolist())
+        if as_dict:
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order), dtype=np.int64)
             indices = np.full(n, -1, dtype=np.int64)
-            indices[valid] = rank[inverse]
+            indices[valid] = rank[inverse.reshape(-1)]
             return ColumnChunk(
-                "dict", (dictionary_values, indices), null_count, min_value,
-                max_value, bloom,
+                "dict", _dict_data(PrimitiveBlock(type_, dictionary), indices),
+                null_count, min_value, max_value, bloom,
                 max(int(distinct * value_size + n * 2), 1),
             )
         return ColumnChunk(
             "plain", (arr, nulls), null_count, min_value, max_value, bloom,
             max(int(n * value_size), 1),
+        )
+
+    def _encode_varchar(
+        self, name: str, values: list, codes: np.ndarray, cardinality: int
+    ) -> ColumnChunk:
+        """A ``str``/``None`` column in entry space: ``codes`` are dense
+        in first-seen order, NULL the last, so statistics and Bloom bits
+        come from the distinct entries, runs from code changes, and the
+        dictionary from the entries themselves. The chunk is the one the
+        reference encoder writes."""
+        n = len(values)
+        valid = codes != cardinality - 1
+        present = np.flatnonzero(valid)
+        seen = np.maximum.accumulate(np.where(valid, codes, -1))
+        firsts = present[codes[present] > np.append(-1, seen[:-1])[present]]
+        # row-path: per distinct entry, not per row
+        entries = [values[position] for position in firsts.tolist()]
+        min_value, max_value = (min(entries), max(entries)) if entries else (None, None)
+        bloom = self._bloom_from(name, entries)
+        # row-path: _avg_size's bounded 64-value sample
+        value_size = _avg_size([values[position] for position in present[:64].tolist()])
+        starts = np.append(0, np.flatnonzero(codes[1:] != codes[:-1]) + 1)
+        if len(starts) <= max(1, n // 8):
+            lengths = np.diff(np.append(starts, n)).tolist()
+            # row-path: one value per run, not per row
+            runs = [(values[start], length) for start, length in zip(starts.tolist(), lengths)]
+            encoding, data = "rle", runs
+            encoded_bytes = int(len(runs) * (value_size + 4))
+        elif len(entries) <= self.dictionary_threshold * n:
+            encoding = "dict"
+            data = _dict_data(ObjectBlock(entries), np.where(valid, codes, -1))
+            encoded_bytes = int(len(entries) * value_size + n * 2)
+        else:
+            encoding, data = "plain", values
+            encoded_bytes = int(n * value_size)
+        return ColumnChunk(
+            encoding, data, n - len(present), min_value, max_value, bloom,
+            max(encoded_bytes, 1),
         )
 
     def _bloom_from(self, name: str, values: Iterable) -> Optional[int]:
@@ -473,7 +492,7 @@ class OrcWriter:
                     dict_values.append(value)
                 indices.append(index)
             encoding = "dict"
-            data = (dict_values, indices)
+            data = _dict_data(make_block(type_, dict_values), indices)
             encoded_bytes = int(len(dict_values) * value_size + len(indices) * 2)
         else:
             encoding = "plain"

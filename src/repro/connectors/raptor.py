@@ -26,7 +26,7 @@ from repro.catalog import (
     QualifiedTableName,
     TableMetadata,
     TableStatistics,
-    compute_column_statistics,
+    compute_block_statistics,
 )
 from repro.connectors.api import (
     Connector,
@@ -309,17 +309,20 @@ class RaptorConnector(Connector):
     def analyze_table(self, handle: RaptorTableHandle) -> TableStatistics:
         table = self.table(handle)
         columns = [c.name for c in table.columns]
-        values: dict[str, list] = {c: [] for c in columns}
+        blocks: dict[str, list] = {c: [] for c in columns}
         row_count = 0
         for shard in table.shards:
             reader = OrcReader(shard.file, columns, lazy=False)
             for page in reader.pages():
                 row_count += page.row_count
-                for i, name in enumerate(columns):
-                    values[name].extend(page.block(i).to_values())
+                for name, block in zip(columns, page.blocks):
+                    blocks[name].append(block)
         table.statistics = TableStatistics(
             float(row_count),
-            {name: compute_column_statistics(vals) for name, vals in values.items()},
+            {
+                c.name: compute_block_statistics(c.type, blocks[c.name])
+                for c in table.columns
+            },
         )
         self._metadata.versions.bump_table(handle.schema, handle.table)
         return table.statistics

@@ -78,6 +78,20 @@ def apply_arithmetic(op: str, left, right, result_type: Type):
     return checked_bigint(-magnitude if negative else magnitude)
 
 
+_CLOCK = re.compile(r"(\d{1,2}):(\d\d)(?::(\d\d)(?:\.(\d{1,3}))?)?", re.ASCII)
+
+
+def _clock_ms(text: str) -> int:
+    """``H:MM``, ``H:MM:SS`` or ``H:MM:SS.fff`` as milliseconds into the day."""
+    match = _CLOCK.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed time of day {text!r}")
+    hour, minute, second = (int(field or 0) for field in match.groups()[:3])
+    if hour > 23 or minute > 59 or second > 59:
+        raise ValueError(f"time of day out of range {text!r}")
+    return ((hour * 60 + minute) * 60 + second) * 1000 + int((match[4] or "").ljust(3, "0"))
+
+
 def cast_value(value, target: Type, safe: bool = False):
     """CAST of one value; ``safe`` (TRY_CAST) answers NULL for a value
     the target cannot hold."""
@@ -122,8 +136,11 @@ def cast_value(value, target: Type, safe: bool = False):
             if isinstance(value, str):
                 from repro.functions.scalars import _parse_date
 
-                days = _parse_date(value.split(" ")[0])
-                return days if target.name == "date" else days * 86_400_000
+                date, _, clock = value.partition(" ")
+                days = _parse_date(date)
+                if target.name == "date":
+                    return days
+                return days * 86_400_000 + (_clock_ms(clock) if clock else 0)
             return int(value)
         return value
     except (ValueError, TypeError) as exc:

@@ -111,9 +111,10 @@ def concat_pages(pages: list[Page]) -> Page | None:
     Encoding-preserving where it is free: primitive columns concatenate
     their numpy arrays, dictionary columns sharing one dictionary object
     concatenate indices (the stripe-wide shared dictionary of the
-    columnar scan survives the join build's page consolidation), and
-    equal-valued RLE columns just sum counts. Mixed encodings fall back
-    to materialized values.
+    columnar scan survives the join build's page consolidation),
+    primitive and dictionary-over-primitive columns of one type
+    concatenate as arrays, and equal-valued RLE columns just sum
+    counts. Other mixes fall back to materialized values.
     """
     if not pages:
         return None
@@ -133,14 +134,6 @@ def _concat_blocks(blocks: list[Block]) -> Block:
 
     loaded = [b.load() if isinstance(b, LazyBlock) else b for b in blocks]
     first = loaded[0]
-    if isinstance(first, PrimitiveBlock) and all(
-        isinstance(b, PrimitiveBlock) and b.type is first.type for b in loaded
-    ):
-        return PrimitiveBlock(
-            first.type,
-            np.concatenate([b.values for b in loaded]),
-            np.concatenate([b.nulls for b in loaded]),
-        )
     if isinstance(first, DictionaryBlock) and all(
         isinstance(b, DictionaryBlock) and b.dictionary is first.dictionary
         for b in loaded
@@ -148,6 +141,17 @@ def _concat_blocks(blocks: list[Block]) -> Block:
         return DictionaryBlock(
             first.dictionary, np.concatenate([b.indices for b in loaded])
         )
+    bases = [b.dictionary if isinstance(b, DictionaryBlock) else b for b in loaded]
+    if isinstance(bases[0], PrimitiveBlock) and all(
+        isinstance(b, PrimitiveBlock) and b.type is bases[0].type for b in bases
+    ):
+        # Primitive and dictionary-over-primitive parts of one type: one
+        # gather per dictionary part, null slots zeroed as make_block has them.
+        flat = [b.unwrap() for b in loaded]
+        values = np.concatenate([b.values for b in flat])
+        nulls = np.concatenate([b.nulls for b in flat])
+        values[nulls] = 0
+        return PrimitiveBlock(bases[0].type, values, nulls)
     if all(type(b) is ObjectBlock for b in loaded):
         # Sizes add up: the parts' are known, no walk over the items.
         return ObjectBlock(

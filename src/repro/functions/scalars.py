@@ -660,25 +660,42 @@ def _ts_add(unit: str, amount: int, ts: int) -> int:
 
 
 def _date_diff_days(unit: str, a: int, b: int) -> int:
-    unit = unit.lower()
-    if unit == "day":
-        return b - a
-    if unit == "week":
-        return (b - a) // 7
-    ya, ma, _ = _civil_from_days(a)
-    yb, mb, _ = _civil_from_days(b)
-    if unit == "month":
-        return (yb * 12 + mb) - (ya * 12 + ma)
-    if unit == "year":
-        return yb - ya
-    raise InvalidFunctionArgumentError(f"Unknown date_diff unit for date: {unit}")
+    if unit.lower() not in ("day", "week", "month", "quarter", "year"):
+        raise InvalidFunctionArgumentError(f"Unknown date_diff unit for date: {unit}")
+    return _ts_diff(unit, a * _MS_PER_DAY, b * _MS_PER_DAY)
+
+
+_DIFF_UNITS = {"millisecond": 1, **_TRUNC_UNITS, "week": 7 * _MS_PER_DAY}
+_FEB_29_MS = 59 * _MS_PER_DAY  # into the year: the first instant past Feb 28
 
 
 def _ts_diff(unit: str, a: int, b: int) -> int:
+    """Whole ``unit``s from ``a`` to ``b``, truncated toward zero: Joda's
+    ``getDifference``, as Presto's date_diff counts them."""
     unit = unit.lower()
-    if unit in _TRUNC_UNITS:
-        return (b - a) // _TRUNC_UNITS[unit]
-    return _date_diff_days(unit, a // _MS_PER_DAY, b // _MS_PER_DAY)
+    if unit in _DIFF_UNITS:
+        whole = abs(b - a) // _DIFF_UNITS[unit]
+        return whole if b >= a else -whole
+    if b < a:
+        return -_ts_diff(unit, b, a)
+    ya, ma, da = _civil_from_days(a // _MS_PER_DAY)
+    yb, mb, db = _civil_from_days(b // _MS_PER_DAY)
+    if unit in ("month", "quarter"):
+        if db == _days_in_month(yb, mb):
+            da = min(da, db)  # a month added to a later day ends on the last one
+        months = (yb - ya) * 12 + mb - ma - ((db, b % _MS_PER_DAY) < (da, a % _MS_PER_DAY))
+        return months if unit == "month" else months // 3
+    if unit == "year":
+        rem_a = a - _days_from_civil(ya, 1, 1) * _MS_PER_DAY
+        rem_b = b - _days_from_civil(yb, 1, 1) * _MS_PER_DAY
+        if rem_a >= _FEB_29_MS:  # balance Feb 29 between leap and common years
+            if _days_in_month(ya, 2) == 29:
+                if _days_in_month(yb, 2) == 28:
+                    rem_a -= _MS_PER_DAY
+            elif rem_b >= _FEB_29_MS and _days_in_month(yb, 2) == 29:
+                rem_b -= _MS_PER_DAY
+        return yb - ya - (rem_b < rem_a)
+    raise InvalidFunctionArgumentError(f"Unknown date_diff unit: {unit}")
 
 
 def _days_in_month(year: int, month: int) -> int:

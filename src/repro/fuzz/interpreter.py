@@ -69,6 +69,18 @@ def like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
+_TIME_OF_DAY = re.compile(r"([01]?\d|2[0-3]):([0-5]\d)(?::([0-5]\d)(?:\.(\d{1,3}))?)?", re.ASCII)
+
+
+def _time_of_day_ms(clock: str) -> int:
+    """The oracle's own reading of ``H:MM``, ``H:MM:SS`` or ``H:MM:SS.f``."""
+    match = _TIME_OF_DAY.fullmatch(clock)
+    if match is None:
+        raise ValueError(f"malformed time of day {clock!r}")
+    hour, minute, second, fraction = match.groups(default="0")
+    return ((int(hour) * 60 + int(minute)) * 60 + int(second)) * 1000 + int(fraction.ljust(3, "0"))
+
+
 def cast_value(value, target: Type, safe: bool = False):
     """Runtime CAST semantics; ``safe`` (TRY_CAST) answers NULL."""
     if value is None:
@@ -119,8 +131,11 @@ def cast_value(value, target: Type, safe: bool = False):
             if isinstance(value, str):
                 from repro.functions.scalars import _parse_date
 
-                days = _parse_date(value.split(" ")[0])
-                return days if target.name == "date" else days * 86_400_000
+                date, _, clock = value.partition(" ")
+                days = _parse_date(date)
+                if target.name == "date":
+                    return days
+                return days * 86_400_000 + (_time_of_day_ms(clock) if clock else 0)
             return int(value)
         return value
     except (ValueError, TypeError) as exc:

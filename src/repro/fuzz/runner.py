@@ -443,14 +443,32 @@ class CacheCoherenceError(Exception):
     otherwise wrong) answer."""
 
 
+_COHERENCE_MUTATIONS = (
+    ("INSERT INTO {0} SELECT * FROM {0}",),
+    # The drop's version bump must rotate the cache keys like the
+    # other mutations.
+    ("CREATE TABLE tmp_cc AS SELECT * FROM {0}", "DROP TABLE tmp_cc"),
+    # A table the query reads replaced under its own name, with twice
+    # the rows, now partitioned on its last column: a plan that outlives
+    # it still reads the unpartitioned file list.
+    (
+        "CREATE TABLE tmp_cc AS SELECT * FROM {0} UNION ALL SELECT * FROM {0}",
+        "DROP TABLE {0}",
+        "CREATE TABLE {0} WITH (partitioned_by = ARRAY['{1}']) AS SELECT * FROM tmp_cc",
+        "DROP TABLE tmp_cc",
+    ),
+)
+
+
 def _run_coherence(config: EngineConfig, tables, sql: str) -> list[tuple]:
     """Cache-coherence check (docs/CACHING.md).
 
     Runs ``sql`` on the row's cluster, whose metadata and plan caches
     are on like every cluster's, then again (a plan-cache hit), then
-    after each of two deterministic DDL/INSERT mutations. Every run
-    after a mutation is checked against the oracle over a plain
-    ``Metadata`` router of the cluster's own connectors, which sees the
+    after each of two deterministic DDL/INSERT mutations (a self-INSERT,
+    a CTAS and its DROP, or a drop-and-recreate of a table it reads).
+    Every run after a mutation is checked against the oracle over a
+    plain ``Metadata`` router of the cluster's own connectors, which sees the
     mutated tables and caches nothing; a divergence raises
     ``CacheCoherenceError``. Returns the *first* (pre-mutation) rows so
     the outcome matches the oracle, which only knows the original tables.
@@ -472,19 +490,13 @@ def _run_coherence(config: EngineConfig, tables, sql: str) -> list[tuple]:
     # sampling).
     rng = random.Random(stable_hash(sql) & 0xFFFFFFFF)
     mutations = [
-        template.format(table.name)
+        [statement.format(table.name, table.columns[-1].name) for statement in script]
         for table in tables
-        for template in (
-            "INSERT INTO {0} SELECT * FROM {0}",
-            "CREATE TABLE tmp_cc AS SELECT * FROM {0}",
-        )
+        for script in _COHERENCE_MUTATIONS
     ]
     for mutation in rng.sample(mutations, min(2, len(mutations))):
-        cluster.run_query(mutation, drain=True)
-        if mutation.startswith("CREATE"):
-            # The drop's version bump must rotate the cache keys like
-            # the other two mutations.
-            cluster.run_query("DROP TABLE tmp_cc", drain=True)
+        for statement in mutation:
+            cluster.run_query(statement, drain=True)
         got = _capture(run)
         expected = _capture(lambda: run_oracle(uncached, sql)[1])
         if got.key() != expected.key():

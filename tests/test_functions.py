@@ -226,6 +226,94 @@ def test_sub_day_interval_on_a_date_is_a_typed_error(interval_engine, expr, mode
                 run_oracle(interval_engine.metadata, sql)
 
 
+# TIMESTAMP literals and casts keep their time of day (milliseconds).
+TIMESTAMP_TEXTS = {
+    "2001-01-01 10:30:00": 978_345_000_000,
+    "2001-01-01 10:30": 978_345_000_000,
+    "2001-01-01 10:30:00.5": 978_345_000_500,
+    "2001-01-01 9:05:07.25": 978_339_907_250,
+    "2001-01-01 23:59:59.999": 978_393_599_999,
+    "2001-01-01": 978_307_200_000,
+}
+MALFORMED_TIMES = ["24:00", "10:3", "10:30:00.1234", "10:30.5", "noon", "10:60:00", "10:30:61"]
+
+
+@pytest.fixture(scope="module")
+def text_engine():
+    connector = MemoryConnector()
+    texts = list(TIMESTAMP_TEXTS) + [f"2001-01-01 {t}" for t in MALFORMED_TIMES]
+    connector.create_table_with_data(
+        "memory", "default", "w", [("s", VARCHAR)], [(t,) for t in texts]
+    )
+    engine = LocalEngine()
+    engine.register_catalog("memory", connector)
+    return engine
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+def test_timestamp_literals_keep_the_time_of_day(text_engine, mode):
+    from repro.fuzz.oracle import run_oracle
+
+    def both(sql):
+        rows = text_engine.execute(sql).rows
+        assert run_oracle(text_engine.metadata, sql)[1] == rows, sql
+        return rows
+
+    with kernels.forced_mode(mode):
+        for text, want in TIMESTAMP_TEXTS.items():
+            assert both(f"SELECT TIMESTAMP '{text}'") == [(want,)], text
+            column = f"SELECT CAST(s AS TIMESTAMP) FROM w WHERE s = '{text}'"
+            assert both(column) == [(want,)], text
+        assert both("SELECT hour(TIMESTAMP '2001-01-01 10:30:00')") == [(10,)]
+        assert both(
+            "SELECT TIMESTAMP '2001-01-01 10:30:00.5' = TIMESTAMP '2001-01-01 00:00:00'"
+        ) == [(False,)]
+        for time in MALFORMED_TIMES:
+            for sql in (
+                f"SELECT TIMESTAMP '2001-01-01 {time}'",
+                f"SELECT CAST(s AS TIMESTAMP) FROM w WHERE s = '2001-01-01 {time}'",
+            ):
+                with pytest.raises(InvalidCastError):
+                    text_engine.execute(sql)
+                with pytest.raises(InvalidCastError):
+                    run_oracle(text_engine.metadata, sql)
+
+
+# date_diff counts whole units, truncated toward zero, by Joda's
+# getDifference rule, as Presto does. Each value is worked out by hand:
+# the oracle calls the same function, so only a pinned value can catch it.
+DATE_DIFFS = [
+    ("day", "TIMESTAMP '2001-01-02 00:00:00'", "TIMESTAMP '2001-01-01 12:00:00'", 0),
+    ("day", "TIMESTAMP '2001-01-01 12:00:00'", "TIMESTAMP '2001-01-03 11:59:59'", 1),
+    ("hour", "TIMESTAMP '2001-01-01 10:30:00'", "TIMESTAMP '2001-01-01 08:45:00'", -1),
+    ("millisecond", "TIMESTAMP '2001-01-01 00:00:00.250'", "TIMESTAMP '2001-01-01 00:00:01'", 750),
+    ("week", "DATE '2001-01-05'", "DATE '2001-01-01'", 0),
+    ("week", "DATE '2001-01-01'", "DATE '2001-01-15'", 2),
+    ("month", "DATE '2001-01-15'", "DATE '2001-02-14'", 0),
+    ("month", "DATE '2001-01-31'", "DATE '2001-02-28'", 1),
+    ("month", "DATE '2001-03-31'", "DATE '2001-02-28'", -1),
+    ("month", "TIMESTAMP '2001-01-15 10:00:00'", "TIMESTAMP '2001-02-15 09:59:59'", 0),
+    ("quarter", "DATE '2001-01-01'", "DATE '2001-07-01'", 2),
+    ("quarter", "DATE '2001-07-01'", "DATE '2001-01-02'", -1),
+    ("year", "DATE '2000-06-01'", "DATE '2001-05-31'", 0),
+    ("year", "DATE '2000-02-29'", "DATE '2001-02-28'", 1),
+    ("year", "DATE '2001-03-01'", "DATE '2000-03-01'", -1),
+]
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("unit, start, end, want", DATE_DIFFS)
+def test_date_diff_counts_whole_units_toward_zero(text_engine, mode, unit, start, end, want):
+    with kernels.forced_mode(mode):
+        sql = f"SELECT date_diff('{unit}', {start}, {end})"
+        assert text_engine.execute(sql).rows == [(want,)]
+
+
+def test_date_diff_rejects_time_units_on_dates():
+    with pytest.raises(InvalidFunctionArgumentError):
+        call("date_diff", [VARCHAR, DATE, DATE], "hour", 0, 1)
+
+
 def test_cost_weights_present():
     f, _ = FUNCTIONS.resolve_scalar("regexp_like", [VARCHAR, VARCHAR])
     assert f.cost_weight > 1.0  # regexes are quanta hogs (paper IV-F1)

@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.client import LocalEngine
 from repro.connectors.hive.format import OrcReader, OrcWriter, ReadStats
@@ -178,3 +180,108 @@ def test_window_rank_bounded_by_partition_size(t_rows):
     sizes = Counter(k for k, _ in t_rows)
     for key, rank in rows:
         assert 1 <= rank <= sizes[key]
+
+
+# ---------------------------------------------------------------------------
+# Array paths agree with their value-list references: ANALYZE's block
+# statistics with compute_column_statistics, and page concatenation with
+# make_block_from_any, on random mixes of block encodings (null slots
+# over nonzero backing values, NaN, +-0.0, +-inf).
+# ---------------------------------------------------------------------------
+
+# Per type, the strategy for one mix's values. Half the double mixes
+# hold only finite values, so the order of signed zeros decides python's
+# min and max there.
+_BLOCK_TYPES = {
+    "bigint": st.just(st.sampled_from([0, 1, -3, 7, 2**63 - 1, -(2**63)])),
+    "date": st.just(st.integers(7990, 8010)),
+    "double": st.sampled_from([
+        (0.0, -0.0, 1.5),
+        (0.0, -0.0, 1.5, -2.25, float("nan"), float("inf"), float("-inf")),
+    ]).map(st.sampled_from),
+    "boolean": st.just(st.booleans()),
+    "varchar": st.just(st.sampled_from(["", "a", "b", "é"])),
+}
+
+
+@st.composite
+def _block_mix(draw):
+    from repro.exec.blocks import (
+        DictionaryBlock,
+        LazyBlock,
+        PrimitiveBlock,
+        RunLengthBlock,
+        make_block,
+    )
+    from repro.types import parse_type
+
+    name = draw(st.sampled_from(sorted(_BLOCK_TYPES)))
+    type_ = parse_type(name)
+    element = draw(_BLOCK_TYPES[name])
+    values = st.one_of(st.none(), element)
+
+    def plain(items):
+        block = make_block(type_, items)
+        if isinstance(block, PrimitiveBlock):
+            # Null slots over nonzero backing values.
+            backing = draw(element)
+            block.values[block.nulls] = backing
+        return block
+
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["plain", "dict", "rle", "lazy"]))
+        if kind == "rle":
+            blocks.append(RunLengthBlock(draw(values), draw(st.integers(1, 5))))
+            continue
+        if kind == "dict":
+            dictionary = plain(draw(st.lists(values, min_size=1, max_size=4)))
+            indices = draw(st.lists(st.integers(-1, len(dictionary) - 1), max_size=8))
+            blocks.append(DictionaryBlock(dictionary, np.array(indices, dtype=np.int64)))
+            continue
+        block = plain(draw(st.lists(values, max_size=8)))
+        blocks.append(LazyBlock(len(block), lambda block=block: block) if kind == "lazy" else block)
+    return type_, blocks
+
+
+def _same_values(left: list, right: list) -> bool:
+    return [(type(v), repr(v)) for v in left] == [(type(v), repr(v)) for v in right]
+
+
+def _signed_zeros():
+    from repro.exec.blocks import make_block
+    from repro.types import DOUBLE
+
+    return DOUBLE, [make_block(DOUBLE, [0.0, None, -0.0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mix=_block_mix())
+@example(mix=_signed_zeros())
+def test_block_statistics_match_the_value_reference(mix):
+    from repro.catalog import compute_block_statistics, compute_column_statistics
+
+    type_, blocks = mix
+    values = [v for block in blocks for v in block.to_values()]
+    assert repr(compute_block_statistics(type_, blocks)) == repr(
+        compute_column_statistics(values)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mix=_block_mix())
+def test_concat_blocks_match_the_value_reference(mix):
+    from repro.exec.blocks import PrimitiveBlock, RunLengthBlock
+    from repro.exec.page import _concat_blocks, make_block_from_any
+
+    _, blocks = mix
+    values = [v for block in blocks for v in block.to_values()]
+    template = next((b for b in blocks if not isinstance(b, RunLengthBlock)), blocks[0])
+    expected = make_block_from_any(values, template)
+    got = _concat_blocks(blocks)
+    assert _same_values(got.to_values(), values)
+    if isinstance(got, PrimitiveBlock):
+        # Array results are the reference block, null slots included.
+        assert isinstance(expected, PrimitiveBlock) and got.type is expected.type
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert np.array_equal(got.nulls, expected.nulls)
