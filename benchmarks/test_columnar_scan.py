@@ -23,6 +23,7 @@ from benchmarks.conftest import print_table, save_results
 from repro.connectors.hive.format import OrcReader, OrcWriter, ReadStats
 from repro.exec import kernels
 from repro.exec.blocks import DictionaryBlock
+from repro.exec.page import page_from_rows
 from repro.types import BIGINT, DOUBLE, VARCHAR
 
 ROWS = 150_000
@@ -44,7 +45,7 @@ def _make_rows() -> list[tuple]:
 
 def _write(rows):
     writer = OrcWriter(SCHEMA, stripe_rows=STRIPE_ROWS, bloom_columns=("k",))
-    writer.add_rows(rows)
+    writer.add_page(page_from_rows([t for _, t in SCHEMA], rows))
     return writer.finish()
 
 

@@ -51,11 +51,11 @@ def _setup_raptor(cluster: SimCluster) -> None:
     cluster.register_catalog("raptor", raptor)
     from repro.connectors.tpch import load_into
 
-    def loader(table, columns, rows):
+    def loader(table, columns, pages):
         from repro.workload.datasets import _load_table
 
         # Random shard distribution, as in the paper's experiment.
-        _load_table(raptor, "raptor", "default", table, columns, rows)
+        _load_table(raptor, "raptor", "default", table, columns, pages)
 
     load_into(loader, TABLES, SCALE)
 

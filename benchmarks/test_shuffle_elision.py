@@ -71,7 +71,7 @@ def _build_cluster(bucketed: bool) -> SimCluster:
         columns = [(c.name, c.type) for c in tpch.columns(table)]
         _load_table(
             raptor, "raptor", "default", table, columns,
-            tpch.generate_rows(table), properties,
+            tpch.generate_pages(table), properties,
         )
     return cluster
 

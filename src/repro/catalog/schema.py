@@ -132,7 +132,7 @@ def compute_column_statistics(values: list) -> ColumnStatistics:
             minimum = maximum = None
     avg_size = 8.0
     if isinstance(sample, str):
-        avg_size = sum(len(v) for v in non_null) / len(non_null)
+        avg_size = sum(map(len, non_null)) / len(non_null)
     return ColumnStatistics(distinct, null_fraction, minimum, maximum, avg_size)
 
 

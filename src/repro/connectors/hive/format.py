@@ -206,16 +206,16 @@ def _dict_data(dictionary: Block, indices) -> tuple[Block, np.ndarray]:
 def _part_arrays(type_: Type, parts: list) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Concatenate one primitive column's parts as ``(values, nulls)``
     arrays the chunk owns, null slots zeroed. Dictionary, RLE and lazy
-    blocks unwrap by one gather; value lists, and blocks of another
-    kind, convert through ``make_block``. ``None`` when a value does
+    blocks unwrap by one gather; object blocks, and primitive blocks of
+    another kind, convert through ``make_block``. ``None`` when a value does
     not fit the type (the reference encoder takes the column)."""
     kind = "f" if type_ is DOUBLE else ("b" if type_ is BOOLEAN else "i")
     values, nulls = [], []
     for part in parts:
-        arrays = kernels.primitive_arrays(part) if isinstance(part, Block) else None
+        arrays = kernels.primitive_arrays(part)
         if arrays is None or arrays[2] != kind:
             try:
-                block = make_block(type_, part.to_values() if isinstance(part, Block) else part)
+                block = make_block(type_, part.to_values())
             except (OverflowError, TypeError, ValueError):
                 return None
             arrays = block.values, block.nulls, kind
@@ -230,8 +230,7 @@ class OrcWriter:
     """Buffers pages and encodes stripes on flush.
 
     ``add_page`` keeps each column's blocks, sliced at stripe
-    boundaries (``region``, no copy); ``add_rows`` transposes row
-    tuples into per-column value lists. At flush, in the default kernel
+    boundaries (``region``, no copy). At flush, in the default kernel
     mode, a primitive column concatenates its parts as arrays and
     encodes with numpy, and a VARCHAR column of ``str``/``None`` encodes
     in entry space (one dense code per distinct string). Other object
@@ -256,23 +255,13 @@ class OrcWriter:
         self._buffered_rows = 0
         self._stripes: list[Stripe] = []
 
-    def add_rows(self, rows: Iterable[Sequence]) -> None:
-        rows = rows if isinstance(rows, list) else list(rows)
-        self._add(list(zip(*rows)), len(rows))
-
     def add_page(self, page: Page) -> None:
-        self._add(page.blocks, page.row_count)
-
-    def _add(self, columns: Sequence, total: int) -> None:
-        """Buffer row-tuple columns or blocks in stripe-sized slices."""
-        start = 0
+        """Buffer the page's blocks in stripe-sized slices."""
+        start, total = 0, page.row_count
         while start < total:
             take = min(self.stripe_rows - self._buffered_rows, total - start)
-            for buffer, column in zip(self._buffer, columns):
-                if isinstance(column, Block):
-                    buffer.append(column.region(start, take))
-                else:
-                    buffer.append(column[start : start + take])
+            for buffer, column in zip(self._buffer, page.blocks):
+                buffer.append(column.region(start, take))
             self._buffered_rows += take
             start += take
             if self._buffered_rows >= self.stripe_rows:
@@ -298,7 +287,7 @@ class OrcWriter:
                 return self._encode_column_vector(name, type_, *arrays)
         values: list = []
         for part in parts:
-            values.extend(part.to_values() if isinstance(part, Block) else part)
+            values.extend(part.to_values())
         if kernels.enabled() and type_ is VARCHAR:
             coded = kernels._varchar_entry_codes(values)
             if coded is not None:

@@ -43,7 +43,7 @@ from repro.connectors.hive.format import OrcLikeFile, OrcReader, OrcWriter, Read
 from repro.connectors.predicate import TupleDomain
 from repro.errors import TableNotFoundError
 from repro.exec import kernels
-from repro.exec.page import Page
+from repro.exec.page import Page, concat_pages
 
 import numpy as np
 
@@ -172,59 +172,49 @@ class RaptorPageSink(PageSink):
         self.table = connector.table(handle)
         self.schema = [(c.name, c.type) for c in self.table.columns]
         self.column_names = [c.name for c in self.table.columns]
-        self._rows_by_bucket: dict[Optional[int], list[tuple]] = {}
+        self._pages_by_bucket: dict[Optional[int], list[Page]] = {}
 
     def append(self, page: Page) -> None:
-        """Batch ingest: columns materialize once via ``to_values`` (a
-        batch gather even for dictionary/RLE blocks) and bucket
-        assignment hashes whole pages through :func:`kernels.hash_rows`
-        (bit-exact with ``stable_bucket``). Buckets are visited in
-        first-occurrence order, so shard ids are later assigned exactly
-        as the per-row loop would have."""
+        """Each bucket keeps its positions as a page; whole pages hash
+        through :func:`kernels.hash_rows` (bit-exact with
+        ``stable_bucket``). Buckets are visited in first-occurrence
+        order, so shard ids are assigned as a per-row loop would."""
         table = self.table
-        if page.column_count:
-            rows = list(zip(*(block.to_values() for block in page.blocks)))
+        if not (table.bucket_columns and table.bucket_count):
+            self._pages_by_bucket.setdefault(None, []).append(page)
+            return
+        keys = [page.block(self.column_names.index(c)) for c in table.bucket_columns]
+        hashes = kernels.hash_rows(keys, page.row_count)
+        if hashes is not None:
+            buckets = (hashes % np.uint64(table.bucket_count)).astype(np.int64)
         else:
-            rows = [()] * page.row_count
-        if table.bucket_columns and table.bucket_count:
-            indexes = [self.column_names.index(c) for c in table.bucket_columns]
-            hashes = kernels.hash_rows(
-                [page.block(i) for i in indexes], page.row_count
-            )
-            if hashes is not None:
-                buckets = (hashes % np.uint64(table.bucket_count)).astype(np.int64)
-                uniq, first = np.unique(buckets, return_index=True)
-                for bucket in uniq[np.argsort(first, kind="stable")]:
-                    positions = np.flatnonzero(buckets == bucket)
-                    self._rows_by_bucket.setdefault(int(bucket), []).extend(
-                        rows[position] for position in positions
-                    )
-                return
             from repro.connectors.hashing import stable_bucket
 
             # row-path: object-typed bucket keys or REPRO_KERNELS=row
-            for row in rows:
-                bucket = stable_bucket((row[i] for i in indexes), table.bucket_count)
-                self._rows_by_bucket.setdefault(bucket, []).append(row)
-        else:
-            self._rows_by_bucket.setdefault(None, []).extend(rows)
+            rows = zip(*(block.to_values() for block in keys))
+            buckets = np.array([stable_bucket(key, table.bucket_count) for key in rows], np.int64)
+        uniq, first = np.unique(buckets, return_index=True)
+        for bucket in uniq[np.argsort(first, kind="stable")]:
+            positions = np.flatnonzero(buckets == bucket)
+            self._pages_by_bucket.setdefault(int(bucket), []).append(page.copy_positions(positions))
 
     def finish(self) -> list[RaptorShard]:
         shards = []
-        sort_indexes = [self.column_names.index(c) for c in self.table.sorted_by]
+        sort_channels = [self.column_names.index(c) for c in self.table.sorted_by]
         max_rows = self.connector.max_rows_per_shard
-        for bucket, rows in self._rows_by_bucket.items():
-            if sort_indexes:
-                rows = sorted(
-                    rows,
-                    key=lambda r: tuple(
-                        (r[i] is None, r[i]) for i in sort_indexes
-                    ),
+        for bucket, pages in self._pages_by_bucket.items():
+            page = concat_pages(pages)
+            if sort_channels:
+                values = [page.block(channel).to_values() for channel in sort_channels]
+                # row-path: stable tuple sort ``(v is None, v)``, NULLs last
+                order = sorted(
+                    range(page.row_count), key=lambda p: tuple((v[p] is None, v[p]) for v in values)
                 )
-            for start in range(0, max(1, len(rows)), max_rows):
-                chunk = rows[start : start + max_rows]
+                page = page.copy_positions(np.array(order, dtype=np.int64))
+            rows = page.row_count
+            for start in range(0, max(1, rows), max_rows):
                 writer = OrcWriter(self.schema, stripe_rows=self.connector.stripe_rows)
-                writer.add_rows(chunk)
+                writer.add_page(page.region(start, min(max_rows, rows - start)))
                 file = writer.finish()
                 shard_id = next(self.connector.shard_counter)
                 hosts = self.connector.hosts

@@ -216,7 +216,8 @@ class _ShardedSink(PageSink):
         self.rows: list[tuple] = []
 
     def append(self, page: Page) -> None:
-        self.rows.extend(page.rows())
+        columns = [block.to_values() for block in page.blocks]
+        self.rows.extend(zip(*columns) if columns else [()] * page.row_count)
 
     def finish(self) -> list[tuple]:
         return self.rows
@@ -390,16 +391,10 @@ class ShardedSqlConnector(Connector):
 
     def analyze_table(self, handle: ShardedTableHandle) -> TableStatistics:
         table = self.table(handle)
-        columns = [c.name for c in table.columns]
-        values: dict[str, list] = {c: [] for c in columns}
-        row_count = 0
-        for shard in table.shards:
-            for row in shard.rows:
-                row_count += 1
-                for i, name in enumerate(columns):
-                    values[name].append(row[i])
+        rows = [row for shard in table.shards for row in shard.rows]
+        columns = zip(*rows) if rows else [()] * len(table.columns)  # one column at a time
         table.statistics = TableStatistics(
-            float(row_count),
-            {name: compute_column_statistics(vals) for name, vals in values.items()},
+            float(len(rows)),
+            {c.name: compute_column_statistics(list(v)) for c, v in zip(table.columns, columns)},
         )
         return table.statistics

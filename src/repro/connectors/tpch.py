@@ -11,9 +11,11 @@ selective predicates).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.catalog import (
     Column,
@@ -33,8 +35,8 @@ from repro.connectors.api import (
 )
 from repro.connectors.predicate import TupleDomain
 from repro.errors import TableNotFoundError
-from repro.exec.blocks import make_block
-from repro.exec.page import Page
+from repro.exec.blocks import ObjectBlock, PrimitiveBlock, is_primitive_type
+from repro.exec.page import DEFAULT_PAGE_ROWS, Page
 from repro.types import BIGINT, DATE, DOUBLE, VARCHAR
 
 _SCHEMA = "tiny"
@@ -69,16 +71,24 @@ MAX_ORDER_DATE = 10440
 _ROWS_PER_SPLIT = 8192
 
 
-def _mix(value: int) -> int:
-    """SplitMix64 — deterministic per-row randomness."""
-    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return value ^ (value >> 31)
+def _rand(rows: np.ndarray, salt: int, modulus: int) -> np.ndarray:
+    """SplitMix64 of ``row * 1000003 + salt``, modulo ``modulus``, for
+    every row index of ``rows`` at once — deterministic per-row
+    randomness. ``uint64`` arithmetic wraps modulo 2**64."""
+    value = rows.astype(np.uint64) * np.uint64(1000003) + np.uint64(salt)
+    value += np.uint64(0x9E3779B97F4A7C15)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((value ^ (value >> np.uint64(31))) % np.uint64(modulus)).astype(np.int64)
 
 
-def _rand(key: int, salt: int, modulus: int) -> int:
-    return _mix(key * 1000003 + salt) % modulus
+def _round2(values: np.ndarray) -> np.ndarray:
+    # python's round, not np.round: the two differ on some halfway values
+    return np.fromiter(map(round, values.tolist(), repeat(2)), np.float64, len(values))
+
+
+def _pick(names: Sequence[str], codes: np.ndarray) -> list[str]:
+    return list(map(names.__getitem__, codes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -244,108 +254,115 @@ class TpchConnector(Connector):
     def generate_page(
         self, table: str, start: int, count: int, columns: Sequence[str]
     ) -> Page:
-        generator = getattr(self, f"_row_{table}")
-        rows = [generator(i) for i in range(start, start + count)]
+        """Rows ``[start, start + count)`` of ``table``, only ``columns``,
+        each drawn as one array over the row indexes."""
+        draw = getattr(self, f"_draw_{table}")(np.arange(start, start + count))
         schema = dict(self._COLUMNS[table])
-        blocks = []
-        for column in columns:
-            index = [n for n, _ in self._COLUMNS[table]].index(column)
-            blocks.append(make_block(schema[column], [r[index] for r in rows]))
-        return Page(blocks, count)
+        return Page([
+            PrimitiveBlock(schema[c], draw[c]()) if is_primitive_type(schema[c])
+            else ObjectBlock(draw[c]())
+            for c in columns
+        ], count)
+
+    def generate_pages(self, table: str) -> Iterator[Page]:
+        """The whole table, every column, in pages of ``DEFAULT_PAGE_ROWS``."""
+        total, columns = self.row_counts[table], [n for n, _ in self._COLUMNS[table]]
+        for start in range(0, total, DEFAULT_PAGE_ROWS):
+            yield self.generate_page(table, start, min(DEFAULT_PAGE_ROWS, total - start), columns)
 
     def generate_rows(self, table: str) -> list[tuple]:
-        """Materialize the whole table (used to load other connectors)."""
-        generator = getattr(self, f"_row_{table}")
-        return [generator(i) for i in range(self.row_counts[table])]
+        """Materialize the whole table as row tuples."""
+        return [
+            row for page in self.generate_pages(table)
+            for row in zip(*(block.to_values() for block in page.blocks))
+        ]
 
-    # -- row generators ------------------------------------------------------------
+    # -- column generators ------------------------------------------------------
+    # ``_draw_<table>(i)`` maps each column to a thunk drawing it for the
+    # row indexes ``i``. Float expressions keep one operation order
+    # (addition is not associative), so values match bit for bit.
 
-    def _row_region(self, i: int) -> tuple:
-        return (i, REGIONS[i])
+    def _draw_region(self, i: np.ndarray) -> dict:
+        return {"regionkey": lambda: i, "name": lambda: _pick(REGIONS, i)}
 
-    def _row_nation(self, i: int) -> tuple:
-        name, region = NATIONS[i]
-        return (i, name, region)
+    def _draw_nation(self, i: np.ndarray) -> dict:
+        return {
+            "nationkey": lambda: i,
+            "name": lambda: _pick([n for n, _ in NATIONS], i),
+            "regionkey": lambda: np.array([r for _, r in NATIONS])[i],
+        }
 
-    def _row_supplier(self, i: int) -> tuple:
-        return (
-            i,
-            f"Supplier#{i:09d}",
-            _rand(i, 11, 25),
-            round(_rand(i, 12, 1_099_999) / 100 - 999.99, 2),
-        )
+    def _draw_supplier(self, i: np.ndarray) -> dict:
+        return {
+            "suppkey": lambda: i,
+            "name": lambda: [f"Supplier#{k:09d}" for k in i.tolist()],
+            "nationkey": lambda: _rand(i, 11, 25),
+            "acctbal": lambda: _round2(_rand(i, 12, 1_099_999) / 100 - 999.99),
+        }
 
-    def _row_customer(self, i: int) -> tuple:
-        return (
-            i,
-            f"Customer#{i:09d}",
-            _rand(i, 21, 25),
-            SEGMENTS[_rand(i, 22, 5)],
-            round(_rand(i, 23, 1_099_999) / 100 - 999.99, 2),
-        )
+    def _draw_customer(self, i: np.ndarray) -> dict:
+        return {
+            "custkey": lambda: i,
+            "name": lambda: [f"Customer#{k:09d}" for k in i.tolist()],
+            "nationkey": lambda: _rand(i, 21, 25),
+            "mktsegment": lambda: _pick(SEGMENTS, _rand(i, 22, 5)),
+            "acctbal": lambda: _round2(_rand(i, 23, 1_099_999) / 100 - 999.99),
+        }
 
-    def _row_part(self, i: int) -> tuple:
-        return (
-            i,
-            f"part {i}",
-            BRANDS[_rand(i, 31, 25)],
-            PART_TYPES[_rand(i, 32, len(PART_TYPES))],
-            1 + _rand(i, 33, 50),
-            round(900 + (i % 1000) + _rand(i, 34, 10000) / 100, 2),
-        )
+    def _draw_part(self, i: np.ndarray) -> dict:
+        return {
+            "partkey": lambda: i,
+            "name": lambda: [f"part {k}" for k in i.tolist()],
+            "brand": lambda: _pick(BRANDS, _rand(i, 31, 25)),
+            "type": lambda: _pick(PART_TYPES, _rand(i, 32, len(PART_TYPES))),
+            "size": lambda: 1 + _rand(i, 33, 50),
+            "retailprice": lambda: _round2(900 + (i % 1000) + _rand(i, 34, 10000) / 100),
+        }
 
-    def _row_partsupp(self, i: int) -> tuple:
-        part_count = self.row_counts["part"]
-        supp_count = self.row_counts["supplier"]
-        return (
-            i % part_count,
-            _rand(i, 41, supp_count),
-            1 + _rand(i, 42, 9999),
-            round(_rand(i, 43, 100000) / 100, 2),
-        )
+    def _draw_partsupp(self, i: np.ndarray) -> dict:
+        return {
+            "partkey": lambda: i % self.row_counts["part"],
+            "suppkey": lambda: _rand(i, 41, self.row_counts["supplier"]),
+            "availqty": lambda: 1 + _rand(i, 42, 9999),
+            "supplycost": lambda: _round2(_rand(i, 43, 100000) / 100),
+        }
 
-    def _row_orders(self, i: int) -> tuple:
-        customer_count = self.row_counts["customer"]
-        # Customer popularity is skewed: a third of customers get most orders.
-        if _rand(i, 51, 3) == 0:
-            custkey = _rand(i, 52, max(1, customer_count // 3))
-        else:
-            custkey = _rand(i, 53, customer_count)
-        status = "FOP"[_rand(i, 54, 3)]
-        return (
-            i,
-            custkey,
-            status,
-            round(1000 + _rand(i, 55, 45_000_000) / 100, 2),
-            MIN_ORDER_DATE + _rand(i, 56, MAX_ORDER_DATE - MIN_ORDER_DATE),
-            PRIORITIES[_rand(i, 57, 5)],
-            _rand(i, 58, 2),
-        )
+    def _draw_orders(self, i: np.ndarray) -> dict:
+        customers = self.row_counts["customer"]
+        return {
+            "orderkey": lambda: i,
+            # Customer popularity is skewed: a third of customers get most orders.
+            "custkey": lambda: np.where(
+                _rand(i, 51, 3) == 0,
+                _rand(i, 52, max(1, customers // 3)),
+                _rand(i, 53, customers),
+            ),
+            "orderstatus": lambda: _pick("FOP", _rand(i, 54, 3)),
+            "totalprice": lambda: _round2(1000 + _rand(i, 55, 45_000_000) / 100),
+            "orderdate": lambda: MIN_ORDER_DATE + _rand(i, 56, MAX_ORDER_DATE - MIN_ORDER_DATE),
+            "orderpriority": lambda: _pick(PRIORITIES, _rand(i, 57, 5)),
+            "shippriority": lambda: _rand(i, 58, 2),
+        }
 
-    def _row_lineitem(self, i: int) -> tuple:
-        order_count = self.row_counts["orders"]
-        part_count = self.row_counts["part"]
-        supp_count = self.row_counts["supplier"]
-        orderkey = i % order_count
-        linenumber = (i // order_count) + 1
-        quantity = 1 + _rand(i, 61, 50)
-        price = round(quantity * (900 + _rand(i, 62, 20000) / 100), 2)
-        ship_offset = _rand(i, 63, 120)
-        return (
-            orderkey,
-            _rand(i, 64, part_count),
-            _rand(i, 65, supp_count),
-            linenumber,
-            float(quantity),
-            price,
-            _rand(i, 66, 11) / 100.0,   # discount 0.00-0.10
-            _rand(i, 67, 9) / 100.0,    # tax 0.00-0.08
-            RETURN_FLAGS[_rand(i, 68, 3)],
-            LINE_STATUSES[_rand(i, 69, 2)],
-            MIN_ORDER_DATE + _rand(i, 70, MAX_ORDER_DATE - MIN_ORDER_DATE) + ship_offset % 90,
-            SHIP_INSTRUCTIONS[_rand(i, 71, 4)],
-            SHIP_MODES[_rand(i, 72, 7)],
-        )
+    def _draw_lineitem(self, i: np.ndarray) -> dict:
+        counts = self.row_counts
+        quantity = lambda: 1 + _rand(i, 61, 50)  # noqa: E731
+        return {
+            "orderkey": lambda: i % counts["orders"],
+            "partkey": lambda: _rand(i, 64, counts["part"]),
+            "suppkey": lambda: _rand(i, 65, counts["supplier"]),
+            "linenumber": lambda: i // counts["orders"] + 1,
+            "quantity": lambda: quantity().astype(np.float64),
+            "extendedprice": lambda: _round2(quantity() * (900 + _rand(i, 62, 20000) / 100)),
+            "discount": lambda: _rand(i, 66, 11) / 100.0,  # 0.00-0.10
+            "tax": lambda: _rand(i, 67, 9) / 100.0,  # 0.00-0.08
+            "returnflag": lambda: _pick(RETURN_FLAGS, _rand(i, 68, 3)),
+            "linestatus": lambda: _pick(LINE_STATUSES, _rand(i, 69, 2)),
+            "shipdate": lambda: MIN_ORDER_DATE + _rand(i, 70, MAX_ORDER_DATE - MIN_ORDER_DATE)
+            + _rand(i, 63, 120) % 90,
+            "shipinstruct": lambda: _pick(SHIP_INSTRUCTIONS, _rand(i, 71, 4)),
+            "shipmode": lambda: _pick(SHIP_MODES, _rand(i, 72, 7)),
+        }
 
 
 def load_into(
@@ -355,10 +372,10 @@ def load_into(
 ) -> None:
     """Copy generated TPC-H data into another connector.
 
-    ``connector_loader(table_name, columns, rows)`` receives each table.
+    ``connector_loader(table_name, columns, pages)`` receives each table
+    as an iterator of pages.
     """
     source = TpchConnector(scale_factor)
     for table in tables or list(source.row_counts):
         columns = [(c.name, c.type) for c in source.columns(table)]
-        rows = source.generate_rows(table)
-        connector_loader(table, columns, rows)
+        connector_loader(table, columns, source.generate_pages(table))

@@ -408,6 +408,8 @@ def make_block(type_: Type, values: Iterable) -> Block:
     """
     items = list(values)
     if type_ in _NUMPY_DTYPES:
+        if None not in items:  # one C-level scan instead of a per-value one
+            return PrimitiveBlock(type_, np.array(items, dtype=_NUMPY_DTYPES[type_]))
         nulls = np.fromiter((v is None for v in items), dtype=np.bool_, count=len(items))
         fill = False if type_ is BOOLEAN else 0
         data = np.array([fill if v is None else v for v in items], dtype=_NUMPY_DTYPES[type_])

@@ -91,8 +91,6 @@ class Page:
 def page_from_rows(types: Sequence[Type], rows: Sequence[Sequence]) -> Page:
     """Build a page from row-oriented data (used by tests and VALUES)."""
     columns = list(zip(*rows)) if rows else [[] for _ in types]
-    if not rows:
-        columns = [[] for _ in types]
     blocks = [make_block(t, col) for t, col in zip(types, columns)]
     return Page(blocks, len(rows))
 

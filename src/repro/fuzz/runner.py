@@ -38,6 +38,7 @@ from repro.connectors.memory import MemoryConnector
 from repro.connectors.raptor import RaptorConnector
 from repro.errors import WorkerFailedError
 from repro.exec import kernels
+from repro.exec.page import page_from_rows
 from repro.fuzz.grammar import FeatureMask, FuzzCase, TableSpec, generate_case
 from repro.fuzz.oracle import run_oracle
 from repro.optimizer.context import OptimizerConfig
@@ -331,7 +332,9 @@ _STORAGE = {
 
 def load_tables(connector, tables: list[TableSpec], catalog: str = "memory") -> None:
     for t in tables:
-        _load_table(connector, catalog, "default", t.name, t.column_defs(), t.rows)
+        columns = t.column_defs()
+        page = page_from_rows([type_ for _, type_ in columns], t.rows)
+        _load_table(connector, catalog, "default", t.name, columns, [page])
 
 
 def build(config: EngineConfig, tables):

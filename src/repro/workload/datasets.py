@@ -8,12 +8,14 @@ pairs with the use case in Table I.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from repro.connectors.hive import HiveConnector
 from repro.connectors.raptor import RaptorConnector
 from repro.connectors.shardedsql import ShardedSqlConnector
 from repro.connectors.tpch import TpchConnector
-from repro.exec.page import DEFAULT_PAGE_ROWS, page_from_rows
+from repro.exec.blocks import make_block
+from repro.exec.page import DEFAULT_PAGE_ROWS, Page
 from repro.types import BIGINT, DATE, DOUBLE, VARCHAR
 
 _COUNTRIES = ["US", "BR", "IN", "GB", "DE", "FR", "JP", "ID", "MX", "NG"]
@@ -21,8 +23,8 @@ _EVENTS = ["impression", "click", "conversion", "like", "share", "comment"]
 _PLATFORMS = ["ios", "android", "web"]
 
 
-def _load_table(connector_metadata, catalog, schema, name, columns, rows, properties=None):
-    """Create a table through the Metadata/Data-Sink APIs and load rows."""
+def _load_table(connector_metadata, catalog, schema, name, columns, pages, properties=None):
+    """Create a table through the Metadata/Data-Sink APIs and load pages."""
     from repro.catalog import Column, QualifiedTableName, TableMetadata
 
     metadata = TableMetadata(
@@ -33,12 +35,19 @@ def _load_table(connector_metadata, catalog, schema, name, columns, rows, proper
     handle = connector_metadata.metadata.create_table(metadata)
     insert = connector_metadata.metadata.begin_insert(handle)
     sink = connector_metadata.page_sink(insert)
-    types = [t for _, t in columns]
-    for start in range(0, len(rows), DEFAULT_PAGE_ROWS):
-        sink.append(page_from_rows(types, rows[start : start + DEFAULT_PAGE_ROWS]))
+    for page in pages:
+        sink.append(page)
     fragment = sink.finish()
     connector_metadata.metadata.finish_insert(insert, [fragment])
     return handle
+
+
+def _column_pages(columns, values) -> Iterator[Page]:
+    """Value lists, one per ``(name, type)`` of ``columns``, as pages of
+    ``DEFAULT_PAGE_ROWS`` rows."""
+    for start in range(0, len(values[0]), DEFAULT_PAGE_ROWS):
+        end = start + DEFAULT_PAGE_ROWS
+        yield Page([make_block(t, v[start:end]) for (_, t), v in zip(columns, values)])
 
 
 def setup_warehouse_dataset(
@@ -47,19 +56,11 @@ def setup_warehouse_dataset(
     """The Facebook-warehouse stand-in: TPC-H tables in the Hive
     connector (shared storage), ``orders`` partitioned by status."""
     tpch = TpchConnector(scale_factor)
-    for table in ("region", "nation", "customer", "supplier", "part"):
+    for table in ("region", "nation", "customer", "supplier", "part", "orders", "lineitem"):
         columns = [(c.name, c.type) for c in tpch.columns(table)]
-        _load_table(hive, catalog, "default", table, columns, tpch.generate_rows(table))
-    orders_columns = [(c.name, c.type) for c in tpch.columns("orders")]
-    _load_table(
-        hive, catalog, "default", "orders", orders_columns,
-        tpch.generate_rows("orders"), {"partitioned_by": ["orderstatus"]},
-    )
-    lineitem_columns = [(c.name, c.type) for c in tpch.columns("lineitem")]
-    _load_table(
-        hive, catalog, "default", "lineitem", lineitem_columns,
-        tpch.generate_rows("lineitem"),
-    )
+        properties = {"partitioned_by": ["orderstatus"]} if table == "orders" else None
+        pages = tpch.generate_pages(table)
+        _load_table(hive, catalog, "default", table, columns, pages, properties)
 
 
 def setup_ab_testing_dataset(
@@ -75,48 +76,33 @@ def setup_ab_testing_dataset(
     and event attributes, bucketed on user id so the big join is
     co-located (Sec. IV-C3)."""
     rng = random.Random(seed)
-    user_rows = [
-        (
-            i,
-            _COUNTRIES[rng.randrange(len(_COUNTRIES))],
-            _PLATFORMS[rng.randrange(len(_PLATFORMS))],
-            rng.randrange(13, 80),
-        )
-        for i in range(users)
-    ]
-    _load_table(
-        raptor, catalog, "default", "users",
-        [("userid", BIGINT), ("country", VARCHAR), ("platform", VARCHAR), ("age", BIGINT)],
-        user_rows,
-        {"bucketed_by": "userid", "bucket_count": bucket_count},
-    )
-    enrollment_rows = []
+    country, platform, age = [], [], []
+    for _ in range(users):
+        country.append(_COUNTRIES[rng.randrange(len(_COUNTRIES))])
+        platform.append(_PLATFORMS[rng.randrange(len(_PLATFORMS))])
+        age.append(rng.randrange(13, 80))
+    bucketed = {"bucketed_by": "userid", "bucket_count": bucket_count}
+    columns = [("userid", BIGINT), ("country", VARCHAR), ("platform", VARCHAR), ("age", BIGINT)]
+    pages = _column_pages(columns, [range(users), country, platform, age])
+    _load_table(raptor, catalog, "default", "users", columns, pages, bucketed)
+    enrollment = ([], [], [])
     for i in range(users):
         for _ in range(rng.randrange(0, 3)):
-            enrollment_rows.append(
-                (i, rng.randrange(experiments), rng.randrange(2))
-            )
-    _load_table(
-        raptor, catalog, "default", "enrollments",
-        [("userid", BIGINT), ("experiment", BIGINT), ("variant", BIGINT)],
-        enrollment_rows,
-        {"bucketed_by": "userid", "bucket_count": bucket_count},
-    )
-    event_rows = [
-        (
-            rng.randrange(users),
-            _EVENTS[rng.randrange(len(_EVENTS))],
-            rng.randrange(10_000) + 8035,
-            rng.random() * 100,
-        )
-        for _ in range(events)
-    ]
-    _load_table(
-        raptor, catalog, "default", "events",
-        [("userid", BIGINT), ("event_type", VARCHAR), ("day", DATE), ("value", DOUBLE)],
-        event_rows,
-        {"bucketed_by": "userid", "bucket_count": bucket_count},
-    )
+            enrollment[0].append(i)
+            enrollment[1].append(rng.randrange(experiments))
+            enrollment[2].append(rng.randrange(2))
+    columns = [("userid", BIGINT), ("experiment", BIGINT), ("variant", BIGINT)]
+    pages = _column_pages(columns, enrollment)
+    _load_table(raptor, catalog, "default", "enrollments", columns, pages, bucketed)
+    event = ([], [], [], [])
+    for _ in range(events):
+        event[0].append(rng.randrange(users))
+        event[1].append(_EVENTS[rng.randrange(len(_EVENTS))])
+        event[2].append(rng.randrange(10_000) + 8035)
+        event[3].append(rng.random() * 100)
+    columns = [("userid", BIGINT), ("event_type", VARCHAR), ("day", DATE), ("value", DOUBLE)]
+    pages = _column_pages(columns, event)
+    _load_table(raptor, catalog, "default", "events", columns, pages, bucketed)
 
 
 def setup_developer_analytics_dataset(
@@ -130,33 +116,25 @@ def setup_developer_analytics_dataset(
     advertiser id with a secondary index on day — the Sec. IV-C2
     configuration where point predicates reach individual shards."""
     rng = random.Random(seed)
-    ad_rows = [
-        (
-            rng.randrange(advertisers),          # advertiser
-            rng.randrange(advertisers * 20),     # campaign
-            8035 + rng.randrange(365),           # day
-            _EVENTS[rng.randrange(3)],           # event_type
-            rng.randrange(1, 1000),              # impressions
-            rng.random() * 10,                   # spend
-        )
-        for _ in range(rows)
+    ad = ([], [], [], [], [], [])
+    for _ in range(rows):
+        ad[0].append(rng.randrange(advertisers))          # advertiser
+        ad[1].append(rng.randrange(advertisers * 20))     # campaign
+        ad[2].append(8035 + rng.randrange(365))           # day
+        ad[3].append(_EVENTS[rng.randrange(3)])           # event_type
+        ad[4].append(rng.randrange(1, 1000))              # impressions
+        ad[5].append(rng.random() * 10)                   # spend
+    columns = [
+        ("advertiser", BIGINT), ("campaign", BIGINT), ("day", DATE),
+        ("event_type", VARCHAR), ("impressions", BIGINT), ("spend", DOUBLE),
     ]
-    _load_table(
-        sharded, catalog, "default", "ad_metrics",
-        [
-            ("advertiser", BIGINT), ("campaign", BIGINT), ("day", DATE),
-            ("event_type", VARCHAR), ("impressions", BIGINT), ("spend", DOUBLE),
-        ],
-        ad_rows,
-        {"shard_by": "advertiser", "indexes": ["day", "campaign"]},
-    )
-    campaign_rows = [
-        (i, f"campaign-{i}", rng.randrange(advertisers))
-        for i in range(advertisers * 20)
-    ]
-    _load_table(
-        sharded, catalog, "default", "campaigns",
-        [("campaign", BIGINT), ("name", VARCHAR), ("advertiser", BIGINT)],
-        campaign_rows,
-        {"shard_by": "campaign", "indexes": []},
-    )
+    properties = {"shard_by": "advertiser", "indexes": ["day", "campaign"]}
+    pages = _column_pages(columns, ad)
+    _load_table(sharded, catalog, "default", "ad_metrics", columns, pages, properties)
+    campaigns = range(advertisers * 20)
+    columns = [("campaign", BIGINT), ("name", VARCHAR), ("advertiser", BIGINT)]
+    values = [campaigns, [f"campaign-{i}" for i in campaigns],
+              [rng.randrange(advertisers) for _ in campaigns]]
+    properties = {"shard_by": "campaign", "indexes": []}
+    pages = _column_pages(columns, values)
+    _load_table(sharded, catalog, "default", "campaigns", columns, pages, properties)

@@ -8,6 +8,7 @@ from repro.cluster import ClusterConfig, SimCluster
 from repro.connectors.raptor import RaptorConnector
 from repro.connectors.tpch import TpchConnector
 from repro.errors import ExceededMemoryLimitError, WorkerFailedError
+from repro.exec.page import page_from_rows
 from repro.workload.datasets import _load_table
 
 
@@ -150,7 +151,8 @@ def test_a_scan_stage_stays_wide_when_it_cannot_be_narrowed():
     assert handle.info.stages[0].width_reason == "wide.splits_cover_workers"
 
     hive = HiveConnector(catalog_name="hive", max_rows_per_file=8)
-    _load_table(hive, "hive", "default", "t", [("k", BIGINT)], [(i,) for i in range(1000)])
+    _load_table(hive, "hive", "default", "t", [("k", BIGINT)],
+                [page_from_rows([BIGINT], [(i,) for i in range(1000)])])
     cluster.register_catalog("hive", hive)
     handle = cluster.run_query("SELECT sum(k) FROM hive.default.t")  # 125 files
     assert handle.rows() == [(499500,)]
@@ -190,7 +192,7 @@ def test_raptor_node_local_split_placement():
     _load_table(
         raptor, "raptor", "default", "orders",
         [(c.name, c.type) for c in tpch.columns("orders")],
-        tpch.generate_rows("orders"),
+        tpch.generate_pages("orders"),
     )
     handle = cluster.run_query("SELECT count(*) FROM orders")
     assert handle.rows() == [(3000,)]

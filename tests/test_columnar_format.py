@@ -47,7 +47,7 @@ def _mixed_rows():
 def _write(rows, mode, **kwargs):
     with kernels.forced_mode(mode):
         writer = OrcWriter(SCHEMA, **kwargs)
-        writer.add_rows(rows)
+        writer.add_page(page_from_rows([t for _, t in SCHEMA], rows))
         return writer.finish()
 
 

@@ -15,6 +15,7 @@ from repro.connectors.raptor import RaptorConnector
 from repro.connectors.shardedsql import ShardedSqlConnector
 from repro.connectors.stream import StreamConnector
 from repro.connectors.tpch import TpchConnector
+from repro.exec.page import page_from_rows
 from repro.types import BIGINT, DOUBLE, VARCHAR
 
 
@@ -24,11 +25,9 @@ from repro.types import BIGINT, DOUBLE, VARCHAR
 
 
 def make_file(rows, schema=None, stripe_rows=4, bloom=()):
-    writer = OrcWriter(
-        schema or [("k", BIGINT), ("v", VARCHAR)], stripe_rows=stripe_rows,
-        bloom_columns=bloom,
-    )
-    writer.add_rows(rows)
+    schema = schema or [("k", BIGINT), ("v", VARCHAR)]
+    writer = OrcWriter(schema, stripe_rows=stripe_rows, bloom_columns=bloom)
+    writer.add_page(page_from_rows([t for _, t in schema], rows))
     return writer.finish()
 
 
@@ -455,3 +454,156 @@ def test_tpch_statistics_match_reality():
     tpch = TpchConnector(scale_factor=0.001)
     stats = tpch.statistics("orders")
     assert stats.row_count == len(tpch.generate_rows("orders"))
+
+
+# The scalar generator the columnar one replaced, kept as its reference:
+# SplitMix64 per value, one row tuple at a time.
+
+
+def _ref_mix(value):
+    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return value ^ (value >> 31)
+
+
+def _ref_rand(key, salt, modulus):
+    return _ref_mix(key * 1000003 + salt) % modulus
+
+
+def _ref_row(tpch, table, i):
+    from repro.connectors import tpch as t
+
+    r, counts = _ref_rand, tpch.row_counts
+    if table == "region":
+        return (i, t.REGIONS[i])
+    if table == "nation":
+        return (i, *t.NATIONS[i])
+    if table == "supplier":
+        return (i, f"Supplier#{i:09d}", r(i, 11, 25), round(r(i, 12, 1_099_999) / 100 - 999.99, 2))
+    if table == "customer":
+        return (
+            i, f"Customer#{i:09d}", r(i, 21, 25), t.SEGMENTS[r(i, 22, 5)],
+            round(r(i, 23, 1_099_999) / 100 - 999.99, 2),
+        )
+    if table == "part":
+        return (
+            i, f"part {i}", t.BRANDS[r(i, 31, 25)], t.PART_TYPES[r(i, 32, len(t.PART_TYPES))],
+            1 + r(i, 33, 50), round(900 + (i % 1000) + r(i, 34, 10000) / 100, 2),
+        )
+    if table == "partsupp":
+        return (
+            i % counts["part"], r(i, 41, counts["supplier"]), 1 + r(i, 42, 9999),
+            round(r(i, 43, 100000) / 100, 2),
+        )
+    if table == "orders":
+        customers = counts["customer"]
+        if r(i, 51, 3) == 0:
+            custkey = r(i, 52, max(1, customers // 3))
+        else:
+            custkey = r(i, 53, customers)
+        return (
+            i, custkey, "FOP"[r(i, 54, 3)], round(1000 + r(i, 55, 45_000_000) / 100, 2),
+            t.MIN_ORDER_DATE + r(i, 56, t.MAX_ORDER_DATE - t.MIN_ORDER_DATE),
+            t.PRIORITIES[r(i, 57, 5)], r(i, 58, 2),
+        )
+    assert table == "lineitem"
+    quantity = 1 + r(i, 61, 50)
+    return (
+        i % counts["orders"], r(i, 64, counts["part"]), r(i, 65, counts["supplier"]),
+        (i // counts["orders"]) + 1, float(quantity),
+        round(quantity * (900 + r(i, 62, 20000) / 100), 2),
+        r(i, 66, 11) / 100.0, r(i, 67, 9) / 100.0,
+        t.RETURN_FLAGS[r(i, 68, 3)], t.LINE_STATUSES[r(i, 69, 2)],
+        t.MIN_ORDER_DATE + r(i, 70, t.MAX_ORDER_DATE - t.MIN_ORDER_DATE) + r(i, 63, 120) % 90,
+        t.SHIP_INSTRUCTIONS[r(i, 71, 4)], t.SHIP_MODES[r(i, 72, 7)],
+    )
+
+
+def _typed(rows):
+    """Each value with its python type; ``repr`` tells -0.0 from 0.0."""
+    return [tuple((type(v).__name__, repr(v)) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("scale_factor", [0.002, 0.005, 0.01])
+def test_tpch_columns_match_the_scalar_generator(scale_factor):
+    tpch = TpchConnector(scale_factor)
+    for table, count in tpch.row_counts.items():
+        expected = [_ref_row(tpch, table, i) for i in range(count)]
+        assert _typed(tpch.generate_rows(table)) == _typed(expected), table
+
+
+def test_tpch_rounds_as_python_round():
+    """Generated prices sit on whole cents, where ``np.round`` and
+    python's ``round`` agree; on halfway values they do not, and the
+    generator must keep python's."""
+    import numpy as np
+
+    from repro.connectors.tpch import _round2
+
+    values = [0.015, 0.215, 0.715, 1.005, 2.675, -0.015, 1234.565]
+    assert _round2(np.array(values)).tolist() == [round(v, 2) for v in values]
+
+
+def test_tpch_scan_of_a_column_subset_is_the_projection():
+    tpch = TpchConnector(0.002)
+    rows = tpch.generate_rows("lineitem")
+    names = [c.name for c in tpch.columns("lineitem")]
+    subset = ["shipmode", "extendedprice", "orderkey"]
+    page = tpch.generate_page("lineitem", 100, 5000, subset)
+    assert _typed(page.rows()) == _typed(
+        [tuple(row[names.index(c)] for c in subset) for row in rows[100:5100]]
+    )
+    engine = LocalEngine(catalog="tpch", schema="tiny")
+    engine.register_catalog("tpch", tpch)
+    scanned = engine.execute("SELECT quantity, returnflag FROM lineitem").rows
+    assert sorted(scanned) == sorted((r[4], r[8]) for r in rows)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("mode", ["vector", "row"])
+def test_raptor_sorted_buckets_keep_the_tuple_sort_order(mode, nan):
+    """A bucketed ``sorted_by`` table with NULLs, ties, signed zeros and
+    a varchar key reads back each bucket's rows in the order of the
+    tuple sort ``(v is None, v)``: NULLs last, ties in arrival order,
+    NaN keys included."""
+    from repro.connectors.hashing import stable_bucket
+    from repro.exec import kernels
+    from repro.workload.datasets import _load_table
+
+    columns = [("k", BIGINT), ("s", VARCHAR), ("x", DOUBLE), ("n", BIGINT)]
+    rng = random.Random(5)
+    rows = [
+        (
+            rng.randrange(6),
+            rng.choice(["b", "a", "ab", "", None, "B"]),
+            rng.choice([1.5, -0.0, 0.0, None, -2.0] + [float("nan")] * nan),
+            i,
+        )
+        for i in range(300)
+    ]
+    types = [t for _, t in columns]
+    pages = [page_from_rows(types, rows[s : s + 64]) for s in range(0, len(rows), 64)]
+    raptor = RaptorConnector(hosts=("n1", "n2"), max_rows_per_shard=25)
+    properties = {"bucketed_by": "k", "bucket_count": 4, "sorted_by": ["s", "x"]}
+    with kernels.forced_mode(mode):
+        _load_table(raptor, "raptor", "default", "t", columns, pages, properties)
+    table = raptor.table(raptor.metadata.get_table_handle("default", "t"))
+    got = [
+        (shard.bucket, [r for p in OrcReader(shard.file, ["k", "s", "x", "n"], lazy=False).pages()
+                        for r in p.rows()])
+        for shard in table.shards
+    ]
+    by_bucket: dict = {}
+    for row in rows:
+        by_bucket.setdefault(stable_bucket([row[0]], 4), []).append(row)
+    expected = []
+    for bucket, bucket_rows in by_bucket.items():
+        bucket_rows.sort(key=lambda r: tuple((r[i] is None, r[i]) for i in (1, 2)))
+        expected += [(bucket, bucket_rows[s : s + 25]) for s in range(0, len(bucket_rows), 25)]
+    # ``n`` numbers the rows, so equal lists mean equal orders. A dict
+    # chunk keeps one zero of either sign, hence the ``+ 0.0``.
+    def unsigned(rows):
+        return _typed(tuple(v + 0.0 if type(v) is float else v for v in r) for r in rows)
+
+    assert [(b, unsigned(r)) for b, r in got] == [(b, unsigned(r)) for b, r in expected]

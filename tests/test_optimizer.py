@@ -292,12 +292,13 @@ def test_index_join_selected_for_selective_probe():
     metadata.register_catalog("shardedsql", sharded)
     planner_md = metadata
     # Load a table through the connector API.
+    from repro.exec.page import page_from_rows
     from repro.workload.datasets import _load_table
 
     _load_table(
         sharded, "shardedsql", "default", "prod",
         [("k", BIGINT), ("v", DOUBLE)],
-        [(i, float(i)) for i in range(5000)],
+        [page_from_rows([BIGINT, DOUBLE], [(i, float(i)) for i in range(5000)])],
         {"shard_by": "k"},
     )
     planner = LogicalPlanner(planner_md, SessionContext("shardedsql", "default"))

@@ -11,6 +11,7 @@ from repro.client import LocalEngine
 from repro.connectors.hive.format import OrcReader, OrcWriter, ReadStats
 from repro.connectors.memory import MemoryConnector
 from repro.connectors.predicate import Domain, Range, TupleDomain
+from repro.exec.page import page_from_rows
 from repro.types import BIGINT, DOUBLE, VARCHAR
 
 
@@ -31,7 +32,7 @@ from repro.types import BIGINT, DOUBLE, VARCHAR
 )
 def test_stripe_skipping_sound(values, low, width, stripe_rows):
     writer = OrcWriter([("k", BIGINT)], stripe_rows=stripe_rows, bloom_columns=("k",))
-    writer.add_rows([(v,) for v in values])
+    writer.add_page(page_from_rows([BIGINT], [(v,) for v in values]))
     file = writer.finish()
     domain = Domain.range(Range(low, low + width))
     constraint = TupleDomain({"k": domain})
@@ -54,7 +55,7 @@ def test_stripe_skipping_sound(values, low, width, stripe_rows):
 )
 def test_bloom_skipping_sound(values, probe, stripe_rows):
     writer = OrcWriter([("k", BIGINT)], stripe_rows=stripe_rows, bloom_columns=("k",))
-    writer.add_rows([(v,) for v in values])
+    writer.add_page(page_from_rows([BIGINT], [(v,) for v in values]))
     file = writer.finish()
     constraint = TupleDomain({"k": Domain.single_value(probe)})
     reader = OrcReader(file, ["k"], constraint, lazy=False)
@@ -266,6 +267,52 @@ def test_block_statistics_match_the_value_reference(mix):
     assert repr(compute_block_statistics(type_, blocks)) == repr(
         compute_column_statistics(values)
     )
+
+
+def _make_block_with_a_null_scan(type_, values):
+    """``make_block`` as it was before its ``None not in items`` test:
+    one generator step per value for the null mask."""
+    from repro.exec.blocks import _NUMPY_DTYPES, PrimitiveBlock
+    from repro.types import BOOLEAN
+
+    items = list(values)
+    nulls = np.fromiter((v is None for v in items), dtype=np.bool_, count=len(items))
+    fill = False if type_ is BOOLEAN else 0
+    data = np.array([fill if v is None else v for v in items], dtype=_NUMPY_DTYPES[type_])
+    return PrimitiveBlock(type_, data, nulls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    type_name=st.sampled_from(["bigint", "date", "double", "boolean"]),
+    items=st.lists(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-(2**64), 2**64),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        max_size=8,
+    ),
+)
+@example(type_name="double", items=[float("nan"), 1.0])
+@example(type_name="bigint", items=[2**63, 1])
+@example(type_name="boolean", items=[True, 0, 2])
+def test_make_block_matches_the_per_value_null_scan(type_name, items):
+    from repro.exec.blocks import make_block
+    from repro.types import parse_type
+
+    type_ = parse_type(type_name)
+
+    def outcome(build):
+        try:
+            block = build(type_, items)
+        except Exception as error:  # the same exception, or the same block
+            return type(error).__name__, str(error)
+        values = block.values
+        return type(block).__name__, values.dtype, values.tobytes(), block.nulls.tobytes()
+
+    assert outcome(make_block) == outcome(_make_block_with_a_null_scan)
 
 
 @settings(max_examples=300, deadline=None)
