@@ -602,26 +602,13 @@ class SimCluster:
 
     def checkpoint(self) -> CoordinatorCheckpoint:
         """Snapshot coordinator progress so a restart can resume retry
-        budgets and prove which spool segments existed."""
-        retry_budgets: dict[str, int] = {}
-        split_journal: dict[str, dict] = {}
-        for query in self.queries.values():
-            if query.state != "running":
-                continue
-            retry_budgets[query.query_id] = query._task_retries
-            logs = {}
-            for stage in query.stages.values():
-                for task in stage.tasks:
-                    logs[task.producer_key] = len(task.split_log)
-            split_journal[query.query_id] = logs
+        budgets."""
         snap = CoordinatorCheckpoint(
-            at_ms=self.sim.now,
-            admitted=tuple(q for q, _ in self.journal.admitted),
-            completed=frozenset(self.journal.completed),
-            committed=frozenset(self.journal.commits),
-            retry_budgets=retry_budgets,
-            split_journal=split_journal,
-            spool_manifest=self.spool.manifest(),
+            retry_budgets={
+                query.query_id: query._task_retries
+                for query in self.queries.values()
+                if query.state == "running"
+            }
         )
         self.journal.last_checkpoint = snap
         self.journal.checkpoints_taken += 1

@@ -62,10 +62,9 @@ class FaultToleranceConfig:
     # Wall-clock (virtual) query timeout; None disables. Timed-out
     # queries are killed with ExceededTimeLimitError.
     query_timeout_ms: float | None = None
-    # Coordinator checkpointing: snapshot the query journal (admitted
-    # queries, retry budgets, split journal, spool manifest) onto the
-    # virtual clock every interval. None disables the loop (the
-    # write-ahead journal itself is always maintained).
+    # Coordinator checkpointing: snapshot the retry budgets of running
+    # queries onto the virtual clock every interval. None disables the
+    # loop (the write-ahead journal itself is always maintained).
     checkpoint_interval_ms: float | None = None
 
 
@@ -105,21 +104,11 @@ class RetryPolicy:
 class CoordinatorCheckpoint:
     """Periodic snapshot of coordinator execution state, taken on the
     virtual clock. A restarted coordinator replays the journal for
-    *what* to re-run and the checkpoint for *how far* it had gotten:
-    retry budgets spent (so a crash loop cannot launder them), the
-    per-task split journal, and the spool manifest of streams that
-    already survived durably."""
+    *what* to re-run and reads the checkpoint for the retry budgets
+    already spent, so a crash loop cannot launder them."""
 
-    at_ms: float
-    admitted: tuple[str, ...]
-    completed: frozenset[str]
-    committed: frozenset[str]
     # query_id -> task retries already spent.
     retry_budgets: dict[str, int] = field(default_factory=dict)
-    # query_id -> {(producer_key): split count journaled}.
-    split_journal: dict[str, dict[tuple, int]] = field(default_factory=dict)
-    # SpoolStore.manifest() snapshot.
-    spool_manifest: dict = field(default_factory=dict)
 
 
 class CoordinatorJournal:

@@ -24,17 +24,24 @@ on surviving workers. Three mechanisms make the re-execution exact:
 - **Split replay.** Every split assignment is journaled on the task
   (``split_log``); a replacement replays the log in order, so a leaf
   task regenerates bit-identical output.
-- **Exchange re-request.** Output buffers retain sent pages and number
-  them per partition; a replacement producer resumes its send cursor
-  past the deliveries its consumers already acknowledged, and consumers
-  drop any page whose sequence number they have seen (dedup), so
-  duplicated or re-sent transfers cannot change results.
+- **Exchange re-request.** Output buffers number their pages per
+  partition and keep none they sent; every polled page is written to
+  the durable spool (``SpoolStore``), the one source replay reads. A
+  replacement producer resumes its send cursor past the deliveries its
+  consumers already acknowledged, and consumers drop any page whose
+  sequence number they have seen (dedup), so duplicated or re-sent
+  transfers cannot change results.
 - **Delivery-order replay.** For a *replaced consumer*, per-page dedup
   is not enough: operators like hash aggregation are sensitive to the
   merged arrival order across producers (group insertion order). The
   coordinator therefore logs, per (consumer stage, partition, remote
   source), the exact sequence of accepted deliveries; a replacement
-  consumer is fed that log verbatim before normal pumping resumes.
+  consumer is fed that log verbatim from the spool; then each producer
+  re-sends its in-flight tail (pages polled for the lost attempt but
+  never accepted) from the spool, and normal pumping resumes. A segment
+  the spool lost or failed to verify is restored by lineage
+  re-execution of its producer: the attempt's regenerated pages below
+  its resume point are spooled again.
   Cross-client interleaving does not affect operator output (per-client
   FIFO is preserved and pipelines consume one exchange at a time), so
   logging per client is sufficient for bit-exact recovery.
@@ -243,6 +250,10 @@ class QueryExecution:
         # (the resume point for a re-executed producer).
         self._delivered_counts: dict[tuple[tuple[int, int], int], int] = {}
         self._replays: dict[tuple[int, int, tuple], _ReplayState] = {}
+        # (producer_key, consumer_partition) -> the sequence numbers a
+        # replaced consumer was sent but never accepted, re-sent from
+        # the spool before the producer's buffer is polled again.
+        self._resend: dict[tuple[tuple[int, int], int], range] = {}
         # producer_key -> last attempt number handed out.
         self._attempts: dict[tuple[int, int], int] = {}
         # Round-robin routing journals shared across attempts, keyed by
@@ -428,7 +439,6 @@ class QueryExecution:
             output_partition_count=output_partitions,
             cost_model=cluster.cost_model,
             buffer_capacity=cluster.config.output_buffer_bytes,
-            retain_output=self._recovery_active,
             attempt=attempt,
             routing_log=routing_log,
             # First-apply-wins fence for TableFinish commits, backed by
@@ -592,24 +602,29 @@ class QueryExecution:
             return
         if self._output_lost(task, partition):
             return  # recovery re-executes the task once the detector fires
-        delivery = task.output_buffer.poll(partition)
-        # A poll is where output drains, so it is where a stage can
-        # become complete: checking only after a task's own quantum
-        # would miss a last page polled from a deliver() chain.
-        self._check_stage_completed(self.stages[task.fragment.id])
-        if delivery is None:
-            eof_key = (task.producer_key, partition)
-            if task.output_buffer.is_drained(partition) and eof_key not in self._transfer_eof:
-                self._transfer_eof.add(eof_key)
-                self._deliver_eof(replay_key, task.producer_key)
-            return
-        if self._recovery_active:
-            # Durable spooling happens at poll time (the page leaves the
-            # producer's pending window here), charged zero virtual time:
-            # the spool changes what survives, not any timing.
-            self.cluster.spool.put(
-                self.query_id, task.producer_key, partition, delivery
-            )
+        stream = (task.producer_key, partition)
+        if self._resend.get(stream):
+            delivery = self._resend_from_spool(task, partition)
+            if delivery is None:
+                return  # the spool lost it: lineage re-execution took over
+        else:
+            delivery = task.output_buffer.poll(partition)
+            # A poll is where output drains, so it is where a stage can
+            # become complete: checking only after a task's own quantum
+            # would miss a last page polled from a deliver() chain.
+            self._check_stage_completed(self.stages[task.fragment.id])
+            if delivery is None:
+                if task.output_buffer.is_drained(partition) and stream not in self._transfer_eof:
+                    self._transfer_eof.add(stream)
+                    self._deliver_eof(replay_key, task.producer_key)
+                return
+            if self._recovery_active:
+                # Durable spooling happens at poll time (the page leaves
+                # the producer here), charged zero virtual time: the
+                # spool changes what survives, not any timing.
+                self.cluster.spool.put(
+                    self.query_id, task.producer_key, partition, delivery
+                )
         self._transfer_inflight.add(key)
         cost = self.cluster.cost_model.transfer_ms(delivery.bytes)
         self.cluster.network_bytes += delivery.bytes
@@ -649,7 +664,6 @@ class QueryExecution:
             accepted = self._hand_over(replay_key, producer_key, delivery)
             if accepted and replay_key not in self._replays:
                 self._record_delivery(replay_key, producer_key, delivery.seq)
-                self._release_acked(task, partition, delivery.seq)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
             if accepted and self.cluster.roll_transfer_duplicate():
@@ -692,14 +706,32 @@ class QueryExecution:
             consumer_task.release_held_input()
         return accepted
 
-    def _release_acked(self, task: SimTask, partition: int, seq: int) -> None:
-        """Retained-buffer GC: the consumer acknowledged a segment and
-        the spool holds the durable copy, so the producer-side retained
-        page is released (replay reads it from the spool instead). A
-        buffer that retains nothing — recovery off — releases nothing."""
-        released = task.output_buffer.release_retained(partition, seq)
-        if released:
-            self.cluster.spool_bytes_reclaimed += released
+    def _resend_from_spool(self, task: SimTask, partition: int):
+        """The next page of ``task``'s in-flight tail to a replaced
+        consumer, read from the spool. None when the spool cannot serve
+        it: the producer is re-executed (or the query failed) instead."""
+        stream = (task.producer_key, partition)
+        tail = self._resend[stream]
+        self._resend[stream] = tail[1:]
+        segment = self.cluster.spool.get(
+            self.query_id, task.producer_key, partition, tail[0]
+        )
+        if segment is None:
+            self._segment_lost(task, partition, tail[0])
+        return segment
+
+    def _segment_lost(self, producer: SimTask, partition: int, seq: int) -> None:
+        """The spool cannot serve a page ``producer``'s current attempt
+        already made (missing, or dropped for a checksum mismatch): fall
+        back to lineage re-execution, whose regenerated pages are
+        spooled again (``on_task_quantum``)."""
+        if not self.recover_tasks([producer]):
+            self.fail(
+                TransferFailedError(
+                    f"Spooled segment {producer.producer_key}/{partition}/{seq} "
+                    "unrecoverable and task recovery exhausted"
+                )
+            )
 
     def _record_delivery(self, replay_key, producer_key, seq: int) -> None:
         if not self._recovery_active:
@@ -768,9 +800,6 @@ class QueryExecution:
                 return  # the root node died; wait for recovery
             delivery = self._take_root_page(root_task)
             if delivery is not None:
-                # The client's fetch is the ack; the coordinator keeps
-                # the pages, so the retained copy can be GC'd.
-                self._release_acked(root_task, 0, delivery.seq)
                 root_task.worker.kick(root_task)
                 # Model client download bandwidth (slow BI clients hold
                 # buffers, Sec. IV-E2).
@@ -904,6 +933,8 @@ class QueryExecution:
         # as pending, so replay cannot deadlock on backpressure.
         for p in range(new.output_buffer.partition_count):
             self._transfer_inflight.discard((old.task_id, p))
+            # The new attempt sends from the acknowledged count itself.
+            self._resend.pop((producer_key, p), None)
             if consumer is None:
                 new.output_buffer.resume_from(p, self._root_deliveries)
             else:
@@ -912,20 +943,19 @@ class QueryExecution:
                 )
         # (b) Consumer side: fresh exchange clients must hear every
         # upstream stream again — re-feed the logged merged order first,
-        # and cancel/rewind anything aimed at the dead attempt.
+        # then the pages in flight to the dead attempt, and cancel the
+        # EOFs aimed at it.
         for client_key in new.exchange_clients:
             for producer in [t for fid in client_key for t in self.stages[fid].tasks]:
-                self._transfer_eof.discard((producer.producer_key, new.partition))
-                if producer.worker.alive and not producer.superseded:
-                    # An in-flight transfer advanced the cursor past the
-                    # accepted count; rewind so the page is re-sent after
-                    # the replay (the stale in-flight copy is deduped).
-                    producer.output_buffer.rewind_to(
-                        new.partition,
-                        self._delivered_counts.get(
-                            (producer.producer_key, new.partition), 0
-                        ),
-                    )
+                stream = (producer.producer_key, new.partition)
+                self._transfer_eof.discard(stream)
+                # Polled past the accepted count: those pages are re-sent
+                # from the spool after the replay (a stale in-flight copy
+                # is deduped).
+                self._resend[stream] = range(
+                    self._delivered_counts.get(stream, 0),
+                    producer.output_buffer.sent(new.partition),
+                )
             replay_key = (fragment_id, new.partition, client_key)
             if self._delivery_log.get(replay_key):
                 self._replays[replay_key] = _ReplayState()
@@ -974,22 +1004,10 @@ class QueryExecution:
         producer = self.stages[producer_key[0]].tasks[producer_key[1]]
         if self._output_lost(producer, partition):
             return  # the producer died too; its replacement re-triggers us
-        delivery = self._replay_source(producer, partition, seq)
+        delivery = self.cluster.spool.get(self.query_id, producer_key, partition, seq)
         if delivery is None:
-            if producer.output_buffer.is_drained(partition):
-                # The stream is supposedly complete, yet neither worker
-                # memory nor the spool can serve this segment (lost or
-                # checksum-corrupt): fall back to lineage re-execution
-                # of the producer — its regenerated buffer serves the
-                # replay directly.
-                if not self.recover_tasks([producer]):
-                    self.fail(
-                        TransferFailedError(
-                            f"Spooled segment {producer.producer_key}/"
-                            f"{partition}/{seq} unrecoverable and task "
-                            "recovery exhausted"
-                        )
-                    )
+            if seq < producer.output_buffer.added(partition):
+                self._segment_lost(producer, partition, seq)
             return  # not regenerated yet; producer quanta re-trigger us
         state.inflight = True
         cost = self.cluster.cost_model.transfer_ms(delivery.bytes)
@@ -1004,18 +1022,6 @@ class QueryExecution:
             self._advance_replay(replay_key)
 
         self._later(cost, arrive)
-
-    def _replay_source(self, producer: SimTask, partition: int, seq: int):
-        """Where a replayed delivery is read from: the producer's
-        retained buffer while its node is alive and still holds the
-        slot, otherwise the durable spool (dead node, or GC reclaimed
-        the retained copy)."""
-        buffered = producer.output_buffer.get_delivery(partition, seq)
-        if producer.worker.alive and buffered is not None:
-            return buffered
-        return self.cluster.spool.get(
-            self.query_id, producer.producer_key, partition, seq
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1044,12 +1050,18 @@ class QueryExecution:
         # or finished. Every other way a partition can have something to
         # send re-pumps it itself (a completed delivery or replay, a
         # replaced consumer, a dead worker's sweep).
-        dirty = task.output_buffer.take_dirty()
+        dirty = buffer.take_dirty()
+        regenerated = buffer.take_regenerated()
         if task.fragment.id not in self._consumers:
             # The root's consumer is the client, whose long poll is
             # re-armed after every quantum of the root task.
             self._schedule_client_poll()
         else:
+            # A re-executed attempt's acknowledged prefix: a no-op
+            # rewrite, unless the spool dropped the segment (lineage
+            # fallback), which this restores for the replay waiting on it.
+            for partition, delivery in regenerated:
+                self.cluster.spool.put(self.query_id, task.producer_key, partition, delivery)
             for partition in dirty:
                 self._pump_transfers(task, partition)
         self._check_stage_completed(stage)

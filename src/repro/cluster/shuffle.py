@@ -15,12 +15,16 @@ released it), and ``poll`` concatenates what it holds, up to that
 target ("few large messages", Hespe et al., PAPERS.md). Coalescing
 follows ``deliver``'s dedup: replay and the delivery log see the pages
 the producers sent.
+
+A buffer keeps no page it sent, with task recovery on or off: recovery
+re-reads sent pages from the durable spool (cluster/spool.py), the one
+replay source.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.connectors.hashing import stable_hash
@@ -67,49 +71,38 @@ def _materialize(page: Page) -> Page:
 class OutputBuffer:
     """Per-task output buffer, partitioned by destination.
 
-    Each partition is an append-only sequence of deliveries with a send
-    cursor. ``poll`` returns the delivery at the cursor and advances it
-    (the implicit ack of the long-polling protocol releases its space).
-    With ``retain=True`` (fault-tolerant execution) polled deliveries
-    are kept so a lost consumer can re-request the stream from any
-    sequence number; without retention the slot is dropped so memory
-    behaviour matches the paper's buffer-space-only accounting.
+    Each partition numbers its deliveries in add order and queues them
+    until ``poll`` hands one out; the implicit ack of the long-polling
+    protocol releases its space, and the buffer keeps nothing it sent
+    (with task recovery on, the transfer service spools every polled
+    delivery: that copy, not this buffer, serves replay).
     ``resume_from`` lets a re-executed task skip sequence numbers its
-    consumer already acknowledged: the regenerated pages are recorded
-    (keeping seq numbers aligned) but never count as pending output.
+    consumer already acknowledged: a regenerated page below the resume
+    point never counts as pending output; it waits for the coordinator
+    to spool it (``take_regenerated``), which is how a lineage
+    re-execution restores a lost or corrupt spool segment.
     """
 
-    def __init__(
-        self,
-        partition_count: int,
-        capacity_bytes: int = DEFAULT_BUFFER_CAPACITY,
-        retain: bool = False,
-    ):
+    def __init__(self, partition_count: int, capacity_bytes: int = DEFAULT_BUFFER_CAPACITY):
         self.partition_count = partition_count
         # Round-robin sinks spread data over only this many partitions;
         # the coordinator raises it for adaptive writer scaling (IV-E3).
         self.active_partitions = partition_count
         self.capacity_bytes = capacity_bytes
-        self.retain = retain
         self.pressure_seen = False
-        self._partitions: list[list[Optional[_Delivery]]] = [
-            [] for _ in range(partition_count)
-        ]
-        self._cursors: list[int] = [0] * partition_count
+        #: Pending (unsent) deliveries per partition.
+        self.queues: list[deque[_Delivery]] = [deque() for _ in range(partition_count)]
+        # Per partition: sequence numbers handed out, and the send
+        # cursor (deliveries polled, or skipped by ``resume_from``).
+        self._added: list[int] = [0] * partition_count
+        self._sent: list[int] = [0] * partition_count
+        self._regenerated: list[tuple[int, _Delivery]] = []
         self.buffered_bytes = 0
         self.finished = False
         # Bit p set: partition p was written to (or finished) since
         # take_dirty() last ran — whoever ships the output pumps those
         # partitions and no others.
         self._dirty = 0
-
-    @property
-    def queues(self) -> list[list[_Delivery]]:
-        """Pending (unsent) deliveries per partition."""
-        return [
-            [d for d in partition[cursor:] if d is not None]
-            for partition, cursor in zip(self._partitions, self._cursors)
-        ]
 
     @property
     def utilization(self) -> float:
@@ -120,17 +113,18 @@ class OutputBuffer:
 
     def add(self, partition: int, page: Page) -> None:
         size = page.size_bytes()
-        entries = self._partitions[partition]
-        delivery = _Delivery(page, size, seq=len(entries))
-        entries.append(delivery)
+        seq = self._added[partition]
+        self._added[partition] = seq + 1
+        delivery = _Delivery(page, size, seq)
         self._dirty |= 1 << partition
-        if delivery.seq < self._cursors[partition]:
+        if seq < self._sent[partition]:
             # Re-execution regenerating an already-acknowledged prefix:
-            # record it (sequence numbers stay aligned) but it is not
-            # pending output and exerts no backpressure. (It still marks
-            # the partition dirty: a consumer replay may be waiting for
-            # exactly this page.)
+            # not pending output, no backpressure. (It still marks the
+            # partition dirty: a consumer replay may be waiting for
+            # exactly this page to reach the spool.)
+            self._regenerated.append((partition, delivery))
             return
+        self.queues[partition].append(delivery)
         self.buffered_bytes += size
         if self.utilization > WRITER_SCALING_PRESSURE:
             self.pressure_seen = True
@@ -142,66 +136,38 @@ class OutputBuffer:
         self.pressure_seen = False
         return seen
 
+    def take_regenerated(self) -> list[tuple[int, _Delivery]]:
+        """Return-and-clear: the (partition, delivery) pairs regenerated
+        below the resume point since the last call."""
+        regenerated = self._regenerated
+        if regenerated:
+            self._regenerated = []
+        return regenerated
+
     def poll(self, partition: int) -> Optional[_Delivery]:
         """Take the next page for ``partition``; releases its space (the
         implicit ack of the long-polling protocol)."""
-        entries = self._partitions[partition]
-        cursor = self._cursors[partition]
-        if cursor >= len(entries):
+        queue = self.queues[partition]
+        if not queue:
             return None
-        delivery = entries[cursor]
-        if not self.retain:
-            entries[cursor] = None  # release the reference with the space
-        self._cursors[partition] = cursor + 1
+        delivery = queue.popleft()
+        self._sent[partition] += 1
         self.buffered_bytes -= delivery.bytes
         return delivery
 
-    def get_delivery(self, partition: int, seq: int) -> Optional[_Delivery]:
-        """Replay lookup (requires retention): the delivery with the
-        given sequence number, or None if not (re)generated yet."""
-        entries = self._partitions[partition]
-        if seq >= len(entries):
-            return None
-        return entries[seq]
+    def added(self, partition: int) -> int:
+        """Sequence numbers of ``partition`` this attempt has produced."""
+        return self._added[partition]
+
+    def sent(self, partition: int) -> int:
+        """The send cursor: the sequence number ``poll`` hands out next."""
+        return self._sent[partition]
 
     def resume_from(self, partition: int, seq: int) -> None:
         """Position the send cursor of a fresh (re-executed) task past
         the deliveries its consumer already acknowledged."""
-        assert not self._partitions[partition], "resume_from on a used buffer"
-        self._cursors[partition] = seq
-
-    def release_retained(self, partition: int, seq: int) -> int:
-        """GC one retained, already-polled delivery after the consumer
-        acknowledged it *and* the segment is durably spooled. Returns
-        the bytes released (0 if already gone or still pending). Only
-        entries strictly below the cursor are eligible: the in-flight
-        window [acked, cursor) is never touched, and ``rewind_to`` never
-        rewinds below the acknowledged count, so a GC'd slot can only be
-        read again via the spool."""
-        if not self.retain:
-            return 0
-        entries = self._partitions[partition]
-        if seq >= self._cursors[partition] or seq >= len(entries):
-            return 0
-        entry = entries[seq]
-        if entry is None:
-            return 0
-        entries[seq] = None
-        return entry.bytes
-
-    def rewind_to(self, partition: int, seq: int) -> None:
-        """Move the send cursor back to ``seq`` (requires retention).
-        Pages past it become pending again and are re-sent — used when a
-        replaced consumer must re-request a stream whose tail was still
-        in flight (the stale in-flight copy is deduped on arrival)."""
-        assert self.retain, "rewind_to requires retention"
-        cursor = self._cursors[partition]
-        if seq >= cursor:
-            return
-        for entry in self._partitions[partition][seq:cursor]:
-            if entry is not None:
-                self.buffered_bytes += entry.bytes
-        self._cursors[partition] = seq
+        assert not self._added[partition], "resume_from on a used buffer"
+        self._sent[partition] = seq
 
     def set_finished(self) -> None:
         self.finished = True
@@ -216,13 +182,12 @@ class OutputBuffer:
         return [p for p in range(self.partition_count) if dirty >> p & 1]
 
     def is_drained(self, partition: int) -> bool:
-        return self.finished and self._cursors[partition] >= len(
-            self._partitions[partition]
-        )
+        return self.finished and not self.queues[partition]
 
     def close(self) -> None:
-        """The query settled: drop every page, sent or not."""
-        self._partitions = [[] for _ in range(self.partition_count)]
+        """The query settled: drop every page not sent."""
+        self.queues = [deque() for _ in range(self.partition_count)]
+        self._regenerated = []
         self.buffered_bytes = 0
 
 

@@ -1,20 +1,24 @@
 """External spool store for drained task output (fault tolerance).
 
-The paper's exchange keeps produced pages in worker memory until the
-consumer acknowledges them (Sec. IV-E2). Our task-recovery layer
-retains acknowledged pages too, so a *replaced consumer* can re-request
-a stream — but a copy in the producer's heap dies with the producer's
-node, and replay after a node death must rest on state that survives it.
+The paper's exchange keeps produced pages in worker memory only until
+the consumer acknowledges them (Sec. IV-E2), and so do our output
+buffers. A *replaced consumer* must re-request its streams, though,
+and a copy in the producer's heap would die with the producer's node:
+replay must rest on state that survives it.
 
-:class:`SpoolStore` is that state. While task recovery is active, every
-delivery the transfer service polls out of an output buffer is also
-written here as a seq-numbered, checksummed segment keyed by the
-*logical* stream identity ``(query_id, producer_key, partition)`` —
-stable across task re-execution attempts, exactly like exchange-level
-dedup. Replay prefers worker memory while the producer is reachable and
-falls back to the spool when it is not (or when GC already reclaimed
-the retained copy); a checksum mismatch reads as a miss, pushing the
-coordinator to lineage re-execution instead of serving corrupt bytes.
+:class:`SpoolStore` is that state, and the only place replay reads.
+While task recovery is active, every delivery the transfer service
+polls out of an output buffer is also written here as a seq-numbered,
+checksummed segment keyed by the *logical* stream identity
+``(query_id, producer_key, partition)`` — stable across task
+re-execution attempts, exactly like exchange-level dedup. A replaced
+consumer's delivery log and each producer's in-flight tail are re-read
+from here, whether the producer lives or not. A segment that fails
+verification is dropped and reads as a miss, pushing the coordinator to
+lineage re-execution instead of serving corrupt bytes; the re-executed
+attempt's regenerated pages are written back (``put``) and the replay
+reads them from here too. A query's segments are released when it
+settles.
 
 The store models durable shared storage (it survives worker crashes,
 network partitions, and coordinator restarts by construction); writes
@@ -91,26 +95,20 @@ class SpoolStore:
     ) -> Optional[SpoolSegment]:
         """Verified read: returns the segment, or None on a miss *or* a
         checksum mismatch (counted separately) — callers treat both as
-        "not durably spooled" and fall back to lineage replay."""
-        segment = self._segments.get((query_id, producer_key, partition, seq))
+        "not durably spooled" and fall back to lineage replay. A segment
+        that fails verification is dropped, so the regenerated page can
+        be written in its place."""
+        key = (query_id, producer_key, partition, seq)
+        segment = self._segments.get(key)
         if segment is None:
             self.misses += 1
             return None
         if page_checksum(segment.page) != segment.checksum:
             self.checksum_mismatches += 1
+            del self._segments[key]
             return None
         self.hits += 1
         return segment
-
-    def segment_count(
-        self, query_id: str, producer_key: tuple, partition: int
-    ) -> int:
-        """How many segments of one stream are spooled (manifest data)."""
-        return sum(
-            1
-            for (qid, pkey, part, _seq) in self._segments
-            if qid == query_id and pkey == producer_key and part == partition
-        )
 
     def corrupt(
         self, query_id: str, producer_key: tuple, partition: int, seq: int
@@ -130,14 +128,3 @@ class SpoolStore:
         for key in doomed:
             released += self._segments.pop(key).bytes
         return released
-
-    def manifest(self) -> dict[str, dict[tuple, int]]:
-        """Per-query stream -> segment-count map, snapshot into
-        coordinator checkpoints so a restarted coordinator knows what
-        already survived durably."""
-        out: dict[str, dict[tuple, int]] = {}
-        for (query_id, producer_key, partition, _seq) in self._segments:
-            streams = out.setdefault(query_id, {})
-            stream = (producer_key, partition)
-            streams[stream] = streams.get(stream, 0) + 1
-        return out

@@ -180,7 +180,6 @@ class SimTask:
         output_partition_count: int,
         cost_model: CostModel,
         buffer_capacity: int,
-        retain_output: bool = False,
         attempt: int = 0,
         routing_log: Optional[list] = None,
         on_commit: Optional[object] = None,
@@ -212,9 +211,7 @@ class SimTask:
             key: ExchangeClient(symbols, ordering)
             for key, (symbols, ordering) in template.remote_sources.items()
         }
-        self.output_buffer = OutputBuffer(
-            output_partition_count, buffer_capacity, retain=retain_output
-        )
+        self.output_buffer = OutputBuffer(output_partition_count, buffer_capacity)
         self.drivers = template.instantiate(self)
         # Bookkeeping kept where it changes instead of re-derived per
         # quantum: the drivers still running, every operator in one flat

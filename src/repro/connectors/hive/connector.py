@@ -202,8 +202,7 @@ class HiveMetadata(ConnectorMetadata):
                         table.partitions[partition_values] = partition
                     partition.file_paths.append(path)
         self.versions.bump_table(handle.schema, handle.table)
-        if self._connector.auto_analyze:
-            self._connector.analyze_table(handle.schema, handle.table)
+        self._connector.analyze_table(handle.schema, handle.table)
 
     def drop_table(self, handle: HiveTableHandle) -> None:
         table = self.metastore.get_table(handle.schema, handle.table)
@@ -344,14 +343,11 @@ class HiveConnector(Connector):
 
     def __init__(
         self,
-        dfs: SimulatedDfs | None = None,
-        metastore: Metastore | None = None,
         catalog_name: str = "hive",
         statistics_enabled: bool = True,
         lazy_reads_enabled: bool = True,
         stripe_rows: int = 10_000,
         bloom_columns: Sequence[str] = (),
-        auto_analyze: bool = True,
         max_rows_per_file: int = 2_048,
         stripe_skipping_enabled: bool = True,
     ):
@@ -361,14 +357,13 @@ class HiveConnector(Connector):
         # and lets experiments isolate lazy loading (Sec. V-D) from
         # stripe skipping.
         self.stripe_skipping_enabled = stripe_skipping_enabled
-        self.dfs = dfs or SimulatedDfs()
-        self.metastore = metastore or Metastore()
+        self.dfs = SimulatedDfs()
+        self.metastore = Metastore()
         self.catalog_name = catalog_name
         self.statistics_enabled = statistics_enabled
         self.lazy_reads_enabled = lazy_reads_enabled
         self.stripe_rows = stripe_rows
         self.bloom_columns = set(bloom_columns)
-        self.auto_analyze = auto_analyze
         self.read_stats = ReadStats()
         self._metadata = HiveMetadata(self)
         self._file_counter = itertools.count()

@@ -31,6 +31,7 @@ the chunks a write produces are pinned by tests/test_file_digests.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -54,6 +55,12 @@ from repro.types import BOOLEAN, DOUBLE, VARCHAR, Type
 
 DEFAULT_STRIPE_ROWS = 10_000
 _BLOOM_BITS = 1024
+
+
+def _signed(value):
+    """A value's dictionary key: -0.0 and 0.0 compare (and hash) equal,
+    but a file must read back the sign it was given."""
+    return (value, math.copysign(1.0, value)) if isinstance(value, float) else value
 
 
 def _avg_size(values: list) -> float:
@@ -312,9 +319,13 @@ class OrcWriter:
             if kind == "i" or not np.isnan(data).any():
                 min_value, max_value = data.min().item(), data.max().item()
         # Run boundaries from one shifted compare. NaN != NaN breaks
-        # runs, matching the reference encoder's `==` chaining; a null
-        # run continues only into another null.
+        # runs, matching the reference encoder's `==` chaining, and so
+        # does a change of sign (-0.0 == 0.0); a null run continues only
+        # into another null.
         eq = arr[1:] == arr[:-1]
+        if kind == "f":
+            signs = np.signbit(arr)
+            eq &= signs[1:] == signs[:-1]
         prev_null, next_null = nulls[:-1], nulls[1:]
         same = (eq & ~prev_null & ~next_null) | (prev_null & next_null)
         starts = np.append(0, np.flatnonzero(~same) + 1)
@@ -330,12 +341,12 @@ class OrcWriter:
                 self._bloom_from(name, run_values),
                 max(int(len(runs) * (value_size + 4)), 1),
             )
-        # Distinct count by one sort over canonical codes (-0.0 and 0.0
-        # are one value; NaNs unify by bit pattern, as the reference
+        # Distinct count by one sort over bit patterns (-0.0 and 0.0 are
+        # two entries; NaNs unify by bit pattern, as the reference
         # python-dict build does).
         valid = np.flatnonzero(~nulls)
         if kind == "f":
-            codes = (arr + 0.0).view(np.int64)[valid]
+            codes = arr.view(np.int64)[valid]
         else:
             codes = arr.astype(np.int64, copy=False)[valid]
         ordered = np.sort(codes)
@@ -455,7 +466,7 @@ class OrcWriter:
         # Choose the encoding.
         runs = self._run_length(values)
         try:
-            distinct = len(set(non_null))
+            distinct = len(set(map(_signed, non_null)))
             hashable = True
         except TypeError:
             distinct = len(non_null)
@@ -474,10 +485,11 @@ class OrcWriter:
                 if value is None:
                     indices.append(-1)
                     continue
-                index = dictionary.get(value)
+                key = _signed(value)
+                index = dictionary.get(key)
                 if index is None:
                     index = len(dict_values)
-                    dictionary[value] = index
+                    dictionary[key] = index
                     dict_values.append(value)
                 indices.append(index)
             encoding = "dict"
@@ -496,7 +508,8 @@ class OrcWriter:
         runs: list[tuple[object, int]] = []
         # row-path: reference run detection
         for value in values:
-            if runs and runs[-1][0] == value:
+            # `==` keeps NaN breaking runs; the key keeps -0.0 apart.
+            if runs and runs[-1][0] == value and _signed(runs[-1][0]) == _signed(value):
                 runs[-1] = (value, runs[-1][1] + 1)
             else:
                 runs.append((value, 1))

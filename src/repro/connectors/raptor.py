@@ -157,8 +157,7 @@ class RaptorMetadata(ConnectorMetadata):
         for shards in fragments:
             table.shards.extend(shards)
         self.versions.bump_table(insert_handle.schema, insert_handle.table)
-        if self._connector.auto_analyze:
-            self._connector.analyze_table(insert_handle)
+        self._connector.analyze_table(insert_handle)
 
     def drop_table(self, handle: RaptorTableHandle) -> None:
         self._connector.tables.pop(handle, None)
@@ -239,7 +238,6 @@ class RaptorConnector(Connector):
         catalog_name: str = "raptor",
         statistics_enabled: bool = True,
         stripe_rows: int = 10_000,
-        auto_analyze: bool = True,
         max_rows_per_shard: int = 2_048,
     ):
         self.max_rows_per_shard = max_rows_per_shard
@@ -247,7 +245,6 @@ class RaptorConnector(Connector):
         self.catalog_name = catalog_name
         self.statistics_enabled = statistics_enabled
         self.stripe_rows = stripe_rows
-        self.auto_analyze = auto_analyze
         self.tables: dict[RaptorTableHandle, RaptorTable] = {}
         self.shard_counter = itertools.count()
         self.read_stats = ReadStats()

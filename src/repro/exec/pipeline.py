@@ -73,7 +73,7 @@ class FusedPipelineOperator(Operator):
     replay journals work unchanged), the
     aggregation keeps its hash state (so spill revocation works
     unchanged), and the sink keeps its output buffer (so backpressure
-    and retained-stream recovery work unchanged). What fusion removes
+    and the numbered streams recovery re-requests work unchanged). What fusion removes
     is every driver-loop handshake and pending-page handoff between
     them: one :meth:`advance` call drains up to one split end-to-end.
 

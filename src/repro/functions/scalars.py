@@ -185,6 +185,7 @@ def register(registry: FunctionRegistry) -> None:  # noqa: C901 (a catalog is lo
     scalar("day_of_week", [DATE], BIGINT, lambda d: (d + 3) % 7 + 1)  # 1970-01-01 = Thu
     scalar("day_of_year", [DATE], BIGINT, _day_of_year)
     scalar("date_trunc", [VARCHAR, TIMESTAMP], TIMESTAMP, _date_trunc)
+    scalar("date_trunc", [VARCHAR, DATE], DATE, _date_trunc_days)
     # DATE and TIMESTAMP are int64 days and milliseconds: a result past
     # that range is out of range like a BIGINT one.
     scalar("date_add", [VARCHAR, BIGINT, DATE], DATE, lambda u, n, d: checked_bigint(_date_add_days(u, n, d)))
@@ -609,6 +610,7 @@ def _parse_date(text: str) -> int:
 
 
 _TRUNC_UNITS = {
+    "millisecond": 1,
     "second": 1000,
     "minute": _MS_PER_MINUTE,
     "hour": _MS_PER_HOUR,
@@ -624,6 +626,8 @@ def _date_trunc(unit: str, ts: int) -> int:
     year, month, _ = _civil_from_days(ts // _MS_PER_DAY)
     if unit == "month":
         return _days_from_civil(year, month, 1) * _MS_PER_DAY
+    if unit == "quarter":
+        return _days_from_civil(year, month - (month - 1) % 3, 1) * _MS_PER_DAY
     if unit == "year":
         return _days_from_civil(year, 1, 1) * _MS_PER_DAY
     if unit == "week":
@@ -632,18 +636,28 @@ def _date_trunc(unit: str, ts: int) -> int:
     raise InvalidFunctionArgumentError(f"Unknown date_trunc unit: {unit}")
 
 
+# The units date_add, date_diff and date_trunc accept on a DATE.
+_DATE_UNITS = ("day", "week", "month", "quarter", "year")
+
+
+def _date_trunc_days(unit: str, date: int) -> int:
+    if unit.lower() not in _DATE_UNITS:
+        raise InvalidFunctionArgumentError(f"Unknown date_trunc unit for date: {unit}")
+    return _date_trunc(unit, date * _MS_PER_DAY) // _MS_PER_DAY
+
+
 def _date_add_days(unit: str, amount: int, date: int) -> int:
     unit = unit.lower()
     if unit == "day":
         return date + amount
     if unit == "week":
         return date + amount * 7
-    if unit in ("month", "year"):
+    if unit in ("month", "quarter", "year"):
         year, month, day = _civil_from_days(date)
         if unit == "year":
             year += amount
         else:
-            total = (year * 12 + month - 1) + amount
+            total = (year * 12 + month - 1) + amount * (3 if unit == "quarter" else 1)
             year, month = divmod(total, 12)
             month += 1
         day = min(day, _days_in_month(year, month))
@@ -660,12 +674,12 @@ def _ts_add(unit: str, amount: int, ts: int) -> int:
 
 
 def _date_diff_days(unit: str, a: int, b: int) -> int:
-    if unit.lower() not in ("day", "week", "month", "quarter", "year"):
+    if unit.lower() not in _DATE_UNITS:
         raise InvalidFunctionArgumentError(f"Unknown date_diff unit for date: {unit}")
     return _ts_diff(unit, a * _MS_PER_DAY, b * _MS_PER_DAY)
 
 
-_DIFF_UNITS = {"millisecond": 1, **_TRUNC_UNITS, "week": 7 * _MS_PER_DAY}
+_DIFF_UNITS = {**_TRUNC_UNITS, "week": 7 * _MS_PER_DAY}
 _FEB_29_MS = 59 * _MS_PER_DAY  # into the year: the first instant past Feb 28
 
 

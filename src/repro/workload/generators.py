@@ -112,10 +112,11 @@ class ABTestingWorkload(_BaseWorkload):
         "connector": "Raptor",
     }
 
-    def __init__(self, experiments: int = 40, seed: int = 2,
-                 mean_inter_arrival_ms: float = 2_000.0):
+    # The experiments setup_ab_testing_dataset enrolls users in.
+    experiments = 40
+
+    def __init__(self, seed: int = 2, mean_inter_arrival_ms: float = 2_000.0):
         super().__init__(seed, mean_inter_arrival_ms)
-        self.experiments = experiments
 
     def make_query(self) -> WorkloadQuery:
         rng = self.rng

@@ -74,6 +74,27 @@ def test_mode_cross_parity(write_mode, read_mode):
     assert _norm(_read(file, read_mode)) == _norm(rows)
 
 
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize(
+    "values, encoding",
+    [
+        ([-0.0, 0.0, -0.0, 1.5] * 3, "dict"),
+        ([-0.0] * 5 + [0.0] * 5 + [2.0] * 30, "rle"),
+    ],
+)
+def test_signed_zeros_round_trip(mode, values, encoding):
+    """-0.0 == 0.0, but neither a dictionary entry nor a run may merge
+    them: the file reads back the sign of every zero."""
+    with kernels.forced_mode(mode):
+        writer = OrcWriter([("x", DOUBLE)])
+        writer.add_page(page_from_rows([DOUBLE], [(v,) for v in values]))
+        file = writer.finish()
+        assert file.stripes[0].columns["x"].encoding == encoding
+        reader = OrcReader(file, ["x"], lazy=False)
+        read = [x for page in reader.pages() for (x,) in page.rows()]
+    assert list(map(repr, read)) == list(map(repr, values))
+
+
 def test_vector_decode_keeps_chunks_encoded():
     rows = [(i % 5, float(i), True, "const") for i in range(64)]
     file = _write(rows, kernels.VECTOR, stripe_rows=64)

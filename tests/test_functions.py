@@ -309,6 +309,40 @@ def test_date_diff_counts_whole_units_toward_zero(text_engine, mode, unit, start
         assert text_engine.execute(sql).rows == [(want,)]
 
 
+# date_add and date_trunc take the units date_diff takes: a quarter is
+# three months (clamped to the month's end, as a month is) and truncates
+# to the quarter's first day; a millisecond applies to a TIMESTAMP.
+DATE_UNIT_CALLS = [
+    ("date_add('quarter', 1, DATE '2000-01-31')", "DATE '2000-04-30'"),
+    ("date_add('quarter', -1, DATE '2000-05-31')", "DATE '2000-02-29'"),
+    ("date_add('quarter', 4, TIMESTAMP '2000-11-30 10:00:00')", "TIMESTAMP '2001-11-30 10:00:00'"),
+    ("date_trunc('quarter', DATE '2000-05-17')", "DATE '2000-04-01'"),
+    ("date_trunc('quarter', TIMESTAMP '2000-12-31 23:59:59')", "TIMESTAMP '2000-10-01 00:00:00'"),
+    ("date_add('millisecond', 5, TIMESTAMP '2000-01-01 00:00:00')", "TIMESTAMP '2000-01-01 00:00:00.005'"),
+    ("date_trunc('millisecond', TIMESTAMP '2000-01-01 00:00:00.125')", "TIMESTAMP '2000-01-01 00:00:00.125'"),
+]
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("expr, want", DATE_UNIT_CALLS)
+def test_date_add_and_trunc_take_the_date_diff_units(text_engine, mode, expr, want):
+    from repro.fuzz.oracle import run_oracle
+
+    with kernels.forced_mode(mode):
+        expected = text_engine.execute(f"SELECT {want}").rows
+        sql = f"SELECT {expr}"
+        assert text_engine.execute(sql).rows == expected, sql
+        assert run_oracle(text_engine.metadata, sql)[1] == expected, sql
+
+
+@pytest.mark.parametrize(
+    "expr", ["date_add('second', 1, DATE '2000-01-01')", "date_trunc('hour', DATE '2000-01-01')"]
+)
+def test_time_units_on_a_date_are_a_typed_error(text_engine, expr):
+    with pytest.raises(InvalidFunctionArgumentError):
+        text_engine.execute(f"SELECT {expr}")
+
+
 def test_date_diff_rejects_time_units_on_dates():
     with pytest.raises(InvalidFunctionArgumentError):
         call("date_diff", [VARCHAR, DATE, DATE], "hour", 0, 1)

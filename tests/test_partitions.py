@@ -10,7 +10,7 @@ Covers the failure modes the crash-only tests cannot reach:
 - the durable spool: a fully drained stream survives its producer's
   node and serves replay without re-executing upstream; a corrupt
   segment falls back to lineage re-execution instead of serving bad
-  bytes; ack-driven GC reclaims retained producer memory;
+  bytes; a settled query releases its segments;
 - coordinator crash/restart: the write-ahead journal re-admits every
   incomplete query for a deterministic re-plan, and the commit fence
   keeps in-flight INSERTs exactly-once;
@@ -76,7 +76,10 @@ def _run_until_drained(cluster, handle):
                 if (
                     buffer.finished
                     and all(buffer.is_drained(p) for p in range(buffer.partition_count))
-                    and cluster.spool.segment_count(handle.query_id, task.producer_key, 0) > 0
+                    and any(
+                        key[:3] == (handle.query_id, task.producer_key, 0)
+                        for key in cluster.spool._segments
+                    )
                 ):
                     drained.setdefault(task.worker.name, []).append(task)
         if drained and handle.state == "running":
@@ -216,7 +219,7 @@ def test_partition_healed_mid_replay_stays_exact():
 
 
 # ---------------------------------------------------------------------------
-# Durable spool: replay source, GC, corruption fallback
+# Durable spool: replay source, release, corruption fallback
 # ---------------------------------------------------------------------------
 
 
@@ -226,7 +229,7 @@ def test_spool_store_checksums_and_gc():
     from repro.exec.page import page_from_rows
 
     page = page_from_rows([BIGINT, BIGINT], [(1, 2), (3, 4)])
-    buffer = OutputBuffer(1, 1 << 20, retain=True)
+    buffer = OutputBuffer(1, 1 << 20)
     buffer.add(0, page)
     delivery = buffer.poll(0)
     store = SpoolStore()
@@ -239,10 +242,15 @@ def test_spool_store_checksums_and_gc():
     assert store.hits == 1
     assert store.get("q0", (1, 0), 0, 99) is None  # unknown seq
     assert store.misses == 1
-    # Corruption: the read fails verification and counts a mismatch.
+    # Corruption: the read fails verification, counts a mismatch and
+    # drops the segment; the regenerated page can be written in its place.
     assert store.corrupt("q0", (1, 0), 0, delivery.seq)
     assert store.get("q0", (1, 0), 0, delivery.seq) is None
     assert store.checksum_mismatches == 1
+    assert len(store) == 0
+    store.put("q0", (1, 0), 0, delivery)
+    assert store.segments_written == 2
+    assert store.get("q0", (1, 0), 0, delivery.seq).page is page
     # Checksum is content-based, independent of physical encoding.
     assert page_checksum(page) == page_checksum(
         page_from_rows([BIGINT, BIGINT], list(page.rows()))
@@ -301,17 +309,70 @@ def test_spool_checksum_mismatch_falls_back_to_lineage_replay():
     )
 
 
-def test_spool_gc_reclaims_acked_retained_buffers():
-    """With the spool holding the durable copy, consumer acks release
-    the producer-side retained pages (ft.spool_bytes_reclaimed grows);
-    with task recovery off nothing will ever replay, so nothing is
-    retained or spooled."""
+def test_consumer_replaced_mid_transfer_resends_the_in_flight_tail():
+    """A consumer is replaced while a page is in flight to it, from a
+    producer whose earlier pages it already accepted. The stale copy
+    reaches the replacement before the replay has re-fed those earlier
+    pages, so dedup drops it: only the tail re-send from the spool
+    (after the replay) delivers that page. Without it the stream ends
+    one page short and the join's count is wrong."""
+    sql = (
+        "SELECT count(*), sum(l.quantity) FROM lineitem l "
+        "JOIN orders o ON l.orderkey = o.orderkey"
+    )
+
+    def tpch_cluster(ft):
+        config = ClusterConfig(
+            worker_count=4, default_catalog="tpch", default_schema="tiny",
+            fault_tolerance=ft,
+        )
+        cluster = SimCluster(config)
+        cluster.register_catalog("tpch", TpchConnector(scale_factor=0.02))
+        return cluster
+
+    expected = tpch_cluster(FaultToleranceConfig(enabled=False)).run_query(sql).rows()
+    cluster = tpch_cluster(FaultToleranceConfig(enabled=True))
+    handle = cluster.submit(sql)
+
+    def consumer_with_tail():
+        """A non-root consumer with a page in flight from a producer
+        that already delivered two to it."""
+        root = handle.fragmented.root_fragment.id
+        for stage in handle.stages.values():
+            for consumer in stage.tasks if stage.id != root else ():
+                for key in consumer.exchange_clients:
+                    for producer in (t for fid in key for t in handle.stages[fid].tasks):
+                        stream = (producer.producer_key, consumer.partition)
+                        if (
+                            (producer.task_id, consumer.partition) in handle._transfer_inflight
+                            and handle._delivered_counts.get(stream, 0) >= 2
+                        ):
+                            return consumer
+        return None
+
+    consumer = None
+    while consumer is None and cluster.sim.step():
+        consumer = consumer_with_tail()
+    assert consumer is not None and handle.state == "running"
+    assert handle.recover_tasks([consumer])
+    cluster.run()
+    assert handle.state == "finished"
+    assert handle.rows() == expected
+    assert cluster.stats_snapshot()["ft.duplicates_dropped"] >= 1
+
+
+def test_spool_written_under_recovery_and_released_at_settle():
+    """Under task recovery every polled page is spooled, and the spool
+    is the only copy kept: the query's release at settle reclaims
+    exactly the bytes written (output buffers keep nothing they sent).
+    With task recovery off nothing will ever replay, so nothing is
+    spooled."""
     cluster = spool_cluster()
     handle = cluster.run_query(SQL)
     stats = cluster.stats_snapshot()
     assert handle.rows() == expected_rows()
     assert stats["ft.spool_writes"] > 0
-    assert stats["ft.spool_bytes_reclaimed"] > 0
+    assert stats["ft.spool_bytes_reclaimed"] == cluster.spool.bytes_written > 0
 
     detect_only = spool_cluster(
         FaultToleranceConfig(enabled=True, task_recovery_enabled=False)

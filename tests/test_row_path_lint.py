@@ -51,6 +51,7 @@ syntax tree, so prose about "the Python interpreter" stays legal.
 
 import ast
 import collections
+import functools
 import os
 import re
 import subprocess
@@ -264,20 +265,58 @@ def _unset_fields(config_class, sources) -> list[str]:
     return _unset([f.name for f in dataclasses.fields(config_class)], sources)
 
 
+@functools.lru_cache(maxsize=None)
+def _calls_in(text: str) -> tuple:
+    """Every call in ``text``: (callee name, positional argument count,
+    keyword names), the count None when a ``*`` argument makes it
+    unknown and the names None when a ``**`` argument does."""
+    calls = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        positional = len(node.args)
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            positional = None
+        keywords = frozenset(k.arg for k in node.keywords)
+        calls.append((name, positional, None if None in keywords else keywords))
+    return tuple(calls)
+
+
 def _unset_keywords(function, sources) -> list[str]:
     """Parameters of ``function`` that have a default and that no call
-    passes by keyword."""
+    passes: no call names the keyword, and no call of the function's
+    name (the class's, for ``__init__``) passes an argument in its
+    position or a ``**`` mapping. An assignment such as ``self.name =
+    name`` passes nothing. A same-named keyword of another callee counts
+    as passing it: the check can miss a dead option, it cannot flag a
+    live one."""
     import inspect
 
-    parameters = inspect.signature(function).parameters.values()
-    return _unset(
-        [
-            p.name
-            for p in parameters
-            if p.default is not p.empty and p.kind is not p.VAR_KEYWORD
-        ],
-        sources,
-    )
+    callee = function.__name__
+    if callee == "__init__":
+        callee = function.__qualname__.split(".")[-2]
+    parameters = list(inspect.signature(function).parameters.values())
+    offset = 1 if parameters and parameters[0].name == "self" else 0
+    calls = [call for _, text in sources for call in _calls_in(text)]
+    named = set().union(*(keywords or () for _, _, keywords in calls))
+    own = [(positional, keywords) for name, positional, keywords in calls if name == callee]
+
+    def passed(index, parameter) -> bool:
+        if parameter.name in named or any(keywords is None for _, keywords in own):
+            return True
+        return parameter.kind is not parameter.KEYWORD_ONLY and any(
+            positional is None or positional > index - offset for positional, _ in own
+        )
+
+    return [
+        p.name
+        for index, p in enumerate(parameters)
+        if p.default is not p.empty
+        and p.kind is not p.VAR_KEYWORD
+        and not passed(index, p)
+    ]
 
 
 def test_every_cluster_config_field_is_set_by_someone():
@@ -384,8 +423,20 @@ def test_census_lint_catches_an_unpassed_keyword():
     def submit(self, sql, phased=False, nobody_passes_this=None, **kwargs):
         pass
 
-    sources = [("a.py", "cluster.submit(sql, phased=True)\nif nobody_passes_this: pass\n")]
+    sources = [
+        ("a.py", "cluster.submit(sql, phased=True)\nif nobody_passes_this: pass\n"),
+        # A constructor that stores the keyword under its own name is
+        # not a caller.
+        (
+            "c.py",
+            "class C:\n"
+            "    def __init__(self, nobody_passes_this=None):\n"
+            "        self.nobody_passes_this = nobody_passes_this\n",
+        ),
+    ]
     assert _unset_keywords(submit, sources) == ["nobody_passes_this"]
+    by_position = ("b.py", "cluster.submit(sql, False, 3)\n")
+    assert _unset_keywords(submit, [*sources, by_position]) == []
     sources.append(("b.py", "cluster.submit(sql, nobody_passes_this=3)\n"))
     assert _unset_keywords(submit, sources) == []
 
