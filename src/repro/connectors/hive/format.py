@@ -378,20 +378,16 @@ class OrcWriter:
         )
 
     def _encode_varchar(
-        self, name: str, values: list, codes: np.ndarray, cardinality: int
+        self, name: str, values: list, codes: np.ndarray, entries: list
     ) -> ColumnChunk:
-        """A ``str``/``None`` column in entry space: ``codes`` are dense
-        in first-seen order, NULL the last, so statistics and Bloom bits
-        come from the distinct entries, runs from code changes, and the
-        dictionary from the entries themselves. The chunk is the one the
-        reference encoder writes."""
+        """A ``str``/``None`` column in entry space: ``codes`` index the
+        distinct ``entries`` in first-seen order, NULL one past them, so
+        statistics and Bloom bits come from the entries, runs from code
+        changes, and the dictionary from the entries themselves. The
+        chunk is the one the reference encoder writes."""
         n = len(values)
-        valid = codes != cardinality - 1
+        valid = codes != len(entries)
         present = np.flatnonzero(valid)
-        seen = np.maximum.accumulate(np.where(valid, codes, -1))
-        firsts = present[codes[present] > np.append(-1, seen[:-1])[present]]
-        # row-path: per distinct entry, not per row
-        entries = [values[position] for position in firsts.tolist()]
         min_value, max_value = (min(entries), max(entries)) if entries else (None, None)
         bloom = self._bloom_from(name, entries)
         # row-path: _avg_size's bounded 64-value sample

@@ -100,8 +100,6 @@ class RaptorMetadata(ConnectorMetadata):
         )
 
     def get_statistics(self, handle: RaptorTableHandle) -> TableStatistics:
-        if not self._connector.statistics_enabled:
-            return TableStatistics.empty()
         return self._connector.table(handle).statistics
 
     def get_layouts(self, handle, constraint: TupleDomain, desired_columns):
@@ -236,14 +234,12 @@ class RaptorConnector(Connector):
         self,
         hosts: Sequence[str] = ("localhost",),
         catalog_name: str = "raptor",
-        statistics_enabled: bool = True,
         stripe_rows: int = 10_000,
         max_rows_per_shard: int = 2_048,
     ):
         self.max_rows_per_shard = max_rows_per_shard
         self.hosts = list(hosts)
         self.catalog_name = catalog_name
-        self.statistics_enabled = statistics_enabled
         self.stripe_rows = stripe_rows
         self.tables: dict[RaptorTableHandle, RaptorTable] = {}
         self.shard_counter = itertools.count()

@@ -16,6 +16,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.catalog import (
     Column,
     QualifiedTableName,
@@ -37,6 +39,7 @@ from repro.connectors.api import (
 from repro.connectors.hashing import stable_hash
 from repro.connectors.predicate import Domain, TupleDomain
 from repro.errors import TableNotFoundError
+from repro.exec import kernels
 from repro.exec.blocks import make_block
 from repro.exec.page import DEFAULT_PAGE_ROWS, Page
 from repro.types import Type
@@ -130,8 +133,6 @@ class ShardedSqlMetadata(ConnectorMetadata):
         )
 
     def get_statistics(self, handle: ShardedTableHandle) -> TableStatistics:
-        if not self._connector.statistics_enabled:
-            return TableStatistics.empty()
         return self._connector.table(handle).statistics
 
     def get_layouts(self, handle, constraint: TupleDomain, desired_columns):
@@ -196,14 +197,13 @@ class ShardedSqlMetadata(ConnectorMetadata):
 
     def finish_insert(self, insert_handle: ShardedTableHandle, fragments: list) -> None:
         table = self._connector.table(insert_handle)
-        key_index = table.column_index(table.shard_key)
-        for rows in fragments:
-            for row in rows:
-                shard = table.shards[stable_hash(row[key_index]) % len(table.shards)]
-                shard.rows.append(tuple(row))
+        for rows, hashes in fragments:
+            # a shard is stable_hash(key) % shards; row order kept per shard
+            parts = kernels.partition_positions(hashes, len(table.shards))
+            for shard, positions in zip(table.shards, parts):
+                shard.rows.extend(map(rows.__getitem__, positions.tolist()))
         self._connector.rebuild_indexes(table)
-        if self._connector.statistics_enabled:
-            self._connector.analyze_table(insert_handle)
+        self._connector.analyze_table(insert_handle)
         self.versions.bump_table(insert_handle.schema, insert_handle.table)
 
     def drop_table(self, handle: ShardedTableHandle) -> None:
@@ -212,15 +212,25 @@ class ShardedSqlMetadata(ConnectorMetadata):
 
 
 class _ShardedSink(PageSink):
-    def __init__(self):
+    """Rows as tuples, beside the ``stable_hash`` of each row's shard
+    key, taken from the page's key block in array space."""
+
+    def __init__(self, key_index: int):
+        self.key_index = key_index
         self.rows: list[tuple] = []
+        self.hashes: list[np.ndarray] = []
 
     def append(self, page: Page) -> None:
         columns = [block.to_values() for block in page.blocks]
-        self.rows.extend(zip(*columns) if columns else [()] * page.row_count)
+        self.rows.extend(zip(*columns))
+        hashes = kernels.stable_hashes(page.block(self.key_index))
+        if hashes is None:  # row-path: kernels off, or keys with no array hash
+            keys = columns[self.key_index]
+            hashes = np.fromiter(map(stable_hash, keys), dtype=np.uint64, count=len(keys))
+        self.hashes.append(hashes)
 
-    def finish(self) -> list[tuple]:
-        return self.rows
+    def finish(self) -> tuple[list[tuple], np.ndarray]:
+        return self.rows, np.concatenate([np.empty(0, np.uint64), *self.hashes])
 
 
 class _ShardedSqlIndex(Index):
@@ -267,21 +277,14 @@ class _ShardedSqlIndex(Index):
 
 
 class ShardedSqlConnector(Connector):
-    name = "shardedsql"
+    name = catalog_name = "shardedsql"
 
     # MySQL point reads: very low latency, bounded per-query throughput.
     base_read_latency_ms = 1.0
     read_bandwidth_bytes_per_ms = 512 * 1024
 
-    def __init__(
-        self,
-        shard_count: int = 8,
-        catalog_name: str = "shardedsql",
-        statistics_enabled: bool = True,
-    ):
+    def __init__(self, shard_count: int = 8):
         self.shard_count = shard_count
-        self.catalog_name = catalog_name
-        self.statistics_enabled = statistics_enabled
         self.tables: dict[ShardedTableHandle, ShardedTable] = {}
         self.index_lookups = 0
         self._metadata = ShardedSqlMetadata(self)
@@ -376,7 +379,8 @@ class ShardedSqlConnector(Connector):
         return out
 
     def page_sink(self, insert_handle: ShardedTableHandle) -> _ShardedSink:
-        return _ShardedSink()
+        table = self.table(insert_handle)
+        return _ShardedSink(table.column_index(table.shard_key))
 
     def get_index(self, handle, key_columns, output_columns) -> Index | None:
         # The layout handle is (handle, shards, enforced) for scans but a

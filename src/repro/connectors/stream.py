@@ -106,13 +106,12 @@ class StreamMetadata(ConnectorMetadata):
 
 
 class StreamConnector(Connector):
-    name = "stream"
+    name = catalog_name = "stream"
 
     base_read_latency_ms = 5.0
     read_bandwidth_bytes_per_ms = 512 * 1024
 
-    def __init__(self, catalog_name: str = "stream", partitions_per_topic: int = 4):
-        self.catalog_name = catalog_name
+    def __init__(self, partitions_per_topic: int = 4):
         self.partitions_per_topic = partitions_per_topic
         self.topics: dict[str, Topic] = {}
         self._metadata = StreamMetadata(self)

@@ -118,8 +118,6 @@ class TpchMetadata(ConnectorMetadata):
         )
 
     def get_statistics(self, handle: TpchTableHandle) -> TableStatistics:
-        if not self._connector.statistics_enabled:
-            return TableStatistics.empty()
         return self._connector.statistics(handle.table)
 
     def get_layouts(self, handle, constraint: TupleDomain, desired_columns):
@@ -170,9 +168,8 @@ class TpchConnector(Connector):
         ],
     }
 
-    def __init__(self, scale_factor: float = 0.01, statistics_enabled: bool = True):
+    def __init__(self, scale_factor: float = 0.01):
         self.scale_factor = scale_factor
-        self.statistics_enabled = statistics_enabled
         sf = scale_factor
         self.row_counts = {
             "region": 5,

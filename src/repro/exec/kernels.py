@@ -10,12 +10,29 @@ columnar batch-at-a-time equivalents:
   local group ids (plus each group's first-occurrence position), the
   building block for hash aggregation, DISTINCT, and semi joins.
 - :class:`VectorMultiMap` — a join build table over primitive keys:
-  build rows sorted by key hash, probed in one batch per page with
-  ``np.searchsorted`` and verified with exact vectorized compares.
+  a direct-address table for dense integer keys, else build rows sorted
+  by key hash, probed in one batch per page with ``np.searchsorted``
+  and verified with exact vectorized compares.
 - :func:`hash_rows` — batch evaluation of
   :func:`repro.connectors.hashing.stable_hash` over whole pages, used
   by the shuffle partitioner (must agree bit-for-bit with the scalar
-  hash: two sinks feeding one consumer may take different paths).
+  hash: two sinks feeding one consumer may take different paths);
+  :func:`stable_hashes` is the same for one column.
+
+Dense integer keys are addressed, not searched. The density rule is a
+property of the input: integer or boolean keys whose valid values span
+(``max - min + 1``) at most ``_DENSE_FACTOR`` (16) slots per input row.
+Sixteen keeps a dense key range dense after a hash shuffle over up to
+16 tasks, each holding about 1/n of it, at no more than 128 bytes of
+slot table a build row. Then ``key - low`` is an exact, collision-free
+slot: :func:`factorize` codes such a column as ``value - low`` (NULL
+the last code), combines columns without ``np.unique`` while the
+product space stays within the rule, and ranks first occurrences in
+O(rows + space) with ``np.minimum.at``; a one-column build keeps
+per-slot run starts over its positions in stable key order, and a
+probe key finds its run with two gathers (bounds compared first, so
+nothing wraps). Other inputs take the sort/search paths, and both
+return identical arrays.
 
 Null / NaN / numeric-equality contract (must match the row path, which
 keys python dicts with value tuples):
@@ -36,24 +53,25 @@ dictionary space (paper Sec. V-E): :func:`factorize` and
 :func:`hash_rows` compute per-*entry* codes/hashes once and gather them
 through the indices instead of expanding to per-row values first.
 
-Varchar group keys take the same route. :func:`factorize` flattens a
-``Lazy``/``Dictionary`` chain to ``(leaf entries, composed indices)``,
-gives each distinct ``str`` entry a dense code through one python dict
-over the *entries*, and gathers the codes through the indices; an
-operator-owned cache keeps the entry codes of a dictionary held by
-reference, so successive pages over one stripe dictionary pay only the
-gather. Plain all-``str`` ``ObjectBlock``/``RunLengthBlock`` keys are
-their own entries.
+Varchar keys take the same route. A ``Lazy``/``Dictionary`` chain is
+flattened to ``(leaf entries, composed indices)``; each distinct
+``str`` entry gets a dense code through one python dict over the
+*entries*, and :func:`factorize` gathers the codes through the indices
+while :func:`hash_rows` hashes each distinct string once (FNV-1a over
+code points in numpy) and gathers the hashes. An operator-owned cache
+keeps the entry codes of a dictionary held by reference, so successive
+pages over one stripe dictionary pay only the gather. Plain all-``str``
+``ObjectBlock``/``RunLengthBlock`` keys are their own entries.
 
 Other object-typed columns (arrays, maps, partial-aggregation state,
 non-``str`` values in a varchar block) have no numpy encoding: the
 entry points return ``None`` for them and the caller falls back to the
 sanctioned row path, counting the page under
 ``exec.row_fallback.<operator>.<reason>`` (:func:`decline_reason`).
-:class:`VectorMultiMap` and :func:`hash_rows` still decline every
-object-typed key, varchar included. The same fallback can be forced
-globally (``REPRO_KERNELS=row`` or :func:`set_mode`) so the
-differential fuzzer can compare both paths.
+:class:`VectorMultiMap` still declines every object-typed key, varchar
+included. The same fallback can be forced globally
+(``REPRO_KERNELS=row`` or :func:`set_mode`) so the differential fuzzer
+can compare both paths.
 """
 
 from __future__ import annotations
@@ -77,7 +95,11 @@ from repro.types import BOOLEAN, DOUBLE
 
 _MASK63 = np.uint64(0x7FFFFFFFFFFFFFFF)
 _MURMUR_C = np.uint64(0xFF51AFD7ED558CCD)
+_FNV_OFFSET = np.uint64(1469598103934665603)
+_FNV_PRIME = np.uint64(1099511628211)
 _FLOAT_SCALE = 1_000_003
+#: the density rule (module docstring)
+_DENSE_FACTOR = 16
 
 # --------------------------------------------------------------------------
 # Mode control (vector by default; REPRO_KERNELS=row forces the scalar
@@ -210,6 +232,18 @@ def _canonical_codes(values, kind: str) -> tuple:
     return values.astype(np.int64, copy=False), None
 
 
+def _dense_span(codes, rows: int) -> Optional[tuple[np.int64, int]]:
+    """``(low, span)`` of int64 ``codes`` (the valid keys of ``rows``
+    rows) when they are dense — ``span = max - min + 1`` at most
+    ``_DENSE_FACTOR * rows`` — so ``code - low`` is a collision-free
+    slot in ``[0, span)``; ``None`` otherwise."""
+    if not len(codes):
+        return np.int64(0), 0
+    low = codes.min()
+    span = int(codes.max()) - int(low) + 1  # python ints: no int64 wrap
+    return (low, span) if span <= _DENSE_FACTOR * rows else None
+
+
 def _flatten_dictionary(
     block: Block, indices: Optional[np.ndarray] = None
 ) -> tuple[Block, Optional[np.ndarray]]:
@@ -240,23 +274,32 @@ def _flatten_dictionary(
             return block, indices
 
 
-def _varchar_entry_codes(entries: list) -> Optional[tuple[np.ndarray, int]]:
-    """``(entry_codes, cardinality)`` for a list of ``str``/``None``
-    entries: equal strings share a dense code in first-seen order and
-    ``None`` takes the NULL code ``cardinality - 1``. ``None`` when any
-    entry is not a ``str`` (python equality across types is the row
-    path's business)."""
+def _varchar_entry_codes(entries: list) -> Optional[tuple[np.ndarray, list]]:
+    """``(entry_codes, distinct)`` for a list of ``str``/``None``
+    entries: equal strings share a dense code in first-seen order
+    (``distinct`` lists them) and ``None`` takes the NULL code
+    ``len(distinct)``. ``None`` when any entry is not a ``str`` (python
+    equality across types is the row path's business)."""
     if not set(map(type, entries)) <= {str, type(None)}:
         return None
     codes = dict.fromkeys(entries)
     codes.pop(None, None)
-    codes = dict(zip(codes, range(len(codes))))
-    codes[None] = len(codes)
+    distinct = list(codes)
+    codes = dict(zip(distinct, range(len(distinct))))
+    codes[None] = len(distinct)
     # row-path: per distinct dictionary entry, not per row
     entry_codes = np.fromiter(
         map(codes.__getitem__, entries), dtype=np.int64, count=len(entries)
     )
-    return entry_codes, len(codes)
+    return entry_codes, distinct
+
+
+def _varchar_leaf_codes(leaf: Block) -> Optional[tuple[np.ndarray, list]]:
+    """:func:`_varchar_entry_codes` of an unwrapped all-``str`` varchar
+    block (a ``str`` ``RunLengthBlock`` is one entry); None otherwise."""
+    if isinstance(leaf, RunLengthBlock) and type(leaf.value) is str:
+        return np.zeros(len(leaf), dtype=np.int64), [leaf.value]
+    return _varchar_entry_codes(leaf.items) if isinstance(leaf, ObjectBlock) else None
 
 
 def _entry_codes(leaf: Block):
@@ -266,16 +309,17 @@ def _entry_codes(leaf: Block):
     Returns ``None`` when the block has no such coding."""
     arrays = primitive_arrays(leaf)
     if arrays is None:
-        if isinstance(leaf, RunLengthBlock) and type(leaf.value) is str:
-            return np.zeros(len(leaf), dtype=np.int64), 2, None
-        coded = (
-            _varchar_entry_codes(leaf.items) if isinstance(leaf, ObjectBlock) else None
-        )
+        coded = _varchar_leaf_codes(leaf)
         if coded is None:
             return None
-        return *coded, None
+        return coded[0], len(coded[1]) + 1, None
     values, nulls, kind = arrays
     codes, nan_mask = _canonical_codes(values, kind)
+    if kind != "f":
+        dense = _dense_span(codes[~nulls] if nulls.any() else codes, len(codes))
+        if dense is not None:
+            low, span = dense
+            return np.where(nulls, span, codes - low), span + 1, None
     uniq, inverse = np.unique(codes, return_inverse=True)
     inverse = inverse.astype(np.int64, copy=False).reshape(-1)
     # Nulls are their own per-column code.
@@ -373,6 +417,7 @@ def factorize(
             np.zeros(row_count, dtype=np.int64), 1, np.zeros(1, dtype=np.int64)
         )
     combined = None
+    space = 1  # every code of ``combined`` lies in [0, space)
     nan_any = None
     for slot, block in enumerate(blocks):
         column = _column_codes(block, cache, slot)
@@ -381,19 +426,31 @@ def factorize(
         inverse, cardinality, nan_rows = column
         if nan_rows is not None:
             nan_any = nan_rows if nan_any is None else (nan_any | nan_rows)
-        if combined is None:
-            combined = inverse
-        else:
-            # Exact (collision-free) combine: the previous step's codes are
-            # dense, so combined * cardinality + inverse is injective.
-            combined = combined * cardinality + inverse
-            combined = np.unique(combined, return_inverse=True)[1]
+        # Exact (collision-free) combine: codes lie in [0, space), so
+        # combined * cardinality + inverse is injective.
+        combined = inverse if combined is None else combined * cardinality + inverse
+        space *= cardinality
+        if slot and space > _DENSE_FACTOR * row_count:
+            uniq, combined = np.unique(combined, return_inverse=True)
             combined = combined.astype(np.int64, copy=False).reshape(-1)
+            space = len(uniq)
     assert combined is not None
     if nan_any is not None and nan_any.any():
+        nan_count = int(nan_any.sum())
         combined = combined.copy()
-        base = np.int64(0 if len(combined) == 0 else int(combined.max()) + 1)
-        combined[nan_any] = base + np.arange(int(nan_any.sum()), dtype=np.int64)
+        combined[nan_any] = space + np.arange(nan_count, dtype=np.int64)
+        space += nan_count
+    if space <= _DENSE_FACTOR * row_count:
+        # Direct ranking: each code's first row by one unbuffered
+        # minimum (a plain fancy assignment leaves the winner among
+        # repeated codes unspecified), then groups numbered by it.
+        rows = np.arange(row_count, dtype=np.int64)
+        first = np.full(space, row_count, dtype=np.int64)
+        np.minimum.at(first, combined, rows)
+        first_positions = np.flatnonzero(first[combined] == rows)
+        rank = np.empty(space, dtype=np.int64)
+        rank[combined[first_positions]] = np.arange(len(first_positions))
+        return Factorization(rank[combined], len(first_positions), first_positions)
     _, first_index, inverse = np.unique(
         combined, return_index=True, return_inverse=True
     )
@@ -505,30 +562,37 @@ def _align_kinds(probe_codes, probe_kind: str, probe_values, build_kind: str):
 class VectorMultiMap:
     """Build-side of a hash join over primitive keys.
 
-    Valid (non-NULL, non-NaN) build rows are sorted by key hash; a probe
-    page is matched in one batch: ``searchsorted`` finds each probe
-    hash's candidate run, candidates are expanded with ``repeat``/
-    ``cumsum`` arithmetic, and exact per-column code compares drop
-    collisions. Emission order matches the row path: probe rows
-    ascending, build rows ascending within a probe row.
+    Only valid (non-NULL, non-NaN) build rows are kept. A one-column
+    integer/boolean build whose keys are dense is a direct-address
+    table: slot ``key - low`` holds the build positions
+    ``positions[starts[slot]:starts[slot + 1]]`` (stable key order), so
+    a probe key finds its run with two gathers. Other builds are sorted
+    by key hash; ``searchsorted`` finds each probe hash's candidate run
+    and exact per-column code compares drop collisions. Either way
+    candidates are expanded with ``repeat``/``cumsum`` arithmetic, and
+    emission order matches the row path: probe rows ascending, build
+    rows ascending within a probe row.
 
-    The build-side arrays (hashes, positions, code columns) live for
-    the lifetime of the join and every probe page reuses them in place.
+    The build-side arrays live for the lifetime of the join and every
+    probe page reuses them in place.
     """
 
     def __init__(
         self,
-        hashes,
         positions,
-        code_columns: list,
         kinds: list[str],
-        build_row_count: int,
+        hashes=None,
+        code_columns: Sequence = (),
+        low=None,
+        starts=None,
     ):
-        self.hashes = hashes
         self.positions = positions
-        self.code_columns = code_columns
         self.kinds = kinds
-        self.build_row_count = build_row_count
+        self.hashes = hashes
+        self.code_columns = code_columns
+        self.low = low
+        self.high = None if low is None else low + np.int64(len(starts) - 2)
+        self.starts = starts
 
     @classmethod
     def build(cls, blocks: Sequence[Block], row_count: int) -> Optional["VectorMultiMap"]:
@@ -549,14 +613,25 @@ class VectorMultiMap:
             kinds.append(kind)
         positions = np.flatnonzero(valid).astype(np.int64)
         codes_valid = [codes[positions] for codes in code_columns]
+        if kinds in (["i"], ["b"]):
+            dense = _dense_span(codes_valid[0], row_count)
+            if dense is not None:
+                low, span = dense
+                slots = codes_valid[0] - low
+                starts = np.zeros(span + 1, dtype=np.int64)
+                np.cumsum(np.bincount(slots, minlength=span), out=starts[1:])
+                # Stable order by slot, 16 bits a pass from the lowest
+                # (numpy radix-sorts 16-bit keys; an int64 argsort is a
+                # merge sort, ten times slower).
+                order = np.arange(len(slots))
+                for shift in range(0, (span - 1).bit_length(), 16):
+                    digits = (slots[order] >> shift).astype(np.uint16)
+                    order = order[np.argsort(digits, kind="stable")]
+                return cls(positions[order], kinds, low=low, starts=starts)
         hashes = _mix_hashes(codes_valid) if len(positions) else np.empty(0, np.uint64)
         order = np.argsort(hashes, kind="stable")
         return cls(
-            hashes[order],
-            positions[order],
-            [codes[order] for codes in codes_valid],
-            kinds,
-            row_count,
+            positions[order], kinds, hashes[order], [codes[order] for codes in codes_valid]
         )
 
     def probe(
@@ -586,28 +661,33 @@ class VectorMultiMap:
             probe_codes.append(codes)
         empty = np.empty(0, dtype=np.int64)
         probe_rows = np.flatnonzero(valid).astype(np.int64)
-        if not len(probe_rows) or not len(self.hashes):
+        if not len(probe_rows) or not len(self.positions):
             return empty, empty
         codes_valid = [codes[probe_rows] for codes in probe_codes]
-        hashes = _mix_hashes(codes_valid)
-        left = np.searchsorted(self.hashes, hashes, side="left")
-        right = np.searchsorted(self.hashes, hashes, side="right")
-        counts = right - left
+        if self.low is not None:
+            # Bounds first, so ``key - low`` cannot wrap around int64.
+            keys = codes_valid[0]
+            inside = (keys >= self.low) & (keys <= self.high)
+            probe_rows = probe_rows[inside]
+            slots = keys[inside] - self.low
+            left = self.starts[slots]
+            counts = self.starts[slots + 1] - left
+        else:
+            hashes = _mix_hashes(codes_valid)
+            left = np.searchsorted(self.hashes, hashes, side="left")
+            counts = np.searchsorted(self.hashes, hashes, side="right") - left
         total = int(counts.sum())
         if total == 0:
             return empty, empty
         probe_sel = np.repeat(np.arange(len(probe_rows), dtype=np.int64), counts)
-        run_starts = np.zeros(len(probe_rows), dtype=np.int64)
-        run_starts[1:] = np.cumsum(counts[:-1])
-        offsets = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(run_starts, counts)
-            + np.repeat(left, counts)
-        )
-        keep = np.ones(total, dtype=np.bool_)
-        for build_codes, codes in zip(self.code_columns, codes_valid):
-            keep &= build_codes[offsets] == codes[probe_sel]
-        return probe_rows[probe_sel[keep]], self.positions[offsets[keep]]
+        run_starts = np.cumsum(counts) - counts
+        offsets = np.arange(total, dtype=np.int64) + np.repeat(left - run_starts, counts)
+        if self.low is None:
+            keep = np.ones(total, dtype=np.bool_)
+            for build_codes, codes in zip(self.code_columns, codes_valid):
+                keep &= build_codes[offsets] == codes[probe_sel]
+            probe_sel, offsets = probe_sel[keep], offsets[keep]
+        return probe_rows[probe_sel], self.positions[offsets]
 
 
 # --------------------------------------------------------------------------
@@ -646,37 +726,75 @@ def _hash_primitive(values, nulls, kind: str):
     return column_hash, fallback
 
 
-def _column_hash(block: Block):
-    """Stable column hashes for one key block.
+def _fnv1a(strings: list) -> np.ndarray:
+    """``stable_hash`` of each ``str`` (FNV-1a over code points), one
+    numpy step per character position. numpy pads the ``<U`` array with
+    NUL, so each string's python ``len`` says where it ends: a trailing
+    ``"\x00"`` is hashed like any other code point, and a non-BMP
+    character is one UCS-4 point, as ``ord`` sees it."""
+    h = np.full(len(strings), _FNV_OFFSET, dtype=np.uint64)
+    width = max(map(len, strings), default=0)
+    if width:
+        points = np.array(strings, dtype=f"<U{width}").view(np.uint32)
+        points = points.reshape(len(strings), width)
+        lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+        for column in range(width):
+            h = np.where(lengths > column, (h ^ points[:, column]) * _FNV_PRIME, h)
+    return h & _MASK63
 
-    Dictionary blocks hash once per *entry* and gather through the
-    indices (NULL rows hash to 0, as in the scalar path). Returns
-    ``None`` for object-typed columns.
-    """
-    if isinstance(block, LazyBlock):
-        block = block.load()
-    if isinstance(block, DictionaryBlock) and isinstance(
-        block.dictionary, PrimitiveBlock
-    ):
-        inner = primitive_arrays(block.dictionary)
-        assert inner is not None
-        values, entry_nulls, kind = inner
-        indices = block.indices
-        if len(values) == 0:
-            return np.zeros(len(indices), dtype=np.uint64), None
-        entry_hash, entry_fallback = _hash_primitive(values, entry_nulls, kind)
-        clipped = np.clip(indices, 0, None)
-        column_hash = np.where(indices < 0, np.uint64(0), entry_hash[clipped])
-        fallback = None
-        if entry_fallback is not None:
-            fallback = entry_fallback[clipped] & (indices >= 0)
-            if not fallback.any():
-                fallback = None
-        return column_hash, fallback
-    arrays = primitive_arrays(block)
-    if arrays is None:
+
+def _entry_hash(leaf: Block):
+    """``(hashes, fallback)`` for every entry of an unwrapped block, or
+    ``None`` when it has no array hash (non-``str`` objects)."""
+    arrays = primitive_arrays(leaf)
+    if arrays is not None:
+        return _hash_primitive(*arrays)
+    coded = _varchar_leaf_codes(leaf)
+    if coded is None:
         return None
-    return _hash_primitive(*arrays)
+    entry_codes, distinct = coded
+    # each distinct string hashed once; the NULL code hashes to 0
+    return np.append(_fnv1a(distinct), np.uint64(0))[entry_codes], None
+
+
+def _column_hash(block: Block):
+    """Stable column hashes for one key block, plus a mask of rows the
+    scalar function must redo (float overflow), or ``None``.
+
+    A dictionary chain hashes once per leaf *entry* and gathers through
+    the composed indices (NULL rows hash to 0, as in the scalar path).
+    Returns ``None`` for object-typed columns other than all-``str``
+    varchar.
+    """
+    leaf, indices = _flatten_dictionary(block)
+    entries = _entry_hash(leaf)
+    if entries is None or indices is None:
+        return entries
+    entry_hash, entry_fallback = entries
+    if not len(entry_hash):
+        return np.zeros(len(indices), dtype=np.uint64), None
+    clipped = np.clip(indices, 0, None)
+    column_hash = np.where(indices < 0, np.uint64(0), entry_hash[clipped])
+    fallback = None
+    if entry_fallback is not None:
+        fallback = entry_fallback[clipped] & (indices >= 0)
+        if not fallback.any():
+            fallback = None
+    return column_hash, fallback
+
+
+def stable_hashes(block: Block) -> Optional[np.ndarray]:
+    """``stable_hash`` of every value of one column, bit-exact (rows the
+    arrays cannot hash go through the scalar function); None when the
+    kernels are off or the column has no array hash."""
+    column = _column_hash(block) if enabled() else None
+    if column is None:
+        return None
+    hashes, fallback = column
+    if fallback is not None:
+        for row in np.flatnonzero(fallback).tolist():
+            hashes[row] = stable_hash(block.get(row))
+    return hashes
 
 
 def hash_rows(blocks: Sequence[Block], row_count: int) -> Optional[np.ndarray]:

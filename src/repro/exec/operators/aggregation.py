@@ -224,6 +224,12 @@ class _ArrayStates:
             return self.parts[0].tolist(start, stop)
         return list(zip(*(part.tolist(start, stop) for part in self.parts)))
 
+    def states_bytes(self, count: int) -> int:
+        """``ObjectBlock.size_bytes`` of ``count`` states, known without
+        the walk: a word per number or NULL, and ``avg``'s pair a word
+        plus 16 bytes an item."""
+        return count * (8 if len(self.parts) == 1 else 40)
+
     def merge(self, groups: np.ndarray, other: "_ArrayStates", first_new: int):
         # A group from ``first_new`` on holds the empty state, which an
         # accumulator folds away exactly (zero, or unseen).
@@ -253,6 +259,9 @@ class _ObjectStates:
 
     def states(self, start: int, stop: int) -> list:
         return self.items[start:stop]
+
+    def states_bytes(self, count: int) -> None:
+        return None  # python objects: ObjectBlock walks them
 
     def merge(self, groups: np.ndarray, other: "_ObjectStates", first_new: int):
         items = self.items
@@ -685,7 +694,7 @@ class HashAggregationOperator(AccumulatingOperator):
             for column, agg in zip(table.columns, self.aggregators):
                 states = column.states(start, stop)
                 if partial:
-                    blocks.append(ObjectBlock(states))
+                    blocks.append(ObjectBlock(states, column.states_bytes(len(states))))
                 else:
                     blocks.append(
                         make_block(

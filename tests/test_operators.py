@@ -159,6 +159,30 @@ def test_partial_final_roundtrip():
     assert sorted(drain(final)) == [("a", 2.0), ("b", 5.0)]
 
 
+def test_partial_states_pass_the_size_the_walk_would_find():
+    """A PARTIAL page's array states carry their byte size; it must be
+    the ``ObjectBlock`` walk's figure, or network bytes would move."""
+    specs = [
+        agg_spec("count", [], [], BIGINT),
+        agg_spec("count", [BIGINT], [1], BIGINT),
+        agg_spec("sum", [BIGINT], [1], BIGINT),
+        agg_spec("sum", [DOUBLE], [2], DOUBLE),
+        agg_spec("min", [DOUBLE], [2], DOUBLE),
+        agg_spec("max", [BIGINT], [1], BIGINT),
+        agg_spec("avg", [DOUBLE], [2], DOUBLE),
+        agg_spec("avg", [BIGINT], [1], DOUBLE),
+        agg_spec("max", [VARCHAR], [0], VARCHAR),  # python objects: walked
+    ]
+    rows = [("a", 2**62, 1.5), ("a", 2**62, None), ("b", None, None), ("c", -3, 0.25)]
+    partial = HashAggregationOperator([0], [VARCHAR], specs, AggregationStep.PARTIAL)
+    feed(partial, [page_from_rows([VARCHAR, BIGINT, DOUBLE], rows)])
+    partial.finish()
+    page = partial.get_output()
+    assert [block._size for block in page.blocks[1:9]] == [24] * 6 + [120] * 2
+    for block in page.blocks[1:]:
+        assert block.size_bytes() == ObjectBlock(block.items).size_bytes()
+
+
 def test_aggregation_distinct_dedupes():
     op = HashAggregationOperator(
         [], [], [agg_spec("count", [BIGINT], [0], BIGINT, distinct=True)]

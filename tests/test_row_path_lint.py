@@ -267,7 +267,8 @@ def _unset_fields(config_class, sources) -> list[str]:
 
 @functools.lru_cache(maxsize=None)
 def _calls_in(text: str) -> tuple:
-    """Every call in ``text``: (callee name, positional argument count,
+    """Every call in ``text``: (callee name, whether the callee is a
+    bare name rather than an attribute, positional argument count,
     keyword names), the count None when a ``*`` argument makes it
     unknown and the names None when a ``**`` argument does."""
     calls = []
@@ -275,13 +276,40 @@ def _calls_in(text: str) -> tuple:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        direct = isinstance(func, ast.Name)
+        name = func.id if direct else getattr(func, "attr", None)
         positional = len(node.args)
         if any(isinstance(arg, ast.Starred) for arg in node.args):
             positional = None
         keywords = frozenset(k.arg for k in node.keywords)
-        calls.append((name, positional, None if None in keywords else keywords))
+        calls.append((name, direct, positional, None if None in keywords else keywords))
     return tuple(calls)
+
+
+@functools.lru_cache(maxsize=None)
+def _module_callables(text: str) -> tuple:
+    """``(name, base class names)`` of each class and function ``text``
+    defines at module level."""
+    found = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, ()))
+        elif isinstance(node, ast.ClassDef):
+            bases = tuple(getattr(base, "id", getattr(base, "attr", None)) for base in node.bases)
+            found.append((node.name, bases))
+    return tuple(found)
+
+
+def _reached(name: str, bases: dict) -> set:
+    """``name`` and the classes it derives from: the callees a keyword
+    passed to ``name(...)`` can reach."""
+    reached, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        if current not in reached:
+            reached.add(current)
+            todo.extend(bases.get(current, ()))
+    return reached
 
 
 def _unset_keywords(function, sources) -> list[str]:
@@ -289,9 +317,12 @@ def _unset_keywords(function, sources) -> list[str]:
     passes: no call names the keyword, and no call of the function's
     name (the class's, for ``__init__``) passes an argument in its
     position or a ``**`` mapping. An assignment such as ``self.name =
-    name`` passes nothing. A same-named keyword of another callee counts
-    as passing it: the check can miss a dead option, it cannot flag a
-    live one."""
+    name`` passes nothing. A call that names a module-level class or
+    function directly (``Other(name=...)``) passes its keywords to that
+    callee and the classes it derives from alone; any other call (a
+    method, an alias, a variable holding a class) counts as passing a
+    same-named keyword to every callee: the check can miss a dead option
+    there, it cannot flag a live one."""
     import inspect
 
     callee = function.__name__
@@ -300,8 +331,17 @@ def _unset_keywords(function, sources) -> list[str]:
     parameters = list(inspect.signature(function).parameters.values())
     offset = 1 if parameters and parameters[0].name == "self" else 0
     calls = [call for _, text in sources for call in _calls_in(text)]
-    named = set().union(*(keywords or () for _, _, keywords in calls))
-    own = [(positional, keywords) for name, positional, keywords in calls if name == callee]
+    bases = dict(found for _, text in sources for found in _module_callables(text))
+    named = set().union(
+        *(
+            keywords or ()
+            for name, direct, _, keywords in calls
+            if not (direct and name in bases) or callee in _reached(name, bases)
+        )
+    )
+    own = [
+        (positional, keywords) for name, _, positional, keywords in calls if name == callee
+    ]
 
     def passed(index, parameter) -> bool:
         if parameter.name in named or any(keywords is None for _, keywords in own):
@@ -435,6 +475,21 @@ def test_census_lint_catches_an_unpassed_keyword():
         ),
     ]
     assert _unset_keywords(submit, sources) == ["nobody_passes_this"]
+    # The same keyword passed to another class named directly is that
+    # class's: it passes nothing to ``submit``.
+    other = ("d.py", "class Other:\n    pass\nOther(nobody_passes_this=1)\n")
+    assert _unset_keywords(submit, [*sources, other]) == ["nobody_passes_this"]
+    # A subclass named directly reaches the class it derives from.
+    class Base:
+        def __init__(self, nobody_passes_this=None):
+            pass
+
+    derived = ("f.py", "class Derived(Base):\n    pass\nDerived(nobody_passes_this=1)\n")
+    assert _unset_keywords(Base.__init__, [other]) == ["nobody_passes_this"]
+    assert _unset_keywords(Base.__init__, [other, derived]) == []
+    # A callee the census cannot resolve keeps the name-only rule.
+    for call in ("factory(nobody_passes_this=1)\n", "mod.Other(nobody_passes_this=1)\n"):
+        assert _unset_keywords(submit, [*sources, other, ("e.py", call)]) == []
     by_position = ("b.py", "cluster.submit(sql, False, 3)\n")
     assert _unset_keywords(submit, [*sources, by_position]) == []
     sources.append(("b.py", "cluster.submit(sql, nobody_passes_this=3)\n"))

@@ -493,8 +493,8 @@ def test_cluster_snapshot_counts_row_fallbacks_per_operator_and_reason(hive_engi
         }
     vector, row = snapshots[kernels.VECTOR], snapshots[kernels.ROW]
     assert not [key for key in vector if ".HashAggregation." in key]
-    # varchar shuffle partitioning is still a row path (ROADMAP item 2)
-    assert vector["exec.row_fallback.ExchangeSink.object_key"] > 0
+    # varchar shuffle keys hash in array space
+    assert vector["exec.row_fallbacks"] == 0
     assert row["exec.row_fallback.HashAggregation.kernels_off"] > 0
     assert row["exec.row_fallbacks"] == sum(
         value for key, value in row.items() if key != "exec.row_fallbacks"
