@@ -91,7 +91,7 @@ class ExpressionAnalyzer:
         if not can_coerce(expr.type, target):
             raise TypeError_(f"Cannot coerce {expr.type} to {target}")
         if isinstance(expr, ir.Constant):
-            return ir.Constant(target, _coerce_constant(expr.value, target))
+            return ir.Constant(target, _coerce_constant(expr.value, expr.type, target))
         return ir.SpecialForm(target, ir.CAST, (expr,), target)
 
     def analyze_as(self, node: ast.Expression, target: Type) -> ir.RowExpression:
@@ -536,9 +536,7 @@ class SubqueryPlanner:
         raise NotImplementedError
 
 
-def _coerce_constant(value, target: Type):
-    if value is None:
-        return None
+def _coerce_constant(value, source: Type, target: Type):
     from repro.exec.compiler import cast_value
 
-    return cast_value(value, target)
+    return cast_value(value, source, target)

@@ -188,8 +188,6 @@ class SimCluster:
         # worker name -> superseded task attempts whose abort RPC could
         # not be delivered (node unreachable); killed on rejoin.
         self._fence_pending: dict[str, list[SimTask]] = {}
-        # Deterministic PRNG for fault injection.
-        self._fault_state = 0x9E3779B97F4A7C15
         from repro.exec.spill import SpillContext
 
         self.spill_context = SpillContext()
@@ -245,6 +243,7 @@ class SimCluster:
             self._count_rules(planned.trace)
         query = QueryExecution(
             query_id,
+            sql,
             planned.fragmented(),
             self,
             phased=phased,
@@ -631,24 +630,6 @@ class SimCluster:
                 self._ensure_checkpoint_loop()
 
         self.sim.schedule(interval, tick)
-
-    def _fault_draw(self) -> float:
-        self._fault_state = (
-            self._fault_state * 6364136223846793005 + 1442695040888963407
-        ) & 0xFFFFFFFFFFFFFFFF
-        return (self._fault_state >> 11) / float(1 << 53)
-
-    def roll_transient_failure(self) -> bool:
-        """Deterministic Bernoulli draw for transient transfer failures."""
-        if self.config.transient_failure_rate <= 0:
-            return False
-        return self._fault_draw() < self.config.transient_failure_rate
-
-    def roll_transfer_duplicate(self) -> bool:
-        """Deterministic Bernoulli draw for duplicated deliveries."""
-        if self.config.transfer_duplicate_rate <= 0:
-            return False
-        return self._fault_draw() < self.config.transfer_duplicate_rate
 
     # -- introspection -----------------------------------------------------------------
 

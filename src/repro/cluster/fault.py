@@ -76,6 +76,17 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def fault_hits(rate: float, transfer: tuple) -> bool:
+    """Whether an injected transfer fault of probability ``rate`` hits
+    ``transfer``: a draw that is a pure function of the transfer (which
+    fault, the statement, the stream, the page and the delivery
+    attempt), as ``RetryPolicy``'s jitter is, so which transfers fail
+    depends neither on event order nor on how many came before."""
+    if rate <= 0:
+        return False
+    return (_splitmix64(stable_hash(transfer)) >> 11) / float(1 << 53) < rate
+
+
 class RetryPolicy:
     """Transient transfer failures: bounded exponential backoff with
     deterministic jitter, up to ``max_attempts`` deliveries.

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cost import NETWORK_LATENCY_MS
+from repro.cluster.fault import fault_hits
 from repro.cluster.info import QueryInfo, freeze
 from repro.cluster.task import FragmentPlanner, SimTask
 from repro.errors import (
@@ -183,12 +184,14 @@ class QueryExecution:
     def __init__(
         self,
         query_id: str,
+        sql: str,
         fragmented: FragmentedPlan,
         cluster: "SimCluster",
         phased: bool = False,
         client_bandwidth_bytes_per_ms: float | None = None,
     ):
         self.query_id = query_id
+        self.sql = sql
         self.fragmented = fragmented
         self.cluster = cluster
         self.phased = phased
@@ -629,6 +632,7 @@ class QueryExecution:
         cost = self.cluster.cost_model.transfer_ms(delivery.bytes)
         self.cluster.network_bytes += delivery.bytes
         producer_key = task.producer_key
+        config = self.cluster.config
         policy = self.cluster.retry_policy
         attempt = 0
 
@@ -637,7 +641,10 @@ class QueryExecution:
             if self.state != "running":
                 return
             consumer_worker = self.stages[consumer_stage_id].tasks[partition].worker
-            failed = self.cluster.roll_transient_failure()
+            failed = fault_hits(
+                config.transient_failure_rate,
+                ("transient", self.sql, producer_key, partition, delivery.seq, attempt),
+            )
             if not failed and not self.cluster.reachable(
                 task.worker.name, consumer_worker.name
             ):
@@ -666,7 +673,10 @@ class QueryExecution:
                 self._record_delivery(replay_key, producer_key, delivery.seq)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
-            if accepted and self.cluster.roll_transfer_duplicate():
+            if accepted and fault_hits(
+                config.transfer_duplicate_rate,
+                ("duplicate", self.sql, producer_key, partition, delivery.seq, attempt),
+            ):
                 self._schedule_duplicate(replay_key, producer_key, delivery)
             self._pump_transfers(task, partition)
 

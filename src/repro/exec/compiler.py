@@ -92,12 +92,42 @@ def _clock_ms(text: str) -> int:
     return ((hour * 60 + minute) * 60 + second) * 1000 + int((match[4] or "").ljust(3, "0"))
 
 
-def cast_value(value, target: Type, safe: bool = False):
-    """CAST of one value; ``safe`` (TRY_CAST) answers NULL for a value
-    the target cannot hold."""
+_MS_PER_DAY = 86_400_000
+
+
+def _iso_date(days: int) -> str:
+    from repro.functions.scalars import _civil_from_days
+
+    return "%04d-%02d-%02d" % _civil_from_days(days)
+
+
+def _iso_timestamp(ms: int) -> str:
+    days, ms = divmod(ms, _MS_PER_DAY)
+    clock = (ms // 3_600_000, ms // 60_000 % 60, ms // 1000 % 60, ms % 1000)
+    return f"{_iso_date(days)} %02d:%02d:%02d.%03d" % clock
+
+
+#: Casts whose meaning depends on the source type as well as the target,
+#: by type name: a DATE counts days and a TIMESTAMP milliseconds since
+#: 1970-01-01.
+_TEMPORAL_CASTS = {
+    ("date", "timestamp"): lambda days: days * _MS_PER_DAY,
+    ("timestamp", "date"): lambda ms: ms // _MS_PER_DAY,
+    ("date", "varchar"): _iso_date,
+    ("timestamp", "varchar"): _iso_timestamp,
+}
+
+
+def cast_value(value, source: Type, target: Type, safe: bool = False):
+    """CAST of one ``source`` value to ``target``; ``safe`` (TRY_CAST)
+    answers NULL for a value the target cannot hold."""
     if value is None:
         return None
     try:
+        if source.name in ("date", "timestamp"):
+            temporal = _TEMPORAL_CASTS.get((source.name, target.name))
+            if temporal is not None:
+                return temporal(int(value))
         if target in (BIGINT, INTEGER):
             if isinstance(value, float):
                 if math.isnan(value) or math.isinf(value):
@@ -125,11 +155,15 @@ def cast_value(value, target: Type, safe: bool = False):
                     return False
                 raise InvalidCastError(f"Cannot cast {value!r} to boolean")
             return bool(value)
+        if isinstance(target, (ArrayType, MapType)) and type(source) is not type(target):
+            raise TypeError(f"{source} is not a {target.name}")
         if isinstance(target, ArrayType):
-            return [cast_value(v, target.element, safe) for v in value]
+            return [cast_value(v, source.element, target.element, safe) for v in value]
         if isinstance(target, MapType):
             return {
-                cast_value(k, target.key, safe): cast_value(v, target.value, safe)
+                cast_value(k, source.key, target.key, safe): cast_value(
+                    v, source.value, target.value, safe
+                )
                 for k, v in value.items()
             }
         if target.name in ("date", "timestamp"):
@@ -140,7 +174,7 @@ def cast_value(value, target: Type, safe: bool = False):
                 days = _parse_date(date)
                 if target.name == "date":
                     return days
-                return days * 86_400_000 + (_clock_ms(clock) if clock else 0)
+                return days * _MS_PER_DAY + (_clock_ms(clock) if clock else 0)
             return int(value)
         return value
     except (ValueError, TypeError) as exc:
@@ -492,16 +526,16 @@ def _row_special(expr: ir.SpecialForm, layout, env):  # noqa: C901
         return case_fn
     if form in (ir.CAST, ir.TRY_CAST):
         fn = fns[0]
-        target = expr.type
+        source, target = expr.arguments[0].type, expr.type
         safe = form == ir.TRY_CAST
         if safe:
             def try_cast_fn(row):
                 try:
-                    return cast_value(fn(row), target, safe=True)
+                    return cast_value(fn(row), source, target, safe=True)
                 except PrestoError:
                     return None
             return try_cast_fn
-        return lambda row: cast_value(fn(row), target, safe=False)
+        return lambda row: cast_value(fn(row), source, target, safe=False)
     if form == ir.LIKE:
         value_fn = fns[0]
         if isinstance(expr.arguments[1], ir.Constant):
@@ -1055,7 +1089,7 @@ def _vector_cast(expr: ir.SpecialForm, layout) -> Callable:
                 fits = (values >= -(2.0**63)) & (values < 2.0**63)
                 bad = np.flatnonzero(~fits & ~nulls)
                 if len(bad):
-                    cast_value(float(values[bad[0]]), target)  # raises the row's error
+                    cast_value(float(values[bad[0]]), DOUBLE, target)  # raises the row's error
                 fitting = np.where(fits, values, 0.0)
                 rounded = np.where(fitting >= 0, fitting + 0.5, fitting - 0.5)
                 return rounded.astype(np.int64), nulls

@@ -499,14 +499,15 @@ def group_reduce(
     if not len(values):
         # empty page: nothing to reduce
         return np.zeros(group_count, dtype=values.dtype), touched
-    order = np.argsort(group_ids, kind="stable")
-    sorted_values = values[order]
-    starts = np.zeros(group_count, dtype=np.int64)
-    starts[1:] = np.cumsum(counts[:-1])
-    # reduceat requires valid start indices; clamp empty groups onto an
-    # arbitrary position and mask them out via ``touched``.
-    safe_starts = np.minimum(starts, len(sorted_values) - 1)
-    result = ufunc.reduceat(sorted_values, safe_starts)
+    sorted_values = values[np.argsort(group_ids, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    if touched.all():
+        return ufunc.reduceat(sorted_values, starts), touched
+    # reduceat reduces from each start to the next one it is given (the
+    # last to the end): give it the touched groups' starts only, or a
+    # group followed by empty ones loses its last values.
+    result = np.zeros(group_count, dtype=values.dtype)
+    result[touched] = ufunc.reduceat(sorted_values, starts[touched])
     return result, touched
 
 

@@ -1,11 +1,16 @@
 """Offline fuzz campaign CLI.
 
     python -m repro.fuzz --seed 0 --iterations 200
+    python -m repro.fuzz --concurrent 8 --scenario partition_one_way
 
 Checks consecutive seeds through every engine configuration against the
 reference oracle. On the first disagreement the failing case is shrunk
 and written as a pytest reproducer (``--repro-dir``, default
 ``tests/repros/``), and the exit code is nonzero.
+
+With ``--concurrent N`` each campaign (seeds ``--seed`` + 0, 1000, ...)
+runs N cases at once under a fault scenario (repro.fuzz.concurrent) and
+prints ``PASS`` or ``FAIL``; the exit code is nonzero on a ``FAIL``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import sys
 import time
 
+from repro.fuzz.concurrent import SCENARIOS, SEED_STRIDE, run_concurrent
 from repro.fuzz.grammar import FeatureMask, generate_case
 from repro.fuzz.runner import CONFIGS, check_case
 from repro.fuzz.shrink import clause_count, shrink_case, write_reproducer
@@ -25,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
     parser.add_argument(
-        "--iterations", type=int, default=200, help="number of seeds to check"
+        "--iterations", type=int, help="seeds to check (200), or campaigns with --concurrent (3)"
     )
     parser.add_argument(
         "--features",
@@ -53,6 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="continue past disagreements instead of stopping at the first",
     )
+    parser.add_argument(
+        "--concurrent", type=int, default=0, metavar="N", help="cases at once per campaign"
+    )
+    parser.add_argument(
+        "--scenario", default="default", choices=list(SCENARIOS), help="its faults"
+    )
     args = parser.parse_args(argv)
 
     features = None
@@ -68,10 +80,12 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown config(s): {sorted(unknown)}; choices: {', '.join(CONFIGS)}"
         )
 
+    if args.concurrent:
+        return _concurrent(args, features)
     start = time.time()
     failures = 0
     checked = 0
-    for i in range(args.iterations):
+    for i in range(200 if args.iterations is None else args.iterations):
         seed = args.seed + i
         case = generate_case(seed, features)
         checked += 1
@@ -101,6 +115,24 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{checked} case(s), {failures} failure(s), "
         f"{len(configs)} configs, {elapsed:.1f}s"
+    )
+    return 1 if failures else 0
+
+
+def _concurrent(args, features) -> int:
+    start = time.time()
+    scenario = SCENARIOS[args.scenario]
+    runs = [
+        run_concurrent(scenario, args.seed + i * SEED_STRIDE, args.concurrent, features)
+        for i in range(3 if args.iterations is None else args.iterations)
+    ]
+    for run in runs:
+        print(("PASS " if run.passed else "FAIL ") + run.summary())
+    failures = sum(1 for run in runs if not run.passed)
+    print(
+        f"{len(runs)} campaign(s), {sum(len(r.cases) for r in runs)} queries, "
+        f"{sum(len(r.cases) - len(r.disagreements) for r in runs)} survived, "
+        f"{failures} campaign failure(s), {time.time() - start:.1f}s"
     )
     return 1 if failures else 0
 

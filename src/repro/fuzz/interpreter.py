@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from datetime import datetime, timedelta
 
 from repro.errors import DivisionByZeroError, InvalidCastError, PrestoError
 from repro.errors import NumericValueOutOfRangeError
@@ -21,8 +22,10 @@ from repro.planner import expressions as ir
 from repro.types import (
     BIGINT,
     BOOLEAN,
+    DATE,
     DOUBLE,
     INTEGER,
+    TIMESTAMP,
     VARCHAR,
     ArrayType,
     MapType,
@@ -81,11 +84,28 @@ def _time_of_day_ms(clock: str) -> int:
     return ((int(hour) * 60 + int(minute)) * 60 + int(second)) * 1000 + int(fraction.ljust(3, "0"))
 
 
-def cast_value(value, target: Type, safe: bool = False):
-    """Runtime CAST semantics; ``safe`` (TRY_CAST) answers NULL."""
+_EPOCH = datetime(1970, 1, 1)
+_MILLISECOND = timedelta(milliseconds=1)
+
+
+def _temporal_cast(value: int, source: Type, target: Type):
+    """The oracle's own reading of DATE (days since 1970-01-01) and
+    TIMESTAMP (milliseconds since then), through ``datetime``."""
+    moment = _EPOCH + (timedelta(days=value) if source == DATE else value * _MILLISECOND)
+    if target == VARCHAR and source == DATE:
+        return moment.date().isoformat()
+    if target == VARCHAR:
+        return moment.isoformat(" ", timespec="milliseconds")
+    return (moment - _EPOCH).days if target == DATE else (moment - _EPOCH) // _MILLISECOND
+
+
+def cast_value(value, source: Type, target: Type, safe: bool = False):
+    """Runtime CAST of a ``source`` value; ``safe`` (TRY_CAST) answers NULL."""
     if value is None:
         return None
     try:
+        if source != target and source in (DATE, TIMESTAMP) and target in (DATE, TIMESTAMP, VARCHAR):
+            return _temporal_cast(int(value), source, target)
         if target in (BIGINT, INTEGER):
             if isinstance(value, bool):
                 return 1 if value else 0
@@ -119,11 +139,15 @@ def cast_value(value, target: Type, safe: bool = False):
                     return False
                 raise InvalidCastError(f"Cannot cast {value!r} to boolean")
             return bool(value)
+        if isinstance(target, (ArrayType, MapType)) and not isinstance(source, type(target)):
+            raise TypeError(f"{source} is not a {target.name}")
         if isinstance(target, ArrayType):
-            return [cast_value(v, target.element, safe) for v in value]
+            return [cast_value(v, source.element, target.element, safe) for v in value]
         if isinstance(target, MapType):
             return {
-                cast_value(k, target.key, safe): cast_value(v, target.value, safe)
+                cast_value(k, source.key, target.key, safe): cast_value(
+                    v, source.value, target.value, safe
+                )
                 for k, v in value.items()
             }
         # date/timestamp and structural passthrough
@@ -273,10 +297,10 @@ def _evaluate_special(expr: ir.SpecialForm, bindings):  # noqa: C901
                 return evaluate(args[i + 1], bindings)
         return evaluate(args[-1], bindings)
     if form == ir.CAST:
-        return cast_value(evaluate(args[0], bindings), expr.type, safe=False)
+        return cast_value(evaluate(args[0], bindings), args[0].type, expr.type, safe=False)
     if form == ir.TRY_CAST:
         try:
-            return cast_value(evaluate(args[0], bindings), expr.type, safe=True)
+            return cast_value(evaluate(args[0], bindings), args[0].type, expr.type, safe=True)
         except PrestoError:
             return None
     if form == ir.LIKE:

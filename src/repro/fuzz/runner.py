@@ -562,21 +562,30 @@ def check_tables_sql(
     """
     specs = [_coerce_table(t) for t in tables]
     oracle = oracle_outcome(specs, sql)
-    disagreements: list[Disagreement] = []
-    for name in configs:
-        outcome = run_config(name, specs, sql)
-        if outcome.key() != oracle.key():
-            detail = ""
-        elif (
-            order_spec
-            and outcome.ordered_rows is not None
-            and not _check_sorted(outcome.ordered_rows, order_spec)
-        ):
-            detail = "output violates the query's ORDER BY"
-        else:
-            continue
-        disagreements.append(Disagreement(name, sql, seed, oracle, outcome, detail))
-    return disagreements
+    found = (
+        disagreement(name, sql, seed, oracle, run_config(name, specs, sql), order_spec)
+        for name in configs
+    )
+    return [d for d in found if d is not None]
+
+
+def disagreement(
+    name: str, sql: str, seed, oracle: Outcome, outcome: Outcome, order_spec=()
+) -> Optional[Disagreement]:
+    """How ``outcome`` differs from the oracle's, or None: another key
+    (rows as a multiset, or an error class), or rows out of the
+    query's ORDER BY."""
+    if outcome.key() != oracle.key():
+        detail = ""
+    elif (
+        order_spec
+        and outcome.ordered_rows is not None
+        and not _check_sorted(outcome.ordered_rows, order_spec)
+    ):
+        detail = "output violates the query's ORDER BY"
+    else:
+        return None
+    return Disagreement(name, sql, seed, oracle, outcome, detail)
 
 
 def _coerce_table(table) -> TableSpec:

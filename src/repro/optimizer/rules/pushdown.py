@@ -205,12 +205,8 @@ def _through_semijoin(node: plan.FilterNode, source: plan.SemiJoinNode):
             keep.append(conjunct)
     if not push:
         return None
-    new_semi = plan.SemiJoinNode(
-        plan.FilterNode(source.source, ir.combine_conjuncts(push)),
-        source.filtering_source,
-        source.source_keys,
-        source.filtering_keys,
-        source.output,
+    new_semi = source.replace_sources(
+        [plan.FilterNode(source.source, ir.combine_conjuncts(push)), source.filtering_source]
     )
     residual = ir.combine_conjuncts(keep)
     if residual is None:

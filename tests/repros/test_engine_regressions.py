@@ -142,3 +142,33 @@ def test_outer_joins_without_equi_criteria():
         "SELECT a.k, b.k FROM ta AS a LEFT JOIN tb AS b ON (a.k > 100)",
     ):
         _assert_agrees(tables, sql)
+
+
+def test_filter_pushed_below_an_except_keeps_null_equal_matching():
+    """Concurrent campaign seed 26000 (``--concurrent 10 --scenario long``,
+    case 26001 over seed 26000's tables; every optimized row, no fault
+    needed): EXCEPT rewritten to a null-aware semi-join, then a filter
+    above it pushed to its probe side. The pushdown rebuilt the
+    SemiJoinNode without ``null_aware``, so a NULL on the EXCEPT's right
+    side turned every other probe into NULL and the query returned
+    nothing. Fixed in optimizer/rules/pushdown.py (replace_sources keeps
+    the node's fields)."""
+    _assert_agrees(
+        [("t", [("k", "bigint"), ("n", "bigint")], [(1, None), (2, 0), (0, 3)])],
+        "SELECT g FROM (SELECT t.k AS g FROM t EXCEPT SELECT (t.n - t.n) AS g FROM t) AS c "
+        "WHERE (g IS NOT NULL)",
+    )
+
+
+def test_min_of_a_group_followed_by_all_null_groups():
+    """Concurrent campaign seed 13000 over four-row pages (case 13001,
+    vector kernels, no fault needed): ``kernels.group_reduce`` clamped the
+    start of each empty trailing group onto the last value, so the
+    ``reduceat`` of the group before them stopped one value short and
+    missed its minimum. A group is empty on a page when every value it
+    has there is NULL. Fixed in exec/kernels.py (only the touched
+    groups' starts go to ``reduceat``)."""
+    _assert_agrees(
+        [("t", [("k", "bigint"), ("x", "double")], [(1, 5.0), (1, 1.0), (2, None)])],
+        "SELECT k, min(x), max(x) FROM t GROUP BY k",
+    )

@@ -92,3 +92,27 @@ def test_fuzz_config_table_matches_the_runner():
         name: dataclasses.astuple(config) for name, config in CONFIGS.items()
     }
     assert f"The other {len(EXCLUDED_PAIRS)} are `EXCLUDED_PAIRS`" in text
+
+
+def test_fuzzing_doc_scenario_table_is_the_scenario_table():
+    """docs/FUZZING.md's scenario table is ``SCENARIOS``, field by field."""
+    import dataclasses
+
+    from repro.fuzz.concurrent import SCENARIOS
+
+    def cell(value) -> str:
+        if value is None:
+            return "none"
+        if isinstance(value, bool):
+            return {True: "on", False: "off"}[value]
+        return f"{value:g}" if isinstance(value, float) else str(value)
+
+    text = (REPO_ROOT / "docs" / "FUZZING.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d.*) \|$", text.split("| scenario |")[1], re.M)
+    documented = {name: cells.split(" | ")[:10] for name, cells in rows}
+    expected = {}
+    for name, scenario in SCENARIOS.items():
+        cells = [cell(v) for v in dataclasses.astuple(scenario)]
+        cells[8] = "yes" if scenario.one_way_partitions else "no"
+        expected[name] = cells
+    assert documented == expected

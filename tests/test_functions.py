@@ -335,6 +335,63 @@ def test_date_add_and_trunc_take_the_date_diff_units(text_engine, mode, expr, wa
         assert run_oracle(text_engine.metadata, sql)[1] == expected, sql
 
 
+# CAST between the temporal types means what it says: a DATE counts days
+# and a TIMESTAMP milliseconds since 1970-01-01 (floored before it), and
+# VARCHAR is ISO text. Numbers cast to and from DATE as the integers
+# they are (the workloads compare shipdate with integers).
+TEMPORAL_CASTS = [
+    ("DATE '2000-05-17'", "TIMESTAMP", 958521600000),
+    ("TIMESTAMP '2000-05-17 10:00:00'", "DATE", 11094),
+    ("DATE '2000-05-17'", "VARCHAR", "2000-05-17"),
+    ("TIMESTAMP '2000-05-17 10:00:00.250'", "VARCHAR", "2000-05-17 10:00:00.250"),
+    ("DATE '1969-12-31'", "TIMESTAMP", -86400000),
+    ("TIMESTAMP '1969-12-31 23:59:59.999'", "DATE", -1),
+    ("TIMESTAMP '1969-12-31 23:59:59.999'", "VARCHAR", "1969-12-31 23:59:59.999"),
+    ("DATE '1900-03-01'", "VARCHAR", "1900-03-01"),
+    ("'2000-05-17'", "DATE", 11094),
+    ("'2000-05-17 10:00:00'", "TIMESTAMP", 958557600000),
+    ("CAST(DATE '2000-05-17' AS VARCHAR)", "DATE", 11094),
+    ("11094", "DATE", 11094),
+    ("DATE '2000-05-17'", "BIGINT", 11094),
+    ("DATE '2000-05-17'", "DOUBLE", 11094.0),
+]
+
+# The analyzer's implicit DATE -> TIMESTAMP coercion goes through CAST.
+TEMPORAL_COMPARISONS = [
+    ("DATE '2000-05-17' = TIMESTAMP '2000-05-17 00:00:00'", True),
+    ("DATE '2000-05-17' < TIMESTAMP '2000-05-17 00:00:00.001'", True),
+    ("TIMESTAMP '2000-05-16 23:59:59' < DATE '2000-05-17'", True),
+]
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("source, target, want", TEMPORAL_CASTS)
+def test_temporal_casts_convert_between_days_and_milliseconds(
+    text_engine, mode, source, target, want
+):
+    """Each cast as a constant (folded at plan time) and over a column,
+    through the engine and the oracle."""
+    from repro.fuzz.oracle import run_oracle
+
+    constant = f"SELECT CAST({source} AS {target})"
+    column = f"SELECT CAST(v AS {target}) FROM (VALUES {source}) AS t(v)"
+    with kernels.forced_mode(mode):
+        for sql in (constant, column):
+            assert text_engine.execute(sql).rows == [(want,)], sql
+            assert run_oracle(text_engine.metadata, sql)[1] == [(want,)], sql
+
+
+@pytest.mark.parametrize("mode", [kernels.VECTOR, kernels.ROW])
+@pytest.mark.parametrize("expr, want", TEMPORAL_COMPARISONS)
+def test_a_date_compares_with_a_timestamp_as_its_midnight(text_engine, mode, expr, want):
+    from repro.fuzz.oracle import run_oracle
+
+    with kernels.forced_mode(mode):
+        sql = f"SELECT {expr}"
+        assert text_engine.execute(sql).rows == [(want,)], sql
+        assert run_oracle(text_engine.metadata, sql)[1] == [(want,)], sql
+
+
 @pytest.mark.parametrize(
     "expr", ["date_add('second', 1, DATE '2000-01-01')", "date_trunc('hour', DATE '2000-01-01')"]
 )

@@ -10,14 +10,18 @@ import re
 
 import pytest
 
+from repro.exec import kernels
 from repro.exec.operators import joins as join_ops
 from repro.fuzz import __main__ as fuzz_cli
+from repro.fuzz.concurrent import injected_faults
 from repro.fuzz.grammar import FeatureMask, generate_case
 from repro.fuzz.runner import (
     AXES,
     CONFIGS,
     EXCLUDED_PAIRS,
+    FAULT_SCRIPTS,
     EngineConfig,
+    build,
     check_case,
     run_campaign,
     uncovered_pairs,
@@ -239,3 +243,27 @@ def test_clause_count():
         )
         == 5
     )
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, c in CONFIGS.items() if c.engine == "cluster" and c.faults != "none"]
+)
+def test_every_rate_a_fault_row_sets_injects_faults(name):
+    """A row's transfer fault rates must fire on the corpus: over seeds
+    0-39 of the tier-1 corpus, each nonzero rate of the row's cluster
+    injects at least one fault (a retry over a severed link is not an
+    injected one)."""
+    config = CONFIGS[name]
+    transient = duplicates = 0
+    for seed in range(40):
+        case = generate_case(seed)
+        with kernels.forced_mode(config.kernels):
+            cluster = build(config, case.tables)
+            try:
+                FAULT_SCRIPTS[config.faults](cluster, case.sql)
+            except Exception:  # errors are outcomes; the corpus test compares them
+                pass
+        injected = injected_faults(cluster.stats_snapshot())
+        transient, duplicates = transient + injected[0], duplicates + injected[1]
+    assert transient > 0 or not cluster.config.transient_failure_rate
+    assert duplicates > 0 or not cluster.config.transfer_duplicate_rate

@@ -26,68 +26,68 @@ COPIES = (compiler, interpreter)
 
 def test_cast_string_to_numbers():
     for sem in COPIES:
-        assert sem.cast_value("42", BIGINT) == 42
-        assert sem.cast_value(" 42 ", BIGINT) == 42
-        assert sem.cast_value("2.5", DOUBLE) == 2.5
+        assert sem.cast_value("42", VARCHAR, BIGINT) == 42
+        assert sem.cast_value(" 42 ", VARCHAR, BIGINT) == 42
+        assert sem.cast_value("2.5", VARCHAR, DOUBLE) == 2.5
 
 
 def test_cast_double_to_bigint_rounds_half_away():
     for sem in COPIES:
-        assert sem.cast_value(2.5, BIGINT) == 3
-        assert sem.cast_value(-2.5, BIGINT) == -3
-        assert sem.cast_value(2.4, BIGINT) == 2
+        assert sem.cast_value(2.5, DOUBLE, BIGINT) == 3
+        assert sem.cast_value(-2.5, DOUBLE, BIGINT) == -3
+        assert sem.cast_value(2.4, DOUBLE, BIGINT) == 2
 
 
 def test_cast_nonfinite_to_bigint_errors():
     for sem in COPIES:
         with pytest.raises(InvalidCastError):
-            sem.cast_value(math.nan, BIGINT)
+            sem.cast_value(math.nan, DOUBLE, BIGINT)
         with pytest.raises(InvalidCastError):
-            sem.cast_value(math.inf, BIGINT)
+            sem.cast_value(math.inf, DOUBLE, BIGINT)
 
 
 def test_cast_bool_conversions():
     for sem in COPIES:
-        assert sem.cast_value(True, BIGINT) == 1
-        assert sem.cast_value(0, BOOLEAN) is False
-        assert sem.cast_value("true", BOOLEAN) is True
-        assert sem.cast_value("f", BOOLEAN) is False
+        assert sem.cast_value(True, BOOLEAN, BIGINT) == 1
+        assert sem.cast_value(0, BIGINT, BOOLEAN) is False
+        assert sem.cast_value("true", VARCHAR, BOOLEAN) is True
+        assert sem.cast_value("f", VARCHAR, BOOLEAN) is False
         with pytest.raises(InvalidCastError):
-            sem.cast_value("maybe", BOOLEAN)
+            sem.cast_value("maybe", VARCHAR, BOOLEAN)
 
 
 def test_cast_to_varchar():
     for sem in COPIES:
-        assert sem.cast_value(42, VARCHAR) == "42"
-        assert sem.cast_value(True, VARCHAR) == "true"
+        assert sem.cast_value(42, BIGINT, VARCHAR) == "42"
+        assert sem.cast_value(True, BOOLEAN, VARCHAR) == "true"
 
 
 def test_cast_failure_and_safe_mode():
     for sem in COPIES:
         with pytest.raises(InvalidCastError):
-            sem.cast_value("abc", BIGINT)
-        assert sem.cast_value("abc", BIGINT, safe=True) is None
+            sem.cast_value("abc", VARCHAR, BIGINT)
+        assert sem.cast_value("abc", VARCHAR, BIGINT, safe=True) is None
 
 
 def test_cast_array_elementwise():
     for sem in COPIES:
-        assert sem.cast_value(["1", "2"], ARRAY(BIGINT)) == [1, 2]
+        assert sem.cast_value(["1", "2"], ARRAY(VARCHAR), ARRAY(BIGINT)) == [1, 2]
 
 
 def test_cast_map_keys_and_values():
     for sem in COPIES:
-        assert sem.cast_value({"1": "2"}, MAP(BIGINT, BIGINT)) == {1: 2}
+        assert sem.cast_value({"1": "2"}, MAP(VARCHAR, VARCHAR), MAP(BIGINT, BIGINT)) == {1: 2}
 
 
 def test_cast_string_to_date():
     for sem in COPIES:
-        days = sem.cast_value("1970-01-02", DATE)
+        days = sem.cast_value("1970-01-02", VARCHAR, DATE)
         assert days == 1
 
 
 def test_cast_null_passthrough():
     for sem in COPIES:
-        assert sem.cast_value(None, BIGINT) is None
+        assert sem.cast_value(None, BIGINT, BIGINT) is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +201,11 @@ def test_bigint_boundaries_are_in_range():
 
 def test_cast_outside_bigint_raises_and_try_cast_is_null():
     for sem in COPIES:
-        for value in (1e19, -1e19, "99999999999999999999"):
+        for value, source in ((1e19, DOUBLE), (-1e19, DOUBLE), ("99999999999999999999", VARCHAR)):
             with pytest.raises(NumericValueOutOfRangeError):
-                sem.cast_value(value, BIGINT)
-            assert sem.cast_value(value, BIGINT, safe=True) is None
-        assert sem.cast_value(-(2.0**63), BIGINT) == -BIGINT_MAX - 1
+                sem.cast_value(value, source, BIGINT)
+            assert sem.cast_value(value, source, BIGINT, safe=True) is None
+        assert sem.cast_value(-(2.0**63), DOUBLE, BIGINT) == -BIGINT_MAX - 1
 
 
 def test_modulus_is_exact_beyond_double_precision():

@@ -13,9 +13,10 @@ Covers the failure modes the crash-only tests cannot reach:
   bytes; a settled query releases its segments;
 - coordinator crash/restart: the write-ahead journal re-admits every
   incomplete query for a deterministic re-plan, and the commit fence
-  keeps in-flight INSERTs exactly-once;
-- chaos scenarios run_partition / run_coordinator_kill at the >= 95%
-  bit-exact acceptance bar.
+  keeps in-flight INSERTs exactly-once.
+
+The partition and coordinator-kill campaigns at the >= 95 % bit-exact
+bar are rows of the fuzzer's scenario table (tests/test_fuzz_concurrent.py).
 """
 
 import pytest
@@ -539,7 +540,9 @@ def test_coordinator_crash_leaves_the_run_state_of_a_fresh_handle():
 
     cluster.crash_coordinator()
     assert handle.state == "orphaned"
-    fresh = QueryExecution(handle.query_id, handle.fragmented, cluster, phased=True)
+    fresh = QueryExecution(
+        handle.query_id, handle.sql, handle.fragmented, cluster, phased=True
+    )
     for name in sorted(run_state):
         assert getattr(handle, name) == getattr(fresh, name), name
     assert (handle.writer_scale_ups, handle.tasks_recovered) == (3, recovered)
@@ -650,63 +653,3 @@ def test_writer_scaling_active_under_recovery_and_crash_exact():
         == expected
     )
 
-
-# ---------------------------------------------------------------------------
-# Chaos scenarios (acceptance bar + determinism)
-# ---------------------------------------------------------------------------
-
-
-def test_partition_scenario_meets_acceptance_bar():
-    from repro.chaos import run_partition
-
-    report = run_partition(seed=0)
-    assert report.partitioned_workers and report.crashed_workers
-    assert report.mismatches == []
-    assert report.survival_rate >= 0.95, report.summary()
-    assert report.stats["ft.partitions_injected"] >= 1
-    assert report.stats["ft.spool_writes"] > 0
-
-
-def test_coordinator_kill_scenario_meets_acceptance_bar():
-    from repro.chaos import run_coordinator_kill
-
-    report = run_coordinator_kill(seed=0)
-    assert report.mismatches == []
-    assert report.survival_rate >= 0.95, report.summary()
-    assert report.stats["ft.coordinator_crashes"] == 1
-    assert report.stats["ft.coordinator_restarts"] == 1
-
-
-def test_new_scenarios_are_deterministic():
-    from repro.chaos import run_coordinator_kill, run_partition
-
-    first, second = run_partition(seed=3), run_partition(seed=3)
-    assert [r.actual for r in first.reports] == [
-        r.actual for r in second.reports
-    ]
-    assert first.stats == second.stats
-    first, second = run_coordinator_kill(seed=3), run_coordinator_kill(seed=3)
-    assert [r.actual for r in first.reports] == [
-        r.actual for r in second.reports
-    ]
-    assert first.stats == second.stats
-
-
-@pytest.mark.chaos_long
-@pytest.mark.parametrize("seed", [0, 1000, 2000, 3000, 4000])
-def test_partition_scenario_sweep(seed):
-    from repro.chaos import run_partition
-
-    report = run_partition(seed=seed, one_way=bool(seed % 2000))
-    assert report.mismatches == []
-    assert report.survival_rate >= 0.95, report.summary()
-
-
-@pytest.mark.chaos_long
-@pytest.mark.parametrize("seed", [0, 1000, 2000, 3000, 4000])
-def test_coordinator_kill_scenario_sweep(seed):
-    from repro.chaos import run_coordinator_kill
-
-    report = run_coordinator_kill(seed=seed, kill_at_ms=5.0 + (seed % 3000) / 200.0)
-    assert report.mismatches == []
-    assert report.survival_rate >= 0.95, report.summary()

@@ -25,7 +25,7 @@ environment variable read under ``src/`` and the only module-level
 mode global under ``src/repro/exec``.
 
 A fourth keeps the cluster layer's option count honest: a field of
-``ClusterConfig``, ``FaultToleranceConfig``, ``ChaosPlan`` or
+``ClusterConfig``, ``FaultToleranceConfig``, the fuzzer's ``Scenario`` or
 ``CostModel`` that no
 file under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` ever
 sets is not an option, it is a constant with extra plumbing — and so
@@ -44,8 +44,8 @@ everything else calls.
 
 A seventh keeps one evaluator in the engine: the tree-walking
 interpreter is the fuzz oracle's, so no engine module (everything under
-``src/repro`` outside ``fuzz/``) refers to it in code, and only
-``fuzz/`` and ``chaos/`` import ``repro.fuzz`` at all. It reads the
+``src/repro`` outside ``fuzz/``) refers to it in code or imports
+``repro.fuzz`` at all. It reads the
 syntax tree, so prose about "the Python interpreter" stays legal.
 """
 
@@ -360,16 +360,16 @@ def _unset_keywords(function, sources) -> list[str]:
 
 
 def test_every_cluster_config_field_is_set_by_someone():
-    from repro.chaos.campaign import ChaosPlan
     from repro.cluster import ClusterConfig, FaultToleranceConfig
     from repro.cluster.cost import CostModel
+    from repro.fuzz.concurrent import Scenario
     from repro.optimizer.context import OptimizerConfig
 
     sources = _census_sources()
     for config_class in (
         ClusterConfig,
         FaultToleranceConfig,
-        ChaosPlan,
+        Scenario,
         CostModel,
         OptimizerConfig,
     ):
@@ -380,27 +380,29 @@ def test_every_cluster_config_field_is_set_by_someone():
         )
 
 
-def test_chaos_plan_constants_stay_constants():
-    """Seven ChaosPlan fields no file ever set became module constants of
-    repro.chaos.campaign. The census above cannot hold three of them out
-    (``slow_factor`` and the two heartbeat settings are keywords of other
-    classes, which it counts as setters), so they are named here."""
+def test_scenario_constants_stay_constants():
+    """What no scenario varies is a module constant of
+    repro.fuzz.concurrent, and the heartbeat settings are
+    FaultToleranceConfig's defaults. The census above cannot hold some of
+    them out (``slow_factor`` and the heartbeat settings are keywords of
+    other classes, which it counts as setters), so they are named here."""
     import dataclasses
 
-    from repro.chaos import campaign
+    from repro.fuzz import concurrent
 
-    fields = {f.name for f in dataclasses.fields(campaign.ChaosPlan)}
+    fields = {f.name for f in dataclasses.fields(concurrent.Scenario)}
     for constant in (
         "SUBMIT_WINDOW_MS",
-        "CRASH_WINDOW_MS",
+        "FAULT_WINDOW_MS",
         "MIN_SURVIVORS",
         "SLOW_FACTOR",
-        "PARTITION_WINDOW_MS",
-        "HEARTBEAT_INTERVAL_MS",
-        "HEARTBEAT_TIMEOUT_MS",
+        "PARTITION_HEAL_AFTER_MS",
+        "COORDINATOR_RESTART_AFTER_MS",
+        "CHECKPOINT_INTERVAL_MS",
     ):
-        assert hasattr(campaign, constant)
-        assert constant.lower() not in fields, f"ChaosPlan.{constant.lower()} is back"
+        assert hasattr(concurrent, constant)
+        assert constant.lower() not in fields, f"Scenario.{constant.lower()} is back"
+    assert not fields & {"heartbeat_interval_ms", "heartbeat_timeout_ms"}
 
 
 def test_every_submit_and_engine_keyword_is_passed_by_someone():
@@ -612,7 +614,7 @@ def test_value_hash_is_one_hash_per_number():
 
 
 HASH_SEED_PROBE = """
-from repro.chaos.__main__ import main
+from repro.fuzz.__main__ import main
 from repro.client import LocalEngine
 from repro.connectors.memory import MemoryConnector
 from repro.types import VARCHAR
@@ -624,7 +626,7 @@ connector.create_table_with_data(
 engine = LocalEngine()
 engine.register_catalog("memory", connector)
 print(engine.execute("SELECT checksum(s), approx_distinct(s) FROM t").rows)
-main(["--partitions", "1", "--one-way"])  # three campaigns, ~65 retried transfers
+main(["--concurrent", "8", "--scenario", "partition_one_way"])  # three campaigns
 
 # The cluster EXPLAIN text of every corpus statement, as a digest.
 import hashlib
@@ -672,14 +674,12 @@ def test_answers_and_chaos_counts_do_not_depend_on_the_hash_seed():
 # --------------------------------------------------------------------------
 
 INTERPRETER_MODULES = {"repro.exec.interpreter", "repro.fuzz.interpreter"}
-FUZZ_IMPORTERS = ("repro/fuzz/", "repro/chaos/")
 
 
-def _interpreter_references(source: str, may_import_fuzz: bool) -> list[str]:
+def _interpreter_references(source: str) -> list[str]:
     """Code references to the interpreter in ``source``: an import of an
-    interpreter module (or, unless ``may_import_fuzz``, of anything in
-    ``repro.fuzz``), or an attribute read off a name ``interpreter``.
-    Strings and comments are not code."""
+    interpreter module or of anything in ``repro.fuzz``, or an attribute
+    read off a name ``interpreter``. Strings and comments are not code."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -697,7 +697,7 @@ def _interpreter_references(source: str, may_import_fuzz: bool) -> list[str]:
             continue
         for module in modules:
             fuzz = module == "repro.fuzz" or module.startswith("repro.fuzz.")
-            if module in INTERPRETER_MODULES or (fuzz and not may_import_fuzz):
+            if module in INTERPRETER_MODULES or fuzz:
                 found.append(f"line {node.lineno}: import {module}")
     return found
 
@@ -708,7 +708,7 @@ def _engine_interpreter_references(src: Path) -> dict[str, list[str]]:
         relative = str(path.relative_to(src))
         if relative.startswith("repro/fuzz/"):
             continue
-        found = _interpreter_references(path.read_text(), relative.startswith(FUZZ_IMPORTERS))
+        found = _interpreter_references(path.read_text())
         if found:
             out[relative] = found
     return out
@@ -723,14 +723,13 @@ def test_no_engine_module_refers_to_the_interpreter():
 
 
 def test_interpreter_lint_reads_code_not_prose():
-    assert _interpreter_references("from repro.exec import interpreter\n", False)
-    assert _interpreter_references("from repro.fuzz.interpreter import cast_value\n", True)
-    assert _interpreter_references("import repro.fuzz.oracle\n", False)
-    assert not _interpreter_references("from repro.fuzz.oracle import run_oracle\n", True)
-    assert _interpreter_references("def f(e):\n    return interpreter.evaluate(e, {})\n", False)
+    assert _interpreter_references("from repro.exec import interpreter\n")
+    assert _interpreter_references("from repro.fuzz.interpreter import cast_value\n")
+    assert _interpreter_references("import repro.fuzz.oracle\n")
+    assert _interpreter_references("def f(e):\n    return interpreter.evaluate(e, {})\n")
     prose = (
         '"""A Python interpreter cannot reproduce the absolute speed of\n'
         'pipelined execution; the paper calls its interpreter "much too slow".\n"""\n'
         "x = 1  # interpreter.evaluate is the oracle's\n"
     )
-    assert _interpreter_references(prose, False) == []
+    assert _interpreter_references(prose) == []
