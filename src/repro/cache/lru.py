@@ -33,11 +33,15 @@ class LruCache:
         """Non-counting, recency-neutral lookup (EXPLAIN introspection)."""
         return self._entries.get(key)
 
-    def put(self, key: object, value: object) -> None:
+    def put(self, key: object, value: object):
+        """Store ``value``; returns the least recent value if that made
+        room for it, else None."""
         self._entries.pop(key, None)
         self._entries[key] = value
         if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            return self._entries.popitem(last=False)[1]
+        return None
 
-    def invalidate(self, key: object) -> None:
-        self._entries.pop(key, None)
+    def invalidate(self, key: object):
+        """Drop ``key``; returns its value, or None if it was absent."""
+        return self._entries.pop(key, None)

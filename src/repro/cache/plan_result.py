@@ -1,17 +1,22 @@
-"""Coordinator plan cache (level 2 of the caching tier).
+"""The plan cache of the statement front end, on every engine.
 
 Validated — not purged — by the connectors' monotonic
 :class:`~repro.connectors.api.MetadataVersions` counters. It keys on
-``(catalog, schema, formatted SQL, optimizer settings)`` (the formatter
-normalizes whitespace) and stores the optimized fragmented plan
+``(formatted SQL, catalog, schema, optimizer settings, optimize flag)``
+(the formatter normalizes whitespace) and stores the optimized plan
 together with the versions of every referenced table at plan time. A
 lookup only hits while those versions are still current, so a plan
 never outlives a DDL/INSERT on anything it reads.
+
+Each entry also answers to the exact text that planned it, so a repeat
+of that text is found before it is parsed; the text index holds at most
+one text a plan and loses it with the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cache.lru import LruCache
 
@@ -20,18 +25,29 @@ from repro.cache.lru import LruCache
 class CachedPlan:
     """An optimized plan plus everything needed to validate and reuse it."""
 
-    fragmented: object  # planner.fragmenter.FragmentedPlan
+    plan: object  # planner.planner.Plan: what a LocalEngine runs
+    trace: object  # planner.rules.RuleTrace of the planning that built it
     #: ((catalog, schema, table), version) snapshot at plan time
     table_versions: tuple
+    #: the exact-text key of the SQL that planned it, if it came as text
+    text: tuple | None = None
+
+    @cached_property
+    def fragmented(self):
+        """The plan cut into stages: what a SimCluster runs."""
+        from repro.planner.fragmenter import fragment_plan
+
+        return fragment_plan(self.plan)
 
 
 class PlanCache:
-    """Versioned LRU of formatted-SQL -> CachedPlan. ``current_versions``
-    maps ``(catalog, schema, table)`` keys to ``(key, version)`` pairs
-    (``Metadata.table_versions``)."""
+    """Versioned LRU of statement key -> CachedPlan, plus an index of
+    exact texts. ``current_versions`` maps ``(catalog, schema, table)``
+    keys to ``(key, version)`` pairs (``Metadata.table_versions``)."""
 
     def __init__(self, max_entries: int = 256):
         self.cache = LruCache(max_entries=max_entries)
+        self._texts: dict[tuple, tuple] = {}
 
     def peek(self, key: tuple, current_versions) -> CachedPlan | None:
         """The entry if its table versions are still current, without
@@ -42,17 +58,33 @@ class PlanCache:
         keys = [table for table, _ in entry.table_versions]
         return entry if entry.table_versions == current_versions(keys) else None
 
+    def get_text(self, text: tuple, current_versions) -> CachedPlan | None:
+        """Counting hit for an exact text; anything else (unknown text,
+        stale entry) returns None uncounted, for ``get`` to count once
+        the text is parsed."""
+        key = self._texts.get(text)
+        if key is None or self.peek(key, current_versions) is None:
+            return None
+        return self.cache.get(key)
+
     def get(self, key: tuple, current_versions) -> CachedPlan | None:
         """Counting lookup; a version mismatch counts as a miss and drops
         the stale entry."""
         if self.peek(key, current_versions) is None:
-            self.cache.invalidate(key)
+            self._forget(self.cache.invalidate(key))
             self.cache.misses += 1
             return None
         return self.cache.get(key)
 
     def put(self, key: tuple, entry: CachedPlan) -> None:
-        self.cache.put(key, entry)
+        """Store an entry for a key ``get`` has just missed."""
+        self._forget(self.cache.put(key, entry))
+        if entry.text is not None:
+            self._texts[entry.text] = key
+
+    def _forget(self, entry: CachedPlan | None) -> None:
+        if entry is not None and entry.text is not None:
+            self._texts.pop(entry.text, None)
 
     @property
     def hits(self) -> int:
@@ -61,4 +93,3 @@ class PlanCache:
     @property
     def misses(self) -> int:
         return self.cache.misses
-

@@ -4,14 +4,16 @@
 optimize, execute — inside one process. It is the engine the examples
 and tests use directly; the distributed story (coordinator, workers,
 scheduling) lives in :mod:`repro.cluster`. Both hand the SQL text to
-:mod:`repro.frontend` and run the plan it returns, and share every layer
-below planning.
+:mod:`repro.frontend`, which serves a repeated query from the engine's
+plan cache, run the plan it returns, and share every layer below
+planning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cache import PlanCache
 from repro.catalog.metadata import Metadata
 from repro.connectors.api import Connector
 from repro.errors import NotScalarResultError
@@ -65,8 +67,11 @@ class LocalEngine:
         self.optimize = optimize
         # Rule knobs, guards, thresholds.
         self.optimizer_config = optimizer_config or OptimizerConfig()
+        # The front end's plan cache, as on a SimCluster (docs/CACHING.md).
+        self.plan_cache = PlanCache()
         # RuleTrace of the most recent statement (rewrite-rule firings /
-        # cost-guard skips), for tests; None when it planned nothing
+        # cost-guard skips; on a plan-cache hit, those of the planning
+        # that built the plan), for tests; None when it planned nothing
         # (SHOW, DROP).
         self.last_rule_trace = None
         #: ``{"<operator>.<reason>": pages}`` of the last executed query:
@@ -84,23 +89,25 @@ class LocalEngine:
         """Front end, then run: every statement kind arrives as a plan
         (repro.frontend)."""
         planned = self._front_end().plan_sql(sql)
-        self.last_rule_trace = planned.trace
+        self.last_rule_trace = planned.rule_trace
         result = execute_plan(self.metadata, planned.plan)
         self.last_row_fallbacks = result.row_fallbacks
         return QueryResult(result.column_names, result.column_types, result.rows())
 
     def plan(self, statement: ast.Statement):
-        """The optimized logical plan of a parsed statement."""
+        """The optimized logical plan of a parsed statement; a repeated
+        query gets the plan-cache entry's plan, shared and not to be
+        changed."""
         planned = self._front_end().plan_statement(statement)
-        self.last_rule_trace = planned.trace
+        self.last_rule_trace = planned.rule_trace
         return planned.plan
 
     def _front_end(self) -> StatementFrontEnd:
-        # No plan cache: an embedded engine plans every statement afresh.
         return StatementFrontEnd(
             self.metadata,
             SessionContext(self.default_catalog, self.default_schema),
             self.optimizer_config,
+            self.plan_cache,
             optimize=self.optimize,
             explain_analyze=self._explain_analyze,
         )

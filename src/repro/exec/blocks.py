@@ -168,14 +168,18 @@ class ObjectBlock(Block):
     """Variable-width column stored as a python list (None = null).
 
     Blocks are immutable once built, so the byte size — a walk over
-    every item — is computed once and kept.
+    every item — is computed once and kept. A block whose items all
+    count the same (aggregation states of one array form) carries that
+    ``width`` instead, and so do the blocks cut from it: none of them
+    walks.
     """
 
-    __slots__ = ("items", "_size")
+    __slots__ = ("items", "_size", "_width")
 
-    def __init__(self, items: list, size: int | None = None):
+    def __init__(self, items: list, size: int | None = None, width: int | None = None):
         self.items = items
-        self._size = size
+        self._size = size if width is None else width * len(items)
+        self._width = width
 
     def __len__(self) -> int:
         return len(self.items)
@@ -213,10 +217,10 @@ class ObjectBlock(Block):
         if isinstance(positions, np.ndarray):
             positions = positions.tolist()
         items = self.items
-        return ObjectBlock([items[p] for p in positions])
+        return ObjectBlock([items[p] for p in positions], width=self._width)
 
     def region(self, start: int, length: int) -> "ObjectBlock":
-        return ObjectBlock(self.items[start : start + length])
+        return ObjectBlock(self.items[start : start + length], width=self._width)
 
 
 class RunLengthBlock(Block):

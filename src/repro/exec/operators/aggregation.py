@@ -224,11 +224,11 @@ class _ArrayStates:
             return self.parts[0].tolist(start, stop)
         return list(zip(*(part.tolist(start, stop) for part in self.parts)))
 
-    def states_bytes(self, count: int) -> int:
-        """``ObjectBlock.size_bytes`` of ``count`` states, known without
+    def state_width(self) -> int:
+        """What ``ObjectBlock.size_bytes`` counts a state, known without
         the walk: a word per number or NULL, and ``avg``'s pair a word
         plus 16 bytes an item."""
-        return count * (8 if len(self.parts) == 1 else 40)
+        return 8 if len(self.parts) == 1 else 40
 
     def merge(self, groups: np.ndarray, other: "_ArrayStates", first_new: int):
         # A group from ``first_new`` on holds the empty state, which an
@@ -260,7 +260,7 @@ class _ObjectStates:
     def states(self, start: int, stop: int) -> list:
         return self.items[start:stop]
 
-    def states_bytes(self, count: int) -> None:
+    def state_width(self) -> None:
         return None  # python objects: ObjectBlock walks them
 
     def merge(self, groups: np.ndarray, other: "_ObjectStates", first_new: int):
@@ -694,7 +694,7 @@ class HashAggregationOperator(AccumulatingOperator):
             for column, agg in zip(table.columns, self.aggregators):
                 states = column.states(start, stop)
                 if partial:
-                    blocks.append(ObjectBlock(states, column.states_bytes(len(states))))
+                    blocks.append(ObjectBlock(states, width=column.state_width()))
                 else:
                     blocks.append(
                         make_block(

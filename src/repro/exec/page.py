@@ -152,9 +152,11 @@ def _concat_blocks(blocks: list[Block]) -> Block:
         return PrimitiveBlock(bases[0].type, values, nulls)
     if all(type(b) is ObjectBlock for b in loaded):
         # Sizes add up: the parts' are known, no walk over the items.
+        width = first._width
         return ObjectBlock(
             [item for b in loaded for item in b.items],
             sum(b.size_bytes() for b in loaded),
+            width if all(b._width == width for b in loaded) else None,
         )
     if isinstance(first, RunLengthBlock) and all(
         isinstance(b, RunLengthBlock) and b.value is first.value for b in loaded

@@ -42,13 +42,17 @@ from repro.types import BIGINT, VARCHAR, Type
 class PlannedStatement:
     """What an engine gets back for one statement."""
 
-    #: None on a plan-cache hit: the cache keeps only the fragmented form
-    plan: Optional[Plan]
-    #: rule firings of the planning this call did, if it did any
+    plan: Plan
+    #: rule firings of the planning this call did; None on a plan-cache
+    #: hit and for the statements answered from metadata
     trace: Optional[RuleTrace] = None
-    #: the new or reused cache entry, for a plain query on an engine
-    #: with a plan cache
+    #: the new or reused cache entry, for a plain query
     cached: Optional[CachedPlan] = None
+
+    @property
+    def rule_trace(self) -> Optional[RuleTrace]:
+        """The rule firings that built this plan, on a hit too."""
+        return self.cached.trace if self.cached is not None else self.trace
 
     def fragmented(self) -> FragmentedPlan:
         if self.cached is not None:
@@ -58,25 +62,28 @@ class PlannedStatement:
 
 @dataclass
 class StatementFrontEnd:
-    """The front end over one engine's metadata, session and caches.
+    """The front end over one engine's metadata, session and plan cache.
     ``explain_analyze`` runs a plan and returns its per-operator report;
     only an engine that owns the drivers it times can pass one."""
 
     metadata: Metadata
     session: SessionContext
     optimizer_config: OptimizerConfig
+    plan_cache: PlanCache
     optimize: bool = True
-    plan_cache: Optional[PlanCache] = None
     explain_analyze: Optional[Callable[[Plan], str]] = None
 
     def plan_sql(self, sql: str) -> PlannedStatement:
-        return self.plan_statement(parse_statement(sql))
+        """An exact repeat of a cached query's text is served before it
+        is parsed; anything else is parsed and planned as a statement."""
+        text = (sql, *self._settings())
+        entry = self.plan_cache.get_text(text, self.metadata.table_versions)
+        if entry is not None:
+            return PlannedStatement(entry.plan, cached=entry)
+        return self._dispatch(parse_statement(sql), text)
 
     def plan_statement(self, statement: ast.Statement) -> PlannedStatement:
-        answer = _ANSWERED.get(type(statement))
-        if answer is not None:
-            return answer(self, statement)
-        return self._plan(statement)
+        return self._dispatch(statement, None)
 
     def explain_sql(self, sql: str) -> str:
         """The text ``EXPLAIN (TYPE DISTRIBUTED) <sql>`` answers with
@@ -86,19 +93,28 @@ class StatementFrontEnd:
             statement = ast.Explain(statement, explain_type="DISTRIBUTED")
         return self._explain_text(statement)[0]
 
+    def _dispatch(self, statement: ast.Statement, text: Optional[tuple]) -> PlannedStatement:
+        answer = _ANSWERED.get(type(statement))
+        if answer is not None:
+            return answer(self, statement)
+        return self._plan(statement, text)
+
     # -- plan, optimize, cache -------------------------------------------------
 
-    def _plan(self, statement: ast.Statement) -> PlannedStatement:
-        """Plan and optimize, through the plan cache for plain queries."""
+    def _plan(self, statement: ast.Statement, text: Optional[tuple]) -> PlannedStatement:
+        """Plan and optimize, through the plan cache for plain queries;
+        ``text`` is the exact-text key of the SQL it was parsed from."""
         key = self._plan_cache_key(statement)
         if key is not None:
             entry = self.plan_cache.get(key, self.metadata.table_versions)
             if entry is not None:
-                return PlannedStatement(None, cached=entry)
+                return PlannedStatement(entry.plan, cached=entry)
         plan, trace = self._plan_fresh(statement)
-        entry = self._cache_entry(statement, plan)
-        if key is not None:
-            self.plan_cache.put(key, entry)
+        if key is None:
+            return PlannedStatement(plan, trace)
+        versions = self.metadata.table_versions(referenced_tables(plan.root))
+        entry = CachedPlan(plan, trace, versions, text)
+        self.plan_cache.put(key, entry)
         return PlannedStatement(plan, trace, entry)
 
     def _plan_fresh(self, statement: ast.Statement) -> tuple[Plan, RuleTrace]:
@@ -109,27 +125,22 @@ class StatementFrontEnd:
             plan = optimize_plan(plan, self.metadata, planner.symbols, config, trace=trace)
         return plan, trace
 
-    def _plan_cache_key(self, statement: ast.Statement) -> Optional[tuple]:
-        """Spellings that differ in whitespace or case format alike and
-        share an entry; a plan built under other optimizer settings is a
-        different plan."""
-        if self.plan_cache is None or not isinstance(statement, ast.Query):
-            return None
+    def _settings(self) -> tuple:
+        """Everything besides the statement that a plan depends on."""
         return (
             self.session.catalog,
             self.session.schema,
-            format_statement(statement),
             optimizer_config_token(self.optimizer_config),
+            self.optimize,
         )
 
-    def _cache_entry(self, statement: ast.Statement, plan: Plan) -> Optional[CachedPlan]:
-        """What the plan cache keeps of a plain query."""
-        if self.plan_cache is None or not isinstance(statement, ast.Query):
+    def _plan_cache_key(self, statement: ast.Statement) -> Optional[tuple]:
+        """Spellings that differ in whitespace or case format alike and
+        share an entry; a plan built under other settings is a different
+        plan. None for anything but a plain query."""
+        if not isinstance(statement, ast.Query):
             return None
-        fragmented = fragment_plan(plan)
-        return CachedPlan(
-            fragmented, self.metadata.table_versions(referenced_tables(fragmented))
-        )
+        return (format_statement(statement), *self._settings())
 
     # -- EXPLAIN ------------------------------------------------------------------
 
@@ -138,17 +149,14 @@ class StatementFrontEnd:
         return _answer(["Query Plan"], [VARCHAR], [(text,)], trace)
 
     def _explain_text(self, statement: ast.Explain) -> tuple[str, RuleTrace]:
-        """Plan-cache status (on an engine with a plan cache), the rule
-        header, the plan. EXPLAIN plans afresh and only peeks at the
-        cache: no lookup is counted, no entry filled."""
+        """Plan-cache status, the rule header, the plan. EXPLAIN plans
+        afresh and only peeks at the cache: no lookup is counted, no
+        entry filled."""
         inner = statement.statement
         if statement.analyze and self.explain_analyze is None:
             raise NotSupportedError("EXPLAIN ANALYZE is not supported on this engine")
         plan, trace = self._plan_fresh(inner)
-        lines = []
-        if self.plan_cache is not None:
-            lines.append(f"plan cache: {self._plan_cache_status(inner)}")
-        lines.append(trace.summary())
+        lines = [f"plan cache: {self._plan_cache_status(inner)}", trace.summary()]
         if statement.analyze:
             lines.append(self.explain_analyze(plan))
         elif statement.explain_type == "DISTRIBUTED":

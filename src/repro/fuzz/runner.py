@@ -221,13 +221,23 @@ EXCLUDED_PAIRS: dict[frozenset, str] = {
         ("raw", "cluster", "cannot: SimCluster always optimizes before it fragments"),
         (
             "local",
-            "client_retry recover partition spill coherence",
-            "cannot: a LocalEngine has no workers to lose, no memory pools, no cache tier",
+            "client_retry recover partition spill",
+            "cannot: a LocalEngine has no workers to lose, no memory pools",
         ),
         (
             "raw",
-            "client_retry recover partition spill coherence",
+            "client_retry recover partition spill",
             "cannot: raw plans run on the LocalEngine only",
+        ),
+        (
+            "coherence",
+            "local raw",
+            "not run: a LocalEngine keeps the cluster's PlanCache through the "
+            "same front end; tests/test_caching.py's plan-cache tests (every "
+            "writable connector, CTAS and out-of-band DROP, ANALYZE, literals, "
+            "whitespace, optimizer settings, the parser skip) run on both "
+            "engines, and test_an_unoptimized_engine_misses_an_optimized_plan "
+            "on a raw one",
         ),
         (
             "coherence",

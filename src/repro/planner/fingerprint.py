@@ -6,8 +6,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.catalog.metadata import TableHandle
-from repro.planner.fragmenter import FragmentedPlan
-from repro.planner.nodes import walk_plan
+from repro.planner.nodes import PlanNode, walk_plan
 
 
 def optimizer_config_token(config) -> tuple:
@@ -21,15 +20,14 @@ def optimizer_config_token(config) -> tuple:
     )
 
 
-def referenced_tables(fragmented: FragmentedPlan) -> list[tuple[str, str, str]]:
+def referenced_tables(root: PlanNode) -> list[tuple[str, str, str]]:
     """``(catalog, schema, table)`` of every table the plan reads, in
     deterministic order (for version stamping in the plan cache)."""
     seen: dict[tuple[str, str, str], None] = {}
-    for fragment in fragmented.fragments.values():
-        for node in walk_plan(fragment.root):
-            for attr in ("table", "index_table"):
-                handle = getattr(node, attr, None)
-                if isinstance(handle, TableHandle):
-                    name = handle.name
-                    seen.setdefault((name.catalog, name.schema, name.table))
+    for node in walk_plan(root):
+        for attr in ("table", "index_table"):
+            handle = getattr(node, attr, None)
+            if isinstance(handle, TableHandle):
+                name = handle.name
+                seen.setdefault((name.catalog, name.schema, name.table))
     return list(seen)

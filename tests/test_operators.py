@@ -183,6 +183,35 @@ def test_partial_states_pass_the_size_the_walk_would_find():
         assert block.size_bytes() == ObjectBlock(block.items).size_bytes()
 
 
+def test_partial_state_sizes_survive_the_hash_split():
+    """The sink's hash split cuts a PARTIAL page into per-partition
+    copies; each state block keeps its per-state width, so the buffer
+    never walks one, and the parts add up to the whole."""
+    from repro.cluster.shuffle import ExchangeSinkOperator, OutputBuffer
+    from repro.planner.nodes import ExchangeKind
+
+    specs = [
+        agg_spec("sum", [BIGINT], [1], BIGINT),
+        agg_spec("avg", [DOUBLE], [2], DOUBLE),
+        agg_spec("max", [VARCHAR], [3], VARCHAR),  # python objects: walked
+    ]
+    rows = [(k % 37, k, k / 4 if k % 5 else None, f"s{k}") for k in range(400)]
+    partial = HashAggregationOperator([0], [BIGINT], specs, AggregationStep.PARTIAL)
+    feed(partial, [page_from_rows([BIGINT, BIGINT, DOUBLE, VARCHAR], rows)])
+    partial.finish()
+    page = partial.get_output()
+    buffer = OutputBuffer(4)
+    ExchangeSinkOperator(buffer, ExchangeKind.REPARTITION, [0]).add_input(page)
+    parts = [delivery.page for queue in buffer.queues for delivery in queue]
+    assert len(parts) > 1 and sum(len(part) for part in parts) == len(page)
+    for part in parts:
+        assert [block._width for block in part.blocks[1:]] == [8, 40, None]
+        for block in part.blocks[1:]:
+            assert block.size_bytes() == ObjectBlock(block.items).size_bytes()
+    assert sum(part.size_bytes() for part in parts) == page.size_bytes()
+    assert buffer.buffered_bytes == page.size_bytes()
+
+
 def test_aggregation_distinct_dedupes():
     op = HashAggregationOperator(
         [], [], [agg_spec("count", [BIGINT], [0], BIGINT, distinct=True)]

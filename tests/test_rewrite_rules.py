@@ -49,7 +49,7 @@ def _engine(optimizer_config=None, t0_rows=None, t1_rows=None) -> LocalEngine:
 
 def _explain_header(engine: LocalEngine, sql: str) -> str:
     text = engine.execute(f"EXPLAIN {sql}").rows[0][0]
-    return text.splitlines()[0]
+    return next(line for line in text.splitlines() if line.startswith("rules=["))
 
 
 def _fired(engine: LocalEngine) -> list[str]:

@@ -44,14 +44,6 @@ def _engines() -> tuple[LocalEngine, SimCluster]:
     return engine, cluster
 
 
-def _strip_cache_status(rows: list[tuple]) -> list[tuple]:
-    """EXPLAIN on an engine with a plan cache starts with a status line
-    a LocalEngine has nothing to say about."""
-    plan_status, rest = rows[0][0].split("\n", 1)
-    assert plan_status.startswith("plan cache: ")
-    return [(rest,)]
-
-
 #: (statements that come first, the statement compared, a query whose
 #: answer shows the statement's effect)
 MATRIX = {
@@ -103,10 +95,7 @@ def _same_outcome(engine: LocalEngine, cluster: SimCluster, sql: str) -> None:
         with pytest.raises(TableNotFoundError, match=re.escape(str(error))):
             cluster.execute(sql)
         return
-    rows = cluster.execute(sql)
-    if sql.startswith("EXPLAIN"):
-        rows = _strip_cache_status(rows)
-    assert local == rows
+    assert local == cluster.execute(sql)
 
 
 @pytest.mark.parametrize("caches", ["cold", "warm"])
@@ -120,15 +109,12 @@ def test_statement_matrix_same_rows_on_both_engines(case, caches):
             _same_outcome(engine, cluster, sql)
     for sql in before:
         assert engine.execute(sql).rows == cluster.execute(sql)
-    hits = cluster.plan_cache.hits
+    hits = engine.plan_cache.hits, cluster.plan_cache.hits
     local = engine.execute(statement)
     handle = cluster.run_query(statement)
     if caches == "warm" and statement.startswith("SELECT") and not before:
-        assert cluster.plan_cache.hits == hits + 1
-    clustered = handle.rows()
-    if statement.startswith("EXPLAIN"):
-        clustered = _strip_cache_status(clustered)
-    assert local.rows == clustered
+        assert (engine.plan_cache.hits, cluster.plan_cache.hits) == (hits[0] + 1, hits[1] + 1)
+    assert local.rows == handle.rows()
     assert bool(local.rows) == (case != "show_tables_empty")
     assert local.column_names == list(handle.info.column_names)
     if effect is not None:
