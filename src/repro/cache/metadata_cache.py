@@ -32,7 +32,7 @@ class CachingMetadata(Metadata):
 
     # -- version plumbing --------------------------------------------------
 
-    def _handle_version(self, handle: TableHandle) -> int:
+    def _handle_version(self, handle: TableHandle) -> tuple:
         name = handle.name
         return self._table_version(name.catalog, name.schema, name.table)
 

@@ -31,6 +31,9 @@ class Metadata:
 
     def __init__(self):
         self._connectors: dict[str, Connector] = {}
+        # Catalog -> registrations so far, part of each table version: a
+        # replacing connector may repeat the old one's counters.
+        self._epochs: dict[str, int] = {}
         # Read-path calls that actually reached a connector's Metadata
         # API. The caching subclass (src/repro/cache/metadata_cache.py)
         # only falls through here on a miss, so for a cached coordinator
@@ -39,6 +42,7 @@ class Metadata:
 
     def register_catalog(self, catalog: str, connector: Connector) -> None:
         self._connectors[catalog] = connector
+        self._epochs[catalog] = self._epochs.get(catalog, 0) + 1
 
     def catalogs(self) -> list[str]:
         return sorted(self._connectors)
@@ -55,16 +59,17 @@ class Metadata:
 
     def table_versions(self, tables) -> tuple:
         """``((catalog, schema, table), version)`` for each key of
-        ``tables``, read from the owning connector's monotonic counters
-        (what the plan cache validates an entry against)."""
+        ``tables``, read from the catalog's registration epoch and the
+        owning connector's monotonic counters (what the plan cache
+        validates an entry against)."""
         return tuple((key, self._table_version(*key)) for key in tables)
 
-    def _table_version(self, catalog: str, schema: str, table: str) -> int:
+    def _table_version(self, catalog: str, schema: str, table: str) -> tuple:
         try:
             versions = self.connector(catalog).metadata.versions
         except CatalogNotFoundError:
-            return -1  # catalog vanished: can never match a snapshot
-        return versions.table_version(schema, table)
+            return ()  # catalog vanished: can never match a snapshot
+        return self._epochs[catalog], versions.table_version(schema, table)
 
     def resolve_table(self, catalog: str, schema: str, table: str) -> TableHandle | None:
         connector = self.connector(catalog)

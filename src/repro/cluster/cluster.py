@@ -482,7 +482,7 @@ class SimCluster:
             self.dead_node_bytes_released += released
         for query in list(self.queries.values()):
             if query.state == "running":
-                query.on_worker_dead(name)
+                query.recovery.on_worker_dead(name)
         if released:
             self.on_query_memory_released()
         self.sim.schedule(0.0, self._admit)

@@ -16,40 +16,9 @@ enumerating is as wide as the cluster. A *hash* stage is as wide as the
 widest stage feeding it, on the least-loaded live workers. Recovery
 replaces a task of either on any live worker.
 
-Fault tolerance (Sec. IV-G, extended past the paper's fail-the-query
-baseline) lives here too: when ``FaultToleranceConfig.enabled`` is on,
-tasks lost to a detected worker death are deterministically re-executed
-on surviving workers. Three mechanisms make the re-execution exact:
-
-- **Split replay.** Every split assignment is journaled on the task
-  (``split_log``); a replacement replays the log in order, so a leaf
-  task regenerates bit-identical output.
-- **Exchange re-request.** Output buffers number their pages per
-  partition and keep none they sent; every polled page is written to
-  the durable spool (``SpoolStore``), the one source replay reads. A
-  replacement producer resumes its send cursor past the deliveries its
-  consumers already acknowledged, and consumers drop any page whose
-  sequence number they have seen (dedup), so duplicated or re-sent
-  transfers cannot change results.
-- **Delivery-order replay.** For a *replaced consumer*, per-page dedup
-  is not enough: operators like hash aggregation are sensitive to the
-  merged arrival order across producers (group insertion order). The
-  coordinator therefore logs, per (consumer stage, partition, remote
-  source), the exact sequence of accepted deliveries; a replacement
-  consumer is fed that log verbatim from the spool; then each producer
-  re-sends its in-flight tail (pages polled for the lost attempt but
-  never accepted) from the spool, and normal pumping resumes. A segment
-  the spool lost or failed to verify is restored by lineage
-  re-execution of its producer: the attempt's regenerated pages below
-  its resume point are spooled again.
-  Cross-client interleaving does not affect operator output (per-client
-  FIFO is preserved and pipelines consume one exchange at a time), so
-  logging per client is sufficient for bit-exact recovery.
-
 Transient transfer failures are retried with bounded exponential
-backoff and deterministic jitter (``RetryPolicy``); exhausting the
-budget escalates to task-level recovery, and only when that is
-impossible does the query fail.
+backoff (``RetryPolicy``); exhausting it escalates to task recovery,
+repro.cluster.recovery.
 """
 
 from __future__ import annotations
@@ -60,13 +29,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.cluster.cost import NETWORK_LATENCY_MS
 from repro.cluster.fault import fault_hits
 from repro.cluster.info import QueryInfo, freeze
+from repro.cluster.recovery import TaskRecovery
 from repro.cluster.task import FragmentPlanner, SimTask
-from repro.errors import (
-    ExceededTimeLimitError,
-    PrestoError,
-    TransferFailedError,
-    WorkerFailedError,
-)
+from repro.errors import ExceededTimeLimitError, PrestoError
 from repro.exec.page import Page
 from repro.planner import nodes as plan
 from repro.planner.fragmenter import FragmentedPlan, PlanFragment
@@ -78,10 +43,6 @@ _SPLIT_BATCH_SIZE = 100
 # Simulated metastore/file-listing latency per split batch (Sec. IV-D3:
 # enumeration can take minutes at Facebook scale; scaled down here).
 _SPLIT_BATCH_LATENCY_MS = 2.0
-# Total task re-executions allowed per query before it fails (guards
-# against crash loops). One worker loss costs one retry per lost task,
-# so wide queries (many fragments x partitions) spend it faster.
-_MAX_TASK_RETRIES_PER_QUERY = 64
 
 
 @dataclass
@@ -105,16 +66,6 @@ class _Seat:
 
     worker: object
     queued: int = 0
-
-
-@dataclass
-class _ReplayState:
-    """Progress through a delivery log being re-fed to a replaced
-    consumer. One delivery is in flight at a time: the log is a total
-    order and must be re-applied as one."""
-
-    pos: int = 0
-    inflight: bool = False
 
 
 class StageExecution:
@@ -245,23 +196,8 @@ class QueryExecution:
         self._transfer_eof: set[tuple[tuple[int, int], int]] = set()
         self._client_poll_scheduled = False
         self._root_deliveries = 0
-        # -- task recovery ---------------------------------------------
-        # (consumer_stage_id, partition, client_key) -> ordered list of
-        # (producer_key, seq) accepted by that consumer's client.
-        self._delivery_log: dict[tuple[int, int, tuple], list] = {}
-        # (producer_key, consumer_partition) -> accepted-delivery count
-        # (the resume point for a re-executed producer).
-        self._delivered_counts: dict[tuple[tuple[int, int], int], int] = {}
-        self._replays: dict[tuple[int, int, tuple], _ReplayState] = {}
-        # (producer_key, consumer_partition) -> the sequence numbers a
-        # replaced consumer was sent but never accepted, re-sent from
-        # the spool before the producer's buffer is polled again.
-        self._resend: dict[tuple[tuple[int, int], int], range] = {}
-        # producer_key -> last attempt number handed out.
-        self._attempts: dict[tuple[int, int], int] = {}
-        # Round-robin routing journals shared across attempts, keyed by
-        # producer_key (adaptive writer scaling under recovery).
-        self._routing_log: dict[tuple[int, int], list[int]] = {}
+        # Delivery logs, replays and routing journals (cluster/recovery.py).
+        self.recovery = TaskRecovery(self)
 
     # ------------------------------------------------------------------
     # Startup
@@ -428,7 +364,7 @@ class QueryExecution:
         # (docs/FAULT_TOLERANCE.md).
         routing_log = None
         if scaling and self._recovery_active:
-            routing_log = self._routing_log.setdefault((fragment.id, partition), [])
+            routing_log = self.recovery.routing_logs.setdefault((fragment.id, partition), [])
         query_id = self.query_id
         journal = cluster.journal
         task = SimTask(
@@ -598,36 +534,28 @@ class QueryExecution:
             return
         consumer_stage_id, client_key = consumer
         replay_key = (consumer_stage_id, partition, client_key)
-        if replay_key in self._replays:
-            # A replaced consumer is being re-fed its delivery log;
-            # normal pumping resumes when the replay completes.
-            self._advance_replay(replay_key)
-            return
+        if self.recovery.replaying(replay_key):
+            return  # a replaced consumer is re-fed its delivery log first
         if self._output_lost(task, partition):
             return  # recovery re-executes the task once the detector fires
-        stream = (task.producer_key, partition)
-        if self._resend.get(stream):
-            delivery = self._resend_from_spool(task, partition)
-            if delivery is None:
-                return  # the spool lost it: lineage re-execution took over
-        else:
-            delivery = task.output_buffer.poll(partition)
-            # A poll is where output drains, so it is where a stage can
-            # become complete: checking only after a task's own quantum
-            # would miss a last page polled from a deliver() chain.
-            self._check_stage_completed(self.stages[task.fragment.id])
-            if delivery is None:
-                if task.output_buffer.is_drained(partition) and stream not in self._transfer_eof:
-                    self._transfer_eof.add(stream)
-                    self._deliver_eof(replay_key, task.producer_key)
-                return
-            if self._recovery_active:
-                # Durable spooling happens at poll time (the page leaves
-                # the producer here), charged zero virtual time: the
-                # spool changes what survives, not any timing.
-                self.cluster.spool.put(
-                    self.query_id, task.producer_key, partition, delivery
-                )
+        delivery = task.output_buffer.poll(partition)
+        # A poll is where output drains, so it is where a stage can
+        # become complete: checking only after a task's own quantum
+        # would miss a last page polled from a deliver() chain.
+        self._check_stage_completed(self.stages[task.fragment.id])
+        if delivery is None:
+            stream = (task.producer_key, partition)
+            if task.output_buffer.is_drained(partition) and stream not in self._transfer_eof:
+                self._transfer_eof.add(stream)
+                self._deliver_eof(replay_key, task.producer_key)
+            return
+        if self._recovery_active:
+            # Durable spooling happens at poll time (the page leaves
+            # the producer here), charged zero virtual time: the
+            # spool changes what survives, not any timing.
+            self.cluster.spool.put(
+                self.query_id, task.producer_key, partition, delivery
+            )
         self._transfer_inflight.add(key)
         cost = self.cluster.cost_model.transfer_ms(delivery.bytes)
         self.cluster.network_bytes += delivery.bytes
@@ -661,7 +589,7 @@ class QueryExecution:
                 self.cluster.transient_retries += 1
                 if attempt >= policy.max_attempts:
                     self._transfer_inflight.discard(key)
-                    self._escalate_transfer_failure(task, partition, delivery)
+                    self.recovery.escalate_transfer_failure(task, partition, delivery)
                     return
                 self._later(
                     policy.delay_ms((key, delivery.seq), attempt), deliver
@@ -669,8 +597,8 @@ class QueryExecution:
                 return
             self._transfer_inflight.discard(key)
             accepted = self._hand_over(replay_key, producer_key, delivery)
-            if accepted and replay_key not in self._replays:
-                self._record_delivery(replay_key, producer_key, delivery.seq)
+            if accepted:
+                self.recovery.record(replay_key, producer_key, delivery.seq)
             # Space was freed on the producer: it may be unblocked now.
             task.worker.kick(task)
             if accepted and fault_hits(
@@ -716,40 +644,6 @@ class QueryExecution:
             consumer_task.release_held_input()
         return accepted
 
-    def _resend_from_spool(self, task: SimTask, partition: int):
-        """The next page of ``task``'s in-flight tail to a replaced
-        consumer, read from the spool. None when the spool cannot serve
-        it: the producer is re-executed (or the query failed) instead."""
-        stream = (task.producer_key, partition)
-        tail = self._resend[stream]
-        self._resend[stream] = tail[1:]
-        segment = self.cluster.spool.get(
-            self.query_id, task.producer_key, partition, tail[0]
-        )
-        if segment is None:
-            self._segment_lost(task, partition, tail[0])
-        return segment
-
-    def _segment_lost(self, producer: SimTask, partition: int, seq: int) -> None:
-        """The spool cannot serve a page ``producer``'s current attempt
-        already made (missing, or dropped for a checksum mismatch): fall
-        back to lineage re-execution, whose regenerated pages are
-        spooled again (``on_task_quantum``)."""
-        if not self.recover_tasks([producer]):
-            self.fail(
-                TransferFailedError(
-                    f"Spooled segment {producer.producer_key}/{partition}/{seq} "
-                    "unrecoverable and task recovery exhausted"
-                )
-            )
-
-    def _record_delivery(self, replay_key, producer_key, seq: int) -> None:
-        if not self._recovery_active:
-            return
-        self._delivery_log.setdefault(replay_key, []).append((producer_key, seq))
-        count_key = (producer_key, replay_key[1])
-        self._delivered_counts[count_key] = self._delivered_counts.get(count_key, 0) + 1
-
     def _schedule_duplicate(self, replay_key, producer_key, delivery) -> None:
         """Chaos injection: the network delivers the same page twice.
         Consumer-side dedup must drop the copy."""
@@ -760,19 +654,6 @@ class QueryExecution:
                 self._hand_over(replay_key, producer_key, delivery)
 
         self._later(self.cluster.cost_model.transfer_ms(delivery.bytes), duplicate)
-
-    def _escalate_transfer_failure(self, task: SimTask, partition: int, delivery) -> None:
-        """A transfer exhausted its retry budget: re-execute the
-        producing task if recovery allows; otherwise fail the query."""
-        self.cluster.transfers_escalated += 1
-        error = TransferFailedError(
-            f"Transfer from {task.task_id} (partition {partition}, seq "
-            f"{delivery.seq}) failed after "
-            f"{self.cluster.retry_policy.max_attempts} attempts"
-        )
-        if self.recover_tasks([task]):
-            return
-        self.fail(error)
 
     def _deliver_eof(self, replay_key, producer_key) -> None:
         eof_key = (producer_key, replay_key[1])
@@ -839,201 +720,6 @@ class QueryExecution:
         return delivery
 
     # ------------------------------------------------------------------
-    # Task-level recovery (lineage-style re-execution)
-    # ------------------------------------------------------------------
-
-    def on_worker_dead(self, worker_name: str) -> None:
-        """The failure detector declared ``worker_name`` dead: recover
-        the tasks placed there, or fail the query when recovery is off
-        or out of budget (the paper's Sec. IV-G baseline)."""
-        if self.state != "running":
-            return
-        placed = [
-            task
-            for stage in self.stages.values()
-            for task in stage.tasks
-            if task.worker.name == worker_name
-        ]
-        # A task that is fully produced and fully acknowledged is not
-        # lost: every polled segment is durably spooled, so replay
-        # re-requests it from the spool instead of re-executing the task.
-        lost = [t for t in placed if not (t.is_finished() and t.output_drained())]
-        if lost and not self.recover_tasks(lost):
-            self.fail(
-                WorkerFailedError(
-                    f"Worker {worker_name} failed while query was running"
-                )
-            )
-            return
-        # Drained tasks are not re-executed, but the quantum that would
-        # have announced their EOFs may have died with the node: sweep
-        # every partition so outstanding EOF announcements go out (they
-        # are coordinator-mediated metadata, idempotent to re-send).
-        for task in placed:
-            if not task.superseded and self.state == "running":
-                for p in range(task.output_buffer.partition_count):
-                    self._pump_transfers(task, p)
-
-    def recover_tasks(self, lost: list[SimTask]) -> bool:
-        """Re-execute the given tasks on surviving workers. Returns True
-        when every task was replaced (results will be bit-exact), False
-        when recovery is unavailable and the caller must fail the query."""
-        lost = [
-            t
-            for t in lost
-            if not t.superseded
-            and t.fragment.id in self.stages
-            and self.stages[t.fragment.id].tasks[t.partition] is t
-        ]
-        if not lost:
-            return True
-        if not self._recovery_active:
-            return False
-        if self._task_retries + len(lost) > _MAX_TASK_RETRIES_PER_QUERY:
-            return False
-        live = self.cluster.live_workers()
-        if not live:
-            return False
-        self._task_retries += len(lost)
-        replacements: list[tuple[SimTask, SimTask]] = []
-        for old in lost:
-            old.superseded = True
-            if self.cluster.reachable(
-                self.cluster.topology.COORDINATOR, old.worker.name
-            ):
-                old.worker.remove_task(old)
-                old.fail()  # close drivers; late quanta are ignored
-            else:
-                # Partitioned, not crashed: the abort RPC cannot reach
-                # the node, so the stale attempt keeps running there.
-                # Exchange-level dedup plus the superseded flag already
-                # fence its output; the task itself is killed when the
-                # partition heals and the worker rejoins.
-                self.cluster.note_fence_pending(old)
-            replacements.append((old, self._build_replacement(old, live)))
-        # Wire after *all* swaps so upstream/downstream lookups resolve
-        # to current attempts even when several tasks die together.
-        for old, new in replacements:
-            self._wire_replacement(old, new)
-        self.cluster.tasks_recovered += len(replacements)
-        self.tasks_recovered += len(replacements)
-        return True
-
-    def _build_replacement(self, old: SimTask, live: list) -> SimTask:
-        attempt = self._attempts.get(old.producer_key, old.attempt) + 1
-        self._attempts[old.producer_key] = attempt
-        worker = min(live, key=lambda w: (len(w.tasks), w.name))
-        stage = self.stages[old.fragment.id]
-        new = self._new_task(stage, old.partition, worker, attempt)
-        # Carry the writer scale-up level across attempts: the journaled
-        # routing log replays past routes exactly; new pages route
-        # against the level already reached.
-        new.output_buffer.active_partitions = old.output_buffer.active_partitions
-        stage.replace_task(old, new)
-        return new
-
-    def _wire_replacement(self, old: SimTask, new: SimTask) -> None:
-        stage = self.stages[new.fragment.id]
-        fragment_id = new.fragment.id
-        producer_key = new.producer_key
-        consumer = self._consumers.get(fragment_id)
-        # (a) Producer side: skip the output its consumers already
-        # acknowledged. Regenerated pages below the cursor are recorded
-        # (sequence numbers stay aligned) but never re-sent or counted
-        # as pending, so replay cannot deadlock on backpressure.
-        for p in range(new.output_buffer.partition_count):
-            self._transfer_inflight.discard((old.task_id, p))
-            # The new attempt sends from the acknowledged count itself.
-            self._resend.pop((producer_key, p), None)
-            if consumer is None:
-                new.output_buffer.resume_from(p, self._root_deliveries)
-            else:
-                new.output_buffer.resume_from(
-                    p, self._delivered_counts.get((producer_key, p), 0)
-                )
-        # (b) Consumer side: fresh exchange clients must hear every
-        # upstream stream again — re-feed the logged merged order first,
-        # then the pages in flight to the dead attempt, and cancel the
-        # EOFs aimed at it.
-        for client_key in new.exchange_clients:
-            for producer in [t for fid in client_key for t in self.stages[fid].tasks]:
-                stream = (producer.producer_key, new.partition)
-                self._transfer_eof.discard(stream)
-                # Polled past the accepted count: those pages are re-sent
-                # from the spool after the replay (a stale in-flight copy
-                # is deduped).
-                self._resend[stream] = range(
-                    self._delivered_counts.get(stream, 0),
-                    producer.output_buffer.sent(new.partition),
-                )
-            replay_key = (fragment_id, new.partition, client_key)
-            if self._delivery_log.get(replay_key):
-                self._replays[replay_key] = _ReplayState()
-        # (c) Split replay: re-assign the journaled splits in order.
-        if stage.scan_schedules:
-            for scan_index, split in old.split_log:
-                new.add_split_to(scan_index, split)
-            for schedule in stage.scan_schedules:
-                if schedule.done:
-                    new.scan_operators[schedule.scan_index].no_more_splits()
-            if all(s.done for s in stage.scan_schedules):
-                new.no_more_splits_flag = True
-        else:
-            new.no_more_splits()
-        # (d) Start and restart data flow.
-        if stage.started:
-            new.worker.add_task(new)
-        for client_key in new.exchange_clients:
-            replay_key = (fragment_id, new.partition, client_key)
-            if replay_key in self._replays:
-                self._later(0.0, lambda rk=replay_key: self._advance_replay(rk))
-            for fid in client_key:
-                for producer in self.stages[fid].tasks:
-                    self._later(
-                        0.0,
-                        lambda pr=producer, p=new.partition: self._pump_transfers(pr, p),
-                    )
-
-    def _advance_replay(self, replay_key) -> None:
-        """Re-feed one logged delivery to a replaced consumer; chained
-        until the log is exhausted, then normal pumping resumes."""
-        if self.state != "running":
-            return
-        state = self._replays.get(replay_key)
-        if state is None or state.inflight:
-            return
-        _, partition, client_key = replay_key
-        log = self._delivery_log.get(replay_key, [])
-        if state.pos >= len(log):
-            del self._replays[replay_key]
-            for fid in client_key:
-                for producer in self.stages[fid].tasks:
-                    self._pump_transfers(producer, partition)
-            return
-        producer_key, seq = log[state.pos]
-        producer = self.stages[producer_key[0]].tasks[producer_key[1]]
-        if self._output_lost(producer, partition):
-            return  # the producer died too; its replacement re-triggers us
-        delivery = self.cluster.spool.get(self.query_id, producer_key, partition, seq)
-        if delivery is None:
-            if seq < producer.output_buffer.added(partition):
-                self._segment_lost(producer, partition, seq)
-            return  # not regenerated yet; producer quanta re-trigger us
-        state.inflight = True
-        cost = self.cluster.cost_model.transfer_ms(delivery.bytes)
-        self.cluster.network_bytes += delivery.bytes
-
-        def arrive() -> None:
-            if self.state != "running" or self._replays.get(replay_key) is not state:
-                return  # stale replay: the consumer was replaced again
-            state.inflight = False
-            state.pos += 1
-            self._hand_over(replay_key, producer_key, delivery)
-            self._advance_replay(replay_key)
-
-        self._later(cost, arrive)
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
@@ -1067,11 +753,7 @@ class QueryExecution:
             # re-armed after every quantum of the root task.
             self._schedule_client_poll()
         else:
-            # A re-executed attempt's acknowledged prefix: a no-op
-            # rewrite, unless the spool dropped the segment (lineage
-            # fallback), which this restores for the replay waiting on it.
-            for partition, delivery in regenerated:
-                self.cluster.spool.put(self.query_id, task.producer_key, partition, delivery)
+            self.recovery.respool(task, regenerated)
             for partition in dirty:
                 self._pump_transfers(task, partition)
         self._check_stage_completed(stage)

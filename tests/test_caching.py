@@ -145,6 +145,30 @@ def test_plan_cache_hit_on_repeat_and_miss_after_insert(kind):
 
 
 @pytest.mark.parametrize("kind", ENGINES)
+def test_replacing_a_catalog_misses_its_cached_plans(kind):
+    """A connector registered under a catalog's name replaces the old
+    one's tables. The same writes leave both connectors at the same
+    version counters, so only the catalog's registration epoch tells
+    the plans apart: the cached plan's pruned layout lists the old
+    table's partitions and would miss the new table's ``c``."""
+    from repro.connectors.hive import HiveConnector
+
+    sql = "SELECT count(*), sum(k) FROM p WHERE s < 'z'"
+
+    def load(engine, created: str, inserted: str) -> None:
+        engine.register_catalog("hive", HiveConnector())
+        values = "SELECT * FROM (VALUES {}) v(k, s)"
+        _rows(engine, "CREATE TABLE p WITH (partitioned_by = 's') AS " + values.format(created))
+        _rows(engine, "INSERT INTO p " + values.format(inserted))
+
+    engine = _engine(kind, catalog="hive", connector=HiveConnector())
+    load(engine, "(1, 'a'), (2, 'b')", "(3, 'b')")
+    assert _run(engine, sql) == ("miss", [(3, 6)])
+    load(engine, "(10, 'a'), (20, 'c')", "(30, 'b')")
+    assert _run(engine, sql) == ("miss", [(3, 60)])
+
+
+@pytest.mark.parametrize("kind", ENGINES)
 def test_plan_cache_ctas_and_out_of_band_drop_invalidate(kind):
     engine = _engine(kind)
     _rows(engine, "CREATE TABLE u AS SELECT k, s FROM t")

@@ -1,8 +1,11 @@
-"""Docs guard: every dotted ``repro.…`` path the prose names exists.
+"""Docs guard: every name of the code the prose names exists.
 
 DESIGN.md once listed ``repro.scheduler``, ``repro.server`` and others
 that were never created; a name in the docs must resolve as a module,
-or as an attribute of the module before its last dot.
+or as an attribute of the module before its last dot. A backticked
+private name (`` `_settle` ``) and a backticked `` `Class.attr` `` of a
+class defined under ``src/`` must be defined under ``src/`` too, so a
+rename or deletion fails here until the prose follows it.
 """
 
 import importlib
@@ -15,6 +18,9 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = [REPO_ROOT / "DESIGN.md", REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+PRIVATE = re.compile(r"`(_[A-Za-z]\w*)(?:\([^`]*\))?`")
+CLASS_ATTR = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
+SRC_TEXT = "\n".join(p.read_text() for p in sorted((REPO_ROOT / "src").rglob("*.py")))
 
 
 def _resolves(name: str) -> bool:
@@ -34,6 +40,41 @@ def _resolves(name: str) -> bool:
 def test_named_modules_exist(path):
     missing = sorted(n for n in set(DOTTED.findall(path.read_text())) if not _resolves(n))
     assert not missing, f"{path.name} names modules that do not exist: {missing}"
+
+
+def _defined(name: str, source: str = SRC_TEXT) -> bool:
+    """``name`` is defined in ``source``: a def or class, an assignment
+    (``self.name = ``, annotated or not, a keyword argument), or a
+    quoted name (``__slots__``)."""
+    name = re.escape(name)
+    pattern = rf"\b(?:def|class) {name}\b|\b{name}\s*(?::[^\n=]*)?=(?!=)|[\"']{name}[\"']"
+    return re.search(pattern, source) is not None
+
+
+def _undefined_code_names(text: str, source: str = SRC_TEXT) -> list[str]:
+    missing = {name for name in PRIVATE.findall(text) if not _defined(name, source)}
+    for cls, attr in CLASS_ATTR.findall(text):
+        if re.search(rf"\bclass {cls}\b", source) and not _defined(attr, source):
+            missing.add(f"{cls}.{attr}")
+    return sorted(missing)
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_named_code_exists(path):
+    missing = _undefined_code_names(path.read_text())
+    assert not missing, f"{path.name} names code that src/ does not define: {missing}"
+
+
+def test_code_name_guard_rejects_a_missing_name():
+    source = (
+        "class Pool:\n    __slots__ = ('_free',)\n    def _settle(self):\n"
+        "        self._used: dict = {}\n"
+    )
+    named = "`_settle()`, `_used`, `_free`, `Pool._settle`, `Other.gone`, `__init__`"
+    assert _undefined_code_names(named, source) == []
+    assert _undefined_code_names("`_resend` and `Pool.spare`", source) == [
+        "Pool.spare", "_resend",
+    ]  # fmt: skip
 
 
 def test_guard_rejects_a_missing_module():

@@ -88,6 +88,15 @@ def _run_until_drained(cluster, handle):
     raise AssertionError("no drained spooled stream materialized")
 
 
+def slot_attempts(handle) -> dict:
+    """Producer key -> the attempt holding the slot now."""
+    return {
+        task.producer_key: task.attempt
+        for stage in handle.stages.values()
+        for task in stage.tasks
+    }
+
+
 def settled_attempts(handle) -> dict:
     """Producer key -> the attempt that held the slot when the query
     settled: the last one handed out."""
@@ -269,7 +278,7 @@ def test_drained_then_killed_producer_served_from_spool():
     handle = cluster.submit(SQL)
     producers = _run_until_drained(cluster, handle)
     drained = [task.producer_key for task in producers]
-    attempts_before = dict(handle._attempts)
+    attempts_before = slot_attempts(handle)
     _crash_producer_then_consumer(cluster, handle, producers)
     cluster.run()
     stats = cluster.stats_snapshot()
@@ -281,7 +290,7 @@ def test_drained_then_killed_producer_served_from_spool():
     re_executed = [
         key
         for key in drained
-        if settled_attempts(handle)[key] > attempts_before.get(key, 0)
+        if settled_attempts(handle)[key] > attempts_before[key]
     ]
     assert re_executed == []
 
@@ -296,7 +305,7 @@ def test_spool_checksum_mismatch_falls_back_to_lineage_replay():
     drained = [task.producer_key for task in producers]
     for key in list(cluster.spool._segments):
         cluster.spool.corrupt(*key)
-    attempts_before = dict(handle._attempts)
+    attempts_before = slot_attempts(handle)
     _crash_producer_then_consumer(cluster, handle, producers)
     cluster.run()
     stats = cluster.stats_snapshot()
@@ -305,7 +314,7 @@ def test_spool_checksum_mismatch_falls_back_to_lineage_replay():
     assert stats["ft.spool_checksum_mismatches"] >= 1
     # This time the drained producer WAS re-executed (lineage fallback).
     assert any(
-        settled_attempts(handle)[key] > attempts_before.get(key, 0)
+        settled_attempts(handle)[key] > attempts_before[key]
         for key in drained
     )
 
@@ -314,9 +323,10 @@ def test_consumer_replaced_mid_transfer_resends_the_in_flight_tail():
     """A consumer is replaced while a page is in flight to it, from a
     producer whose earlier pages it already accepted. The stale copy
     reaches the replacement before the replay has re-fed those earlier
-    pages, so dedup drops it: only the tail re-send from the spool
-    (after the replay) delivers that page. Without it the stream ends
-    one page short and the join's count is wrong."""
+    pages, so dedup drops it: only the in-flight tail, appended to the
+    delivery log when the consumer is wired and fed from the spool by
+    its replay, delivers that page. Without it the stream ends one page
+    short and the join's count is wrong."""
     sql = (
         "SELECT count(*), sum(l.quantity) FROM lineitem l "
         "JOIN orders o ON l.orderkey = o.orderkey"
@@ -346,7 +356,7 @@ def test_consumer_replaced_mid_transfer_resends_the_in_flight_tail():
                         stream = (producer.producer_key, consumer.partition)
                         if (
                             (producer.task_id, consumer.partition) in handle._transfer_inflight
-                            and handle._delivered_counts.get(stream, 0) >= 2
+                            and handle.recovery.acked(*stream) >= 2
                         ):
                             return consumer
         return None
@@ -355,11 +365,102 @@ def test_consumer_replaced_mid_transfer_resends_the_in_flight_tail():
     while consumer is None and cluster.sim.step():
         consumer = consumer_with_tail()
     assert consumer is not None and handle.state == "running"
-    assert handle.recover_tasks([consumer])
+    assert handle.recovery.recover_tasks([consumer])
     cluster.run()
     assert handle.state == "finished"
     assert handle.rows() == expected
     assert cluster.stats_snapshot()["ft.duplicates_dropped"] >= 1
+
+
+def test_the_delivery_log_is_the_one_record_of_what_a_consumer_accepted(monkeypatch):
+    """One worker crashes and another is cut off mid-query, so a
+    consumer is replaced with pages in flight to it. At every step,
+    every current consumer client that no replay is feeding has
+    accepted from each producer exactly the count its delivery log
+    holds; the in-flight tail appended at wiring is what the replay
+    then delivers."""
+    from repro.cluster.recovery import TaskRecovery
+
+    tails = []
+    wire = TaskRecovery._wire_replacement
+
+    def counting_wire(recovery, old, new):
+        before = sum(map(len, recovery.delivery_log.values()))
+        wire(recovery, old, new)
+        tails.append(sum(map(len, recovery.delivery_log.values())) - before)
+
+    monkeypatch.setattr(TaskRecovery, "_wire_replacement", counting_wire)
+    cluster = spool_cluster()
+    handle = cluster.submit(SQL)
+    cluster.sim.run(until_ms=1.0)
+    crashed = consumer_worker(handle)
+    cluster.crash_worker(crashed)
+    cluster.partition_worker(next(f"worker-{i}" for i in (1, 2, 3) if f"worker-{i}" != crashed))
+    checks = 0
+    while cluster.sim.step() and handle.state == "running":
+        recovery = handle.recovery
+        for stage in handle.stages.values():
+            for consumer in stage.tasks:
+                for client_key, client in consumer.exchange_clients.items():
+                    if (stage.id, consumer.partition, client_key) in recovery.replays:
+                        continue
+                    for fid in client_key:
+                        for producer in handle.stages[fid].tasks:
+                            key = producer.producer_key
+                            accepted = client._next_seq.get(key, 0)
+                            assert accepted == recovery.acked(key, consumer.partition)
+                            checks += 1
+    assert handle.state == "finished"
+    assert handle.rows() == expected_rows()
+    assert checks > 0
+    assert sum(tails) >= 1  # an in-flight tail was appended and replayed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 22(b)")
+def test_replaced_union_task_fed_in_another_order_keeps_its_output(monkeypatch):
+    """A Union of two final aggregations, each fed by its own exchange
+    client, runs in one task that emits each branch's groups when that
+    branch's input ends: in client arrival order. The task is replaced
+    once the small branch (orders) has ended and its page left, and its
+    replay is forced to end the other branch first. The consumer counts
+    the page already sent, so the replacement must emit the same pages
+    in the same order; the per-client delivery logs do not record the
+    order across clients."""
+    from repro.cluster.recovery import TaskRecovery
+
+    sql = (
+        "SELECT returnflag, count(*) FROM lineitem GROUP BY 1 "
+        "UNION ALL SELECT orderstatus, count(*) FROM orders GROUP BY 1"
+    )
+    cluster = spool_cluster()
+    handle = cluster.submit(sql)
+    union = None
+    while union is None and cluster.sim.step():
+        for stage in handle.stages.values():
+            for task in stage.tasks:
+                ended = [k for k, c in task.exchange_clients.items() if c.all_finished]
+                if len(task.exchange_clients) == 2 and len(ended) == 1:
+                    if task.output_buffer.sent(0) == 1:
+                        union, first = task, ended[0]
+    assert union is not None and handle.state == "running"
+
+    advance = TaskRecovery._advance_replay
+
+    def other_branch_first(recovery, replay_key):
+        stage_id, partition, client_key = replay_key
+        task = recovery.query.stages[stage_id].tasks[partition]
+        others = [c for k, c in task.exchange_clients.items() if k != first]
+        if task.producer_key == union.producer_key and client_key == first:
+            if not all(c.all_finished for c in others):
+                recovery.query._later(1.0, lambda: recovery._advance_replay(replay_key))
+                return
+        advance(recovery, replay_key)
+
+    monkeypatch.setattr(TaskRecovery, "_advance_replay", other_branch_first)
+    assert handle.recovery.recover_tasks([union])
+    cluster.run()
+    assert handle.state == "finished"
+    assert sorted(handle.rows(), key=repr) == sorted(expected_rows(sql), key=repr)
 
 
 def test_spool_written_under_recovery_and_released_at_settle():
@@ -523,13 +624,13 @@ def test_coordinator_crash_leaves_the_run_state_of_a_fresh_handle():
     cluster.sim.run(until_ms=1.0)
     cluster.crash_worker("worker-1")
     for _ in range(200_000):
-        if (handle._attempts and handle._delivered_counts) or not cluster.sim.step():
+        if any(slot_attempts(handle).values()) and handle.recovery.delivery_log:
+            break
+        if not cluster.sim.step():
             break
     assert handle.state == "running"
     used = {name for name in run_state if getattr(handle, name) != getattr(probe, name)}
-    assert used >= {
-        "stages", "_consumers", "_phase_gates", "_delivery_log", "_delivered_counts", "_attempts",
-    }  # fmt: skip
+    assert used >= {"stages", "_consumers", "_phase_gates", "recovery"}
     # Counters of what happened to the query are cumulative over
     # restarts, so they are not run state and a crash keeps them.
     counters = {"writer_scale_ups", "tasks_recovered", "restarts", "_task_retries"}
