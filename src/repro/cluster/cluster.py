@@ -143,7 +143,7 @@ class SimCluster:
         self.fragments_lowered = 0
         # Why each stage created has the width it has (query.py, "How
         # many tasks a stage gets"); the counts sum to fragments_lowered.
-        reasons = "narrowed wide.enumeration_unfinished wide.splits_cover_workers inherited single"
+        reasons = "narrowed wide.enumeration_unfinished wide.splits_cover_workers sized inherited single"
         self.stage_widths = dict.fromkeys(reasons.split(), 0)
         # Pages that took a per-row path instead of the vectorized
         # kernels, by "<operator>.<reason>", folded in as tasks finish.

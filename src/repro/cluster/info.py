@@ -20,6 +20,7 @@ class StageInfo(NamedTuple):
     partitioning: str
     sources: tuple[int, ...]  # the fragments whose output it reads
     width_reason: str
+    estimated_rows: float | None  # behind a "sized" width
     started: bool
     splits_assigned: tuple[int, ...]  # per scan
     tasks: tuple[TaskInfo, ...]  # the attempt that held each slot
@@ -38,7 +39,8 @@ def freeze(query) -> QueryInfo:
     stages = {
         s.id: StageInfo(
             s.id, s.fragment.partitioning, tuple(s.fragment.remote_source_ids), s.width_reason,
-            s.started, tuple(x.assigned for x in s.scan_schedules), tuple(map(_task, s.tasks)),
+            s.estimated_rows, s.started, tuple(x.assigned for x in s.scan_schedules),
+            tuple(map(_task, s.tasks)),
         )
         for s in query.stages.values()
     }  # fmt: skip

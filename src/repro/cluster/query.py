@@ -12,9 +12,15 @@ split-assignment rule on it there (node-local address, then DFS-local
 shortest queue):
 if every enumeration ended within that batch, the stage gets a task on
 exactly the workers a split went to, at least one; a source still
-enumerating is as wide as the cluster. A *hash* stage is as wide as the
-widest stage feeding it, on the least-loaded live workers. Recovery
-replaces a task of either on any live worker.
+enumerating is as wide as the cluster. A *hash* stage gets one task per
+page (``DEFAULT_PAGE_ROWS``) of the rows its feeding stages are
+estimated to send it (repro.optimizer.stats; a PARTIAL aggregation
+sends up to its groups from each of its tasks), at least one and never
+more than its widest feeding stage, on the least-loaded live workers: a
+task given less than a page has nothing for its exchange to coalesce.
+Where a connector has no statistics the estimate is unknown and the
+stage is as wide as the widest stage feeding it. Recovery replaces a
+task of any stage on any live worker.
 
 Transient transfer failures are retried with bounded exponential
 backoff (``RetryPolicy``); exhausting it escalates to task recovery,
@@ -23,6 +29,7 @@ repro.cluster.recovery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -32,7 +39,8 @@ from repro.cluster.info import QueryInfo, freeze
 from repro.cluster.recovery import TaskRecovery
 from repro.cluster.task import FragmentPlanner, SimTask
 from repro.errors import ExceededTimeLimitError, PrestoError
-from repro.exec.page import Page
+from repro.exec.page import DEFAULT_PAGE_ROWS, Page
+from repro.optimizer.stats import PlanEstimate, StatsEstimator
 from repro.planner import nodes as plan
 from repro.planner.fragmenter import FragmentedPlan, PlanFragment
 
@@ -79,6 +87,8 @@ class StageExecution:
         # on, and why there are that many (a stage_width.* counter).
         self.placement: list = []
         self.width_reason = "single"
+        # The rows a "sized" hash stage is estimated to receive.
+        self.estimated_rows: float | None = None
         self.tasks: list[SimTask] = []
         self.started = False
         self.scan_schedules: list[_ScanSchedule] = []
@@ -129,6 +139,51 @@ def _split_target(split, seats, depth):
     # coordinator simply assigns new splits to tasks with the shortest
     # queue").
     return min(candidates, key=depth)
+
+
+class _SentRows:
+    """The rows each created stage is estimated to send its consumer,
+    from connector statistics (repro.optimizer.stats), unknown where a
+    connector has none. A stage's remote sources are estimated as what
+    the stages feeding them send."""
+
+    def __init__(self, metadata, stages: dict[int, StageExecution]):
+        self._estimator = StatsEstimator(metadata)
+        self._stages = stages
+        self._sent: dict[int, PlanEstimate] = {}
+
+    def received(self, fragment_ids) -> PlanEstimate:
+        estimates = [self._estimate(f) for f in fragment_ids]
+        if not all(e.known for e in estimates):
+            return PlanEstimate()
+        if len(estimates) == 1:
+            return estimates[0]
+        return PlanEstimate(sum(e.row_count for e in estimates))
+
+    def _estimate(self, fragment_id: int) -> PlanEstimate:
+        sent = self._sent.get(fragment_id)
+        if sent is not None:
+            return sent
+        estimator = self._estimator
+        stage = self._stages[fragment_id]
+        root = stage.fragment.root
+        for node in plan.walk_plan(root):
+            if isinstance(node, plan.RemoteSourceNode):
+                estimator.assume(node, self.received(node.fragment_ids))
+        sent = estimator.estimate(root)
+        if (
+            sent.known
+            and isinstance(root, plan.AggregationNode)
+            and root.step is plan.AggregationStep.PARTIAL
+        ):
+            # Every task sends its own partial groups, at most its input.
+            rows = sent.row_count * len(stage.placement)
+            source = estimator.estimate(root.source)
+            if source.known:
+                rows = min(rows, source.row_count)
+            sent = PlanEstimate(rows, sent.symbols)
+        self._sent[fragment_id] = sent
+        return sent
 
 
 class QueryExecution:
@@ -273,6 +328,7 @@ class QueryExecution:
         def least_loaded(worker) -> tuple:
             return load[worker], worker.name
 
+        sent = _SentRows(cluster.metadata, self.stages)
         # Lower each fragment once (paper Sec. IV-D). The template knows
         # what the fragment reads — its remote sources and its scans — so
         # the plan is not walked again.
@@ -296,15 +352,19 @@ class QueryExecution:
                 # Nothing to read: one task hears so and ends.
                 reached = reached or {min(live_workers, key=least_loaded)}
             elif fragment.partitioning == "hash":
-                # As wide as the widest stage feeding it, on the
-                # least-loaded workers.
-                width = max(
-                    len(self.stages[child_id].placement)
-                    for key in template.remote_sources
-                    for child_id in key
-                )
+                # A task per page it is estimated to receive, never wider
+                # than the widest stage feeding it; on the least-loaded
+                # workers.
+                feeding = [child_id for key in template.remote_sources for child_id in key]
+                width = max(len(self.stages[child_id].placement) for child_id in feeding)
+                rows = sent.received(feeding).row_count
+                if rows is None:
+                    stage.width_reason = "inherited"
+                else:
+                    width = min(width, max(1, math.ceil(rows / DEFAULT_PAGE_ROWS)))
+                    stage.width_reason = "sized"
+                    stage.estimated_rows = rows
                 reached = set(sorted(live_workers, key=least_loaded)[:width])
-                stage.width_reason = "inherited"
             else:
                 reached = {cluster.coordinator_worker}
             stage.placement = [w for w in live_workers if w in reached]
@@ -880,10 +940,7 @@ class QueryExecution:
                     for g in self._phase_gates.get(stage.id, ())
                     if not self.stages[g].completed
                 )
-                lines.append(
-                    f"stage {stage.id} (width {len(stage.tasks)}): "
-                    f"not started, gated on stages {waits}"
-                )
+                lines.append(f"{_stage_header(stage)}: not started, gated on stages {waits}")
                 continue
             tasks = []
             for task in stage.tasks:
@@ -905,7 +962,7 @@ class QueryExecution:
                     f"blocked operators per driver: {' '.join(drivers)}"
                 )
             lines.append(
-                f"stage {stage.id} (width {len(stage.tasks)}): "
+                f"{_stage_header(stage)}: "
                 + ("; ".join(tasks) or "all tasks finished and drained")
             )
         return "\n".join(lines)
@@ -937,6 +994,14 @@ class QueryExecution:
         return sum(
             task.stats.cpu_ms for stage in self.stages.values() for task in stage.tasks
         )
+
+
+def _stage_header(stage: StageExecution) -> str:
+    """``stage 1 (width 1, sized from ~36 rows)``"""
+    width = f"width {len(stage.tasks)}"
+    if stage.estimated_rows is not None:
+        width += f", sized from ~{stage.estimated_rows:,.0f} rows"
+    return f"stage {stage.id} ({width})"
 
 
 # A fresh run's state: _settle drops each of its fields but the rows.

@@ -56,13 +56,12 @@ class _ShardIndex:
     positions: list[int] = field(default_factory=list)
 
     def rebuild(self, rows: list[tuple], column_index: int) -> None:
-        entries = sorted(
-            (row[column_index], position)
-            for position, row in enumerate(rows)
-            if row[column_index] is not None
-        )
-        self.keys = [key for key, _ in entries]
-        self.positions = [position for _, position in entries]
+        values = [row[column_index] for row in rows]
+        # One stable sort of positions by key: equal keys keep position order.
+        positions = [position for position, key in enumerate(values) if key is not None]
+        positions.sort(key=values.__getitem__)
+        self.keys = [values[position] for position in positions]
+        self.positions = positions
 
     def positions_for_domain(self, domain: Domain) -> list[int]:
         """Row positions of the non-null keys inside ``domain``'s ranges."""

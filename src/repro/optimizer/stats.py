@@ -57,6 +57,11 @@ class StatsEstimator:
             self._cache[node.id] = cached
         return cached
 
+    def assume(self, node: plan.PlanNode, estimate: PlanEstimate) -> None:
+        """Take ``estimate`` as ``node``'s: a fragment's remote source
+        is estimated as what the fragments it reads send."""
+        self._cache[node.id] = estimate
+
     def invalidate(self) -> None:
         self._cache.clear()
 

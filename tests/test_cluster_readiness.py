@@ -120,46 +120,48 @@ def test_each_stage_is_lowered_once(corpus_run):
 
 #: Tasks per stage, in fragment order, of every corpus statement on the
 #: 8-worker cluster: a scan stage has a task per worker its splits are
-#: seated on (6, 3 or 1 Hive files; one shard), a hash stage as many as
-#: the widest stage feeding it, and the root one.
+#: seated on (6, 3 or 1 Hive files; one shard), a hash stage a task per
+#: page of the rows it is estimated to receive, at most as many as the
+#: widest stage feeding it, and the root one.
 STAGE_WIDTHS = {
     "q09": [6, 1],
-    "q18": [6, 1, 3, 6, 6, 1],
-    "q20": [6, 6, 1],
-    "q26": [1, 3, 6, 6, 1],
+    "q18": [6, 1, 3, 4, 1, 1],
+    "q20": [6, 1, 1],
+    "q26": [1, 3, 6, 1, 1],
     "q28": [6, 1],
     "q35": [3, 1, 1, 1],
-    "q37": [1, 6, 6, 1],
-    "q44": [6, 6, 6, 6, 1],
-    "q50": [1, 6, 3, 6, 6, 1],
-    "q54": [3, 3, 3, 1],
-    "q60": [1, 1, 1, 6, 6, 1],
-    "q64": [6, 1, 3, 1, 6, 6, 1],
+    "q37": [1, 6, 1, 1],
+    "q44": [6, 1, 6, 1, 1],
+    "q50": [1, 6, 3, 4, 1, 1],
+    "q54": [3, 1, 1, 1],
+    "q60": [1, 1, 1, 6, 1, 1],
+    "q64": [6, 1, 3, 1, 3, 1, 1],
     "q69": [1, 3, 1, 1, 1],
-    "q71": [1, 6, 3, 6, 6, 1],
-    "q73": [3, 1, 3, 3, 1],
-    "q76": [3, 6, 6, 1],
-    "q78": [6, 3, 6, 6, 1],
-    "q80": [1, 1, 1, 6, 3, 6, 6, 1],
-    "q82": [1, 6, 6, 1],
+    "q71": [1, 6, 3, 3, 1, 1],
+    "q73": [3, 1, 1, 1, 1],
+    "q76": [3, 6, 1, 1],
+    "q78": [6, 3, 3, 1, 1],
+    "q80": [1, 1, 1, 6, 3, 4, 1, 1],
+    "q82": [1, 6, 1, 1],
     **{f"dev{i:02d}": [1, 1, 1] for i in range(30)},
-    "int00": [1, 1, 3, 3, 1],
+    "int00": [1, 1, 3, 1, 1],
     "int01": [3, 1],
-    "int02": [3, 3, 1],
-    "int03": [1, 1, 3, 3, 1],
-    "int04": [1, 1, 3, 3, 1],
+    "int02": [3, 1, 1],
+    "int03": [1, 1, 3, 1, 1],
+    "int04": [1, 1, 3, 1, 1],
     "int05": [3, 1],
-    "int06": [3, 3, 1],
-    "int07": [3, 3, 1],
-    "int08": [3, 3, 1],
+    "int06": [3, 1, 1],
+    "int07": [3, 1, 1],
+    "int08": [3, 1, 1],
     "int09": [3, 1],
 }
 
 
 def test_every_stage_is_as_wide_as_its_splits(corpus_run):
-    """Stage width comes from the splits (cluster/query.py, "How many
-    tasks a stage gets"); the same run's rows are held to LocalEngine's
-    by test_corpus_results_equal_local_engine."""
+    """Stage width comes from the splits and, past the scans, from the
+    estimated rows (cluster/query.py, "How many tasks a stage gets");
+    the same run's rows are held to LocalEngine's by
+    test_corpus_results_equal_local_engine."""
     _, cluster, results, _ = corpus_run
     widths = {
         key: [len(stage.tasks) for stage in query.info.stages.values()]
@@ -176,12 +178,48 @@ def test_every_stage_is_as_wide_as_its_splits(corpus_run):
                 assert stage.width_reason == "narrowed", (key, stage.id)
                 assert all(task.splits for task in stage.tasks), (key, stage.id)
             elif stage.partitioning == "hash":
+                # Hive and the sharded store have statistics: a task per
+                # page of estimated input, at most the widest feeding stage.
                 feeding = [len(query.info.stages[child].tasks) for child in stage.sources]
-                assert len(stage.tasks) == max(feeding), (key, stage.id)
+                assert stage.width_reason == "sized", (key, stage.id)
+                pages = math.ceil(stage.estimated_rows / DEFAULT_PAGE_ROWS)
+                assert len(stage.tasks) == min(max(feeding), max(1, pages)), (key, stage.id)
+            else:
+                assert stage.estimated_rows is None, (key, stage.id)
     snapshot = cluster.stats_snapshot()
     counted = {k.removeprefix("stage_width."): v for k, v in snapshot.items() if k.startswith("stage_width.")}
     assert {k: v for k, v in counted.items() if v} == reasons
     assert sum(counted.values()) == snapshot["exec.fragments_lowered"]
+
+
+def test_a_catalog_without_statistics_keeps_the_inherited_width():
+    """Without statistics the rows a hash stage will receive are unknown,
+    and it is as wide as its widest feeding stage (``inherited``). With
+    them, the same GROUP BY's seven groups from each of three scan tasks
+    make one FINAL task (``sized``)."""
+    rows = [(i, i % 7) for i in range(3 * DEFAULT_PAGE_ROWS)]  # three splits
+    expected = [(g, 3 * DEFAULT_PAGE_ROWS // 7 + (g < 3 * DEFAULT_PAGE_ROWS % 7)) for g in range(7)]
+    sized = {}
+    for statistics in (False, True):
+        connector = MemoryConnector(statistics_enabled=statistics)
+        connector.create_table_with_data(
+            "memory", "default", "t", [("k", BIGINT), ("g", BIGINT)], rows
+        )
+        cluster = SimCluster(
+            ClusterConfig(worker_count=4, default_catalog="memory", default_schema="default")
+        )
+        cluster.register_catalog("memory", connector)
+        query = cluster.run_query("SELECT g, count(*) FROM t GROUP BY g")
+        assert sorted(query.rows()) == expected
+        scan, final, _ = query.info.stages.values()
+        assert (scan.partitioning, final.partitioning) == ("source", "hash")
+        assert len(scan.tasks) == 3
+        snapshot = cluster.stats_snapshot()
+        assert snapshot["stage_width.sized"] + snapshot["stage_width.inherited"] == 1
+        sized[statistics] = (
+            final.width_reason, final.estimated_rows, len(final.tasks), snapshot["stage_width.sized"]
+        )
+    assert sized == {False: ("inherited", None, 3, 0), True: ("sized", 21.0, 1, 1)}
 
 
 def test_replacement_attempts_lower_nothing():
@@ -610,7 +648,7 @@ def test_stalled_query_names_who_waits_on_what():
         cluster.run_query("SELECT returnflag, count(*) FROM lineitem GROUP BY 1")
     message = str(error.value)
     assert "did not complete (state=running)" in message
-    assert "stage 0 (width 2):" in message and "stage 1 (width 2):" in message
+    assert "stage 0 (width 2):" in message and "stage 1 (width 1, sized from ~6 rows):" in message
     assert "q0.1.0 parked on worker-0" in message
     assert "[ExchangeSource]" in message  # the consumer's blocked source
     assert math.isfinite(cluster.sim.now)

@@ -385,6 +385,34 @@ def test_sharded_index_matches_a_linear_scan():
     assert connector._shard_rows(table, shard, TupleDomain.none()) == []
 
 
+def test_sharded_index_is_the_key_position_sort():
+    """An index rebuild orders exactly as sorting ``(key, position)``
+    pairs would: equal keys in position order, NULLs left out; over
+    BIGINT, VARCHAR and DATE (epoch days) columns with duplicates."""
+    from repro.catalog import Column
+    from repro.connectors.shardedsql import ShardedTable, _Shard
+    from repro.types import DATE
+
+    rng = random.Random(13)
+    pools = {1: list(range(-3, 9)), 2: ["", "a", "ab", "b", "ba", "zz"], 3: [0, 18000, 18001, 19999]}
+    for _ in range(100):
+        rows = [
+            (i, *(None if rng.random() < 0.2 else rng.choice(pools[c]) for c in (1, 2, 3)))
+            for i in range(rng.randint(0, 80))
+        ]
+        table = ShardedTable(
+            "default", "t",
+            [Column("id", BIGINT), Column("a", BIGINT), Column("v", VARCHAR), Column("d", DATE)],
+            "id", ["a", "v", "d"], [_Shard(rows=rows)],
+        )
+        ShardedSqlConnector(shard_count=1).rebuild_indexes(table)
+        for c, name in ((1, "a"), (2, "v"), (3, "d")):
+            pairs = sorted((row[c], p) for p, row in enumerate(rows) if row[c] is not None)
+            index = table.shards[0].indexes[name]
+            assert index.keys == [key for key, _ in pairs], name
+            assert index.positions == [p for _, p in pairs], name
+
+
 def test_sharded_read_keeps_the_nulls_a_domain_admits():
     """The index holds no NULLs, so a domain that admits NULL is checked
     row by row, never served from the index."""

@@ -207,6 +207,32 @@ def test_crash_recovery_is_bit_exact(sql):
     )
 
 
+def test_a_stage_sized_to_one_task_recovers():
+    """TPC-H has statistics, so the FINAL aggregation's stage is sized
+    to one task for its few partial groups; crashing the worker that
+    holds that task mid-query replaces it, and the answer is the
+    LocalEngine's."""
+    from repro.client import LocalEngine
+
+    sql = "SELECT returnflag, linestatus, sum(quantity), count(*) FROM lineitem GROUP BY 1, 2"
+    cluster = ft_cluster()
+    handle = cluster.submit(sql)
+    cluster.sim.run(until_ms=1.0)
+    (final,) = [s for s in handle.stages.values() if s.fragment.partitioning == "hash"]
+    assert final.width_reason == "sized" and len(final.tasks) == 1
+    (task,) = final.tasks
+    assert not task.is_finished()
+    victim = task.worker.name
+    cluster.crash_worker(victim)
+    cluster.run()
+    assert handle.state == "finished"
+    assert cluster.tasks_recovered >= 1
+    assert handle.info.stages[final.id].tasks[0].worker != victim
+    engine = LocalEngine(catalog="tpch", schema="tiny")
+    engine.register_catalog("tpch", TpchConnector(scale_factor=0.002))
+    assert sorted(handle.rows()) == sorted(engine.execute(sql).rows)
+
+
 def test_crash_mid_hive_scan_is_exact():
     """A worker dies while its tasks still read Hive files: recovery
     replays their split logs on the survivors, and the answer equals a
